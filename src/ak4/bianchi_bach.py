@@ -28,7 +28,6 @@ import numpy as np
 from . import jets, tensorops
 from .charts import FRAME_FORMS, J_FRAME, StructurePoint
 from .errors import AK4Error
-from .exprs import eval_jet, parse_expr
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
@@ -68,9 +67,11 @@ def cotton_york(cd: CurvatureData) -> Jet:
 
 
 def delta_weyl(cd: CurvatureData, which: str = "full") -> Jet:
-    """Codifferential of the (projected) Weyl tensor, slots (X; Y, Z)."""
-    w = {"full": cd.weyl, "plus": cd.weyl_plus, "minus": cd.weyl_minus}[which]
-    return cd.conn.codifferential(w)
+    """Codifferential of the (projected) Weyl tensor, slots (X; Y, Z).
+
+    The jets are memoized on `cd`, so the report and the Bach routes share them.
+    """
+    return getattr(cd, {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
 
 
 def _pair_with_form(t3_f: np.ndarray, form_f: np.ndarray) -> np.ndarray:
@@ -236,18 +237,32 @@ def weitzenboeck_check(sp: StructurePoint, cd: CurvatureData, field: Jet | None 
 
 
 def random_polynomial_2form(sp: StructurePoint, seed: int, order: int | None = None) -> Jet:
-    """Deterministic quadratic-coefficient 2-form field for identity tests."""
+    """Deterministic quadratic-coefficient 2-form field for identity tests.
+
+    Each entry above the diagonal is a combination of the monomials 1, x1..x4,
+    x1 x3, x2^2, x4 x1 and x3^2 with coefficients drawn uniformly from
+    [-1, 1] and rounded to 6 decimals.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
     order = sp.order if order is None else order
+    x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
     entries = [[None] * 4 for _ in range(4)]
     zero = Jet.constant(0.0, order, sp.point)
-    monomials = ["1", "x1", "x2", "x3", "x4", "x1*x3", "x2^2", "x4*x1", "x3^2"]
     for i in range(4):
         entries[i][i] = zero
         for j in range(i + 1, 4):
-            coeffs = rng.uniform(-1.0, 1.0, size=len(monomials))
-            src = " + ".join(f"({c:.6f})*{m}" for c, m in zip(coeffs, monomials))
-            val = eval_jet(parse_expr(src), sp.point, order)
+            c = [float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=9)]
+            val = (
+                Jet.constant(c[0], order, sp.point)
+                + c[1] * x1
+                + c[2] * x2
+                + c[3] * x3
+                + c[4] * x4
+                + c[5] * x1 * x3
+                + c[6] * x2**2
+                + c[7] * x4 * x1
+                + c[8] * x3**2
+            )
             entries[i][j] = val
             entries[j][i] = -val
     return jets.stack([jets.stack(row) for row in entries])

@@ -12,6 +12,14 @@ Coefficient arrays may carry leading tensor axes: a `Jet` with `c` of shape
 (4, 4, ncoef) is a 4x4 matrix of scalar jets, and arithmetic broadcasts over
 the leading axes exactly like numpy. The coefficient axis is always last.
 
+Elementwise products (`_mul_raw`) gather the convolution pairs along the
+coefficient axis, multiply, and sum each output coefficient's segment.
+Tensor contractions (`contract`, and `outer` as the case with no summed
+axes) put the pair axis first instead: both factors are gathered into
+(ncoef, pairs-per-coefficient * summed, free) blocks, so a single batched
+matmul sums over the convolution pairs and the contracted axes together
+inside BLAS, and never materialises the broadcast elementwise product.
+
 Coefficients are Taylor coefficients, not raw derivatives; `derivative`
 applies the alpha! conversion at the API boundary.
 """
@@ -49,8 +57,10 @@ def _build_mul_tables():
     """Sparse convolution tables, one per truncation order.
 
     Each table is (ia, ib, starts): a sorted-by-output list of coefficient
-    index pairs and the reduceat segment starts, so that a truncated product
-    is one gather, one elementwise multiply, and one segmented sum.
+    index pairs and the reduceat segment starts, so that a truncated
+    elementwise product is one gather, one elementwise multiply, and one
+    segmented sum. `_build_contract_tables` regroups the same pairs for
+    tensor contractions.
     """
     tables = []
     for order in range(MAX_ORDER + 1):
@@ -70,6 +80,33 @@ def _build_mul_tables():
         ks = np.array([e[0] for e in entries], dtype=np.intp)
         starts = np.searchsorted(ks, np.arange(n))
         tables.append((ia, ib, starts))
+    return tables
+
+
+def _build_contract_tables(mul_tables):
+    """The convolution pairs of each `_MUL` table, one row per output coefficient.
+
+    Each table is (ia, ib, width): row k of the flattened (ncoef, width)
+    index arrays lists the pairs whose product lands in coefficient k, padded
+    to the longest segment with pairs whose a-side index is ncoef, a zero
+    slab appended by `contract`. Gathering along the pair axis then lays
+    every coefficient's pairs side by side with the contracted axes, so one
+    batched matmul over the coefficient axis sums both (pair-axis first).
+    Padding costs 495 -> 1120 pairs at order 4, 165 -> 280 at order 3, and
+    buys one BLAS call in place of a segmented sum over the product.
+    """
+    tables = []
+    for ia, ib, starts in mul_tables:
+        n = len(starts)
+        bounds = np.append(starts, len(ia))
+        width = int(np.diff(bounds).max())
+        pa = np.full((n, width), n, dtype=np.intp)
+        pb = np.zeros((n, width), dtype=np.intp)
+        for k in range(n):
+            lo, hi = bounds[k], bounds[k + 1]
+            pa[k, : hi - lo] = ia[lo:hi]
+            pb[k, : hi - lo] = ib[lo:hi]
+        tables.append((pa.ravel(), pb.ravel(), width))
     return tables
 
 
@@ -93,6 +130,7 @@ def _build_deriv_tables():
 
 
 _MUL = _build_mul_tables()
+_CONTRACT = _build_contract_tables(_MUL)
 _DERIV = _build_deriv_tables()
 
 
@@ -308,30 +346,40 @@ def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
 
     out[sa..., sb...] = sum a[.. p at axes_a ..] * b[.. p at axes_b ..]
     where the summed axes are matched pairwise.
+
+    The coefficient axis goes first: a becomes (ncoef + 1, P, A) with a zero
+    slab last and b becomes (ncoef, P, B), where P, A and B are the flattened
+    contracted, free-a and free-b axes. Gathering the `_CONTRACT` pairs gives
+    (ncoef, width * P, A) and (ncoef, width * P, B), and one batched matmul
+    sums over pairs and contracted axes at once into (ncoef, A, B).
     """
     if isinstance(axes_a, int):
         axes_a = (axes_a,)
         axes_b = (axes_b,)
-    k = len(axes_a)
     o = min(a.order, b.order)
-    ca = np.moveaxis(a.c[..., : NCOEF[o]], axes_a, range(k))
-    cb = np.moveaxis(b.c[..., : NCOEF[o]], axes_b, range(k))
-    sa = ca.shape[k:-1]
-    sb = cb.shape[k:-1]
-    ca = ca.reshape(ca.shape[:k] + sa + (1,) * len(sb) + (ca.shape[-1],))
-    cb = cb.reshape(cb.shape[:k] + (1,) * len(sa) + sb + (cb.shape[-1],))
-    prod = _mul_raw(ca, cb, o)
-    return Jet(o, prod.sum(axis=tuple(range(k))), _merge_points(a.point, b.point))
+    n = NCOEF[o]
+    last_a, last_b = a.c.ndim - 1, b.c.ndim - 1
+    free_a = tuple(ax for ax in range(last_a) if ax not in axes_a)
+    free_b = tuple(ax for ax in range(last_b) if ax not in axes_b)
+    summed = tuple(a.c.shape[ax] for ax in axes_a)
+    sa = tuple(a.c.shape[ax] for ax in free_a)
+    sb = tuple(b.c.shape[ax] for ax in free_b)
+    p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
+    ia, ib, width = _CONTRACT[o]
+    # slab n of fa stays zero: the padding pairs of `_CONTRACT` point at it
+    fa = np.empty((n + 1, p, na))
+    fa[n] = 0.0
+    fa[:n].reshape((n,) + summed + sa)[...] = a.c[..., :n].transpose((last_a, *axes_a, *free_a))
+    fb = np.ascontiguousarray(b.c[..., :n].transpose((last_b, *axes_b, *free_b))).reshape(n, p, nb)
+    ga = fa.take(ia, axis=0).reshape(n, width * p, na)
+    gb = fb.take(ib, axis=0).reshape(n, width * p, nb)
+    out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
+    return Jet(o, out.reshape(sa + sb + (n,)), _merge_points(a.point, b.point))
 
 
 def outer(a: Jet, b: Jet) -> Jet:
     """Tensor product: out[sa..., sb...] = a[sa...] * b[sb...]."""
-    o = min(a.order, b.order)
-    sa = a.shape
-    sb = b.shape
-    ca = a.c[..., : NCOEF[o]].reshape(sa + (1,) * len(sb) + (NCOEF[o],))
-    cb = b.c[..., : NCOEF[o]].reshape((1,) * len(sa) + sb + (NCOEF[o],))
-    return Jet(o, _mul_raw(ca, cb, o), _merge_points(a.point, b.point))
+    return contract(a, b, (), ())
 
 
 # -- reciprocal, powers, elementary functions ---------------------------------

@@ -115,6 +115,21 @@ class CurvatureData:
     def weyl_minus(self) -> Jet:
         return self._weyl_half(-1.0)
 
+    @cached_property
+    def delta_weyl(self) -> Jet:
+        """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
+        return self.conn.codifferential(self.weyl)
+
+    @cached_property
+    def delta_weyl_plus(self) -> Jet:
+        """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
+        return self.conn.codifferential(self.weyl_plus)
+
+    @cached_property
+    def delta_weyl_minus(self) -> Jet:
+        """Codifferential of W-, computed from W- itself."""
+        return self.conn.codifferential(self.weyl_minus)
+
     def _weyl_half(self, sign: float) -> Jet:
         sp = self.sp
         half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1))

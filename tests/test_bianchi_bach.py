@@ -8,6 +8,7 @@ import pytest
 from ak4 import bianchi_bach, charts, jets, riemann, tensorops
 from ak4.cli import analyze_point
 from ak4.errors import AK4Error, JetOrderError
+from ak4.exprs import eval_jet, parse_expr
 
 from conftest import EINSTEIN_NAMES, KAHLER_NAMES
 
@@ -37,6 +38,13 @@ class TestCottonYork:
         cd = riemann.curvature(riemann.connection(sp))
         with pytest.raises(JetOrderError):
             bianchi_bach.cotton_york(cd)
+
+    def test_delta_weyl_memoized_from_each_weyl_piece(self, analyses):
+        cd = analyses["kodaira-thurston"][0].cd
+        for which, w in (("full", cd.weyl), ("plus", cd.weyl_plus), ("minus", cd.weyl_minus)):
+            dw = bianchi_bach.delta_weyl(cd, which)
+            assert dw is bianchi_bach.delta_weyl(cd, which)
+            assert np.array_equal(dw.c, cd.conn.codifferential(w).c)
 
 
 class TestDeltaWPlusSplit:
@@ -158,6 +166,20 @@ class TestWeitzenboeck:
                 rhs = -(cd.s / 3.0) * sp.omega + 2.0 * w_om
                 res = np.abs(tensorops.frame_components((rough - rhs).value, sp.frame)).max()
                 assert res < 1e-7
+
+    def test_random_field_is_the_rounded_polynomial(self, analyses):
+        # the field is the expression text with the same rng draws, parsed and evaluated as jets
+        sp = analyses["kodaira-thurston"][0].sp
+        field = bianchi_bach.random_polynomial_2form(sp, 2024)
+        rng = np.random.default_rng(np.random.SeedSequence([2024, 0x2F]))
+        monomials = ["1", "x1", "x2", "x3", "x4", "x1*x3", "x2^2", "x4*x1", "x3^2"]
+        for i in range(4):
+            assert not field[i, i].c.any()
+            for j in range(i + 1, 4):
+                src = " + ".join(f"({c:.6f})*{m}" for c, m in zip(rng.uniform(-1.0, 1.0, 9), monomials))
+                expect = eval_jet(parse_expr(src), sp.point, sp.order).c
+                assert np.array_equal(field[i, j].c, expect)
+                assert np.array_equal(field[j, i].c, -expect)
 
     def test_random_field_all_charts(self, analyses):
         for rows in analyses.values():

@@ -210,3 +210,92 @@ class TestRandomExpressionsVsFiniteDifferences:
             if err > 1e-5:
                 failures.append((src, err))
         assert not failures, f"{len(failures)} of 1000 disagree, worst: {failures[:3]}"
+
+
+def loop_contract(a: Jet, b: Jet, axes_a, axes_b) -> np.ndarray:
+    """Reference contraction: a loop of scalar Jet products and sums."""
+    free_a = [ax for ax in range(len(a.shape)) if ax not in axes_a]
+    free_b = [ax for ax in range(len(b.shape)) if ax not in axes_b]
+    summed = [a.shape[ax] for ax in axes_a]
+    order = min(a.order, b.order)
+
+    def place(free_axes, free_idx, summed_axes, summed_idx, ndim):
+        idx = [0] * ndim
+        for ax, i in zip(free_axes, free_idx):
+            idx[ax] = i
+        for ax, i in zip(summed_axes, summed_idx):
+            idx[ax] = i
+        return tuple(idx)
+
+    out_shape = tuple(a.shape[ax] for ax in free_a) + tuple(b.shape[ax] for ax in free_b)
+    out = np.zeros(out_shape + (jets.NCOEF[order],))
+    for ia in np.ndindex(*(a.shape[ax] for ax in free_a)):
+        for ib in np.ndindex(*(b.shape[ax] for ax in free_b)):
+            acc = Jet.constant(0.0, order)
+            for ip in np.ndindex(*summed):
+                acc = acc + a[place(free_a, ia, axes_a, ip, len(a.shape))] * b[place(free_b, ib, axes_b, ip, len(b.shape))]
+            out[ia + ib] = acc.c
+    return out
+
+
+def random_tensor_jet(rng, shape, order: int) -> Jet:
+    return Jet(order, rng.uniform(-1.0, 1.0, tuple(shape) + (jets.NCOEF[order],)))
+
+
+def assert_kernel_matches(got: Jet, expect: np.ndarray, order: int):
+    assert got.order == order
+    assert got.c.shape == expect.shape
+    assert np.abs(got.c - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
+
+
+class TestContractionKernel:
+    """contract and outer against a loop of scalar Jet.__mul__ products."""
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_one_contracted_axis(self, order):
+        rng = np.random.default_rng(10 + order)
+        a = random_tensor_jet(rng, (3, 4, 2), order)
+        b = random_tensor_jet(rng, (2, 5), order)
+        assert_kernel_matches(jets.contract(a, b, 2, 0), loop_contract(a, b, (2,), (0,)), order)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_two_moved_contracted_axes(self, order):
+        rng = np.random.default_rng(20 + order)
+        a = random_tensor_jet(rng, (3, 2, 4), order)
+        b = random_tensor_jet(rng, (4, 5, 3), order)
+        # a's last and first axes pair with b's first and last: neither side is contiguous or in order
+        assert_kernel_matches(jets.contract(a, b, (2, 0), (0, 2)), loop_contract(a, b, (2, 0), (0, 2)), order)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_non_contiguous_input(self, order):
+        rng = np.random.default_rng(30 + order)
+        a = jets.moveaxis(random_tensor_jet(rng, (4, 3, 2), order), 0, 2)  # a strided view, shape (3, 2, 4)
+        b = random_tensor_jet(rng, (3, 4), order)
+        assert not a.c.flags.c_contiguous
+        assert_kernel_matches(jets.contract(a, b, (2, 0), (1, 0)), loop_contract(a, b, (2, 0), (1, 0)), order)
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_empty_output_shape(self, order):
+        rng = np.random.default_rng(40 + order)
+        a = random_tensor_jet(rng, (4, 3), order)
+        b = random_tensor_jet(rng, (3, 4), order)
+        got = jets.contract(a, b, (0, 1), (1, 0))
+        assert got.shape == ()
+        assert_kernel_matches(got, loop_contract(a, b, (0, 1), (1, 0)), order)
+
+    @pytest.mark.parametrize(("order_a", "order_b"), [(4, 2), (1, 3), (0, 4)])
+    def test_mixed_orders_truncate_to_lower(self, order_a, order_b):
+        rng = np.random.default_rng(50 + order_a)
+        a = random_tensor_jet(rng, (2, 4), order_a)
+        b = random_tensor_jet(rng, (4, 3), order_b)
+        order = min(order_a, order_b)
+        assert_kernel_matches(jets.contract(a, b, 1, 0), loop_contract(a, b, (1,), (0,)), order)
+        assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize(("shape_a", "shape_b"), [((2, 3), (4,)), ((), (3, 2)), ((), ())])
+    def test_outer(self, order, shape_a, shape_b):
+        rng = np.random.default_rng(60 + order)
+        a = random_tensor_jet(rng, shape_a, order)
+        b = random_tensor_jet(rng, shape_b, order)
+        assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
