@@ -8,11 +8,11 @@ curvature conditions.
 
 __version__ = "0.1.0"
 
-from .charts import ChartSpec, FormBasis, StructurePoint, adapted_frame, catalog, load_chart, structure_at
-from .decomp import DecompReport, decompose, j_invariance_residuals, so4_decompose, star_ricci, u2_decompose
+from .charts import ChartSpec, FormBasis, StructurePoint, catalog, load_chart, structure_at
+from .decomp import DecompReport, decompose, j_invariance_residuals, star_ricci
 from .errors import AK4Error, ChartError, DomainError, JetOrderError, ParseError, StructureError
 from .exprs import eval_float, eval_jet, parse_expr
-from .jets import Jet, Jet4, jet_arith
+from .jets import Jet
 from .riemann import (
     ConnectionData,
     CurvatureData,
@@ -36,12 +36,10 @@ __all__ = [
     "FormBasis",
     "HermitianFirstOrder",
     "Jet",
-    "Jet4",
     "JetOrderError",
     "ParseError",
     "StructureError",
     "StructurePoint",
-    "adapted_frame",
     "catalog",
     "connection",
     "curvature",
@@ -51,13 +49,10 @@ __all__ = [
     "eval_jet",
     "hermitian_first_order",
     "j_invariance_residuals",
-    "jet_arith",
     "load_chart",
     "parse_expr",
     "random_curvature",
     "ricci_identity_check",
-    "so4_decompose",
     "star_ricci",
     "structure_at",
-    "u2_decompose",
 ]

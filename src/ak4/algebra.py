@@ -14,11 +14,10 @@ half-tensor-norm inner product, and the basis of 2-forms is
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .charts import FRAME_FORMS, J_FRAME
+from .tensorops import EPS4
 
 DELTA = np.eye(4)
 
@@ -51,20 +50,10 @@ def curvature_symmetrize(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + np.moveaxis(r, (-4, -3, -2, -1), (-2, -1, -4, -3)))
 
 
-_EPS = np.zeros((4, 4, 4, 4))
-for _p in itertools.permutations(range(4)):
-    _s, _q = 1, list(_p)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _q[_i] > _q[_j]:
-                _s = -_s
-    _EPS[_p] = _s
-
-
 def bianchi_project(r: np.ndarray) -> np.ndarray:
     """Remove the totally antisymmetric part, enforcing the first Bianchi identity."""
-    c = np.einsum("...ijkl,ijkl->...", r, _EPS) / 24.0
-    return r - c[..., None, None, None, None] * _EPS
+    c = np.einsum("...ijkl,ijkl->...", r, EPS4) / 24.0
+    return r - c[..., None, None, None, None] * EPS4
 
 
 def first_bianchi_residual(r: np.ndarray) -> np.ndarray:

@@ -276,8 +276,6 @@ def second_order_report(
     cd: CurvatureData,
     hfo: HermitianFirstOrder,
     ric_anti_norm: float,
-    ric0_frame: np.ndarray | None = None,
-    theta_frame: np.ndarray | None = None,
     weitzenboeck_seed: int = 2024,
 ) -> SecondOrderReport:
     """Compute every second-order quantity and the full residual table."""
@@ -301,8 +299,8 @@ def second_order_report(
 
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
     ds_f = tensorops.frame_components(jets.partials(cd.s).value, frame)
-    ric0_f = cd.ric0_frame if ric0_frame is None else ric0_frame
-    theta_f = tensorops.frame_components(hfo.theta.value, frame) if theta_frame is None else theta_frame
+    ric0_f = cd.ric0_frame
+    theta_f = tensorops.frame_components(hfo.theta.value, frame)
     alpha_pred = -ds_f / 12.0 + 0.5 * ric0_f @ theta_f
     a_f = tensorops.frame_components(hfo.a.value, frame)
     b_f = tensorops.frame_components(hfo.b.value, frame)

@@ -59,9 +59,9 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     for key in ("name", "coords", "domain", "g", "J"):
         if key not in data:
             raise ChartError(f"{name_hint}: missing top-level key {key!r}")
-    coords = tuple(data["coords"])
-    if len(coords) != 4:
-        raise ChartError(f"{name_hint}: coords must list exactly 4 names")
+    coords = data["coords"]
+    if not isinstance(coords, list) or len(coords) != 4 or not all(isinstance(c, str) for c in coords):
+        raise ChartError(f"{name_hint}: coords must be a list of exactly 4 names")
     domain = []
     for i, pair in enumerate(data["domain"]):
         lo, hi = float(pair[0]), float(pair[1])
@@ -97,7 +97,7 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     J = tuple(tuple(_parse(j_src[i][j], f"J^{i + 1}_{j + 1}") for j in range(4)) for i in range(4))
     return ChartSpec(
         name=str(data["name"]),
-        coords=coords,
+        coords=tuple(coords),
         domain=tuple(domain),
         g_src=g_src,
         j_src=tuple(tuple(r) for r in j_src),
@@ -504,7 +504,3 @@ def _basis_vector_jet(m: int, g: Jet) -> Jet:
     c[m, 0] = 1.0
     return Jet(g.order, c, g.point)
 
-
-def adapted_frame(sp: StructurePoint) -> FormBasis:
-    """The adapted coframe and 2-form basis attached to a structure point."""
-    return sp.basis

@@ -20,7 +20,9 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,35 +56,45 @@ class RunConfig:
             raise AK4Error("tolerance scale must be positive")
 
 
-@dataclass
 class PointAnalysis:
-    """Everything the engine derives at a single sample point."""
+    """The pipeline at one sample point: the structure is evaluated and
+    validated on construction, every later stage on first use."""
 
-    sp: charts.StructurePoint
-    cd: riemann.CurvatureData
-    hfo: riemann.HermitianFirstOrder
-    dr: decomp.DecompReport
-    gr: gray.GrayReport
-    sor: bianchi_bach.SecondOrderReport | None
-    skipped: tuple[str, ...] = ()
+    def __init__(self, spec: charts.ChartSpec, p, order: int = 4, planes: int = 64, seed: int = 42):
+        self.sp = charts.structure_at(spec, p, order)
+        self.order, self.planes, self.seed = order, planes, seed
 
+    @cached_property
+    def cd(self) -> riemann.CurvatureData:
+        return riemann.curvature(riemann.connection(self.sp))
 
-def analyze_point(spec: charts.ChartSpec, p, order: int = 4, planes: int = 64, seed: int = 42) -> PointAnalysis:
-    """Run the full pipeline at one point, skipping checks the order cannot support."""
-    sp = charts.structure_at(spec, p, order)
-    cd = riemann.curvature(riemann.connection(sp))
-    hfo = riemann.hermitian_first_order(sp, cd)
-    dr = decomp.decompose(cd, sp, hfo)
-    gr = gray.gray_report(sp, cd, dr, hfo, n_planes=planes, seed=seed)
-    skipped: list[str] = []
-    sor = None
-    if order >= 4:
-        sor = bianchi_bach.second_order_report(sp, cd, hfo, dr.ric_anti_norm, weitzenboeck_seed=seed)
-    else:
-        skipped.append("second-order identities (cotton-york, bach, weitzenboeck): need order 4")
-    if order < 3:
-        skipped.append("scalar-derivative identity: needs order 3")
-    return PointAnalysis(sp=sp, cd=cd, hfo=hfo, dr=dr, gr=gr, sor=sor, skipped=tuple(skipped))
+    @cached_property
+    def hfo(self) -> riemann.HermitianFirstOrder:
+        return riemann.hermitian_first_order(self.sp, self.cd)
+
+    @cached_property
+    def dr(self) -> decomp.DecompReport:
+        return decomp.decompose(self.cd, self.sp, self.hfo)
+
+    @cached_property
+    def gr(self) -> gray.GrayReport:
+        return gray.gray_report(self.sp, self.cd, self.dr, self.hfo, n_planes=self.planes, seed=self.seed)
+
+    @cached_property
+    def sor(self) -> bianchi_bach.SecondOrderReport | None:
+        if self.order < 4:
+            return None
+        return bianchi_bach.second_order_report(self.sp, self.cd, self.hfo, self.dr.ric_anti_norm, weitzenboeck_seed=self.seed)
+
+    @property
+    def skipped(self) -> tuple[str, ...]:
+        """The identity families the jet order cannot support."""
+        skipped = []
+        if self.order < 4:
+            skipped.append("second-order identities (cotton-york, bach, weitzenboeck): need order 4")
+        if self.order < 3:
+            skipped.append("scalar-derivative identity: needs order 3")
+        return tuple(skipped)
 
 
 def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
@@ -91,58 +103,123 @@ def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
     return charts.catalog_chart(name_or_path)
 
 
-# -- identity aggregation --------------------------------------------------------
+# -- the identity registry ---------------------------------------------------------
 
 
-def _identity_rows(pa: PointAnalysis, tol_scale: float) -> list[dict]:
-    """Per-point identity table: name, residual, tolerance, applicability."""
-    t_alg = TOL_ALGEBRAIC * tol_scale
-    t_first = TOL_FIRST_ORDER * tol_scale
-    t_third = TOL_THIRD_ORDER * tol_scale
-    t_fourth = TOL_FOURTH_ORDER * tol_scale
-    dr, gr, hfo, sor = pa.dr, pa.gr, pa.hfo, pa.sor
-    rows = [
-        {"name": "structure-invariants", "residual": max(pa.sp.invariant_residuals.values()), "tol": t_alg},
-        {"name": "so4-reconstruction", "residual": dr.recon_residual, "tol": t_first},
-        {"name": "u2-reassembly", "residual": dr.u2_residual, "tol": t_alg},
-        {"name": "u2-orthogonality", "residual": dr.orthogonality_residual, "tol": t_alg},
-        {"name": "kappa", "residual": dr.kappa_identity_residual, "tol": t_alg},
-        {"name": "star-skew-vs-psi", "residual": dr.star_skew_residual, "tol": t_alg},
-        {"name": "ric-id", "residual": riemann.ricci_identity_check(pa.sp, pa.cd), "tol": t_first},
-        {"name": "nabla-j-identity", "residual": hfo.identity_residual, "tol": t_first},
-    ]
-    if dr.s_star_identity_residual is not None:
-        rows.append({"name": "s-star", "residual": dr.s_star_identity_residual, "tol": t_first})
-    if hfo.is_almost_kahler:
-        rows.append({"name": "ak-shape (b = -Ja)", "residual": hfo.b_plus_ja_norm, "tol": t_first})
-        rows.append({"name": "lee-form-vanishes", "residual": hfo.theta_norm, "tol": t_first})
-    if gr.prop1_residual is not None:
-        rows.append({"name": "prop1", "residual": gr.prop1_residual, "tol": t_first})
-    if max(gr.lemma6_triple) < t_third:
-        rows.append({"name": "lemma6-constancy", "residual": gr.mu_max - gr.mu_min, "tol": t_third})
-        rows.append(
-            {"name": "lemma6-mu-formula", "residual": max(abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula)), "tol": t_third}
-        )
-    if sor is not None:
-        res = sor.residuals
-        rows += [
-            {"name": "bianchi", "residual": res["delta W = C"], "tol": t_third},
-            {"name": "bianchi-half", "residual": res["delta W+ = C+"], "tol": t_third},
-            {"name": "v-split-completeness", "residual": res["V+ + V- completeness"], "tol": t_third},
-            {"name": "bach-symmetric", "residual": res["bach symmetric"], "tol": t_fourth},
-            {"name": "bach-traceless", "residual": res["bach traceless"], "tol": t_fourth},
-            {"name": "bach-3way (plus)", "residual": res["bach direct vs plus"], "tol": t_fourth},
-            {"name": "bach-3way (minus)", "residual": res["bach direct vs minus"], "tol": t_fourth},
-            {"name": "weitzenboeck", "residual": max(res["weitzenboeck omega"], res["weitzenboeck random"]), "tol": t_fourth},
-        ]
-        if dr.ric_anti_norm < t_first:
-            rows.append({"name": "lemma1-alpha", "residual": res["alpha formula"], "tol": t_third})
-            rows.append({"name": "beta0", "residual": res["beta formula"], "tol": t_third})
-        if sor.bach_ak is not None:
-            rows.append({"name": "bach-ak-form", "residual": res["bach direct vs almost-kahler form"], "tol": t_fourth})
-            rows.append({"name": "bach-ricci-form", "residual": res["bach direct vs ricci form"], "tol": t_fourth})
-    for r in rows:
-        r["pass"] = bool(np.isfinite(r["residual"]) and r["residual"] <= r["tol"])
+@dataclass(frozen=True)
+class Identity:
+    """One identity of the report and of `ak4 check`.
+
+    `residual(pa, tol_scale)` returns None where the identity's hypotheses
+    fail at the point. `group` is the `check` name the identity answers to
+    (its own name by default); `check <group>` takes the max over the group.
+    Identities with `report=False` run only under `check`.
+    """
+
+    name: str
+    tol: float  # ladder tier, before --tol-scale
+    order: int  # lowest jet order that supports the identity
+    residual: Callable[[PointAnalysis, float], float | None]
+    group: str | None = None
+    report: bool = True
+
+    def __post_init__(self):
+        if self.group is None:
+            object.__setattr__(self, "group", self.name)
+
+
+def _if_almost_kahler(value):
+    return lambda pa, scale: value(pa.hfo) if pa.hfo.is_almost_kahler else None
+
+
+def _if_lemma6(value):
+    """Lemma 6 assumes Ric^anti = 0, W3+ = 0 and W- = 0."""
+    return lambda pa, scale: value(pa.gr) if max(pa.gr.lemma6_triple) < TOL_THIRD_ORDER * scale else None
+
+
+def _if_j_invariant_ricci(residual):
+    return lambda pa, scale: residual(pa, scale) if pa.dr.ric_anti_norm < TOL_FIRST_ORDER * scale else None
+
+
+def _second_order(key: str):
+    """A residual of the second-order report; None where the report has no such entry."""
+    return lambda pa, scale: pa.sor.residuals.get(key)
+
+
+def _lemma5(pa: PointAnalysis, scale: float) -> float:
+    data = gray.lemma5_check(pa.dr, (pa.gr.g1, pa.gr.g2, pa.gr.g3))
+    # equivalence at chart level: both small or both clearly nonzero
+    if data["g2"] < 1e-10:
+        return data["triple_max"]
+    if data["triple_max"] < 1e-10:
+        return data["g2"]
+    return 0.0
+
+
+def _prop2i(pa: PointAnalysis, scale: float) -> float | None:
+    rev = gray.reversed_structure(pa.sp, pa.hfo, pa.dr, pa.gr.g2)
+    return rev.prop2i_residual if rev.valid and rev.g2_holds else None
+
+
+def _weitzenboeck(pa: PointAnalysis, scale: float) -> float:
+    """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
+    return max(pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
+
+
+def _mu_formula_gap(gr: gray.GrayReport) -> float:
+    return max(abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
+
+
+#: Every identity, in report row order.
+IDENTITIES = (
+    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda pa, _: max(pa.sp.invariant_residuals.values())),
+    Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, lambda pa, _: pa.dr.recon_residual),
+    Identity("u2-reassembly", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.u2_residual),
+    Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.orthogonality_residual),
+    Identity("kappa", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.kappa_identity_residual),
+    Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.star_skew_residual),
+    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa, _: riemann.ricci_identity_check(pa.sp, pa.cd)),
+    Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, lambda pa, _: pa.hfo.identity_residual),
+    Identity("s-star", TOL_FIRST_ORDER, 2, lambda pa, _: pa.dr.s_star_identity_residual),
+    Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, _if_almost_kahler(lambda hfo: hfo.b_plus_ja_norm)),
+    Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, _if_almost_kahler(lambda hfo: hfo.theta_norm)),
+    Identity("prop1", TOL_FIRST_ORDER, 3, lambda pa, _: pa.gr.prop1_residual),
+    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, _if_lemma6(lambda gr: gr.mu_max - gr.mu_min), group="lemma6"),
+    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, _if_lemma6(_mu_formula_gap), group="lemma6"),
+    Identity("bianchi", TOL_THIRD_ORDER, 4, _second_order("delta W = C")),
+    Identity("bianchi-half", TOL_THIRD_ORDER, 4, _second_order("delta W+ = C+")),
+    Identity("v-split-completeness", TOL_THIRD_ORDER, 4, _second_order("V+ + V- completeness")),
+    Identity("bach-symmetric", TOL_FOURTH_ORDER, 4, _second_order("bach symmetric")),
+    Identity("bach-traceless", TOL_FOURTH_ORDER, 4, _second_order("bach traceless")),
+    Identity("bach-3way (plus)", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs plus"), group="bach-3way"),
+    Identity("bach-3way (minus)", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs minus"), group="bach-3way"),
+    Identity("weitzenboeck", TOL_FOURTH_ORDER, 4, _weitzenboeck),
+    Identity("lemma1-alpha", TOL_THIRD_ORDER, 4, _if_j_invariant_ricci(_second_order("alpha formula"))),
+    Identity("beta0", TOL_THIRD_ORDER, 4, _if_j_invariant_ricci(_second_order("beta formula"))),
+    Identity("bach-ak-form", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs almost-kahler form"), group="bach-3way"),
+    Identity("bach-ricci-form", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs ricci form"), group="bach-3way"),
+    Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
+    Identity("prop2i", TOL_FIRST_ORDER, 2, _prop2i, report=False),
+)
+
+
+#: The identities `report` evaluates.
+REPORTED = tuple(i for i in IDENTITIES if i.report)
+
+
+def _select(names, identities: tuple[Identity, ...]) -> tuple[Identity, ...]:
+    """The identities whose name or group is one of `names`."""
+    return tuple(i for i in identities if i.name in names or i.group in names)
+
+
+def _identity_rows(pa: PointAnalysis, tol_scale: float, identities: tuple[Identity, ...] = REPORTED) -> list[dict]:
+    """Per-point identity table: name, residual, tolerance, pass."""
+    rows = []
+    for ident in identities:
+        residual = ident.residual(pa, tol_scale) if ident.order <= pa.order else None
+        if residual is not None:
+            tol = ident.tol * tol_scale
+            rows.append({"name": ident.name, "residual": residual, "tol": tol, "pass": bool(np.isfinite(residual) and residual <= tol)})
     return rows
 
 
@@ -183,19 +260,29 @@ def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
     return doc
 
 
+def _report_identities(checks: tuple[str, ...]) -> tuple[Identity, ...]:
+    """The report rows a --checks selection enables (every row by default)."""
+    if not checks:
+        return REPORTED
+    known = {i.name for i in REPORTED} | {i.group for i in REPORTED}
+    unknown = [name for name in checks if name not in known]
+    if unknown:
+        raise AK4Error(f"unknown identity {unknown[0]!r} in --checks; known identities: {', '.join(sorted(known))}")
+    return _select(checks, REPORTED)
+
+
 def run_report(config: RunConfig) -> tuple[dict, int]:
     """Evaluate all modules on sampled points; returns (document, exit_code)."""
     t0 = time.time()
+    identities = _report_identities(config.checks)
     spec = _resolve_chart(config.chart)
     points = spec.sample_points(config.points, config.seed)
     point_docs = []
     worst: dict[str, dict] = {}
     verdicts = []
     for idx, p in enumerate(points):
-        pa = analyze_point(spec, p, order=config.order, planes=config.planes, seed=config.seed)
-        rows = _identity_rows(pa, config.tol_scale)
-        if config.checks:
-            rows = [r for r in rows if r["name"] in config.checks]
+        pa = PointAnalysis(spec, p, order=config.order, planes=config.planes, seed=config.seed)
+        rows = _identity_rows(pa, config.tol_scale, identities)
         for r in rows:
             w = worst.setdefault(r["name"], {"residual": -1.0, "tol": r["tol"], "pass": True})
             if r["residual"] > w["residual"]:
@@ -248,23 +335,16 @@ def _charts_for(config: RunConfig) -> list[charts.ChartSpec]:
     return [_resolve_chart(config.chart)]
 
 
-def _per_point_check(extract, tol: float, needs_order: int = 2):
-    """Build a check runner from a per-point residual extractor."""
-
-    def run(config: RunConfig):
-        rows = []
-        order = max(config.order, needs_order)
-        for spec in _charts_for(config):
-            for p in spec.sample_points(config.points, config.seed):
-                pa = analyze_point(spec, p, order=order, planes=config.planes, seed=config.seed)
-                value = extract(pa)
-                if value is None:
-                    rows.append({"chart": spec.name, "point": list(p), "residual": None, "note": "not applicable"})
-                else:
-                    rows.append({"chart": spec.name, "point": list(p), "residual": float(value)})
-        return rows
-
-    return run
+def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> list[dict]:
+    """Max residual of the applicable identities at each chart point; None where none applies."""
+    order = max(config.order, max(i.order for i in identities))
+    rows = []
+    for spec in _charts_for(config):
+        for p in spec.sample_points(config.points, config.seed):
+            pa = PointAnalysis(spec, p, order=order, planes=config.planes, seed=config.seed)
+            values = [v for v in (i.residual(pa, config.tol_scale) for i in identities) if v is not None]
+            rows.append({"chart": spec.name, "point": list(p), "residual": float(max(values)) if values else None})
+    return rows
 
 
 def _sandbox_lemma5(config: RunConfig):
@@ -314,100 +394,33 @@ def _sandbox_roundtrip(config: RunConfig):
     return [{"chart": "sandbox", "point": None, "residual": res, "note": f"{n} tensors"}]
 
 
-CHECK_TOL = {
-    "bianchi": TOL_THIRD_ORDER,
-    "kappa": TOL_ALGEBRAIC,
-    "s-star": TOL_FIRST_ORDER,
-    "lemma1-alpha": TOL_THIRD_ORDER,
-    "beta0": TOL_THIRD_ORDER,
-    "bach-3way": TOL_FOURTH_ORDER,
-    "lemma5": TOL_FIRST_ORDER,
-    "lemma6": TOL_THIRD_ORDER,
-    "prop1": TOL_FIRST_ORDER,
-    "prop2i": TOL_FIRST_ORDER,
-    "weitzenboeck": TOL_FOURTH_ORDER,
-    "ric-id": TOL_FIRST_ORDER,
-    "gray-chain": 1e-10,
-    "sandbox-lemma5": 1e-10,
-    "sandbox-roundtrip": 1e-10,
-}
-
-
-def _check_lemma5_chart(pa: PointAnalysis):
-    data = gray.lemma5_check(pa.dr, (pa.gr.g1, pa.gr.g2, pa.gr.g3))
-    # equivalence at chart level: both small or both clearly nonzero
-    if data["g2"] < 1e-10:
-        return data["triple_max"]
-    if data["triple_max"] < 1e-10:
-        return data["g2"]
-    return 0.0
-
-
-def _check_lemma6_chart(pa: PointAnalysis):
-    if max(pa.gr.lemma6_triple) < 1e-8:
-        return max(pa.gr.mu_max - pa.gr.mu_min, abs(pa.gr.mu_max - pa.gr.mu_formula))
-    return None
-
-
-def _check_prop2i(pa: PointAnalysis):
-    rev = gray.reversed_structure(pa.sp, pa.hfo, pa.dr, pa.gr.g2)
-    if not rev.valid or not rev.g2_holds:
-        return None
-    return rev.prop2i_residual
-
-
-def _check_bach3(pa: PointAnalysis):
-    if pa.sor is None:
-        return None
-    res = pa.sor.residuals
-    vals = [res["bach direct vs plus"], res["bach direct vs minus"]]
-    if "bach direct vs almost-kahler form" in res:
-        vals.append(res["bach direct vs almost-kahler form"])
-        vals.append(res["bach direct vs ricci form"])
-    return max(vals)
-
-
-CHECKS = {
-    "bianchi": _per_point_check(lambda pa: pa.sor.residuals["delta W = C"] if pa.sor else None, TOL_THIRD_ORDER, 4),
-    "kappa": _per_point_check(lambda pa: pa.dr.kappa_identity_residual, TOL_ALGEBRAIC),
-    "s-star": _per_point_check(lambda pa: pa.dr.s_star_identity_residual, TOL_FIRST_ORDER),
-    "lemma1-alpha": _per_point_check(
-        lambda pa: pa.sor.residuals["alpha formula"] if pa.sor and pa.dr.ric_anti_norm < 1e-8 else None,
-        TOL_THIRD_ORDER,
-        4,
-    ),
-    "beta0": _per_point_check(
-        lambda pa: pa.sor.residuals["beta formula"] if pa.sor and pa.dr.ric_anti_norm < 1e-8 else None,
-        TOL_THIRD_ORDER,
-        4,
-    ),
-    "bach-3way": _per_point_check(_check_bach3, TOL_FOURTH_ORDER, 4),
-    "lemma5": _per_point_check(_check_lemma5_chart, TOL_FIRST_ORDER),
-    "lemma6": _per_point_check(_check_lemma6_chart, TOL_THIRD_ORDER),
-    "prop1": _per_point_check(lambda pa: pa.gr.prop1_residual, TOL_FIRST_ORDER, 3),
-    "prop2i": _per_point_check(_check_prop2i, TOL_FIRST_ORDER),
-    "weitzenboeck": _per_point_check(
-        lambda pa: max(pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"]) if pa.sor else None,
-        TOL_FOURTH_ORDER,
-        4,
-    ),
-    "ric-id": _per_point_check(lambda pa: riemann.ricci_identity_check(pa.sp, pa.cd), TOL_FIRST_ORDER),
+#: Checks on seeded batches of algebraic curvature tensors, outside the chart pipeline.
+SANDBOX_CHECKS = {
     "gray-chain": _sandbox_gray_chain,
     "sandbox-lemma5": _sandbox_lemma5,
     "sandbox-roundtrip": _sandbox_roundtrip,
 }
+SANDBOX_TOL = 1e-10
+
+#: Every name `ak4 check` accepts: identity names, their groups and the sandbox checks.
+CHECK_NAMES = tuple(sorted({i.name for i in IDENTITIES} | {i.group for i in IDENTITIES} | set(SANDBOX_CHECKS)))
 
 
 def cmd_check(config: RunConfig, name: str, out=None) -> int:
     """Run one named identity; prints the residual table and worst case."""
     out = out or sys.stdout
-    if name not in CHECKS:
+    if name not in CHECK_NAMES:
         print(f"unknown check {name!r}; available checks:", file=out)
-        for known in sorted(CHECKS):
+        for known in CHECK_NAMES:
             print(f"  {known}", file=out)
         return 2
-    tol = CHECK_TOL[name] * config.tol_scale
-    rows = CHECKS[name](config)
+    if name in SANDBOX_CHECKS:
+        tol = SANDBOX_TOL * config.tol_scale
+        rows = SANDBOX_CHECKS[name](config)
+    else:
+        identities = _select((name,), IDENTITIES)
+        tol = identities[0].tol * config.tol_scale
+        rows = _per_point_check(config, identities)
     applicable = [r for r in rows if r["residual"] is not None]
     print(f"check {name}  (tolerance {tol:.1e})", file=out)
     worst = None
@@ -444,7 +457,9 @@ def cmd_report(config: RunConfig, out=None) -> int:
     agg = doc["aggregate"]
     print(f"chart {doc['chart']['name']}  points={config.points} seed={config.seed} order={config.order}", file=out)
     print(f"verdicts: {', '.join(agg['verdicts'])}", file=out)
-    width = max(len(n) for n in agg["identities"])
+    if not agg["identities"]:
+        print("  no applicable identities", file=out)
+    width = max((len(n) for n in agg["identities"]), default=0)
     for name, w in sorted(agg["identities"].items()):
         mark = "pass" if w["pass"] else "FAIL"
         print(f"  {name:{width}s}  worst {w['residual']:.3e}  (tol {w['tol']:.1e})  {mark}", file=out)
@@ -463,7 +478,7 @@ def cmd_classify(config: RunConfig, out=None) -> int:
         verdicts = []
         residual_row = None
         for p in spec.sample_points(config.points, config.seed):
-            pa = analyze_point(spec, p, order=config.order, planes=config.planes, seed=config.seed)
+            pa = PointAnalysis(spec, p, order=config.order, planes=config.planes, seed=config.seed)
             verdicts.append(pa.gr.verdict)
             residual_row = pa
         names = sorted(set(verdicts))

@@ -64,22 +64,6 @@ class DecompReport:
         }
 
 
-def so4_decompose(cd: CurvatureData) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Scalar part, mixed (Kulkarni-Nomizu) block, and the two Weyl blocks.
-
-    Returns (s, mixed_block, wplus, wminus); the reconstruction residual is
-    available through `decompose`.
-    """
-    parts = algebra.split_operator(cd.operator)
-    return float(parts["s"]), parts["mixed"], parts["wplus"], parts["wminus"]
-
-
-def u2_decompose(wplus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Split the self-dual Weyl block: (W1, W2, W3, kappa, psi)."""
-    blocks = algebra.u2_blocks(wplus)
-    return blocks["w1"], blocks["w2"], blocks["w3"], float(blocks["kappa"]), blocks["psi"]
-
-
 def star_ricci(cd: CurvatureData, sp: StructurePoint) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, skew part,
     and the residual of skew(Ric*) = -(1/2) J Psi."""
@@ -87,14 +71,13 @@ def star_ricci(cd: CurvatureData, sp: StructurePoint) -> tuple[np.ndarray, float
     ric_star = -np.einsum("ki,kj->ij", J_FRAME, r_omega)
     s_star = float(np.trace(ric_star))
     skew = 0.5 * (ric_star - ric_star.T)
-    _, _, _, _, psi = u2_decompose(algebra.split_operator(cd.operator)["wplus"])
-    psi_f = algebra.psi_form(psi)
+    psi_f = algebra.psi_form(algebra.u2_blocks(algebra.split_operator(cd.operator)["wplus"])["psi"])
     j_psi = -np.einsum("ki,kj->ij", J_FRAME, psi_f)
     residual = float(np.abs(skew + 0.5 * j_psi).max())
     return ric_star, s_star, skew, residual
 
 
-def j_invariance_residuals(cd: CurvatureData, sp: StructurePoint | None = None) -> tuple[float, float]:
+def j_invariance_residuals(cd: CurvatureData) -> tuple[float, float]:
     """(|Ric^anti|, |<R(anti-invariant forms), anti-self-dual forms>|).
 
     The second number is the norm of the operator block coupling the
@@ -112,7 +95,9 @@ def decompose(cd: CurvatureData, sp: StructurePoint, hfo=None) -> DecompReport:
     parts = algebra.split_operator(m)
     s_op = float(parts["s"])
     wplus, wminus, mixed = parts["wplus"], parts["wminus"], parts["mixed"]
-    w1, w2, w3, kappa, psi = u2_decompose(wplus)
+    blocks = algebra.u2_blocks(wplus)
+    w1, w2, w3, psi = blocks["w1"], blocks["w2"], blocks["w3"], blocks["psi"]
+    kappa = float(blocks["kappa"])
 
     eye6 = np.eye(6)
     kn_block = np.zeros((6, 6))
@@ -149,7 +134,7 @@ def decompose(cd: CurvatureData, sp: StructurePoint, hfo=None) -> DecompReport:
         s_star_identity_residual = float(abs(s_star - cd.s_value - 0.5 * hfo.nabla_j_sq))
 
     ric0 = cd.ric0_frame
-    ric_anti_norm, mixed_anti = j_invariance_residuals(cd, sp)
+    ric_anti_norm, mixed_anti = j_invariance_residuals(cd)
     return DecompReport(
         s=cd.s_value,
         ric0=ric0,

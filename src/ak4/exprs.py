@@ -30,6 +30,9 @@ from .jets import Jet
 COORD_NAMES = ("x1", "x2", "x3", "x4")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan")
+#: Deepest expression tree accepted. Both evaluators recurse once per level,
+#: and a sum of n terms is n levels deep.
+MAX_DEPTH = 256
 
 
 # -- AST ----------------------------------------------------------------------
@@ -221,18 +224,27 @@ class _Parser:
         raise ParseError("expected a number, identifier or '('", offset)
 
 
-def _uses_coordinate(node: Expr) -> bool:
-    if isinstance(node, Coord):
-        return True
-    if isinstance(node, Neg):
-        return _uses_coordinate(node.arg)
+def _children(node: Expr) -> tuple:
     if isinstance(node, BinOp):
-        return _uses_coordinate(node.left) or _uses_coordinate(node.right)
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
     if isinstance(node, Pow):
-        return _uses_coordinate(node.base)
-    if isinstance(node, Call):
-        return _uses_coordinate(node.arg)
-    return False
+        return (node.base,)
+    return ()
+
+
+def _depth(node: Expr) -> int:
+    """Height of the expression tree, measured level by level without recursion."""
+    level, height = [node], 0
+    while level:
+        height += 1
+        level = [child for n in level for child in _children(n)]
+    return height
+
+
+def _uses_coordinate(node: Expr) -> bool:
+    return isinstance(node, Coord) or any(_uses_coordinate(child) for child in _children(node))
 
 
 def parse_expr(text: str) -> Expr:
@@ -240,10 +252,15 @@ def parse_expr(text: str) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(text)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, _, offset = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", offset)
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
     return node
 
 

@@ -68,7 +68,7 @@ class ReversedStructure:
     g2_holds: bool = False
 
 
-def gray_residuals(cd: CurvatureData, sp: StructurePoint | None = None) -> tuple[float, float, float]:
+def gray_residuals(cd: CurvatureData) -> tuple[float, float, float]:
     """Max-norm violations of the three Gray identities in the adapted frame."""
     g1, g2, g3 = algebra.gray_residuals(cd.R_frame)
     return float(g1), float(g2), float(g3)
@@ -356,7 +356,7 @@ def gray_report(
     seed: int = 42,
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> GrayReport:
-    gr = gray_residuals(cd, sp)
+    gr = gray_residuals(cd)
     l5 = lemma5_check(dr, gr)
     planes = totally_real_curvature(cd, dr, sp, n_planes=n_planes, seed=seed, tol=tol)
     eig, gap = wplus_degeneracy(dr)

@@ -230,9 +230,6 @@ class Jet:
         src, mult = _DERIV[self.order][m]
         return Jet(self.order - 1, self.c[..., src] * mult, self.point)
 
-    def copy(self) -> "Jet":
-        return Jet(self.order, self.c.copy(), self.point)
-
     def __getitem__(self, key) -> "Jet":
         """Index the leading (tensor) axes."""
         if not isinstance(key, tuple):
@@ -293,29 +290,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(order={self.order}, shape={self.shape}, value={self.value!r})"
-
-
-#: Public alias used in signatures: the four-variable jet.
-Jet4 = Jet
-
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Truncated ring operation on two jets with identical order and base point.
-
-    op is one of '+', '-', '*', '/'. Division requires b.coeff(0) != 0.
-    """
-    if a.order != b.order:
-        raise JetOrderError(f"jet orders differ: {a.order} vs {b.order}")
-    _merge_points(a.point, b.point)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown jet operation {op!r}")
 
 
 # -- structural helpers -------------------------------------------------------

@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import jets, tensorops
-from .charts import FRAME_FORMS, StructurePoint
+from . import algebra, jets, tensorops
+from .charts import StructurePoint
 from .jets import Jet
 
 
@@ -135,10 +135,6 @@ class CurvatureData:
         half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1))
         return tensorops.dual_projection(half, sp.g_inv, sp.mu, sign, (2, 3))
 
-    def operator_of(self, t_frame: np.ndarray) -> np.ndarray:
-        """6x6 matrix of a curvature-type tensor given in frame components."""
-        return np.einsum("ijkl,aij,bkl->ab", t_frame, FRAME_FORMS, FRAME_FORMS) / 8.0
-
     def invariant_residuals(self) -> dict[str, float]:
         """Symmetry, first-Bianchi, operator-symmetry and metric-compatibility residuals."""
         rf = self.R_frame
@@ -174,7 +170,7 @@ def curvature(conn: ConnectionData) -> CurvatureData:
     frame = sp.frame
     R_frame = tensorops.frame_components(riem.value, frame)
     ric_frame = tensorops.frame_components(ric.value, frame)
-    operator = np.einsum("ijkl,aij,bkl->ab", R_frame, FRAME_FORMS, FRAME_FORMS) / 8.0
+    operator = algebra.operator_matrix(R_frame)
     return CurvatureData(
         sp=sp,
         conn=conn,

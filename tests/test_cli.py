@@ -130,10 +130,55 @@ class TestCatalogCommand:
 class TestAllCheckNames:
     def test_every_named_check_runs(self, capsys):
         # Exercise each registered check end to end on a cheap configuration.
-        for name in sorted(cli.CHECKS):
+        for name in cli.CHECK_NAMES:
             code = run_main(["check", name, "--chart", "flat", "--points", "1", "--seed", "4"])
             out = capsys.readouterr()
             assert code == 0, f"{name}: {out.out}"
+
+
+class TestIdentityRegistry:
+    def test_names_are_unique(self):
+        names = [i.name for i in cli.IDENTITIES]
+        assert len(names) == len(set(names))
+        assert not set(names) & set(cli.SANDBOX_CHECKS)
+
+    def test_every_check_group_resolves_to_one_tier(self):
+        for group in {i.group for i in cli.IDENTITIES}:
+            members = cli._select((group,), cli.IDENTITIES)
+            assert group in cli.CHECK_NAMES
+            assert members, group
+            assert len({i.tol for i in members}) == 1, group
+
+    @pytest.mark.parametrize("tol_scale", [1.0, 1e-3])
+    def test_check_is_the_max_of_its_report_rows(self, tol_scale, monkeypatch):
+        analyses = {}
+        build = cli.PointAnalysis
+
+        def shared(spec, p, order=4, planes=64, seed=42):
+            key = (spec.name, tuple(p), order, planes, seed)
+            if key not in analyses:
+                analyses[key] = build(spec, p, order=order, planes=planes, seed=seed)
+            return analyses[key]
+
+        monkeypatch.setattr(cli, "PointAnalysis", shared)
+        groups = sorted({i.group for i in cli.REPORTED})
+        for name in ("flat", "product-surfaces", "fubini-study", "complex-hyperbolic", "kodaira-thurston"):
+            config = RunConfig(chart=name, points=2, seed=5, tol_scale=tol_scale)
+            doc, _ = run_report(config)
+            for group in groups:
+                members = {i.name for i in cli._select((group,), cli.REPORTED)}
+                checked = cli._per_point_check(config, cli._select((group,), cli.IDENTITIES))
+                for point_doc, row in zip(doc["points"], checked, strict=True):
+                    reported = [r["residual"] for r in point_doc["identities"] if r["name"] in members]
+                    assert row["residual"] == (max(reported) if reported else None), (name, group)
+
+    def test_check_kappa_skips_the_second_order_report(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("second-order report built for an algebraic identity")
+
+        monkeypatch.setattr(cli.bianchi_bach, "second_order_report", fail)
+        assert run_main(["check", "kappa", "--chart", "all", "--points", "1"]) == 0
+        assert "worst residual" in capsys.readouterr().out
 
 
 class TestCheckSelection:
@@ -143,6 +188,20 @@ class TestCheckSelection:
         assert code == 0
         assert "kappa" in out and "ric-id" in out
         assert "bianchi" not in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json", "-"]])
+    def test_unknown_name_exits_2_and_lists_names(self, json_flag, capsys):
+        code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--checks", "nosuch", *json_flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'nosuch'" in captured.err and "kappa" in captured.err
+        assert captured.out == ""
+
+    def test_selection_without_applicable_rows(self, capsys):
+        code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--checks", "bianchi"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "no applicable identities" in out
 
 
 class TestUserChartFiles:

@@ -93,13 +93,13 @@ class TestJInvariance:
     def test_einstein_charts(self, analyses):
         for name in ("flat", "fubini-study", "complex-hyperbolic"):
             for pa in analyses[name]:
-                ric_anti, mixed = decomp.j_invariance_residuals(pa.cd, pa.sp)
+                ric_anti, mixed = decomp.j_invariance_residuals(pa.cd)
                 assert ric_anti < 1e-8
                 assert mixed < 1e-8
 
     def test_product_surfaces_kahler_non_einstein(self, analyses):
         for pa in analyses["product-surfaces"]:
-            ric_anti, mixed = decomp.j_invariance_residuals(pa.cd, pa.sp)
+            ric_anti, mixed = decomp.j_invariance_residuals(pa.cd)
             assert ric_anti < 1e-8
             assert mixed < 1e-8
             assert algebra.frobenius(pa.dr.ric0) > 1e-3  # Ric0 itself nonzero

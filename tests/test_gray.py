@@ -8,7 +8,7 @@ import pytest
 
 from ak4 import algebra, charts, gray, sandbox
 from ak4.charts import J_FRAME
-from ak4.cli import analyze_point
+from ak4.cli import PointAnalysis
 
 from conftest import KAHLER_NAMES
 
@@ -90,7 +90,7 @@ class TestProp1:
         spec = charts.product_surfaces(
             charts.sphere_factor(1.0), charts.sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
-        pa = analyze_point(spec, (0.2, -0.1, 0.4, 0.3), order=4)
+        pa = PointAnalysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
         assert pa.gr.prop1_residual is not None
         assert pa.gr.prop1_residual < 1e-8
 
@@ -122,7 +122,7 @@ class TestTotallyRealCurvature:
 
     def test_unequal_factor_curvatures_spread(self):
         spec = charts.product_surfaces(charts.sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
-        pa = analyze_point(spec, (0.1, 0.2, -0.1, 0.3), order=4)
+        pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert pa.gr.mu_max - pa.gr.mu_min > 1e-3
         assert algebra.frobenius(pa.dr.wminus) > 1e-3
 
@@ -132,7 +132,7 @@ class TestTotallyRealCurvature:
         spec = charts.product_surfaces(
             charts.sphere_factor(1.0), charts.hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
         )
-        pa = analyze_point(spec, (0.1, 0.2, -0.1, 0.3), order=4)
+        pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert algebra.frobenius(pa.dr.wminus) < 1e-9
         assert max(abs(pa.gr.mu_max), abs(pa.gr.mu_min)) < 1e-9
 

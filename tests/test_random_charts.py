@@ -43,7 +43,7 @@ def test_unconditional_identities_on_random_hermitian_charts():
     for seed in (3, 17):
         spec = conformal_chart(seed)
         for p in spec.sample_points(2, seed):
-            pa = cli.analyze_point(spec, p, order=4, planes=16, seed=1)
+            pa = cli.PointAnalysis(spec, p, order=4, planes=16, seed=1)
             saw_nonzero_lee_form |= pa.hfo.theta_norm > 1e-3
             for row in cli._identity_rows(pa, 1.0):
                 if not row["pass"]:
