@@ -1,0 +1,76 @@
+"""Digest every CLI output of a fixed comparison matrix, for byte-identity checks.
+
+Runs `ak4.cli.main` in-process over:
+
+- JSON and text `report` for every catalog chart, seeds 42 and 7, orders 2, 3
+  and 4, at 6 points;
+- `classify --chart all --points 4` at orders 2 and 4;
+- `check <name>` for every name in `cli.CHECK_NAMES`, at
+  `--chart all --points 3 --seed 5`, orders 2 and 4;
+
+and prints one `sha256  <case>` line per output. The digest covers the exit
+code, stdout and stderr; the `timing_s` line of a JSON report is removed
+first, since it is the only field that changes from run to run. Two trees
+produce the same outputs exactly when their fingerprint files are equal:
+
+    python3 scripts/report_fingerprint.py > before.txt
+    (change the code)
+    python3 scripts/report_fingerprint.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy is imported, so that summation order is fixed.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import re  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ak4 import charts, cli  # noqa: E402
+
+TIMING_LINE = re.compile(r'^\s*"timing_s": .*\n', re.MULTILINE)
+
+
+def cases():
+    """(label, argv) for every output in the comparison matrix."""
+    for spec in charts.catalog():
+        for seed in (42, 7):
+            for order in (2, 3, 4):
+                base = ["report", "--chart", spec.name, "--seed", str(seed), "--order", str(order), "--points", "6"]
+                yield " ".join(base + ["--json", "-"]), base + ["--json", "-"]
+                yield " ".join(base), base
+    for order in (2, 4):
+        argv = ["classify", "--chart", "all", "--points", "4", "--order", str(order)]
+        yield " ".join(argv), argv
+    for name in cli.CHECK_NAMES:
+        for order in (2, 4):
+            argv = ["check", name, "--chart", "all", "--points", "3", "--seed", "5", "--order", str(order)]
+            yield " ".join(argv), argv
+
+
+def fingerprint(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = f"exit {code}\n" + TIMING_LINE.sub("", out.getvalue()) + "\n--stderr--\n" + err.getvalue()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    for label, argv in cases():
+        print(f"{fingerprint(argv)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -113,6 +113,18 @@ def split_operator(m: np.ndarray) -> dict[str, np.ndarray]:
     return {"s": s, "wplus": wp, "wminus": wm, "mixed": b, "tr_plus": tr_a, "tr_minus": tr_c}
 
 
+def join_operator(parts: dict[str, np.ndarray]) -> np.ndarray:
+    """The 6x6 operator with the given `split_operator` blocks (its inverse)."""
+    s = np.asarray(parts["s"])[..., None, None] / 12.0 * np.eye(3)
+    mixed = parts["mixed"]
+    m = np.zeros(mixed.shape[:-2] + (6, 6))
+    m[..., :3, :3] = parts["wplus"] + s
+    m[..., 3:, 3:] = parts["wminus"] + s
+    m[..., :3, 3:] = mixed
+    m[..., 3:, :3] = np.swapaxes(mixed, -1, -2)
+    return m
+
+
 def u2_blocks(wp: np.ndarray) -> dict[str, np.ndarray]:
     """Split a 3x3 self-dual Weyl block on (Omega, phi, Jphi) into its three parts.
 

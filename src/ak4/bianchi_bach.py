@@ -54,16 +54,12 @@ class SecondOrderReport:
 
 
 def cotton_york(cd: CurvatureData) -> Jet:
-    """C_{X,Y,Z} = (1/2)[nabla_Z (s/12 g + Ric0)(Y,X) - nabla_Y (...)(Z,X)]."""
-    sp = cd.sp
-    if sp.order < 3:
+    """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0)."""
+    if cd.sp.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    p = cd.ric - (cd.s / 6.0) * sp.g
-    dp = cd.conn.covd(p)  # (m, i, j) = nabla_m P_ij
-    half = 0.5 * dp
-    # C[x, y, z] = half[z, y, x] - half[y, z, x]
-    c = jets.moveaxis(half, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(half, (0, 1, 2), (1, 2, 0))
-    return c
+    dh = cd.conn.covd(_normalized_ricci(cd))  # (m, i, j) = nabla_m h_ij
+    # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
+    return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
 
 
 def delta_weyl(cd: CurvatureData, which: str = "full") -> Jet:
@@ -236,7 +232,7 @@ def weitzenboeck_check(sp: StructurePoint, cd: CurvatureData, field: Jet | None 
     return float(np.abs(tensorops.frame_components(residual, sp.frame)).max())
 
 
-def random_polynomial_2form(sp: StructurePoint, seed: int, order: int | None = None) -> Jet:
+def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
     """Deterministic quadratic-coefficient 2-form field for identity tests.
 
     Each entry above the diagonal is a combination of the monomials 1, x1..x4,
@@ -244,16 +240,16 @@ def random_polynomial_2form(sp: StructurePoint, seed: int, order: int | None = N
     [-1, 1] and rounded to 6 decimals.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
-    order = sp.order if order is None else order
+    order = sp.order
     x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
     entries = [[None] * 4 for _ in range(4)]
-    zero = Jet.constant(0.0, order, sp.point)
+    zero = Jet.constant(0.0, order)
     for i in range(4):
         entries[i][i] = zero
         for j in range(i + 1, 4):
             c = [float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=9)]
             val = (
-                Jet.constant(c[0], order, sp.point)
+                Jet.constant(c[0], order)
                 + c[1] * x1
                 + c[2] * x2
                 + c[3] * x3

@@ -56,20 +56,30 @@ class ChartSpec:
 
 def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     """Build and validate a ChartSpec from the JSON object layout."""
+    if not isinstance(data, dict):
+        raise ChartError(f"{name_hint}: a chart must be a JSON object")
     for key in ("name", "coords", "domain", "g", "J"):
         if key not in data:
             raise ChartError(f"{name_hint}: missing top-level key {key!r}")
     coords = data["coords"]
     if not isinstance(coords, list) or len(coords) != 4 or not all(isinstance(c, str) for c in coords):
         raise ChartError(f"{name_hint}: coords must be a list of exactly 4 names")
-    domain = []
-    for i, pair in enumerate(data["domain"]):
-        lo, hi = float(pair[0]), float(pair[1])
+    domain = data["domain"]
+    number_pairs = isinstance(domain, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair) for pair in domain
+    )
+    if not number_pairs or len(domain) != 4:
+        raise ChartError(f"{name_hint}: domain must be a list of 4 [low, high] number pairs")
+    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    for i, (lo, hi) in enumerate(domain):
         if not lo < hi:
             raise ChartError(f"{name_hint}: degenerate domain interval for coordinate {i + 1}")
-        domain.append((lo, hi))
-    if len(domain) != 4:
-        raise ChartError(f"{name_hint}: domain must list exactly 4 intervals")
+    for key in ("g", "J"):
+        if not isinstance(data[key], dict) or not all(isinstance(v, str) for v in data[key].values()):
+            raise ChartError(f"{name_hint}: {key} must be an object of expression strings")
+    tags = data.get("tags", [])
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ChartError(f"{name_hint}: tags must be a list of strings")
 
     g_src: dict[tuple[int, int], str] = {}
     for i, j in _UPPER:
@@ -98,10 +108,10 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     return ChartSpec(
         name=str(data["name"]),
         coords=tuple(coords),
-        domain=tuple(domain),
+        domain=domain,
         g_src=g_src,
         j_src=tuple(tuple(r) for r in j_src),
-        tags=tuple(data.get("tags", ())),
+        tags=tuple(tags),
         g=g,
         J=J,
     )
@@ -337,28 +347,22 @@ FRAME_FORMS = np.stack(
 
 @dataclass
 class FormBasis:
-    """Adapted coframe data and the associated 2-form bases.
+    """Adapted frame data and the anti-invariant self-dual 2-forms.
 
-    frame[a] are the coordinate components of the frame vector e_a, coframe
-    the components of the dual covectors. omega, phi and jphi are coordinate
-    2-form jets; their frame components are the first three rows of
+    frame[a] are the coordinate components of the frame vector e_a;
+    frame_jet and coframe_jet are the frame vectors and their dual covectors
+    as jets. phi and jphi are coordinate 2-form jets; with
+    StructurePoint.omega their frame components are the first three rows of
     FRAME_FORMS. tensor_norm_factor converts squared operator (matrix) norms
     on 2-forms into squared full tensor norms.
     """
 
     frame: np.ndarray
-    coframe: np.ndarray
     frame_jet: Jet
     coframe_jet: Jet
-    omega: Jet
     phi: Jet
     jphi: Jet
-    vol_sign: float
     tensor_norm_factor: float = 4.0
-
-    def to_frame(self, values: np.ndarray) -> np.ndarray:
-        """Frame components of a fully covariant coordinate tensor."""
-        return tensorops.frame_components(values, self.frame)
 
 
 @dataclass
@@ -372,9 +376,7 @@ class StructurePoint:
     g_inv: Jet
     J: Jet
     omega: Jet
-    det_g: Jet
     mu: Jet
-    vol_sign: float
     basis: FormBasis
     invariant_residuals: dict[str, float]
 
@@ -383,13 +385,13 @@ class StructurePoint:
         return self.basis.frame
 
 
-def _check(residuals: dict[str, float], name: str, value: float, tol: float) -> None:
+def _check(residuals: dict[str, float], name: str, value: float) -> None:
     residuals[name] = float(value)
-    if not np.isfinite(value) or value > tol:
+    if not np.isfinite(value) or value > STRUCTURE_TOL:
         raise StructureError(name, float(value))
 
 
-def structure_at(spec: ChartSpec, p, order: int = 4, tol: float = STRUCTURE_TOL) -> StructurePoint:
+def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     """Evaluate all structure jets at p and validate the pointwise invariants.
 
     Raises StructureError naming the violated invariant, or ChartError if
@@ -416,47 +418,36 @@ def structure_at(spec: ChartSpec, p, order: int = 4, tol: float = STRUCTURE_TOL)
     if min_eig <= 0.0:
         raise StructureError("g positive definite", -min_eig)
     j0 = J.value
-    _check(residuals, "J o J = -Id", float(np.abs(j0 @ j0 + np.eye(4)).max()), tol)
-    _check(residuals, "g(J.,J.) = g", float(np.abs(j0.T @ g0 @ j0 - g0).max()), tol)
+    _check(residuals, "J o J = -Id", float(np.abs(j0 @ j0 + np.eye(4)).max()))
+    _check(residuals, "g(J.,J.) = g", float(np.abs(j0.T @ g0 @ j0 - g0).max()))
 
     g_inv = tensorops.matrix_inverse(g)
     # Omega_ij = g(J d_i, d_j) = J^k_i g_kj
     omega = jets.contract(J, g, 0, 0)
-    _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()), tol)
+    _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()))
 
-    frame_jet = _adapted_frame_jet(g, J, p, tol)
+    frame_jet = _adapted_frame_jet(g, J)
     frame = frame_jet.value
     gram = frame @ g0 @ frame.T
-    _check(residuals, "frame orthonormal", float(np.abs(gram - np.eye(4)).max()), tol)
-    _check(residuals, "e2 = J e1", float(np.abs(j0 @ frame[0] - frame[1]).max()), tol)
-    _check(residuals, "e4 = J e3", float(np.abs(j0 @ frame[2] - frame[3]).max()), tol)
+    _check(residuals, "frame orthonormal", float(np.abs(gram - np.eye(4)).max()))
+    _check(residuals, "e2 = J e1", float(np.abs(j0 @ frame[0] - frame[1]).max()))
+    _check(residuals, "e4 = J e3", float(np.abs(j0 @ frame[2] - frame[3]).max()))
 
-    det_g = tensorops.determinant4(g)
-    vol_sign = float(np.sign(np.linalg.det(frame)))
-    mu = tensorops.volume_form(g, vol_sign)
+    mu = tensorops.volume_form(g, float(np.sign(np.linalg.det(frame))))
 
     coframe_jet = jets.contract(frame_jet, g, 1, 0)  # (e^a)_i = g_ij E_a^j
     phi = _coframe_wedge(coframe_jet, 0, 2) - _coframe_wedge(coframe_jet, 1, 3)
     jphi = -jets.contract(J, phi, 0, 0)  # (J phi)_ij = -phi(J d_i, d_j)
 
-    basis = FormBasis(
-        frame=frame,
-        coframe=coframe_jet.value,
-        frame_jet=frame_jet,
-        coframe_jet=coframe_jet,
-        omega=omega,
-        phi=phi,
-        jphi=jphi,
-        vol_sign=vol_sign,
-    )
+    basis = FormBasis(frame=frame, frame_jet=frame_jet, coframe_jet=coframe_jet, phi=phi, jphi=jphi)
 
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
     rebuilt = _coframe_wedge(coframe_jet, 0, 1) + _coframe_wedge(coframe_jet, 2, 3)
-    _check(residuals, "Omega = e1^e2 + e3^e4", float(np.abs(rebuilt.value - omega.value).max()), tol)
+    _check(residuals, "Omega = e1^e2 + e3^e4", float(np.abs(rebuilt.value - omega.value).max()))
     # Self-duality of the positive basis under the declared orientation.
     for name, form in (("*Omega = Omega", omega), ("*phi = phi", phi), ("*Jphi = Jphi", jphi)):
         starred = tensorops.hodge_star_2form(form, g_inv, mu)
-        _check(residuals, name, float(np.abs(starred.value - form.value).max()), tol)
+        _check(residuals, name, float(np.abs(starred.value - form.value).max()))
 
     return StructurePoint(
         spec=spec,
@@ -466,9 +457,7 @@ def structure_at(spec: ChartSpec, p, order: int = 4, tol: float = STRUCTURE_TOL)
         g_inv=g_inv,
         J=J,
         omega=omega,
-        det_g=det_g,
         mu=mu,
-        vol_sign=vol_sign,
         basis=basis,
         invariant_residuals=residuals,
     )
@@ -478,7 +467,7 @@ def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
     return tensorops.wedge11(coframe[a], coframe[b])
 
 
-def _adapted_frame_jet(g: Jet, J: Jet, p: tuple, tol: float) -> Jet:
+def _adapted_frame_jet(g: Jet, J: Jet) -> Jet:
     """Deterministic adapted frame {e1, Je1, e3, Je3} as coordinate jets."""
     e1 = _basis_vector_jet(0, g) / jets.sqrt(g[0, 0])
     e2 = jets.contract(J, e1, 1, 0)
@@ -502,5 +491,5 @@ def _adapted_frame_jet(g: Jet, J: Jet, p: tuple, tol: float) -> Jet:
 def _basis_vector_jet(m: int, g: Jet) -> Jet:
     c = np.zeros((4, jets.NCOEF[g.order]))
     c[m, 0] = 1.0
-    return Jet(g.order, c, g.point)
+    return Jet(g.order, c)
 

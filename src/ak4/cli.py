@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, algebra, bianchi_bach, charts, decomp, gray, riemann, sandbox
-from .errors import AK4Error
+from .errors import AK4Error, DomainError, StructureError
 
 #: Tolerance ladder: identities get the tolerance of their derivative order.
 TOL_ALGEBRAIC = 1e-9
@@ -70,11 +70,11 @@ class PointAnalysis:
 
     @cached_property
     def hfo(self) -> riemann.HermitianFirstOrder:
-        return riemann.hermitian_first_order(self.sp, self.cd)
+        return riemann.hermitian_first_order(self.sp, self.cd.conn)
 
     @cached_property
     def dr(self) -> decomp.DecompReport:
-        return decomp.decompose(self.cd, self.sp, self.hfo)
+        return decomp.decompose(self.cd, self.hfo)
 
     @cached_property
     def gr(self) -> gray.GrayReport:
@@ -95,6 +95,19 @@ class PointAnalysis:
         if self.order < 3:
             skipped.append("scalar-derivative identity: needs order 3")
         return tuple(skipped)
+
+
+def _analyses(spec: charts.ChartSpec, config: RunConfig, order: int):
+    """A PointAnalysis for each sample point; a point whose structure fails
+    ends the run with an error naming the chart, the point index and its
+    coordinates."""
+    for idx, p in enumerate(spec.sample_points(config.points, config.seed)):
+        try:
+            pa = PointAnalysis(spec, p, order=order, planes=config.planes, seed=config.seed)
+        except (StructureError, DomainError) as exc:
+            coords = ", ".join(f"{x:.6g}" for x in p)
+            raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
+        yield pa
 
 
 def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
@@ -276,12 +289,10 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     t0 = time.time()
     identities = _report_identities(config.checks)
     spec = _resolve_chart(config.chart)
-    points = spec.sample_points(config.points, config.seed)
     point_docs = []
     worst: dict[str, dict] = {}
     verdicts = []
-    for idx, p in enumerate(points):
-        pa = PointAnalysis(spec, p, order=config.order, planes=config.planes, seed=config.seed)
+    for idx, pa in enumerate(_analyses(spec, config, config.order)):
         rows = _identity_rows(pa, config.tol_scale, identities)
         for r in rows:
             w = worst.setdefault(r["name"], {"residual": -1.0, "tol": r["tol"], "pass": True})
@@ -340,10 +351,10 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
     order = max(config.order, max(i.order for i in identities))
     rows = []
     for spec in _charts_for(config):
-        for p in spec.sample_points(config.points, config.seed):
-            pa = PointAnalysis(spec, p, order=order, planes=config.planes, seed=config.seed)
+        for pa in _analyses(spec, config, order):
             values = [v for v in (i.residual(pa, config.tol_scale) for i in identities) if v is not None]
-            rows.append({"chart": spec.name, "point": list(p), "residual": float(max(values)) if values else None})
+            point = list(np.array(pa.sp.point))  # numpy scalars: `check` prints their repr on "not applicable" rows
+            rows.append({"chart": spec.name, "point": point, "residual": float(max(values)) if values else None})
     return rows
 
 
@@ -382,14 +393,7 @@ def _sandbox_roundtrip(config: RunConfig):
     n = max(config.points * 8, 256)
     batch = sandbox.random_batch(n, config.seed)
     m = algebra.operator_matrix(batch)
-    parts = algebra.split_operator(m)
-    eye3 = np.eye(3)
-    rebuilt = np.zeros_like(m)
-    rebuilt[..., :3, :3] = parts["wplus"] + parts["s"][..., None, None] / 12.0 * eye3
-    rebuilt[..., 3:, 3:] = parts["wminus"] + parts["s"][..., None, None] / 12.0 * eye3
-    rebuilt[..., :3, 3:] = parts["mixed"]
-    rebuilt[..., 3:, :3] = np.swapaxes(parts["mixed"], -1, -2)
-    tensors = algebra.tensor_from_operator(rebuilt)
+    tensors = algebra.tensor_from_operator(algebra.join_operator(algebra.split_operator(m)))
     res = float(np.abs(tensors - batch).max())
     return [{"chart": "sandbox", "point": None, "residual": res, "note": f"{n} tensors"}]
 
@@ -472,13 +476,11 @@ def cmd_report(config: RunConfig, out=None) -> int:
 
 def cmd_classify(config: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    specs = charts.catalog() if config.chart == "all" else [_resolve_chart(config.chart)]
     code = 0
-    for spec in specs:
+    for spec in _charts_for(config):
         verdicts = []
         residual_row = None
-        for p in spec.sample_points(config.points, config.seed):
-            pa = PointAnalysis(spec, p, order=config.order, planes=config.planes, seed=config.seed)
+        for pa in _analyses(spec, config, config.order):
             verdicts.append(pa.gr.verdict)
             residual_row = pa
         names = sorted(set(verdicts))

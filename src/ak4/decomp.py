@@ -15,12 +15,12 @@ full tensor norm of the corresponding (0,4) tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .charts import FRAME_FORMS, J_FRAME, StructurePoint
+from .charts import FRAME_FORMS, J_FRAME
 from .riemann import CurvatureData
 
 
@@ -30,7 +30,6 @@ class DecompReport:
 
     s: float
     ric0: np.ndarray  # frame components, 4x4
-    ric0_inv: np.ndarray
     ric0_anti: np.ndarray
     wplus: np.ndarray  # 3x3 blocks on (Omega, phi, Jphi)
     wminus: np.ndarray
@@ -47,9 +46,7 @@ class DecompReport:
     kappa_identity_residual: float  # kappa - (3 s* - s)/2
     star_skew_residual: float  # skew(Ric*) vs -(1/2) J Psi
     s_star_identity_residual: float | None  # s* - s - |nabla J|^2 / 2 where almost Kahler
-    ric_anti_norm: float = 0.0
-    mixed_anti_block_norm: float = 0.0
-    operator: np.ndarray = field(default=None, repr=False)
+    ric_anti_norm: float
 
     def block_norms(self) -> dict[str, float]:
         f = algebra.frobenius
@@ -64,15 +61,15 @@ class DecompReport:
         }
 
 
-def star_ricci(cd: CurvatureData, sp: StructurePoint) -> tuple[np.ndarray, float, np.ndarray, float]:
+def star_ricci(cd: CurvatureData, psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, skew part,
-    and the residual of skew(Ric*) = -(1/2) J Psi."""
+    and the residual of skew(Ric*) = -(1/2) J Psi, for the components psi of
+    Psi along (phi, J phi) from `algebra.u2_blocks`."""
     r_omega = 0.5 * np.einsum("ijkl,kl->ij", cd.R_frame, FRAME_FORMS[0])
     ric_star = -np.einsum("ki,kj->ij", J_FRAME, r_omega)
     s_star = float(np.trace(ric_star))
     skew = 0.5 * (ric_star - ric_star.T)
-    psi_f = algebra.psi_form(algebra.u2_blocks(algebra.split_operator(cd.operator)["wplus"])["psi"])
-    j_psi = -np.einsum("ki,kj->ij", J_FRAME, psi_f)
+    j_psi = -np.einsum("ki,kj->ij", J_FRAME, algebra.psi_form(psi))
     residual = float(np.abs(skew + 0.5 * j_psi).max())
     return ric_star, s_star, skew, residual
 
@@ -89,30 +86,25 @@ def j_invariance_residuals(cd: CurvatureData) -> tuple[float, float]:
     return float(algebra.frobenius(ric_anti)), float(algebra.frobenius(mixed))
 
 
-def decompose(cd: CurvatureData, sp: StructurePoint, hfo=None) -> DecompReport:
+def decompose(cd: CurvatureData, hfo=None) -> DecompReport:
     """Full SO(4) + U(2) decomposition with every derived scalar and residual."""
     m = cd.operator
     parts = algebra.split_operator(m)
     s_op = float(parts["s"])
-    wplus, wminus, mixed = parts["wplus"], parts["wminus"], parts["mixed"]
+    wplus, wminus = parts["wplus"], parts["wminus"]
     blocks = algebra.u2_blocks(wplus)
     w1, w2, w3, psi = blocks["w1"], blocks["w2"], blocks["w3"], blocks["psi"]
     kappa = float(blocks["kappa"])
+    ric0 = cd.ric0_frame
+    ric0_anti = algebra.j_anti_part(ric0)
 
-    eye6 = np.eye(6)
-    kn_block = np.zeros((6, 6))
-    kn_block[:3, 3:] = mixed
-    kn_block[3:, :3] = mixed.T
-    rebuilt = s_op / 12.0 * eye6 + kn_block
-    rebuilt[:3, :3] += wplus
-    rebuilt[3:, 3:] += wminus
-    recon_residual = float(np.abs(m - rebuilt).max())
+    recon_residual = float(np.abs(m - algebra.join_operator(parts)).max())
 
     u2_residual = float(np.abs(wplus - (w1 + w2 + w3)).max())
 
     # Mutual orthogonality of the seven summands as operators.
-    summands = [s_op / 12.0 * eye6]
-    for h in (algebra.j_invariant_part(cd.ric0_frame), algebra.j_anti_part(cd.ric0_frame)):
+    summands = [s_op / 12.0 * np.eye(6)]
+    for h in (algebra.j_invariant_part(ric0), ric0_anti):
         summands.append(algebra.operator_matrix(0.5 * algebra.kn_delta(h)))
     for blk in (w1, w2, w3):
         emb = np.zeros((6, 6))
@@ -126,20 +118,17 @@ def decompose(cd: CurvatureData, sp: StructurePoint, hfo=None) -> DecompReport:
         for j in range(i + 1, len(summands)):
             ortho = max(ortho, abs(float(np.sum(summands[i] * summands[j]))))
 
-    ric_star, s_star, _, star_skew_residual = star_ricci(cd, sp)
+    ric_star, s_star, _, star_skew_residual = star_ricci(cd, psi)
     kappa_identity_residual = float(abs(kappa - 0.5 * (3.0 * s_star - cd.s_value)))
 
     s_star_identity_residual = None
     if hfo is not None and hfo.is_almost_kahler:
         s_star_identity_residual = float(abs(s_star - cd.s_value - 0.5 * hfo.nabla_j_sq))
 
-    ric0 = cd.ric0_frame
-    ric_anti_norm, mixed_anti = j_invariance_residuals(cd)
     return DecompReport(
         s=cd.s_value,
         ric0=ric0,
-        ric0_inv=algebra.j_invariant_part(ric0),
-        ric0_anti=algebra.j_anti_part(ric0),
+        ric0_anti=ric0_anti,
         wplus=wplus,
         wminus=wminus,
         w1=w1,
@@ -155,7 +144,5 @@ def decompose(cd: CurvatureData, sp: StructurePoint, hfo=None) -> DecompReport:
         kappa_identity_residual=kappa_identity_residual,
         star_skew_residual=star_skew_residual,
         s_star_identity_residual=s_star_identity_residual,
-        ric_anti_norm=ric_anti_norm,
-        mixed_anti_block_norm=mixed_anti,
-        operator=m,
+        ric_anti_norm=float(algebra.frobenius(ric0_anti)),
     )

@@ -302,10 +302,8 @@ def eval_jet(e: Expr, p, order: int) -> Jet:
 
 
 def _eval_jet(e: Expr, p: tuple, order: int) -> Jet:
-    if isinstance(e, Num):
-        return Jet.constant(e.value, order, p)
-    if isinstance(e, Const):
-        return Jet.constant(e.value, order, p)
+    if isinstance(e, (Num, Const)):
+        return Jet.constant(e.value, order)
     if isinstance(e, Coord):
         return Jet.coordinate(e.index, p, order)
     if isinstance(e, Neg):

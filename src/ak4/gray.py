@@ -33,7 +33,6 @@ class GrayReport:
     g1: float
     g2: float
     g3: float
-    lemma5_triple: tuple[float, float, float]  # |Ric^anti|, |W2+|, |W3+|
     lemma6_triple: tuple[float, float, float]  # |Ric^anti|, |W3+|, |W-|
     mu_formula: float  # (2s - kappa)/24
     mu_min: float
@@ -68,12 +67,6 @@ class ReversedStructure:
     g2_holds: bool = False
 
 
-def gray_residuals(cd: CurvatureData) -> tuple[float, float, float]:
-    """Max-norm violations of the three Gray identities in the adapted frame."""
-    g1, g2, g3 = algebra.gray_residuals(cd.R_frame)
-    return float(g1), float(g2), float(g3)
-
-
 def lemma5_check(dr: DecompReport, gr: tuple[float, float, float]) -> dict[str, float]:
     """Both sides of the equivalence: second Gray identity <-> (Ric J-invariant,
     W2+ = 0, W3+ = 0)."""
@@ -95,7 +88,6 @@ def prop1_check(
     dr: DecompReport,
     hfo: HermitianFirstOrder,
     g2_residual: float,
-    g2_tol: float = 1e-7,
 ) -> tuple[float | None, str | None, float | None]:
     """Residual of d(s - s*) - kappa theta = 4 Ric0(theta) under the second
     Gray condition, plus |d(s* - s)| for almost Kahler points (pointwise
@@ -106,7 +98,7 @@ def prop1_check(
     """
     if sp.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
-    if g2_residual > g2_tol:
+    if g2_residual > DEFAULT_VERDICT_TOL:
         return None, f"hypothesis not met: g2 residual {g2_residual:.3e}", None
     s_star = star_scalar_jet(cd, sp)
     diff = cd.s - s_star
@@ -125,7 +117,6 @@ def totally_real_curvature(
     sp: StructurePoint,
     n_planes: int = 64,
     seed: int = 42,
-    tol: float = 1e-7,
 ) -> dict:
     """Sectional curvature statistics over seeded Lagrangian planes.
 
@@ -153,17 +144,7 @@ def totally_real_curvature(
         mus[k] = np.einsum("ijkl,i,j,k,l->", r, x, y, x, y)
     mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
     triple = (dr.ric_anti_norm, float(algebra.frobenius(dr.w3)), float(algebra.frobenius(dr.wminus)))
-    out = {
-        "mu_formula": mu_formula,
-        "mu_min": float(mus.min()),
-        "mu_max": float(mus.max()),
-        "spread": float(mus.max() - mus.min()),
-        "lemma6_triple": triple,
-        "mu_deviation": float(np.abs(mus - mu_formula).max()),
-    }
-    if max(triple) < tol:
-        out["constancy_asserted"] = True
-    return out
+    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max()), "lemma6_triple": triple}
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -182,7 +163,6 @@ def reversed_structure(
     hfo: HermitianFirstOrder,
     dr: DecompReport,
     g2_residual: float,
-    g2_tol: float = 1e-7,
 ) -> ReversedStructure:
     """Reversed-orientation almost Hermitian structure from the Kahler nullity.
 
@@ -203,7 +183,7 @@ def reversed_structure(
     if a_sq_val <= 1e-10:
         return ReversedStructure(valid=False, note="nullity undefined: nabla J vanishes at this point")
 
-    g2_holds = g2_residual <= g2_tol
+    g2_holds = g2_residual <= DEFAULT_VERDICT_TOL
     j_mat = sp.J.value
     g_mat = sp.g.value
     a_vec = sp.g_inv.value @ a.value
@@ -315,13 +295,9 @@ def canonical_ricci_form(sp: StructurePoint, cd: CurvatureData, dr: DecompReport
 # -- classification -------------------------------------------------------------
 
 
-def classify(
-    hfo: HermitianFirstOrder,
-    dr: DecompReport,
-    gr: tuple[float, float, float],
-    tol: float = DEFAULT_VERDICT_TOL,
-) -> tuple[str, tuple[str, ...]]:
+def classify(hfo: HermitianFirstOrder, dr: DecompReport, gr: tuple[float, float, float]) -> tuple[str, tuple[str, ...]]:
     """Verdict string for the class ladder plus descriptive flags."""
+    tol = DEFAULT_VERDICT_TOL
     flags = []
     if dr.ric_anti_norm < tol and abs(np.trace(dr.ric0)) < tol and float(algebra.frobenius(dr.ric0)) < tol:
         flags.append("einstein")
@@ -354,22 +330,19 @@ def gray_report(
     hfo: HermitianFirstOrder,
     n_planes: int = 64,
     seed: int = 42,
-    tol: float = DEFAULT_VERDICT_TOL,
 ) -> GrayReport:
-    gr = gray_residuals(cd)
-    l5 = lemma5_check(dr, gr)
-    planes = totally_real_curvature(cd, dr, sp, n_planes=n_planes, seed=seed, tol=tol)
+    gr = tuple(float(v) for v in algebra.gray_residuals(cd.R_frame))
+    planes = totally_real_curvature(cd, dr, sp, n_planes=n_planes, seed=seed)
     eig, gap = wplus_degeneracy(dr)
-    verdict, flags = classify(hfo, dr, gr, tol=tol)
+    verdict, flags = classify(hfo, dr, gr)
     if sp.order >= 3:
-        prop1_res, prop1_note, const_res = prop1_check(sp, cd, dr, hfo, gr[1], g2_tol=tol)
+        prop1_res, prop1_note, const_res = prop1_check(sp, cd, dr, hfo, gr[1])
     else:
         prop1_res, prop1_note, const_res = None, "skipped: jet order < 3", None
     return GrayReport(
         g1=gr[0],
         g2=gr[1],
         g3=gr[2],
-        lemma5_triple=(l5["ric_anti"], l5["w2"], l5["w3"]),
         lemma6_triple=planes["lemma6_triple"],
         mu_formula=planes["mu_formula"],
         mu_min=planes["mu_min"],

@@ -2,7 +2,10 @@
 
 A jet stores the Taylor coefficients c[alpha] = (d^alpha f / alpha!) of a
 scalar function at a base point, for every multi-index alpha = (i1,i2,i3,i4)
-with |alpha| <= order <= 4 (70 coefficients at order 4). Ring operations are
+with |alpha| <= order <= 4 (70 coefficients at order 4). A jet is only its
+order and coefficients: it does not record the base point, which lives once
+per sample point on `charts.StructurePoint.point`, and arithmetic assumes
+both operands were expanded at the same point. Ring operations are
 exact truncated-polynomial operations, so the coefficients of a product are
 the discrete convolution of the factors' coefficients. Elementary functions
 are applied by composing their univariate Taylor expansion about the
@@ -140,26 +143,17 @@ def _mul_raw(ca: np.ndarray, cb: np.ndarray, order: int) -> np.ndarray:
     return np.add.reduceat(p, starts, axis=-1)
 
 
-def _merge_points(pa, pb):
-    if pa is None:
-        return pb
-    if pb is None or pa == pb:
-        return pa
-    raise ValueError(f"jets have different base points: {pa} vs {pb}")
-
-
 class Jet:
     """A (tensor of) truncated Taylor polynomial(s) in x1..x4.
 
     Attributes:
       order: truncation order, 0..4.
       c: ndarray of shape leading_shape + (NCOEF[order],).
-      point: optional base point, checked for equality in mixed arithmetic.
     """
 
-    __slots__ = ("order", "c", "point")
+    __slots__ = ("order", "c")
 
-    def __init__(self, order: int, c: np.ndarray, point: tuple | None = None):
+    def __init__(self, order: int, c: np.ndarray):
         if not 0 <= order <= MAX_ORDER:
             raise JetOrderError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
         c = np.asarray(c, dtype=float)
@@ -167,30 +161,28 @@ class Jet:
             raise ValueError(f"coefficient axis has {c.shape[-1]} entries, expected {NCOEF[order]}")
         self.order = order
         self.c = c
-        self.point = point
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int, point: tuple | None = None) -> "Jet":
+    def constant(cls, value, order: int) -> "Jet":
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (NCOEF[order],))
         c[..., 0] = value
-        return cls(order, c, point)
+        return cls(order, c)
 
     @classmethod
     def coordinate(cls, i: int, p, order: int) -> "Jet":
         """Jet of the coordinate function x_{i+1} at base point p."""
         if not 0 <= i < NVARS:
             raise ValueError(f"coordinate index {i} out of range")
-        p = tuple(float(v) for v in p)
         c = np.zeros(NCOEF[order])
-        c[0] = p[i]
+        c[0] = float(p[i])
         if order >= 1:
             e = [0, 0, 0, 0]
             e[i] = 1
             c[INDEX[tuple(e)]] = 1.0
-        return cls(order, c, p)
+        return cls(order, c)
 
     # -- basic queries -------------------------------------------------------
 
@@ -221,46 +213,46 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
-        return Jet(order, self.c[..., : NCOEF[order]], self.point)
+        return Jet(order, self.c[..., : NCOEF[order]])
 
     def partial(self, m: int) -> "Jet":
         """Partial derivative along coordinate m; consumes one order."""
         if self.order == 0:
             raise JetOrderError("derivative requested from an order-0 jet")
         src, mult = _DERIV[self.order][m]
-        return Jet(self.order - 1, self.c[..., src] * mult, self.point)
+        return Jet(self.order - 1, self.c[..., src] * mult)
 
     def __getitem__(self, key) -> "Jet":
         """Index the leading (tensor) axes."""
         if not isinstance(key, tuple):
             key = (key,)
-        return Jet(self.order, self.c[key + (slice(None),)], self.point)
+        return Jet(self.order, self.c[key + (slice(None),)])
 
     def sum(self, axis=0) -> "Jet":
         """Sum over leading tensor axes."""
-        return Jet(self.order, self.c.sum(axis=axis), self.point)
+        return Jet(self.order, self.c.sum(axis=axis))
 
     # -- ring operations -----------------------------------------------------
 
     def _align(self, other):
         if isinstance(other, Jet):
             o = min(self.order, other.order)
-            return o, self.c[..., : NCOEF[o]], other.c[..., : NCOEF[o]], _merge_points(self.point, other.point)
+            return o, self.c[..., : NCOEF[o]], other.c[..., : NCOEF[o]]
         return None
 
     def __add__(self, other):
         al = self._align(other)
         if al is not None:
-            o, ca, cb, pt = al
-            return Jet(o, ca + cb, pt)
+            o, ca, cb = al
+            return Jet(o, ca + cb)
         c = self.c.copy()
         c[..., 0] = c[..., 0] + np.asarray(other)
-        return Jet(self.order, c, self.point)
+        return Jet(self.order, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, -self.c, self.point)
+        return Jet(self.order, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -271,16 +263,16 @@ class Jet:
     def __mul__(self, other):
         al = self._align(other)
         if al is not None:
-            o, ca, cb, pt = al
-            return Jet(o, _mul_raw(ca, cb, o), pt)
-        return Jet(self.order, self.c * np.asarray(other)[..., None], self.point)
+            o, ca, cb = al
+            return Jet(o, _mul_raw(ca, cb, o))
+        return Jet(self.order, self.c * np.asarray(other)[..., None])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * reciprocal(other)
-        return Jet(self.order, self.c / np.asarray(other)[..., None], self.point)
+        return Jet(self.order, self.c / np.asarray(other)[..., None])
 
     def __rtruediv__(self, other):
         return reciprocal(self) * other
@@ -298,16 +290,13 @@ class Jet:
 def stack(jets, axis: int = 0) -> Jet:
     """Stack jets of equal order along a new leading axis."""
     order = min(j.order for j in jets)
-    point = None
-    for j in jets:
-        point = _merge_points(point, j.point)
     cs = [j.c[..., : NCOEF[order]] for j in jets]
-    return Jet(order, np.stack(cs, axis=axis), point)
+    return Jet(order, np.stack(cs, axis=axis))
 
 
 def moveaxis(j: Jet, src: int, dst: int) -> Jet:
     """Move a leading tensor axis (coefficient axis is untouched)."""
-    return Jet(j.order, np.moveaxis(j.c, src, dst), j.point)
+    return Jet(j.order, np.moveaxis(j.c, src, dst))
 
 
 def partials(j: Jet) -> Jet:
@@ -348,7 +337,7 @@ def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
     ga = fa.take(ia, axis=0).reshape(n, width * p, na)
     gb = fb.take(ib, axis=0).reshape(n, width * p, nb)
     out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
-    return Jet(o, out.reshape(sa + sb + (n,)), _merge_points(a.point, b.point))
+    return Jet(o, out.reshape(sa + sb + (n,)))
 
 
 def outer(a: Jet, b: Jet) -> Jet:
@@ -374,7 +363,7 @@ def reciprocal(b: Jet) -> Jet:
     for k in range(1, b.order + 1):
         term = _mul_raw(term, u, b.order)
         acc += term if k % 2 == 0 else -term
-    return Jet(b.order, acc / b0[..., None], b.point)
+    return Jet(b.order, acc / b0[..., None])
 
 
 def power(a: Jet, q) -> Jet:
@@ -383,7 +372,7 @@ def power(a: Jet, q) -> Jet:
     if qf == int(qf):
         n = int(qf)
         if n == 0:
-            return Jet.constant(np.ones(a.shape), a.order, a.point)
+            return Jet.constant(np.ones(a.shape), a.order)
         base = a if n > 0 else reciprocal(a)
         n = abs(n)
         result = None
@@ -402,7 +391,7 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     out = np.zeros_like(a.c)
     out[..., 0] = fk[..., 0]
     if a.order == 0:
-        return Jet(0, out, a.point)
+        return Jet(0, out)
     v = a.c.copy()
     v[..., 0] = 0.0
     p = v
@@ -410,7 +399,7 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     for k in range(2, a.order + 1):
         p = _mul_raw(p, v, a.order)
         out += fk[..., k, None] * p
-    return Jet(a.order, out, a.point)
+    return Jet(a.order, out)
 
 
 def _cycle_fk(a0: np.ndarray, order: int, cycle) -> np.ndarray:

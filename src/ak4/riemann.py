@@ -194,7 +194,7 @@ class HermitianFirstOrder:
     the anti-commuting structure whose fundamental form is the gauge phi."""
 
     sp: StructurePoint
-    conn: "ConnectionData"
+    conn: ConnectionData
     nabla_omega: Jet  # (m, i, j)
     d_omega: Jet
     theta: Jet
@@ -213,9 +213,8 @@ class HermitianFirstOrder:
         return self.d_omega_norm < 1e-9
 
 
-def hermitian_first_order(sp: StructurePoint, cd_or_conn) -> HermitianFirstOrder:
+def hermitian_first_order(sp: StructurePoint, conn: ConnectionData) -> HermitianFirstOrder:
     """First-order invariants of the almost Hermitian structure at a point."""
-    conn = cd_or_conn.conn if isinstance(cd_or_conn, CurvatureData) else cd_or_conn
     if sp.order < 1:
         raise jets.JetOrderError("first-order invariants need jet order >= 1")
     basis = sp.basis

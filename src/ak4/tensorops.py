@@ -41,13 +41,13 @@ def matrix_inverse(g: Jet) -> Jet:
     g0_inv = np.linalg.inv(g.value)
     e = g.c.copy()
     e[..., 0] = 0.0
-    m = -jets.contract(Jet.constant(g0_inv, g.order, g.point), Jet(g.order, e, g.point), 1, 0)
-    acc = Jet.constant(np.eye(4), g.order, g.point)
+    m = -jets.contract(Jet.constant(g0_inv, g.order), Jet(g.order, e), 1, 0)
+    acc = Jet.constant(np.eye(4), g.order)
     term = acc
     for _ in range(g.order):
         term = jets.contract(term, m, 1, 0)
         acc = acc + term
-    return jets.contract(acc, Jet.constant(g0_inv, g.order, g.point), 1, 0)
+    return jets.contract(acc, Jet.constant(g0_inv, g.order), 1, 0)
 
 
 def determinant4(g: Jet) -> Jet:
@@ -68,7 +68,7 @@ def volume_form(g: Jet, orientation: float) -> Jet:
     """mu_ijkl = orientation * sqrt(det g) * eps_ijkl as a jet tensor."""
     s = jets.sqrt(determinant4(g)) * float(orientation)
     c = s.c[None, None, None, None, :] * EPS4[..., None]
-    return Jet(s.order, c, g.point)
+    return Jet(s.order, c)
 
 
 def raise_axis(t: Jet, ginv: Jet, axis: int) -> Jet:
@@ -120,8 +120,7 @@ def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, in
     """
     a, b = pair
     tp = jets.moveaxis(jets.moveaxis(t, a, 0), b, 1)
-    starred = 0.5 * jets.contract(mu, raise_pair(tp, ginv, 0, 1), (2, 3), (0, 1))
-    out = 0.5 * (tp + float(sign) * starred)
+    out = 0.5 * (tp + float(sign) * hodge_star_2form(tp, ginv, mu))
     return jets.moveaxis(jets.moveaxis(out, 1, b), 0, a)
 
 

@@ -107,6 +107,28 @@ class TestChartFiles:
         with pytest.raises(ChartError, match="degenerate"):
             charts.chart_from_dict(data)
 
+    @pytest.mark.parametrize(
+        ("key", "mutate"),
+        [
+            pytest.param("domain", lambda d: {**d, "domain": [[0, "a"]] + [[0, 1]] * 3}, id="domain-bound-not-number"),
+            pytest.param("domain", lambda d: {**d, "domain": [[0]] + [[0, 1]] * 3}, id="domain-short-interval"),
+            pytest.param("domain", lambda d: {**d, "domain": 5}, id="domain-not-list"),
+            pytest.param("g", lambda d: {**d, "g": "11 12 13"}, id="g-not-object"),
+            pytest.param("J", lambda d: {**d, "J": {**d["J"], "1_1": 0}}, id="J-entry-not-string"),
+            pytest.param("tags", lambda d: {**d, "tags": 5}, id="tags-not-list"),
+            pytest.param("JSON object", lambda d: [d], id="chart-not-object"),
+        ],
+    )
+    def test_malformed_chart_types_exit_2(self, key, mutate, tmp_path, catalog_specs, capsys):
+        from ak4 import cli
+
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(mutate(charts.chart_to_dict(catalog_specs["flat"]))))
+        code = cli.main(["report", "--chart", str(path), "--points", "1", "--order", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and key in err
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
@@ -137,6 +159,21 @@ class TestStructureValidation:
         with pytest.raises(ChartError, match="outside domain"):
             charts.structure_at(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
+    def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
+        calls = []
+        determinant4 = tensorops.determinant4
+
+        def counted(g):
+            calls.append(g.order)
+            return determinant4(g)
+
+        monkeypatch.setattr(tensorops, "determinant4", counted)
+        spec = catalog_specs["kodaira-thurston"]
+        for order in (2, 4):
+            calls.clear()
+            charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+            assert calls == [order]
+
     def test_omega_never_user_supplied(self, catalog_specs):
         # Omega is derived from (g, J); for every catalog chart it must equal
         # e1^e2 + e3^e4 in the constructed coframe (checked in structure_at).
@@ -158,7 +195,7 @@ class TestAdaptedFrame:
         for rows in analyses.values():
             for pa in rows:
                 sp = pa.sp
-                for form in (sp.basis.omega, sp.basis.phi, sp.basis.jphi):
+                for form in (sp.omega, sp.basis.phi, sp.basis.jphi):
                     starred = tensorops.hodge_star_2form(form, sp.g_inv, sp.mu)
                     assert np.abs((starred - form).value).max() < STRUCT_TOL
 
@@ -169,7 +206,7 @@ class TestAdaptedFrame:
             for pa in rows:
                 sp = pa.sp
                 ginv = sp.g_inv
-                for form in (sp.basis.omega, sp.basis.phi, sp.basis.jphi):
+                for form in (sp.omega, sp.basis.phi, sp.basis.jphi):
                     n2 = tensorops.form_inner(form, form, ginv).value
                     assert abs(n2 - 2.0) < STRUCT_TOL
                 jmat = sp.J.value

@@ -233,6 +233,22 @@ class TestUserChartFiles:
         assert code == 2
         assert "J o J" in err
 
+    @pytest.mark.parametrize("command", [["report"], ["check", "kappa"], ["classify"]])
+    def test_bad_sample_point_is_named(self, command, tmp_path, capsys):
+        from ak4 import charts
+
+        def indefinite_metric(data):
+            data["g"]["11"] = "x1"
+
+        path = self._write_chart(tmp_path, indefinite_metric)
+        code = run_main([*command, "--chart", path, "--points", "2", "--order", "2"])
+        err = capsys.readouterr().err
+        p = charts.load_chart(path).sample_points(2, 42)[0]
+        assert p[0] < 0.0  # g_11 = x1 is negative at the first point
+        assert code == 2
+        assert "'user-chart', point 0 at (" in err and f"{p[0]:.6g}" in err
+        assert "g positive definite" in err
+
     def test_json_to_stdout(self, capsys):
         code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--json", "-"])
         out = capsys.readouterr().out

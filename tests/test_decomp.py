@@ -33,7 +33,7 @@ class TestSO4:
         for p in spec.sample_points(2, 21):
             pa_sp = charts.structure_at(spec, p, order=4)
             cd = riemann.curvature(riemann.connection(pa_sp))
-            dr = decomp.decompose(cd, pa_sp)
+            dr = decomp.decompose(cd)
             assert algebra.frobenius(dr.ric0) > 0.1  # not Einstein
             assert dr.recon_residual < 1e-8
             assert abs(dr.s) < 1e-8  # curvatures +1 and -1 cancel
@@ -164,6 +164,15 @@ class TestAlgebraicSandboxRoundTrip:
             assert np.abs(blocks2[key] - blocks[key]).max() < 1e-10
 
 
+class TestJoinOperator:
+    def test_inverse_of_split_batched_and_single(self):
+        m = algebra.operator_matrix(sandbox.random_batch(64, 3))
+        assert np.abs(algebra.join_operator(algebra.split_operator(m)) - m).max() < 1e-12
+        single = algebra.join_operator(algebra.split_operator(m[0]))
+        assert single.shape == (6, 6)
+        assert np.abs(single - m[0]).max() < 1e-12
+
+
 class TestTraces:
     def test_ric0_traceless_and_scalar_consistency(self, analyses):
         for rows in analyses.values():
@@ -171,4 +180,4 @@ class TestTraces:
                 assert abs(np.trace(pa.dr.ric0)) < 1e-9
                 assert abs(np.trace(pa.cd.ric_frame) - pa.dr.s) < 1e-9
                 # operator trace is s/2 under the half-norm convention
-                assert abs(2.0 * np.trace(pa.dr.operator) - pa.dr.s) < 1e-9
+                assert abs(2.0 * np.trace(pa.cd.operator) - pa.dr.s) < 1e-9
