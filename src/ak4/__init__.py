@@ -8,7 +8,7 @@ curvature conditions.
 
 __version__ = "0.1.0"
 
-from .charts import ChartSpec, FormBasis, StructurePoint, catalog, load_chart, structure_at
+from .charts import ChartSpec, StructurePoint, catalog, load_chart, structure_at
 from .decomp import DecompReport, decompose, j_invariance_residuals, star_ricci
 from .errors import AK4Error, ChartError, DomainError, JetOrderError, ParseError, StructureError
 from .exprs import eval_float, eval_jet, parse_expr
@@ -33,7 +33,6 @@ __all__ = [
     "CurvatureData",
     "DecompReport",
     "DomainError",
-    "FormBasis",
     "HermitianFirstOrder",
     "Jet",
     "JetOrderError",

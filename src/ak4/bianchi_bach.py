@@ -25,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, tensorops
+from . import algebra, jets, tensorops
 from .charts import FRAME_FORMS, J_FRAME, StructurePoint
 from .errors import AK4Error
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
 OMEGA_F, PHI_F, JPHI_F = FRAME_FORMS[0], FRAME_FORMS[1], FRAME_FORMS[2]
+#: |dOmega| and |Ric^anti| above which the almost Kahler Bach form is skipped.
+AK_FORM_TOL = 1e-8
 
 
 @dataclass
@@ -39,16 +41,10 @@ class SecondOrderReport:
     """Third- and fourth-order curvature identities at one point."""
 
     cotton: np.ndarray  # frame components C[x, y, z]
-    delta_w: np.ndarray
-    delta_w_plus: np.ndarray
-    delta_w_minus: np.ndarray
     alpha: np.ndarray  # frame 1-form
     beta: np.ndarray
     bach_direct: np.ndarray  # frame 4x4
-    bach_gauduchon_plus: np.ndarray
-    bach_gauduchon_minus: np.ndarray
     bach_ak: np.ndarray | None
-    bach_ricci_form_route: np.ndarray | None  # the nabla*nabla Ric0 expression
     bach_ak_skip_reason: str | None
     residuals: dict[str, float]
 
@@ -102,7 +98,7 @@ def reconstruct_v_minus(beta: np.ndarray) -> np.ndarray:
     return t
 
 
-def split_delta_wplus(sp: StructurePoint, dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Extract (alpha, beta) from frame components of delta W+ and report the
     completeness residual |delta W+ - A(alpha) - B(beta)|."""
     gamma = _pair_with_form(dwp_frame, OMEGA_F)
@@ -149,12 +145,7 @@ def bach_gauduchon(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
     return bp, bm
 
 
-def bach_almost_kahler(
-    cd: CurvatureData,
-    hfo: HermitianFirstOrder,
-    ric_anti_norm: float,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci.
 
     Returns (B, B_ricci_route) where
@@ -171,9 +162,9 @@ def bach_almost_kahler(
     sp = cd.sp
     if sp.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    if hfo.d_omega_norm > tol:
+    if hfo.d_omega_norm > AK_FORM_TOL:
         raise AK4Error(f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}")
-    if ric_anti_norm > tol:
+    if ric_anti_norm > AK_FORM_TOL:
         raise AK4Error(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti_norm:.3e}")
 
     conn = cd.conn
@@ -181,8 +172,8 @@ def bach_almost_kahler(
     ds = jets.partials(cd.s)
     hess = conn.covd(ds).value  # (nabla ds)_{mi}
     hess_f = tensorops.frame_components(hess, frame)
-    hess_inv = 0.5 * (hess_f + np.einsum("ai,ab,bj->ij", J_FRAME, hess_f, J_FRAME))
-    hess_anti = hess_f - hess_inv
+    hess_inv = algebra.j_invariant_part(hess_f)
+    hess_anti = algebra.j_anti_part(hess_f)
     lap_s = -float(np.trace(hess_f))
 
     ric0_f = cd.ric0_frame
@@ -209,13 +200,14 @@ def bach_almost_kahler(
     return b_ak, b_ricci
 
 
-def weitzenboeck_check(sp: StructurePoint, cd: CurvatureData, field: Jet | None = None) -> float:
+def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
     """Residual of the 2-form Weitzenboeck identity
 
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
 
     for the supplied 2-form field (default: the fundamental 2-form).
     """
+    sp = cd.sp
     if sp.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
     conn = cd.conn
@@ -226,7 +218,7 @@ def weitzenboeck_check(sp: StructurePoint, cd: CurvatureData, field: Jet | None 
     delta_d = conn.codifferential(d_phi)
     laplace = d_delta + delta_d
     rough = conn.rough_laplacian(phi)
-    w_phi = 0.5 * jets.contract(cd.weyl, tensorops.raise_pair(phi, sp.g_inv, 0, 1), (2, 3), (0, 1))
+    w_phi = tensorops.form_inner(cd.weyl, phi, sp.g_inv, (2, 3))
     rhs = rough + (cd.s / 3.0) * phi - 2.0 * w_phi
     residual = (laplace - rhs).value
     return float(np.abs(tensorops.frame_components(residual, sp.frame)).max())
@@ -267,31 +259,22 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
 # -- report assembly ------------------------------------------------------------
 
 
-def second_order_report(
-    sp: StructurePoint,
-    cd: CurvatureData,
-    hfo: HermitianFirstOrder,
-    ric_anti_norm: float,
-    weitzenboeck_seed: int = 2024,
-) -> SecondOrderReport:
+def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_norm: float, weitzenboeck_seed: int) -> SecondOrderReport:
     """Compute every second-order quantity and the full residual table."""
+    sp = cd.sp
     if sp.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
     frame = sp.frame
-    conn = cd.conn
 
     c_jet = cotton_york(cd)
     c_f = tensorops.frame_components(c_jet.value, frame)
-    dw = delta_weyl(cd, "full")
-    dw_f = tensorops.frame_components(dw.value, frame)
-    dwp = delta_weyl(cd, "plus")
-    dwp_f = tensorops.frame_components(dwp.value, frame)
-    dwm_f = tensorops.frame_components(delta_weyl(cd, "minus").value, frame)
+    dw_f = tensorops.frame_components(delta_weyl(cd, "full").value, frame)
+    dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
 
     c_plus = tensorops.dual_projection(c_jet, sp.g_inv, sp.mu, +1.0, (1, 2))
     c_plus_f = tensorops.frame_components(c_plus.value, frame)
 
-    alpha, beta, completeness = split_delta_wplus(sp, dwp_f)
+    alpha, beta, completeness = split_delta_wplus(dwp_f)
 
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
     ds_f = tensorops.frame_components(jets.partials(cd.s).value, frame)
@@ -314,8 +297,8 @@ def second_order_report(
     except AK4Error as exc:
         skip_reason = str(exc)
 
-    wz_omega = weitzenboeck_check(sp, cd, None)
-    wz_random = weitzenboeck_check(sp, cd, random_polynomial_2form(sp, weitzenboeck_seed))
+    wz_omega = weitzenboeck_check(cd)
+    wz_random = weitzenboeck_check(cd, random_polynomial_2form(sp, weitzenboeck_seed))
 
     residuals = {
         "delta W = C": float(np.abs(dw_f - c_f).max()),
@@ -338,16 +321,10 @@ def second_order_report(
 
     return SecondOrderReport(
         cotton=c_f,
-        delta_w=dw_f,
-        delta_w_plus=dwp_f,
-        delta_w_minus=dwm_f,
         alpha=alpha,
         beta=beta,
         bach_direct=bd,
-        bach_gauduchon_plus=bp,
-        bach_gauduchon_minus=bm,
         bach_ak=bach_ak,
-        bach_ricci_form_route=bach_ricci,
         bach_ak_skip_reason=skip_reason,
         residuals=residuals,
     )

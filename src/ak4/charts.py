@@ -292,23 +292,26 @@ def _kodaira_thurston_chart() -> ChartSpec:
     )
 
 
+#: Builders of the built-in example charts, by chart name, in catalog order.
+_CATALOG = {
+    "flat": _flat_chart,
+    "product-surfaces": _product_surfaces_default,
+    "fubini-study": _fubini_study_chart,
+    "complex-hyperbolic": _complex_hyperbolic_chart,
+    "kodaira-thurston": _kodaira_thurston_chart,
+}
+
+
 def catalog() -> list[ChartSpec]:
     """The built-in example charts."""
-    return [
-        _flat_chart(),
-        _product_surfaces_default(),
-        _fubini_study_chart(),
-        _complex_hyperbolic_chart(),
-        _kodaira_thurston_chart(),
-    ]
+    return [build() for build in _CATALOG.values()]
 
 
 def catalog_chart(name: str) -> ChartSpec:
-    for spec in catalog():
-        if spec.name == name:
-            return spec
-    known = ", ".join(s.name for s in catalog())
-    raise ChartError(f"unknown catalog chart {name!r} (known: {known})")
+    """The built-in chart of that name; only that chart is built."""
+    if name not in _CATALOG:
+        raise ChartError(f"unknown catalog chart {name!r} (known: {', '.join(_CATALOG)})")
+    return _CATALOG[name]()
 
 
 # -- structure evaluation ------------------------------------------------------
@@ -346,28 +349,13 @@ FRAME_FORMS = np.stack(
 
 
 @dataclass
-class FormBasis:
-    """Adapted frame data and the anti-invariant self-dual 2-forms.
-
-    frame[a] are the coordinate components of the frame vector e_a;
-    frame_jet and coframe_jet are the frame vectors and their dual covectors
-    as jets. phi and jphi are coordinate 2-form jets; with
-    StructurePoint.omega their frame components are the first three rows of
-    FRAME_FORMS. tensor_norm_factor converts squared operator (matrix) norms
-    on 2-forms into squared full tensor norms.
-    """
-
-    frame: np.ndarray
-    frame_jet: Jet
-    coframe_jet: Jet
-    phi: Jet
-    jphi: Jet
-    tensor_norm_factor: float = 4.0
-
-
-@dataclass
 class StructurePoint:
-    """All structure jets of a chart at one point, plus the adapted frame."""
+    """All structure jets of a chart at one point, plus the adapted frame.
+
+    frame[a] are the coordinate components of the frame vector e_a. phi and
+    jphi are coordinate 2-form jets; with omega their frame components are
+    the first three rows of FRAME_FORMS.
+    """
 
     spec: ChartSpec
     point: tuple[float, float, float, float]
@@ -377,12 +365,10 @@ class StructurePoint:
     J: Jet
     omega: Jet
     mu: Jet
-    basis: FormBasis
+    frame: np.ndarray
+    phi: Jet
+    jphi: Jet
     invariant_residuals: dict[str, float]
-
-    @property
-    def frame(self) -> np.ndarray:
-        return self.basis.frame
 
 
 def _check(residuals: dict[str, float], name: str, value: float) -> None:
@@ -426,8 +412,8 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     omega = jets.contract(J, g, 0, 0)
     _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()))
 
-    frame_jet = _adapted_frame_jet(g, J)
-    frame = frame_jet.value
+    frame_vectors = _adapted_frame(g, J)
+    frame = frame_vectors.value
     gram = frame @ g0 @ frame.T
     _check(residuals, "frame orthonormal", float(np.abs(gram - np.eye(4)).max()))
     _check(residuals, "e2 = J e1", float(np.abs(j0 @ frame[0] - frame[1]).max()))
@@ -435,14 +421,12 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
 
     mu = tensorops.volume_form(g, float(np.sign(np.linalg.det(frame))))
 
-    coframe_jet = jets.contract(frame_jet, g, 1, 0)  # (e^a)_i = g_ij E_a^j
-    phi = _coframe_wedge(coframe_jet, 0, 2) - _coframe_wedge(coframe_jet, 1, 3)
+    coframe = jets.contract(frame_vectors, g, 1, 0)  # (e^a)_i = g_ij E_a^j
+    phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
     jphi = -jets.contract(J, phi, 0, 0)  # (J phi)_ij = -phi(J d_i, d_j)
 
-    basis = FormBasis(frame=frame, frame_jet=frame_jet, coframe_jet=coframe_jet, phi=phi, jphi=jphi)
-
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    rebuilt = _coframe_wedge(coframe_jet, 0, 1) + _coframe_wedge(coframe_jet, 2, 3)
+    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
     _check(residuals, "Omega = e1^e2 + e3^e4", float(np.abs(rebuilt.value - omega.value).max()))
     # Self-duality of the positive basis under the declared orientation.
     for name, form in (("*Omega = Omega", omega), ("*phi = phi", phi), ("*Jphi = Jphi", jphi)):
@@ -458,7 +442,9 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
         J=J,
         omega=omega,
         mu=mu,
-        basis=basis,
+        frame=frame,
+        phi=phi,
+        jphi=jphi,
         invariant_residuals=residuals,
     )
 
@@ -467,7 +453,7 @@ def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
     return tensorops.wedge11(coframe[a], coframe[b])
 
 
-def _adapted_frame_jet(g: Jet, J: Jet) -> Jet:
+def _adapted_frame(g: Jet, J: Jet) -> Jet:
     """Deterministic adapted frame {e1, Je1, e3, Je3} as coordinate jets."""
     e1 = _basis_vector_jet(0, g) / jets.sqrt(g[0, 0])
     e2 = jets.contract(J, e1, 1, 0)

@@ -65,12 +65,16 @@ class PointAnalysis:
         self.order, self.planes, self.seed = order, planes, seed
 
     @cached_property
+    def conn(self) -> riemann.ConnectionData:
+        return riemann.connection(self.sp)
+
+    @cached_property
     def cd(self) -> riemann.CurvatureData:
-        return riemann.curvature(riemann.connection(self.sp))
+        return riemann.curvature(self.conn)
 
     @cached_property
     def hfo(self) -> riemann.HermitianFirstOrder:
-        return riemann.hermitian_first_order(self.sp, self.cd.conn)
+        return riemann.hermitian_first_order(self.conn)
 
     @cached_property
     def dr(self) -> decomp.DecompReport:
@@ -78,13 +82,13 @@ class PointAnalysis:
 
     @cached_property
     def gr(self) -> gray.GrayReport:
-        return gray.gray_report(self.sp, self.cd, self.dr, self.hfo, n_planes=self.planes, seed=self.seed)
+        return gray.gray_report(self.cd, self.dr, self.hfo, n_planes=self.planes, seed=self.seed)
 
     @cached_property
     def sor(self) -> bianchi_bach.SecondOrderReport | None:
         if self.order < 4:
             return None
-        return bianchi_bach.second_order_report(self.sp, self.cd, self.hfo, self.dr.ric_anti_norm, weitzenboeck_seed=self.seed)
+        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr.ric_anti_norm, weitzenboeck_seed=self.seed)
 
     @property
     def skipped(self) -> tuple[str, ...]:
@@ -170,7 +174,7 @@ def _lemma5(pa: PointAnalysis, scale: float) -> float:
 
 
 def _prop2i(pa: PointAnalysis, scale: float) -> float | None:
-    rev = gray.reversed_structure(pa.sp, pa.hfo, pa.dr, pa.gr.g2)
+    rev = gray.reversed_structure(pa.hfo, pa.dr, pa.gr.g2)
     return rev.prop2i_residual if rev.valid and rev.g2_holds else None
 
 
@@ -191,7 +195,7 @@ IDENTITIES = (
     Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.orthogonality_residual),
     Identity("kappa", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.kappa_identity_residual),
     Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.star_skew_residual),
-    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa, _: riemann.ricci_identity_check(pa.sp, pa.cd)),
+    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa, _: riemann.ricci_identity_check(pa.cd)),
     Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, lambda pa, _: pa.hfo.identity_residual),
     Identity("s-star", TOL_FIRST_ORDER, 2, lambda pa, _: pa.dr.s_star_identity_residual),
     Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, _if_almost_kahler(lambda hfo: hfo.b_plus_ja_norm)),

@@ -9,8 +9,8 @@ into the kappa line, the Omega-row coupling governed by the 2-form Psi, and
 the traceless remainder on the anti-invariant plane.
 
 All matrix norms here are Frobenius norms of operator blocks; multiplying a
-squared operator norm by FormBasis.tensor_norm_factor gives the squared
-full tensor norm of the corresponding (0,4) tensor.
+squared operator norm by 4 gives the squared full tensor norm of the
+corresponding (0,4) tensor.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, jets, tensorops
-from .charts import J_FRAME, StructurePoint
+from .charts import J_FRAME
 from .decomp import DecompReport
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
@@ -38,7 +38,6 @@ class GrayReport:
     mu_min: float
     mu_max: float
     wplus_eigenvalues: np.ndarray
-    wplus_spectral_gap: float
     verdict: str
     flags: tuple[str, ...]
     prop1_residual: float | None
@@ -53,10 +52,7 @@ class ReversedStructure:
 
     valid: bool
     note: str
-    jbar: np.ndarray | None = None
-    omega_bar_value: np.ndarray | None = None
     d_omega_bar_norm: float | None = None
-    xi: np.ndarray | None = None
     da_residual: float | None = None
     dja_residual: float | None = None
     prop2i_residual: float | None = None
@@ -74,16 +70,15 @@ def lemma5_check(dr: DecompReport, gr: tuple[float, float, float]) -> dict[str, 
     return {"g2": gr[1], "triple_max": max(triple), "ric_anti": triple[0], "w2": triple[1], "w3": triple[2]}
 
 
-def star_scalar_jet(cd: CurvatureData, sp: StructurePoint) -> Jet:
+def star_scalar_jet(cd: CurvatureData) -> Jet:
     """The star-scalar curvature as a jet field (trace of -R(Omega)(J., .))."""
-    omega_up = tensorops.raise_pair(sp.omega, sp.g_inv, 0, 1)
-    r_omega = 0.5 * jets.contract(cd.R, omega_up, (2, 3), (0, 1))
+    sp = cd.sp
+    r_omega = tensorops.form_inner(cd.R, sp.omega, sp.g_inv, (2, 3))
     ric_star = -jets.contract(sp.J, r_omega, 0, 0)  # -J^k_i (R Omega)_kj
     return jets.contract(sp.g_inv, ric_star, (0, 1), (0, 1))
 
 
 def prop1_check(
-    sp: StructurePoint,
     cd: CurvatureData,
     dr: DecompReport,
     hfo: HermitianFirstOrder,
@@ -96,11 +91,12 @@ def prop1_check(
     Returns (residual, note, d_s_star_minus_s_norm); residual is None with an
     explanatory note when the hypothesis fails at the point.
     """
+    sp = cd.sp
     if sp.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
     if g2_residual > DEFAULT_VERDICT_TOL:
         return None, f"hypothesis not met: g2 residual {g2_residual:.3e}", None
-    s_star = star_scalar_jet(cd, sp)
+    s_star = star_scalar_jet(cd)
     diff = cd.s - s_star
     d_diff = tensorops.frame_components(jets.partials(diff).value, sp.frame)
     theta_f = tensorops.frame_components(hfo.theta.value, sp.frame)
@@ -111,13 +107,7 @@ def prop1_check(
     return residual, None, const_res
 
 
-def totally_real_curvature(
-    cd: CurvatureData,
-    dr: DecompReport,
-    sp: StructurePoint,
-    n_planes: int = 64,
-    seed: int = 42,
-) -> dict:
+def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, seed: int) -> dict:
     """Sectional curvature statistics over seeded Lagrangian planes.
 
     A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
@@ -158,12 +148,7 @@ def wplus_degeneracy(dr: DecompReport) -> tuple[np.ndarray, float]:
     return eig, float(min(gaps))
 
 
-def reversed_structure(
-    sp: StructurePoint,
-    hfo: HermitianFirstOrder,
-    dr: DecompReport,
-    g2_residual: float,
-) -> ReversedStructure:
+def reversed_structure(hfo: HermitianFirstOrder, dr: DecompReport, g2_residual: float) -> ReversedStructure:
     """Reversed-orientation almost Hermitian structure from the Kahler nullity.
 
     Builds Jbar = J on the nullity and -J on its orthogonal complement
@@ -174,6 +159,7 @@ def reversed_structure(
     closedness numbers are asserted by callers only where the second Gray
     condition holds; here they are always reported as diagnostics.
     """
+    sp = hfo.conn.sp
     if sp.order < 2:
         raise jets.JetOrderError("the reversed structure needs jet order >= 2")
     a = hfo.a
@@ -205,16 +191,14 @@ def reversed_structure(
     d_omega_bar_norm = float(np.abs(tensorops.frame_components(d_omega_bar.value, sp.frame)).max())
 
     # xi from nabla phi = -a (x) Omega + xi (x) J phi
-    d_phi = hfo.conn.covd(sp.basis.phi)
-    jphi_up = tensorops.raise_pair(sp.basis.jphi, ginv, 0, 1)
-    xi = 0.25 * jets.contract(d_phi, jphi_up, (1, 2), (0, 1))
+    xi = 0.5 * tensorops.form_inner(hfo.conn.covd(sp.phi), sp.jphi, ginv, (1, 2))
 
     s_star = dr.s_star
     factor = (s_star - dr.s) / 8.0
     da = tensorops.ext_d_1form(a)
     dja = tensorops.ext_d_1form(ja)
-    da_pred = tensorops.wedge11(ja, xi) + factor * sp.basis.jphi
-    dja_pred = -tensorops.wedge11(a, xi) + factor * sp.basis.phi
+    da_pred = tensorops.wedge11(ja, xi) + factor * sp.jphi
+    dja_pred = -tensorops.wedge11(a, xi) + factor * sp.phi
     frame = sp.frame
     da_residual = float(np.abs(tensorops.frame_components((da - da_pred).value, frame)).max())
     dja_residual = float(np.abs(tensorops.frame_components((dja - dja_pred).value, frame)).max())
@@ -229,9 +213,7 @@ def reversed_structure(
         lhs = dd - np.moveaxis(dd, 0, 1)
         coeff_phi = (da - tensorops.wedge11(ja, xi)).value
         coeff_jphi = (dja + tensorops.wedge11(a, xi)).value
-        rhs = np.einsum("mn,ij->mnij", coeff_phi, sp.basis.phi.value) - np.einsum(
-            "mn,ij->mnij", coeff_jphi, sp.basis.jphi.value
-        )
+        rhs = np.einsum("mn,ij->mnij", coeff_phi, sp.phi.value) - np.einsum("mn,ij->mnij", coeff_jphi, sp.jphi.value)
         second_derivative_residual = float(np.abs(tensorops.frame_components(lhs - rhs, frame)).max())
 
     # Ric0 = (kappa/4) (-g^D + g^Dperp) as frame tensors
@@ -253,14 +235,10 @@ def reversed_structure(
             candidates = [b, J_FRAME @ b]
     nullity = np.stack(candidates)
 
-    xi_f = tensorops.frame_components(xi.value, frame)
     return ReversedStructure(
         valid=True,
         note="",
-        jbar=jbar,
-        omega_bar_value=omega_bar.value,
         d_omega_bar_norm=d_omega_bar_norm,
-        xi=xi_f,
         da_residual=da_residual,
         dja_residual=dja_residual,
         prop2i_residual=prop2i_residual,
@@ -272,7 +250,7 @@ def reversed_structure(
     )
 
 
-def canonical_ricci_form(sp: StructurePoint, cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> dict:
+def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> dict:
     """Ricci form of the first canonical Hermitian connection:
 
         gamma0(X, Y) = 4 Ric*(JX, Y) + <J nabla_X J, nabla_Y J>.
@@ -280,8 +258,7 @@ def canonical_ricci_form(sp: StructurePoint, cd: CurvatureData, dr: DecompReport
     Returned with its antisymmetry residual; on Kahler points the second
     term vanishes and gamma0 is four times the usual Ricci form.
     """
-    frame = sp.frame
-    d_omega_f = tensorops.frame_components(hfo.nabla_omega.value, frame)
+    d_omega_f = tensorops.frame_components(hfo.nabla_omega.value, hfo.conn.sp.frame)
     # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
     gamma = 4.0 * np.einsum("kx,ky->xy", J_FRAME, dr.ric_star)
     # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
@@ -323,20 +300,13 @@ def classify(hfo: HermitianFirstOrder, dr: DecompReport, gr: tuple[float, float,
     return "ALMOST-HERMITIAN", tuple(flags)
 
 
-def gray_report(
-    sp: StructurePoint,
-    cd: CurvatureData,
-    dr: DecompReport,
-    hfo: HermitianFirstOrder,
-    n_planes: int = 64,
-    seed: int = 42,
-) -> GrayReport:
+def gray_report(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder, n_planes: int, seed: int) -> GrayReport:
     gr = tuple(float(v) for v in algebra.gray_residuals(cd.R_frame))
-    planes = totally_real_curvature(cd, dr, sp, n_planes=n_planes, seed=seed)
-    eig, gap = wplus_degeneracy(dr)
+    planes = totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed)
+    eig, _ = wplus_degeneracy(dr)
     verdict, flags = classify(hfo, dr, gr)
-    if sp.order >= 3:
-        prop1_res, prop1_note, const_res = prop1_check(sp, cd, dr, hfo, gr[1])
+    if cd.sp.order >= 3:
+        prop1_res, prop1_note, const_res = prop1_check(cd, dr, hfo, gr[1])
     else:
         prop1_res, prop1_note, const_res = None, "skipped: jet order < 3", None
     return GrayReport(
@@ -348,7 +318,6 @@ def gray_report(
         mu_min=planes["mu_min"],
         mu_max=planes["mu_max"],
         wplus_eigenvalues=eig,
-        wplus_spectral_gap=gap,
         verdict=verdict,
         flags=flags,
         prop1_residual=prop1_res,

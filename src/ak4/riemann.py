@@ -193,12 +193,9 @@ class HermitianFirstOrder:
     and the 1-forms a, b with nabla J = a (x) I + b (x) (J o I), where I is
     the anti-commuting structure whose fundamental form is the gauge phi."""
 
-    sp: StructurePoint
     conn: ConnectionData
     nabla_omega: Jet  # (m, i, j)
-    d_omega: Jet
     theta: Jet
-    nijenhuis: Jet  # N[x, y, z] = N_{d_x}(d_y, d_z)
     a: Jet
     b: Jet
     nabla_j_sq: float  # |nabla J|^2, full tensor norm
@@ -213,11 +210,9 @@ class HermitianFirstOrder:
         return self.d_omega_norm < 1e-9
 
 
-def hermitian_first_order(sp: StructurePoint, conn: ConnectionData) -> HermitianFirstOrder:
+def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
     """First-order invariants of the almost Hermitian structure at a point."""
-    if sp.order < 1:
-        raise jets.JetOrderError("first-order invariants need jet order >= 1")
-    basis = sp.basis
+    sp = conn.sp
     nabla_omega = conn.covd(sp.omega)
     d_omega = tensorops.ext_d_2form(sp.omega)
     delta_omega = conn.codifferential(sp.omega)
@@ -225,8 +220,8 @@ def hermitian_first_order(sp: StructurePoint, conn: ConnectionData) -> Hermitian
     theta = -jets.contract(delta_omega, sp.J, 0, 0)
 
     # a(X) = <nabla_X Omega, phi> / |phi|^2, b likewise with J phi
-    a = 0.5 * _form_inner_slots(nabla_omega, basis.phi, sp.g_inv)
-    b = 0.5 * _form_inner_slots(nabla_omega, basis.jphi, sp.g_inv)
+    a = 0.5 * tensorops.form_inner(nabla_omega, sp.phi, sp.g_inv, (1, 2))
+    b = 0.5 * tensorops.form_inner(nabla_omega, sp.jphi, sp.g_inv, (1, 2))
 
     nij = _nijenhuis(sp)
     identity_residual = _nabla_j_identity_residual(sp, nabla_omega, theta, nij)
@@ -241,12 +236,9 @@ def hermitian_first_order(sp: StructurePoint, conn: ConnectionData) -> Hermitian
     b_plus_ja = tensorops.frame_components((b + ja).value, frame)
 
     return HermitianFirstOrder(
-        sp=sp,
         conn=conn,
         nabla_omega=nabla_omega,
-        d_omega=d_omega,
         theta=theta,
-        nijenhuis=nij,
         a=a,
         b=b,
         nabla_j_sq=nabla_j_sq,
@@ -256,12 +248,6 @@ def hermitian_first_order(sp: StructurePoint, conn: ConnectionData) -> Hermitian
         b_plus_ja_norm=float(np.abs(b_plus_ja).max()),
         identity_residual=identity_residual,
     )
-
-
-def _form_inner_slots(t3: Jet, form: Jet, ginv: Jet) -> Jet:
-    """Half-norm inner product <t3_m, form> over the last two slots of a (0,3) tensor."""
-    up = tensorops.raise_pair(form, ginv, 0, 1)
-    return 0.5 * jets.contract(t3, up, (1, 2), (0, 1))
 
 
 def _nijenhuis(sp: StructurePoint) -> Jet:
@@ -290,7 +276,7 @@ def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet,
     xb = sp.g  # X^flat for X = d_m is the row g_{m .}
     lhs = nabla_omega.value
     term1 = np.einsum("mi,j->mij", xb.value, jtheta.value) - np.einsum("mj,i->mij", xb.value, jtheta.value)
-    jxb = jets.contract(J, sp.g, 0, 0).value  # (J d_m)^flat_i = J^k_m g_ki
+    jxb = sp.omega.value  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
     term2 = np.einsum("mi,j->mij", jxb, theta.value) - np.einsum("mj,i->mij", jxb, theta.value)
     njx = np.einsum("km,kij->mij", J.value, nij.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
@@ -298,11 +284,12 @@ def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet,
     return float(np.abs(tensorops.frame_components(lhs - rhs, frame)).max())
 
 
-def ricci_identity_check(sp: StructurePoint, cd: CurvatureData) -> float:
+def ricci_identity_check(cd: CurvatureData) -> float:
     """Max-norm residual of the commuted second derivative of Omega:
 
     (nabla^2_{X,Y} - nabla^2_{Y,X})(Omega)(Z, T) = -R_{X,Y,JZ,T} - R_{X,Y,Z,JT}.
     """
+    sp = cd.sp
     dd = cd.conn.covd2(sp.omega)  # (m, n, i, j)
     lhs = dd.value - np.moveaxis(dd.value, 0, 1)
     rv = cd.R.value

@@ -15,6 +15,9 @@ import numpy as np
 
 from . import algebra
 
+#: Largest asymmetry or trace `curvature_with_blocks` accepts in a prescribed block.
+BLOCK_TOL = 1e-10
+
 
 @dataclass
 class AlgebraicCurvature:
@@ -56,7 +59,6 @@ def curvature_with_blocks(
     psi: tuple[float, float] = (0.0, 0.0),
     w3: tuple[float, float] = (0.0, 0.0),
     wminus: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> AlgebraicCurvature:
     """Assemble a curvature tensor with exactly the prescribed blocks.
 
@@ -76,9 +78,9 @@ def curvature_with_blocks(
     recipe: dict = {"kind": "blocks", "s": float(s)}
     if ric0 is not None:
         ric0 = np.asarray(ric0, dtype=float)
-        if np.abs(ric0 - ric0.T).max() > tol:
+        if np.abs(ric0 - ric0.T).max() > BLOCK_TOL:
             raise ValueError("ric0 block must be symmetric")
-        if abs(np.trace(ric0)) > tol:
+        if abs(np.trace(ric0)) > BLOCK_TOL:
             raise ValueError("ric0 block must be traceless")
         r = r + 0.5 * algebra.kn_delta(ric0)
         recipe["ric0"] = ric0.tolist()
@@ -96,7 +98,7 @@ def curvature_with_blocks(
     m[1, 2] = m[2, 1] = w3o
     if wminus is not None:
         wminus = np.asarray(wminus, dtype=float)
-        if np.abs(wminus - wminus.T).max() > tol or abs(np.trace(wminus)) > tol:
+        if np.abs(wminus - wminus.T).max() > BLOCK_TOL or abs(np.trace(wminus)) > BLOCK_TOL:
             raise ValueError("wminus block must be symmetric and traceless")
         m[3:, 3:] = wminus
         recipe["wminus"] = wminus.tolist()

@@ -80,9 +80,10 @@ def raise_pair(t: Jet, ginv: Jet, a: int, b: int) -> Jet:
     return raise_axis(raise_axis(t, ginv, a), ginv, b)
 
 
-def form_inner(a: Jet, b: Jet, ginv: Jet) -> Jet:
-    """Half-tensor-norm inner product of 2-form jets."""
-    return 0.5 * jets.contract(a, raise_pair(b, ginv, 0, 1), (0, 1), (0, 1))
+def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1)) -> Jet:
+    """Half-tensor-norm inner product of the 2-form jet `form` with the
+    antisymmetric slot pair `slots` of t; the other slots of t stay, in order."""
+    return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1), slots, (0, 1))
 
 
 def vector_inner(a: Jet, b: Jet, ginv: Jet) -> Jet:
@@ -110,7 +111,7 @@ def ext_d_2form(phi: Jet) -> Jet:
 
 def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet) -> Jet:
     """(*phi)_ij = (1/2) mu_ijkl phi^kl."""
-    return 0.5 * jets.contract(mu, raise_pair(phi, ginv, 0, 1), (2, 3), (0, 1))
+    return form_inner(mu, phi, ginv, (2, 3))
 
 
 def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int]) -> Jet:

@@ -160,7 +160,7 @@ def test_criterion_09_ricci_and_weitzenboeck(analyses):
     worst_wz = 0.0
     for rows in analyses.values():
         for pa in rows:
-            worst_ric = max(worst_ric, riemann.ricci_identity_check(pa.sp, pa.cd))
+            worst_ric = max(worst_ric, riemann.ricci_identity_check(pa.cd))
             worst_wz = max(worst_wz, pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
     ok = worst_ric < 1e-8 and worst_wz < 1e-6
     _verdict(9, "ricci identity + weitzenboeck", ok, f"ric-id {worst_ric:.2e}, weitzenboeck {worst_wz:.2e}")

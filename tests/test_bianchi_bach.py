@@ -82,7 +82,7 @@ class TestDeltaWPlusSplit:
             alpha = rng.standard_normal(4)
             beta = rng.standard_normal(4)
             v = bianchi_bach.reconstruct_v_plus(alpha) + bianchi_bach.reconstruct_v_minus(beta)
-            a2, b2, comp = bianchi_bach.split_delta_wplus(None, v)
+            a2, b2, comp = bianchi_bach.split_delta_wplus(v)
             assert np.abs(a2 - alpha).max() < 1e-12
             assert np.abs(b2 - beta).max() < 1e-12
             assert comp < 1e-12
@@ -190,7 +190,7 @@ class TestWeitzenboeck:
         sp = charts.structure_at(catalog_specs["flat"], (0, 0, 0, 0), order=2)
         cd = riemann.curvature(riemann.connection(sp))
         with pytest.raises(JetOrderError):
-            bianchi_bach.weitzenboeck_check(sp, cd)
+            bianchi_bach.weitzenboeck_check(cd)
 
 
 class TestIntegrabilityCriterion:

@@ -49,7 +49,7 @@ class TestCatalog:
         from ak4 import riemann
 
         sp = charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=2)
-        hfo = riemann.hermitian_first_order(sp, riemann.connection(sp))
+        hfo = riemann.hermitian_first_order(riemann.connection(sp))
         assert hfo.nabla_j_sq > 1.0  # strictly almost Kahler
 
     def test_product_surfaces_with_unit_factors_is_flat(self):
@@ -189,13 +189,13 @@ class TestAdaptedFrame:
         a = charts.structure_at(spec, p, order=3)
         b = charts.structure_at(spec, p, order=3)
         assert np.array_equal(a.frame, b.frame)
-        assert np.array_equal(a.basis.phi.c, b.basis.phi.c)
+        assert np.array_equal(a.phi.c, b.phi.c)
 
     def test_self_dual_triple_star_eigenvectors(self, analyses):
         for rows in analyses.values():
             for pa in rows:
                 sp = pa.sp
-                for form in (sp.omega, sp.basis.phi, sp.basis.jphi):
+                for form in (sp.omega, sp.phi, sp.jphi):
                     starred = tensorops.hodge_star_2form(form, sp.g_inv, sp.mu)
                     assert np.abs((starred - form).value).max() < STRUCT_TOL
 
@@ -206,11 +206,11 @@ class TestAdaptedFrame:
             for pa in rows:
                 sp = pa.sp
                 ginv = sp.g_inv
-                for form in (sp.omega, sp.basis.phi, sp.basis.jphi):
+                for form in (sp.omega, sp.phi, sp.jphi):
                     n2 = tensorops.form_inner(form, form, ginv).value
                     assert abs(n2 - 2.0) < STRUCT_TOL
                 jmat = sp.J.value
-                for name, form in (("phi", sp.basis.phi), ("jphi", sp.basis.jphi)):
+                for name, form in (("phi", sp.phi), ("jphi", sp.jphi)):
                     acted = np.einsum("ki,lj,kl->ij", jmat, jmat, form.value)
                     assert np.abs(acted + form.value).max() < 1e-8, name  # anti-invariant
                 # the anti-self-dual triple is J-invariant in frame components
@@ -245,6 +245,4 @@ class TestAdaptedFrame:
 class TestAdaptedFrameOp:
     def test_adapted_frame_returns_basis(self, analyses):
         pa = analyses["kodaira-thurston"][0]
-        basis = pa.sp.basis
-        assert basis.tensor_norm_factor == 4.0
-        assert basis.frame.shape == (4, 4)
+        assert pa.sp.frame.shape == (4, 4)

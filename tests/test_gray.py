@@ -152,7 +152,7 @@ class TestTotallyRealCurvature:
     def test_plane_count_validation(self, analyses):
         pa = analyses["flat"][0]
         with pytest.raises(ValueError):
-            gray.totally_real_curvature(pa.cd, pa.dr, pa.sp, n_planes=4)
+            gray.totally_real_curvature(pa.cd, pa.dr, n_planes=4, seed=42)
 
     def test_sandbox_lemma6_equivalence(self):
         # constancy <=> (Ric J-invariant, W3+ = 0, W- = 0); exercise both
@@ -225,13 +225,13 @@ class TestReversedStructure:
     def test_kahler_charts_nullity_undefined(self, analyses):
         for name in KAHLER_NAMES:
             pa = analyses[name][0]
-            rev = gray.reversed_structure(pa.sp, pa.hfo, pa.dr, pa.gr.g2)
+            rev = gray.reversed_structure(pa.hfo, pa.dr, pa.gr.g2)
             assert not rev.valid
             assert "nullity undefined" in rev.note
 
     def test_kodaira_thurston_reversed_structure(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            rev = gray.reversed_structure(pa.sp, pa.hfo, pa.dr, pa.gr.g2)
+            rev = gray.reversed_structure(pa.hfo, pa.dr, pa.gr.g2)
             assert rev.valid
             assert rev.structure_residual < 1e-9  # Jbar orthogonal a.c.s.
             assert not rev.g2_holds  # so the closedness numbers are diagnostics
@@ -263,7 +263,7 @@ class TestReversedStructure:
 class TestCanonicalRicciForm:
     def test_flat_zero(self, analyses):
         pa = analyses["flat"][0]
-        crf = gray.canonical_ricci_form(pa.sp, pa.cd, pa.dr, pa.hfo)
+        crf = gray.canonical_ricci_form(pa.dr, pa.hfo)
         assert np.abs(crf["gamma0"]).max() == 0.0
 
     def test_kahler_reduction_to_ricci_form(self, analyses):
@@ -271,14 +271,14 @@ class TestCanonicalRicciForm:
         # compare against 4 Ric(J., .) built from the Ricci tensor directly.
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                crf = gray.canonical_ricci_form(pa.sp, pa.cd, pa.dr, pa.hfo)
+                crf = gray.canonical_ricci_form(pa.dr, pa.hfo)
                 rho4 = 4.0 * np.einsum("kx,ky->xy", J_FRAME, pa.cd.ric_frame)
                 assert np.abs(crf["gamma0"] - rho4).max() < 1e-8
                 assert crf["antisymmetry_residual"] < 1e-8
 
     def test_kodaira_thurston_antisymmetry(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            crf = gray.canonical_ricci_form(pa.sp, pa.cd, pa.dr, pa.hfo)
+            crf = gray.canonical_ricci_form(pa.dr, pa.hfo)
             assert crf["antisymmetry_residual"] < 1e-8
 
 

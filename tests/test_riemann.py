@@ -140,12 +140,12 @@ class TestHermitianFirstOrder:
 
 class TestRicciIdentity:
     def test_flat_zero(self, analyses):
-        assert riemann.ricci_identity_check(analyses["flat"][0].sp, analyses["flat"][0].cd) == 0.0
+        assert riemann.ricci_identity_check(analyses["flat"][0].cd) == 0.0
 
     def test_all_catalog_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert riemann.ricci_identity_check(pa.sp, pa.cd) < 1e-8
+                assert riemann.ricci_identity_check(pa.cd) < 1e-8
 
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
         sp = charts.structure_at(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
