@@ -357,8 +357,7 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
     for spec in _charts_for(config):
         for pa in _analyses(spec, config, order):
             values = [v for v in (i.residual(pa, config.tol_scale) for i in identities) if v is not None]
-            point = list(np.array(pa.sp.point))  # numpy scalars: `check` prints their repr on "not applicable" rows
-            rows.append({"chart": spec.name, "point": point, "residual": float(max(values)) if values else None})
+            rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values)) if values else None})
     return rows
 
 
@@ -433,11 +432,11 @@ def cmd_check(config: RunConfig, name: str, out=None) -> int:
     print(f"check {name}  (tolerance {tol:.1e})", file=out)
     worst = None
     for r in rows:
+        pt = "" if r["point"] is None else np.array2string(np.asarray(r["point"]), precision=3)
         if r["residual"] is None:
-            print(f"  {r['chart']:20s} {str(r.get('point')):>44s}  not applicable", file=out)
+            print(f"  {r['chart']:20s} {pt:>44s}  not applicable", file=out)
             continue
         mark = "pass" if r["residual"] <= tol else "FAIL"
-        pt = "" if r.get("point") is None else np.array2string(np.asarray(r["point"]), precision=3)
         print(f"  {r['chart']:20s} {pt:>44s}  {r['residual']:.3e}  {mark}", file=out)
         if worst is None or r["residual"] > worst["residual"]:
             worst = r

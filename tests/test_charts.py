@@ -22,6 +22,19 @@ class TestCatalog:
         assert len(catalog_specs) >= 5
         assert set(CATALOG_NAMES) <= set(catalog_specs)
 
+    def test_catalog_chart_builds_only_the_named_chart(self, monkeypatch):
+        parsed = []
+        parse_expr = charts.parse_expr
+        monkeypatch.setattr(charts, "parse_expr", lambda src: parsed.append(src) or parse_expr(src))
+        assert charts.catalog_chart("flat").name == "flat"
+        assert len(parsed) == 26  # the 10 metric and 16 structure entries of one chart
+
+    def test_catalog_order_and_unknown_name_message(self):
+        assert tuple(spec.name for spec in charts.catalog()) == CATALOG_NAMES
+        with pytest.raises(ChartError) as err:
+            charts.catalog_chart("nosuch")
+        assert str(err.value) == f"unknown catalog chart 'nosuch' (known: {', '.join(CATALOG_NAMES)})"
+
     def test_flat_chart_is_euclidean(self, catalog_specs):
         sp = charts.structure_at(catalog_specs["flat"], (0.5, -0.5, 0.2, 0.9), order=2)
         assert np.array_equal(sp.g.value, np.eye(4))

@@ -95,6 +95,21 @@ class TestCheck:
         assert code == 2
         assert "kappa" in out and "bianchi" in out
 
+    def test_not_applicable_rows_print_the_point_like_applicable_rows(self, capsys):
+        assert run_main(["check", "prop1", "--chart", "all", "--points", "3", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "not applicable" in out
+        assert "np.float64" not in out
+        assert "[ 0.428 -0.107 -0.046 -0.534]  not applicable" in out
+
+    def test_first_order_check_skips_the_curvature(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("curvature computed for a first-order identity")
+
+        monkeypatch.setattr(cli.riemann, "curvature", fail)
+        assert run_main(["check", "nabla-j-identity", "--chart", "all", "--points", "2"]) == 0
+        assert "worst residual" in capsys.readouterr().out
+
     def test_sandbox_checks(self, capsys):
         for name in ("sandbox-roundtrip", "sandbox-lemma5", "gray-chain"):
             code = run_main(["check", name, "--points", "4", "--seed", "2"])
