@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, jets, tensorops
-from .charts import FRAME_FORMS, J_FRAME, StructurePoint
+from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER, StructurePoint
 from .errors import AK4Error
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
@@ -123,9 +123,9 @@ def _bach_from(cd: CurvatureData, w: Jet, dw: Jet) -> np.ndarray:
     ginv = sp.g_inv
     ddw = cd.conn.covd(dw)  # (m, x, a, y)
     term1 = jets.contract(ginv, ddw, (0, 1), (0, 2)).value  # (x, y)
-    h = _normalized_ricci(cd)
-    h_upup = tensorops.raise_pair(h, ginv, 0, 1)
-    term2 = jets.contract(w, h_upup, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
+    # the W h term is read as a value only: it runs on order-0 truncations
+    h_upup = tensorops.raise_pair(_normalized_ricci(cd).truncate(0), ginv.truncate(0), 0, 1)
+    term2 = jets.contract(w.truncate(0), h_upup, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
     return tensorops.frame_components(term1 + term2, sp.frame)
 
 
@@ -179,7 +179,8 @@ def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_nor
     ric0_f = cd.ric0_frame
     s_val = cd.s_value
 
-    rho0 = jets.contract(sp.J, cd.ric0, 0, 0)  # rho0_ij = J^k_i Ric0_kj
+    # rho0_ij = J^k_i Ric0_kj, to first order: only the value of its covariant derivative is read
+    rho0 = jets.contract(sp.J.truncate(1), cd.ric0.truncate(1), 0, 0)
     d_rho0 = tensorops.frame_components(conn.covd(rho0).value, frame)
     d_omega = tensorops.frame_components(hfo.nabla_omega.value, frame)
     # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in
@@ -205,13 +206,14 @@ def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
 
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
 
-    for the supplied 2-form field (default: the fundamental 2-form).
+    for the supplied 2-form field (default: the fundamental 2-form). Both
+    sides differentiate the field at most twice, so it enters at order 2.
     """
     sp = cd.sp
     if sp.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
     conn = cd.conn
-    phi = sp.omega if field is None else field
+    phi = (sp.omega if field is None else field).truncate(J_SIDE_ORDER)
     delta_phi = conn.codifferential(phi)  # 1-form
     d_delta = tensorops.ext_d_1form(delta_phi)
     d_phi = tensorops.ext_d_2form(phi)
@@ -229,10 +231,11 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
 
     Each entry above the diagonal is a combination of the monomials 1, x1..x4,
     x1 x3, x2^2, x4 x1 and x3^2 with coefficients drawn uniformly from
-    [-1, 1] and rounded to 6 decimals.
+    [-1, 1] and rounded to 6 decimals. The field is built at the order the
+    Weitzenboeck check reads, min(sp.order, J_SIDE_ORDER).
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
-    order = sp.order
+    order = min(sp.order, J_SIDE_ORDER)
     x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
     entries = [[None] * 4 for _ in range(4)]
     zero = Jet.constant(0.0, order)

@@ -27,6 +27,16 @@ from .exprs import Expr, eval_jet, parse_expr
 from .jets import Jet
 
 STRUCTURE_TOL = 1e-9
+#: Jet order of J and of everything built from it (Omega, the adapted frame,
+#: phi, J phi, mu). No identity differentiates these fields more than twice:
+#: nabla Omega feeds a and b, and the reversed structure takes d of a; the
+#: second covariant derivative of Omega enters the Ricci identity and the
+#: reversed structure's second-derivative residual; the Weitzenboeck check
+#: takes the Laplacian of Omega; and mu reaches W+- by dual projection, which
+#: is differentiated twice on the way to the Bach tensor. Degree-k Taylor
+#: coefficients of a result depend only on degree <= k coefficients of its
+#: inputs, so building these jets at this order changes no value a reader sees.
+J_SIDE_ORDER = 2
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 
 
@@ -355,6 +365,16 @@ class StructurePoint:
     frame[a] are the coordinate components of the frame vector e_a. phi and
     jphi are coordinate 2-form jets; with omega their frame components are
     the first three rows of FRAME_FORMS.
+
+    g and g_inv carry the requested `order`; J, omega, mu, phi and jphi carry
+    min(order, J_SIDE_ORDER), the most any identity differentiates them.
+    Truncated Taylor arithmetic never lets a higher-degree input coefficient
+    reach a lower-degree output coefficient, so these jets equal the leading
+    coefficients of the same jets built at the requested order. J, omega, mu
+    and the frame agree bit for bit; so do phi and jphi to first order, the
+    most any reader uses. Their degree-2 coefficients can differ in the last
+    bit, because BLAS sums the adapted frame's dot products over a padded
+    pair axis whose length depends on the order.
     """
 
     spec: ChartSpec
@@ -395,7 +415,9 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
         gmat[i][j] = entry
         gmat[j][i] = entry
     g = jets.stack([jets.stack(row) for row in gmat])
-    J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, order) for j in range(4)]) for i in range(4)])
+    j_order = min(order, J_SIDE_ORDER)
+    J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order) for j in range(4)]) for i in range(4)])
+    g_low = g.truncate(j_order)
 
     residuals: dict[str, float] = {}
     g0 = g.value
@@ -412,25 +434,28 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     omega = jets.contract(J, g, 0, 0)
     _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()))
 
-    frame_vectors = _adapted_frame(g, J)
+    frame_vectors = _adapted_frame(g_low, J)
     frame = frame_vectors.value
     gram = frame @ g0 @ frame.T
     _check(residuals, "frame orthonormal", float(np.abs(gram - np.eye(4)).max()))
     _check(residuals, "e2 = J e1", float(np.abs(j0 @ frame[0] - frame[1]).max()))
     _check(residuals, "e4 = J e3", float(np.abs(j0 @ frame[2] - frame[3]).max()))
 
-    mu = tensorops.volume_form(g, float(np.sign(np.linalg.det(frame))))
+    mu = tensorops.volume_form(g_low, float(np.sign(np.linalg.det(frame))))
 
-    coframe = jets.contract(frame_vectors, g, 1, 0)  # (e^a)_i = g_ij E_a^j
+    coframe = jets.contract(frame_vectors, g_low, 1, 0)  # (e^a)_i = g_ij E_a^j
     phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
     jphi = -jets.contract(J, phi, 0, 0)  # (J phi)_ij = -phi(J d_i, d_j)
 
+    # The remaining checks read only values, so they run on order-0 truncations.
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
+    coframe0 = coframe.truncate(0)
+    rebuilt = _coframe_wedge(coframe0, 0, 1) + _coframe_wedge(coframe0, 2, 3)
     _check(residuals, "Omega = e1^e2 + e3^e4", float(np.abs(rebuilt.value - omega.value).max()))
     # Self-duality of the positive basis under the declared orientation.
+    g_inv0, mu0 = g_inv.truncate(0), mu.truncate(0)
     for name, form in (("*Omega = Omega", omega), ("*phi = phi", phi), ("*Jphi = Jphi", jphi)):
-        starred = tensorops.hodge_star_2form(form, g_inv, mu)
+        starred = tensorops.hodge_star_2form(form.truncate(0), g_inv0, mu0)
         _check(residuals, name, float(np.abs(starred.value - form.value).max()))
 
     return StructurePoint(

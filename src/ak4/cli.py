@@ -146,7 +146,7 @@ class Identity:
 
 
 def _if_almost_kahler(value):
-    return lambda pa, scale: value(pa.hfo) if pa.hfo.is_almost_kahler else None
+    return lambda pa, _scale: value(pa.hfo) if pa.hfo.is_almost_kahler else None
 
 
 def _if_lemma6(value):
@@ -160,10 +160,10 @@ def _if_j_invariant_ricci(residual):
 
 def _second_order(key: str):
     """A residual of the second-order report; None where the report has no such entry."""
-    return lambda pa, scale: pa.sor.residuals.get(key)
+    return lambda pa, _scale: pa.sor.residuals.get(key)
 
 
-def _lemma5(pa: PointAnalysis, scale: float) -> float:
+def _lemma5(pa: PointAnalysis, _scale: float) -> float:
     data = gray.lemma5_check(pa.dr, (pa.gr.g1, pa.gr.g2, pa.gr.g3))
     # equivalence at chart level: both small or both clearly nonzero
     if data["g2"] < 1e-10:
@@ -173,12 +173,12 @@ def _lemma5(pa: PointAnalysis, scale: float) -> float:
     return 0.0
 
 
-def _prop2i(pa: PointAnalysis, scale: float) -> float | None:
+def _prop2i(pa: PointAnalysis, _scale: float) -> float | None:
     rev = gray.reversed_structure(pa.hfo, pa.dr, pa.gr.g2)
     return rev.prop2i_residual if rev.valid and rev.g2_holds else None
 
 
-def _weitzenboeck(pa: PointAnalysis, scale: float) -> float:
+def _weitzenboeck(pa: PointAnalysis, _scale: float) -> float:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
     return max(pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
 

@@ -71,11 +71,15 @@ def lemma5_check(dr: DecompReport, gr: tuple[float, float, float]) -> dict[str, 
 
 
 def star_scalar_jet(cd: CurvatureData) -> Jet:
-    """The star-scalar curvature as a jet field (trace of -R(Omega)(J., .))."""
+    """The star-scalar curvature as a first-order jet (trace of -R(Omega)(J., .)).
+
+    First order is all `prop1_check` differentiates, so every input enters
+    truncated to it."""
     sp = cd.sp
-    r_omega = tensorops.form_inner(cd.R, sp.omega, sp.g_inv, (2, 3))
-    ric_star = -jets.contract(sp.J, r_omega, 0, 0)  # -J^k_i (R Omega)_kj
-    return jets.contract(sp.g_inv, ric_star, (0, 1), (0, 1))
+    ginv = sp.g_inv.truncate(1)
+    r_omega = tensorops.form_inner(cd.R.truncate(1), sp.omega.truncate(1), ginv, (2, 3))
+    ric_star = -jets.contract(sp.J.truncate(1), r_omega, 0, 0)  # -J^k_i (R Omega)_kj
+    return jets.contract(ginv, ric_star, (0, 1), (0, 1))
 
 
 def prop1_check(
@@ -118,27 +122,31 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     if n_planes < 16:
         raise ValueError("need at least 16 sample planes")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A]))
-    r = cd.R_frame
-    mus = np.empty(n_planes)
-    for k in range(n_planes):
-        x = _unit(rng.standard_normal(4))
-        jx = J_FRAME @ x
-        y = rng.standard_normal(4)
-        y -= (y @ x) * x + (y @ jx) * jx
-        norm = np.linalg.norm(y)
-        while norm < 1e-8:  # essentially impossible with continuous sampling
-            y = rng.standard_normal(4)
-            y -= (y @ x) * x + (y @ jx) * jx
-            norm = np.linalg.norm(y)
-        y /= norm
-        mus[k] = np.einsum("ijkl,i,j,k,l->", r, x, y, x, y)
+    # one block of draws: plane k takes X from row (k, 0) and Y from row (k, 1)
+    draws = rng.standard_normal((n_planes, 2, 4))
+    x = draws[:, 0] / np.sqrt(_row_dot(draws[:, 0], draws[:, 0]))[:, None]
+    jx = x @ J_FRAME.T
+    y = _lagrangian_part(draws[:, 1], x, jx)
+    norm = np.sqrt(_row_dot(y, y))
+    for k in np.flatnonzero(norm < 1e-8):  # essentially impossible with continuous sampling
+        while norm[k] < 1e-8:
+            y[k] = _lagrangian_part(rng.standard_normal((1, 4)), x[k : k + 1], jx[k : k + 1])[0]
+            norm[k] = np.linalg.norm(y[k])
+    y /= norm[:, None]
+    mus = np.einsum("ijkl,ni,nj,nk,nl->n", cd.R_frame, x, y, x, y)
     mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
     triple = (dr.ric_anti_norm, float(algebra.frobenius(dr.w3)), float(algebra.frobenius(dr.wminus)))
     return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max()), "lemma6_triple": triple}
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, bit-identical to `a[k] @ b[k]` (einsum and sum are not)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _lagrangian_part(y: np.ndarray, x: np.ndarray, jx: np.ndarray) -> np.ndarray:
+    """Each row of y minus its components along the unit rows of x and jx."""
+    return y - (_row_dot(y, x)[:, None] * x + _row_dot(y, jx)[:, None] * jx)
 
 
 def wplus_degeneracy(dr: DecompReport) -> tuple[np.ndarray, float]:

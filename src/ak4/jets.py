@@ -25,6 +25,19 @@ inside BLAS, and never materialises the broadcast elementwise product.
 
 Coefficients are Taylor coefficients, not raw derivatives; `derivative`
 applies the alpha! conversion at the API boundary.
+
+The degree-k coefficients of any result depend only on the degree <= k
+coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
+ed., ch. 13), so a jet can be truncated before it is used, or built at a
+lower order, without changing what its readers see. Callers build each jet
+only to the order its readers differentiate: `charts.structure_at` keeps J
+and everything built from it at order 2, and value-only readers truncate
+their inputs to order 0. A jet truncated too far cannot give a silently wrong
+answer: `partial` and `coeff` raise JetOrderError when its order runs out.
+Elementwise products are bit-identical under truncation. A contraction sums
+the convolution pairs along an axis padded to the order's widest
+coefficient, so a BLAS dot product over it may round differently at another
+order (seen in the degree-2 coefficients of the adapted frame).
 """
 
 from __future__ import annotations
@@ -402,7 +415,7 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     return Jet(a.order, out)
 
 
-def _cycle_fk(a0: np.ndarray, order: int, cycle) -> np.ndarray:
+def _cycle_fk(order: int, cycle) -> np.ndarray:
     cols = [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
     return np.stack(cols, axis=-1)
 
@@ -410,13 +423,13 @@ def _cycle_fk(a0: np.ndarray, order: int, cycle) -> np.ndarray:
 def sin(a: Jet) -> Jet:
     a0 = a.c[..., 0]
     s, c = np.sin(a0), np.cos(a0)
-    return _compose(a, _cycle_fk(a0, a.order, (s, c, -s, -c)))
+    return _compose(a, _cycle_fk(a.order, (s, c, -s, -c)))
 
 
 def cos(a: Jet) -> Jet:
     a0 = a.c[..., 0]
     s, c = np.sin(a0), np.cos(a0)
-    return _compose(a, _cycle_fk(a0, a.order, (c, -s, -c, s)))
+    return _compose(a, _cycle_fk(a.order, (c, -s, -c, s)))
 
 
 def exp(a: Jet) -> Jet:
@@ -447,13 +460,13 @@ def sqrt(a: Jet) -> Jet:
 def sinh(a: Jet) -> Jet:
     a0 = a.c[..., 0]
     s, c = np.sinh(a0), np.cosh(a0)
-    return _compose(a, _cycle_fk(a0, a.order, (s, c, s, c)))
+    return _compose(a, _cycle_fk(a.order, (s, c, s, c)))
 
 
 def cosh(a: Jet) -> Jet:
     a0 = a.c[..., 0]
     s, c = np.sinh(a0), np.cosh(a0)
-    return _compose(a, _cycle_fk(a0, a.order, (c, s, c, s)))
+    return _compose(a, _cycle_fk(a.order, (c, s, c, s)))
 
 
 def tan(a: Jet) -> Jet:

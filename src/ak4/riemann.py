@@ -161,7 +161,9 @@ def curvature(conn: ConnectionData) -> CurvatureData:
     dg = jets.partials(gamma)  # dg[m, l, i, j] = d_m Gamma^l_ij
     # [nabla_i, nabla_j] d_k = (d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik) d_l
     t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3))  # t1[l, i, j, k] = d_i Gamma^l_jk
-    gg = jets.contract(gamma, gamma, 2, 0)  # gg[l, i, j, k] = G^l_im G^m_jk
+    # R is one order below Gamma, so the product needs Gamma only to that order
+    gamma_low = gamma.truncate(dg.order)
+    gg = jets.contract(gamma_low, gamma_low, 2, 0)  # gg[l, i, j, k] = G^l_im G^m_jk
     comm_up = t1 - jets.moveaxis(t1, 1, 2) + gg - jets.moveaxis(gg, 1, 2)
     riem = -jets.moveaxis(jets.contract(sp.g, comm_up, 0, 0), 0, 3)  # R_ijkl (sphere-positive)
     ric = jets.contract(sp.g_inv, riem, (0, 1), (0, 2))  # Ric_jk = g^im R_ijmk
@@ -251,8 +253,10 @@ def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
 
 
 def _nijenhuis(sp: StructurePoint) -> Jet:
-    """N_X(Y, Z) = g([JY,JZ] - [Y,Z] - J[JY,Z] - J[Y,JZ], X) on coordinate fields."""
-    J = sp.J
+    """N_X(Y, Z) = g([JY,JZ] - [Y,Z] - J[JY,Z] - J[Y,JZ], X) on coordinate fields.
+
+    Only its value is read, so J enters to first order and g as a value."""
+    J = sp.J.truncate(1)
     dJ = jets.partials(J)  # dJ[m, i, j] = d_m J^i_j
     # D[y, z, n] = J^m_y d_m J^n_z, so [J d_y, J d_z]^n = D[y,z,n] - D[z,y,n]
     d_field = jets.moveaxis(jets.contract(J, dJ, 0, 0), 1, 2)
@@ -265,7 +269,7 @@ def _nijenhuis(sp: StructurePoint) -> Jet:
         return jets.moveaxis(jets.contract(J, v, 1, 2), 0, 2)
 
     total_up = br_jj + apply_j(p1) - apply_j(p2)  # [d_y, d_z] = 0
-    return jets.contract(sp.g, total_up, 0, 2)  # N[x, y, z] = g_nx W[y, z, n]
+    return jets.contract(sp.g.truncate(0), total_up, 0, 2)  # N[x, y, z] = g_nx W[y, z, n]
 
 
 def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet, nij: Jet) -> float:

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from ak4 import charts, tensorops
+from ak4 import charts, jets, tensorops
 from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
+from ak4.exprs import eval_jet
 
 from conftest import CATALOG_NAMES
 from oracles import fd_d_omega
@@ -185,7 +186,7 @@ class TestStructureValidation:
         for order in (2, 4):
             calls.clear()
             charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=order)
-            assert calls == [order]
+            assert calls == [min(order, 2)]
 
     def test_omega_never_user_supplied(self, catalog_specs):
         # Omega is derived from (g, J); for every catalog chart it must equal
@@ -193,6 +194,43 @@ class TestStructureValidation:
         for spec in catalog_specs.values():
             sp = charts.structure_at(spec, spec.sample_points(1, 9)[0], order=2)
             assert sp.invariant_residuals["Omega = e1^e2 + e3^e4"] < STRUCT_TOL
+
+
+class TestStructureOrders:
+    def test_truncated_fields_equal_the_full_order_leading_coefficients(self, catalog_specs):
+        # Rebuild the J-side fields at order 4 with the same calls structure_at
+        # makes. Every coefficient is bit-identical except the degree-2 part of
+        # phi and J phi: the adapted frame's vector dot products sum a padded
+        # pair axis whose length depends on the order, and BLAS rounds that sum
+        # differently. Nothing reads phi or J phi beyond first order.
+        n, n1 = jets.NCOEF[charts.J_SIDE_ORDER], jets.NCOEF[1]
+        for spec in catalog_specs.values():
+            for p in spec.sample_points(3, 11):
+                sp = charts.structure_at(spec, p, order=4)
+                g = sp.g
+                J = jets.stack([jets.stack([eval_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])
+                omega = jets.contract(J, g, 0, 0)
+                frame_vectors = charts._adapted_frame(g, J)
+                mu = tensorops.volume_form(g, float(np.sign(np.linalg.det(frame_vectors.value))))
+                coframe = jets.contract(frame_vectors, g, 1, 0)
+                phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
+                jphi = -jets.contract(J, phi, 0, 0)
+                assert np.array_equal(sp.frame, frame_vectors.value)
+                for name, full in (("J", J), ("omega", omega), ("mu", mu)):
+                    assert np.array_equal(getattr(sp, name).c, full.c[..., :n]), (spec.name, name)
+                for name, full in (("phi", phi), ("jphi", jphi)):
+                    mine = getattr(sp, name).c
+                    assert np.array_equal(mine[..., :n1], full.c[..., :n1]), (spec.name, name)
+                    scale = np.abs(full.c[..., :n]).max()
+                    np.testing.assert_allclose(mine, full.c[..., :n], rtol=0, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_field_orders(self, catalog_specs, order):
+        spec = catalog_specs["kodaira-thurston"]
+        sp = charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+        assert (sp.order, sp.g.order, sp.g_inv.order) == (order, order, order)
+        for name in ("J", "omega", "mu", "phi", "jphi"):
+            assert getattr(sp, name).order == min(order, 2), name
 
 
 class TestAdaptedFrame:

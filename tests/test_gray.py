@@ -149,6 +149,16 @@ class TestTotallyRealCurvature:
             assert abs(jx @ y) < 1e-12  # Lagrangian: g(JX, Y) = 0
         assert pa.gr.mu_min <= pa.gr.mu_max
 
+    def test_block_sampling_matches_the_per_plane_loop(self, analyses):
+        # the one-block draw must reproduce the per-plane loop it replaced, bit for bit
+        for rows in analyses.values():
+            for pa in rows:
+                for seed in (42, 7, 2024):
+                    planes = gray.totally_real_curvature(pa.cd, pa.dr, n_planes=64, seed=seed)
+                    mus = _per_plane_mus(pa.cd.R_frame, 64, seed)
+                    assert planes["mu_min"] == float(mus.min())
+                    assert planes["mu_max"] == float(mus.max())
+
     def test_plane_count_validation(self, analyses):
         pa = analyses["flat"][0]
         with pytest.raises(ValueError):
@@ -173,6 +183,21 @@ class TestTotallyRealCurvature:
 
 def _jinv_ric0():
     return np.diag([0.5, 0.5, -0.5, -0.5])
+
+
+def _per_plane_mus(r, n_planes, seed):
+    """Sectional curvatures of the Lagrangian planes as drawn one plane at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A]))
+    mus = np.empty(n_planes)
+    for k in range(n_planes):
+        x = rng.standard_normal(4)
+        x = x / np.linalg.norm(x)
+        jx = J_FRAME @ x
+        y = rng.standard_normal(4)
+        y -= (y @ x) * x + (y @ jx) * jx
+        y /= np.linalg.norm(y)
+        mus[k] = np.einsum("ijkl,i,j,k,l->", r, x, y, x, y)
+    return mus
 
 
 def _sample_mus(tensor, n):
