@@ -22,11 +22,10 @@ from .riemann import (
     hermitian_first_order,
     ricci_identity_check,
 )
-from .sandbox import AlgebraicCurvature, curvature_with_blocks, random_curvature
+from .sandbox import curvature_with_blocks, random_curvature
 
 __all__ = [
     "AK4Error",
-    "AlgebraicCurvature",
     "ChartError",
     "ChartSpec",
     "ConnectionData",

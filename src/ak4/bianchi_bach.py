@@ -40,11 +40,6 @@ AK_FORM_TOL = 1e-8
 class SecondOrderReport:
     """Third- and fourth-order curvature identities at one point."""
 
-    cotton: np.ndarray  # frame components C[x, y, z]
-    alpha: np.ndarray  # frame 1-form
-    beta: np.ndarray
-    bach_direct: np.ndarray  # frame 4x4
-    bach_ak: np.ndarray | None
     bach_ak_skip_reason: str | None
     residuals: dict[str, float]
 
@@ -322,12 +317,4 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
         residuals["bach direct vs almost-kahler form"] = float(np.abs(bd - bach_ak).max())
         residuals["bach direct vs ricci form"] = float(np.abs(bd - bach_ricci).max())
 
-    return SecondOrderReport(
-        cotton=c_f,
-        alpha=alpha,
-        beta=beta,
-        bach_direct=bd,
-        bach_ak=bach_ak,
-        bach_ak_skip_reason=skip_reason,
-        residuals=residuals,
-    )
+    return SecondOrderReport(bach_ak_skip_reason=skip_reason, residuals=residuals)

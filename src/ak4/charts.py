@@ -29,13 +29,13 @@ from .jets import Jet
 STRUCTURE_TOL = 1e-9
 #: Jet order of J and of everything built from it (Omega, the adapted frame,
 #: phi, J phi, mu). No identity differentiates these fields more than twice:
-#: nabla Omega feeds a and b, and the reversed structure takes d of a; the
-#: second covariant derivative of Omega enters the Ricci identity and the
-#: reversed structure's second-derivative residual; the Weitzenboeck check
-#: takes the Laplacian of Omega; and mu reaches W+- by dual projection, which
-#: is differentiated twice on the way to the Bach tensor. Degree-k Taylor
-#: coefficients of a result depend only on degree <= k coefficients of its
-#: inputs, so building these jets at this order changes no value a reader sees.
+#: nabla Omega feeds a and b, and the `nabla2-omega-shape` row takes d of a;
+#: the second covariant derivative of Omega enters the Ricci identity and the
+#: `nabla2-omega-shape` row; the Weitzenboeck check takes the Laplacian of
+#: Omega; and mu reaches W+- by dual projection, which is differentiated twice
+#: on the way to the Bach tensor. Degree-k Taylor coefficients of a result
+#: depend only on degree <= k coefficients of its inputs, so building these
+#: jets at this order changes no value a reader sees.
 J_SIDE_ORDER = 2
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 
@@ -377,7 +377,6 @@ class StructurePoint:
     pair axis whose length depends on the order.
     """
 
-    spec: ChartSpec
     point: tuple[float, float, float, float]
     order: int
     g: Jet
@@ -459,7 +458,6 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
         _check(residuals, name, float(np.abs(starred.value - form.value).max()))
 
     return StructurePoint(
-        spec=spec,
         point=p,
         order=order,
         g=g,

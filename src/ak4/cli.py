@@ -164,18 +164,23 @@ def _second_order(key: str):
 
 
 def _lemma5(pa: PointAnalysis, _scale: float) -> float:
-    data = gray.lemma5_check(pa.dr, (pa.gr.g1, pa.gr.g2, pa.gr.g3))
+    g2, triple = pa.gr.g2, gray.lemma5_triple(pa.dr)
     # equivalence at chart level: both small or both clearly nonzero
-    if data["g2"] < 1e-10:
-        return data["triple_max"]
-    if data["triple_max"] < 1e-10:
-        return data["g2"]
+    if g2 < 1e-10:
+        return triple
+    if triple < 1e-10:
+        return g2
     return 0.0
 
 
 def _prop2i(pa: PointAnalysis, _scale: float) -> float | None:
-    rev = gray.reversed_structure(pa.hfo, pa.dr, pa.gr.g2)
-    return rev.prop2i_residual if rev.valid and rev.g2_holds else None
+    """The Ricci normal form of Proposition 2(i), which assumes the second Gray condition."""
+    return gray.prop2i_residual(pa.hfo, pa.dr) if pa.gr.g2 <= gray.DEFAULT_VERDICT_TOL else None
+
+
+def _gamma0_antisymmetry(pa: PointAnalysis, _scale: float) -> float:
+    gamma0 = gray.canonical_ricci_form(pa.dr, pa.hfo)
+    return float(np.abs(gamma0 + gamma0.T).max())
 
 
 def _weitzenboeck(pa: PointAnalysis, _scale: float) -> float:
@@ -217,6 +222,8 @@ IDENTITIES = (
     Identity("bach-ricci-form", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs ricci form"), group="bach-3way"),
     Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
     Identity("prop2i", TOL_FIRST_ORDER, 2, _prop2i, report=False),
+    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, _if_almost_kahler(gray.nabla2_omega_shape_residual), report=False),
+    Identity("gamma0-antisymmetry", TOL_ALGEBRAIC, 2, _gamma0_antisymmetry, report=False),
 )
 
 
@@ -271,7 +278,7 @@ def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
         "skipped": list(pa.skipped),
     }
     if pa.sor is not None:
-        doc["second_order"] = {k: v for k, v in pa.sor.residuals.items()}
+        doc["second_order"] = dict(pa.sor.residuals)
         if pa.sor.bach_ak_skip_reason:
             doc["second_order"]["bach_ak_skipped"] = pa.sor.bach_ak_skip_reason
     return doc
@@ -364,18 +371,14 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
 def _sandbox_lemma5(config: RunConfig):
     n = max(config.points * 8, 256)
     batch = np.concatenate([sandbox.random_batch(n // 2, config.seed), sandbox.g2_batch(n // 2, config.seed)])
-    g1, g2, g3 = algebra.gray_residuals(batch)
-    m = algebra.operator_matrix(batch)
-    parts = algebra.split_operator(m)
-    blocks = algebra.u2_blocks(parts["wplus"])
+    g2 = algebra.gray_residuals(batch)[1]
+    blocks = algebra.u2_blocks(algebra.split_operator(algebra.operator_matrix(batch))["wplus"])
     ric_anti = algebra.frobenius(algebra.j_anti_part(algebra.ricci_contraction(batch)))
     triple = np.maximum(ric_anti, np.maximum(algebra.frobenius(blocks["w2"]), algebra.frobenius(blocks["w3"])))
-    bad = 0.0
-    for gi, ti in zip(g2, triple):
-        if gi < 1e-12 and ti > 1e-10:
-            bad = max(bad, ti)
-        if ti < 1e-12 and gi > 1e-10:
-            bad = max(bad, gi)
+    # either side vanishing while the other does not breaks the equivalence
+    forward = triple[(g2 < 1e-12) & (triple > 1e-10)]
+    backward = g2[(triple < 1e-12) & (g2 > 1e-10)]
+    bad = max(forward.max(initial=0.0), backward.max(initial=0.0))
     return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
 
 
@@ -383,12 +386,9 @@ def _sandbox_gray_chain(config: RunConfig):
     n = max(config.points * 8, 256)
     batch = np.concatenate([sandbox.g1_batch(n // 2, config.seed), sandbox.g2_batch(n // 2, config.seed)])
     g1, g2, g3 = algebra.gray_residuals(batch)
-    bad = 0.0
-    for a, b, c in zip(g1, g2, g3):
-        if a < 1e-12:
-            bad = max(bad, b, c)
-        elif b < 1e-12:
-            bad = max(bad, c)
+    # g1 = 0 implies g2 = g3 = 0, and g2 = 0 implies g3 = 0
+    holds1, holds2 = g1 < 1e-12, g2 < 1e-12
+    bad = max(g2[holds1].max(initial=0.0), g3[holds1 | holds2].max(initial=0.0))
     return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
 
 
@@ -479,22 +479,19 @@ def cmd_report(config: RunConfig, out=None) -> int:
 
 def cmd_classify(config: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    code = 0
     for spec in _charts_for(config):
         verdicts = []
-        residual_row = None
-        for pa in _analyses(spec, config, config.order):
-            verdicts.append(pa.gr.verdict)
-            residual_row = pa
+        for last in _analyses(spec, config, config.order):
+            verdicts.append(last.gr.verdict)
         names = sorted(set(verdicts))
-        flags = ", ".join(residual_row.gr.flags) if residual_row.gr.flags else "-"
-        h = residual_row.hfo
+        flags = ", ".join(last.gr.flags) if last.gr.flags else "-"
+        h = last.hfo
         ladder = (
             f"|nabla J|={np.sqrt(max(h.nabla_j_sq, 0)):.3e} |dOmega|={h.d_omega_norm:.3e} "
-            f"g1={residual_row.gr.g1:.3e} g2={residual_row.gr.g2:.3e} g3={residual_row.gr.g3:.3e}"
+            f"g1={last.gr.g1:.3e} g2={last.gr.g2:.3e} g3={last.gr.g3:.3e}"
         )
         print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {ladder}", file=out)
-    return code
+    return 0
 
 
 def cmd_catalog(out=None) -> int:

@@ -9,8 +9,6 @@ matched configurations is a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import algebra
@@ -19,30 +17,10 @@ from . import algebra
 BLOCK_TOL = 1e-10
 
 
-@dataclass
-class AlgebraicCurvature:
-    """Frame components of a curvature-type tensor plus its generation recipe."""
-
-    r: np.ndarray
-    recipe: dict = field(default_factory=dict)
-
-    def bianchi_residual(self) -> float:
-        return float(algebra.first_bianchi_residual(self.r))
-
-    def symmetry_residual(self) -> float:
-        r = self.r
-        return float(
-            max(
-                np.abs(r + r.transpose(1, 0, 2, 3)).max(),
-                np.abs(r + r.transpose(0, 1, 3, 2)).max(),
-                np.abs(r - r.transpose(2, 3, 0, 1)).max(),
-            )
-        )
-
-
-def random_curvature(seed: int) -> AlgebraicCurvature:
-    """Uniform-in-coefficients random tensor projected onto the curvature space."""
-    return AlgebraicCurvature(random_batch(1, seed)[0], {"kind": "random", "seed": int(seed)})
+def random_curvature(seed: int) -> np.ndarray:
+    """Frame components of a uniform-in-coefficients random tensor projected
+    onto the curvature space."""
+    return random_batch(1, seed)[0]
 
 
 def random_batch(n: int, seed: int) -> np.ndarray:
@@ -59,8 +37,8 @@ def curvature_with_blocks(
     psi: tuple[float, float] = (0.0, 0.0),
     w3: tuple[float, float] = (0.0, 0.0),
     wminus: np.ndarray | None = None,
-) -> AlgebraicCurvature:
-    """Assemble a curvature tensor with exactly the prescribed blocks.
+) -> np.ndarray:
+    """Frame components of a curvature tensor with exactly the prescribed blocks.
 
     Args:
       s: scalar curvature.
@@ -75,7 +53,6 @@ def curvature_with_blocks(
     Raises ValueError when a block violates its constraint.
     """
     r = (float(s) / 24.0) * algebra.kn_delta(algebra.DELTA)
-    recipe: dict = {"kind": "blocks", "s": float(s)}
     if ric0 is not None:
         ric0 = np.asarray(ric0, dtype=float)
         if np.abs(ric0 - ric0.T).max() > BLOCK_TOL:
@@ -83,7 +60,6 @@ def curvature_with_blocks(
         if abs(np.trace(ric0)) > BLOCK_TOL:
             raise ValueError("ric0 block must be traceless")
         r = r + 0.5 * algebra.kn_delta(ric0)
-        recipe["ric0"] = ric0.tolist()
 
     m = np.zeros((6, 6))
     m[0, 0] = kappa / 6.0
@@ -101,10 +77,7 @@ def curvature_with_blocks(
         if np.abs(wminus - wminus.T).max() > BLOCK_TOL or abs(np.trace(wminus)) > BLOCK_TOL:
             raise ValueError("wminus block must be symmetric and traceless")
         m[3:, 3:] = wminus
-        recipe["wminus"] = wminus.tolist()
-    recipe.update({"kappa": float(kappa), "psi": [p, q], "w3": [w3d, w3o]})
-    r = r + algebra.tensor_from_operator(m)
-    return AlgebraicCurvature(r, recipe)
+    return r + algebra.tensor_from_operator(m)
 
 
 def g2_batch(n: int, seed: int) -> np.ndarray:
@@ -120,7 +93,7 @@ def g2_batch(n: int, seed: int) -> np.ndarray:
         wm = _random_traceless_sym3(rng)
         out[i] = curvature_with_blocks(
             s=float(rng.standard_normal()), ric0=ric0, kappa=float(rng.standard_normal()), wminus=wm
-        ).r
+        )
     return out
 
 
@@ -132,7 +105,7 @@ def g1_batch(n: int, seed: int) -> np.ndarray:
         s = float(rng.standard_normal())
         out[i] = curvature_with_blocks(
             s=s, ric0=_random_jinv_ric0(rng), kappa=s, wminus=_random_traceless_sym3(rng)
-        ).r
+        )
     return out
 
 

@@ -86,11 +86,6 @@ def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1)) ->
     return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1), slots, (0, 1))
 
 
-def vector_inner(a: Jet, b: Jet, ginv: Jet) -> Jet:
-    """g^ij a_i b_j for 1-form jets."""
-    return jets.contract(a, jets.contract(ginv, b, 1, 0), 0, 0)
-
-
 def wedge11(a: Jet, b: Jet) -> Jet:
     """(a ^ b)_ij = a_i b_j - a_j b_i for 1-form jets."""
     t = jets.outer(a, b)

@@ -13,18 +13,23 @@ from ak4.exprs import eval_jet, parse_expr
 from conftest import EINSTEIN_NAMES, KAHLER_NAMES
 
 
+def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
+    """Frame components C[x, y, z] of the Cotton-York tensor at the point."""
+    return tensorops.frame_components(bianchi_bach.cotton_york(pa.cd).value, pa.sp.frame)
+
+
 class TestCottonYork:
     def test_flat_zero(self, analyses):
-        assert np.abs(analyses["flat"][0].sor.cotton).max() == 0.0
+        assert np.abs(_cotton_frame(analyses["flat"][0])).max() == 0.0
 
     def test_einstein_charts_zero(self, analyses):
         for name in EINSTEIN_NAMES:
             for pa in analyses[name]:
-                assert np.abs(pa.sor.cotton).max() < 1e-7
+                assert np.abs(_cotton_frame(pa)).max() < 1e-7
 
     def test_product_surfaces_nonzero_with_bianchi(self, analyses):
         for pa in analyses["product-surfaces"]:
-            assert np.abs(pa.sor.cotton).max() > 1e-3  # non-constant curvature
+            assert np.abs(_cotton_frame(pa)).max() > 1e-3  # non-constant curvature
             assert pa.sor.residuals["delta W = C"] < 1e-7
 
     def test_delta_w_equals_c_all_charts(self, analyses):
@@ -49,18 +54,18 @@ class TestCottonYork:
 
 class TestDeltaWPlusSplit:
     def test_flat_alpha_beta_zero(self, analyses):
-        sor = analyses["flat"][0].sor
-        assert np.abs(sor.alpha).max() == 0.0
-        assert np.abs(sor.beta).max() == 0.0
+        res = analyses["flat"][0].sor.residuals
+        assert res["alpha norm"] == 0.0
+        assert res["beta norm"] == 0.0
 
     def test_product_surfaces_alpha_is_minus_ds_over_12(self, analyses):
         # Kahler with J-invariant Ricci and theta = 0: alpha = -ds/12,
         # nontrivially nonzero since the scalar curvature varies.
         for pa in analyses["product-surfaces"]:
-            assert np.abs(pa.sor.alpha).max() > 1e-3
+            assert pa.sor.residuals["alpha norm"] > 1e-3
             assert pa.sor.residuals["alpha formula"] < 1e-7
             assert pa.sor.residuals["beta formula"] < 1e-7
-            assert np.abs(pa.sor.beta).max() < 1e-7  # integrable: V- part vanishes
+            assert pa.sor.residuals["beta norm"] < 1e-7  # integrable: V- part vanishes
 
     def test_completeness_all_charts(self, analyses):
         for rows in analyses.values():
@@ -108,12 +113,12 @@ class TestDeltaWPlusSplit:
 
 class TestBach:
     def test_flat_zero(self, analyses):
-        assert np.abs(analyses["flat"][0].sor.bach_direct).max() == 0.0
+        assert np.abs(bianchi_bach.bach_direct(analyses["flat"][0].cd)).max() == 0.0
 
     def test_einstein_and_self_dual_vanish(self, analyses):
         for name in ("complex-hyperbolic", "fubini-study"):
             for pa in analyses[name]:
-                assert np.abs(pa.sor.bach_direct).max() < 1e-6
+                assert np.abs(bianchi_bach.bach_direct(pa.cd)).max() < 1e-6
 
     def test_three_way_agreement(self, analyses):
         for rows in analyses.values():
@@ -126,14 +131,14 @@ class TestBach:
 
     def test_almost_kahler_form_on_product_surfaces(self, analyses):
         for pa in analyses["product-surfaces"]:
-            assert pa.sor.bach_ak is not None
+            assert pa.sor.bach_ak_skip_reason is None
             assert pa.sor.residuals["bach direct vs almost-kahler form"] < 1e-6
             assert pa.sor.residuals["bach direct vs ricci form"] < 1e-6
-            assert np.abs(pa.sor.bach_direct).max() > 1e-3  # genuinely non-Bach-flat
+            assert np.abs(bianchi_bach.bach_direct(pa.cd)).max() > 1e-3  # genuinely non-Bach-flat
 
     def test_almost_kahler_form_rejected_on_kodaira_thurston(self, analyses):
         pa = analyses["kodaira-thurston"][0]
-        assert pa.sor.bach_ak is None
+        assert "bach direct vs almost-kahler form" not in pa.sor.residuals
         assert "not J-invariant" in pa.sor.bach_ak_skip_reason
         with pytest.raises(AK4Error, match="J-invariant"):
             bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo, pa.dr.ric_anti_norm)
@@ -145,8 +150,9 @@ class TestBach:
         for p in spec.sample_points(2, 17):
             pa = PointAnalysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
-            assert np.abs(pa.sor.bach_direct - expected).max() < 1e-7
-            assert np.abs(pa.sor.bach_ak - expected).max() < 1e-7
+            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo, pa.dr.ric_anti_norm)
+            assert np.abs(bianchi_bach.bach_direct(pa.cd) - expected).max() < 1e-7
+            assert np.abs(bach_ak - expected).max() < 1e-7
 
 
 class TestWeitzenboeck:
@@ -205,7 +211,7 @@ class TestIntegrabilityCriterion:
         checked = 0
         for pa in rows:
             ric0_norm = float(algebra.frobenius(pa.dr.ric0))
-            beta_norm = float(np.abs(pa.sor.beta).max())
+            beta_norm = pa.sor.residuals["beta norm"]
             if ric0_norm > 1e-3 and beta_norm < 1e-8:
                 assert pa.hfo.nijenhuis_norm < 1e-6
                 checked += 1

@@ -110,6 +110,15 @@ class TestCheck:
         assert run_main(["check", "nabla-j-identity", "--chart", "all", "--points", "2"]) == 0
         assert "worst residual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["nabla2-omega-shape", "gamma0-antisymmetry"])
+    def test_check_only_rows_apply_on_every_catalog_chart(self, name, capsys):
+        assert run_main(["check", name, "--chart", "all", "--points", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "not applicable" not in out
+        assert "worst residual" in out
+        assert run_main(["check", "nosuch"]) == 2
+        assert f"  {name}\n" in capsys.readouterr().out
+
     def test_sandbox_checks(self, capsys):
         for name in ("sandbox-roundtrip", "sandbox-lemma5", "gray-chain"):
             code = run_main(["check", name, "--points", "4", "--seed", "2"])

@@ -116,9 +116,9 @@ class TestJInvariance:
             h -= np.trace(h) / 4.0 * np.eye(4)
             if algebra.frobenius(h) < 0.1:
                 continue
-            ac = sandbox.curvature_with_blocks(ric0=h)
-            m = algebra.operator_matrix(ac.r)
-            ric_anti = float(algebra.frobenius(algebra.j_anti_part(algebra.ricci_contraction(ac.r))))
+            r = sandbox.curvature_with_blocks(ric0=h)
+            m = algebra.operator_matrix(r)
+            ric_anti = float(algebra.frobenius(algebra.j_anti_part(algebra.ricci_contraction(r))))
             mixed = float(algebra.frobenius(m[1:3, 3:]))
             assert ric_anti > 0.1
             assert mixed > 0.1
