@@ -74,11 +74,18 @@ def j_anti_part(h: np.ndarray) -> np.ndarray:
 
 
 def _rot(r: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply J to the given tensor slots (0-based among the last four axes)."""
+    """Apply J to the given tensor slots (0-based among the last four axes).
+
+    Each slot's axis in turn is moved last, flattened against the rest, and
+    multiplied by J_FRAME in one np.dot.
+    """
     out = r
+    ndim = r.ndim
     for slot in slots:
-        axis = out.ndim - 4 + slot
-        out = np.moveaxis(np.tensordot(out, J_FRAME, axes=([axis], [0])), -1, axis)
+        axis = ndim - 4 + slot
+        rest = out.shape[:axis] + out.shape[axis + 1 :]
+        flat = out.transpose((*range(axis), *range(axis + 1, ndim), axis)).reshape(-1, out.shape[axis])
+        out = np.dot(flat, J_FRAME).reshape(rest + (4,)).transpose((*range(axis), ndim - 1, *range(axis, ndim - 1)))
     return out
 
 

@@ -408,14 +408,17 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     if not 0 <= order <= jets.MAX_ORDER:
         raise ChartError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
 
+    # One memo for the point: subexpressions shared between entries, such as
+    # a common denominator, are evaluated once.
+    memo: dict = {}
     gmat = [[None] * 4 for _ in range(4)]
     for i, j in _UPPER:
-        entry = eval_jet(spec.g[(i, j)], p, order)
+        entry = eval_jet(spec.g[(i, j)], p, order, memo)
         gmat[i][j] = entry
         gmat[j][i] = entry
     g = jets.stack([jets.stack(row) for row in gmat])
     j_order = min(order, J_SIDE_ORDER)
-    J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order) for j in range(4)]) for i in range(4)])
+    J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order, memo) for j in range(4)]) for i in range(4)])
     g_low = g.truncate(j_order)
 
     residuals: dict[str, float] = {}

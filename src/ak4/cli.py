@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -49,11 +50,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.points < 1:
-            raise AK4Error("point count must be >= 1")
+            raise AK4Error(f"--points must be >= 1, got {self.points}")
         if self.order not in (2, 3, 4):
-            raise AK4Error("jet order must be 2, 3 or 4")
-        if self.tol_scale <= 0:
-            raise AK4Error("tolerance scale must be positive")
+            raise AK4Error(f"--order must be 2, 3 or 4, got {self.order}")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise AK4Error(f"--tol-scale must be finite and positive, got {self.tol_scale}")
+        if self.planes < gray.MIN_PLANES:
+            raise AK4Error(f"--planes must be >= {gray.MIN_PLANES}, got {self.planes}")
+        if self.seed < 0:
+            raise AK4Error(f"--seed must be >= 0, got {self.seed}")
 
 
 class PointAnalysis:

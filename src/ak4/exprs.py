@@ -293,24 +293,44 @@ _FLOAT_FUNCS = {
 }
 
 
-def eval_jet(e: Expr, p, order: int) -> Jet:
-    """Evaluate e as a truncated Taylor jet of the given order at point p."""
+def eval_jet(e: Expr, p, order: int, memo: dict | None = None) -> Jet:
+    """Evaluate e as a truncated Taylor jet of the given order at point p.
+
+    `memo` shares work between calls. Each subexpression's jet is stored in
+    it under (node, point, order), so a subtree that recurs within e, or in
+    another expression evaluated with the same memo, is evaluated once. Nodes
+    compare by structure, and equal parsed nodes evaluate to the same bits at
+    the same point and order (the parser makes no negative zero, the only
+    float equal to a float of different bits), so a memo changes no value.
+
+    A memo belongs to one point. Its keys keep it from handing back a jet of
+    another point or order, but one kept across points only grows. It holds
+    the jets it returns, so callers must not modify them in place.
+    """
     if not 0 <= order <= jets.MAX_ORDER:
         raise JetOrderError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
     p = tuple(float(v) for v in p)
-    return _eval_jet(e, p, order)
+    return _eval_jet(e, p, order, {} if memo is None else memo)
 
 
-def _eval_jet(e: Expr, p: tuple, order: int) -> Jet:
+def _eval_jet(e: Expr, p: tuple, order: int, memo: dict) -> Jet:
+    key = (e, p, order)
+    jet = memo.get(key)
+    if jet is None:
+        jet = memo[key] = _eval_node(e, p, order, memo)
+    return jet
+
+
+def _eval_node(e: Expr, p: tuple, order: int, memo: dict) -> Jet:
     if isinstance(e, (Num, Const)):
         return Jet.constant(e.value, order)
     if isinstance(e, Coord):
         return Jet.coordinate(e.index, p, order)
     if isinstance(e, Neg):
-        return -_eval_jet(e.arg, p, order)
+        return -_eval_jet(e.arg, p, order, memo)
     if isinstance(e, BinOp):
-        left = _eval_jet(e.left, p, order)
-        right = _eval_jet(e.right, p, order)
+        left = _eval_jet(e.left, p, order, memo)
+        right = _eval_jet(e.right, p, order, memo)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -319,9 +339,9 @@ def _eval_jet(e: Expr, p: tuple, order: int) -> Jet:
             return left * right
         return left / right
     if isinstance(e, Pow):
-        return jets.power(_eval_jet(e.base, p, order), e.exponent)
+        return jets.power(_eval_jet(e.base, p, order, memo), e.exponent)
     if isinstance(e, Call):
-        return _JET_FUNCS[e.fn](_eval_jet(e.arg, p, order))
+        return _JET_FUNCS[e.fn](_eval_jet(e.arg, p, order, memo))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -27,6 +27,8 @@ from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
 DEFAULT_VERDICT_TOL = 1e-7
+#: Fewest Lagrangian planes `totally_real_curvature` samples.
+MIN_PLANES = 16
 
 
 @dataclass
@@ -96,8 +98,8 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     (|Ric^anti|, |W3+|, |W-|) vanishes the sampled curvature must be the
     pointwise constant (2s - kappa)/24.
     """
-    if n_planes < 16:
-        raise ValueError("need at least 16 sample planes")
+    if n_planes < MIN_PLANES:
+        raise ValueError(f"need at least {MIN_PLANES} sample planes")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A]))
     # one block of draws: plane k takes X from row (k, 0) and Y from row (k, 1)
     draws = rng.standard_normal((n_planes, 2, 4))

@@ -23,6 +23,16 @@ axes) put the pair axis first instead: both factors are gathered into
 matmul sums over the convolution pairs and the contracted axes together
 inside BLAS, and never materialises the broadcast elementwise product.
 
+What these kernels derive from shapes alone is computed once. `contract`
+reads its permutations, reshape targets and `_CONTRACT` table from a plan
+cached by the two coefficient-array shapes (whose last axis fixes each
+operand's order) and the summed axes; `moveaxis` is a bare transpose by a
+permutation cached by (ndim, src, dst). Both caches fill lazily, one entry per
+shape the pipeline meets (a few dozen), and neither moves a bit: a plan holds
+exactly what `contract` used to recompute on every call, so the matmul
+operands are the same values in the same layout, and np.moveaxis is itself a
+transpose by the same permutation.
+
 Coefficients are Taylor coefficients, not raw derivatives; `derivative`
 applies the alpha! conversion at the API boundary.
 
@@ -148,6 +158,10 @@ def _build_deriv_tables():
 _MUL = _build_mul_tables()
 _CONTRACT = _build_contract_tables(_MUL)
 _DERIV = _build_deriv_tables()
+#: `contract` plans and `moveaxis` permutations, filled on first use of each
+#: operand shape and axis choice; see the module docstring.
+_PLANS: dict[tuple, tuple] = {}
+_PERMS: dict[tuple, tuple[int, ...]] = {}
 
 
 def _mul_raw(ca: np.ndarray, cb: np.ndarray, order: int) -> np.ndarray:
@@ -307,14 +321,53 @@ def stack(jets, axis: int = 0) -> Jet:
     return Jet(order, np.stack(cs, axis=axis))
 
 
-def moveaxis(j: Jet, src: int, dst: int) -> Jet:
-    """Move a leading tensor axis (coefficient axis is untouched)."""
-    return Jet(j.order, np.moveaxis(j.c, src, dst))
+def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:
+    """The permutation np.moveaxis(x, src, dst) transposes an x of ndim axes by,
+    read off a zero-stride probe whose axis k has length k + 1."""
+    probe = np.broadcast_to(0.0, tuple(range(1, ndim + 1)))
+    return tuple(n - 1 for n in np.moveaxis(probe, src, dst).shape)
+
+
+def moveaxis(j: Jet, src, dst) -> Jet:
+    """Move leading tensor axes, like np.moveaxis (coefficient axis is untouched)."""
+    key = (j.c.ndim, src, dst)
+    perm = _PERMS.get(key)
+    if perm is None:
+        perm = _PERMS[key] = _move_perm(*key)
+    return Jet(j.order, j.c.transpose(perm))
 
 
 def partials(j: Jet) -> Jet:
     """Stack of the four partial derivatives, new axis first."""
     return stack([j.partial(m) for m in range(NVARS)], axis=0)
+
+
+def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple) -> tuple:
+    """Everything `contract` derives from its operands' shapes and axes alone."""
+    o = min(NCOEF.index(shape_a[-1]), NCOEF.index(shape_b[-1]))
+    n = NCOEF[o]
+    last_a, last_b = len(shape_a) - 1, len(shape_b) - 1
+    free_a = tuple(ax for ax in range(last_a) if ax not in axes_a)
+    free_b = tuple(ax for ax in range(last_b) if ax not in axes_b)
+    summed = tuple(shape_a[ax] for ax in axes_a)
+    sa = tuple(shape_a[ax] for ax in free_a)
+    sb = tuple(shape_b[ax] for ax in free_b)
+    p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
+    ia, ib, width = _CONTRACT[o]
+    return (
+        o,
+        n,
+        (last_a, *axes_a, *free_a),
+        (last_b, *axes_b, *free_b),
+        (n + 1, p, na),
+        (n,) + summed + sa,
+        (n, p, nb),
+        ia,
+        ib,
+        (n, width * p, na),
+        (n, width * p, nb),
+        sa + sb + (n,),
+    )
 
 
 def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
@@ -327,30 +380,27 @@ def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
     slab last and b becomes (ncoef, P, B), where P, A and B are the flattened
     contracted, free-a and free-b axes. Gathering the `_CONTRACT` pairs gives
     (ncoef, width * P, A) and (ncoef, width * P, B), and one batched matmul
-    sums over pairs and contracted axes at once into (ncoef, A, B).
+    sums over pairs and contracted axes at once into (ncoef, A, B). The
+    permutations and shapes of these steps come from a plan cached per
+    operand shapes and axes.
     """
     if isinstance(axes_a, int):
         axes_a = (axes_a,)
         axes_b = (axes_b,)
-    o = min(a.order, b.order)
-    n = NCOEF[o]
-    last_a, last_b = a.c.ndim - 1, b.c.ndim - 1
-    free_a = tuple(ax for ax in range(last_a) if ax not in axes_a)
-    free_b = tuple(ax for ax in range(last_b) if ax not in axes_b)
-    summed = tuple(a.c.shape[ax] for ax in axes_a)
-    sa = tuple(a.c.shape[ax] for ax in free_a)
-    sb = tuple(b.c.shape[ax] for ax in free_b)
-    p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
-    ia, ib, width = _CONTRACT[o]
+    key = (a.c.shape, b.c.shape, axes_a, axes_b)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _contract_plan(*key)
+    o, n, perm_a, perm_b, fa_shape, fa_view, fb_shape, ia, ib, ga_shape, gb_shape, out_shape = plan
     # slab n of fa stays zero: the padding pairs of `_CONTRACT` point at it
-    fa = np.empty((n + 1, p, na))
+    fa = np.empty(fa_shape)
     fa[n] = 0.0
-    fa[:n].reshape((n,) + summed + sa)[...] = a.c[..., :n].transpose((last_a, *axes_a, *free_a))
-    fb = np.ascontiguousarray(b.c[..., :n].transpose((last_b, *axes_b, *free_b))).reshape(n, p, nb)
-    ga = fa.take(ia, axis=0).reshape(n, width * p, na)
-    gb = fb.take(ib, axis=0).reshape(n, width * p, nb)
+    fa[:n].reshape(fa_view)[...] = a.c[..., :n].transpose(perm_a)
+    fb = np.ascontiguousarray(b.c[..., :n].transpose(perm_b)).reshape(fb_shape)
+    ga = fa.take(ia, axis=0).reshape(ga_shape)
+    gb = fb.take(ib, axis=0).reshape(gb_shape)
     out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
-    return Jet(o, out.reshape(sa + sb + (n,)))
+    return Jet(o, out.reshape(out_shape))
 
 
 def outer(a: Jet, b: Jet) -> Jet:

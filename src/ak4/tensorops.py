@@ -50,18 +50,28 @@ def matrix_inverse(g: Jet) -> Jet:
     return jets.contract(acc, Jet.constant(g0_inv, g.order), 1, 0)
 
 
+#: Laplace expansion over rows 0 and 1: one row (c, d, e, f) per column pair
+#: c < d with complement e < f, whose term is sign(c, d, e, f) *
+#: (g[0,c] g[1,d] - g[0,d] g[1,c]) * (g[2,e] g[3,f] - g[2,f] g[3,e]).
+_C, _D, _E, _F = np.array([(c, d, *(k for k in range(4) if k not in (c, d))) for c, d in itertools.combinations(range(4), 2)]).T
+_LAPLACE_SIGNS = EPS4[_C, _D, _E, _F]
+#: (row, column) of the left and right factors of the 24 minor products.
+_MINOR_LEFT = (np.repeat([0, 0, 2, 2], 6), np.concatenate([_C, _D, _E, _F]))
+_MINOR_RIGHT = (np.repeat([1, 1, 3, 3], 6), np.concatenate([_D, _C, _F, _E]))
+
+
 def determinant4(g: Jet) -> Jet:
-    """Determinant of a 4x4 jet matrix (Laplace expansion over rows 0 and 1)."""
-    det = None
-    for c, d in itertools.combinations(range(4), 2):
-        comp = [k for k in range(4) if k not in (c, d)]
-        # parity of the permutation (0,1,2,3) -> (c,d,comp)
-        sign = EPS4[c, d, comp[0], comp[1]]
-        top = g[0, c] * g[1, d] - g[0, d] * g[1, c]
-        bot = g[2, comp[0]] * g[3, comp[1]] - g[2, comp[1]] * g[3, comp[0]]
-        term = sign * (top * bot)
-        det = term if det is None else det + term
-    return det
+    """Determinant of a 4x4 jet matrix (Laplace expansion over rows 0 and 1).
+
+    All 24 minor products are one stacked `_mul_raw`, the six top-times-bottom
+    products a second; each row gets the operations a scalar jet product would
+    apply, and the six terms are added in expansion order.
+    """
+    prods = jets._mul_raw(g.c[_MINOR_LEFT], g.c[_MINOR_RIGHT], g.order)
+    top = prods[0:6] - prods[6:12]
+    bot = prods[12:18] - prods[18:24]
+    terms = jets._mul_raw(top, bot, g.order) * _LAPLACE_SIGNS[:, None]
+    return Jet(g.order, terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5])
 
 
 def volume_form(g: Jet, orientation: float) -> Jet:
@@ -137,9 +147,14 @@ def kn_jet(h: Jet, g: Jet) -> Jet:
 def frame_components(values: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Express a fully covariant tensor's values in an orthonormal frame.
 
-    frame[a] holds the coordinate components of the a-th frame vector.
+    frame[a] holds the coordinate components of the frame vector e_a. Each
+    axis in turn is brought to the front, flattened against the rest, and
+    multiplied by `frame` in one np.dot.
     """
     out = np.asarray(values)
-    for axis in range(out.ndim):
-        out = np.moveaxis(np.tensordot(frame, out, axes=([1], [axis])), 0, axis)
+    ndim = out.ndim
+    for axis in range(ndim):
+        rest = out.shape[:axis] + out.shape[axis + 1 :]
+        flat = out.transpose((axis, *range(axis), *range(axis + 1, ndim))).reshape(out.shape[axis], -1)
+        out = np.dot(frame, flat).reshape(frame.shape[:1] + rest).transpose((*range(1, axis + 1), 0, *range(axis + 1, ndim)))
     return out

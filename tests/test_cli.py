@@ -69,6 +69,24 @@ class TestReport:
             RunConfig(order=5)
         with pytest.raises(AK4Error):
             RunConfig(tol_scale=-1.0)
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(AK4Error, match="--tol-scale"):
+                RunConfig(tol_scale=bad)
+        with pytest.raises(AK4Error, match="--planes"):
+            RunConfig(planes=15)
+        with pytest.raises(AK4Error, match="--seed"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        ("flag", "value"), [("--planes", "15"), ("--planes", "0"), ("--seed", "-1"), ("--tol-scale", "nan"), ("--tol-scale", "inf"), ("--tol-scale", "0")]
+    )
+    @pytest.mark.parametrize("command", [["report"], ["check", "kappa"], ["classify"]])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, command, flag, value, capsys):
+        code = run_main([*command, "--chart", "flat", "--points", "1", "--order", "2", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be")
+        assert "Traceback" not in err
 
 
 class TestCheck:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from ak4.errors import DomainError, ParseError
-from ak4.exprs import BinOp, Call, Const, Coord, Neg, Num, Pow, eval_float, eval_jet, parse_expr
+from ak4.exprs import MAX_DEPTH, BinOp, Call, Const, Coord, Neg, Num, Pow, _depth, eval_float, eval_jet, parse_expr
 
 
 class TestGrammar:
@@ -118,3 +118,10 @@ class TestEvaluation:
 
     def test_integer_power_of_negative_base_ok(self):
         assert eval_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
+
+    @pytest.mark.parametrize("src", ["1" + "+0.5*sin(x1)" * 253, "-" * 255 + "x1"])
+    def test_deepest_accepted_expression_evaluates(self, src):
+        e = parse_expr(src)
+        assert _depth(e) == MAX_DEPTH
+        p = (0.1, 0.2, 0.3, 0.4)
+        assert eval_jet(e, p, 4, {}).value == pytest.approx(eval_float(e, p), rel=1e-14)

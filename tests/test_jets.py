@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,54 +155,57 @@ class TestOrderContract:
         assert j.derivative((4, 0, 0, 0)) == pytest.approx(24.0)
 
 
+EXPRESSION_OPS = ("add", "sub", "mul", "sin", "cos", "atan", "tanh", "exps", "sqrts", "logs", "divs", "pow2", "pow3")
+
+
+def random_expression(rng, depth: int) -> str:
+    """Random expression text, defined everywhere (no domain errors)."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return f"x{rng.integers(1, 5)}"
+        return f"{rng.uniform(-2, 2):.4f}"
+    op = EXPRESSION_OPS[rng.integers(0, len(EXPRESSION_OPS))]
+    a = random_expression(rng, depth - 1)
+    b = random_expression(rng, depth - 1)
+    match op:
+        case "add":
+            return f"({a} + {b})"
+        case "sub":
+            return f"({a} - {b})"
+        case "mul":
+            return f"({a})*({b})"
+        case "sin":
+            return f"sin({a})"
+        case "cos":
+            return f"cos({a})"
+        case "atan":
+            return f"atan({a})"
+        case "tanh":
+            return f"tanh({a})"
+        case "exps":
+            return f"exp(0.3*tanh({a}))"
+        case "sqrts":
+            return f"sqrt(1.5 + ({a})^2)"
+        case "logs":
+            return f"log(1.5 + ({a})^2)"
+        case "divs":
+            return f"({a})/(1.5 + ({b})^2)"
+        case "pow2":
+            return f"({a})^2"
+        case "pow3":
+            return f"({a})^3"
+    raise AssertionError(op)
+
+
 class TestRandomExpressionsVsFiniteDifferences:
     """Order-2 coefficients of 1000 random expressions match second-order
     central differences at step 1e-4."""
-
-    OPS = ("add", "sub", "mul", "sin", "cos", "atan", "tanh", "exps", "sqrts", "logs", "divs", "pow2", "pow3")
-
-    def build(self, rng, depth: int) -> str:
-        if depth == 0 or rng.random() < 0.25:
-            if rng.random() < 0.6:
-                return f"x{rng.integers(1, 5)}"
-            return f"{rng.uniform(-2, 2):.4f}"
-        op = self.OPS[rng.integers(0, len(self.OPS))]
-        a = self.build(rng, depth - 1)
-        b = self.build(rng, depth - 1)
-        match op:
-            case "add":
-                return f"({a} + {b})"
-            case "sub":
-                return f"({a} - {b})"
-            case "mul":
-                return f"({a})*({b})"
-            case "sin":
-                return f"sin({a})"
-            case "cos":
-                return f"cos({a})"
-            case "atan":
-                return f"atan({a})"
-            case "tanh":
-                return f"tanh({a})"
-            case "exps":
-                return f"exp(0.3*tanh({a}))"
-            case "sqrts":
-                return f"sqrt(1.5 + ({a})^2)"
-            case "logs":
-                return f"log(1.5 + ({a})^2)"
-            case "divs":
-                return f"({a})/(1.5 + ({b})^2)"
-            case "pow2":
-                return f"({a})^2"
-            case "pow3":
-                return f"({a})^3"
-        raise AssertionError(op)
 
     def test_thousand_random_expressions(self):
         rng = np.random.default_rng(20240817)
         failures = []
         for k in range(1000):
-            src = self.build(rng, depth=int(rng.integers(2, 7)))
+            src = random_expression(rng, depth=int(rng.integers(2, 7)))
             e = parse_expr(src)
             p = tuple(rng.uniform(-1, 1, 4))
             j = eval_jet(e, p, 2)
@@ -300,3 +306,104 @@ class TestContractionKernel:
         a = random_tensor_jet(rng, shape_a, order)
         b = random_tensor_jet(rng, shape_b, order)
         assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
+
+
+def old_contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
+    """`contract` as it was before plans were cached: every shape, permutation
+    and reshape target derived on each call."""
+    if isinstance(axes_a, int):
+        axes_a = (axes_a,)
+        axes_b = (axes_b,)
+    o = min(a.order, b.order)
+    n = jets.NCOEF[o]
+    last_a, last_b = a.c.ndim - 1, b.c.ndim - 1
+    free_a = tuple(ax for ax in range(last_a) if ax not in axes_a)
+    free_b = tuple(ax for ax in range(last_b) if ax not in axes_b)
+    summed = tuple(a.c.shape[ax] for ax in axes_a)
+    sa = tuple(a.c.shape[ax] for ax in free_a)
+    sb = tuple(b.c.shape[ax] for ax in free_b)
+    p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
+    ia, ib, width = jets._CONTRACT[o]
+    fa = np.empty((n + 1, p, na))
+    fa[n] = 0.0
+    fa[:n].reshape((n,) + summed + sa)[...] = a.c[..., :n].transpose((last_a, *axes_a, *free_a))
+    fb = np.ascontiguousarray(b.c[..., :n].transpose((last_b, *axes_b, *free_b))).reshape(n, p, nb)
+    ga = fa.take(ia, axis=0).reshape(n, width * p, na)
+    gb = fb.take(ib, axis=0).reshape(n, width * p, nb)
+    out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
+    return Jet(o, out.reshape(sa + sb + (n,)))
+
+
+class TestCachedKernelsMatchTheirOracles:
+    """The cached `contract` plan and `moveaxis` permutation change no bit."""
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_plan_filled_by_a_contiguous_operand_serves_a_strided_one(self, order):
+        rng = np.random.default_rng(70 + order)
+        strided = jets.moveaxis(random_tensor_jet(rng, (4, 3, 2), order), 0, 2)  # shape (3, 2, 4)
+        contiguous = Jet(order, np.ascontiguousarray(strided.c))
+        b = random_tensor_jet(rng, (3, 4), order)
+        assert not strided.c.flags.c_contiguous and contiguous.c.flags.c_contiguous
+        first = jets.contract(contiguous, b, (2, 0), (1, 0))
+        assert (strided.c.shape, b.c.shape, (2, 0), (1, 0)) in jets._PLANS
+        got = jets.contract(strided, b, (2, 0), (1, 0))
+        assert np.array_equal(got.c, old_contract(strided, b, (2, 0), (1, 0)).c)
+        assert np.array_equal(got.c, first.c)
+
+    @pytest.mark.parametrize(
+        ("shape_a", "shape_b", "axes_a", "axes_b"),
+        [((4, 4), (4, 4), 1, 0), ((4, 4, 4), (4,), 0, 0), ((4, 4, 4, 4), (4, 4), (2, 3), (0, 1)), ((2, 3), (4,), (), ())],
+    )
+    @pytest.mark.parametrize("orders", [(4, 4), (2, 4), (4, 0), (3, 1)])
+    def test_contract_matches_the_uncached_kernel(self, shape_a, shape_b, axes_a, axes_b, orders):
+        rng = np.random.default_rng(80)
+        a = random_tensor_jet(rng, shape_a, orders[0])
+        b = random_tensor_jet(rng, shape_b, orders[1])
+        for _ in range(2):  # the second call reads the cached plan
+            assert np.array_equal(jets.contract(a, b, axes_a, axes_b).c, old_contract(a, b, axes_a, axes_b).c)
+
+    @pytest.mark.parametrize("ndim", range(2, 7))
+    def test_moveaxis_matches_numpy_for_every_axis_choice(self, ndim, monkeypatch):
+        monkeypatch.setattr(jets, "_PERMS", {})  # thousands of keys; keep them out of the shared cache
+        j = Jet(0, np.arange(math.prod(range(2, ndim + 2)), dtype=float).reshape(tuple(range(2, ndim + 2)) + (1,)))
+        pairs = [(s, d) for s in [*range(ndim), *range(-ndim - 1, -1)] for d in range(ndim)]
+        for k in range(1, ndim + 1):
+            pairs += [(src, dst) for src in itertools.combinations(range(ndim), k) for dst in itertools.permutations(range(ndim), k)]
+        for src, dst in pairs:
+            got = jets.moveaxis(j, src, dst)
+            assert np.array_equal(got.c, np.moveaxis(j.c, src, dst)), (src, dst)
+            assert got.c.shape == np.moveaxis(j.c, src, dst).shape
+
+
+class TestEvalMemo:
+    """One memo shared between eval_jet calls changes no bit."""
+
+    @staticmethod
+    def related_expressions(rng) -> list:
+        """Six expressions that share subtrees, as the entries of a chart do."""
+        a, b, c = (random_expression(rng, depth=int(rng.integers(1, 4))) for _ in range(3))
+        srcs = [a, b, c, f"({a})*({b})", f"({b})/(1.5 + ({c})^2)", f"sin({a}) - ({c})/(1.5 + ({c})^2)"]
+        return [parse_expr(src) for src in srcs]
+
+    @given(st.integers(0, 10**6), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_memo_gives_the_fresh_bits(self, seed, order):
+        rng = np.random.default_rng(seed)
+        exprs = self.related_expressions(rng)
+        p = tuple(rng.uniform(-1, 1, 4))
+        memo: dict = {}
+        shared = [eval_jet(e, p, order, memo) for e in exprs]
+        for e, jet in zip(exprs, shared):
+            assert np.array_equal(jet.c, eval_jet(e, p, order).c)
+
+    @given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_memo_reused_at_another_point_or_order(self, seed, order_p, order_q):
+        rng = np.random.default_rng(seed)
+        exprs = self.related_expressions(rng)
+        p, q = tuple(rng.uniform(-1, 1, 4)), tuple(rng.uniform(-1, 1, 4))
+        memo: dict = {}
+        for e in exprs:
+            eval_jet(e, p, order_p, memo)
+        for e in exprs:
+            assert np.array_equal(eval_jet(e, q, order_q, memo).c, eval_jet(e, q, order_q).c)
