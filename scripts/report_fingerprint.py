@@ -7,6 +7,10 @@ Runs `ak4.cli.main` in-process over:
 - `classify --chart all --points 4` at orders 2 and 4;
 - `check <name>` for every name in `cli.CHECK_NAMES`, at
   `--chart all --points 3 --seed 5`, orders 2 and 4;
+- with `--tol-scale 1e8`, which must move no hypothesis: `report --json` for
+  kodaira-thurston (seed 42, order 4, 6 points), and `check` on the
+  conditional rows `lemma1-alpha`, `beta0`, `lemma6` and `bach-3way` at
+  `--chart all --points 3 --seed 5 --order 4`;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -56,6 +60,12 @@ def cases():
         for order in (2, 4):
             argv = ["check", name, "--chart", "all", "--points", "3", "--seed", "5", "--order", str(order)]
             yield " ".join(argv), argv
+    loose = ["--tol-scale", "1e8"]
+    argv = ["report", "--chart", "kodaira-thurston", "--seed", "42", "--order", "4", "--points", "6", *loose, "--json", "-"]
+    yield " ".join(argv), argv
+    for name in ("lemma1-alpha", "beta0", "lemma6", "bach-3way"):
+        argv = ["check", name, "--chart", "all", "--points", "3", "--seed", "5", "--order", "4", *loose]
+        yield " ".join(argv), argv
 
 
 def fingerprint(argv: list[str]) -> str:

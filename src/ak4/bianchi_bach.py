@@ -27,13 +27,11 @@ import numpy as np
 
 from . import algebra, jets, tensorops
 from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER, StructurePoint
-from .errors import AK4Error
+from .decomp import J_INVARIANT_RICCI_TOL
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
 OMEGA_F, PHI_F, JPHI_F = FRAME_FORMS[0], FRAME_FORMS[1], FRAME_FORMS[2]
-#: |dOmega| and |Ric^anti| above which the almost Kahler Bach form is skipped.
-AK_FORM_TOL = 1e-8
 
 
 @dataclass
@@ -140,7 +138,7 @@ def bach_gauduchon(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
     return bp, bm
 
 
-def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_norm: float) -> tuple[np.ndarray, np.ndarray]:
+def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci.
 
     Returns (B, B_ricci_route) where
@@ -151,16 +149,12 @@ def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_nor
     and B_ricci_route is the cross-check expression
       1/2 nabla*nabla Ric0 + (lap s / 24) g + 1/6 nabla ds + (s/6) Ric0 - W(Ric0).
 
-    Raises AK4Error when the almost Kahler / J-invariant Ricci preconditions
-    fail at the point.
+    Both equal the Bach tensor only where the structure is almost Kahler and
+    the Ricci tensor J-invariant; the caller checks that.
     """
     sp = cd.sp
     if sp.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    if hfo.d_omega_norm > AK_FORM_TOL:
-        raise AK4Error(f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}")
-    if ric_anti_norm > AK_FORM_TOL:
-        raise AK4Error(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti_norm:.3e}")
 
     conn = cd.conn
     frame = sp.frame
@@ -287,14 +281,6 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
     bd = bach_direct(cd)
     bp, bm = bach_gauduchon(cd)
 
-    bach_ak = None
-    bach_ricci = None
-    skip_reason = None
-    try:
-        bach_ak, bach_ricci = bach_almost_kahler(cd, hfo, ric_anti_norm)
-    except AK4Error as exc:
-        skip_reason = str(exc)
-
     wz_omega = weitzenboeck_check(cd)
     wz_random = weitzenboeck_check(cd, random_polynomial_2form(sp, weitzenboeck_seed))
 
@@ -313,7 +299,15 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
         "beta norm": float(np.abs(beta).max()),
         "alpha norm": float(np.abs(alpha).max()),
     }
-    if bach_ak is not None:
+    # the hypotheses of the closed forms, as the registry's `almost_kahler` and
+    # `j_invariant_ricci` test them; the JSON report names the one that fails
+    skip_reason = None
+    if not hfo.is_almost_kahler:
+        skip_reason = f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}"
+    elif not ric_anti_norm < J_INVARIANT_RICCI_TOL:
+        skip_reason = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti_norm:.3e}"
+    else:
+        bach_ak, bach_ricci = bach_almost_kahler(cd, hfo)
         residuals["bach direct vs almost-kahler form"] = float(np.abs(bd - bach_ak).max())
         residuals["bach direct vs ricci form"] = float(np.abs(bd - bach_ricci).max())
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import __version__, algebra, bianchi_bach, charts, decomp, gray, riemann, sandbox
+from . import __version__, algebra, bianchi_bach, charts, decomp, gray, riemann, sandbox, tensorops
 from .errors import AK4Error, DomainError, StructureError
 
 #: Tolerance ladder: identities get the tolerance of their derivative order.
@@ -83,7 +83,7 @@ class PointAnalysis:
 
     @cached_property
     def dr(self) -> decomp.DecompReport:
-        return decomp.decompose(self.cd, self.hfo)
+        return decomp.decompose(self.cd)
 
     @cached_property
     def gr(self) -> gray.GrayReport:
@@ -128,12 +128,42 @@ def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
 # -- the identity registry ---------------------------------------------------------
 
 
+# Hypotheses: each predicate bounds a value a pipeline stage computes. They are
+# bounds on the geometry, not residual tolerances, so --tol-scale leaves them be.
+
+
+def almost_kahler(pa: PointAnalysis) -> bool:
+    """d Omega = 0."""
+    return pa.hfo.is_almost_kahler
+
+
+def j_invariant_ricci(pa: PointAnalysis) -> bool:
+    """Ric^anti = 0."""
+    return pa.dr.ric_anti_norm < decomp.J_INVARIANT_RICCI_TOL
+
+
+def second_gray(pa: PointAnalysis) -> bool:
+    """The second Gray condition holds, at the verdict ladder's bound."""
+    return pa.gr.g2 <= gray.DEFAULT_VERDICT_TOL
+
+
+def kahler_nullity(pa: PointAnalysis) -> bool:
+    """a != 0, so the Kahler nullity, the complement of span{a, Ja}, is defined."""
+    a_f = tensorops.frame_components(pa.hfo.a.value, pa.sp.frame)
+    return bool(a_f @ a_f > 1e-10)
+
+
+def lemma6_triple(pa: PointAnalysis) -> bool:
+    """Ric^anti = 0, W3+ = 0 and W- = 0."""
+    return gray.lemma6_triple(pa.dr) < TOL_THIRD_ORDER
+
+
 @dataclass(frozen=True)
 class Identity:
     """One identity of the report and of `ak4 check`.
 
-    `residual(pa, tol_scale)` returns None where the identity's hypotheses
-    fail at the point. `group` is the `check` name the identity answers to
+    `residual(pa)` is evaluated only at points where every predicate in
+    `assumes` holds. `group` is the `check` name the identity answers to
     (its own name by default); `check <group>` takes the max over the group.
     Identities with `report=False` run only under `check`.
     """
@@ -141,7 +171,8 @@ class Identity:
     name: str
     tol: float  # ladder tier, before --tol-scale
     order: int  # lowest jet order that supports the identity
-    residual: Callable[[PointAnalysis, float], float | None]
+    residual: Callable[[PointAnalysis], float]
+    assumes: tuple[Callable[[PointAnalysis], bool], ...] = ()
     group: str | None = None
     report: bool = True
 
@@ -149,26 +180,16 @@ class Identity:
         if self.group is None:
             object.__setattr__(self, "group", self.name)
 
-
-def _if_almost_kahler(value):
-    return lambda pa, _scale: value(pa.hfo) if pa.hfo.is_almost_kahler else None
-
-
-def _if_lemma6(value):
-    """Lemma 6 assumes Ric^anti = 0, W3+ = 0 and W- = 0."""
-    return lambda pa, scale: value(pa.gr) if max(pa.gr.lemma6_triple) < TOL_THIRD_ORDER * scale else None
-
-
-def _if_j_invariant_ricci(residual):
-    return lambda pa, scale: residual(pa, scale) if pa.dr.ric_anti_norm < TOL_FIRST_ORDER * scale else None
+    def applies(self, pa: PointAnalysis) -> bool:
+        return all(holds(pa) for holds in self.assumes)
 
 
 def _second_order(key: str):
-    """A residual of the second-order report; None where the report has no such entry."""
-    return lambda pa, _scale: pa.sor.residuals.get(key)
+    """A residual of the second-order report."""
+    return lambda pa: pa.sor.residuals[key]
 
 
-def _lemma5(pa: PointAnalysis, _scale: float) -> float:
+def _lemma5(pa: PointAnalysis) -> float:
     g2, triple = pa.gr.g2, gray.lemma5_triple(pa.dr)
     # equivalence at chart level: both small or both clearly nonzero
     if g2 < 1e-10:
@@ -178,17 +199,12 @@ def _lemma5(pa: PointAnalysis, _scale: float) -> float:
     return 0.0
 
 
-def _prop2i(pa: PointAnalysis, _scale: float) -> float | None:
-    """The Ricci normal form of Proposition 2(i), which assumes the second Gray condition."""
-    return gray.prop2i_residual(pa.hfo, pa.dr) if pa.gr.g2 <= gray.DEFAULT_VERDICT_TOL else None
-
-
-def _gamma0_antisymmetry(pa: PointAnalysis, _scale: float) -> float:
+def _gamma0_antisymmetry(pa: PointAnalysis) -> float:
     gamma0 = gray.canonical_ricci_form(pa.dr, pa.hfo)
     return float(np.abs(gamma0 + gamma0.T).max())
 
 
-def _weitzenboeck(pa: PointAnalysis, _scale: float) -> float:
+def _weitzenboeck(pa: PointAnalysis) -> float:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
     return max(pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
 
@@ -199,20 +215,20 @@ def _mu_formula_gap(gr: gray.GrayReport) -> float:
 
 #: Every identity, in report row order.
 IDENTITIES = (
-    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda pa, _: max(pa.sp.invariant_residuals.values())),
-    Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, lambda pa, _: pa.dr.recon_residual),
-    Identity("u2-reassembly", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.u2_residual),
-    Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.orthogonality_residual),
-    Identity("kappa", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.kappa_identity_residual),
-    Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, lambda pa, _: pa.dr.star_skew_residual),
-    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa, _: riemann.ricci_identity_check(pa.cd)),
-    Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, lambda pa, _: pa.hfo.identity_residual),
-    Identity("s-star", TOL_FIRST_ORDER, 2, lambda pa, _: pa.dr.s_star_identity_residual),
-    Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, _if_almost_kahler(lambda hfo: hfo.b_plus_ja_norm)),
-    Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, _if_almost_kahler(lambda hfo: hfo.theta_norm)),
-    Identity("prop1", TOL_FIRST_ORDER, 3, lambda pa, _: pa.gr.prop1_residual),
-    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, _if_lemma6(lambda gr: gr.mu_max - gr.mu_min), group="lemma6"),
-    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, _if_lemma6(_mu_formula_gap), group="lemma6"),
+    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda pa: max(pa.sp.invariant_residuals.values())),
+    Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, lambda pa: pa.dr.recon_residual),
+    Identity("u2-reassembly", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.u2_residual),
+    Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.orthogonality_residual),
+    Identity("kappa", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.kappa_identity_residual),
+    Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.star_skew_residual),
+    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa: riemann.ricci_identity_check(pa.cd)),
+    Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.identity_residual),
+    Identity("s-star", TOL_FIRST_ORDER, 2, lambda pa: abs(pa.dr.s_star - pa.dr.s - 0.5 * pa.hfo.nabla_j_sq), (almost_kahler,)),
+    Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.b_plus_ja_norm, (almost_kahler,)),
+    Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.theta_norm, (almost_kahler,)),
+    Identity("prop1", TOL_FIRST_ORDER, 3, lambda pa: gray.prop1_check(pa.cd, pa.dr, pa.hfo), (second_gray,)),
+    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, lambda pa: pa.gr.mu_max - pa.gr.mu_min, (lemma6_triple,), group="lemma6"),
+    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, lambda pa: _mu_formula_gap(pa.gr), (lemma6_triple,), group="lemma6"),
     Identity("bianchi", TOL_THIRD_ORDER, 4, _second_order("delta W = C")),
     Identity("bianchi-half", TOL_THIRD_ORDER, 4, _second_order("delta W+ = C+")),
     Identity("v-split-completeness", TOL_THIRD_ORDER, 4, _second_order("V+ + V- completeness")),
@@ -221,13 +237,27 @@ IDENTITIES = (
     Identity("bach-3way (plus)", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs plus"), group="bach-3way"),
     Identity("bach-3way (minus)", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs minus"), group="bach-3way"),
     Identity("weitzenboeck", TOL_FOURTH_ORDER, 4, _weitzenboeck),
-    Identity("lemma1-alpha", TOL_THIRD_ORDER, 4, _if_j_invariant_ricci(_second_order("alpha formula"))),
-    Identity("beta0", TOL_THIRD_ORDER, 4, _if_j_invariant_ricci(_second_order("beta formula"))),
-    Identity("bach-ak-form", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs almost-kahler form"), group="bach-3way"),
-    Identity("bach-ricci-form", TOL_FOURTH_ORDER, 4, _second_order("bach direct vs ricci form"), group="bach-3way"),
+    Identity("lemma1-alpha", TOL_THIRD_ORDER, 4, _second_order("alpha formula"), (j_invariant_ricci,)),
+    Identity("beta0", TOL_THIRD_ORDER, 4, _second_order("beta formula"), (j_invariant_ricci,)),
+    Identity(
+        "bach-ak-form",
+        TOL_FOURTH_ORDER,
+        4,
+        _second_order("bach direct vs almost-kahler form"),
+        (almost_kahler, j_invariant_ricci),
+        group="bach-3way",
+    ),
+    Identity(
+        "bach-ricci-form",
+        TOL_FOURTH_ORDER,
+        4,
+        _second_order("bach direct vs ricci form"),
+        (almost_kahler, j_invariant_ricci),
+        group="bach-3way",
+    ),
     Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
-    Identity("prop2i", TOL_FIRST_ORDER, 2, _prop2i, report=False),
-    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, _if_almost_kahler(gray.nabla2_omega_shape_residual), report=False),
+    Identity("prop2i", TOL_FIRST_ORDER, 2, lambda pa: gray.prop2i_residual(pa.hfo, pa.dr), (second_gray, kahler_nullity), report=False),
+    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, lambda pa: gray.nabla2_omega_shape_residual(pa.hfo), (almost_kahler,), report=False),
     Identity("gamma0-antisymmetry", TOL_ALGEBRAIC, 2, _gamma0_antisymmetry, report=False),
 )
 
@@ -245,8 +275,8 @@ def _identity_rows(pa: PointAnalysis, tol_scale: float, identities: tuple[Identi
     """Per-point identity table: name, residual, tolerance, pass."""
     rows = []
     for ident in identities:
-        residual = ident.residual(pa, tol_scale) if ident.order <= pa.order else None
-        if residual is not None:
+        if ident.order <= pa.order and ident.applies(pa):
+            residual = ident.residual(pa)
             tol = ident.tol * tol_scale
             rows.append({"name": ident.name, "residual": residual, "tol": tol, "pass": bool(np.isfinite(residual) and residual <= tol)})
     return rows
@@ -368,14 +398,13 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
     rows = []
     for spec in _charts_for(config):
         for pa in _analyses(spec, config, order):
-            values = [v for v in (i.residual(pa, config.tol_scale) for i in identities) if v is not None]
+            values = [i.residual(pa) for i in identities if i.applies(pa)]
             rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values)) if values else None})
     return rows
 
 
-def _sandbox_lemma5(config: RunConfig):
-    n = max(config.points * 8, 256)
-    batch = np.concatenate([sandbox.random_batch(n // 2, config.seed), sandbox.g2_batch(n // 2, config.seed)])
+def _sandbox_lemma5(n: int, seed: int):
+    batch = np.concatenate([sandbox.random_batch(n // 2, seed), sandbox.g2_batch(n // 2, seed)])
     g2 = algebra.gray_residuals(batch)[1]
     blocks = algebra.u2_blocks(algebra.split_operator(algebra.operator_matrix(batch))["wplus"])
     ric_anti = algebra.frobenius(algebra.j_anti_part(algebra.ricci_contraction(batch)))
@@ -387,9 +416,8 @@ def _sandbox_lemma5(config: RunConfig):
     return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
 
 
-def _sandbox_gray_chain(config: RunConfig):
-    n = max(config.points * 8, 256)
-    batch = np.concatenate([sandbox.g1_batch(n // 2, config.seed), sandbox.g2_batch(n // 2, config.seed)])
+def _sandbox_gray_chain(n: int, seed: int):
+    batch = np.concatenate([sandbox.g1_batch(n // 2, seed), sandbox.g2_batch(n // 2, seed)])
     g1, g2, g3 = algebra.gray_residuals(batch)
     # g1 = 0 implies g2 = g3 = 0, and g2 = 0 implies g3 = 0
     holds1, holds2 = g1 < 1e-12, g2 < 1e-12
@@ -397,16 +425,16 @@ def _sandbox_gray_chain(config: RunConfig):
     return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
 
 
-def _sandbox_roundtrip(config: RunConfig):
-    n = max(config.points * 8, 256)
-    batch = sandbox.random_batch(n, config.seed)
+def _sandbox_roundtrip(n: int, seed: int):
+    batch = sandbox.random_batch(n, seed)
     m = algebra.operator_matrix(batch)
     tensors = algebra.tensor_from_operator(algebra.join_operator(algebra.split_operator(m)))
     res = float(np.abs(tensors - batch).max())
     return [{"chart": "sandbox", "point": None, "residual": res, "note": f"{n} tensors"}]
 
 
-#: Checks on seeded batches of algebraic curvature tensors, outside the chart pipeline.
+#: Checks on seeded batches of algebraic curvature tensors, outside the chart
+#: pipeline; each takes the batch size and the seed.
 SANDBOX_CHECKS = {
     "gray-chain": _sandbox_gray_chain,
     "sandbox-lemma5": _sandbox_lemma5,
@@ -428,7 +456,7 @@ def cmd_check(config: RunConfig, name: str, out=None) -> int:
         return 2
     if name in SANDBOX_CHECKS:
         tol = SANDBOX_TOL * config.tol_scale
-        rows = SANDBOX_CHECKS[name](config)
+        rows = SANDBOX_CHECKS[name](max(config.points * 8, 256), config.seed)
     else:
         identities = _select((name,), IDENTITIES)
         tol = identities[0].tol * config.tol_scale
@@ -506,47 +534,37 @@ def cmd_catalog(out=None) -> int:
     return 0
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ak4", description="Curvature identity checks for almost Hermitian 4-manifold charts")
     sub = parser.add_subparsers(dest="command", required=True)
+    p_report = sub.add_parser("report", help="run every identity on one chart")
+    p_check = sub.add_parser("check", help="run one named identity")
+    p_check.add_argument("name", help="identity name; run with an unknown name to list")
+    p_classify = sub.add_parser("classify", help="verdict ladder per chart")
+    sub.add_parser("catalog", help="list built-in charts")
 
-    def add_common(p):
+    # each command registers only the flags it reads
+    for p in (p_report, p_check, p_classify):
         p.add_argument("--chart", default="all", help="catalog name, chart file path, or 'all'")
         p.add_argument("--points", type=int, default=32)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--order", type=int, default=4, choices=(2, 3, 4))
-        p.add_argument("--tol-scale", type=float, default=1.0, help="multiplies the tolerance ladder")
-        p.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
+    for p in (p_report, p_check):
+        p.add_argument("--tol-scale", type=float, default=1.0, help="multiplies the residual tolerances")
         p.add_argument("--planes", type=int, default=64, help="Lagrangian plane sample count")
-        p.add_argument("--checks", default=None, help="comma-separated identity names to enable (default: all)")
-
-    p_report = sub.add_parser("report", help="run every identity on one chart")
-    add_common(p_report)
+    p_report.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
+    p_report.add_argument("--checks", type=_names, default=(), help="comma-separated identity names to enable (default: all)")
     p_report.set_defaults(chart="flat")
-
-    p_check = sub.add_parser("check", help="run one named identity")
-    p_check.add_argument("name", help="identity name; run with an unknown name to list")
-    add_common(p_check)
-
-    p_classify = sub.add_parser("classify", help="verdict ladder per chart")
-    add_common(p_classify)
-
-    sub.add_parser("catalog", help="list built-in charts")
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    checks = tuple(s.strip() for s in args.checks.split(",") if s.strip()) if args.checks else ()
-    return RunConfig(
-        chart=args.chart,
-        points=args.points,
-        seed=args.seed,
-        order=args.order,
-        tol_scale=args.tol_scale,
-        planes=args.planes,
-        json_path=args.json_path,
-        checks=checks,
-    )
+    """The flags the subcommand registers; RunConfig's defaults stand in for the rest."""
+    return RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "name")})
 
 
 def main(argv=None) -> int:

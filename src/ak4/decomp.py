@@ -23,6 +23,9 @@ from . import algebra
 from .charts import FRAME_FORMS, J_FRAME
 from .riemann import CurvatureData
 
+#: |Ric^anti| below which the Ricci tensor counts as J-invariant.
+J_INVARIANT_RICCI_TOL = 1e-8
+
 
 @dataclass
 class DecompReport:
@@ -45,7 +48,6 @@ class DecompReport:
     orthogonality_residual: float
     kappa_identity_residual: float  # kappa - (3 s* - s)/2
     star_skew_residual: float  # skew(Ric*) vs -(1/2) J Psi
-    s_star_identity_residual: float | None  # s* - s - |nabla J|^2 / 2 where almost Kahler
     ric_anti_norm: float
 
     def block_norms(self) -> dict[str, float]:
@@ -86,7 +88,7 @@ def j_invariance_residuals(cd: CurvatureData) -> tuple[float, float]:
     return float(algebra.frobenius(ric_anti)), float(algebra.frobenius(mixed))
 
 
-def decompose(cd: CurvatureData, hfo=None) -> DecompReport:
+def decompose(cd: CurvatureData) -> DecompReport:
     """Full SO(4) + U(2) decomposition with every derived scalar and residual."""
     m = cd.operator
     parts = algebra.split_operator(m)
@@ -121,10 +123,6 @@ def decompose(cd: CurvatureData, hfo=None) -> DecompReport:
     ric_star, s_star, _, star_skew_residual = star_ricci(cd, psi)
     kappa_identity_residual = float(abs(kappa - 0.5 * (3.0 * s_star - cd.s_value)))
 
-    s_star_identity_residual = None
-    if hfo is not None and hfo.is_almost_kahler:
-        s_star_identity_residual = float(abs(s_star - cd.s_value - 0.5 * hfo.nabla_j_sq))
-
     return DecompReport(
         s=cd.s_value,
         ric0=ric0,
@@ -143,6 +141,5 @@ def decompose(cd: CurvatureData, hfo=None) -> DecompReport:
         orthogonality_residual=ortho,
         kappa_identity_residual=kappa_identity_residual,
         star_skew_residual=star_skew_residual,
-        s_star_identity_residual=s_star_identity_residual,
         ric_anti_norm=float(algebra.frobenius(ric0_anti)),
     )

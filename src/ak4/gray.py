@@ -36,20 +36,23 @@ class GrayReport:
     g1: float
     g2: float
     g3: float
-    lemma6_triple: tuple[float, float, float]  # |Ric^anti|, |W3+|, |W-|
     mu_formula: float  # (2s - kappa)/24
     mu_min: float
     mu_max: float
     wplus_eigenvalues: np.ndarray
     verdict: str
     flags: tuple[str, ...]
-    prop1_residual: float | None
 
 
 def lemma5_triple(dr: DecompReport) -> float:
     """The largest of |Ric^anti|, |W2+| and |W3+|: the side of the equivalence
     (second Gray identity <-> Ric J-invariant, W2+ = 0, W3+ = 0) opposite g2."""
     return max(dr.ric_anti_norm, float(algebra.frobenius(dr.w2)), float(algebra.frobenius(dr.w3)))
+
+
+def lemma6_triple(dr: DecompReport) -> float:
+    """The largest of |Ric^anti|, |W3+| and |W-|: Lemma 6 assumes all three vanish."""
+    return max(dr.ric_anti_norm, float(algebra.frobenius(dr.w3)), float(algebra.frobenius(dr.wminus)))
 
 
 def star_scalar_jet(cd: CurvatureData) -> Jet:
@@ -64,14 +67,9 @@ def star_scalar_jet(cd: CurvatureData) -> Jet:
     return jets.contract(ginv, ric_star, (0, 1), (0, 1))
 
 
-def prop1_check(
-    cd: CurvatureData,
-    dr: DecompReport,
-    hfo: HermitianFirstOrder,
-    g2_residual: float,
-) -> float | None:
-    """Residual of d(s - s*) - kappa theta = 4 Ric0(theta) under the second
-    Gray condition; None where the hypothesis fails at the point.
+def prop1_check(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> float:
+    """Residual of d(s - s*) - kappa theta = 4 Ric0(theta), which holds under
+    the second Gray condition.
 
     On almost Kahler points theta = 0, so the residual is |d(s* - s)|, the
     pointwise constancy of |nabla J|^2.
@@ -79,8 +77,6 @@ def prop1_check(
     sp = cd.sp
     if sp.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
-    if g2_residual > DEFAULT_VERDICT_TOL:
-        return None
     s_star = star_scalar_jet(cd)
     diff = cd.s - s_star
     d_diff = tensorops.frame_components(jets.partials(diff).value, sp.frame)
@@ -94,9 +90,8 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     """Sectional curvature statistics over seeded Lagrangian planes.
 
     A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
-    both X and JX enforces this exactly. When the triple
-    (|Ric^anti|, |W3+|, |W-|) vanishes the sampled curvature must be the
-    pointwise constant (2s - kappa)/24.
+    both X and JX enforces this exactly. When `lemma6_triple` vanishes the
+    sampled curvature must be the pointwise constant (2s - kappa)/24.
     """
     if n_planes < MIN_PLANES:
         raise ValueError(f"need at least {MIN_PLANES} sample planes")
@@ -114,8 +109,7 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     y /= norm[:, None]
     mus = np.einsum("ijkl,ni,nj,nk,nl->n", cd.R_frame, x, y, x, y)
     mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
-    triple = (dr.ric_anti_norm, float(algebra.frobenius(dr.w3)), float(algebra.frobenius(dr.wminus)))
-    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max()), "lemma6_triple": triple}
+    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max())}
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,17 +122,14 @@ def _lagrangian_part(y: np.ndarray, x: np.ndarray, jx: np.ndarray) -> np.ndarray
     return y - (_row_dot(y, x)[:, None] * x + _row_dot(y, jx)[:, None] * jx)
 
 
-def prop2i_residual(hfo: HermitianFirstOrder, dr: DecompReport) -> float | None:
+def prop2i_residual(hfo: HermitianFirstOrder, dr: DecompReport) -> float:
     """Residual of the traceless-Ricci normal form Ric0 = (kappa/4)(-g|_D + g|_Dperp),
     where D, the Kahler nullity, is the orthogonal complement of span{a, Ja}.
 
-    None where nabla J vanishes, since the nullity is then undefined. The
-    second Gray condition, the hypothesis of the normal form, is left to the
-    caller.
+    The normal form assumes the second Gray condition, and D is defined only
+    where a does not vanish; both are left to the caller.
     """
     a_f = tensorops.frame_components(hfo.a.value, hfo.conn.sp.frame)
-    if a_f @ a_f <= 1e-10:
-        return None
     a_f = a_f / np.linalg.norm(a_f)
     ja_f = J_FRAME @ a_f
     g_perp = np.outer(a_f, a_f) + np.outer(ja_f, ja_f)
@@ -218,18 +209,13 @@ def classify(hfo: HermitianFirstOrder, dr: DecompReport, gr: tuple[float, float,
 
 def gray_report(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder, n_planes: int, seed: int) -> GrayReport:
     gr = tuple(float(v) for v in algebra.gray_residuals(cd.R_frame))
-    planes = totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed)
     verdict, flags = classify(hfo, dr, gr)
     return GrayReport(
         g1=gr[0],
         g2=gr[1],
         g3=gr[2],
-        lemma6_triple=planes["lemma6_triple"],
-        mu_formula=planes["mu_formula"],
-        mu_min=planes["mu_min"],
-        mu_max=planes["mu_max"],
+        **totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed),
         wplus_eigenvalues=np.linalg.eigvalsh(dr.wplus),
         verdict=verdict,
         flags=flags,
-        prop1_residual=prop1_check(cd, dr, hfo, gr[1]) if cd.sp.order >= 3 else None,
     )

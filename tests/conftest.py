@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ak4 import charts
+from ak4 import charts, cli
 from ak4.cli import PointAnalysis
 
 #: Points per chart for the full order-4 analyses shared across the suite.
@@ -65,6 +65,11 @@ def ricci_anti_analysis() -> PointAnalysis:
     spec = ricci_anti_chart()
     p = spec.sample_points(1, FULL_SEED)[0]
     return PointAnalysis(spec, p, order=4, planes=64, seed=FULL_SEED)
+
+
+def identity(name: str) -> cli.Identity:
+    """The registry row called `name`."""
+    return next(i for i in cli.IDENTITIES if i.name == name)
 
 
 def all_points(analyses) -> list[tuple[str, PointAnalysis]]:

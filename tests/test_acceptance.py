@@ -15,7 +15,7 @@ import numpy as np
 
 from ak4 import algebra, bianchi_bach, charts, cli, riemann, sandbox, tensorops
 
-from conftest import CATALOG_NAMES, EINSTEIN_NAMES, KAHLER_NAMES, ricci_anti_chart
+from conftest import CATALOG_NAMES, EINSTEIN_NAMES, KAHLER_NAMES, identity, ricci_anti_chart
 from oracles import fd_curvature
 
 
@@ -64,12 +64,13 @@ def test_criterion_03_scalar_curvature_relations(analyses):
     worst_kappa = 0.0
     worst_sstar = 0.0
     kt_difference = None
+    s_star = identity("s-star")
     for name, rows in analyses.items():
         for pa in rows:
             worst_kappa = max(worst_kappa, pa.dr.kappa_identity_residual)
             if pa.hfo.d_omega_norm < 1e-9:
-                assert pa.dr.s_star_identity_residual is not None
-                worst_sstar = max(worst_sstar, pa.dr.s_star_identity_residual)
+                assert s_star.applies(pa)
+                worst_sstar = max(worst_sstar, s_star.residual(pa))
             if name == "kodaira-thurston":
                 kt_difference = pa.dr.s_star - pa.dr.s
     ok = worst_kappa < 1e-9 and worst_sstar < 1e-8 and kt_difference > 1e-3

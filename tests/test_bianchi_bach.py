@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ak4 import bianchi_bach, charts, jets, riemann, tensorops
+from ak4 import bianchi_bach, charts, cli, jets, riemann, tensorops
 from ak4.cli import PointAnalysis
-from ak4.errors import AK4Error, JetOrderError
+from ak4.errors import JetOrderError
 from ak4.exprs import eval_jet, parse_expr
 
 from conftest import EINSTEIN_NAMES, KAHLER_NAMES
@@ -137,11 +137,10 @@ class TestBach:
             assert np.abs(bianchi_bach.bach_direct(pa.cd)).max() > 1e-3  # genuinely non-Bach-flat
 
     def test_almost_kahler_form_rejected_on_kodaira_thurston(self, analyses):
-        pa = analyses["kodaira-thurston"][0]
-        assert "bach direct vs almost-kahler form" not in pa.sor.residuals
-        assert "not J-invariant" in pa.sor.bach_ak_skip_reason
-        with pytest.raises(AK4Error, match="J-invariant"):
-            bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo, pa.dr.ric_anti_norm)
+        for pa in analyses["kodaira-thurston"]:
+            assert "bach direct vs almost-kahler form" not in pa.sor.residuals
+            second_order = cli._point_document(pa, [])["second_order"]
+            assert second_order["bach_ak_skipped"] == f"Ricci tensor not J-invariant at this point: |Ric^anti| = {pa.dr.ric_anti_norm:.3e}"
 
     def test_constant_scalar_j_invariant_reduction(self):
         # Kahler, constant s, non-Einstein: every derivative term in the
@@ -150,7 +149,7 @@ class TestBach:
         for p in spec.sample_points(2, 17):
             pa = PointAnalysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
-            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo, pa.dr.ric_anti_norm)
+            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo)
             assert np.abs(bianchi_bach.bach_direct(pa.cd) - expected).max() < 1e-7
             assert np.abs(bach_ak - expected).max() < 1e-7
 

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from ak4 import cli
-from ak4.cli import RunConfig, run_report
+from ak4.cli import PointAnalysis, RunConfig, run_report
 from ak4.errors import AK4Error
+
+#: Out-of-range values of the flags RunConfig validates.
+BAD_FLAG_VALUES = [
+    ("--planes", "15"),
+    ("--planes", "0"),
+    ("--seed", "-1"),
+    ("--tol-scale", "nan"),
+    ("--tol-scale", "inf"),
+    ("--tol-scale", "0"),
+]
 
 
 def run_main(argv):
@@ -78,15 +89,35 @@ class TestReport:
             RunConfig(seed=-1)
 
     @pytest.mark.parametrize(
-        ("flag", "value"), [("--planes", "15"), ("--planes", "0"), ("--seed", "-1"), ("--tol-scale", "nan"), ("--tol-scale", "inf"), ("--tol-scale", "0")]
+        ("command", "flag", "value"),
+        [
+            pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")
+            for i, command in enumerate((["report"], ["check", "kappa"], ["classify"]))
+            for flag, value in BAD_FLAG_VALUES
+            if command != ["classify"] or flag == "--seed"  # classify takes neither --planes nor --tol-scale
+        ],
     )
-    @pytest.mark.parametrize("command", [["report"], ["check", "kappa"], ["classify"]])
     def test_bad_flag_value_exits_2_naming_the_flag(self, command, flag, value, capsys):
         code = run_main([*command, "--chart", "flat", "--points", "1", "--order", "2", flag, value])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {flag} must be")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [pytest.param(["check", "kappa"], f, id=f"check-{f}") for f in ("--json", "--checks")]
+        + [pytest.param(["classify"], f, id=f"classify-{f}") for f in ("--json", "--checks", "--tol-scale", "--planes")],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag, tmp_path, capsys):
+        value = str(tmp_path / "out.json")
+        with pytest.raises(SystemExit) as exc:
+            run_main([*command, "--chart", "flat", "--points", "1", "--order", "2", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestCheck:
@@ -136,6 +167,13 @@ class TestCheck:
         assert "worst residual" in out
         assert run_main(["check", "nosuch"]) == 2
         assert f"  {name}\n" in capsys.readouterr().out
+
+    def test_tol_scale_moves_no_hypothesis(self, capsys):
+        # the Ricci tensor of kodaira-thurston is not J-invariant, however loose the tolerances
+        assert run_main(["check", "lemma1-alpha", "--chart", "kodaira-thurston", "--points", "2", "--tol-scale", "1e8"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("not applicable") == 2
+        assert "no applicable chart/point combinations" in out
 
     def test_sandbox_checks(self, capsys):
         for name in ("sandbox-roundtrip", "sandbox-lemma5", "gray-chain"):
@@ -214,13 +252,31 @@ class TestIdentityRegistry:
                     reported = [r["residual"] for r in point_doc["identities"] if r["name"] in members]
                     assert row["residual"] == (max(reported) if reported else None), (name, group)
 
-    def test_check_kappa_skips_the_second_order_report(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        ("module", "stage", "argv"),
+        [
+            pytest.param("bianchi_bach", "second_order_report", ["check", "kappa"], id="check-kappa-second-order"),
+            pytest.param("riemann", "hermitian_first_order", ["check", "kappa"], id="check-kappa-first-order"),
+            pytest.param("gray", "prop1_check", ["classify", "--order", "4"], id="classify-prop1"),
+        ],
+    )
+    def test_command_skips_the_stages_it_does_not_read(self, module, stage, argv, monkeypatch, capsys):
         def fail(*args, **kwargs):
-            raise AssertionError("second-order report built for an algebraic identity")
+            raise AssertionError(f"{stage} called by {' '.join(argv)}")
 
-        monkeypatch.setattr(cli.bianchi_bach, "second_order_report", fail)
-        assert run_main(["check", "kappa", "--chart", "all", "--points", "1"]) == 0
-        assert "worst residual" in capsys.readouterr().out
+        monkeypatch.setattr(getattr(cli, module), stage, fail)
+        assert run_main([*argv, "--chart", "all", "--points", "1"]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_every_applicable_row_returns_a_finite_float(self, order, analyses, catalog_specs):
+        for name, spec in catalog_specs.items():
+            for full in analyses[name]:
+                pa = full if order == 4 else PointAnalysis(spec, full.sp.point, order=order)
+                for ident in cli.IDENTITIES:
+                    if ident.order <= order and ident.applies(pa):
+                        value = ident.residual(pa)
+                        assert isinstance(value, float) and math.isfinite(value), (name, order, ident.name)
 
 
 class TestCheckSelection:

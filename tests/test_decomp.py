@@ -7,7 +7,7 @@ import pytest
 
 from ak4 import algebra, charts, decomp, riemann, sandbox
 
-from conftest import KAHLER_NAMES
+from conftest import KAHLER_NAMES, identity
 
 
 class TestSO4:
@@ -78,9 +78,10 @@ class TestStarRicci:
         assert np.abs(analyses["flat"][0].dr.ric_star).max() == 0.0
 
     def test_kodaira_thurston_scalar_difference(self, analyses):
+        s_star = identity("s-star")
         for pa in analyses["kodaira-thurston"]:
-            assert pa.dr.s_star_identity_residual is not None
-            assert pa.dr.s_star_identity_residual < 1e-8
+            assert s_star.applies(pa)
+            assert s_star.residual(pa) < 1e-8
             assert pa.dr.s_star - pa.dr.s == pytest.approx(0.5 * pa.hfo.nabla_j_sq, abs=1e-9)
 
     def test_skew_part_consistency(self, analyses):

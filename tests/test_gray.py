@@ -9,11 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ak4 import algebra, charts, gray, sandbox
+from ak4 import algebra, charts, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES
+from conftest import KAHLER_NAMES, identity
 
 
 class TestGrayResiduals:
@@ -81,30 +81,32 @@ class TestLemma5:
 
 
 class TestProp1:
+    prop1 = identity("prop1")
+
     def test_kahler_einstein_trivial(self, analyses):
         for name in ("fubini-study", "complex-hyperbolic"):
             for pa in analyses[name]:
-                assert pa.gr.prop1_residual is not None
-                assert pa.gr.prop1_residual < 1e-8
+                assert self.prop1.applies(pa)
+                assert self.prop1.residual(pa) < 1e-8
 
     def test_constant_curvature_product(self):
         spec = charts.product_surfaces(
             charts.sphere_factor(1.0), charts.sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
         pa = PointAnalysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
-        assert pa.gr.prop1_residual is not None
-        assert pa.gr.prop1_residual < 1e-8
+        assert self.prop1.applies(pa)
+        assert self.prop1.residual(pa) < 1e-8
 
     def test_product_surfaces_nontrivial_scalar(self, analyses):
         # Kahler, so the hypothesis holds; s varies but s* tracks it exactly.
         for pa in analyses["product-surfaces"]:
-            assert pa.gr.prop1_residual is not None
-            assert pa.gr.prop1_residual < 1e-8  # theta = 0, so this is |d(s* - s)|
+            assert self.prop1.applies(pa)
+            assert self.prop1.residual(pa) < 1e-8  # theta = 0, so this is |d(s* - s)|
 
     def test_kodaira_thurston_hypothesis_not_met(self, analyses):
         for pa in analyses["kodaira-thurston"]:
             assert pa.gr.g2 > gray.DEFAULT_VERDICT_TOL
-            assert pa.gr.prop1_residual is None
+            assert not self.prop1.applies(pa)
 
 
 class TestTotallyRealCurvature:
@@ -244,12 +246,13 @@ class TestReversedStructure:
     def test_kahler_charts_nullity_undefined(self, analyses):
         for name in KAHLER_NAMES:
             pa = analyses[name][0]
-            assert gray.prop2i_residual(pa.hfo, pa.dr) is None
+            assert not cli.kahler_nullity(pa)
+            assert not identity("prop2i").applies(pa)
 
     def test_kodaira_thurston_reversed_structure(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert gray.prop2i_residual(pa.hfo, pa.dr) is not None  # the nullity is defined
-            assert pa.gr.g2 > gray.DEFAULT_VERDICT_TOL  # but Proposition 2(i) does not apply
+            assert cli.kahler_nullity(pa)
+            assert not cli.second_gray(pa)  # but Proposition 2(i) does not apply
             # the commuted-second-derivative shape identity is unconditional
             assert gray.nabla2_omega_shape_residual(pa.hfo) < 1e-8
 
@@ -265,8 +268,9 @@ class TestReversedStructure:
         assert gray.prop2i_residual(hfo, SimpleNamespace(ric0=ric0, kappa=kappa)) < 1e-15
         perturbed = ric0 + 0.01 * np.diag([1.0, 1.0, -1.0, -1.0])
         assert gray.prop2i_residual(hfo, SimpleNamespace(ric0=perturbed, kappa=kappa)) > 1e-3
+        assert cli.kahler_nullity(SimpleNamespace(hfo=hfo, sp=sp))
         flat_a = SimpleNamespace(a=SimpleNamespace(value=np.zeros(4)), conn=SimpleNamespace(sp=sp))
-        assert gray.prop2i_residual(flat_a, SimpleNamespace(ric0=ric0, kappa=kappa)) is None
+        assert not cli.kahler_nullity(SimpleNamespace(hfo=flat_a, sp=sp))
 
 
 def _antisymmetry(gamma0: np.ndarray) -> float:
@@ -308,7 +312,7 @@ class TestLemma6EquivalenceAcrossCharts:
     def test_both_directions_on_all_analyzed_points(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                triple_max = max(pa.gr.lemma6_triple)
+                triple_max = gray.lemma6_triple(pa.dr)
                 spread = pa.gr.mu_max - pa.gr.mu_min
                 if triple_max < 1e-8:
                     assert spread < 1e-7
