@@ -46,7 +46,7 @@ def cotton_york(cd: CurvatureData) -> Jet:
     """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0)."""
     if cd.sp.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    dh = cd.conn.covd(_normalized_ricci(cd))  # (m, i, j) = nabla_m h_ij
+    dh = cd.conn.covd(cd.h)  # (m, i, j) = nabla_m h_ij
     # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
     return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
 
@@ -105,20 +105,13 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return alpha, beta, completeness
 
 
-def _normalized_ricci(cd: CurvatureData) -> Jet:
-    """h = (1/2)(Ric - s/6 g) as jets."""
-    return 0.5 * (cd.ric - (cd.s / 6.0) * cd.sp.g)
-
-
 def _bach_from(cd: CurvatureData, w: Jet, dw: Jet) -> np.ndarray:
     """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components."""
     sp = cd.sp
-    ginv = sp.g_inv
     ddw = cd.conn.covd(dw)  # (m, x, a, y)
-    term1 = jets.contract(ginv, ddw, (0, 1), (0, 2)).value  # (x, y)
+    term1 = jets.contract(sp.g_inv, ddw, (0, 1), (0, 2)).value  # (x, y)
     # the W h term is read as a value only: it runs on order-0 truncations
-    h_upup = tensorops.raise_pair(_normalized_ricci(cd).truncate(0), ginv.truncate(0), 0, 1)
-    term2 = jets.contract(w.truncate(0), h_upup, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
+    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
     return tensorops.frame_components(term1 + term2, sp.frame)
 
 
@@ -138,7 +131,7 @@ def bach_gauduchon(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
     return bp, bm
 
 
-def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder) -> tuple[np.ndarray, np.ndarray]:
+def bach_almost_kahler(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci.
 
     Returns (B, B_ricci_route) where
@@ -171,7 +164,7 @@ def bach_almost_kahler(cd: CurvatureData, hfo: HermitianFirstOrder) -> tuple[np.
     # rho0_ij = J^k_i Ric0_kj, to first order: only the value of its covariant derivative is read
     rho0 = jets.contract(sp.J.truncate(1), cd.ric0.truncate(1), 0, 0)
     d_rho0 = tensorops.frame_components(conn.covd(rho0).value, frame)
-    d_omega = tensorops.frame_components(hfo.nabla_omega.value, frame)
+    d_omega = tensorops.frame_components(conn.nabla_omega.value, frame)
     # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in
     s_tensor = np.einsum("mnj,min->ij", d_rho0, d_omega)
 
@@ -197,20 +190,30 @@ def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
 
     for the supplied 2-form field (default: the fundamental 2-form). Both
     sides differentiate the field at most twice, so it enters at order 2.
+    nabla phi is formed once and gives both delta phi and nabla*nabla phi;
+    for Omega it is the connection's `nabla_omega`. The algebraic terms
+    (s/3) phi and W(phi) are read as values only, so they are formed from
+    order-0 truncations.
     """
     sp = cd.sp
     if sp.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
     conn = cd.conn
-    phi = (sp.omega if field is None else field).truncate(J_SIDE_ORDER)
-    delta_phi = conn.codifferential(phi)  # 1-form
+    if field is None:
+        phi, nabla_phi, nabla2_phi = sp.omega, conn.nabla_omega, conn.nabla2_omega
+    else:
+        phi = field.truncate(J_SIDE_ORDER)
+        nabla_phi = conn.covd(phi)
+        nabla2_phi = conn.covd(nabla_phi)
+    delta_phi = conn.neg_trace(nabla_phi)  # 1-form
     d_delta = tensorops.ext_d_1form(delta_phi)
     d_phi = tensorops.ext_d_2form(phi)
     delta_d = conn.codifferential(d_phi)
     laplace = d_delta + delta_d
-    rough = conn.rough_laplacian(phi)
-    w_phi = tensorops.form_inner(cd.weyl, phi, sp.g_inv, (2, 3))
-    rhs = rough + (cd.s / 3.0) * phi - 2.0 * w_phi
+    rough = conn.neg_trace(nabla2_phi)
+    phi0 = phi.truncate(0)
+    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, sp.g_inv.truncate(0), (2, 3))
+    rhs = rough + (cd.s.truncate(0) / 3.0) * phi0 - 2.0 * w_phi
     residual = (laplace - rhs).value
     return float(np.abs(tensorops.frame_components(residual, sp.frame)).max())
 
@@ -226,26 +229,26 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
     order = min(sp.order, J_SIDE_ORDER)
     x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
-    entries = [[None] * 4 for _ in range(4)]
-    zero = Jet.constant(0.0, order)
-    for i in range(4):
-        entries[i][i] = zero
-        for j in range(i + 1, 4):
-            c = [float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=9)]
-            val = (
-                Jet.constant(c[0], order)
-                + c[1] * x1
-                + c[2] * x2
-                + c[3] * x3
-                + c[4] * x4
-                + c[5] * x1 * x3
-                + c[6] * x2**2
-                + c[7] * x4 * x1
-                + c[8] * x3**2
-            )
-            entries[i][j] = val
-            entries[j][i] = -val
-    return jets.stack([jets.stack(row) for row in entries])
+    # one block of draws, 9 per entry above the diagonal in row-major order;
+    # c[k] holds the coefficient of monomial k for all six entries
+    c = np.array([float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=54)]).reshape(6, 9).T
+    # each product keeps the jet on the left, so Jet, not numpy, broadcasts it
+    val = (
+        Jet.constant(c[0], order)
+        + x1 * c[1]
+        + x2 * c[2]
+        + x3 * c[3]
+        + x4 * c[4]
+        + x1 * c[5] * x3
+        + x2**2 * c[6]
+        + x4 * c[7] * x1
+        + x3**2 * c[8]
+    )
+    upper = np.triu_indices(4, 1)
+    out = np.zeros((4, 4, val.c.shape[-1]))
+    out[upper] = val.c
+    out[upper[::-1]] = -val.c
+    return Jet(order, out)
 
 
 # -- report assembly ------------------------------------------------------------
@@ -263,7 +266,8 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
     dw_f = tensorops.frame_components(delta_weyl(cd, "full").value, frame)
     dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
 
-    c_plus = tensorops.dual_projection(c_jet, sp.g_inv, sp.mu, +1.0, (1, 2))
+    # only the value of C+ is read: it is projected from order-0 truncations
+    c_plus = tensorops.dual_projection(c_jet.truncate(0), sp.g_inv.truncate(0), sp.mu.truncate(0), +1.0, (1, 2))
     c_plus_f = tensorops.frame_components(c_plus.value, frame)
 
     alpha, beta, completeness = split_delta_wplus(dwp_f)
@@ -307,7 +311,7 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
     elif not ric_anti_norm < J_INVARIANT_RICCI_TOL:
         skip_reason = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti_norm:.3e}"
     else:
-        bach_ak, bach_ricci = bach_almost_kahler(cd, hfo)
+        bach_ak, bach_ricci = bach_almost_kahler(cd)
         residuals["bach direct vs almost-kahler form"] = float(np.abs(bd - bach_ak).max())
         residuals["bach direct vs ricci form"] = float(np.abs(bd - bach_ricci).max())
 

@@ -366,7 +366,10 @@ class StructurePoint:
     jphi are coordinate 2-form jets; with omega their frame components are
     the first three rows of FRAME_FORMS.
 
-    g and g_inv carry the requested `order`; J, omega, mu, phi and jphi carry
+    g carries the requested `order` and g_inv one order less (at least 0):
+    every reader contracts g_inv with a derivative of g, such as a
+    Christoffel symbol, a curvature tensor or a covariant derivative, which
+    has at most that order. J, omega, mu, phi and jphi carry
     min(order, J_SIDE_ORDER), the most any identity differentiates them.
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
     reach a lower-degree output coefficient, so these jets equal the leading
@@ -431,7 +434,8 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     _check(residuals, "J o J = -Id", float(np.abs(j0 @ j0 + np.eye(4)).max()))
     _check(residuals, "g(J.,J.) = g", float(np.abs(j0.T @ g0 @ j0 - g0).max()))
 
-    g_inv = tensorops.matrix_inverse(g)
+    # every reader contracts g^-1 with at least one derivative of g
+    g_inv = tensorops.matrix_inverse(g.truncate(max(order - 1, 0)))
     # Omega_ij = g(J d_i, d_j) = J^k_i g_kj
     omega = jets.contract(J, g, 0, 0)
     _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()))

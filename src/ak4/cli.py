@@ -86,8 +86,12 @@ class PointAnalysis:
         return decomp.decompose(self.cd)
 
     @cached_property
+    def ladder(self) -> gray.GrayLadder:
+        return gray.classify(self.cd, self.dr, self.hfo)
+
+    @cached_property
     def gr(self) -> gray.GrayReport:
-        return gray.gray_report(self.cd, self.dr, self.hfo, n_planes=self.planes, seed=self.seed)
+        return gray.gray_report(self.cd, self.dr, n_planes=self.planes, seed=self.seed)
 
     @cached_property
     def sor(self) -> bianchi_bach.SecondOrderReport | None:
@@ -144,7 +148,7 @@ def j_invariant_ricci(pa: PointAnalysis) -> bool:
 
 def second_gray(pa: PointAnalysis) -> bool:
     """The second Gray condition holds, at the verdict ladder's bound."""
-    return pa.gr.g2 <= gray.DEFAULT_VERDICT_TOL
+    return pa.ladder.g2 <= gray.DEFAULT_VERDICT_TOL
 
 
 def kahler_nullity(pa: PointAnalysis) -> bool:
@@ -190,7 +194,7 @@ def _second_order(key: str):
 
 
 def _lemma5(pa: PointAnalysis) -> float:
-    g2, triple = pa.gr.g2, gray.lemma5_triple(pa.dr)
+    g2, triple = pa.ladder.g2, gray.lemma5_triple(pa.dr)
     # equivalence at chart level: both small or both clearly nonzero
     if g2 < 1e-10:
         return triple
@@ -291,11 +295,11 @@ def _json_default(obj):
 
 
 def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
-    dr, gr = pa.dr, pa.gr
+    dr, ladder, gr = pa.dr, pa.ladder, pa.gr
     doc = {
         "point": list(pa.sp.point),
-        "verdict": gr.verdict,
-        "flags": list(gr.flags),
+        "verdict": ladder.verdict,
+        "flags": list(ladder.flags),
         "scalars": {
             "s": dr.s,
             "s_star": dr.s_star,
@@ -307,7 +311,7 @@ def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
             "psi": list(dr.psi),
         },
         "block_norms": dr.block_norms(),
-        "gray": {"g1": gr.g1, "g2": gr.g2, "g3": gr.g3},
+        "gray": {"g1": ladder.g1, "g2": ladder.g2, "g3": ladder.g3},
         "wplus_eigenvalues": list(gr.wplus_eigenvalues),
         "identities": rows,
         "skipped": list(pa.skipped),
@@ -346,7 +350,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
                 w["residual"] = r["residual"]
                 w["point_index"] = idx
             w["pass"] = bool(w["pass"] and r["pass"])
-        verdicts.append(pa.gr.verdict)
+        verdicts.append(pa.ladder.verdict)
         point_docs.append(_point_document(pa, rows))
     all_pass = all(w["pass"] for w in worst.values())
     doc = {
@@ -515,15 +519,15 @@ def cmd_classify(config: RunConfig, out=None) -> int:
     for spec in _charts_for(config):
         verdicts = []
         for last in _analyses(spec, config, config.order):
-            verdicts.append(last.gr.verdict)
+            verdicts.append(last.ladder.verdict)
         names = sorted(set(verdicts))
-        flags = ", ".join(last.gr.flags) if last.gr.flags else "-"
-        h = last.hfo
-        ladder = (
+        ladder, h = last.ladder, last.hfo
+        flags = ", ".join(ladder.flags) if ladder.flags else "-"
+        values = (
             f"|nabla J|={np.sqrt(max(h.nabla_j_sq, 0)):.3e} |dOmega|={h.d_omega_norm:.3e} "
-            f"g1={last.gr.g1:.3e} g2={last.gr.g2:.3e} g3={last.gr.g3:.3e}"
+            f"g1={ladder.g1:.3e} g2={ladder.g2:.3e} g3={ladder.g3:.3e}"
         )
-        print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {ladder}", file=out)
+        print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {values}", file=out)
     return 0
 
 

@@ -21,7 +21,7 @@ independent reference path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import jets
 from .errors import DomainError, JetOrderError, ParseError
@@ -38,14 +38,32 @@ MAX_DEPTH = 256
 # -- AST ----------------------------------------------------------------------
 
 
+class _Node:
+    """Base of the AST node classes. Each node computes its structural hash
+    once, when it is built, from its fields (a child's hash is already
+    stored), so hashing a memo key in `eval_jet` does not walk the subtree.
+    Equality stays the structural field comparison of the dataclasses. Each
+    node class names `__hash__ = _Node.__hash__` in its body: a frozen
+    dataclass without its own `__hash__` gets one that rehashes every field
+    on each call."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), *(getattr(self, f.name) for f in fields(self)))))
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     name: str
+    __hash__ = _Node.__hash__
 
     @property
     def value(self) -> float:
@@ -53,8 +71,9 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Coord:
+class Coord(_Node):
     index: int  # 0-based
+    __hash__ = _Node.__hash__
 
     @property
     def name(self) -> str:
@@ -62,27 +81,31 @@ class Coord:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Expr"
     exponent: float
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
 
 Expr = Num | Const | Coord | Neg | BinOp | Pow | Call
@@ -197,7 +220,15 @@ class _Parser:
     def _fold_constant(self, node: Expr, offset: int) -> float:
         if _uses_coordinate(node):
             raise ParseError("exponent must be a numeric constant", offset)
-        return eval_float(node, (0.0, 0.0, 0.0, 0.0))
+        try:
+            value = eval_float(node, (0.0, 0.0, 0.0, 0.0))
+        except OverflowError:
+            raise ParseError("exponent overflows the float range", offset) from None
+        except (ValueError, DomainError) as exc:
+            raise ParseError(f"exponent cannot be evaluated: {exc}", offset) from None
+        if not math.isfinite(value):
+            raise ParseError(f"exponent is not finite: {value}", offset)
+        return value
 
     def atom(self) -> Expr:
         kind, value, offset = self.advance()

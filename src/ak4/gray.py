@@ -6,7 +6,10 @@ The three Gray identities are evaluated as max-norm residuals over all
 frame index tuples. The classification ladder turns them into verdicts:
 KAHLER when nabla J vanishes, AK-G1/AK-G2/AK-G3 for almost Kahler
 structures satisfying the corresponding identity, AK for merely almost
-Kahler, ALMOST-HERMITIAN otherwise.
+Kahler, ALMOST-HERMITIAN otherwise. `classify` builds that ladder on its own,
+so `ak4 classify`, which prints only the ladder, samples no Lagrangian plane;
+`gray_report` holds the plane statistics and the W+ spectrum that `report`
+adds.
 
 Totally-real (Lagrangian) planes are sampled deterministically: a random
 unit vector X, then a unit Y from the orthogonal complement of
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import algebra, jets, tensorops
 from .charts import J_FRAME
-from .decomp import DecompReport
+from .decomp import J_INVARIANT_RICCI_TOL, DecompReport
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
@@ -32,16 +35,24 @@ MIN_PLANES = 16
 
 
 @dataclass
-class GrayReport:
+class GrayLadder:
+    """The three Gray residuals and the class ladder's verdict and flags."""
+
     g1: float
     g2: float
     g3: float
+    verdict: str
+    flags: tuple[str, ...]
+
+
+@dataclass
+class GrayReport:
+    """Lagrangian sectional curvature statistics and the W+ spectrum."""
+
     mu_formula: float  # (2s - kappa)/24
     mu_min: float
     mu_max: float
     wplus_eigenvalues: np.ndarray
-    verdict: str
-    flags: tuple[str, ...]
 
 
 def lemma5_triple(dr: DecompReport) -> float:
@@ -151,7 +162,7 @@ def nabla2_omega_shape_residual(hfo: HermitianFirstOrder) -> float:
     a = hfo.a
     ja = -jets.contract(a, sp.J, 0, 0)  # (Ja)_i = -a_k J^k_i
     xi = 0.5 * tensorops.form_inner(hfo.conn.covd(sp.phi), sp.jphi, sp.g_inv, (1, 2))
-    dd = hfo.conn.covd2(sp.omega).value  # (m, n, i, j)
+    dd = hfo.conn.nabla2_omega.value  # (m, n, i, j)
     lhs = dd - np.moveaxis(dd, 0, 1)
     coeff_phi = (tensorops.ext_d_1form(a) - tensorops.wedge11(ja, xi)).value
     coeff_jphi = (tensorops.ext_d_1form(ja) + tensorops.wedge11(a, xi)).value
@@ -167,7 +178,7 @@ def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarr
     It is antisymmetric; on Kahler points the second term vanishes and gamma0
     is four times the usual Ricci form.
     """
-    d_omega_f = tensorops.frame_components(hfo.nabla_omega.value, hfo.conn.sp.frame)
+    d_omega_f = tensorops.frame_components(hfo.conn.nabla_omega.value, hfo.conn.sp.frame)
     # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
     gamma = 4.0 * np.einsum("kx,ky->xy", J_FRAME, dr.ric_star)
     # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
@@ -179,8 +190,13 @@ def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarr
 # -- classification -------------------------------------------------------------
 
 
-def classify(hfo: HermitianFirstOrder, dr: DecompReport, gr: tuple[float, float, float]) -> tuple[str, tuple[str, ...]]:
-    """Verdict string for the class ladder plus descriptive flags."""
+def classify(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> GrayLadder:
+    """The Gray residuals, the verdict of the class ladder and descriptive flags.
+
+    The j-invariant-ricci flag uses the bound of the `j_invariant_ricci`
+    hypothesis, so a flagged point is one where the rows assuming it apply.
+    """
+    g1, g2, g3 = (float(v) for v in algebra.gray_residuals(cd.R_frame))
     tol = DEFAULT_VERDICT_TOL
     flags = []
     if dr.ric_anti_norm < tol and abs(np.trace(dr.ric0)) < tol and float(algebra.frobenius(dr.ric0)) < tol:
@@ -189,33 +205,22 @@ def classify(hfo: HermitianFirstOrder, dr: DecompReport, gr: tuple[float, float,
         flags.append("self-dual")
     if float(algebra.frobenius(dr.wplus)) < tol:
         flags.append("anti-self-dual")
-    if dr.ric_anti_norm < tol:
+    if dr.ric_anti_norm < J_INVARIANT_RICCI_TOL:
         flags.append("j-invariant-ricci")
 
     nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))
     if nabla_j < tol and hfo.nijenhuis_norm < tol:
-        return "KAHLER", tuple(flags)
-    if hfo.d_omega_norm < tol:
-        g1, g2, g3 = gr
-        if g1 < tol:
-            return "AK-G1", tuple(flags)
-        if g2 < tol:
-            return "AK-G2", tuple(flags)
-        if g3 < tol:
-            return "AK-G3", tuple(flags)
-        return "AK", tuple(flags)
-    return "ALMOST-HERMITIAN", tuple(flags)
+        verdict = "KAHLER"
+    elif hfo.d_omega_norm < tol:
+        verdict = "AK-G1" if g1 < tol else "AK-G2" if g2 < tol else "AK-G3" if g3 < tol else "AK"
+    else:
+        verdict = "ALMOST-HERMITIAN"
+    return GrayLadder(g1=g1, g2=g2, g3=g3, verdict=verdict, flags=tuple(flags))
 
 
-def gray_report(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder, n_planes: int, seed: int) -> GrayReport:
-    gr = tuple(float(v) for v in algebra.gray_residuals(cd.R_frame))
-    verdict, flags = classify(hfo, dr, gr)
+def gray_report(cd: CurvatureData, dr: DecompReport, n_planes: int, seed: int) -> GrayReport:
+    """The Lagrangian sectional curvature statistics and the W+ eigenvalues."""
     return GrayReport(
-        g1=gr[0],
-        g2=gr[1],
-        g3=gr[2],
         **totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed),
         wplus_eigenvalues=np.linalg.eigvalsh(dr.wplus),
-        verdict=verdict,
-        flags=flags,
     )

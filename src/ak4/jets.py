@@ -33,6 +33,13 @@ exactly what `contract` used to recompute on every call, so the matmul
 operands are the same values in the same layout, and np.moveaxis is itself a
 transpose by the same permutation.
 
+A report point builds about a thousand jets, so their construction is kept
+cheap too. `Jet.__init__` converts and checks its input for outside callers;
+the kernels here build their results with `Jet._of`, which skips both, since
+every array they make is already float64 with the right coefficient axis.
+`partials` gathers all four derivatives at once from a (4, ncoef) table, and
+`a - b` subtracts directly, which IEEE 754 defines to equal `a + (-b)`.
+
 Coefficients are Taylor coefficients, not raw derivatives; `derivative`
 applies the alpha! conversion at the API boundary.
 
@@ -41,13 +48,18 @@ coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
 ed., ch. 13), so a jet can be truncated before it is used, or built at a
 lower order, without changing what its readers see. Callers build each jet
 only to the order its readers differentiate: `charts.structure_at` keeps J
-and everything built from it at order 2, and value-only readers truncate
-their inputs to order 0. A jet truncated too far cannot give a silently wrong
-answer: `partial` and `coeff` raise JetOrderError when its order runs out.
+and everything built from it at order 2 and the inverse metric one order
+below g, the Weyl tensor takes g at the curvature's order, and value-only
+readers truncate their inputs to order 0. A jet truncated too far cannot give
+a silently wrong answer: `partial`, `partials` and `coeff` raise
+JetOrderError when its order runs out.
+
 Elementwise products are bit-identical under truncation. A contraction sums
 the convolution pairs along an axis padded to the order's widest
 coefficient, so a BLAS dot product over it may round differently at another
-order (seen in the degree-2 coefficients of the adapted frame).
+order (seen in the degree-2 coefficients of the adapted frame). Each
+truncation named above is pinned bit for bit against the full-order result
+by the kernel tests.
 """
 
 from __future__ import annotations
@@ -137,21 +149,20 @@ def _build_contract_tables(mul_tables):
 
 
 def _build_deriv_tables():
-    """Gather tables for d/dx_m: src coefficient index and integer factor."""
+    """Gather tables for d/dx_m, one (src, mult) pair of (4, ncoef) arrays per
+    order: row m holds the source coefficient index and the integer factor."""
     per_order: list = [None]
     for order in range(1, MAX_ORDER + 1):
-        axes = []
         n_out = NCOEF[order - 1]
+        src = np.empty((NVARS, n_out), dtype=np.intp)
+        mult = np.empty((NVARS, n_out))
         for m in range(NVARS):
-            src = np.empty(n_out, dtype=np.intp)
-            mult = np.empty(n_out)
             for b in range(n_out):
                 beta = list(MULTI_INDICES[b])
-                mult[b] = beta[m] + 1
+                mult[m, b] = beta[m] + 1
                 beta[m] += 1
-                src[b] = INDEX[tuple(beta)]
-            axes.append((src, mult))
-        per_order.append(axes)
+                src[m, b] = INDEX[tuple(beta)]
+        per_order.append((src, mult))
     return per_order
 
 
@@ -188,6 +199,18 @@ class Jet:
             raise ValueError(f"coefficient axis has {c.shape[-1]} entries, expected {NCOEF[order]}")
         self.order = order
         self.c = c
+
+    @classmethod
+    def _of(cls, order: int, c: np.ndarray) -> "Jet":
+        """A jet of coefficients a kernel built, without the checks of `__init__`.
+
+        The caller guarantees what `__init__` would check: `c` is a float64
+        array whose last axis has NCOEF[order] entries.
+        """
+        jet = object.__new__(cls)
+        jet.order = order
+        jet.c = c
+        return jet
 
     # -- constructors -------------------------------------------------------
 
@@ -240,20 +263,20 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
-        return Jet(order, self.c[..., : NCOEF[order]])
+        return Jet._of(order, self.c[..., : NCOEF[order]])
 
     def partial(self, m: int) -> "Jet":
         """Partial derivative along coordinate m; consumes one order."""
         if self.order == 0:
             raise JetOrderError("derivative requested from an order-0 jet")
-        src, mult = _DERIV[self.order][m]
-        return Jet(self.order - 1, self.c[..., src] * mult)
+        src, mult = _DERIV[self.order]
+        return Jet._of(self.order - 1, self.c[..., src[m]] * mult[m])
 
     def __getitem__(self, key) -> "Jet":
         """Index the leading (tensor) axes."""
         if not isinstance(key, tuple):
             key = (key,)
-        return Jet(self.order, self.c[key + (slice(None),)])
+        return Jet._of(self.order, self.c[key + (slice(None),)])
 
     def sum(self, axis=0) -> "Jet":
         """Sum over leading tensor axes."""
@@ -271,18 +294,25 @@ class Jet:
         al = self._align(other)
         if al is not None:
             o, ca, cb = al
-            return Jet(o, ca + cb)
+            return Jet._of(o, ca + cb)
         c = self.c.copy()
         c[..., 0] = c[..., 0] + np.asarray(other)
-        return Jet(self.order, c)
+        return Jet._of(self.order, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.order, -self.c)
+        return Jet._of(self.order, -self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
+        # a - b is a + (-b) in IEEE 754, without building -b
+        al = self._align(other)
+        if al is not None:
+            o, ca, cb = al
+            return Jet._of(o, ca - cb)
+        c = self.c.copy()
+        c[..., 0] = c[..., 0] - np.asarray(other)
+        return Jet._of(self.order, c)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -291,15 +321,15 @@ class Jet:
         al = self._align(other)
         if al is not None:
             o, ca, cb = al
-            return Jet(o, _mul_raw(ca, cb, o))
-        return Jet(self.order, self.c * np.asarray(other)[..., None])
+            return Jet._of(o, _mul_raw(ca, cb, o))
+        return Jet._of(self.order, self.c * np.asarray(other)[..., None])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * reciprocal(other)
-        return Jet(self.order, self.c / np.asarray(other)[..., None])
+        return Jet._of(self.order, self.c / np.asarray(other)[..., None])
 
     def __rtruediv__(self, other):
         return reciprocal(self) * other
@@ -318,7 +348,7 @@ def stack(jets, axis: int = 0) -> Jet:
     """Stack jets of equal order along a new leading axis."""
     order = min(j.order for j in jets)
     cs = [j.c[..., : NCOEF[order]] for j in jets]
-    return Jet(order, np.stack(cs, axis=axis))
+    return Jet._of(order, np.stack(cs, axis=axis))
 
 
 def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:
@@ -334,12 +364,21 @@ def moveaxis(j: Jet, src, dst) -> Jet:
     perm = _PERMS.get(key)
     if perm is None:
         perm = _PERMS[key] = _move_perm(*key)
-    return Jet(j.order, j.c.transpose(perm))
+    return Jet._of(j.order, j.c.transpose(perm))
 
 
 def partials(j: Jet) -> Jet:
-    """Stack of the four partial derivatives, new axis first."""
-    return stack([j.partial(m) for m in range(NVARS)], axis=0)
+    """Stack of the four partial derivatives, new axis first.
+
+    One gather over the `_DERIV` table of all four axes; each coefficient is
+    the product `partial` forms, laid out as `stack` would lay them out.
+    """
+    if j.order == 0:
+        raise JetOrderError("derivative requested from an order-0 jet")
+    src, mult = _DERIV[j.order]
+    d = j.c[..., src] * mult  # (..., m, ncoef)
+    last = d.ndim - 1
+    return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(last - 1, *range(last - 1), last)))
 
 
 def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple) -> tuple:
@@ -400,7 +439,7 @@ def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
     ga = fa.take(ia, axis=0).reshape(ga_shape)
     gb = fb.take(ib, axis=0).reshape(gb_shape)
     out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
-    return Jet(o, out.reshape(out_shape))
+    return Jet._of(o, out.reshape(out_shape))
 
 
 def outer(a: Jet, b: Jet) -> Jet:
@@ -426,7 +465,7 @@ def reciprocal(b: Jet) -> Jet:
     for k in range(1, b.order + 1):
         term = _mul_raw(term, u, b.order)
         acc += term if k % 2 == 0 else -term
-    return Jet(b.order, acc / b0[..., None])
+    return Jet._of(b.order, acc / b0[..., None])
 
 
 def power(a: Jet, q) -> Jet:
@@ -454,7 +493,7 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     out = np.zeros_like(a.c)
     out[..., 0] = fk[..., 0]
     if a.order == 0:
-        return Jet(0, out)
+        return Jet._of(0, out)
     v = a.c.copy()
     v[..., 0] = 0.0
     p = v
@@ -462,7 +501,7 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     for k in range(2, a.order + 1):
         p = _mul_raw(p, v, a.order)
         out += fk[..., k, None] * p
-    return Jet(a.order, out)
+    return Jet._of(a.order, out)
 
 
 def _cycle_fk(order: int, cycle) -> np.ndarray:

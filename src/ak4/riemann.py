@@ -39,6 +39,17 @@ class ConnectionData:
     sp: StructurePoint
     gamma: Jet  # Gamma[k, i, j] = Gamma^k_ij, order one below the metric
 
+    @cached_property
+    def nabla_omega(self) -> Jet:
+        """nabla Omega, slots (m, i, j): the first-order data, the Ricci
+        identity and the Weitzenboeck check of Omega all read this one jet."""
+        return self.covd(self.sp.omega)
+
+    @cached_property
+    def nabla2_omega(self) -> Jet:
+        """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of `nabla_omega`."""
+        return self.covd(self.nabla_omega)
+
     def covd(self, t: Jet) -> Jet:
         """Covariant derivative of a fully covariant tensor of jets.
 
@@ -52,18 +63,18 @@ class ConnectionData:
             out = out - jets.moveaxis(term, 1, a + 1)
         return out
 
-    def covd2(self, t: Jet) -> Jet:
-        """Second covariant derivative nabla^2_{m,n} with indices (m, n, ...)."""
-        return self.covd(self.covd(t))
+    def neg_trace(self, t: Jet) -> Jet:
+        """-g^mn t_{m,n,...}: the codifferential of T when t = nabla T, the
+        rough Laplacian nabla^* nabla T when t = nabla^2 T."""
+        return -jets.contract(self.sp.g_inv, t, (0, 1), (0, 1))
 
     def rough_laplacian(self, t: Jet) -> Jet:
-        """nabla^* nabla t = -g^mn (covd2 t)_{m,n,...}."""
-        dd = self.covd2(t)
-        return -jets.contract(self.sp.g_inv, dd, (0, 1), (0, 1))
+        """nabla^* nabla t = -g^mn (nabla^2 t)_{m,n,...}."""
+        return self.neg_trace(self.covd(self.covd(t)))
 
     def codifferential(self, t: Jet) -> Jet:
         """Negative divergence on the first slot: -g^mi (covd t)_{m,i,...}."""
-        return -jets.contract(self.sp.g_inv, self.covd(t), (0, 1), (0, 1))
+        return self.neg_trace(self.covd(t))
 
 
 def connection(sp: StructurePoint) -> ConnectionData:
@@ -100,9 +111,23 @@ class CurvatureData:
         return self.ric - 0.25 * (self.s * self.sp.g)
 
     @cached_property
+    def h(self) -> Jet:
+        """The normalized Ricci tensor h = (1/2)(Ric - s/6 g): Cotton-York
+        differentiates it and each Bach route contracts it with its Weyl tensor."""
+        return 0.5 * (self.ric - (self.s / 6.0) * self.sp.g)
+
+    @cached_property
+    def h_raised(self) -> Jet:
+        """h^ab at order 0: the Bach routes read only its value."""
+        g_inv0 = self.sp.g_inv.truncate(0)
+        return tensorops.raise_pair(self.h.truncate(0), g_inv0, 0, 1)
+
+    @cached_property
     def weyl(self) -> Jet:
-        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks."""
-        g = self.sp.g
+        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks.
+
+        R has two orders fewer than g, so g enters at R's order."""
+        g = self.sp.g.truncate(self.R.order)
         scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(g, g))
         ric0_part = 0.5 * tensorops.kn_jet(self.ric0, g)
         return self.R - scalar_part - ric0_part
@@ -191,12 +216,12 @@ def curvature(conn: ConnectionData) -> CurvatureData:
 
 @dataclass
 class HermitianFirstOrder:
-    """nabla J data: covariant derivative of Omega, Lee form, Nijenhuis tensor,
-    and the 1-forms a, b with nabla J = a (x) I + b (x) (J o I), where I is
-    the anti-commuting structure whose fundamental form is the gauge phi."""
+    """nabla J data: Lee form, Nijenhuis tensor, and the 1-forms a, b with
+    nabla J = a (x) I + b (x) (J o I), where I is the anti-commuting structure
+    whose fundamental form is the gauge phi. nabla Omega itself is
+    `conn.nabla_omega`."""
 
     conn: ConnectionData
-    nabla_omega: Jet  # (m, i, j)
     theta: Jet
     a: Jet
     b: Jet
@@ -215,9 +240,9 @@ class HermitianFirstOrder:
 def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
     """First-order invariants of the almost Hermitian structure at a point."""
     sp = conn.sp
-    nabla_omega = conn.covd(sp.omega)
+    nabla_omega = conn.nabla_omega
     d_omega = tensorops.ext_d_2form(sp.omega)
-    delta_omega = conn.codifferential(sp.omega)
+    delta_omega = conn.neg_trace(nabla_omega)
     # theta = J(delta Omega), (J alpha)(X) = -alpha(JX)
     theta = -jets.contract(delta_omega, sp.J, 0, 0)
 
@@ -239,7 +264,6 @@ def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
 
     return HermitianFirstOrder(
         conn=conn,
-        nabla_omega=nabla_omega,
         theta=theta,
         a=a,
         b=b,
@@ -294,7 +318,7 @@ def ricci_identity_check(cd: CurvatureData) -> float:
     (nabla^2_{X,Y} - nabla^2_{Y,X})(Omega)(Z, T) = -R_{X,Y,JZ,T} - R_{X,Y,Z,JT}.
     """
     sp = cd.sp
-    dd = cd.conn.covd2(sp.omega)  # (m, n, i, j)
+    dd = cd.conn.nabla2_omega  # (m, n, i, j)
     lhs = dd.value - np.moveaxis(dd.value, 0, 1)
     rv = cd.R.value
     jv = sp.J.value

@@ -149,7 +149,7 @@ class TestBach:
         for p in spec.sample_points(2, 17):
             pa = PointAnalysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
-            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd, pa.hfo)
+            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd)
             assert np.abs(bianchi_bach.bach_direct(pa.cd) - expected).max() < 1e-7
             assert np.abs(bach_ak - expected).max() < 1e-7
 

@@ -258,6 +258,7 @@ class TestIdentityRegistry:
             pytest.param("bianchi_bach", "second_order_report", ["check", "kappa"], id="check-kappa-second-order"),
             pytest.param("riemann", "hermitian_first_order", ["check", "kappa"], id="check-kappa-first-order"),
             pytest.param("gray", "prop1_check", ["classify", "--order", "4"], id="classify-prop1"),
+            pytest.param("gray", "totally_real_curvature", ["classify"], id="classify-lagrangian-planes"),
         ],
     )
     def test_command_skips_the_stages_it_does_not_read(self, module, stage, argv, monkeypatch, capsys):
@@ -346,6 +347,17 @@ class TestUserChartFiles:
         assert code == 2
         assert "'user-chart', point 0 at (" in err and f"{p[0]:.6g}" in err
         assert "g positive definite" in err
+
+    @pytest.mark.parametrize("expr", ["2 + x1^1e400", "2 + x1^(0*1e400)", "2 + x1^2^(10^400)"])
+    def test_non_finite_constant_exponent_exits_2(self, expr, tmp_path, capsys):
+        def huge_exponent(data):
+            data["g"]["11"] = expr
+
+        path = self._write_chart(tmp_path, huge_exponent)
+        code = run_main(["report", "--chart", path, "--points", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad expression for g_11" in err and "exponent" in err
 
     def test_json_to_stdout(self, capsys):
         code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--json", "-"])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ak4.errors import DomainError, ParseError
-from ak4.exprs import MAX_DEPTH, BinOp, Call, Const, Coord, Neg, Num, Pow, _depth, eval_float, eval_jet, parse_expr
+from ak4.exprs import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Coord, Neg, Num, Pow, _depth, eval_float, eval_jet, parse_expr
 
 
 class TestGrammar:
@@ -87,41 +89,42 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_expr("(x1 + x2")
 
+    @pytest.mark.parametrize(
+        ("src", "offset", "match"),
+        [
+            ("2 + x1^1e400", 7, "not finite: inf"),
+            ("x1^(0*1e400)", 3, "not finite: nan"),
+            ("2^(10^400)", 2, "overflows"),
+            ("x1^(1/0)", 3, "division by zero"),
+            ("x1^sin(1e400)", 3, "cannot be evaluated"),
+        ],
+    )
+    def test_constant_exponent_that_is_not_a_finite_number(self, src, offset, match):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_expr(src)
+        assert err.value.offset == offset
 
-class TestEvaluation:
-    def test_jet_and_float_agree(self):
-        src = "exp(x1/2)*sin(x2) - x3/(2 + x4^2) + pi"
-        e = parse_expr(src)
-        p = (0.3, -0.7, 1.2, 0.4)
-        assert eval_jet(e, p, 3).value == pytest.approx(eval_float(e, p), abs=1e-14)
 
-    def test_log_domain_error(self):
-        e = parse_expr("log(x1)")
-        with pytest.raises(DomainError):
-            eval_jet(e, (-1.0, 0, 0, 0), 2)
-        with pytest.raises(DomainError):
-            eval_float(e, (-1.0, 0, 0, 0))
+#: Pieces of the grammar, and of exponents that overflow or leave a domain, so
+#: that joined at random they reach deep into the parser.
+_TOKENS = ["x1", "x4", "x5", "pi", "e", "1", "0", "2.5", "1e400", "1e308", "10", "400", ".", "E"]
+_TOKENS += ["sin", "exp", "log", "sqrt", "tan", "cosh", "(", ")", "^", "*", "/", "+", "-", ",", " "]
+#: Well-formed constant expressions, which the parser folds when they are exponents.
+_CONSTANTS = st.recursive(
+    st.sampled_from(["pi", "e", "0", "1", "-1", "2.5", "10", "400", "1e308", "1e400"]),
+    lambda inner: st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+    ),
+    max_leaves=4,
+)
+_TEXT = st.one_of(st.text(max_size=30), st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join), _CONSTANTS.map("x1^({})".format))
 
-    def test_sqrt_domain_error(self):
-        with pytest.raises(DomainError):
-            eval_jet(parse_expr("sqrt(x1)"), (-0.5, 0, 0, 0), 2)
 
-    def test_order_out_of_range(self):
-        from ak4.errors import JetOrderError
-
-        with pytest.raises(JetOrderError):
-            eval_jet(parse_expr("x1"), (0, 0, 0, 0), 5)
-
-    def test_non_integer_power_of_negative_base(self):
-        with pytest.raises(DomainError):
-            eval_jet(parse_expr("x1^0.5"), (-2.0, 0, 0, 0), 2)
-
-    def test_integer_power_of_negative_base_ok(self):
-        assert eval_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
-
-    @pytest.mark.parametrize("src", ["1" + "+0.5*sin(x1)" * 253, "-" * 255 + "x1"])
-    def test_deepest_accepted_expression_evaluates(self, src):
-        e = parse_expr(src)
-        assert _depth(e) == MAX_DEPTH
-        p = (0.1, 0.2, 0.3, 0.4)
-        assert eval_jet(e, p, 4, {}).value == pytest.approx(eval_float(e, p), rel=1e-14)
+@given(_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_text_raises_only_parse_errors(text):
+    try:
+        parse_expr(text)
+    except ParseError:
+        pass

@@ -4,6 +4,7 @@ Omega, and the canonical-connection Ricci form."""
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,17 +21,17 @@ class TestGrayResiduals:
     def test_kahler_charts_satisfy_all_conditions(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                assert pa.gr.g1 < 1e-8
-                assert pa.gr.g2 < 1e-8
-                assert pa.gr.g3 < 1e-8
+                assert pa.ladder.g1 < 1e-8
+                assert pa.ladder.g2 < 1e-8
+                assert pa.ladder.g3 < 1e-8
 
     def test_flat_zero(self, analyses):
         pa = analyses["flat"][0]
-        assert (pa.gr.g1, pa.gr.g2, pa.gr.g3) == (0.0, 0.0, 0.0)
+        assert (pa.ladder.g1, pa.ladder.g2, pa.ladder.g3) == (0.0, 0.0, 0.0)
 
     def test_kodaira_thurston_second_condition_fails(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert pa.gr.g2 > 1e-4  # recorded, clearly nonzero
+            assert pa.ladder.g2 > 1e-4  # recorded, clearly nonzero
 
 
 class TestImplicationChain:
@@ -76,7 +77,7 @@ class TestLemma5:
     def test_kahler_charts_both_sides(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                assert pa.gr.g2 < 1e-8
+                assert pa.ladder.g2 < 1e-8
                 assert gray.lemma5_triple(pa.dr) < 1e-8
 
 
@@ -105,7 +106,7 @@ class TestProp1:
 
     def test_kodaira_thurston_hypothesis_not_met(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert pa.gr.g2 > gray.DEFAULT_VERDICT_TOL
+            assert pa.ladder.g2 > gray.DEFAULT_VERDICT_TOL
             assert not self.prop1.applies(pa)
 
 
@@ -299,13 +300,21 @@ class TestCanonicalRicciForm:
 
 class TestClassification:
     def test_verdicts(self, analyses):
-        assert analyses["flat"][0].gr.verdict == "KAHLER"
-        assert analyses["fubini-study"][0].gr.verdict == "KAHLER"
-        assert analyses["kodaira-thurston"][0].gr.verdict == "AK"
-        assert "einstein" in analyses["complex-hyperbolic"][0].gr.flags
+        assert analyses["flat"][0].ladder.verdict == "KAHLER"
+        assert analyses["fubini-study"][0].ladder.verdict == "KAHLER"
+        assert analyses["kodaira-thurston"][0].ladder.verdict == "AK"
+        assert "einstein" in analyses["complex-hyperbolic"][0].ladder.flags
 
     def test_almost_hermitian_verdict(self, ricci_anti_analysis):
-        assert ricci_anti_analysis.gr.verdict == "ALMOST-HERMITIAN"
+        assert ricci_anti_analysis.ladder.verdict == "ALMOST-HERMITIAN"
+
+    @pytest.mark.parametrize("ric_anti_norm", [5e-8, 5e-9])
+    def test_j_invariant_ricci_flag_agrees_with_the_hypothesis(self, analyses, ric_anti_norm):
+        # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-8
+        full = analyses["kodaira-thurston"][0]
+        pa = SimpleNamespace(dr=dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm))
+        flagged = "j-invariant-ricci" in gray.classify(full.cd, pa.dr, full.hfo).flags
+        assert flagged == cli.j_invariant_ricci(pa) == (ric_anti_norm < 1e-8)
 
 
 class TestLemma6EquivalenceAcrossCharts:

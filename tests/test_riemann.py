@@ -120,7 +120,7 @@ class TestHermitianFirstOrder:
             s_star_minus_s = pa.dr.s_star - pa.dr.s
             assert abs(a_sq - s_star_minus_s / 4.0) < 1e-8
             fd = fd_nabla_omega(catalog_specs["kodaira-thurston"], pa.sp.point)
-            assert np.abs(fd - h.nabla_omega.value).max() < 1e-6
+            assert np.abs(fd - h.conn.nabla_omega.value).max() < 1e-6
 
     def test_nabla_j_identity_all_charts(self, analyses, ricci_anti_analysis):
         rows = [pa for chart_rows in analyses.values() for pa in chart_rows]

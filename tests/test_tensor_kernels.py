@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ak4 import algebra, charts, cli, jets, sandbox, tensorops
+from ak4 import algebra, bianchi_bach, charts, cli, jets, sandbox, tensorops
 from ak4.charts import J_FRAME
 from ak4.exprs import eval_jet
 from ak4.jets import Jet
@@ -54,6 +54,59 @@ def metric_jet(spec: charts.ChartSpec, p, order: int) -> Jet:
     return jets.stack([jets.stack(row) for row in rows])
 
 
+def old_random_polynomial_2form(sp: charts.StructurePoint, seed: int) -> Jet:
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
+    order = min(sp.order, charts.J_SIDE_ORDER)
+    x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
+    entries = [[None] * 4 for _ in range(4)]
+    zero = Jet.constant(0.0, order)
+    for i in range(4):
+        entries[i][i] = zero
+        for j in range(i + 1, 4):
+            c = [float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=9)]
+            val = (
+                Jet.constant(c[0], order)
+                + c[1] * x1
+                + c[2] * x2
+                + c[3] * x3
+                + c[4] * x4
+                + c[5] * x1 * x3
+                + c[6] * x2**2
+                + c[7] * x4 * x1
+                + c[8] * x3**2
+            )
+            entries[i][j] = val
+            entries[j][i] = -val
+    return jets.stack([jets.stack(row) for row in entries])
+
+
+def old_weyl(cd) -> Jet:
+    """The Weyl tensor with the Kulkarni-Nomizu square of g taken at g's full
+    order; each subtraction is written as the earlier `Jet.__sub__` did it."""
+    g = cd.sp.g
+    scalar_part = jets.outer(cd.s / 24.0, tensorops.kn_jet(g, g))
+    ric0_part = 0.5 * tensorops.kn_jet(cd.ric0, g)
+    return cd.R + (-scalar_part) + (-ric0_part)
+
+
+def _jets_on(obj, seen: set):
+    """Every Jet reachable from obj through ak4 records, cached stages included."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Jet):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _jets_on(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _jets_on(item, seen)
+    elif type(obj).__module__.startswith("ak4."):
+        for item in vars(obj).values():
+            yield from _jets_on(item, seen)
+
+
 #: Every slot set `algebra.gray_residuals` rotates.
 ROT_SLOTS = [(2, 3), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)]
 
@@ -75,7 +128,7 @@ class TestFrameComponents:
     def test_catalog_tensors_match_the_tensordot_loop(self, analyses):
         for _, pa in all_points(analyses):
             frame = pa.sp.frame
-            for values in (pa.cd.R.value, pa.cd.ric.value, pa.hfo.nabla_omega.value, pa.hfo.theta.value, pa.cd.s.value):
+            for values in (pa.cd.R.value, pa.cd.ric.value, pa.conn.nabla_omega.value, pa.hfo.theta.value, pa.cd.s.value):
                 assert np.array_equal(tensorops.frame_components(values, frame), old_frame_components(values, frame))
 
     def test_sandbox_batch_matches_the_tensordot_loop(self):
@@ -111,3 +164,100 @@ def test_jet_caches_stay_small_over_the_catalog(monkeypatch):
                 assert cli.main(argv) == 0, argv
     assert 0 < len(jets._PLANS) <= 128
     assert 0 < len(jets._PERMS) <= 64
+
+
+class TestJetKernels:
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_partials_match_a_stack_of_partial(self, order, analyses):
+        for _, pa in all_points(analyses):
+            for j in (pa.sp.g, pa.sp.omega, pa.conn.gamma, pa.cd.R, pa.sp.g[0, 1]):
+                if j.order >= order:
+                    j = j.truncate(order)
+                    got = jets.partials(j)
+                    old = jets.stack([j.partial(m) for m in range(4)], axis=0)
+                    assert got.order == old.order and got.c.flags.c_contiguous
+                    assert np.array_equal(got.c, old.c)
+
+    def test_partials_of_an_order_0_jet_raise(self):
+        with pytest.raises(jets.JetOrderError):
+            jets.partials(Jet.constant(np.eye(4), 0))
+
+    def test_subtraction_matches_adding_the_negation(self, analyses):
+        rng = np.random.default_rng(7)
+        for _, pa in all_points(analyses):
+            a, b = pa.cd.R, jets.moveaxis(pa.cd.R, 0, 2)
+            for other in (b, b.truncate(1), pa.cd.weyl):
+                assert np.array_equal((a - other).c, (a + (-other)).c)
+            scalar = rng.standard_normal((4, 4, 4, 4))
+            assert np.array_equal((a - scalar).c, (a + (-scalar)).c)
+            assert np.array_equal((a - 0.3).c, (a + (-0.3)).c)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_stacked_random_2form_matches_the_per_entry_builder(self, order, catalog_specs):
+        for spec in catalog_specs.values():
+            for p in spec.sample_points(2, 5):
+                sp = charts.structure_at(spec, p, order)
+                for seed in (0, 42, 2024):
+                    got = bianchi_bach.random_polynomial_2form(sp, seed)
+                    old = old_random_polynomial_2form(sp, seed)
+                    assert got.order == old.order
+                    assert np.array_equal(got.c, old.c)
+
+    def test_weyl_from_g_at_curvature_order_matches_full_order_g(self, analyses):
+        for _, pa in all_points(analyses):
+            assert pa.cd.R.order == 2
+            assert np.array_equal(pa.cd.weyl.c, old_weyl(pa.cd).c)
+
+    def test_cached_nabla_omega_matches_fresh_covariant_derivatives(self, analyses):
+        for _, pa in all_points(analyses):
+            conn = pa.conn
+            fresh = conn.covd(pa.sp.omega)
+            assert np.array_equal(conn.nabla_omega.c, fresh.c)
+            assert np.array_equal(conn.nabla2_omega.c, conn.covd(fresh).c)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_inverse_metric_at_one_order_less_matches_the_full_inverse(self, order, catalog_specs):
+        for spec in catalog_specs.values():
+            for p in spec.sample_points(2, 9):
+                sp = charts.structure_at(spec, p, order)
+                full = tensorops.matrix_inverse(sp.g)
+                assert sp.g_inv.order == order - 1
+                assert np.array_equal(sp.g_inv.c, full.c[..., : jets.NCOEF[order - 1]])
+
+    def test_value_only_terms_match_their_full_order_values(self, analyses):
+        """C+ and W(phi) are read as values; order-0 inputs give the same bits."""
+        for _, pa in all_points(analyses):
+            sp, cd = pa.sp, pa.cd
+            g_inv, mu, c = tensorops.matrix_inverse(sp.g), sp.mu, bianchi_bach.cotton_york(cd)
+            full = tensorops.dual_projection(c, g_inv, mu, 1.0, (1, 2))
+            low = tensorops.dual_projection(c.truncate(0), g_inv.truncate(0), mu.truncate(0), 1.0, (1, 2))
+            assert np.array_equal(full.value, low.value)
+            for phi in (sp.omega, bianchi_bach.random_polynomial_2form(sp, 42)):
+                full = tensorops.form_inner(cd.weyl, phi, g_inv, (2, 3))
+                low = tensorops.form_inner(cd.weyl.truncate(0), phi.truncate(0), g_inv.truncate(0), (2, 3))
+                assert np.array_equal(full.value, low.value)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_every_jet_the_kernels_build_is_well_formed(self, order, catalog_specs, monkeypatch):
+        """`Jet._of` skips the checks of `Jet.__init__`; every jet built or
+        stored during a full analysis must still pass them."""
+        built = []
+        unchecked = Jet._of.__func__
+
+        def recording(cls, o, c):
+            built.append((o, c))
+            return unchecked(cls, o, c)
+
+        monkeypatch.setattr(Jet, "_of", classmethod(recording))
+        stored = []
+        for spec in catalog_specs.values():
+            pa = cli.PointAnalysis(spec, spec.sample_points(1, 11)[0], order=order)
+            for ident in cli.IDENTITIES:
+                if ident.order <= order and ident.applies(pa):
+                    ident.residual(pa)
+            assert pa.gr.mu_max >= pa.gr.mu_min
+            stored += list(_jets_on(pa, set()))
+        assert len(built) > 1000 and len(stored) > 20
+        for o, c in built + [(j.order, j.c) for j in stored]:
+            assert isinstance(c, np.ndarray) and c.dtype == np.float64
+            assert 0 <= o <= jets.MAX_ORDER and c.shape[-1] == jets.NCOEF[o]
