@@ -42,10 +42,13 @@ class _Node:
     """Base of the AST node classes. Each node computes its structural hash
     once, when it is built, from its fields (a child's hash is already
     stored), so hashing a memo key in `eval_jet` does not walk the subtree.
-    Equality stays the structural field comparison of the dataclasses. Each
-    node class names `__hash__ = _Node.__hash__` in its body: a frozen
-    dataclass without its own `__hash__` gets one that rehashes every field
-    on each call."""
+    Equality stays the structural field comparison of the dataclasses."""
+
+    def __init_subclass__(cls, **kwargs):
+        # Set before @dataclass runs, which keeps a `__hash__` already in the
+        # class dict instead of writing one that rehashes every field.
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = _Node.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((type(self), *(getattr(self, f.name) for f in fields(self)))))
@@ -57,13 +60,11 @@ class _Node:
 @dataclass(frozen=True)
 class Num(_Node):
     value: float
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
 class Const(_Node):
     name: str
-    __hash__ = _Node.__hash__
 
     @property
     def value(self) -> float:
@@ -73,7 +74,6 @@ class Const(_Node):
 @dataclass(frozen=True)
 class Coord(_Node):
     index: int  # 0-based
-    __hash__ = _Node.__hash__
 
     @property
     def name(self) -> str:
@@ -83,7 +83,6 @@ class Coord(_Node):
 @dataclass(frozen=True)
 class Neg(_Node):
     arg: "Expr"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
@@ -91,21 +90,18 @@ class BinOp(_Node):
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
 class Pow(_Node):
     base: "Expr"
     exponent: float
-    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
 class Call(_Node):
     fn: str
     arg: "Expr"
-    __hash__ = _Node.__hash__
 
 
 Expr = Num | Const | Coord | Neg | BinOp | Pow | Call

@@ -105,6 +105,45 @@ class TestErrors:
         assert err.value.offset == offset
 
 
+class TestEvaluation:
+    def test_jet_and_float_agree(self):
+        src = "exp(x1/2)*sin(x2) - x3/(2 + x4^2) + pi"
+        e = parse_expr(src)
+        p = (0.3, -0.7, 1.2, 0.4)
+        assert eval_jet(e, p, 3).value == pytest.approx(eval_float(e, p), abs=1e-14)
+
+    def test_log_domain_error(self):
+        e = parse_expr("log(x1)")
+        with pytest.raises(DomainError):
+            eval_jet(e, (-1.0, 0, 0, 0), 2)
+        with pytest.raises(DomainError):
+            eval_float(e, (-1.0, 0, 0, 0))
+
+    def test_sqrt_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_jet(parse_expr("sqrt(x1)"), (-0.5, 0, 0, 0), 2)
+
+    def test_order_out_of_range(self):
+        from ak4.errors import JetOrderError
+
+        with pytest.raises(JetOrderError):
+            eval_jet(parse_expr("x1"), (0, 0, 0, 0), 5)
+
+    def test_non_integer_power_of_negative_base(self):
+        with pytest.raises(DomainError):
+            eval_jet(parse_expr("x1^0.5"), (-2.0, 0, 0, 0), 2)
+
+    def test_integer_power_of_negative_base_ok(self):
+        assert eval_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
+
+    @pytest.mark.parametrize("src", ["1" + "+0.5*sin(x1)" * 253, "-" * 255 + "x1"])
+    def test_deepest_accepted_expression_evaluates(self, src):
+        e = parse_expr(src)
+        assert _depth(e) == MAX_DEPTH
+        p = (0.1, 0.2, 0.3, 0.4)
+        assert eval_jet(e, p, 4, {}).value == pytest.approx(eval_float(e, p), rel=1e-14)
+
+
 #: Pieces of the grammar, and of exponents that overflow or leave a domain, so
 #: that joined at random they reach deep into the parser.
 _TOKENS = ["x1", "x4", "x5", "pi", "e", "1", "0", "2.5", "1e400", "1e308", "10", "400", ".", "E"]
