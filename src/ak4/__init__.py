@@ -9,7 +9,7 @@ curvature conditions.
 __version__ = "0.1.0"
 
 from .charts import ChartSpec, StructurePoint, catalog, load_chart, structure_at
-from .decomp import DecompReport, decompose, j_invariance_residuals, star_ricci
+from .decomp import DecompReport, decompose, star_ricci
 from .errors import AK4Error, ChartError, DomainError, JetOrderError, ParseError, StructureError
 from .exprs import eval_float, eval_jet, parse_expr
 from .jets import Jet
@@ -22,7 +22,7 @@ from .riemann import (
     hermitian_first_order,
     ricci_identity_check,
 )
-from .sandbox import curvature_with_blocks, random_curvature
+from .sandbox import curvature_with_blocks
 
 __all__ = [
     "AK4Error",
@@ -46,10 +46,8 @@ __all__ = [
     "eval_float",
     "eval_jet",
     "hermitian_first_order",
-    "j_invariance_residuals",
     "load_chart",
     "parse_expr",
-    "random_curvature",
     "ricci_identity_check",
     "star_ricci",
     "structure_at",

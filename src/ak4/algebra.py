@@ -56,11 +56,6 @@ def bianchi_project(r: np.ndarray) -> np.ndarray:
     return r - c[..., None, None, None, None] * EPS4
 
 
-def first_bianchi_residual(r: np.ndarray) -> np.ndarray:
-    cyc = r + np.moveaxis(r, (-3, -2, -1), (-1, -3, -2)) + np.moveaxis(r, (-3, -2, -1), (-2, -1, -3))
-    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
-
-
 def j_invariant_part(h: np.ndarray) -> np.ndarray:
     """J-invariant part of a 2-tensor: (h + h(J., J.)) / 2."""
     return 0.5 * (h + np.einsum("ai,...ab,bj->...ij", J_FRAME, h, J_FRAME))

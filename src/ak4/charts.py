@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, tensorops
-from .errors import ChartError, StructureError
+from .errors import ChartError, DomainError, StructureError
 from .exprs import Expr, eval_jet, parse_expr
 from .jets import Jet
 
@@ -185,22 +185,6 @@ def product_surfaces(f1: str, f2: str, name: str = "product-surfaces", domain=((
         "tags": list(tags),
     }
     return chart_from_dict(data, name_hint=name)
-
-
-def sphere_factor(curvature: float = 1.0) -> str:
-    """Conformal factor of a round 2-sphere of the given curvature."""
-    if curvature <= 0:
-        raise ValueError("sphere factor needs positive curvature")
-    r2 = 1.0 / curvature
-    return f"(2*{r2!r})/({r2!r} + x1^2 + x2^2)"
-
-
-def hyperbolic_factor(curvature: float = -1.0) -> str:
-    """Conformal factor of a hyperbolic disc factor in coordinates x3, x4."""
-    if curvature >= 0:
-        raise ValueError("hyperbolic factor needs negative curvature")
-    r2 = -1.0 / curvature
-    return f"(2*{r2!r})/({r2!r} - x3^2 - x4^2)"
 
 
 def _flat_chart() -> ChartSpec:
@@ -399,11 +383,20 @@ def _check(residuals: dict[str, float], name: str, value: float) -> None:
         raise StructureError(name, float(value))
 
 
+def _check_finite(m: Jet, entry: str) -> None:
+    """Raise DomainError naming the first entry of the 4x4 jet matrix m (`entry`
+    formats its 1-based row and column) whose value or a Taylor coefficient is not finite."""
+    if not np.isfinite(m.c).all():
+        i, j, k = np.argwhere(~np.isfinite(m.c))[0]
+        what = " =" if k == 0 else "'s Taylor coefficient"
+        raise DomainError(f"chart entry {entry.format(i + 1, j + 1)}{what} {float(m.c[i, j, k])!r} is not finite")
+
+
 def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
     """Evaluate all structure jets at p and validate the pointwise invariants.
 
-    Raises StructureError naming the violated invariant, or ChartError if
-    p lies outside the chart's domain box.
+    Raises DomainError naming a non-finite g or J entry, StructureError naming
+    the violated invariant, or ChartError if p lies outside the domain box.
     """
     p = tuple(float(x) for x in p)
     if not spec.contains(p):
@@ -412,16 +405,19 @@ def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
         raise ChartError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
 
     # One memo for the point: subexpressions shared between entries, such as
-    # a common denominator, are evaluated once.
+    # a common denominator, are evaluated once. _check_finite reports an overflow by entry.
     memo: dict = {}
     gmat = [[None] * 4 for _ in range(4)]
-    for i, j in _UPPER:
-        entry = eval_jet(spec.g[(i, j)], p, order, memo)
-        gmat[i][j] = entry
-        gmat[j][i] = entry
-    g = jets.stack([jets.stack(row) for row in gmat])
     j_order = min(order, J_SIDE_ORDER)
-    J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order, memo) for j in range(4)]) for i in range(4)])
+    with np.errstate(all="ignore"):
+        for i, j in _UPPER:
+            entry = eval_jet(spec.g[(i, j)], p, order, memo)
+            gmat[i][j] = entry
+            gmat[j][i] = entry
+        J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order, memo) for j in range(4)]) for i in range(4)])
+    g = jets.stack([jets.stack(row) for row in gmat])
+    _check_finite(g, "g_{}{}")
+    _check_finite(J, "J^{}_{}")
     g_low = g.truncate(j_order)
 
     residuals: dict[str, float] = {}

@@ -148,7 +148,7 @@ def j_invariant_ricci(pa: PointAnalysis) -> bool:
 
 def second_gray(pa: PointAnalysis) -> bool:
     """The second Gray condition holds, at the verdict ladder's bound."""
-    return pa.ladder.g2 <= gray.DEFAULT_VERDICT_TOL
+    return pa.ladder.g2 < gray.DEFAULT_VERDICT_TOL
 
 
 def kahler_nullity(pa: PointAnalysis) -> bool:
@@ -286,14 +286,6 @@ def _identity_rows(pa: PointAnalysis, tol_scale: float, identities: tuple[Identi
     return rows
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
     dr, ladder, gr = pa.dr, pa.ladder, pa.gr
     doc = {
@@ -372,19 +364,25 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     return doc, 0 if all_pass else 1
 
 
+def _json_text(doc: dict) -> str:
+    """The report as JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(doc: dict, path: str) -> None:
-    """Atomic JSON write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Atomic JSON write (temp file in the target directory, then rename); an
+    OSError becomes an AK4Error naming the path."""
+    text, tmp = _json_text(doc), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise AK4Error(f"cannot write the JSON report to {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # -- named checks -----------------------------------------------------------------
@@ -493,8 +491,7 @@ def cmd_report(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.json_path == "-":
-        json.dump(doc, out, indent=2, sort_keys=True, default=_json_default)
-        print(file=out)
+        out.write(_json_text(doc))
         return code
     if config.json_path:
         write_json(doc, config.json_path)

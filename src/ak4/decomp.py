@@ -63,29 +63,17 @@ class DecompReport:
         }
 
 
-def star_ricci(cd: CurvatureData, psi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, skew part,
-    and the residual of skew(Ric*) = -(1/2) J Psi, for the components psi of
-    Psi along (phi, J phi) from `algebra.u2_blocks`."""
+def star_ricci(cd: CurvatureData, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, and the
+    residual of skew(Ric*) = -(1/2) J Psi, for the components psi of Psi
+    along (phi, J phi) from `algebra.u2_blocks`."""
     r_omega = 0.5 * np.einsum("ijkl,kl->ij", cd.R_frame, FRAME_FORMS[0])
     ric_star = -np.einsum("ki,kj->ij", J_FRAME, r_omega)
     s_star = float(np.trace(ric_star))
     skew = 0.5 * (ric_star - ric_star.T)
     j_psi = -np.einsum("ki,kj->ij", J_FRAME, algebra.psi_form(psi))
     residual = float(np.abs(skew + 0.5 * j_psi).max())
-    return ric_star, s_star, skew, residual
-
-
-def j_invariance_residuals(cd: CurvatureData) -> tuple[float, float]:
-    """(|Ric^anti|, |<R(anti-invariant forms), anti-self-dual forms>|).
-
-    The second number is the norm of the operator block coupling the
-    anti-invariant self-dual plane (phi, J phi) to the anti-self-dual space;
-    it vanishes exactly when the Ricci tensor is J-invariant.
-    """
-    ric_anti = algebra.j_anti_part(cd.ric0_frame)
-    mixed = cd.operator[1:3, 3:]
-    return float(algebra.frobenius(ric_anti)), float(algebra.frobenius(mixed))
+    return ric_star, s_star, residual
 
 
 def decompose(cd: CurvatureData) -> DecompReport:
@@ -120,7 +108,7 @@ def decompose(cd: CurvatureData) -> DecompReport:
         for j in range(i + 1, len(summands)):
             ortho = max(ortho, abs(float(np.sum(summands[i] * summands[j]))))
 
-    ric_star, s_star, _, star_skew_residual = star_ricci(cd, psi)
+    ric_star, s_star, star_skew_residual = star_ricci(cd, psi)
     kappa_identity_residual = float(abs(kappa - 0.5 * (3.0 * s_star - cd.s_value)))
 
     return DecompReport(

@@ -193,8 +193,9 @@ def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarr
 def classify(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> GrayLadder:
     """The Gray residuals, the verdict of the class ladder and descriptive flags.
 
-    The j-invariant-ricci flag uses the bound of the `j_invariant_ricci`
-    hypothesis, so a flagged point is one where the rows assuming it apply.
+    The AK rungs and the j-invariant-ricci flag use the bounds of the
+    `almost_kahler` and `j_invariant_ricci` hypotheses, so a point with an AK
+    verdict or the flag is one where the rows assuming them apply.
     """
     g1, g2, g3 = (float(v) for v in algebra.gray_residuals(cd.R_frame))
     tol = DEFAULT_VERDICT_TOL
@@ -211,7 +212,7 @@ def classify(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> G
     nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))
     if nabla_j < tol and hfo.nijenhuis_norm < tol:
         verdict = "KAHLER"
-    elif hfo.d_omega_norm < tol:
+    elif hfo.is_almost_kahler:
         verdict = "AK-G1" if g1 < tol else "AK-G2" if g2 < tol else "AK-G3" if g3 < tol else "AK"
     else:
         verdict = "ALMOST-HERMITIAN"

@@ -40,8 +40,8 @@ every array they make is already float64 with the right coefficient axis.
 `partials` gathers all four derivatives at once from a (4, ncoef) table, and
 `a - b` subtracts directly, which IEEE 754 defines to equal `a + (-b)`.
 
-Coefficients are Taylor coefficients, not raw derivatives; `derivative`
-applies the alpha! conversion at the API boundary.
+Coefficients are Taylor coefficients, not raw derivatives: `coeff(alpha)`
+is d^alpha f / alpha!.
 
 The degree-k coefficients of any result depend only on the degree <= k
 coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
@@ -252,14 +252,6 @@ class Jet:
             raise JetOrderError(f"multi-index {alpha} exceeds jet order {self.order}")
         return self.c[..., INDEX[alpha]]
 
-    def derivative(self, alpha) -> np.ndarray:
-        """Raw partial derivative d^alpha f, i.e. coeff(alpha) * alpha!."""
-        alpha = tuple(int(a) for a in alpha)
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return self.coeff(alpha) * fact
-
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
@@ -277,10 +269,6 @@ class Jet:
         if not isinstance(key, tuple):
             key = (key,)
         return Jet._of(self.order, self.c[key + (slice(None),)])
-
-    def sum(self, axis=0) -> "Jet":
-        """Sum over leading tensor axes."""
-        return Jet(self.order, self.c.sum(axis=axis))
 
     # -- ring operations -----------------------------------------------------
 

@@ -160,22 +160,6 @@ class CurvatureData:
         half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1))
         return tensorops.dual_projection(half, sp.g_inv, sp.mu, sign, (2, 3))
 
-    def invariant_residuals(self) -> dict[str, float]:
-        """Symmetry, first-Bianchi, operator-symmetry and metric-compatibility residuals."""
-        rf = self.R_frame
-        scale = max(1.0, float(np.abs(rf).max()))
-        res = {
-            "antisymmetry (first pair)": float(np.abs(rf + rf.transpose(1, 0, 2, 3)).max()),
-            "antisymmetry (second pair)": float(np.abs(rf + rf.transpose(0, 1, 3, 2)).max()),
-            "pair symmetry": float(np.abs(rf - rf.transpose(2, 3, 0, 1)).max()),
-            "first Bianchi": float(np.abs(rf + rf.transpose(0, 2, 3, 1) + rf.transpose(0, 3, 1, 2)).max()),
-            "operator symmetric": float(np.abs(self.operator - self.operator.T).max()),
-        }
-        nabla_g = self.conn.covd(self.sp.g)
-        res["metric compatibility"] = float(np.abs(nabla_g.value).max())
-        res["scale"] = scale
-        return res
-
 
 def curvature(conn: ConnectionData) -> CurvatureData:
     """Riemann, Ricci and scalar curvature plus the operator on 2-forms."""

@@ -17,12 +17,6 @@ from . import algebra
 BLOCK_TOL = 1e-10
 
 
-def random_curvature(seed: int) -> np.ndarray:
-    """Frame components of a uniform-in-coefficients random tensor projected
-    onto the curvature space."""
-    return random_batch(1, seed)[0]
-
-
 def random_batch(n: int, seed: int) -> np.ndarray:
     """n independent random algebraic curvature tensors, shape (n, 4, 4, 4, 4)."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0]))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from ak4 import charts, cli
@@ -13,6 +12,22 @@ FULL_SEED = 42
 CATALOG_NAMES = ("flat", "product-surfaces", "fubini-study", "complex-hyperbolic", "kodaira-thurston")
 KAHLER_NAMES = ("flat", "product-surfaces", "fubini-study", "complex-hyperbolic")
 EINSTEIN_NAMES = ("flat", "fubini-study", "complex-hyperbolic")
+
+
+def sphere_factor(curvature: float = 1.0) -> str:
+    """Conformal factor of a round 2-sphere of the given curvature."""
+    if curvature <= 0:
+        raise ValueError("sphere factor needs positive curvature")
+    r2 = 1.0 / curvature
+    return f"(2*{r2!r})/({r2!r} + x1^2 + x2^2)"
+
+
+def hyperbolic_factor(curvature: float = -1.0) -> str:
+    """Conformal factor of a hyperbolic disc factor in coordinates x3, x4."""
+    if curvature >= 0:
+        raise ValueError("hyperbolic factor needs negative curvature")
+    r2 = -1.0 / curvature
+    return f"(2*{r2!r})/({r2!r} - x3^2 - x4^2)"
 
 
 def ricci_anti_chart() -> charts.ChartSpec:

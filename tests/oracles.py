@@ -17,6 +17,12 @@ from ak4.charts import ChartSpec, _UPPER
 from ak4.exprs import eval_float
 from ak4.jets import MULTI_INDICES, NCOEF
 
+
+def first_bianchi_residual(r: np.ndarray) -> np.ndarray:
+    cyc = r + np.moveaxis(r, (-3, -2, -1), (-1, -3, -2)) + np.moveaxis(r, (-3, -2, -1), (-2, -1, -3))
+    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
+
+
 # Central stencils: (offsets, weights); accuracy O(h^2) and O(h^4).
 STENCILS_ACC2 = {
     0: ((0,), (1.0,)),

@@ -366,3 +366,44 @@ class TestUserChartFiles:
         assert code == 0
         assert doc["schema"] == "ak4/1"
         assert doc["aggregate"]["all_pass"] is True
+
+    def test_json_to_stdout_matches_the_file(self, tmp_path, capsys):
+        argv = ["report", "--chart", "kodaira-thurston", "--points", "2", "--order", "4"]
+        assert run_main([*argv, "--json", "-"]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "report.json"
+        assert run_main([*argv, "--json", str(path)]) == 0
+        written = path.read_bytes().decode("utf-8")
+
+        def without_timing(text):
+            return [line for line in text.splitlines(keepends=True) if not line.startswith('  "timing_s": ')]
+
+        assert printed.endswith("}\n") and written.endswith("}\n")
+        assert without_timing(printed) == without_timing(written)
+        assert len(without_timing(written)) == len(written.splitlines()) - 1
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_json_path_exits_2(self, target, tmp_path, capsys):
+        path = str(tmp_path / target)
+        code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--json", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write the JSON report to ") and path in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "part, key, expr, entry",
+        [("g", "11", "exp(1000)+x1", "g_11"), ("g", "11", "1e400", "g_11"), ("J", "2_1", "exp(1000)", "J^2_1")],
+    )
+    def test_non_finite_entry_is_named(self, part, key, expr, entry, tmp_path, capsys):
+        def overflow(data):
+            data[part][key] = expr
+
+        path = self._write_chart(tmp_path, overflow)
+        code = run_main(["report", "--chart", path, "--points", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'user-chart', point 0 at (" in err
+        assert f"chart entry {entry} = " in err and "is not finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,7 +14,7 @@ from ak4 import algebra, charts, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES, identity
+from conftest import KAHLER_NAMES, hyperbolic_factor, identity, sphere_factor
 
 
 class TestGrayResiduals:
@@ -92,7 +92,7 @@ class TestProp1:
 
     def test_constant_curvature_product(self):
         spec = charts.product_surfaces(
-            charts.sphere_factor(1.0), charts.sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
+            sphere_factor(1.0), sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
         pa = PointAnalysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
         assert self.prop1.applies(pa)
@@ -124,7 +124,7 @@ class TestTotallyRealCurvature:
             assert abs(gr.mu_max - pa.dr.s / 24.0) < 1e-7  # kappa = s
 
     def test_unequal_factor_curvatures_spread(self):
-        spec = charts.product_surfaces(charts.sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
+        spec = charts.product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert pa.gr.mu_max - pa.gr.mu_min > 1e-3
         assert algebra.frobenius(pa.dr.wminus) > 1e-3
@@ -133,7 +133,7 @@ class TestTotallyRealCurvature:
         # Curvatures +1 and -1 cancel: W- = 0, and the totally-real sectional
         # curvature is the pointwise constant (2s - kappa)/24 = 0.
         spec = charts.product_surfaces(
-            charts.sphere_factor(1.0), charts.hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
+            sphere_factor(1.0), hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
         )
         pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert algebra.frobenius(pa.dr.wminus) < 1e-9
@@ -315,6 +315,14 @@ class TestClassification:
         pa = SimpleNamespace(dr=dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm))
         flagged = "j-invariant-ricci" in gray.classify(full.cd, pa.dr, full.hfo).flags
         assert flagged == cli.j_invariant_ricci(pa) == (ric_anti_norm < 1e-8)
+
+    @pytest.mark.parametrize("d_omega_norm", [5e-8, 5e-10])
+    def test_almost_kahler_verdict_agrees_with_the_hypothesis(self, analyses, d_omega_norm):
+        # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-9
+        full = analyses["kodaira-thurston"][0]
+        pa = SimpleNamespace(hfo=dataclasses.replace(full.hfo, d_omega_norm=d_omega_norm))
+        verdict = gray.classify(full.cd, full.dr, pa.hfo).verdict
+        assert verdict.startswith("AK") == cli.almost_kahler(pa) == (d_omega_norm < 1e-9)
 
 
 class TestLemma6EquivalenceAcrossCharts:
