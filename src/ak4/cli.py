@@ -560,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
     p_report.add_argument("--checks", type=_names, default=(), help="comma-separated identity names to enable (default: all)")
     p_report.set_defaults(chart="flat")
+    p_check.set_defaults(order=2)  # raised to the named identity's order by _per_point_check
     return parser
 
 

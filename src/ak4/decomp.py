@@ -11,11 +11,16 @@ the traceless remainder on the anti-invariant plane.
 All matrix norms here are Frobenius norms of operator blocks; multiplying a
 squared operator norm by 4 gives the squared full tensor norm of the
 corresponding (0,4) tensor.
+
+`decompose` computes the SO(4) split, which every command reads. The U(2)
+blocks, star-Ricci and every residual of `DecompReport` are computed on first
+read, so `ak4 classify`, which reads only the split, computes none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,28 +32,76 @@ from .riemann import CurvatureData
 J_INVARIANT_RICCI_TOL = 1e-8
 
 
+def _entry(group: str, key):
+    """A read-only attribute: entry `key` of the attribute `group`."""
+    return property(lambda self: getattr(self, group)[key])
+
+
 @dataclass
 class DecompReport:
     """Full curvature decomposition at one point, with residuals."""
 
+    cd: CurvatureData
+    parts: dict[str, np.ndarray]  # algebra.split_operator(cd.operator)
     s: float
     ric0: np.ndarray  # frame components, 4x4
     ric0_anti: np.ndarray
-    wplus: np.ndarray  # 3x3 blocks on (Omega, phi, Jphi)
-    wminus: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-    kappa: float
-    ric_star: np.ndarray  # 4x4, not assumed symmetric
-    s_star: float
-    psi: np.ndarray  # components of Psi along (phi, J phi)
-    recon_residual: float
-    u2_residual: float
-    orthogonality_residual: float
-    kappa_identity_residual: float  # kappa - (3 s* - s)/2
-    star_skew_residual: float  # skew(Ric*) vs -(1/2) J Psi
     ric_anti_norm: float
+
+    wplus = _entry("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
+    wminus = _entry("parts", "wminus")
+
+    @cached_property
+    def _u2(self) -> dict[str, np.ndarray]:
+        return algebra.u2_blocks(self.wplus)
+
+    w1 = _entry("_u2", "w1")
+    w2 = _entry("_u2", "w2")
+    w3 = _entry("_u2", "w3")
+    psi = _entry("_u2", "psi")  # components of Psi along (phi, J phi)
+
+    @cached_property
+    def kappa(self) -> float:
+        return float(self._u2["kappa"])
+
+    @cached_property
+    def _star(self) -> tuple[np.ndarray, float, float]:
+        return star_ricci(self.cd, self.psi)
+
+    ric_star = _entry("_star", 0)  # 4x4, not assumed symmetric
+    s_star = _entry("_star", 1)
+    star_skew_residual = _entry("_star", 2)  # skew(Ric*) vs -(1/2) J Psi
+
+    @cached_property
+    def recon_residual(self) -> float:
+        return float(np.abs(self.cd.operator - algebra.join_operator(self.parts)).max())
+
+    @cached_property
+    def u2_residual(self) -> float:
+        return float(np.abs(self.wplus - (self.w1 + self.w2 + self.w3)).max())
+
+    @cached_property
+    def orthogonality_residual(self) -> float:
+        # Mutual orthogonality of the seven summands as operators.
+        summands = [float(self.parts["s"]) / 12.0 * np.eye(6)]
+        for h in (algebra.j_invariant_part(self.ric0), self.ric0_anti):
+            summands.append(algebra.operator_matrix(0.5 * algebra.kn_delta(h)))
+        for blk in (self.w1, self.w2, self.w3):
+            emb = np.zeros((6, 6))
+            emb[:3, :3] = blk
+            summands.append(emb)
+        emb = np.zeros((6, 6))
+        emb[3:, 3:] = self.wminus
+        summands.append(emb)
+        ortho = 0.0
+        for i in range(len(summands)):
+            for j in range(i + 1, len(summands)):
+                ortho = max(ortho, abs(float(np.sum(summands[i] * summands[j]))))
+        return ortho
+
+    @cached_property
+    def kappa_identity_residual(self) -> float:  # kappa - (3 s* - s)/2
+        return float(abs(self.kappa - 0.5 * (3.0 * self.s_star - self.s)))
 
     def block_norms(self) -> dict[str, float]:
         f = algebra.frobenius
@@ -77,57 +130,14 @@ def star_ricci(cd: CurvatureData, psi: np.ndarray) -> tuple[np.ndarray, float, f
 
 
 def decompose(cd: CurvatureData) -> DecompReport:
-    """Full SO(4) + U(2) decomposition with every derived scalar and residual."""
-    m = cd.operator
-    parts = algebra.split_operator(m)
-    s_op = float(parts["s"])
-    wplus, wminus = parts["wplus"], parts["wminus"]
-    blocks = algebra.u2_blocks(wplus)
-    w1, w2, w3, psi = blocks["w1"], blocks["w2"], blocks["w3"], blocks["psi"]
-    kappa = float(blocks["kappa"])
+    """The SO(4) split of the curvature operator, the part every command reads."""
     ric0 = cd.ric0_frame
     ric0_anti = algebra.j_anti_part(ric0)
-
-    recon_residual = float(np.abs(m - algebra.join_operator(parts)).max())
-
-    u2_residual = float(np.abs(wplus - (w1 + w2 + w3)).max())
-
-    # Mutual orthogonality of the seven summands as operators.
-    summands = [s_op / 12.0 * np.eye(6)]
-    for h in (algebra.j_invariant_part(ric0), ric0_anti):
-        summands.append(algebra.operator_matrix(0.5 * algebra.kn_delta(h)))
-    for blk in (w1, w2, w3):
-        emb = np.zeros((6, 6))
-        emb[:3, :3] = blk
-        summands.append(emb)
-    emb = np.zeros((6, 6))
-    emb[3:, 3:] = wminus
-    summands.append(emb)
-    ortho = 0.0
-    for i in range(len(summands)):
-        for j in range(i + 1, len(summands)):
-            ortho = max(ortho, abs(float(np.sum(summands[i] * summands[j]))))
-
-    ric_star, s_star, star_skew_residual = star_ricci(cd, psi)
-    kappa_identity_residual = float(abs(kappa - 0.5 * (3.0 * s_star - cd.s_value)))
-
     return DecompReport(
+        cd=cd,
+        parts=algebra.split_operator(cd.operator),
         s=cd.s_value,
         ric0=ric0,
         ric0_anti=ric0_anti,
-        wplus=wplus,
-        wminus=wminus,
-        w1=w1,
-        w2=w2,
-        w3=w3,
-        kappa=kappa,
-        ric_star=ric_star,
-        s_star=s_star,
-        psi=psi,
-        recon_residual=recon_residual,
-        u2_residual=u2_residual,
-        orthogonality_residual=ortho,
-        kappa_identity_residual=kappa_identity_residual,
-        star_skew_residual=star_skew_residual,
         ric_anti_norm=float(algebra.frobenius(ric0_anti)),
     )

@@ -485,10 +485,11 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     v = a.c.copy()
     v[..., 0] = 0.0
     p = v
-    out += fk[..., 1, None] * p
+    # the powers of v have no constant term, so the value stays exactly f(a0), an overflowed inf included
+    out[..., 1:] += fk[..., 1, None] * p[..., 1:]
     for k in range(2, a.order + 1):
         p = _mul_raw(p, v, a.order)
-        out += fk[..., k, None] * p
+        out[..., 1:] += fk[..., k, None] * p[..., 1:]
     return Jet._of(a.order, out)
 
 

@@ -18,6 +18,10 @@ sectional curvature, see the product-surfaces tests):
 
 Covariant differentiation consumes one jet order per derivative and raises
 JetOrderError rather than silently truncating when the order is exhausted.
+
+`hermitian_first_order` computes |nabla J|^2 and |d Omega|. The Nijenhuis
+tensor, theta, a, b and the norms and residual built on them are computed on
+first read, so `ak4 classify` never computes theta, a or b.
 """
 
 from __future__ import annotations
@@ -206,58 +210,67 @@ class HermitianFirstOrder:
     `conn.nabla_omega`."""
 
     conn: ConnectionData
-    theta: Jet
-    a: Jet
-    b: Jet
     nabla_j_sq: float  # |nabla J|^2, full tensor norm
     d_omega_norm: float
-    theta_norm: float
-    nijenhuis_norm: float
-    b_plus_ja_norm: float
-    identity_residual: float  # nabla_X J vs Lee-form/Nijenhuis reconstruction
 
     @property
     def is_almost_kahler(self) -> bool:
         return self.d_omega_norm < 1e-9
 
+    @cached_property
+    def nijenhuis(self) -> Jet:
+        return _nijenhuis(self.conn.sp)
+
+    @cached_property
+    def theta(self) -> Jet:
+        """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX)."""
+        delta_omega = self.conn.neg_trace(self.conn.nabla_omega)
+        return -jets.contract(delta_omega, self.conn.sp.J, 0, 0)
+
+    @cached_property
+    def a(self) -> Jet:
+        """a(X) = <nabla_X Omega, phi> / |phi|^2, and `b` likewise with J phi."""
+        sp = self.conn.sp
+        return 0.5 * tensorops.form_inner(self.conn.nabla_omega, sp.phi, sp.g_inv, (1, 2))
+
+    @cached_property
+    def b(self) -> Jet:
+        sp = self.conn.sp
+        return 0.5 * tensorops.form_inner(self.conn.nabla_omega, sp.jphi, sp.g_inv, (1, 2))
+
+    @cached_property
+    def theta_norm(self) -> float:
+        return _frame_max(self.theta.value, self.conn.sp)
+
+    @cached_property
+    def nijenhuis_norm(self) -> float:
+        return _frame_max(self.nijenhuis.value, self.conn.sp)
+
+    @cached_property
+    def b_plus_ja_norm(self) -> float:
+        ja = -jets.contract(self.a, self.conn.sp.J, 0, 0)  # (J a)_i = -a_k J^k_i
+        return _frame_max((self.b + ja).value, self.conn.sp)
+
+    @cached_property
+    def identity_residual(self) -> float:
+        """nabla_X J vs its Lee-form/Nijenhuis reconstruction."""
+        return _nabla_j_identity_residual(self.conn.sp, self.conn.nabla_omega, self.theta, self.nijenhuis)
+
 
 def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
-    """First-order invariants of the almost Hermitian structure at a point."""
+    """|nabla J|^2 and |d Omega| at a point, the first-order values every command reads."""
     sp = conn.sp
-    nabla_omega = conn.nabla_omega
-    d_omega = tensorops.ext_d_2form(sp.omega)
-    delta_omega = conn.neg_trace(nabla_omega)
-    # theta = J(delta Omega), (J alpha)(X) = -alpha(JX)
-    theta = -jets.contract(delta_omega, sp.J, 0, 0)
-
-    # a(X) = <nabla_X Omega, phi> / |phi|^2, b likewise with J phi
-    a = 0.5 * tensorops.form_inner(nabla_omega, sp.phi, sp.g_inv, (1, 2))
-    b = 0.5 * tensorops.form_inner(nabla_omega, sp.jphi, sp.g_inv, (1, 2))
-
-    nij = _nijenhuis(sp)
-    identity_residual = _nabla_j_identity_residual(sp, nabla_omega, theta, nij)
-
-    frame = sp.frame
-    no_f = tensorops.frame_components(nabla_omega.value, frame)
-    nabla_j_sq = float(np.sum(no_f * no_f))
-    d_omega_f = tensorops.frame_components(d_omega.value, frame)
-    theta_f = tensorops.frame_components(theta.value, frame)
-    nij_f = tensorops.frame_components(nij.value, frame)
-    ja = -jets.contract(a, sp.J, 0, 0)  # (J a)_i = -a_k J^k_i
-    b_plus_ja = tensorops.frame_components((b + ja).value, frame)
-
+    no_f = tensorops.frame_components(conn.nabla_omega.value, sp.frame)
     return HermitianFirstOrder(
         conn=conn,
-        theta=theta,
-        a=a,
-        b=b,
-        nabla_j_sq=nabla_j_sq,
-        d_omega_norm=float(np.abs(d_omega_f).max()),
-        theta_norm=float(np.abs(theta_f).max()),
-        nijenhuis_norm=float(np.abs(nij_f).max()),
-        b_plus_ja_norm=float(np.abs(b_plus_ja).max()),
-        identity_residual=identity_residual,
+        nabla_j_sq=float(np.sum(no_f * no_f)),
+        d_omega_norm=_frame_max(tensorops.ext_d_2form(sp.omega).value, sp),
     )
+
+
+def _frame_max(values: np.ndarray, sp: StructurePoint) -> float:
+    """Max-norm of the frame components of a tensor value at sp."""
+    return float(np.abs(tensorops.frame_components(values, sp.frame)).max())
 
 
 def _nijenhuis(sp: StructurePoint) -> Jet:
@@ -292,8 +305,7 @@ def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet,
     term2 = np.einsum("mi,j->mij", jxb, theta.value) - np.einsum("mj,i->mij", jxb, theta.value)
     njx = np.einsum("km,kij->mij", J.value, nij.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
-    frame = sp.frame
-    return float(np.abs(tensorops.frame_components(lhs - rhs, frame)).max())
+    return _frame_max(lhs - rhs, sp)
 
 
 def ricci_identity_check(cd: CurvatureData) -> float:
@@ -307,4 +319,4 @@ def ricci_identity_check(cd: CurvatureData) -> float:
     rv = cd.R.value
     jv = sp.J.value
     rhs = -np.einsum("mnkj,ki->mnij", rv, jv) - np.einsum("mnik,kj->mnij", rv, jv)
-    return float(np.abs(tensorops.frame_components(lhs - rhs, sp.frame)).max())
+    return _frame_max(lhs - rhs, sp)

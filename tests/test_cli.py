@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -134,6 +135,25 @@ class TestCheck:
         assert code == 0
         assert "worst residual" in out
 
+    @pytest.mark.parametrize(("name", "order"), [("kappa", 2), ("prop1", 3), ("bianchi", 4)])
+    def test_default_order_is_the_identity_order(self, name, order, monkeypatch, capsys):
+        built = []
+        build = cli.PointAnalysis
+
+        def recording(spec, p, order=4, **kwargs):
+            built.append(order)
+            return build(spec, p, order=order, **kwargs)
+
+        monkeypatch.setattr(cli, "PointAnalysis", recording)
+        argv = ["check", name, "--chart", "all", "--points", "1", "--seed", "5"]
+        outputs = []
+        for extra in ([], ["--order", str(order)]):
+            code = run_main([*argv, *extra])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert "worst residual" in outputs[0][1]
+        assert set(built) == {order}
+
     def test_bach_3way_on_product_surfaces(self, capsys):
         code = run_main(["check", "bach-3way", "--chart", "product-surfaces", "--points", "2"])
         assert code == 0
@@ -259,6 +279,13 @@ class TestIdentityRegistry:
             pytest.param("riemann", "hermitian_first_order", ["check", "kappa"], id="check-kappa-first-order"),
             pytest.param("gray", "prop1_check", ["classify", "--order", "4"], id="classify-prop1"),
             pytest.param("gray", "totally_real_curvature", ["classify"], id="classify-lagrangian-planes"),
+            pytest.param("decomp", "star_ricci", ["classify"], id="classify-star-ricci"),
+            pytest.param("algebra", "u2_blocks", ["classify"], id="classify-u2-blocks"),
+            pytest.param("algebra", "join_operator", ["classify"], id="classify-reconstruction"),
+            pytest.param("algebra", "kn_delta", ["classify"], id="classify-orthogonality"),
+            pytest.param("riemann", "_nabla_j_identity_residual", ["classify"], id="classify-nabla-j-identity"),
+            pytest.param("algebra", "join_operator", ["check", "kappa"], id="check-kappa-reconstruction"),
+            pytest.param("algebra", "kn_delta", ["check", "kappa"], id="check-kappa-orthogonality"),
         ],
     )
     def test_command_skips_the_stages_it_does_not_read(self, module, stage, argv, monkeypatch, capsys):
@@ -268,6 +295,21 @@ class TestIdentityRegistry:
         monkeypatch.setattr(getattr(cli, module), stage, fail)
         assert run_main([*argv, "--chart", "all", "--points", "1"]) == 0
         assert capsys.readouterr().out
+
+    def test_report_computes_each_deferred_value_once_per_point(self, monkeypatch):
+        stages = [("decomp", "star_ricci"), ("algebra", "u2_blocks"), ("algebra", "join_operator")]
+        stages += [("riemann", "_nijenhuis"), ("riemann", "_nabla_j_identity_residual")]
+        calls = Counter()
+        for module, stage in stages:
+            original = getattr(getattr(cli, module), stage)
+
+            def counted(*args, _stage=stage, _original=original, **kwargs):
+                calls[_stage] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(getattr(cli, module), stage, counted)
+        run_report(RunConfig(chart="kodaira-thurston", points=2))
+        assert calls == {stage: 2 for _, stage in stages}
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_every_applicable_row_returns_a_finite_float(self, order, analyses, catalog_specs):
@@ -405,5 +447,5 @@ class TestUserChartFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert "'user-chart', point 0 at (" in err
-        assert f"chart entry {entry} = " in err and "is not finite" in err
+        assert f"chart entry {entry} = inf is not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,13 @@ class TestEvaluation:
 
     def test_integer_power_of_negative_base_ok(self):
         assert eval_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_overflowed_value_stays_inf(self, order):
+        # the nilpotent part has a zero constant term, which must not turn f(a0) = inf into nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = eval_jet(parse_expr("exp(1000)"), (0.1, 0.2, 0.3, 0.4), order)
+        assert jet.value == math.inf
 
     @pytest.mark.parametrize("src", ["1" + "+0.5*sin(x1)" * 253, "-" * 255 + "x1"])
     def test_deepest_accepted_expression_evaluates(self, src):
