@@ -11,6 +11,9 @@ Runs `ak4.cli.main` in-process over:
   kodaira-thurston (seed 42, order 4, 6 points), and `check` on the
   conditional rows `lemma1-alpha`, `beta0`, `lemma6` and `bach-3way` at
   `--chart all --points 3 --seed 5 --order 4`;
+- with no flag but `--points`, so that each command's flag defaults are
+  covered: `report --points 3`, `check kappa --points 2` and
+  `classify --points 2`;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -65,6 +68,8 @@ def cases():
     yield " ".join(argv), argv
     for name in ("lemma1-alpha", "beta0", "lemma6", "bach-3way"):
         argv = ["check", name, "--chart", "all", "--points", "3", "--seed", "5", "--order", "4", *loose]
+        yield " ".join(argv), argv
+    for argv in (["report", "--points", "3"], ["check", "kappa", "--points", "2"], ["classify", "--points", "2"]):
         yield " ".join(argv), argv
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra, jets, tensorops
 from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER, StructurePoint
-from .decomp import J_INVARIANT_RICCI_TOL
+from .decomp import DecompReport
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
@@ -254,7 +254,7 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
 # -- report assembly ------------------------------------------------------------
 
 
-def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_norm: float, weitzenboeck_seed: int) -> SecondOrderReport:
+def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, dr: DecompReport, weitzenboeck_seed: int) -> SecondOrderReport:
     """Compute every second-order quantity and the full residual table."""
     sp = cd.sp
     if sp.order < 4:
@@ -308,8 +308,8 @@ def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, ric_anti_no
     skip_reason = None
     if not hfo.is_almost_kahler:
         skip_reason = f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}"
-    elif not ric_anti_norm < J_INVARIANT_RICCI_TOL:
-        skip_reason = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti_norm:.3e}"
+    elif not dr.is_j_invariant_ricci:
+        skip_reason = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm:.3e}"
     else:
         bach_ak, bach_ricci = bach_almost_kahler(cd)
         residuals["bach direct vs almost-kahler form"] = float(np.abs(bd - bach_ak).max())

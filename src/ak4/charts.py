@@ -16,6 +16,7 @@ and every gauge-dependent quantity downstream is documented as such.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -169,143 +170,81 @@ def _diag_metric(g11: str, g22: str, g33: str, g44: str, **off) -> dict[str, str
     return g
 
 
-def product_surfaces(f1: str, f2: str, name: str = "product-surfaces", domain=((-0.9, 0.9),) * 4, tags=("kahler",)) -> ChartSpec:
-    """Product of two conformally flat surface factors.
+def _ball_metric(s: str) -> dict[str, str]:
+    """The Kahler metric of constant holomorphic curvature in affine
+    coordinates: Fubini-Study for s = "+", the complex hyperbolic ball for s = "-"."""
+    denom = f"(1 {s} x1^2 {s} x2^2 {s} x3^2 {s} x4^2)^2"
+    x14, x23 = "x2*x3 - x1*x4", "x1*x4 - x2*x3"
+    if s == "-":
+        x14, x23 = x23, x14
+    g11, g33 = f"(1 {s} x3^2 {s} x4^2)/{denom}", f"(1 {s} x1^2 {s} x2^2)/{denom}"
+    g13 = f"{'-' if s == '+' else ''}(x1*x3 + x2*x4)/{denom}"
+    g14, g23 = f"({x14})/{denom}", f"({x23})/{denom}"
+    return {"11": g11, "22": g11, "33": g33, "44": g33, "12": "0", "34": "0", "13": g13, "24": g13, "14": g14, "23": g23}
 
-    g = f1(x1,x2)^2 (dx1^2 + dx2^2) + f2(x3,x4)^2 (dx3^2 + dx4^2) with the
-    product complex structure. Kahler for any factors; Einstein only for
-    matched constant factor curvatures.
-    """
-    data = {
-        "name": name,
+
+#: The built-in example charts, in catalog order: each is the chart-file
+#: object `load_chart` reads, and `catalog_chart` parses it on first use.
+_CATALOG = {
+    "flat": {
+        "name": "flat",
         "coords": ["x1", "x2", "x3", "x4"],
-        "domain": [list(d) for d in domain],
-        "g": _diag_metric(f"({f1})^2", f"({f1})^2", f"({f2})^2", f"({f2})^2"),
+        "domain": [[-1.0, 1.0]] * 4,
+        "g": _diag_metric("1", "1", "1", "1"),
         "J": _j_matrix(_J_STANDARD),
-        "tags": list(tags),
-    }
-    return chart_from_dict(data, name_hint=name)
-
-
-def _flat_chart() -> ChartSpec:
-    return chart_from_dict(
-        {
-            "name": "flat",
-            "coords": ["x1", "x2", "x3", "x4"],
-            "domain": [[-1.0, 1.0]] * 4,
-            "g": _diag_metric("1", "1", "1", "1"),
-            "J": _j_matrix(_J_STANDARD),
-            "tags": ["kahler", "einstein", "flat"],
-        },
-        name_hint="flat",
-    )
-
-
-def _product_surfaces_default() -> ChartSpec:
-    # Gaussian bump factor: curvature exp((x1^2+x2^2)/2), non-constant.
-    return product_surfaces(
-        "exp(-(x1^2 + x2^2)/4)",
-        "1",
-        name="product-surfaces",
-        domain=((-0.9, 0.9),) * 4,
-        tags=("kahler", "non-einstein", "non-constant-scalar"),
-    )
-
-
-def _fubini_study_chart() -> ChartSpec:
-    d = "(1 + x1^2 + x2^2 + x3^2 + x4^2)"
-    g = {
-        "11": f"(1 + x3^2 + x4^2)/{d}^2",
-        "22": f"(1 + x3^2 + x4^2)/{d}^2",
-        "33": f"(1 + x1^2 + x2^2)/{d}^2",
-        "44": f"(1 + x1^2 + x2^2)/{d}^2",
-        "12": "0",
-        "34": "0",
-        "13": f"-(x1*x3 + x2*x4)/{d}^2",
-        "24": f"-(x1*x3 + x2*x4)/{d}^2",
-        "14": f"(x2*x3 - x1*x4)/{d}^2",
-        "23": f"(x1*x4 - x2*x3)/{d}^2",
-    }
-    return chart_from_dict(
-        {
-            "name": "fubini-study",
-            "coords": ["x1", "x2", "x3", "x4"],
-            "domain": [[-0.6, 0.6]] * 4,
-            "g": g,
-            "J": _j_matrix(_J_STANDARD),
-            "tags": ["kahler", "einstein", "self-dual", "positive-scalar"],
-        },
-        name_hint="fubini-study",
-    )
-
-
-def _complex_hyperbolic_chart() -> ChartSpec:
-    d = "(1 - x1^2 - x2^2 - x3^2 - x4^2)"
-    g = {
-        "11": f"(1 - x3^2 - x4^2)/{d}^2",
-        "22": f"(1 - x3^2 - x4^2)/{d}^2",
-        "33": f"(1 - x1^2 - x2^2)/{d}^2",
-        "44": f"(1 - x1^2 - x2^2)/{d}^2",
-        "12": "0",
-        "34": "0",
-        "13": f"(x1*x3 + x2*x4)/{d}^2",
-        "24": f"(x1*x3 + x2*x4)/{d}^2",
-        "14": f"(x1*x4 - x2*x3)/{d}^2",
-        "23": f"(x2*x3 - x1*x4)/{d}^2",
-    }
-    return chart_from_dict(
-        {
-            "name": "complex-hyperbolic",
-            "coords": ["x1", "x2", "x3", "x4"],
-            "domain": [[-0.45, 0.45]] * 4,
-            "g": g,
-            "J": _j_matrix(_J_STANDARD),
-            "tags": ["kahler", "einstein", "negative-scalar"],
-        },
-        name_hint="complex-hyperbolic",
-    )
-
-
-def _kodaira_thurston_chart() -> ChartSpec:
+        "tags": ["kahler", "einstein", "flat"],
+    },
+    # A Gaussian bump conformal factor, curvature exp((x1^2+x2^2)/2), times a flat plane.
+    "product-surfaces": {
+        "name": "product-surfaces",
+        "coords": ["x1", "x2", "x3", "x4"],
+        "domain": [[-0.9, 0.9]] * 4,
+        "g": _diag_metric("(exp(-(x1^2 + x2^2)/4))^2", "(exp(-(x1^2 + x2^2)/4))^2", "(1)^2", "(1)^2"),
+        "J": _j_matrix(_J_STANDARD),
+        "tags": ["kahler", "non-einstein", "non-constant-scalar"],
+    },
+    "fubini-study": {
+        "name": "fubini-study",
+        "coords": ["x1", "x2", "x3", "x4"],
+        "domain": [[-0.6, 0.6]] * 4,
+        "g": _ball_metric("+"),
+        "J": _j_matrix(_J_STANDARD),
+        "tags": ["kahler", "einstein", "self-dual", "positive-scalar"],
+    },
+    "complex-hyperbolic": {
+        "name": "complex-hyperbolic",
+        "coords": ["x1", "x2", "x3", "x4"],
+        "domain": [[-0.45, 0.45]] * 4,
+        "g": _ball_metric("-"),
+        "J": _j_matrix(_J_STANDARD),
+        "tags": ["kahler", "einstein", "negative-scalar"],
+    },
     # Orthonormal coframe dx1, dx3 - x1 dx2, dx2, dx4 with the frame rotation
     # J pairing (e1, e2) and (e3, e4); the fundamental 2-form
     # dx1 ^ (dx3 - x1 dx2) + dx2 ^ dx4 is closed while J is non-parallel, so
     # the structure is strictly almost Kahler.
-    g = _diag_metric("1", "1 + x1^2", "1", "1", **{"23": "-x1"})
-    j = _j_matrix({"3_1": "1", "1_2": "x1", "4_2": "1", "1_3": "-1", "2_4": "-1", "3_4": "-x1"})
-    return chart_from_dict(
-        {
-            "name": "kodaira-thurston",
-            "coords": ["x1", "x2", "x3", "x4"],
-            "domain": [[-1.0, 1.0]] * 4,
-            "g": g,
-            "J": j,
-            "tags": ["strictly-almost-kahler", "homogeneous"],
-        },
-        name_hint="kodaira-thurston",
-    )
-
-
-#: Builders of the built-in example charts, by chart name, in catalog order.
-_CATALOG = {
-    "flat": _flat_chart,
-    "product-surfaces": _product_surfaces_default,
-    "fubini-study": _fubini_study_chart,
-    "complex-hyperbolic": _complex_hyperbolic_chart,
-    "kodaira-thurston": _kodaira_thurston_chart,
+    "kodaira-thurston": {
+        "name": "kodaira-thurston",
+        "coords": ["x1", "x2", "x3", "x4"],
+        "domain": [[-1.0, 1.0]] * 4,
+        "g": _diag_metric("1", "1 + x1^2", "1", "1", **{"23": "-x1"}),
+        "J": _j_matrix({"3_1": "1", "1_2": "x1", "4_2": "1", "1_3": "-1", "2_4": "-1", "3_4": "-x1"}),
+        "tags": ["strictly-almost-kahler", "homogeneous"],
+    },
 }
 
 
 def catalog() -> list[ChartSpec]:
     """The built-in example charts."""
-    return [build() for build in _CATALOG.values()]
+    return [catalog_chart(name) for name in _CATALOG]
 
 
+@functools.cache
 def catalog_chart(name: str) -> ChartSpec:
-    """The built-in chart of that name; only that chart is built."""
+    """The built-in chart of that name, parsed on its first use in the process."""
     if name not in _CATALOG:
         raise ChartError(f"unknown catalog chart {name!r} (known: {', '.join(_CATALOG)})")
-    return _CATALOG[name]()
+    return chart_from_dict(_CATALOG[name], name_hint=name)
 
 
 # -- structure evaluation ------------------------------------------------------

@@ -97,7 +97,7 @@ class PointAnalysis:
     def sor(self) -> bianchi_bach.SecondOrderReport | None:
         if self.order < 4:
             return None
-        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr.ric_anti_norm, weitzenboeck_seed=self.seed)
+        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr, weitzenboeck_seed=self.seed)
 
     @property
     def skipped(self) -> tuple[str, ...]:
@@ -143,7 +143,7 @@ def almost_kahler(pa: PointAnalysis) -> bool:
 
 def j_invariant_ricci(pa: PointAnalysis) -> bool:
     """Ric^anti = 0."""
-    return pa.dr.ric_anti_norm < decomp.J_INVARIANT_RICCI_TOL
+    return pa.dr.is_j_invariant_ricci
 
 
 def second_gray(pa: PointAnalysis) -> bool:
@@ -159,7 +159,7 @@ def kahler_nullity(pa: PointAnalysis) -> bool:
 
 def lemma6_triple(pa: PointAnalysis) -> bool:
     """Ric^anti = 0, W3+ = 0 and W- = 0."""
-    return gray.lemma6_triple(pa.dr) < TOL_THIRD_ORDER
+    return gray.lemma6_triple(pa.dr) < gray.DEFAULT_VERDICT_TOL
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ def _sandbox_lemma5(n: int, seed: int):
     forward = triple[(g2 < 1e-12) & (triple > 1e-10)]
     backward = g2[(triple < 1e-12) & (g2 > 1e-10)]
     bad = max(forward.max(initial=0.0), backward.max(initial=0.0))
-    return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
+    return [{"chart": "sandbox", "point": None, "residual": float(bad)}]
 
 
 def _sandbox_gray_chain(n: int, seed: int):
@@ -424,7 +424,7 @@ def _sandbox_gray_chain(n: int, seed: int):
     # g1 = 0 implies g2 = g3 = 0, and g2 = 0 implies g3 = 0
     holds1, holds2 = g1 < 1e-12, g2 < 1e-12
     bad = max(g2[holds1].max(initial=0.0), g3[holds1 | holds2].max(initial=0.0))
-    return [{"chart": "sandbox", "point": None, "residual": float(bad), "note": f"{len(batch)} tensors"}]
+    return [{"chart": "sandbox", "point": None, "residual": float(bad)}]
 
 
 def _sandbox_roundtrip(n: int, seed: int):
@@ -432,7 +432,7 @@ def _sandbox_roundtrip(n: int, seed: int):
     m = algebra.operator_matrix(batch)
     tensors = algebra.tensor_from_operator(algebra.join_operator(algebra.split_operator(m)))
     res = float(np.abs(tensors - batch).max())
-    return [{"chart": "sandbox", "point": None, "residual": res, "note": f"{n} tensors"}]
+    return [{"chart": "sandbox", "point": None, "residual": res}]
 
 
 #: Checks on seeded batches of algebraic curvature tensors, outside the chart
@@ -448,13 +448,12 @@ SANDBOX_TOL = 1e-10
 CHECK_NAMES = tuple(sorted({i.name for i in IDENTITIES} | {i.group for i in IDENTITIES} | set(SANDBOX_CHECKS)))
 
 
-def cmd_check(config: RunConfig, name: str, out=None) -> int:
+def cmd_check(config: RunConfig, name: str) -> int:
     """Run one named identity; prints the residual table and worst case."""
-    out = out or sys.stdout
     if name not in CHECK_NAMES:
-        print(f"unknown check {name!r}; available checks:", file=out)
+        print(f"unknown check {name!r}; available checks:")
         for known in CHECK_NAMES:
-            print(f"  {known}", file=out)
+            print(f"  {known}")
         return 2
     if name in SANDBOX_CHECKS:
         tol = SANDBOX_TOL * config.tol_scale
@@ -464,55 +463,49 @@ def cmd_check(config: RunConfig, name: str, out=None) -> int:
         tol = identities[0].tol * config.tol_scale
         rows = _per_point_check(config, identities)
     applicable = [r for r in rows if r["residual"] is not None]
-    print(f"check {name}  (tolerance {tol:.1e})", file=out)
+    print(f"check {name}  (tolerance {tol:.1e})")
     worst = None
     for r in rows:
         pt = "" if r["point"] is None else np.array2string(np.asarray(r["point"]), precision=3)
         if r["residual"] is None:
-            print(f"  {r['chart']:20s} {pt:>44s}  not applicable", file=out)
+            print(f"  {r['chart']:20s} {pt:>44s}  not applicable")
             continue
         mark = "pass" if r["residual"] <= tol else "FAIL"
-        print(f"  {r['chart']:20s} {pt:>44s}  {r['residual']:.3e}  {mark}", file=out)
+        print(f"  {r['chart']:20s} {pt:>44s}  {r['residual']:.3e}  {mark}")
         if worst is None or r["residual"] > worst["residual"]:
             worst = r
     if not applicable:
-        print("  no applicable chart/point combinations", file=out)
+        print("  no applicable chart/point combinations")
         return 0
     ok = worst["residual"] <= tol
-    print(f"worst residual {worst['residual']:.3e} on {worst['chart']} -> {'pass' if ok else 'FAIL'}", file=out)
+    print(f"worst residual {worst['residual']:.3e} on {worst['chart']} -> {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def cmd_report(config: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    try:
-        doc, code = run_report(config)
-    except AK4Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_report(config: RunConfig) -> int:
+    doc, code = run_report(config)
     if config.json_path == "-":
-        out.write(_json_text(doc))
+        sys.stdout.write(_json_text(doc))
         return code
     if config.json_path:
         write_json(doc, config.json_path)
     agg = doc["aggregate"]
-    print(f"chart {doc['chart']['name']}  points={config.points} seed={config.seed} order={config.order}", file=out)
-    print(f"verdicts: {', '.join(agg['verdicts'])}", file=out)
+    print(f"chart {doc['chart']['name']}  points={config.points} seed={config.seed} order={config.order}")
+    print(f"verdicts: {', '.join(agg['verdicts'])}")
     if not agg["identities"]:
-        print("  no applicable identities", file=out)
+        print("  no applicable identities")
     width = max((len(n) for n in agg["identities"]), default=0)
     for name, w in sorted(agg["identities"].items()):
         mark = "pass" if w["pass"] else "FAIL"
-        print(f"  {name:{width}s}  worst {w['residual']:.3e}  (tol {w['tol']:.1e})  {mark}", file=out)
+        print(f"  {name:{width}s}  worst {w['residual']:.3e}  (tol {w['tol']:.1e})  {mark}")
     skipped = doc["points"][0].get("skipped", [])
     for s in skipped:
-        print(f"  skipped: {s}", file=out)
-    print(f"overall: {'pass' if agg['all_pass'] else 'FAIL'}", file=out)
+        print(f"  skipped: {s}")
+    print(f"overall: {'pass' if agg['all_pass'] else 'FAIL'}")
     return code
 
 
-def cmd_classify(config: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_classify(config: RunConfig) -> int:
     for spec in _charts_for(config):
         verdicts = []
         for last in _analyses(spec, config, config.order):
@@ -524,14 +517,13 @@ def cmd_classify(config: RunConfig, out=None) -> int:
             f"|nabla J|={np.sqrt(max(h.nabla_j_sq, 0)):.3e} |dOmega|={h.d_omega_norm:.3e} "
             f"g1={ladder.g1:.3e} g2={ladder.g2:.3e} g3={ladder.g3:.3e}"
         )
-        print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {values}", file=out)
+        print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {values}")
     return 0
 
 
-def cmd_catalog(out=None) -> int:
-    out = out or sys.stdout
+def cmd_catalog() -> int:
     for spec in charts.catalog():
-        print(f"{spec.name:22s} tags: {', '.join(spec.tags)}", file=out)
+        print(f"{spec.name:22s} tags: {', '.join(spec.tags)}")
     return 0
 
 
@@ -542,30 +534,31 @@ def _names(text: str) -> tuple[str, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ak4", description="Curvature identity checks for almost Hermitian 4-manifold charts")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_report = sub.add_parser("report", help="run every identity on one chart")
-    p_check = sub.add_parser("check", help="run one named identity")
+    # a flag left out is absent from the namespace, so RunConfig's default stands in
+    p_report = sub.add_parser("report", help="run every identity on one chart", argument_default=argparse.SUPPRESS)
+    p_check = sub.add_parser("check", help="run one named identity", argument_default=argparse.SUPPRESS)
     p_check.add_argument("name", help="identity name; run with an unknown name to list")
-    p_classify = sub.add_parser("classify", help="verdict ladder per chart")
+    p_classify = sub.add_parser("classify", help="verdict ladder per chart", argument_default=argparse.SUPPRESS)
     sub.add_parser("catalog", help="list built-in charts")
 
     # each command registers only the flags it reads
     for p in (p_report, p_check, p_classify):
-        p.add_argument("--chart", default="all", help="catalog name, chart file path, or 'all'")
-        p.add_argument("--points", type=int, default=32)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--order", type=int, default=4, choices=(2, 3, 4))
+        p.add_argument("--chart", help="catalog name, chart file path, or 'all'")
+        p.add_argument("--points", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--order", type=int, choices=(2, 3, 4))
     for p in (p_report, p_check):
-        p.add_argument("--tol-scale", type=float, default=1.0, help="multiplies the residual tolerances")
-        p.add_argument("--planes", type=int, default=64, help="Lagrangian plane sample count")
-    p_report.add_argument("--json", dest="json_path", default=None, help="write the JSON report here")
-    p_report.add_argument("--checks", type=_names, default=(), help="comma-separated identity names to enable (default: all)")
-    p_report.set_defaults(chart="flat")
-    p_check.set_defaults(order=2)  # raised to the named identity's order by _per_point_check
+        p.add_argument("--tol-scale", type=float, help="multiplies the residual tolerances")
+        p.add_argument("--planes", type=int, help="Lagrangian plane sample count")
+    p_report.add_argument("--json", dest="json_path", help="write the JSON report here")
+    p_report.add_argument("--checks", type=_names, help="comma-separated identity names to enable (default: all)")
+    p_check.set_defaults(chart="all", order=2)  # order raised to the named identity's by _per_point_check
+    p_classify.set_defaults(chart="all")
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    """The flags the subcommand registers; RunConfig's defaults stand in for the rest."""
+    """The flags the command was given, over its `set_defaults`; RunConfig's defaults stand in for the rest."""
     return RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "name")})
 
 

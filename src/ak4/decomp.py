@@ -48,6 +48,10 @@ class DecompReport:
     ric0_anti: np.ndarray
     ric_anti_norm: float
 
+    @property
+    def is_j_invariant_ricci(self) -> bool:
+        return self.ric_anti_norm < J_INVARIANT_RICCI_TOL
+
     wplus = _entry("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
     wminus = _entry("parts", "wminus")
 

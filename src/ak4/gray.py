@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra, jets, tensorops
 from .charts import J_FRAME
-from .decomp import J_INVARIANT_RICCI_TOL, DecompReport
+from .decomp import DecompReport
 from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
@@ -206,7 +206,7 @@ def classify(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> G
         flags.append("self-dual")
     if float(algebra.frobenius(dr.wplus)) < tol:
         flags.append("anti-self-dual")
-    if dr.ric_anti_norm < J_INVARIANT_RICCI_TOL:
+    if dr.is_j_invariant_ricci:
         flags.append("j-invariant-ricci")
 
     nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))

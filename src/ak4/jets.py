@@ -40,8 +40,8 @@ every array they make is already float64 with the right coefficient axis.
 `partials` gathers all four derivatives at once from a (4, ncoef) table, and
 `a - b` subtracts directly, which IEEE 754 defines to equal `a + (-b)`.
 
-Coefficients are Taylor coefficients, not raw derivatives: `coeff(alpha)`
-is d^alpha f / alpha!.
+Coefficients are Taylor coefficients, not raw derivatives: the entry
+`c[..., INDEX[alpha]]` is d^alpha f / alpha!.
 
 The degree-k coefficients of any result depend only on the degree <= k
 coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
@@ -51,8 +51,8 @@ only to the order its readers differentiate: `charts.structure_at` keeps J
 and everything built from it at order 2 and the inverse metric one order
 below g, the Weyl tensor takes g at the curvature's order, and value-only
 readers truncate their inputs to order 0. A jet truncated too far cannot give
-a silently wrong answer: `partial`, `partials` and `coeff` raise
-JetOrderError when its order runs out.
+a silently wrong answer: `partial` and `partials` raise JetOrderError when
+its order runs out.
 
 Elementwise products are bit-identical under truncation. A contraction sums
 the convolution pairs along an axis padded to the order's widest
@@ -245,13 +245,6 @@ class Jet:
     def shape(self) -> tuple:
         return self.c.shape[:-1]
 
-    def coeff(self, alpha) -> np.ndarray:
-        """Taylor coefficient for the multi-index alpha."""
-        alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > self.order:
-            raise JetOrderError(f"multi-index {alpha} exceeds jet order {self.order}")
-        return self.c[..., INDEX[alpha]]
-
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetOrderError(f"cannot extend a jet of order {self.order} to {order}")
@@ -332,11 +325,11 @@ class Jet:
 # -- structural helpers -------------------------------------------------------
 
 
-def stack(jets, axis: int = 0) -> Jet:
-    """Stack jets of equal order along a new leading axis."""
+def stack(jets) -> Jet:
+    """Stack jets along a new first axis, at the lowest of their orders."""
     order = min(j.order for j in jets)
     cs = [j.c[..., : NCOEF[order]] for j in jets]
-    return Jet._of(order, np.stack(cs, axis=axis))
+    return Jet._of(order, np.stack(cs))
 
 
 def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:

@@ -30,12 +30,30 @@ def hyperbolic_factor(curvature: float = -1.0) -> str:
     return f"(2*{r2!r})/({r2!r} - x3^2 - x4^2)"
 
 
+def _standard_j() -> dict[str, str]:
+    """The chart-file J entries of the standard complex structure."""
+    j = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
+    j.update({"2_1": "1", "1_2": "-1", "4_3": "1", "3_4": "-1"})
+    return j
+
+
+def product_surfaces(f1: str, f2: str, name: str, domain=((-0.9, 0.9),) * 4) -> charts.ChartSpec:
+    """Product of two conformally flat surface factors.
+
+    g = f1(x1,x2)^2 (dx1^2 + dx2^2) + f2(x3,x4)^2 (dx3^2 + dx4^2) with the
+    product complex structure. Kahler for any factors; Einstein only for
+    matched constant factor curvatures.
+    """
+    g = {key: "0" for key in ("12", "13", "14", "23", "24", "34")}
+    g.update({"11": f"({f1})^2", "22": f"({f1})^2", "33": f"({f2})^2", "44": f"({f2})^2"})
+    data = {"name": name, "coords": ["x1", "x2", "x3", "x4"], "domain": [list(d) for d in domain], "g": g, "J": _standard_j(), "tags": ["kahler"]}
+    return charts.chart_from_dict(data, name_hint=name)
+
+
 def ricci_anti_chart() -> charts.ChartSpec:
     """Hermitian (integrable, non-Kahler) chart whose Ricci tensor is not
     J-invariant: a warped product with the factor depending on a base
     coordinate. Violates the hypotheses of the J-invariant-Ricci lemmas."""
-    j = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
-    j.update({"2_1": "1", "1_2": "-1", "4_3": "1", "3_4": "-1"})
     return charts.chart_from_dict(
         {
             "name": "ricci-anti",
@@ -53,7 +71,7 @@ def ricci_anti_chart() -> charts.ChartSpec:
                 "24": "0",
                 "34": "0",
             },
-            "J": j,
+            "J": _standard_j(),
             "tags": ["hermitian", "ricci-not-j-invariant"],
         },
         name_hint="ricci-anti",

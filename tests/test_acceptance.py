@@ -15,7 +15,7 @@ import numpy as np
 
 from ak4 import algebra, bianchi_bach, charts, cli, riemann, sandbox, tensorops
 
-from conftest import identity, sphere_factor
+from conftest import identity, product_surfaces, sphere_factor
 from oracles import fd_curvature
 
 
@@ -149,7 +149,7 @@ def test_criterion_08_totally_real_curvature(analyses):
     for pa in analyses["fubini-study"]:
         gr = pa.gr
         worst_fs = max(worst_fs, gr.mu_max - gr.mu_min, abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
-    spec = charts.product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
+    spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
     pa = cli.PointAnalysis(spec, (0.15, -0.2, 0.3, 0.1), order=4)
     spread = pa.gr.mu_max - pa.gr.mu_min
     wminus = float(algebra.frobenius(pa.dr.wminus))

@@ -10,7 +10,7 @@ from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
 from ak4.exprs import eval_jet, parse_expr
 
-from conftest import EINSTEIN_NAMES, sphere_factor
+from conftest import EINSTEIN_NAMES, product_surfaces, sphere_factor
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
@@ -145,7 +145,7 @@ class TestBach:
     def test_constant_scalar_j_invariant_reduction(self):
         # Kahler, constant s, non-Einstein: every derivative term in the
         # almost Kahler Bach formula vanishes, leaving B = -(s/6) Ric0.
-        spec = charts.product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
+        spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(2, 17):
             pa = PointAnalysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0

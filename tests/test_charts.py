@@ -12,7 +12,7 @@ from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
 from ak4.exprs import eval_jet
 
-from conftest import CATALOG_NAMES
+from conftest import CATALOG_NAMES, product_surfaces
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
@@ -24,11 +24,15 @@ class TestCatalog:
         assert set(CATALOG_NAMES) <= set(catalog_specs)
 
     def test_catalog_chart_builds_only_the_named_chart(self, monkeypatch):
+        charts.catalog_chart.cache_clear()
         parsed = []
         parse_expr = charts.parse_expr
         monkeypatch.setattr(charts, "parse_expr", lambda src: parsed.append(src) or parse_expr(src))
-        assert charts.catalog_chart("flat").name == "flat"
+        flat = charts.catalog_chart("flat")
+        assert flat.name == "flat"
         assert len(parsed) == 26  # the 10 metric and 16 structure entries of one chart
+        assert charts.catalog_chart("flat") is flat  # parsed once per process
+        assert len(parsed) == 26
 
     def test_catalog_order_and_unknown_name_message(self):
         assert tuple(spec.name for spec in charts.catalog()) == CATALOG_NAMES
@@ -67,7 +71,7 @@ class TestCatalog:
         assert hfo.nabla_j_sq > 1.0  # strictly almost Kahler
 
     def test_product_surfaces_with_unit_factors_is_flat(self):
-        spec = charts.product_surfaces("1", "1", name="trivial")
+        spec = product_surfaces("1", "1", name="trivial")
         from ak4 import riemann
 
         sp = charts.structure_at(spec, (0.3, 0.3, -0.2, 0.1), order=4)

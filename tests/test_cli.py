@@ -90,6 +90,17 @@ class TestReport:
             RunConfig(seed=-1)
 
     @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            pytest.param(["report"], RunConfig(), id="report"),
+            pytest.param(["check", "kappa"], RunConfig(chart="all", order=2), id="check"),
+            pytest.param(["classify"], RunConfig(chart="all"), id="classify"),
+        ],
+    )
+    def test_flag_defaults_are_run_config_defaults(self, argv, expected):
+        assert cli._config_from(cli.build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize(
         ("command", "flag", "value"),
         [
             pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")

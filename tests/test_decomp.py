@@ -7,7 +7,7 @@ import pytest
 
 from ak4 import algebra, charts, decomp, riemann, sandbox
 
-from conftest import KAHLER_NAMES, hyperbolic_factor, identity, sphere_factor
+from conftest import KAHLER_NAMES, hyperbolic_factor, identity, product_surfaces, sphere_factor
 
 
 class TestSO4:
@@ -24,7 +24,7 @@ class TestSO4:
             assert pa.dr.recon_residual < 1e-8
 
     def test_unequal_constant_curvatures(self):
-        spec = charts.product_surfaces(
+        spec = product_surfaces(
             sphere_factor(1.0),
             hyperbolic_factor(-1.0),
             name="sphere-hyperbolic",

@@ -10,11 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ak4 import algebra, charts, cli, gray, sandbox
+from ak4 import algebra, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES, hyperbolic_factor, identity, sphere_factor
+from conftest import KAHLER_NAMES, hyperbolic_factor, identity, product_surfaces, sphere_factor
 
 
 class TestGrayResiduals:
@@ -91,7 +91,7 @@ class TestProp1:
                 assert self.prop1.residual(pa) < 1e-8
 
     def test_constant_curvature_product(self):
-        spec = charts.product_surfaces(
+        spec = product_surfaces(
             sphere_factor(1.0), sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
         pa = PointAnalysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
@@ -124,7 +124,7 @@ class TestTotallyRealCurvature:
             assert abs(gr.mu_max - pa.dr.s / 24.0) < 1e-7  # kappa = s
 
     def test_unequal_factor_curvatures_spread(self):
-        spec = charts.product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
+        spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert pa.gr.mu_max - pa.gr.mu_min > 1e-3
         assert algebra.frobenius(pa.dr.wminus) > 1e-3
@@ -132,7 +132,7 @@ class TestTotallyRealCurvature:
     def test_opposite_factor_curvatures_conformally_flat(self):
         # Curvatures +1 and -1 cancel: W- = 0, and the totally-real sectional
         # curvature is the pointwise constant (2s - kappa)/24 = 0.
-        spec = charts.product_surfaces(
+        spec = product_surfaces(
             sphere_factor(1.0), hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
         )
         pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)

@@ -22,6 +22,14 @@ def jet_of(src: str, p, order: int = 4) -> Jet:
     return eval_jet(parse_expr(src), p, order)
 
 
+def coeff(j: Jet, alpha) -> np.ndarray:
+    """The Taylor coefficient of j for the multi-index alpha, d^alpha f / alpha!."""
+    alpha = tuple(int(a) for a in alpha)
+    if sum(alpha) > j.order:
+        raise JetOrderError(f"multi-index {alpha} exceeds jet order {j.order}")
+    return j.c[..., jets.INDEX[alpha]]
+
+
 def random_jet(rng, order: int = 4, offset: float = 0.0) -> Jet:
     c = rng.uniform(-1.0, 1.0, jets.NCOEF[order])
     c[0] += offset
@@ -31,16 +39,16 @@ def random_jet(rng, order: int = 4, offset: float = 0.0) -> Jet:
 class TestKnownSeries:
     def test_sine_series_along_x2(self):
         j = jet_of("sin(x2)", (0, 0, 0, 0), order=3)
-        assert j.coeff((0, 0, 0, 0)) == 0.0
-        assert j.coeff((0, 1, 0, 0)) == 1.0
-        assert j.coeff((0, 2, 0, 0)) == 0.0
-        assert j.coeff((0, 3, 0, 0)) == pytest.approx(-1.0 / 6.0, abs=1e-15)
+        assert coeff(j, (0, 0, 0, 0)) == 0.0
+        assert coeff(j, (0, 1, 0, 0)) == 1.0
+        assert coeff(j, (0, 2, 0, 0)) == 0.0
+        assert coeff(j, (0, 3, 0, 0)) == pytest.approx(-1.0 / 6.0, abs=1e-15)
 
     def test_bilinear(self):
         j = jet_of("x1*x2", (1, 2, 0, 0), order=1)
         assert j.value == 2.0
-        assert j.coeff((1, 0, 0, 0)) == 2.0
-        assert j.coeff((0, 1, 0, 0)) == 1.0
+        assert coeff(j, (1, 0, 0, 0)) == 2.0
+        assert coeff(j, (0, 1, 0, 0)) == 1.0
 
     def test_exp_cos_order4_vs_finite_differences(self):
         e = parse_expr("exp(x1)*cos(x3)")
@@ -151,7 +159,7 @@ class TestOrderContract:
     def test_derivative_conversion_factor(self):
         j = jet_of("x1^4", (1, 0, 0, 0))
         # coeff stores derivative / alpha!: d^4 x1^4 = 24, divided by 4! = 24
-        assert j.coeff((4, 0, 0, 0)) == pytest.approx(1.0)
+        assert coeff(j, (4, 0, 0, 0)) == pytest.approx(1.0)
 
 
 EXPRESSION_OPS = ("add", "sub", "mul", "sin", "cos", "atan", "tanh", "exps", "sqrts", "logs", "divs", "pow2", "pow3")

@@ -3,10 +3,12 @@
 The source is parsed with `ast`, not imported. Each top-level function or
 class, and each method that is not a dunder, must be named outside its own
 definition in some module other than `__init__.py`: re-exporting a name
-does not reach it. A name counts when it appears as a variable (`f`), an
-attribute (`obj.f`) or a string constant (`getattr(obj, "f")`). Names are
-matched by name only, so a definition shares a use with anything of the
-same name.
+does not reach it. A function or class name counts when it appears as a
+variable (`f`), an attribute (`obj.f`) or a string constant
+(`getattr(obj, "f")`); a method name counts only as an attribute or a string
+constant, so a local variable of the same name does not reach the method.
+Names are matched by name only, so a definition shares a use with anything
+of the same name and kind.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ EXEMPT = {
 }
 
 
-def _names(tree: ast.AST) -> Counter:
-    """How often each name appears in the tree as a variable, attribute or string constant."""
+def _names(tree: ast.AST, variables: bool = True) -> Counter:
+    """How often each name appears in the tree as an attribute or string
+    constant, and as a variable unless `variables` is false."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and variables:
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
@@ -38,29 +41,27 @@ def _names(tree: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) for each top-level function and class and each non-dunder method."""
+    """(qualified name, node, is method) for each top-level function and class and each non-dunder method."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for stmt in node.body:
                 if isinstance(stmt, functions) and not (stmt.name.startswith("__") and stmt.name.endswith("__")):
-                    yield f"{node.name}.{stmt.name}", stmt
+                    yield f"{node.name}.{stmt.name}", stmt, True
 
 
 def _unreached(sources: dict[str, str]) -> list[str]:
     """`file qualified-name` for every definition no module but `__init__.py` names outside it."""
     trees = {fname: ast.parse(source) for fname, source in sources.items()}
-    uses = Counter()
-    for fname, tree in trees.items():
-        if fname != "__init__.py":
-            uses += _names(tree)
+    counted = [tree for fname, tree in trees.items() if fname != "__init__.py"]
+    uses = {variables: sum((_names(tree, variables) for tree in counted), Counter()) for variables in (True, False)}
     return [
         f"{fname} {qualname}"
         for fname, tree in trees.items()
-        for qualname, node in _definitions(tree)
-        if uses[node.name] - _names(node)[node.name] <= 0
+        for qualname, node, is_method in _definitions(tree)
+        if uses[not is_method][node.name] - _names(node, not is_method)[node.name] <= 0
     ]
 
 
@@ -79,10 +80,12 @@ def test_scan_finds_an_unreached_definition():
             "        pass\n"
             "    def unused(self):\n"
             "        return self.by_name\n"
+            "    def shadowed(self):\n"
+            "        pass\n"
         ),
-        "n.py": "from .m import called\ncalled()\nx = getattr(object, 'K')\n",
+        "n.py": "from .m import called\ncalled()\nx = getattr(object, 'K')\nshadowed = 1\nprint(shadowed)\n",
     }
-    assert _unreached(sources) == ["m.py exported", "m.py K.unused"]
+    assert _unreached(sources) == ["m.py exported", "m.py K.unused", "m.py K.shadowed"]
 
 
 def test_every_definition_is_reached():

@@ -8,7 +8,7 @@ import pytest
 from ak4 import charts, jets, riemann
 from ak4.errors import JetOrderError
 
-from conftest import KAHLER_NAMES, sphere_factor
+from conftest import KAHLER_NAMES, product_surfaces, sphere_factor
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
@@ -37,7 +37,7 @@ class TestConnection:
     def test_conformal_factor_christoffels(self):
         # g = e^{2u}(dx1^2 + dx2^2) + flat, u = x1: the 2d block has
         # G^1_11 = 1, G^1_22 = -1, G^2_12 = G^2_21 = 1, everything else 0.
-        spec = charts.product_surfaces("exp(x1)", "1", name="exp-factor", domain=((-0.8, 0.8),) * 4)
+        spec = product_surfaces("exp(x1)", "1", name="exp-factor", domain=((-0.8, 0.8),) * 4)
         for p in [(0.3, -0.2, 0.0, 0.0), (0.0, 0.5, 0.1, 0.2), (-0.6, 0.1, 0.4, -0.4)]:
             sp = charts.structure_at(spec, p, order=2)
             g = riemann.connection(sp).gamma.value
@@ -74,7 +74,7 @@ class TestCurvature:
         assert cd.s_value == 0.0
 
     def test_sphere_times_plane_scalar_two(self):
-        spec = charts.product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
+        spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(3, 5):
             sp = charts.structure_at(spec, p, order=4)
             cd = riemann.curvature(riemann.connection(sp))

@@ -174,7 +174,7 @@ class TestJetKernels:
                 if j.order >= order:
                     j = j.truncate(order)
                     got = jets.partials(j)
-                    old = jets.stack([j.partial(m) for m in range(4)], axis=0)
+                    old = jets.stack([j.partial(m) for m in range(4)])
                     assert got.order == old.order and got.c.flags.c_contiguous
                     assert np.array_equal(got.c, old.c)
 
