@@ -1,0 +1,154 @@
+"""Compare the report residuals of this tree with those of another checkout.
+
+Runs every `report` case of `scripts/report_fingerprint.py` as a JSON report
+(`--json -` is added where the case prints text) in both trees, each in its
+own interpreter importing that tree's `src/`. It prints, for every identity
+row and every second-order residual, the largest |difference| over all cases
+and points, and lists every change of a pass mark, a verdict, a flag, the set
+of rows that apply, or an exit code. It exits 1 if there is any such change,
+and 0 otherwise:
+
+    python3 scripts/residual_drift.py ../other-checkout
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy is imported, so that summation order is fixed.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+
+
+def report_cases() -> list[list[str]]:
+    """The fingerprint matrix's report cases, each writing JSON to stdout."""
+    sys.path.insert(0, str(HERE))
+    from report_fingerprint import cases
+
+    out: list[list[str]] = []
+    for _, argv in cases():
+        if argv[0] == "report":
+            argv = argv if "--json" in argv else [*argv, "--json", "-"]
+            if argv not in out:
+                out.append(argv)
+    return out
+
+
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
+    """Exit code, JSON document (None unless it printed one) and stderr of each case in `tree`."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--run", str(tree)],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _run_here(tree: str) -> int:
+    """Child mode: run the cases read from stdin with `tree`'s ak4 and print the results."""
+    sys.path.insert(0, str(Path(tree) / "src"))
+    from ak4 import cli
+
+    results = []
+    for argv in json.loads(sys.stdin.read()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        doc = json.loads(out.getvalue()) if out.getvalue().startswith("{") else None
+        if doc is not None:
+            doc.pop("timing_s", None)
+        results.append({"exit": code, "doc": doc, "stderr": err.getvalue()})
+    print(json.dumps(results))
+    return 0
+
+
+def _delta(a: float, b: float) -> float:
+    """|a - b|, 0 for two NaNs or equal infinities, inf when only one side is NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    d = abs(a - b)
+    return math.inf if math.isnan(d) else d
+
+
+def compare(argvs: list[list[str]], here: list[dict], other: list[dict]) -> tuple[dict[str, float], dict[str, float], list[str]]:
+    """(max |delta| per identity, max |delta| per second-order residual, flips)."""
+    rows: dict[str, float] = {}
+    second: dict[str, float] = {}
+    flips: list[str] = []
+    for argv, a, b in zip(argvs, here, other, strict=True):
+        label = " ".join(argv)
+        if a["exit"] != b["exit"]:
+            flips.append(f"{label}: exit code {b['exit']} -> {a['exit']}")
+        if a["doc"] is None or b["doc"] is None:
+            if (a["doc"] is None) != (b["doc"] is None) or a["stderr"] != b["stderr"]:
+                flips.append(f"{label}: output changed kind or error message")
+            continue
+        for i, (pa, pb) in enumerate(zip(a["doc"]["points"], b["doc"]["points"], strict=True)):
+            where = f"{label}, point {i}"
+            for key in ("verdict", "flags"):
+                if pa[key] != pb[key]:
+                    flips.append(f"{where}: {key} {pb[key]} -> {pa[key]}")
+            names_a = [r["name"] for r in pa["identities"]]
+            names_b = [r["name"] for r in pb["identities"]]
+            if names_a != names_b:
+                flips.append(f"{where}: applicable rows {names_b} -> {names_a}")
+                continue
+            for ra, rb in zip(pa["identities"], pb["identities"]):
+                rows[ra["name"]] = max(rows.get(ra["name"], 0.0), _delta(ra["residual"], rb["residual"]))
+                if ra["pass"] != rb["pass"]:
+                    flips.append(f"{where}: {ra['name']} pass {rb['pass']} -> {ra['pass']}")
+            sa, sb = pa.get("second_order", {}), pb.get("second_order", {})
+            if sa.keys() != sb.keys():
+                flips.append(f"{where}: second-order keys {sorted(sb)} -> {sorted(sa)}")
+                continue
+            for key, value in sa.items():
+                if isinstance(value, float):
+                    second[key] = max(second.get(key, 0.0), _delta(value, sb[key]))
+        agg_a, agg_b = a["doc"]["aggregate"], b["doc"]["aggregate"]
+        for key in ("all_pass", "verdicts"):
+            if agg_a[key] != agg_b[key]:
+                flips.append(f"{label}: aggregate {key} {agg_b[key]} -> {agg_a[key]}")
+        for name, worst in agg_a["identities"].items():
+            before = agg_b["identities"].get(name)
+            if before is None or worst["pass"] != before["pass"]:
+                flips.append(f"{label}: aggregate {name} pass {before and before['pass']} -> {worst['pass']}")
+    return rows, second, flips
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--run":
+        return _run_here(argv[1])
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "ak4").is_dir():
+        print("usage: residual_drift.py <other-checkout>  (a tree with src/ak4)", file=sys.stderr)
+        return 2
+    other_tree = Path(argv[0]).resolve()
+    argvs = report_cases()
+    here, other = run_tree(ROOT, argvs), run_tree(other_tree, argvs)
+    rows, second, flips = compare(argvs, here, other)
+    print(f"residual drift of {ROOT} against {other_tree}: {len(argvs)} report cases")
+    for title, table in (("identity rows", rows), ("second-order residuals", second)):
+        print(f"{title} (max |delta| over cases and points):")
+        width = max(map(len, table), default=0)
+        for name, delta in sorted(table.items()):
+            print(f"  {name:{width}s}  {delta:.3e}")
+    print(f"changes of pass mark, verdict, flag, applicability or exit code: {len(flips)}")
+    for line in flips:
+        print(f"  {line}")
+    return 1 if flips else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

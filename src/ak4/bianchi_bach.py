@@ -108,8 +108,7 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
 def _bach_from(cd: CurvatureData, w: Jet, dw: Jet) -> np.ndarray:
     """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components."""
     sp = cd.sp
-    ddw = cd.conn.covd(dw)  # (m, x, a, y)
-    term1 = jets.contract(sp.g_inv, ddw, (0, 1), (0, 2)).value  # (x, y)
+    term1 = cd.conn.divergence(dw, 1).value  # (x, y)
     # the W h term is read as a value only: it runs on order-0 truncations
     term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
     return tensorops.frame_components(term1 + term2, sp.frame)
@@ -176,7 +175,7 @@ def bach_almost_kahler(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
         + s_tensor
     )
 
-    lap_ric0 = tensorops.frame_components(conn.rough_laplacian(cd.ric0).value, frame)
+    lap_ric0 = tensorops.frame_components(conn.codifferential(conn.covd(cd.ric0)).value, frame)
     w_f = tensorops.frame_components(cd.weyl.value, frame)
     w_ring = -np.einsum("xaby,ab->xy", w_f, ric0_f)
     b_ricci = 0.5 * lap_ric0 + (lap_s / 24.0) * np.eye(4) + hess_f / 6.0 + (s_val / 6.0) * ric0_f - w_ring
@@ -190,8 +189,9 @@ def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
 
     for the supplied 2-form field (default: the fundamental 2-form). Both
     sides differentiate the field at most twice, so it enters at order 2.
-    nabla phi is formed once and gives both delta phi and nabla*nabla phi;
-    for Omega it is the connection's `nabla_omega`. The algebraic terms
+    nabla phi is formed once and gives delta phi; nabla*nabla phi is the
+    codifferential of nabla phi, except for Omega, whose `nabla_omega` and
+    `nabla2_omega` the connection has cached already. The algebraic terms
     (s/3) phi and W(phi) are read as values only, so they are formed from
     order-0 truncations.
     """
@@ -200,17 +200,17 @@ def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
     conn = cd.conn
     if field is None:
-        phi, nabla_phi, nabla2_phi = sp.omega, conn.nabla_omega, conn.nabla2_omega
+        phi, nabla_phi = sp.omega, conn.nabla_omega
+        rough = conn.neg_trace(conn.nabla2_omega)
     else:
         phi = field.truncate(J_SIDE_ORDER)
         nabla_phi = conn.covd(phi)
-        nabla2_phi = conn.covd(nabla_phi)
+        rough = conn.codifferential(nabla_phi)
     delta_phi = conn.neg_trace(nabla_phi)  # 1-form
     d_delta = tensorops.ext_d_1form(delta_phi)
     d_phi = tensorops.ext_d_2form(phi)
     delta_d = conn.codifferential(d_phi)
     laplace = d_delta + delta_d
-    rough = conn.neg_trace(nabla2_phi)
     phi0 = phi.truncate(0)
     w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, sp.g_inv.truncate(0), (2, 3))
     rhs = rough + (cd.s.truncate(0) / 3.0) * phi0 - 2.0 * w_phi

@@ -15,6 +15,7 @@ additively.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -270,6 +271,12 @@ IDENTITIES = (
 REPORTED = tuple(i for i in IDENTITIES if i.report)
 
 
+def _rank(residual: float) -> float:
+    """Order of badness of a residual: a non-finite one ranks worst, where a
+    bare comparison or max() would pass over a NaN."""
+    return residual if math.isfinite(residual) else math.inf
+
+
 def _select(names, identities: tuple[Identity, ...]) -> tuple[Identity, ...]:
     """The identities whose name or group is one of `names`."""
     return tuple(i for i in identities if i.name in names or i.group in names)
@@ -338,7 +345,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         rows = _identity_rows(pa, config.tol_scale, identities)
         for r in rows:
             w = worst.setdefault(r["name"], {"residual": -1.0, "tol": r["tol"], "pass": True})
-            if r["residual"] > w["residual"]:
+            if _rank(r["residual"]) > _rank(w["residual"]):
                 w["residual"] = r["residual"]
                 w["point_index"] = idx
             w["pass"] = bool(w["pass"] and r["pass"])
@@ -364,9 +371,90 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     return doc, 0 if all_pass else 1
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """A float as `json` spells it: NaN, Infinity, -Infinity or float.__repr__."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as `json` converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is None:
+        return "null"
+    if key is True or key is False:
+        return "true" if key else "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(o, nl: str, out: list[str]) -> None:
+    """Append the JSON text of `o` to `out`; `nl` is the newline and indent of its level.
+
+    The types are tested in the order `json` tests them, so a bool is never
+    written as an int and a float subclass such as np.float64 as a float.
+    """
+    if isinstance(o, str):
+        out.append(_JSON_STR(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + _JSON_STR(_json_key(key)) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _json_text(doc: dict) -> str:
-    """The report as JSON text: sorted keys, two-space indent, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text: sorted keys, two-space indent, final newline.
+
+    The text equals json.dumps(doc, indent=2, sort_keys=True) + "\n" byte for
+    byte. With an indent, CPython's json falls back to its pure-Python
+    encoder, which this direct writer outruns.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(doc: dict, path: str) -> None:
@@ -401,7 +489,7 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
     for spec in _charts_for(config):
         for pa in _analyses(spec, config, order):
             values = [i.residual(pa) for i in identities if i.applies(pa)]
-            rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values)) if values else None})
+            rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values, key=_rank)) if values else None})
     return rows
 
 
@@ -472,7 +560,7 @@ def cmd_check(config: RunConfig, name: str) -> int:
             continue
         mark = "pass" if r["residual"] <= tol else "FAIL"
         print(f"  {r['chart']:20s} {pt:>44s}  {r['residual']:.3e}  {mark}")
-        if worst is None or r["residual"] > worst["residual"]:
+        if worst is None or _rank(r["residual"]) > _rank(worst["residual"]):
             worst = r
     if not applicable:
         print("  no applicable chart/point combinations")
@@ -531,7 +619,9 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ak4", description="Curvature identity checks for almost Hermitian 4-manifold charts")
     sub = parser.add_subparsers(dest="command", required=True)
     # a flag left out is absent from the namespace, so RunConfig's default stands in

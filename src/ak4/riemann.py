@@ -72,13 +72,36 @@ class ConnectionData:
         rough Laplacian nabla^* nabla T when t = nabla^2 T."""
         return -jets.contract(self.sp.g_inv, t, (0, 1), (0, 1))
 
-    def rough_laplacian(self, t: Jet) -> Jet:
-        """nabla^* nabla t = -g^mn (nabla^2 t)_{m,n,...}."""
-        return self.neg_trace(self.covd(self.covd(t)))
+    @cached_property
+    def gamma_trace(self) -> Jet:
+        """v^p = g^mi Gamma^p_mi, the Gamma-term of a divergence on its own slot."""
+        return jets.contract(self.sp.g_inv, self.gamma, (0, 1), (1, 2))
+
+    @cached_property
+    def gamma_raised(self) -> Jet:
+        """K[i, p, c] = g^mi Gamma^p_mc, the Gamma-term of a divergence on every other slot."""
+        return jets.contract(self.sp.g_inv, self.gamma, 0, 1)
+
+    def divergence(self, t: Jet, slot: int = 0) -> Jet:
+        """g^mi (nabla_m t)_{..i..} with i at `slot`, without forming nabla t.
+
+        It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
+        (p at slot a, c the free index there), with v and K of `gamma_trace`
+        and `gamma_raised`. The other slots keep their order, and each
+        Gamma-term enters truncated to the result's order.
+        """
+        out = jets.contract(self.sp.g_inv, jets.partials(t), (0, 1), (0, slot + 1))
+        low = t.truncate(out.order)
+        out = out - jets.contract(self.gamma_trace, low, 0, slot)
+        for a in range(t.c.ndim - 1):
+            if a != slot:
+                term = jets.contract(self.gamma_raised, low, (0, 1), (slot, a))  # (c, other slots)
+                out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
+        return out
 
     def codifferential(self, t: Jet) -> Jet:
-        """Negative divergence on the first slot: -g^mi (covd t)_{m,i,...}."""
-        return self.neg_trace(self.covd(t))
+        """Negative divergence on the first slot."""
+        return -self.divergence(t, 0)
 
 
 def connection(sp: StructurePoint) -> ConnectionData:
@@ -159,9 +182,14 @@ class CurvatureData:
         """Codifferential of W-, computed from W- itself."""
         return self.conn.codifferential(self.weyl_minus)
 
+    @cached_property
+    def _weyl_star(self) -> Jet:
+        """The Hodge star of W's first pair, shared by W+ and W-."""
+        return tensorops.hodge_star_2form(self.weyl, self.sp.g_inv, self.sp.mu)
+
     def _weyl_half(self, sign: float) -> Jet:
         sp = self.sp
-        half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1))
+        half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1), self._weyl_star)
         return tensorops.dual_projection(half, sp.g_inv, sp.mu, sign, (2, 3))
 
 

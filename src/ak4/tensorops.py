@@ -119,14 +119,18 @@ def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet) -> Jet:
     return form_inner(mu, phi, ginv, (2, 3))
 
 
-def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int]) -> Jet:
+def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None) -> Jet:
     """Project an antisymmetric index pair onto its (anti-)self-dual part.
 
     sign=+1.0 applies (1/2)(id + *) to the pair, sign=-1.0 the complement.
+    A caller that projects the same pair with both signs passes `star`, the
+    Hodge star of t on that pair with the pair's slots first, so it is formed once.
     """
     a, b = pair
     tp = jets.moveaxis(jets.moveaxis(t, a, 0), b, 1)
-    out = 0.5 * (tp + float(sign) * hodge_star_2form(tp, ginv, mu))
+    if star is None:
+        star = hodge_star_2form(tp, ginv, mu)
+    out = 0.5 * (tp + float(sign) * star)
     return jets.moveaxis(jets.moveaxis(out, 1, b), 0, a)
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ak4 import cli
 from ak4.cli import PointAnalysis, RunConfig, run_report
@@ -99,6 +103,14 @@ class TestReport:
     )
     def test_flag_defaults_are_run_config_defaults(self, argv, expected):
         assert cli._config_from(cli.build_parser().parse_args(argv)) == expected
+
+    def test_the_shared_parser_keeps_no_flag_between_commands(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_report", lambda config: seen.append(config) or 0)
+        assert run_main(["report", "--points", "3"]) == 0
+        assert run_main(["report"]) == 0
+        assert seen == [RunConfig(points=3), RunConfig()]
 
     @pytest.mark.parametrize(
         ("command", "flag", "value"),
@@ -460,3 +472,115 @@ class TestUserChartFiles:
         assert "'user-chart', point 0 at (" in err
         assert f"chart entry {entry} = inf is not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _kappa_nan_at_the_second_point(monkeypatch) -> None:
+    """Make the kappa row's residual NaN at the second point it is evaluated on."""
+    calls = []
+
+    def residual(pa):
+        calls.append(pa)
+        return math.nan if len(calls) == 2 else 1e-12
+
+    patched = tuple(dataclasses.replace(i, residual=residual) if i.name == "kappa" else i for i in cli.IDENTITIES)
+    monkeypatch.setattr(cli, "IDENTITIES", patched)
+    monkeypatch.setattr(cli, "REPORTED", tuple(i for i in patched if i.report))
+
+
+class TestNonFiniteResidual:
+    """A NaN residual ranks worst: `>` and max() would pass over it."""
+
+    def test_check_reports_it_worst_and_fails(self, monkeypatch, capsys):
+        _kappa_nan_at_the_second_point(monkeypatch)
+        code = run_main(["check", "kappa", "--chart", "flat", "--points", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("  FAIL\n") == 1
+        assert out.endswith("worst residual nan on flat -> FAIL\n")
+
+    def test_report_aggregate_names_its_point(self, monkeypatch, capsys):
+        _kappa_nan_at_the_second_point(monkeypatch)
+        doc, code = run_report(RunConfig(chart="flat", points=2, order=2, checks=("kappa",)))
+        worst = doc["aggregate"]["identities"]["kappa"]
+        assert code == 1
+        assert math.isnan(worst["residual"]) and worst["point_index"] == 1 and worst["pass"] is False
+
+    def test_report_text_prints_it(self, monkeypatch, capsys):
+        _kappa_nan_at_the_second_point(monkeypatch)
+        assert run_main(["report", "--chart", "flat", "--points", "2", "--order", "2", "--checks", "kappa"]) == 1
+        assert "  kappa  worst nan  (tol 1.0e-09)  FAIL\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("first", ["finite", "nan"])
+    def test_group_max_keeps_it(self, first):
+        values = {"finite": 1e-12, "nan": math.nan}
+        second = "nan" if first == "finite" else "finite"
+        group = tuple(cli.Identity(k, cli.TOL_ALGEBRAIC, 2, lambda pa, v=values[k]: v, group="g") for k in (first, second))
+        rows = cli._per_point_check(RunConfig(chart="flat", points=1, order=2), group)
+        assert len(rows) == 1 and math.isnan(rows[0]["residual"])
+
+
+def _json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, 1e300])
+    | st.text()
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=3)
+    | st.dictionaries(st.floats(), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """`_json_text` writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_catalog_reports(self, order, catalog_specs):
+        for name in catalog_specs:
+            doc, _ = run_report(RunConfig(chart=name, points=2, order=order))
+            assert cli._json_text(doc) == _json_reference(doc), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    def test_generated_documents(self, doc):
+        assert cli._json_text(doc) == _json_reference(doc)
+
+    def test_edge_documents(self):
+        docs = [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}], "é": "ü\u2028\x00\"\\", "\ud800": "\U0001f600"},
+            [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(math.nan), True, False, None, 0, -7, 2**70],
+            {1: "a", 3: "b", 2: "c"},
+            {True: 1, False: 2},
+            {None: [1.5]},
+            {1.5: 0, -math.inf: 1},
+        ]
+        for doc in docs:
+            assert cli._json_text(doc) == _json_reference(doc)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(1.0), np.bool_(True), {1, 2}, object(), b"x"])
+    def test_rejects_what_json_rejects(self, value):
+        for doc in (value, [value], {"k": value}):
+            with pytest.raises(TypeError):
+                _json_reference(doc)
+            with pytest.raises(TypeError):
+                cli._json_text(doc)
+
+    def test_rejects_the_keys_json_rejects(self):
+        with pytest.raises(TypeError):
+            _json_reference({(1, 2): 0})
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+            cli._json_text({(1, 2): 0})

@@ -1,0 +1,47 @@
+"""scripts/residual_drift.py: the comparison of two trees' report documents."""
+
+from __future__ import annotations
+
+import copy
+import sys
+from pathlib import Path
+
+import pytest
+
+from ak4 import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import residual_drift  # noqa: E402
+
+ARGV = ["report", "--chart", "kodaira-thurston", "--points", "2", "--json", "-"]
+
+
+def _result() -> dict:
+    doc, code = cli.run_report(cli.RunConfig(chart="kodaira-thurston", points=2))
+    doc = copy.deepcopy(doc)
+    del doc["timing_s"]
+    return {"exit": code, "doc": doc, "stderr": ""}
+
+
+def test_identical_runs_have_no_drift():
+    rows, second, flips = residual_drift.compare([ARGV], [_result()], [_result()])
+    assert flips == []
+    assert rows and set(rows.values()) == {0.0}
+    assert second and set(second.values()) == {0.0}
+
+
+def test_a_moved_residual_is_measured_and_a_flip_is_listed():
+    here, other = _result(), _result()
+    here["doc"]["points"][0]["second_order"]["delta W = C"] += 1e-3
+    _, second, flips = residual_drift.compare([ARGV], [here], [other])
+    assert second["delta W = C"] == pytest.approx(1e-3) and flips == []
+    verdict = here["doc"]["points"][0]["verdict"]
+    here["doc"]["points"][0]["verdict"] = "KAHLER"
+    here["doc"]["points"][1]["identities"][0]["pass"] = False
+    here["exit"] = 1
+    _, _, flips = residual_drift.compare([ARGV], [here], [other])
+    assert len(flips) == 3
+    assert flips[0].endswith("exit code 0 -> 1")
+    assert flips[1].endswith(f"point 0: verdict {verdict} -> KAHLER")
+    assert flips[2].endswith("point 1: structure-invariants pass True -> False")

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ak4 import algebra, bianchi_bach, charts, cli, jets, sandbox, tensorops
+from ak4 import algebra, bianchi_bach, charts, cli, jets, riemann, sandbox, tensorops
 from ak4.charts import J_FRAME
 from ak4.exprs import eval_jet
 from ak4.jets import Jet
@@ -261,3 +261,44 @@ class TestJetKernels:
         for o, c in built + [(j.order, j.c) for j in stored]:
             assert isinstance(c, np.ndarray) and c.dtype == np.float64
             assert 0 <= o <= jets.MAX_ORDER and c.shape[-1] == jets.NCOEF[o]
+
+
+def old_divergence(conn, t: Jet, slot: int) -> Jet:
+    """The divergence as it was taken before `divergence`: form nabla t, then trace it."""
+    return -conn.neg_trace(jets.moveaxis(conn.covd(t), slot + 1, 1))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_the_trace_of_the_covariant_derivative(self, rank, analyses):
+        rng = np.random.default_rng(rank)
+        for name in CATALOG_NAMES:
+            conn = analyses[name][0].conn
+            for order in (1, 2, 3):
+                t = Jet(order, rng.standard_normal((4,) * rank + (jets.NCOEF[order],)))
+                for slot in range(rank):
+                    got, old = conn.divergence(t, slot), old_divergence(conn, t, slot)
+                    assert got.order == old.order == order - 1 and got.shape == old.shape == (4,) * (rank - 1)
+                    assert np.abs(got.c - old.c).max() <= 1e-13 * np.abs(old.c).max(), (name, order, slot)
+
+    @pytest.mark.parametrize("name", ["product-surfaces", "kodaira-thurston"])
+    def test_report_never_differentiates_a_rank_4_tensor(self, name, monkeypatch):
+        """No reader forms nabla W: every delta is a divergence taken without nabla t."""
+        ranks = []
+        covd = riemann.ConnectionData.covd
+
+        def recording(self, t):
+            ranks.append(t.c.ndim - 1)
+            return covd(self, t)
+
+        monkeypatch.setattr(riemann.ConnectionData, "covd", recording)
+        doc, code = cli.run_report(cli.RunConfig(chart=name, points=1))
+        assert code == 0 and "bach direct vs plus" in doc["points"][0]["second_order"]
+        assert ranks and max(ranks) == 3
+
+    def test_weyl_halves_from_the_shared_star_match_the_projection_bit_for_bit(self, analyses):
+        for _, pa in all_points(analyses):
+            sp, cd = pa.sp, pa.cd
+            for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
+                first = tensorops.dual_projection(cd.weyl, sp.g_inv, sp.mu, sign, (0, 1))
+                assert np.array_equal(half.c, tensorops.dual_projection(first, sp.g_inv, sp.mu, sign, (2, 3)).c)
