@@ -14,6 +14,13 @@ Runs `ak4.cli.main` in-process over:
 - with no flag but `--points`, so that each command's flag defaults are
   covered: `report --points 3`, `check kappa --points 2` and
   `classify --points 2`;
+- one-point batches of the structure stage: `report --json -` for every
+  catalog chart, `classify --chart all` and `check kappa --chart all`, all
+  at `--points 1`;
+- a bad sample point: `report`, `classify` and `check kappa` on the
+  `half-bad` chart file (written to a temporary file, labelled by its name
+  so that no digest depends on the path) at `--points 6 --seed 3`, where
+  points 3 and 5 are bad and each command must stop at point 3;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -34,11 +41,16 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import atexit  # noqa: E402
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import re  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -46,6 +58,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ak4 import charts, cli  # noqa: E402
 
 TIMING_LINE = re.compile(r'^\s*"timing_s": .*\n', re.MULTILINE)
+
+#: A chart whose metric g = (x1 + 1/2)(dx1^2 + dx2^2) + dx3^2 + dx4^2 is
+#: indefinite where x1 < -1/2, with the standard J.
+HALF_BAD = {
+    "name": "half-bad",
+    "coords": ["x1", "x2", "x3", "x4"],
+    "domain": [[-1.0, 1.0]] * 4,
+    "g": {"11": "x1 + 0.5", "22": "x1 + 0.5", "33": "1", "44": "1", "12": "0", "13": "0", "14": "0", "23": "0", "24": "0", "34": "0"},
+    "J": {f"{i}_{j}": {(2, 1): "1", (1, 2): "-1", (4, 3): "1", (3, 4): "-1"}.get((i, j), "0") for i in range(1, 5) for j in range(1, 5)},
+}
+
+
+@functools.cache
+def half_bad_path() -> str:
+    """HALF_BAD as a chart file in a temporary folder, removed when the process exits."""
+    folder = tempfile.mkdtemp(prefix="ak4-fingerprint-")
+    atexit.register(shutil.rmtree, folder, True)
+    path = str(Path(folder) / "half-bad.json")
+    Path(path).write_text(json.dumps(HALF_BAD), encoding="utf-8")
+    return path
 
 
 def cases():
@@ -71,6 +103,14 @@ def cases():
         yield " ".join(argv), argv
     for argv in (["report", "--points", "3"], ["check", "kappa", "--points", "2"], ["classify", "--points", "2"]):
         yield " ".join(argv), argv
+    for spec in charts.catalog():
+        argv = ["report", "--chart", spec.name, "--points", "1", "--json", "-"]
+        yield " ".join(argv), argv
+    for argv in (["classify", "--chart", "all", "--points", "1"], ["check", "kappa", "--chart", "all", "--points", "1"]):
+        yield " ".join(argv), argv
+    for command in (["report"], ["classify"], ["check", "kappa"]):
+        tail = ["--points", "6", "--seed", "3"]
+        yield " ".join([*command, "--chart", HALF_BAD["name"], *tail]), [*command, "--chart", half_bad_path(), *tail]
 
 
 def fingerprint(argv: list[str]) -> str:

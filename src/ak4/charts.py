@@ -12,19 +12,25 @@ by declaring the 4-form Omega ^ Omega positive, so Omega is always
 self-dual. The self-dual basis is completed by phi = e1^e3 - e2^e4 and
 J phi, where (J phi)(X, Y) = -phi(JX, Y); this phi gauge is a free choice
 and every gauge-dependent quantity downstream is documented as such.
+
+`structure_at` runs this structure stage once per command over all its
+sample points: each chart's entry expressions are evaluated on that chart's
+points with one memo, and the rest on a leading point axis across charts.
+Each point's jets are the bits a batch of that point alone would give.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets, tensorops
+from . import exprs, jets, tensorops
 from .errors import ChartError, DomainError, StructureError
-from .exprs import Expr, eval_jet, parse_expr
+from .exprs import Expr, parse_expr
 from .jets import Jet
 
 STRUCTURE_TOL = 1e-9
@@ -53,9 +59,6 @@ class ChartSpec:
     tags: tuple[str, ...] = ()
     g: dict[tuple[int, int], Expr] = field(repr=False, default=None)
     J: tuple[tuple[Expr, ...], ...] = field(repr=False, default=None)
-
-    def contains(self, p) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.domain))
 
     def sample_points(self, n: int, seed: int) -> np.ndarray:
         """n deterministic uniform samples from the domain box."""
@@ -301,6 +304,9 @@ class StructurePoint:
     most any reader uses. Their degree-2 coefficients can differ in the last
     bit, because BLAS sums the adapted frame's dot products over a padded
     pair axis whose length depends on the order.
+
+    The jets are views into the arrays of the batch `structure_at` built the
+    point in; they hold the same bits as the jets of a one-point batch.
     """
 
     point: tuple[float, float, float, float]
@@ -316,131 +322,200 @@ class StructurePoint:
     invariant_residuals: dict[str, float]
 
 
-def _check(residuals: dict[str, float], name: str, value: float) -> None:
-    residuals[name] = float(value)
-    if not np.isfinite(value) or value > STRUCTURE_TOL:
-        raise StructureError(name, float(value))
+#: The pointwise invariants `structure_at` checks, in the order it checks
+#: them. The first is min(0, smallest eigenvalue of g) negated; each other
+#: one is the largest |entry| of a difference that vanishes when it holds.
+INVARIANTS = (
+    "g positive definite",
+    "J o J = -Id",
+    "g(J.,J.) = g",
+    "Omega = g(J.,.)",
+    "frame orthonormal",
+    "e2 = J e1",
+    "e4 = J e3",
+    "Omega = e1^e2 + e3^e4",
+    "*Omega = Omega",
+    "*phi = phi",
+    "*Jphi = Jphi",
+)
+
+
+def _check(diffs: np.ndarray, residuals: np.ndarray, first: int, stop: int) -> None:
+    """Fill residuals[:, first:stop] from diffs[:, first:stop] and raise
+    StructureError for the first point, and within it the first invariant, that fails."""
+    block = residuals[:, first:stop]
+    block[...] = np.abs(diffs[:, first:stop]).max(axis=(2, 3))
+    bad = ~(block <= STRUCTURE_TOL)  # NaN fails too
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise StructureError(INVARIANTS[first + i], float(block[k, i]))
 
 
 def _check_finite(m: Jet, entry: str) -> None:
-    """Raise DomainError naming the first entry of the 4x4 jet matrix m (`entry`
+    """Raise DomainError naming the first entry of the 4x4 jet matrices m (`entry`
     formats its 1-based row and column) whose value or a Taylor coefficient is not finite."""
     if not np.isfinite(m.c).all():
-        i, j, k = np.argwhere(~np.isfinite(m.c))[0]
+        where = tuple(np.argwhere(~np.isfinite(m.c))[0])
+        i, j, k = where[-3:]
         what = " =" if k == 0 else "'s Taylor coefficient"
-        raise DomainError(f"chart entry {entry.format(i + 1, j + 1)}{what} {float(m.c[i, j, k])!r} is not finite")
+        raise DomainError(f"chart entry {entry.format(i + 1, j + 1)}{what} {float(m.c[where])!r} is not finite")
 
 
-def structure_at(spec: ChartSpec, p, order: int = 4) -> StructurePoint:
-    """Evaluate all structure jets at p and validate the pointwise invariants.
+def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4) -> list[StructurePoint]:
+    """Evaluate all structure jets at every point of `batches` and validate
+    the pointwise invariants; one StructurePoint per point, in order.
 
-    Raises DomainError naming a non-finite g or J entry, StructureError naming
-    the violated invariant, or ChartError if p lies outside the domain box.
+    `batches` is a sequence of (spec, points) pairs with points of shape
+    (N, 4). Each chart's entry expressions are evaluated once on all its
+    points, with one memo per chart: subexpressions shared between entries,
+    such as a common denominator, are evaluated once. Everything after that
+    (g^-1, Omega, the adapted frame, mu, phi, J phi and the invariant
+    checks) runs once on the points of all charts together, along a leading
+    point axis. Each StructurePoint equals, bit for bit, the one a batch of
+    that point alone gives.
+
+    Raises ChartError if a point lies outside its chart's domain box, and for
+    the first bad point of the batch DomainError naming a non-finite g or J
+    entry, or StructureError naming the violated invariant; in a one-point
+    batch that is exactly what is wrong at the point.
     """
-    p = tuple(float(x) for x in p)
-    if not spec.contains(p):
-        raise ChartError(f"point {p} outside domain of chart {spec.name!r}")
+    batches = [(spec, np.asarray(pts, dtype=float).reshape(-1, 4)) for spec, pts in batches]
+    points = []
+    for spec, pts in batches:
+        for p in pts.tolist():
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(p, spec.domain)):
+                raise ChartError(f"point {tuple(p)} outside domain of chart {spec.name!r}")
+            points.append(tuple(p))
     if not 0 <= order <= jets.MAX_ORDER:
         raise ChartError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
+    n_points = len(points)
+    if not n_points:
+        return []
 
-    # One memo for the point: subexpressions shared between entries, such as
-    # a common denominator, are evaluated once. _check_finite reports an overflow by entry.
-    memo: dict = {}
-    gmat = [[None] * 4 for _ in range(4)]
     j_order = min(order, J_SIDE_ORDER)
-    with np.errstate(all="ignore"):
-        for i, j in _UPPER:
-            entry = eval_jet(spec.g[(i, j)], p, order, memo)
-            gmat[i][j] = entry
-            gmat[j][i] = entry
-        J = jets.stack([jets.stack([eval_jet(spec.J[i][j], p, j_order, memo) for j in range(4)]) for i in range(4)])
-    g = jets.stack([jets.stack(row) for row in gmat])
+    gc = np.empty((n_points, 4, 4, jets.NCOEF[order]))
+    jc = np.empty((n_points, 4, 4, jets.NCOEF[j_order]))
+    start = 0
+    with np.errstate(all="ignore"):  # _check_finite reports an overflow by entry
+        for spec, pts in batches:
+            rows = slice(start, start + len(pts))
+            start = rows.stop
+            memo: dict = {}
+            for i, j in _UPPER:
+                entry = exprs.eval_jet(spec.g[(i, j)], pts, order, memo).c
+                gc[rows, i, j] = entry
+                gc[rows, j, i] = entry
+            for i in range(4):
+                for j in range(4):
+                    jc[rows, i, j] = exprs.eval_jet(spec.J[i][j], pts, j_order, memo).c
+    g, J = Jet._of(order, gc), Jet._of(j_order, jc)
     _check_finite(g, "g_{}{}")
     _check_finite(J, "J^{}_{}")
     g_low = g.truncate(j_order)
 
-    residuals: dict[str, float] = {}
-    g0 = g.value
-    min_eig = float(np.linalg.eigvalsh(g0).min())
-    residuals["g positive definite"] = max(0.0, -min_eig)
-    if min_eig <= 0.0:
-        raise StructureError("g positive definite", -min_eig)
-    j0 = J.value
-    _check(residuals, "J o J = -Id", float(np.abs(j0 @ j0 + np.eye(4)).max()))
-    _check(residuals, "g(J.,J.) = g", float(np.abs(j0.T @ g0 @ j0 - g0).max()))
+    residuals = np.empty((n_points, len(INVARIANTS)))
+    diffs = np.zeros((n_points, len(INVARIANTS), 4, 4))
+    g0, j0 = g.value, J.value
+    min_eig = np.linalg.eigvalsh(g0).min(axis=1)
+    residuals[:, 0] = np.maximum(0.0, -min_eig)
+    if (min_eig <= 0.0).any():
+        raise StructureError(INVARIANTS[0], -float(min_eig[np.argmax(min_eig <= 0.0)]))
+    diffs[:, 1] = j0 @ j0 + np.eye(4)
+    diffs[:, 2] = j0.transpose(0, 2, 1) @ g0 @ j0 - g0
+    _check(diffs, residuals, 1, 3)
 
     # every reader contracts g^-1 with at least one derivative of g
-    g_inv = tensorops.matrix_inverse(g.truncate(max(order - 1, 0)))
+    g_inv = tensorops.matrix_inverse(g.truncate(max(order - 1, 0)), points=True)
     # Omega_ij = g(J d_i, d_j) = J^k_i g_kj
-    omega = jets.contract(J, g, 0, 0)
-    _check(residuals, "Omega = g(J.,.)", float(np.abs(omega.value + omega.value.T).max()))
+    omega = jets.contract(J, g, 0, 0, points=True)
+    diffs[:, 3] = omega.value + omega.value.transpose(0, 2, 1)
+    _check(diffs, residuals, 3, 4)
 
     frame_vectors = _adapted_frame(g_low, J)
     frame = frame_vectors.value
-    gram = frame @ g0 @ frame.T
-    _check(residuals, "frame orthonormal", float(np.abs(gram - np.eye(4)).max()))
-    _check(residuals, "e2 = J e1", float(np.abs(j0 @ frame[0] - frame[1]).max()))
-    _check(residuals, "e4 = J e3", float(np.abs(j0 @ frame[2] - frame[3]).max()))
+    diffs[:, 4] = frame @ g0 @ frame.transpose(0, 2, 1) - np.eye(4)
+    diffs[:, 5, 0] = (j0 @ frame[:, 0, :, None])[..., 0] - frame[:, 1]
+    diffs[:, 6, 0] = (j0 @ frame[:, 2, :, None])[..., 0] - frame[:, 3]
+    _check(diffs, residuals, 4, 7)
 
-    mu = tensorops.volume_form(g_low, float(np.sign(np.linalg.det(frame))))
+    mu = tensorops.volume_form(g_low, np.sign(np.linalg.det(frame)))
 
-    coframe = jets.contract(frame_vectors, g_low, 1, 0)  # (e^a)_i = g_ij E_a^j
+    coframe = jets.contract(frame_vectors, g_low, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
     phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
-    jphi = -jets.contract(J, phi, 0, 0)  # (J phi)_ij = -phi(J d_i, d_j)
+    jphi = -jets.contract(J, phi, 0, 0, points=True)  # (J phi)_ij = -phi(J d_i, d_j)
 
     # The remaining checks read only values, so they run on order-0 truncations.
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
     coframe0 = coframe.truncate(0)
     rebuilt = _coframe_wedge(coframe0, 0, 1) + _coframe_wedge(coframe0, 2, 3)
-    _check(residuals, "Omega = e1^e2 + e3^e4", float(np.abs(rebuilt.value - omega.value).max()))
+    diffs[:, 7] = rebuilt.value - omega.value
     # Self-duality of the positive basis under the declared orientation.
     g_inv0, mu0 = g_inv.truncate(0), mu.truncate(0)
-    for name, form in (("*Omega = Omega", omega), ("*phi = phi", phi), ("*Jphi = Jphi", jphi)):
-        starred = tensorops.hodge_star_2form(form.truncate(0), g_inv0, mu0)
-        _check(residuals, name, float(np.abs(starred.value - form.value).max()))
+    for k, form in ((8, omega), (9, phi), (10, jphi)):
+        starred = tensorops.hodge_star_2form(form.truncate(0), g_inv0, mu0, points=True)
+        diffs[:, k] = starred.value - form.value
+    _check(diffs, residuals, 7, 11)
 
-    return StructurePoint(
-        point=p,
-        order=order,
-        g=g,
-        g_inv=g_inv,
-        J=J,
-        omega=omega,
-        mu=mu,
-        frame=frame,
-        phi=phi,
-        jphi=jphi,
-        invariant_residuals=residuals,
-    )
+    return [
+        StructurePoint(
+            point=p,
+            order=order,
+            g=Jet._of(order, g.c[k]),
+            g_inv=Jet._of(g_inv.order, g_inv.c[k]),
+            J=Jet._of(j_order, J.c[k]),
+            omega=Jet._of(j_order, omega.c[k]),
+            mu=Jet._of(j_order, mu.c[k]),
+            frame=frame[k],
+            phi=Jet._of(j_order, phi.c[k]),
+            jphi=Jet._of(j_order, jphi.c[k]),
+            invariant_residuals=dict(zip(INVARIANTS, r)),
+        )
+        for k, (p, r) in enumerate(zip(points, residuals.tolist()))
+    ]
 
 
 def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
-    return tensorops.wedge11(coframe[a], coframe[b])
+    return tensorops.wedge11(coframe[:, a], coframe[:, b], points=True)
 
 
 def _adapted_frame(g: Jet, J: Jet) -> Jet:
-    """Deterministic adapted frame {e1, Je1, e3, Je3} as coordinate jets."""
-    e1 = _basis_vector_jet(0, g) / jets.sqrt(g[0, 0])
-    e2 = jets.contract(J, e1, 1, 0)
-    w = None
+    """Deterministic adapted frames {e1, Je1, e3, Je3} as coordinate jets,
+    axis 0 the point axis.
+
+    e3 normalizes the first coordinate vector d_m, m = 1, 2, 3, left
+    independent of span{e1, e2} by Gram-Schmidt. Each point takes its own m:
+    a candidate and its norm are formed only on the points no earlier m
+    served, and normalized only on those it serves.
+    """
+    e1 = _basis_vector_jet(0, g) / jets.sqrt(g[:, 0, 0])[:, None]
+    e2 = jets.contract(J, e1, 1, 0, points=True)
+    frame = np.empty(e1.c.shape[:1] + (4,) + e1.c.shape[1:])
+    frame[:, 0], frame[:, 1] = e1.c, e2.c
+    e3 = frame[:, 2]
+    todo = np.arange(len(e3))  # the points no m has served yet
     for m in range(1, 4):
-        cand = _basis_vector_jet(m, g)
-        for e in (e1, e2):
-            coeff = jets.contract(jets.contract(g, cand, 0, 0), e, 0, 0)
-            cand = cand - coeff * e
-        norm2 = jets.contract(jets.contract(g, cand, 0, 0), cand, 0, 0)
-        if float(norm2.value) > 1e-10:
-            w = cand / jets.sqrt(norm2)
+        rows = slice(None) if len(todo) == len(e3) else todo
+        g_m = g[rows]
+        cand = _basis_vector_jet(m, g_m)
+        for e in (e1[rows], e2[rows]):
+            coeff = jets.contract(jets.contract(g_m, cand, 0, 0, points=True), e, 0, 0, points=True)
+            cand = cand - coeff[:, None] * e
+        norm2 = jets.contract(jets.contract(g_m, cand, 0, 0, points=True), cand, 0, 0, points=True)
+        served = norm2.value > 1e-10
+        if served.all():
+            e3[rows] = (cand / jets.sqrt(norm2)[:, None]).c
             break
-    if w is None:
+        if served.any():
+            e3[todo[served]] = (cand[served] / jets.sqrt(norm2[served])[:, None]).c
+            todo = todo[~served]
+    else:
         raise StructureError("frame construction (no independent coordinate vector)", 0.0)
-    e3 = w
-    e4 = jets.contract(J, e3, 1, 0)
-    return jets.stack([e1, e2, e3, e4])
+    frame[:, 3] = jets.contract(J, Jet._of(e1.order, e3), 1, 0, points=True).c
+    return Jet._of(e1.order, frame)
 
 
 def _basis_vector_jet(m: int, g: Jet) -> Jet:
-    c = np.zeros((4, jets.NCOEF[g.order]))
-    c[m, 0] = 1.0
-    return Jet(g.order, c)
-
+    """The coordinate vector d_m as a jet at each point of the 4x4 jet matrices g."""
+    c = np.zeros(g.c.shape[:-2] + (jets.NCOEF[g.order],))
+    c[..., m, 0] = 1.0
+    return Jet._of(g.order, c)

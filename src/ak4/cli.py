@@ -63,12 +63,12 @@ class RunConfig:
 
 
 class PointAnalysis:
-    """The pipeline at one sample point: the structure is evaluated and
-    validated on construction, every later stage on first use."""
+    """The pipeline at one sample point, from its validated structure: every
+    later stage runs on first use, at the structure's jet order."""
 
-    def __init__(self, spec: charts.ChartSpec, p, order: int = 4, planes: int = 64, seed: int = 42):
-        self.sp = charts.structure_at(spec, p, order)
-        self.order, self.planes, self.seed = order, planes, seed
+    def __init__(self, sp: charts.StructurePoint, planes: int = 64, seed: int = 42):
+        self.sp = sp
+        self.order, self.planes, self.seed = sp.order, planes, seed
 
     @cached_property
     def conn(self) -> riemann.ConnectionData:
@@ -111,17 +111,31 @@ class PointAnalysis:
         return tuple(skipped)
 
 
-def _analyses(spec: charts.ChartSpec, config: RunConfig, order: int):
-    """A PointAnalysis for each sample point; a point whose structure fails
-    ends the run with an error naming the chart, the point index and its
-    coordinates."""
-    for idx, p in enumerate(spec.sample_points(config.points, config.seed)):
-        try:
-            pa = PointAnalysis(spec, p, order=order, planes=config.planes, seed=config.seed)
-        except (StructureError, DomainError) as exc:
-            coords = ", ".join(f"{x:.6g}" for x in p)
-            raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
-        yield pa
+def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
+    """(spec, PointAnalysis) for each sample point of each chart, in order.
+
+    The structure stage runs once over the points of all the charts. If it
+    fails, the points are run again one at a time, in the same order, through
+    the same function: the good ones are yielded, and the first bad one ends
+    the run with an error naming the chart, the point index and its
+    coordinates.
+    """
+    batches = [(spec, spec.sample_points(config.points, config.seed)) for spec in specs]
+    try:
+        sps = iter(charts.structure_at(batches, order))
+    except (StructureError, DomainError):
+        sps = None
+    for spec, pts in batches:
+        for idx, p in enumerate(pts):
+            if sps is None:
+                try:
+                    [sp] = charts.structure_at([(spec, p[None])], order)
+                except (StructureError, DomainError) as exc:
+                    coords = ", ".join(f"{x:.6g}" for x in p)
+                    raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
+            else:
+                sp = next(sps)
+            yield spec, PointAnalysis(sp, planes=config.planes, seed=config.seed)
 
 
 def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
@@ -341,7 +355,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     point_docs = []
     worst: dict[str, dict] = {}
     verdicts = []
-    for idx, pa in enumerate(_analyses(spec, config, config.order)):
+    for idx, (_, pa) in enumerate(_analyses([spec], config, config.order)):
         rows = _identity_rows(pa, config.tol_scale, identities)
         for r in rows:
             w = worst.setdefault(r["name"], {"residual": -1.0, "tol": r["tol"], "pass": True})
@@ -486,10 +500,9 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
     """Max residual of the applicable identities at each chart point; None where none applies."""
     order = max(config.order, max(i.order for i in identities))
     rows = []
-    for spec in _charts_for(config):
-        for pa in _analyses(spec, config, order):
-            values = [i.residual(pa) for i in identities if i.applies(pa)]
-            rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values, key=_rank)) if values else None})
+    for spec, pa in _analyses(_charts_for(config), config, order):
+        values = [i.residual(pa) for i in identities if i.applies(pa)]
+        rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values, key=_rank)) if values else None})
     return rows
 
 
@@ -594,11 +607,14 @@ def cmd_report(config: RunConfig) -> int:
 
 
 def cmd_classify(config: RunConfig) -> int:
-    for spec in _charts_for(config):
-        verdicts = []
-        for last in _analyses(spec, config, config.order):
-            verdicts.append(last.ladder.verdict)
+    verdicts = []
+    for spec, last in _analyses(_charts_for(config), config, config.order):
+        verdicts.append(last.ladder.verdict)
+        if len(verdicts) < config.points:
+            continue
+        # the chart's last point: its line is printed before a bad point of a later chart ends the run
         names = sorted(set(verdicts))
+        verdicts = []
         ladder, h = last.ladder, last.hfo
         flags = ", ".join(ladder.flags) if ladder.flags else "-"
         values = (

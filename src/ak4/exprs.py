@@ -14,14 +14,18 @@ are the coordinates x1..x4, the constants pi and e, and the functions
 sin, cos, tan, exp, log, sqrt, sinh, cosh, tanh, atan.
 
 Two independent evaluators are provided: `eval_jet` produces a truncated
-Taylor jet, `eval_float` is a plain floating-point evaluation used as an
-independent reference path.
+Taylor jet, at one point or at a batch of points along a leading axis, and
+`eval_float` is a plain floating-point evaluation used as an independent
+reference path. A memo of `eval_jet` belongs to one batch, such as the
+sample points of one chart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import jets
 from .errors import DomainError, JetOrderError, ParseError
@@ -323,41 +327,49 @@ _FLOAT_FUNCS = {
 def eval_jet(e: Expr, p, order: int, memo: dict | None = None) -> Jet:
     """Evaluate e as a truncated Taylor jet of the given order at point p.
 
+    p is one point (4 coordinates) or an array of points of shape (..., 4),
+    whose leading axes the jet keeps: the jet of a batch at point k equals,
+    bit for bit, the jet of that point alone. A subexpression that uses no
+    coordinate has no point axis; it broadcasts against the others, and so
+    does the result when e uses no coordinate at all. A batch raises
+    DomainError exactly when one of its points does alone.
+
     `memo` shares work between calls. Each subexpression's jet is stored in
-    it under (node, point, order), so a subtree that recurs within e, or in
+    it under (node, points, order), so a subtree that recurs within e, or in
     another expression evaluated with the same memo, is evaluated once. Nodes
     compare by structure, and equal parsed nodes evaluate to the same bits at
-    the same point and order (the parser makes no negative zero, the only
+    the same points and order (the parser makes no negative zero, the only
     float equal to a float of different bits), so a memo changes no value.
 
-    A memo belongs to one point. Its keys keep it from handing back a jet of
-    another point or order, but one kept across points only grows. It holds
-    the jets it returns, so callers must not modify them in place.
+    A memo belongs to one batch of points, such as the sample points of one
+    chart. Its keys keep it from handing back a jet of other points or of
+    another order, but one kept across batches only grows. It holds the jets
+    it returns, so callers must not modify them in place.
     """
     if not 0 <= order <= jets.MAX_ORDER:
         raise JetOrderError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
-    p = tuple(float(v) for v in p)
-    return _eval_jet(e, p, order, {} if memo is None else memo)
+    p = np.asarray(p, dtype=float)
+    return _eval_jet(e, p, (p.shape, p.tobytes()), order, {} if memo is None else memo)
 
 
-def _eval_jet(e: Expr, p: tuple, order: int, memo: dict) -> Jet:
-    key = (e, p, order)
+def _eval_jet(e: Expr, p: np.ndarray, where: tuple, order: int, memo: dict) -> Jet:
+    key = (e, where, order)
     jet = memo.get(key)
     if jet is None:
-        jet = memo[key] = _eval_node(e, p, order, memo)
+        jet = memo[key] = _eval_node(e, p, where, order, memo)
     return jet
 
 
-def _eval_node(e: Expr, p: tuple, order: int, memo: dict) -> Jet:
+def _eval_node(e: Expr, p: np.ndarray, where: tuple, order: int, memo: dict) -> Jet:
     if isinstance(e, (Num, Const)):
         return Jet.constant(e.value, order)
     if isinstance(e, Coord):
         return Jet.coordinate(e.index, p, order)
     if isinstance(e, Neg):
-        return -_eval_jet(e.arg, p, order, memo)
+        return -_eval_jet(e.arg, p, where, order, memo)
     if isinstance(e, BinOp):
-        left = _eval_jet(e.left, p, order, memo)
-        right = _eval_jet(e.right, p, order, memo)
+        left = _eval_jet(e.left, p, where, order, memo)
+        right = _eval_jet(e.right, p, where, order, memo)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -366,9 +378,9 @@ def _eval_node(e: Expr, p: tuple, order: int, memo: dict) -> Jet:
             return left * right
         return left / right
     if isinstance(e, Pow):
-        return jets.power(_eval_jet(e.base, p, order, memo), e.exponent)
+        return jets.power(_eval_jet(e.base, p, where, order, memo), e.exponent)
     if isinstance(e, Call):
-        return _JET_FUNCS[e.fn](_eval_jet(e.arg, p, order, memo))
+        return _JET_FUNCS[e.fn](_eval_jet(e.arg, p, where, order, memo))
     raise TypeError(f"not an expression node: {e!r}")
 
 

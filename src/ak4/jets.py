@@ -23,15 +23,23 @@ axes) put the pair axis first instead: both factors are gathered into
 matmul sums over the convolution pairs and the contracted axes together
 inside BLAS, and never materialises the broadcast elementwise product.
 
+A leading point axis batches the same work over many sample points
+(`charts.structure_at` runs the structure stage on all of a command's points
+at once). Elementwise arithmetic broadcasts over it like any leading axis.
+`contract(..., points=True)` keeps it out of the contraction: it goes
+outermost in the matmul batch, (P, ncoef, ., .), so each point gets the
+BLAS call it would get alone and the same bits.
+
 What these kernels derive from shapes alone is computed once. `contract`
 reads its permutations, reshape targets and `_CONTRACT` table from a plan
 cached by the two coefficient-array shapes (whose last axis fixes each
-operand's order) and the summed axes; `moveaxis` is a bare transpose by a
-permutation cached by (ndim, src, dst). Both caches fill lazily, one entry per
-shape the pipeline meets (a few dozen), and neither moves a bit: a plan holds
-exactly what `contract` used to recompute on every call, so the matmul
-operands are the same values in the same layout, and np.moveaxis is itself a
-transpose by the same permutation.
+operand's order; without the point axis, so no point count enters a key),
+the summed axes and whether there is a point axis; `moveaxis` is a bare
+transpose by a permutation cached by (ndim, src, dst). Both caches fill
+lazily, one entry per shape the pipeline meets (a few dozen), and neither
+moves a bit: a plan holds exactly what `contract` used to recompute on every
+call, so the matmul operands are the same values in the same layout, and
+np.moveaxis is itself a transpose by the same permutation.
 
 A report point builds about a thousand jets, so their construction is kept
 cheap too. `Jet.__init__` converts and checks its input for outside callers;
@@ -223,15 +231,17 @@ class Jet:
 
     @classmethod
     def coordinate(cls, i: int, p, order: int) -> "Jet":
-        """Jet of the coordinate function x_{i+1} at base point p."""
+        """Jet of the coordinate function x_{i+1} at base point p, or at each
+        point of an array p of shape (..., 4), whose leading axes the jet keeps."""
         if not 0 <= i < NVARS:
             raise ValueError(f"coordinate index {i} out of range")
-        c = np.zeros(NCOEF[order])
-        c[0] = float(p[i])
+        p = np.asarray(p, dtype=float)
+        c = np.zeros(p.shape[:-1] + (NCOEF[order],))
+        c[..., 0] = p[..., i]
         if order >= 1:
             e = [0, 0, 0, 0]
             e[i] = 1
-            c[INDEX[tuple(e)]] = 1.0
+            c[..., INDEX[tuple(e)]] = 1.0
         return cls(order, c)
 
     # -- basic queries -------------------------------------------------------
@@ -325,13 +335,6 @@ class Jet:
 # -- structural helpers -------------------------------------------------------
 
 
-def stack(jets) -> Jet:
-    """Stack jets along a new first axis, at the lowest of their orders."""
-    order = min(j.order for j in jets)
-    cs = [j.c[..., : NCOEF[order]] for j in jets]
-    return Jet._of(order, np.stack(cs))
-
-
 def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:
     """The permutation np.moveaxis(x, src, dst) transposes an x of ndim axes by,
     read off a zero-stride probe whose axis k has length k + 1."""
@@ -352,7 +355,7 @@ def partials(j: Jet) -> Jet:
     """Stack of the four partial derivatives, new axis first.
 
     One gather over the `_DERIV` table of all four axes; each coefficient is
-    the product `partial` forms, laid out as `stack` would lay them out.
+    the product `partial` forms, laid out as np.stack of the four would lay them out.
     """
     if j.order == 0:
         raise JetOrderError("derivative requested from an order-0 jet")
@@ -362,8 +365,13 @@ def partials(j: Jet) -> Jet:
     return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(last - 1, *range(last - 1), last)))
 
 
-def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple) -> tuple:
-    """Everything `contract` derives from its operands' shapes and axes alone."""
+def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple, points: bool) -> tuple:
+    """Everything `contract` derives from its operands' shapes and axes alone.
+
+    With `points`, the shapes leave out the point axis, and the permutations,
+    index tuples and reshape targets keep it first (as -1 in the targets);
+    `contract` puts its length in front of the shape it allocates.
+    """
     o = min(NCOEF.index(shape_a[-1]), NCOEF.index(shape_b[-1]))
     n = NCOEF[o]
     last_a, last_b = len(shape_a) - 1, len(shape_b) - 1
@@ -374,58 +382,73 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple)
     sb = tuple(shape_b[ax] for ax in free_b)
     p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
     ia, ib, width = _CONTRACT[o]
+    lead = int(points)
+    pre, every, size = tuple(range(lead)), (slice(None),) * lead, (-1,) * lead
     return (
         o,
         n,
-        (last_a, *axes_a, *free_a),
-        (last_b, *axes_b, *free_b),
-        (n + 1, p, na),
-        (n,) + summed + sa,
-        (n, p, nb),
+        pre + tuple(lead + ax for ax in (last_a, *axes_a, *free_a)),
+        pre + tuple(lead + ax for ax in (last_b, *axes_b, *free_b)),
+        (n + 1,) + summed + sa,
+        every + (n,),
+        every + (slice(None, n),),
+        lead,
         ia,
         ib,
-        (n, width * p, na),
-        (n, width * p, nb),
-        sa + sb + (n,),
+        size + (n, width * p, na),
+        size + (n, width * p, nb),
+        pre + (lead, lead + 2, lead + 1),
+        pre + (lead + 1, lead + 2, lead),
+        size + sa + sb + (n,),
     )
 
 
-def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
+def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     """Multiply two jet tensors and sum over one or more leading-axis pairs.
 
     out[sa..., sb...] = sum a[.. p at axes_a ..] * b[.. p at axes_b ..]
     where the summed axes are matched pairwise.
 
+    With `points`, axis 0 of both operands is a point axis of the same
+    length: axes_a and axes_b count the tensor axes after it, and the result
+    keeps it first. Point k of the result is, bit for bit, the contraction of
+    point k of the operands without `points`.
+
     The coefficient axis goes first: a becomes (ncoef + 1, P, A) with a zero
     slab last and b becomes (ncoef, P, B), where P, A and B are the flattened
     contracted, free-a and free-b axes. Gathering the `_CONTRACT` pairs gives
     (ncoef, width * P, A) and (ncoef, width * P, B), and one batched matmul
-    sums over pairs and contracted axes at once into (ncoef, A, B). The
-    permutations and shapes of these steps come from a plan cached per
-    operand shapes and axes.
+    sums over pairs and contracted axes at once into (ncoef, A, B). A point
+    axis goes in front of all of these, outermost in the matmul batch, so
+    every point gets the same BLAS call as alone. The permutations and
+    shapes of these steps come from a plan cached per operand shapes
+    (without the point count) and axes.
     """
     if isinstance(axes_a, int):
         axes_a = (axes_a,)
         axes_b = (axes_b,)
-    key = (a.c.shape, b.c.shape, axes_a, axes_b)
+    ca, cb = a.c, b.c
+    if points:
+        key = (ca.shape[1:], cb.shape[1:], axes_a, axes_b, True)
+    else:
+        key = (ca.shape, cb.shape, axes_a, axes_b, False)
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _contract_plan(*key)
-    o, n, perm_a, perm_b, fa_shape, fa_view, fb_shape, ia, ib, ga_shape, gb_shape, out_shape = plan
+    o, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape = plan
     # slab n of fa stays zero: the padding pairs of `_CONTRACT` point at it
-    fa = np.empty(fa_shape)
-    fa[n] = 0.0
-    fa[:n].reshape(fa_view)[...] = a.c[..., :n].transpose(perm_a)
-    fb = np.ascontiguousarray(b.c[..., :n].transpose(perm_b)).reshape(fb_shape)
-    ga = fa.take(ia, axis=0).reshape(ga_shape)
-    gb = fb.take(ib, axis=0).reshape(gb_shape)
-    out = np.matmul(ga.transpose(0, 2, 1), gb).transpose(1, 2, 0)
+    fa = np.empty(ca.shape[:1] + fa_shape if points else fa_shape)
+    fa[zero] = 0.0
+    fa[data] = ca[..., :n].transpose(perm_a)
+    ga = fa.take(ia, axis=axis).reshape(ga_shape)
+    gb = cb[..., :n].transpose(perm_b).take(ib, axis=axis).reshape(gb_shape)
+    out = np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm)
     return Jet._of(o, out.reshape(out_shape))
 
 
-def outer(a: Jet, b: Jet) -> Jet:
-    """Tensor product: out[sa..., sb...] = a[sa...] * b[sb...]."""
-    return contract(a, b, (), ())
+def outer(a: Jet, b: Jet, points: bool = False) -> Jet:
+    """Tensor product: out[sa..., sb...] = a[sa...] * b[sb...], pointwise with `points`."""
+    return contract(a, b, (), (), points)
 
 
 # -- reciprocal, powers, elementary functions ---------------------------------
@@ -549,7 +572,9 @@ def tanh(a: Jet) -> Jet:
 
 
 def atan(a: Jet) -> Jet:
-    t = a.c[..., 0]
+    # t keeps an axis so that no factor becomes a numpy scalar, whose ** rounds
+    # differently from an array's: one point alone and in a batch get the same bits
+    t = a.c[..., :1]
     d = 1.0 + t * t
     cols = [np.arctan(t), 1.0 / d, -t / d**2, (3.0 * t * t - 1.0) / (3.0 * d**3), t * (1.0 - t * t) / d**4]
-    return _compose(a, np.stack(cols[: a.order + 1], axis=-1))
+    return _compose(a, np.concatenate(cols[: a.order + 1], axis=-1))

@@ -26,7 +26,7 @@ first read, so `ak4 classify` never computes theta, a or b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +42,7 @@ class ConnectionData:
 
     sp: StructurePoint
     gamma: Jet  # Gamma[k, i, j] = Gamma^k_ij, order one below the metric
+    _gamma_terms: dict[int, tuple[Jet, Jet]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def nabla_omega(self) -> Jet:
@@ -72,30 +73,30 @@ class ConnectionData:
         rough Laplacian nabla^* nabla T when t = nabla^2 T."""
         return -jets.contract(self.sp.g_inv, t, (0, 1), (0, 1))
 
-    @cached_property
-    def gamma_trace(self) -> Jet:
-        """v^p = g^mi Gamma^p_mi, the Gamma-term of a divergence on its own slot."""
-        return jets.contract(self.sp.g_inv, self.gamma, (0, 1), (1, 2))
-
-    @cached_property
-    def gamma_raised(self) -> Jet:
-        """K[i, p, c] = g^mi Gamma^p_mc, the Gamma-term of a divergence on every other slot."""
-        return jets.contract(self.sp.g_inv, self.gamma, 0, 1)
+    def gamma_terms(self, order: int) -> tuple[Jet, Jet]:
+        """The Gamma-terms of a divergence whose result has `order`:
+        v^p = g^mi Gamma^p_mi for its own slot and K[i, p, c] = g^mi Gamma^p_mc
+        for every other slot, contracted at that order once per point."""
+        terms = self._gamma_terms.get(order)
+        if terms is None:
+            g_inv, gamma = self.sp.g_inv.truncate(order), self.gamma.truncate(order)
+            terms = self._gamma_terms[order] = (jets.contract(g_inv, gamma, (0, 1), (1, 2)), jets.contract(g_inv, gamma, 0, 1))
+        return terms
 
     def divergence(self, t: Jet, slot: int = 0) -> Jet:
         """g^mi (nabla_m t)_{..i..} with i at `slot`, without forming nabla t.
 
         It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
-        (p at slot a, c the free index there), with v and K of `gamma_trace`
-        and `gamma_raised`. The other slots keep their order, and each
-        Gamma-term enters truncated to the result's order.
+        (p at slot a, c the free index there), with v and K of `gamma_terms`
+        at the result's order. The other slots keep their order.
         """
         out = jets.contract(self.sp.g_inv, jets.partials(t), (0, 1), (0, slot + 1))
         low = t.truncate(out.order)
-        out = out - jets.contract(self.gamma_trace, low, 0, slot)
+        trace, raised = self.gamma_terms(out.order)
+        out = out - jets.contract(trace, low, 0, slot)
         for a in range(t.c.ndim - 1):
             if a != slot:
-                term = jets.contract(self.gamma_raised, low, (0, 1), (slot, a))  # (c, other slots)
+                term = jets.contract(raised, low, (0, 1), (slot, a))  # (c, other slots)
                 out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
         return out
 

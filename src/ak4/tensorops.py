@@ -32,22 +32,25 @@ def _eps4() -> np.ndarray:
 EPS4 = _eps4()
 
 
-def matrix_inverse(g: Jet) -> Jet:
-    """Inverse of a 4x4 jet matrix with invertible constant term.
+def matrix_inverse(g: Jet, points: bool = False) -> Jet:
+    """Inverse of a 4x4 jet matrix with invertible constant term, or of one
+    per point with `points` (see `jets.contract`).
 
     Splits g = g0 + E with E nilpotent in the truncated algebra and sums the
     terminating Neumann series (I + g0^-1 E)^-1 g0^-1.
     """
     g0_inv = np.linalg.inv(g.value)
+    g0_inv_jet = Jet.constant(g0_inv, g.order)
     e = g.c.copy()
     e[..., 0] = 0.0
-    m = -jets.contract(Jet.constant(g0_inv, g.order), Jet(g.order, e), 1, 0)
-    acc = Jet.constant(np.eye(4), g.order)
+    m = -jets.contract(g0_inv_jet, Jet._of(g.order, e), 1, 0, points)
+    acc = Jet._of(g.order, np.zeros(g.c.shape))
+    acc.c[..., 0] = np.eye(4)
     term = acc
     for _ in range(g.order):
-        term = jets.contract(term, m, 1, 0)
+        term = jets.contract(term, m, 1, 0, points)
         acc = acc + term
-    return jets.contract(acc, Jet.constant(g0_inv, g.order), 1, 0)
+    return jets.contract(acc, g0_inv_jet, 1, 0, points)
 
 
 #: Laplace expansion over rows 0 and 1: one row (c, d, e, f) per column pair
@@ -61,45 +64,50 @@ _MINOR_RIGHT = (np.repeat([1, 1, 3, 3], 6), np.concatenate([_D, _C, _F, _E]))
 
 
 def determinant4(g: Jet) -> Jet:
-    """Determinant of a 4x4 jet matrix (Laplace expansion over rows 0 and 1).
+    """Determinant of a 4x4 jet matrix, or of each of a stack of them
+    (Laplace expansion over rows 0 and 1).
 
     All 24 minor products are one stacked `_mul_raw`, the six top-times-bottom
     products a second; each row gets the operations a scalar jet product would
     apply, and the six terms are added in expansion order.
     """
-    prods = jets._mul_raw(g.c[_MINOR_LEFT], g.c[_MINOR_RIGHT], g.order)
-    top = prods[0:6] - prods[6:12]
-    bot = prods[12:18] - prods[18:24]
+    prods = jets._mul_raw(g.c[(..., *_MINOR_LEFT, slice(None))], g.c[(..., *_MINOR_RIGHT, slice(None))], g.order)
+    top = prods[..., 0:6, :] - prods[..., 6:12, :]
+    bot = prods[..., 12:18, :] - prods[..., 18:24, :]
     terms = jets._mul_raw(top, bot, g.order) * _LAPLACE_SIGNS[:, None]
-    return Jet(g.order, terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5])
+    return Jet._of(g.order, terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :] + terms[..., 4, :] + terms[..., 5, :])
 
 
-def volume_form(g: Jet, orientation: float) -> Jet:
-    """mu_ijkl = orientation * sqrt(det g) * eps_ijkl as a jet tensor."""
-    s = jets.sqrt(determinant4(g)) * float(orientation)
-    c = s.c[None, None, None, None, :] * EPS4[..., None]
-    return Jet(s.order, c)
+def volume_form(g: Jet, orientation) -> Jet:
+    """mu_ijkl = orientation * sqrt(det g) * eps_ijkl as a jet tensor; g and
+    orientation (+-1) may carry a leading point axis."""
+    s = jets.sqrt(determinant4(g)) * orientation
+    c = s.c[..., None, None, None, None, :] * EPS4[..., None]
+    return Jet._of(s.order, c)
 
 
-def raise_axis(t: Jet, ginv: Jet, axis: int) -> Jet:
-    """Raise the index at the given leading-axis position."""
-    return jets.moveaxis(jets.contract(ginv, t, 1, axis), 0, axis)
+def raise_axis(t: Jet, ginv: Jet, axis: int, points: bool = False) -> Jet:
+    """Raise the index at the given tensor-axis position (after the point
+    axis with `points`, as in `jets.contract`)."""
+    lead = int(points)
+    return jets.moveaxis(jets.contract(ginv, t, 1, axis, points), lead, lead + axis)
 
 
-def raise_pair(t: Jet, ginv: Jet, a: int, b: int) -> Jet:
-    return raise_axis(raise_axis(t, ginv, a), ginv, b)
+def raise_pair(t: Jet, ginv: Jet, a: int, b: int, points: bool = False) -> Jet:
+    return raise_axis(raise_axis(t, ginv, a, points), ginv, b, points)
 
 
-def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1)) -> Jet:
+def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1), points: bool = False) -> Jet:
     """Half-tensor-norm inner product of the 2-form jet `form` with the
     antisymmetric slot pair `slots` of t; the other slots of t stay, in order."""
-    return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1), slots, (0, 1))
+    return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1, points), slots, (0, 1), points)
 
 
-def wedge11(a: Jet, b: Jet) -> Jet:
+def wedge11(a: Jet, b: Jet, points: bool = False) -> Jet:
     """(a ^ b)_ij = a_i b_j - a_j b_i for 1-form jets."""
-    t = jets.outer(a, b)
-    return t - jets.moveaxis(t, 0, 1)
+    t = jets.outer(a, b, points)
+    lead = int(points)
+    return t - jets.moveaxis(t, lead, lead + 1)
 
 
 def ext_d_1form(a: Jet) -> Jet:
@@ -114,9 +122,9 @@ def ext_d_2form(phi: Jet) -> Jet:
     return t - jets.moveaxis(t, 1, 0) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1))
 
 
-def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet) -> Jet:
+def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet, points: bool = False) -> Jet:
     """(*phi)_ij = (1/2) mu_ijkl phi^kl."""
-    return form_inner(mu, phi, ginv, (2, 3))
+    return form_inner(mu, phi, ginv, (2, 3), points)
 
 
 def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None) -> Jet:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from ak4 import charts, cli
+from ak4 import charts, cli, jets
 from ak4.cli import PointAnalysis
+from ak4.jets import Jet
 
 #: Points per chart for the full order-4 analyses shared across the suite.
 N_FULL = 3
@@ -35,6 +37,28 @@ def _standard_j() -> dict[str, str]:
     j = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
     j.update({"2_1": "1", "1_2": "-1", "4_3": "1", "3_4": "-1"})
     return j
+
+
+def half_bad_chart() -> dict:
+    """A chart-file object with g = (x1 + 1/2)(dx1^2 + dx2^2) + dx3^2 + dx4^2
+    on [-1, 1]^4 and the standard J: g is indefinite where x1 < -1/2, which
+    at `--points 6 --seed 3` are points 3 and 5."""
+    g = {key: "0" for key in ("12", "13", "14", "23", "24", "34")}
+    g.update({"11": "x1 + 0.5", "22": "x1 + 0.5", "33": "1", "44": "1"})
+    return {"name": "half-bad", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-1.0, 1.0]] * 4, "g": g, "J": _standard_j()}
+
+
+def rotated_j_chart() -> charts.ChartSpec:
+    """The flat metric with the standard J rotated by x1 in the (x2, x3)
+    plane: J d1 = cos(x1) d2 + sin(x1) d3. The adapted frame takes e3 from
+    d3 (m = 2) at x1 = 0 and from d2 (m = 1) at x1 != 0."""
+    j = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
+    j.update({"1_2": "-cos(x1)", "1_3": "-sin(x1)", "2_1": "cos(x1)", "2_4": "sin(x1)"})
+    j.update({"3_1": "sin(x1)", "3_4": "-cos(x1)", "4_2": "-sin(x1)", "4_3": "cos(x1)"})
+    g = {key: "0" for key in ("12", "13", "14", "23", "24", "34")}
+    g.update({"11": "1", "22": "1", "33": "1", "44": "1"})
+    data = {"name": "rotated-j", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-1.0, 1.0]] * 4, "g": g, "J": j}
+    return charts.chart_from_dict(data, name_hint="rotated-j")
 
 
 def product_surfaces(f1: str, f2: str, name: str, domain=((-0.9, 0.9),) * 4) -> charts.ChartSpec:
@@ -88,8 +112,8 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
     """Full order-4 analyses at N_FULL seeded points per catalog chart."""
     out: dict[str, list[PointAnalysis]] = {}
     for name, spec in catalog_specs.items():
-        pts = spec.sample_points(N_FULL, FULL_SEED)
-        out[name] = [PointAnalysis(spec, p, order=4, planes=64, seed=FULL_SEED) for p in pts]
+        batch = charts.structure_at([(spec, spec.sample_points(N_FULL, FULL_SEED))], 4)
+        out[name] = [PointAnalysis(sp, planes=64, seed=FULL_SEED) for sp in batch]
     return out
 
 
@@ -97,7 +121,24 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
 def ricci_anti_analysis() -> PointAnalysis:
     spec = ricci_anti_chart()
     p = spec.sample_points(1, FULL_SEED)[0]
-    return PointAnalysis(spec, p, order=4, planes=64, seed=FULL_SEED)
+    return point_analysis(spec, p, order=4, planes=64, seed=FULL_SEED)
+
+
+def stack(js) -> Jet:
+    """Stack jets along a new first axis, at the lowest of their orders."""
+    order = min(j.order for j in js)
+    return Jet(order, np.stack([j.c[..., : jets.NCOEF[order]] for j in js]))
+
+
+def structure_point(spec: charts.ChartSpec, p, order: int = 4) -> charts.StructurePoint:
+    """The structure of `spec` at one point, from a one-point batch."""
+    [sp] = charts.structure_at([(spec, [p])], order)
+    return sp
+
+
+def point_analysis(spec: charts.ChartSpec, p, order: int = 4, **kwargs) -> PointAnalysis:
+    """The pipeline of `spec` at one point; kwargs go to PointAnalysis."""
+    return PointAnalysis(structure_point(spec, p, order), **kwargs)
 
 
 def identity(name: str) -> cli.Identity:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ak4 import algebra, bianchi_bach, charts, cli, riemann, sandbox, tensorops
 
-from conftest import identity, product_surfaces, sphere_factor
+from conftest import identity, point_analysis, product_surfaces, sphere_factor, structure_point
 from oracles import fd_curvature
 
 
@@ -28,7 +28,7 @@ def test_criterion_01_structure_validation(catalog_specs):
     worst = 0.0
     for spec in catalog_specs.values():
         for p in spec.sample_points(32, 42):
-            sp = charts.structure_at(spec, p, order=2)
+            sp = structure_point(spec, p, order=2)
             worst = max(worst, max(sp.invariant_residuals.values()))
     _verdict(1, "structure validation (5x32 pts)", worst < 1e-9, f"worst {worst:.2e}")
 
@@ -150,7 +150,7 @@ def test_criterion_08_totally_real_curvature(analyses):
         gr = pa.gr
         worst_fs = max(worst_fs, gr.mu_max - gr.mu_min, abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
     spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
-    pa = cli.PointAnalysis(spec, (0.15, -0.2, 0.3, 0.1), order=4)
+    pa = point_analysis(spec, (0.15, -0.2, 0.3, 0.1), order=4)
     spread = pa.gr.mu_max - pa.gr.mu_min
     wminus = float(algebra.frobenius(pa.dr.wminus))
     ok = worst_fs < 1e-7 and spread > 1e-3 and wminus > 1e-3
@@ -187,7 +187,7 @@ def test_criterion_11_jets_vs_finite_differences(catalog_specs):
     worst = 0.0
     for spec in catalog_specs.values():
         for p in spec.sample_points(2, 101):
-            sp = charts.structure_at(spec, p, order=2)
+            sp = structure_point(spec, p, order=2)
             cd = riemann.curvature(riemann.connection(sp))
             fd = fd_curvature(spec, p)
             scale = max(1.0, float(np.abs(fd).max()))

@@ -10,7 +10,7 @@ from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
 from ak4.exprs import eval_jet, parse_expr
 
-from conftest import EINSTEIN_NAMES, product_surfaces, sphere_factor
+from conftest import EINSTEIN_NAMES, point_analysis, product_surfaces, sphere_factor, structure_point
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
@@ -39,7 +39,7 @@ class TestCottonYork:
                 assert pa.sor.residuals["delta W+ = C+"] < 1e-7
 
     def test_insufficient_order(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
+        sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
         cd = riemann.curvature(riemann.connection(sp))
         with pytest.raises(JetOrderError):
             bianchi_bach.cotton_york(cd)
@@ -147,7 +147,7 @@ class TestBach:
         # almost Kahler Bach formula vanishes, leaving B = -(s/6) Ric0.
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(2, 17):
-            pa = PointAnalysis(spec, p, order=4)
+            pa = point_analysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
             bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd)
             assert np.abs(bianchi_bach.bach_direct(pa.cd) - expected).max() < 1e-7
@@ -192,7 +192,7 @@ class TestWeitzenboeck:
                 assert pa.sor.residuals["weitzenboeck random"] < 1e-6
 
     def test_insufficient_order(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["flat"], (0, 0, 0, 0), order=2)
+        sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=2)
         cd = riemann.curvature(riemann.connection(sp))
         with pytest.raises(JetOrderError):
             bianchi_bach.weitzenboeck_check(cd)

@@ -12,7 +12,7 @@ from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
 from ak4.exprs import eval_jet
 
-from conftest import CATALOG_NAMES, product_surfaces
+from conftest import CATALOG_NAMES, product_surfaces, rotated_j_chart, stack, structure_point
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
@@ -41,7 +41,7 @@ class TestCatalog:
         assert str(err.value) == f"unknown catalog chart 'nosuch' (known: {', '.join(CATALOG_NAMES)})"
 
     def test_flat_chart_is_euclidean(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["flat"], (0.5, -0.5, 0.2, 0.9), order=2)
+        sp = structure_point(catalog_specs["flat"], (0.5, -0.5, 0.2, 0.9), order=2)
         assert np.array_equal(sp.g.value, np.eye(4))
         omega = np.zeros((4, 4))
         omega[0, 1] = omega[2, 3] = 1.0
@@ -50,13 +50,13 @@ class TestCatalog:
         assert np.array_equal(sp.frame, np.eye(4))
 
     def test_fubini_study_origin_is_unit_metric(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
+        sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
         assert np.abs(sp.g.value - np.eye(4)).max() < 1e-15
 
     def test_invariants_on_32_seeded_points(self, catalog_specs):
         for spec in catalog_specs.values():
             for p in spec.sample_points(32, 42):
-                sp = charts.structure_at(spec, p, order=2)
+                sp = structure_point(spec, p, order=2)
                 assert max(sp.invariant_residuals.values()) < STRUCT_TOL
 
     def test_kodaira_thurston_closed_form_and_nonparallel_j(self, catalog_specs):
@@ -66,7 +66,7 @@ class TestCatalog:
             assert np.abs(d_om).max() < 1e-10
         from ak4 import riemann
 
-        sp = charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=2)
+        sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=2)
         hfo = riemann.hermitian_first_order(riemann.connection(sp))
         assert hfo.nabla_j_sq > 1.0  # strictly almost Kahler
 
@@ -74,7 +74,7 @@ class TestCatalog:
         spec = product_surfaces("1", "1", name="trivial")
         from ak4 import riemann
 
-        sp = charts.structure_at(spec, (0.3, 0.3, -0.2, 0.1), order=4)
+        sp = structure_point(spec, (0.3, 0.3, -0.2, 0.1), order=4)
         cd = riemann.curvature(riemann.connection(sp))
         assert np.abs(cd.R_frame).max() < 1e-14
 
@@ -164,18 +164,18 @@ class TestStructureValidation:
         data["J"]["2_1"] = "0.5"  # J o J != -Id
         spec = charts.chart_from_dict(data)
         with pytest.raises(StructureError, match="J o J"):
-            charts.structure_at(spec, (0, 0, 0, 0), order=2)
+            structure_point(spec, (0, 0, 0, 0), order=2)
 
     def test_incompatible_metric(self, catalog_specs):
         data = charts.chart_to_dict(catalog_specs["flat"])
         data["g"]["11"] = "2"  # J no longer orthogonal
         spec = charts.chart_from_dict(data)
         with pytest.raises(StructureError, match=r"g\(J"):
-            charts.structure_at(spec, (0, 0, 0, 0), order=2)
+            structure_point(spec, (0, 0, 0, 0), order=2)
 
     def test_point_outside_domain(self, catalog_specs):
         with pytest.raises(ChartError, match="outside domain"):
-            charts.structure_at(catalog_specs["flat"], (3, 0, 0, 0), order=2)
+            structure_point(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
     def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
         calls = []
@@ -189,49 +189,50 @@ class TestStructureValidation:
         spec = catalog_specs["kodaira-thurston"]
         for order in (2, 4):
             calls.clear()
-            charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+            structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=order)
             assert calls == [min(order, 2)]
 
     def test_omega_never_user_supplied(self, catalog_specs):
         # Omega is derived from (g, J); for every catalog chart it must equal
         # e1^e2 + e3^e4 in the constructed coframe (checked in structure_at).
         for spec in catalog_specs.values():
-            sp = charts.structure_at(spec, spec.sample_points(1, 9)[0], order=2)
+            sp = structure_point(spec, spec.sample_points(1, 9)[0], order=2)
             assert sp.invariant_residuals["Omega = e1^e2 + e3^e4"] < STRUCT_TOL
 
 
 class TestStructureOrders:
     def test_truncated_fields_equal_the_full_order_leading_coefficients(self, catalog_specs):
         # Rebuild the J-side fields at order 4 with the same calls structure_at
-        # makes. Every coefficient is bit-identical except the degree-2 part of
-        # phi and J phi: the adapted frame's vector dot products sum a padded
-        # pair axis whose length depends on the order, and BLAS rounds that sum
-        # differently. Nothing reads phi or J phi beyond first order.
+        # makes, on a one-point batch. Every coefficient is bit-identical
+        # except the degree-2 part of phi and J phi: the adapted frame's vector
+        # dot products sum a padded pair axis whose length depends on the
+        # order, and BLAS rounds that sum differently. Nothing reads phi or
+        # J phi beyond first order.
         n, n1 = jets.NCOEF[charts.J_SIDE_ORDER], jets.NCOEF[1]
         for spec in catalog_specs.values():
             for p in spec.sample_points(3, 11):
-                sp = charts.structure_at(spec, p, order=4)
-                g = sp.g
-                J = jets.stack([jets.stack([eval_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])
-                omega = jets.contract(J, g, 0, 0)
+                sp = structure_point(spec, p, order=4)
+                g = sp.g[None]
+                J = stack([stack([eval_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
+                omega = jets.contract(J, g, 0, 0, points=True)
                 frame_vectors = charts._adapted_frame(g, J)
-                mu = tensorops.volume_form(g, float(np.sign(np.linalg.det(frame_vectors.value))))
-                coframe = jets.contract(frame_vectors, g, 1, 0)
+                mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))
+                coframe = jets.contract(frame_vectors, g, 1, 0, points=True)
                 phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
-                jphi = -jets.contract(J, phi, 0, 0)
-                assert np.array_equal(sp.frame, frame_vectors.value)
+                jphi = -jets.contract(J, phi, 0, 0, points=True)
+                assert np.array_equal(sp.frame, frame_vectors.value[0])
                 for name, full in (("J", J), ("omega", omega), ("mu", mu)):
-                    assert np.array_equal(getattr(sp, name).c, full.c[..., :n]), (spec.name, name)
+                    assert np.array_equal(getattr(sp, name).c, full.c[0, ..., :n]), (spec.name, name)
                 for name, full in (("phi", phi), ("jphi", jphi)):
-                    mine = getattr(sp, name).c
-                    assert np.array_equal(mine[..., :n1], full.c[..., :n1]), (spec.name, name)
-                    scale = np.abs(full.c[..., :n]).max()
-                    np.testing.assert_allclose(mine, full.c[..., :n], rtol=0, atol=1e-15 * scale)
+                    mine, full_c = getattr(sp, name).c, full.c[0]
+                    assert np.array_equal(mine[..., :n1], full_c[..., :n1]), (spec.name, name)
+                    scale = np.abs(full_c[..., :n]).max()
+                    np.testing.assert_allclose(mine, full_c[..., :n], rtol=0, atol=1e-15 * scale)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_field_orders(self, catalog_specs, order):
         spec = catalog_specs["kodaira-thurston"]
-        sp = charts.structure_at(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+        sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=order)
         assert (sp.order, sp.g.order, sp.g_inv.order) == (order, order, order - 1)
         for name in ("J", "omega", "mu", "phi", "jphi"):
             assert getattr(sp, name).order == min(order, 2), name
@@ -241,8 +242,8 @@ class TestAdaptedFrame:
     def test_deterministic_bitwise(self, catalog_specs):
         spec = catalog_specs["kodaira-thurston"]
         p = (0.3, -0.4, 0.7, 0.2)
-        a = charts.structure_at(spec, p, order=3)
-        b = charts.structure_at(spec, p, order=3)
+        a = structure_point(spec, p, order=3)
+        b = structure_point(spec, p, order=3)
         assert np.array_equal(a.frame, b.frame)
         assert np.array_equal(a.phi.c, b.phi.c)
 
@@ -292,7 +293,7 @@ class TestAdaptedFrame:
                 "J": j,
             }
         )
-        sp = charts.structure_at(spec, (0, 0, 0, 0), order=2)
+        sp = structure_point(spec, (0, 0, 0, 0), order=2)
         # e2 = J e1 = d/dx2 exactly; e3 must come from d/dx3
         assert np.abs(sp.frame[2] - np.array([0, 0, 1, 0])).max() < 1e-12
 
@@ -301,3 +302,45 @@ class TestAdaptedFrameOp:
     def test_adapted_frame_returns_basis(self, analyses):
         pa = analyses["kodaira-thurston"][0]
         assert pa.sp.frame.shape == (4, 4)
+
+
+def assert_same_structure(a: charts.StructurePoint, b: charts.StructurePoint) -> None:
+    """Every field of two structure points holds the same bits."""
+    assert (a.point, a.order) == (b.point, b.order)
+    for name in ("g", "g_inv", "J", "omega", "mu", "phi", "jphi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.order == y.order and np.array_equal(x.c, y.c), name
+    assert np.array_equal(a.frame, b.frame)
+    assert a.invariant_residuals == b.invariant_residuals
+
+
+class TestStructureBatch:
+    """A batch of points gives each point the bits of a one-point batch."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_every_field_equals_the_one_point_batch(self, catalog_specs, order, n):
+        batches = [(spec, spec.sample_points(n, 17)) for spec in catalog_specs.values()]
+        alone = [structure_point(spec, p, order) for spec, pts in batches for p in pts]
+        per_chart = [sp for batch in batches for sp in charts.structure_at([batch], order)]
+        together = charts.structure_at(batches, order)
+        assert len(alone) == len(per_chart) == len(together) == 5 * n
+        for a, b, c in zip(alone, per_chart, together):
+            assert_same_structure(b, a)
+            assert_same_structure(c, a)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_points_of_one_batch_take_their_own_frame_vector(self, order):
+        spec = rotated_j_chart()
+        pts = np.array([(0.0, 0.1, 0.2, 0.3), (0.3, 0.1, 0.2, 0.3)])
+        for batch in (pts, pts[::-1]):
+            together = charts.structure_at([(spec, batch)], order)
+            for sp, p in zip(together, batch):
+                assert_same_structure(sp, structure_point(spec, p, order))
+        first, second = charts.structure_at([(spec, pts)], order)
+        # e3 comes from d3 (m = 2) at x1 = 0, and from d2 (m = 1) at x1 = 0.3
+        np.testing.assert_allclose(first.frame[2], [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(second.frame[2], [0.0, np.sin(0.3), -np.cos(0.3), 0.0], atol=1e-15)
+
+    def test_empty_batch(self, catalog_specs):
+        assert charts.structure_at([(catalog_specs["flat"], np.empty((0, 4)))], 2) == []

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ak4 import cli
-from ak4.cli import PointAnalysis, RunConfig, run_report
+from ak4 import charts, cli
+from ak4.cli import RunConfig, run_report
 from ak4.errors import AK4Error
+from conftest import half_bad_chart, point_analysis
 
 #: Out-of-range values of the flags RunConfig validates.
 BAD_FLAG_VALUES = [
@@ -163,9 +164,9 @@ class TestCheck:
         built = []
         build = cli.PointAnalysis
 
-        def recording(spec, p, order=4, **kwargs):
-            built.append(order)
-            return build(spec, p, order=order, **kwargs)
+        def recording(sp, **kwargs):
+            built.append(sp.order)
+            return build(sp, **kwargs)
 
         monkeypatch.setattr(cli, "PointAnalysis", recording)
         argv = ["check", name, "--chart", "all", "--points", "1", "--seed", "5"]
@@ -275,15 +276,16 @@ class TestIdentityRegistry:
     @pytest.mark.parametrize("tol_scale", [1.0, 1e-3])
     def test_check_is_the_max_of_its_report_rows(self, tol_scale, monkeypatch):
         analyses = {}
-        build = cli.PointAnalysis
+        build = cli._analyses
 
-        def shared(spec, p, order=4, planes=64, seed=42):
-            key = (spec.name, tuple(p), order, planes, seed)
-            if key not in analyses:
-                analyses[key] = build(spec, p, order=order, planes=planes, seed=seed)
-            return analyses[key]
+        def shared(specs, config, order):
+            for spec in specs:
+                key = (spec.name, config.points, config.seed, config.planes, order)
+                if key not in analyses:
+                    analyses[key] = list(build([spec], config, order))
+                yield from analyses[key]
 
-        monkeypatch.setattr(cli, "PointAnalysis", shared)
+        monkeypatch.setattr(cli, "_analyses", shared)
         groups = sorted({i.group for i in cli.REPORTED})
         for name in ("flat", "product-surfaces", "fubini-study", "complex-hyperbolic", "kodaira-thurston"):
             config = RunConfig(chart=name, points=2, seed=5, tol_scale=tol_scale)
@@ -338,7 +340,7 @@ class TestIdentityRegistry:
     def test_every_applicable_row_returns_a_finite_float(self, order, analyses, catalog_specs):
         for name, spec in catalog_specs.items():
             for full in analyses[name]:
-                pa = full if order == 4 else PointAnalysis(spec, full.sp.point, order=order)
+                pa = full if order == 4 else point_analysis(spec, full.sp.point, order=order)
                 for ident in cli.IDENTITIES:
                     if ident.order <= order and ident.applies(pa):
                         value = ident.residual(pa)
@@ -370,8 +372,6 @@ class TestCheckSelection:
 
 class TestUserChartFiles:
     def _write_chart(self, tmp_path, mutate=None):
-        from ak4 import charts
-
         data = charts.chart_to_dict(charts.catalog_chart("product-surfaces"))
         data["name"] = "user-chart"
         if mutate:
@@ -399,8 +399,6 @@ class TestUserChartFiles:
 
     @pytest.mark.parametrize("command", [["report"], ["check", "kappa"], ["classify"]])
     def test_bad_sample_point_is_named(self, command, tmp_path, capsys):
-        from ak4 import charts
-
         def indefinite_metric(data):
             data["g"]["11"] = "x1"
 
@@ -472,6 +470,45 @@ class TestUserChartFiles:
         assert "'user-chart', point 0 at (" in err
         assert f"chart entry {entry} = inf is not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+#: What every command prints for the half-bad chart at --points 6 --seed 3:
+#: points 3 and 5 are bad, and the first of them ends the run.
+HALF_BAD_ERROR = (
+    "error: chart 'half-bad', point 3 at (-0.632285, -0.528721, -0.0603834, 0.28788): "
+    "structure invariant 'g positive definite' violated, residual 1.323e-01\n"
+)
+
+
+class TestBadPointInABatch:
+    """A bad point ends the run as it would if every point were evaluated alone."""
+
+    @pytest.mark.parametrize("command", [["report"], ["classify"], ["check", "kappa"]])
+    def test_first_bad_point_ends_the_command(self, command, tmp_path, capsys):
+        path = tmp_path / "half-bad.json"
+        path.write_text(json.dumps(half_bad_chart()))
+        code = run_main([*command, "--chart", str(path), "--points", "6", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", HALF_BAD_ERROR)
+
+    def test_analyses_yields_every_good_point_before_the_error(self):
+        flat, bad = charts.catalog_chart("flat"), charts.chart_from_dict(half_bad_chart())
+        config = RunConfig(points=6, seed=3)
+        seen = []
+        with pytest.raises(AK4Error) as err:
+            for spec, pa in cli._analyses([flat, bad], config, 2):
+                seen.append((spec.name, pa.sp.point))
+        assert f"error: {err.value}\n" == HALF_BAD_ERROR
+        expected = [("flat", tuple(p)) for p in flat.sample_points(6, 3)] + [("half-bad", tuple(p)) for p in bad.sample_points(6, 3)[:3]]
+        assert seen == expected
+
+    def test_classify_prints_the_good_charts_before_the_error(self, monkeypatch, capsys):
+        flat, bad = charts.catalog_chart("flat"), charts.chart_from_dict(half_bad_chart())
+        monkeypatch.setattr(cli, "_charts_for", lambda config: [flat, bad])
+        code = run_main(["classify", "--points", "6", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == HALF_BAD_ERROR
+        assert [line.split()[0] for line in out.splitlines()] == ["flat"]
 
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:

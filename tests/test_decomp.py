@@ -7,7 +7,7 @@ import pytest
 
 from ak4 import algebra, charts, decomp, riemann, sandbox
 
-from conftest import KAHLER_NAMES, hyperbolic_factor, identity, product_surfaces, sphere_factor
+from conftest import KAHLER_NAMES, hyperbolic_factor, identity, product_surfaces, sphere_factor, structure_point
 
 
 class TestSO4:
@@ -31,7 +31,7 @@ class TestSO4:
             domain=((-0.5, 0.5),) * 4,
         )
         for p in spec.sample_points(2, 21):
-            pa_sp = charts.structure_at(spec, p, order=4)
+            pa_sp = structure_point(spec, p, order=4)
             cd = riemann.curvature(riemann.connection(pa_sp))
             dr = decomp.decompose(cd)
             assert algebra.frobenius(dr.ric0) > 0.1  # not Einstein

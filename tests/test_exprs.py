@@ -175,3 +175,85 @@ def test_arbitrary_text_raises_only_parse_errors(text):
         parse_expr(text)
     except ParseError:
         pass
+
+
+#: Generated expressions over the whole grammar, domain errors included: log,
+#: sqrt, division and non-integer powers can leave their domain at some points.
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "x4", "pi", "e", "0", "0.5", "1", "2.5"]),
+    lambda inner: st.one_of(
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("-({})".format, inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(["2", "3", "-1", "0", "0.5", "-1.5"])),
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
+    ),
+    max_leaves=8,
+)
+_COORDINATE = st.floats(-1.5, 1.5, allow_subnormal=False)
+_POINTS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE, _COORDINATE), min_size=1, max_size=4)
+
+
+def _float_or_none(e, p) -> float | None:
+    """eval_float(e, p), or None where it leaves its domain or overflows."""
+    try:
+        return eval_float(e, p)
+    except (DomainError, OverflowError):
+        return None
+
+
+def _magnitude(e, p) -> float:
+    """The largest finite |value| of any subexpression of e at p: what a
+    rounding difference in one of them can cancel down from."""
+    values = [_float_or_none(node, p) for node in _subexpressions(e)]
+    return max((abs(v) for v in values if v is not None and math.isfinite(v)), default=0.0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b hold the same bits, except that any NaN matches any NaN: numpy's
+    vector and scalar loops may give a NaN of either sign."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _subexpressions(e):
+    yield e
+    for child in (getattr(e, name) for name in ("arg", "left", "right", "base") if hasattr(e, name)):
+        yield from _subexpressions(child)
+
+
+class TestBatchEvaluation:
+    """eval_jet on a batch of points is eval_jet at each point alone."""
+
+    @given(_EXPRESSIONS, _POINTS, st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_the_one_point_jets(self, text, points, order):
+        e = parse_expr(text)
+        with np.errstate(all="ignore"):
+            alone = []
+            for p in points:
+                try:
+                    alone.append(eval_jet(e, p, order))
+                except DomainError:
+                    alone.append(None)
+            try:
+                batch = eval_jet(e, np.array(points), order)
+            except DomainError:
+                batch = None
+        # a batch raises exactly when one of its points does alone
+        assert (batch is None) == any(jet is None for jet in alone)
+        if batch is None:
+            return
+        coefficients = np.broadcast_to(batch.c, (len(points), batch.c.shape[-1]))
+        for p, jet, c in zip(points, alone, coefficients):
+            assert _same_bits(c, jet.c), p
+            reference = _float_or_none(e, p)
+            if reference is not None and math.isfinite(reference) and math.isfinite(jet.value):
+                assert abs(jet.value - reference) <= 1e-12 * max(abs(reference), _magnitude(e, p)), p
+
+    def test_a_point_keeps_its_shape(self):
+        e = parse_expr("x1*x2 + sin(x3)")
+        p = (0.1, 0.2, 0.3, 0.4)
+        single, batch = eval_jet(e, p, 2), eval_jet(e, [p], 2)
+        assert single.c.shape == (15,) and batch.c.shape == (1, 15)
+        assert np.array_equal(single.c, batch.c[0])
+        assert eval_jet(parse_expr("2*pi"), [p, p], 2).c.shape == (15,)  # no coordinate, no point axis

@@ -14,7 +14,7 @@ from ak4 import algebra, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES, hyperbolic_factor, identity, product_surfaces, sphere_factor
+from conftest import KAHLER_NAMES, hyperbolic_factor, identity, point_analysis, product_surfaces, sphere_factor
 
 
 class TestGrayResiduals:
@@ -94,7 +94,7 @@ class TestProp1:
         spec = product_surfaces(
             sphere_factor(1.0), sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
-        pa = PointAnalysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
+        pa = point_analysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
         assert self.prop1.applies(pa)
         assert self.prop1.residual(pa) < 1e-8
 
@@ -125,7 +125,7 @@ class TestTotallyRealCurvature:
 
     def test_unequal_factor_curvatures_spread(self):
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
-        pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
+        pa = point_analysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert pa.gr.mu_max - pa.gr.mu_min > 1e-3
         assert algebra.frobenius(pa.dr.wminus) > 1e-3
 
@@ -135,7 +135,7 @@ class TestTotallyRealCurvature:
         spec = product_surfaces(
             sphere_factor(1.0), hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
         )
-        pa = PointAnalysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
+        pa = point_analysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
         assert algebra.frobenius(pa.dr.wminus) < 1e-9
         assert max(abs(pa.gr.mu_max), abs(pa.gr.mu_min)) < 1e-9
 

@@ -352,7 +352,7 @@ class TestCachedKernelsMatchTheirOracles:
         b = random_tensor_jet(rng, (3, 4), order)
         assert not strided.c.flags.c_contiguous and contiguous.c.flags.c_contiguous
         first = jets.contract(contiguous, b, (2, 0), (1, 0))
-        assert (strided.c.shape, b.c.shape, (2, 0), (1, 0)) in jets._PLANS
+        assert (strided.c.shape, b.c.shape, (2, 0), (1, 0), False) in jets._PLANS
         got = jets.contract(strided, b, (2, 0), (1, 0))
         assert np.array_equal(got.c, old_contract(strided, b, (2, 0), (1, 0)).c)
         assert np.array_equal(got.c, first.c)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ak4 import charts, cli
+from conftest import point_analysis
 
 _J_STD = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
 _J_STD.update({"2_1": "1", "1_2": "-1", "4_3": "1", "3_4": "-1"})
@@ -43,7 +44,7 @@ def test_unconditional_identities_on_random_hermitian_charts():
     for seed in (3, 17):
         spec = conformal_chart(seed)
         for p in spec.sample_points(2, seed):
-            pa = cli.PointAnalysis(spec, p, order=4, planes=16, seed=1)
+            pa = point_analysis(spec, p, order=4, planes=16, seed=1)
             saw_nonzero_lee_form |= pa.hfo.theta_norm > 1e-3
             for row in cli._identity_rows(pa, 1.0):
                 if not row["pass"]:

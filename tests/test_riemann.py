@@ -8,7 +8,7 @@ import pytest
 from ak4 import charts, jets, riemann
 from ak4.errors import JetOrderError
 
-from conftest import KAHLER_NAMES, product_surfaces, sphere_factor
+from conftest import KAHLER_NAMES, product_surfaces, sphere_factor, structure_point
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
@@ -39,7 +39,7 @@ class TestConnection:
         # G^1_11 = 1, G^1_22 = -1, G^2_12 = G^2_21 = 1, everything else 0.
         spec = product_surfaces("exp(x1)", "1", name="exp-factor", domain=((-0.8, 0.8),) * 4)
         for p in [(0.3, -0.2, 0.0, 0.0), (0.0, 0.5, 0.1, 0.2), (-0.6, 0.1, 0.4, -0.4)]:
-            sp = charts.structure_at(spec, p, order=2)
+            sp = structure_point(spec, p, order=2)
             g = riemann.connection(sp).gamma.value
             expected = np.zeros((4, 4, 4))
             expected[0, 0, 0] = 1.0
@@ -62,7 +62,7 @@ class TestConnection:
                 assert np.abs(g.c - np.swapaxes(g.c, 1, 2)).max() < 1e-14
 
     def test_insufficient_order(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["flat"], (0, 0, 0, 0), order=0)
+        sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=0)
         with pytest.raises(JetOrderError):
             riemann.connection(sp)
 
@@ -76,7 +76,7 @@ class TestCurvature:
     def test_sphere_times_plane_scalar_two(self):
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(3, 5):
-            sp = charts.structure_at(spec, p, order=4)
+            sp = structure_point(spec, p, order=4)
             cd = riemann.curvature(riemann.connection(sp))
             assert abs(cd.s_value - 2.0) < 1e-8
             fd = fd_curvature(spec, p)
@@ -103,14 +103,14 @@ class TestCurvature:
         # from jets against nested second-order central differences.
         for name, spec in catalog_specs.items():
             for p in spec.sample_points(2, 13):
-                sp = charts.structure_at(spec, p, order=2)
+                sp = structure_point(spec, p, order=2)
                 cd = riemann.curvature(riemann.connection(sp))
                 fd = fd_curvature(spec, p)
                 scale = max(1.0, np.abs(fd).max())
                 assert np.abs(cd.R.value - fd).max() / scale < 1e-4, name
 
     def test_insufficient_order(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
+        sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
         with pytest.raises(JetOrderError):
             riemann.curvature(riemann.connection(sp))
 
@@ -165,7 +165,7 @@ class TestRicciIdentity:
                 assert riemann.ricci_identity_check(pa.cd) < 1e-8
 
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
-        sp = charts.structure_at(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
+        sp = structure_point(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
         conn = riemann.connection(sp)
         cd = riemann.curvature(conn)
         dr = conn.covd(cd.R)  # curvature has order 1 at chart order 3

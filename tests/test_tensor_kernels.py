@@ -19,7 +19,7 @@ from ak4.exprs import eval_jet
 from ak4.jets import Jet
 from ak4.tensorops import EPS4
 
-from conftest import CATALOG_NAMES, all_points
+from conftest import CATALOG_NAMES, all_points, point_analysis, stack, structure_point
 
 
 def old_determinant4(g: Jet) -> Jet:
@@ -51,7 +51,7 @@ def old_rot(r: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
 
 def metric_jet(spec: charts.ChartSpec, p, order: int) -> Jet:
     rows = [[eval_jet(spec.g[(min(i, j), max(i, j))], p, order) for j in range(4)] for i in range(4)]
-    return jets.stack([jets.stack(row) for row in rows])
+    return stack([stack(row) for row in rows])
 
 
 def old_random_polynomial_2form(sp: charts.StructurePoint, seed: int) -> Jet:
@@ -77,7 +77,7 @@ def old_random_polynomial_2form(sp: charts.StructurePoint, seed: int) -> Jet:
             )
             entries[i][j] = val
             entries[j][i] = -val
-    return jets.stack([jets.stack(row) for row in entries])
+    return stack([stack(row) for row in entries])
 
 
 def old_weyl(cd) -> Jet:
@@ -152,16 +152,21 @@ class TestRot:
 
 def test_jet_caches_stay_small_over_the_catalog(monkeypatch):
     """The pipeline meets few shapes, so its caches stay small; a shape that
-    leaks into a cache key (a point count, say) would grow them without bound."""
+    leaks into a cache key (a point count, say) would grow them without bound.
+    The same commands at another point count add no key."""
     monkeypatch.setattr(jets, "_PLANS", {})
     monkeypatch.setattr(jets, "_PERMS", {})
-    for order in ("2", "3", "4"):
-        common = ["--points", "1", "--order", order]
-        runs = [["report", "--chart", name, *common] for name in CATALOG_NAMES]
-        runs += [["classify", "--chart", "all", *common], ["check", "kappa", "--chart", "all", *common]]
-        for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0, argv
+    sizes = []
+    for points in ("1", "3"):
+        for order in ("2", "3", "4"):
+            common = ["--points", points, "--order", order]
+            runs = [["report", "--chart", name, *common] for name in CATALOG_NAMES]
+            runs += [["classify", "--chart", "all", *common], ["check", "kappa", "--chart", "all", *common]]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+        sizes.append((len(jets._PLANS), len(jets._PERMS)))
+    assert sizes[0] == sizes[1]
     assert 0 < len(jets._PLANS) <= 128
     assert 0 < len(jets._PERMS) <= 64
 
@@ -174,7 +179,7 @@ class TestJetKernels:
                 if j.order >= order:
                     j = j.truncate(order)
                     got = jets.partials(j)
-                    old = jets.stack([j.partial(m) for m in range(4)])
+                    old = stack([j.partial(m) for m in range(4)])
                     assert got.order == old.order and got.c.flags.c_contiguous
                     assert np.array_equal(got.c, old.c)
 
@@ -196,7 +201,7 @@ class TestJetKernels:
     def test_stacked_random_2form_matches_the_per_entry_builder(self, order, catalog_specs):
         for spec in catalog_specs.values():
             for p in spec.sample_points(2, 5):
-                sp = charts.structure_at(spec, p, order)
+                sp = structure_point(spec, p, order)
                 for seed in (0, 42, 2024):
                     got = bianchi_bach.random_polynomial_2form(sp, seed)
                     old = old_random_polynomial_2form(sp, seed)
@@ -219,7 +224,7 @@ class TestJetKernels:
     def test_inverse_metric_at_one_order_less_matches_the_full_inverse(self, order, catalog_specs):
         for spec in catalog_specs.values():
             for p in spec.sample_points(2, 9):
-                sp = charts.structure_at(spec, p, order)
+                sp = structure_point(spec, p, order)
                 full = tensorops.matrix_inverse(sp.g)
                 assert sp.g_inv.order == order - 1
                 assert np.array_equal(sp.g_inv.c, full.c[..., : jets.NCOEF[order - 1]])
@@ -251,7 +256,7 @@ class TestJetKernels:
         monkeypatch.setattr(Jet, "_of", classmethod(recording))
         stored = []
         for spec in catalog_specs.values():
-            pa = cli.PointAnalysis(spec, spec.sample_points(1, 11)[0], order=order)
+            pa = point_analysis(spec, spec.sample_points(1, 11)[0], order=order)
             for ident in cli.IDENTITIES:
                 if ident.order <= order and ident.applies(pa):
                     ident.residual(pa)
