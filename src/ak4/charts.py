@@ -13,9 +13,10 @@ self-dual. The self-dual basis is completed by phi = e1^e3 - e2^e4 and
 J phi, where (J phi)(X, Y) = -phi(JX, Y); this phi gauge is a free choice
 and every gauge-dependent quantity downstream is documented as such.
 
-`structure_at` runs this structure stage once per command over all its
-sample points: each chart's entry expressions are evaluated on that chart's
-points with one memo, and the rest on a leading point axis across charts.
+`structure_at` runs this structure stage once per batch of sample points (a
+command's points, up to `cli.BATCH_POINTS` at a time): each chart's entry
+expressions are evaluated on that chart's points with one memo, and the rest
+on a leading point axis across charts.
 Each point's jets are the bits a batch of that point alone would give.
 """
 

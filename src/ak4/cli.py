@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import __version__, algebra, bianchi_bach, charts, decomp, gray, riemann, sandbox, tensorops
+from . import __version__, algebra, bianchi_bach, charts, decomp, gray, jets, riemann, sandbox, tensorops
 from .errors import AK4Error, DomainError, StructureError
 
 #: Tolerance ladder: identities get the tolerance of their derivative order.
@@ -64,31 +64,43 @@ class RunConfig:
 
 class PointAnalysis:
     """The pipeline at one sample point, from its validated structure: every
-    later stage runs on first use, at the structure's jet order."""
+    later stage runs on first use, at the structure's jet order.
 
-    def __init__(self, sp: charts.StructurePoint, planes: int = 64, seed: int = 42):
+    A command's analyses share a batch of up to BATCH_POINTS points
+    (`batch`, made by `point_analyses`; an analysis made alone is a batch of
+    one). Connection, curvature, first-order data, decomposition and the
+    verdict ladder run once for the whole batch, on a leading point axis, on
+    the first read at any of its points: at these sizes a stage's cost is
+    mostly Python overhead per call, which a batch pays once. The Lagrangian
+    plane statistics and the second-order report run per point, on views of
+    the batched records.
+    """
+
+    def __init__(self, sp: charts.StructurePoint, planes: int = 64, seed: int = 42, batch: jets.Batch | None = None, index: int = 0):
         self.sp = sp
         self.order, self.planes, self.seed = sp.order, planes, seed
+        self.batch = jets.Batch(PointAnalysis, sps=[sp]) if batch is None else batch
+        self.index = index
 
-    @cached_property
-    def conn(self) -> riemann.ConnectionData:
-        return riemann.connection(self.sp)
+    @jets.per_batch
+    def conn(batch: jets.Batch) -> list[riemann.ConnectionData]:
+        return riemann.connection(batch.sps)
 
-    @cached_property
-    def cd(self) -> riemann.CurvatureData:
-        return riemann.curvature(self.conn)
+    @jets.per_batch
+    def cd(batch: jets.Batch) -> list[riemann.CurvatureData]:
+        return riemann.curvature(batch.conn)
 
-    @cached_property
-    def hfo(self) -> riemann.HermitianFirstOrder:
-        return riemann.hermitian_first_order(self.conn)
+    @jets.per_batch
+    def hfo(batch: jets.Batch) -> list[riemann.HermitianFirstOrder]:
+        return riemann.hermitian_first_order(batch.conn)
 
-    @cached_property
-    def dr(self) -> decomp.DecompReport:
-        return decomp.decompose(self.cd)
+    @jets.per_batch
+    def dr(batch: jets.Batch) -> list[decomp.DecompReport]:
+        return decomp.decompose(batch.cd)
 
-    @cached_property
-    def ladder(self) -> gray.GrayLadder:
-        return gray.classify(self.cd, self.dr, self.hfo)
+    @jets.per_batch
+    def ladder(batch: jets.Batch) -> list[gray.GrayLadder]:
+        return gray.classify(batch.cd, batch.dr, batch.hfo)
 
     @cached_property
     def gr(self) -> gray.GrayReport:
@@ -111,31 +123,50 @@ class PointAnalysis:
         return tuple(skipped)
 
 
+def point_analyses(sps: list[charts.StructurePoint], planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
+    """One PointAnalysis per structure point, all sharing one batch."""
+    batch = jets.Batch(PointAnalysis, sps=sps)
+    return [PointAnalysis(sp, planes=planes, seed=seed, batch=batch, index=k) for k, sp in enumerate(sps)]
+
+
+#: The most points one batch holds. A command runs its points in batches of
+#: up to this many, in order: the cost per point falls little past a few
+#: dozen points (at order 4 it rises again), while memory grows with the batch.
+BATCH_POINTS = 64
+
+
 def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
     """(spec, PointAnalysis) for each sample point of each chart, in order.
 
-    The structure stage runs once over the points of all the charts. If it
-    fails, the points are run again one at a time, in the same order, through
-    the same function: the good ones are yielded, and the first bad one ends
-    the run with an error naming the chart, the point index and its
-    coordinates.
+    The points of all the charts run in batches of up to BATCH_POINTS: the
+    structure stage runs once per batch, and the analyses of a batch share
+    its later stages. If a batch's structure stage fails, its points are run
+    again one at a time, in the same order, through the same functions, each
+    a batch of one: the good ones are yielded, and the first bad one ends the
+    run with an error naming the chart, the point index and its coordinates.
     """
-    batches = [(spec, spec.sample_points(config.points, config.seed)) for spec in specs]
-    try:
-        sps = iter(charts.structure_at(batches, order))
-    except (StructureError, DomainError):
-        sps = None
-    for spec, pts in batches:
-        for idx, p in enumerate(pts):
-            if sps is None:
+    points = [(spec, idx, p) for spec in specs for idx, p in enumerate(spec.sample_points(config.points, config.seed))]
+    for start in range(0, len(points), BATCH_POINTS):
+        block = points[start : start + BATCH_POINTS]
+        batches = []
+        for spec, _, p in block:
+            if not batches or batches[-1][0] is not spec:
+                batches.append((spec, []))
+            batches[-1][1].append(p)
+        try:
+            pas = point_analyses(charts.structure_at(batches, order), config.planes, config.seed)
+        except (StructureError, DomainError):
+            pas = None
+        for k, (spec, idx, p) in enumerate(block):
+            if pas is None:
                 try:
                     [sp] = charts.structure_at([(spec, p[None])], order)
                 except (StructureError, DomainError) as exc:
                     coords = ", ".join(f"{x:.6g}" for x in p)
                     raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
+                yield spec, PointAnalysis(sp, planes=config.planes, seed=config.seed)
             else:
-                sp = next(sps)
-            yield spec, PointAnalysis(sp, planes=config.planes, seed=config.seed)
+                yield spec, pas[k]
 
 
 def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
@@ -682,6 +713,11 @@ def main(argv=None) -> int:
             return cmd_classify(config)
     except AK4Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the sample points, and the (P, ...) arrays of each batch, grow with --points
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: --points {vars(args).get('points', RunConfig.points)} needs more memory than is available{detail}", file=sys.stderr)
         return 2
     return 2
 

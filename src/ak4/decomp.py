@@ -12,19 +12,24 @@ All matrix norms here are Frobenius norms of operator blocks; multiplying a
 squared operator norm by 4 gives the squared full tensor norm of the
 corresponding (0,4) tensor.
 
-`decompose` computes the SO(4) split, which every command reads. The U(2)
-blocks, star-Ricci and every residual of `DecompReport` are computed on first
-read, so `ak4 classify`, which reads only the split, computes none of them.
+`decompose` computes the SO(4) split, Ric0 and Ric^anti, which every command
+reads, once per batch of points on a leading point axis, and returns one
+record per point (see `riemann`). The U(2) blocks (kappa, Psi) and star-Ricci (s*) are
+computed for the whole batch on the first read at any point, so
+`ak4 classify`, which reads only the split, computes none of them. The
+residuals of `DecompReport`, which only report rows read, are computed per
+point on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import algebra
+from . import algebra, jets
 from .charts import FRAME_FORMS, J_FRAME
 from .riemann import CurvatureData
 
@@ -37,6 +42,11 @@ def _entry(group: str, key):
     return property(lambda self: getattr(self, group)[key])
 
 
+def _per_point(blocks: dict[str, np.ndarray], n: int) -> list[dict[str, np.ndarray]]:
+    """A dict of (n, ...) arrays as one dict of views per point."""
+    return [{key: value[k] for key, value in blocks.items()} for k in range(n)]
+
+
 @dataclass
 class DecompReport:
     """Full curvature decomposition at one point, with residuals."""
@@ -47,6 +57,8 @@ class DecompReport:
     ric0: np.ndarray  # frame components, 4x4
     ric0_anti: np.ndarray
     ric_anti_norm: float
+    batch: jets.Batch = field(repr=False)  # wplus (stacked), r_frames
+    index: int
 
     @property
     def is_j_invariant_ricci(self) -> bool:
@@ -55,9 +67,10 @@ class DecompReport:
     wplus = _entry("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
     wminus = _entry("parts", "wminus")
 
-    @cached_property
-    def _u2(self) -> dict[str, np.ndarray]:
-        return algebra.u2_blocks(self.wplus)
+    @jets.per_batch
+    def _u2(batch: jets.Batch) -> list[dict[str, np.ndarray]]:
+        """The U(2) blocks of W+, formed for the whole batch."""
+        return _per_point(algebra.u2_blocks(batch.wplus), len(batch.wplus))
 
     w1 = _entry("_u2", "w1")
     w2 = _entry("_u2", "w2")
@@ -68,9 +81,11 @@ class DecompReport:
     def kappa(self) -> float:
         return float(self._u2["kappa"])
 
-    @cached_property
-    def _star(self) -> tuple[np.ndarray, float, float]:
-        return star_ricci(self.cd, self.psi)
+    @jets.per_batch
+    def _star(batch: jets.Batch) -> list[tuple[np.ndarray, float, float]]:
+        """Star-Ricci, s* and the skew residual, formed for the whole batch."""
+        ric_star, s_star, residual = star_ricci(batch.r_frames, np.stack([u2["psi"] for u2 in batch._u2]))
+        return list(zip(ric_star, s_star.tolist(), residual.tolist()))
 
     ric_star = _entry("_star", 0)  # 4x4, not assumed symmetric
     s_star = _entry("_star", 1)
@@ -120,28 +135,35 @@ class DecompReport:
         }
 
 
-def star_ricci(cd: CurvatureData, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
+def star_ricci(r_frames: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, and the
-    residual of skew(Ric*) = -(1/2) J Psi, for the components psi of Psi
-    along (phi, J phi) from `algebra.u2_blocks`."""
-    r_omega = 0.5 * np.einsum("ijkl,kl->ij", cd.R_frame, FRAME_FORMS[0])
-    ric_star = -np.einsum("ki,kj->ij", J_FRAME, r_omega)
-    s_star = float(np.trace(ric_star))
-    skew = 0.5 * (ric_star - ric_star.T)
-    j_psi = -np.einsum("ki,kj->ij", J_FRAME, algebra.psi_form(psi))
-    residual = float(np.abs(skew + 0.5 * j_psi).max())
+    residual of skew(Ric*) = -(1/2) J Psi at each point, from each point's
+    R_frame and the components psi (P, 2) of Psi along (phi, J phi) from
+    `algebra.u2_blocks`.
+
+    R(Omega) is contracted one point at a time: einsum sums its 16 terms in
+    an order that depends on the operand's shape and strides, and a batched
+    einsum or matmul moves the last bit at some points. Every later step sums
+    at most one non-zero term, or four in a trace, so it runs batched.
+    """
+    r_omega = 0.5 * np.stack([np.einsum("ijkl,kl->ij", r, FRAME_FORMS[0]) for r in r_frames])
+    ric_star = -np.einsum("ki,...kj->...ij", J_FRAME, r_omega)
+    s_star = np.trace(ric_star, axis1=-2, axis2=-1)
+    skew = 0.5 * (ric_star - np.swapaxes(ric_star, -1, -2))
+    j_psi = -np.einsum("ki,...kj->...ij", J_FRAME, algebra.psi_form(psi))
+    residual = np.abs(skew + 0.5 * j_psi).max(axis=(-2, -1))
     return ric_star, s_star, residual
 
 
-def decompose(cd: CurvatureData) -> DecompReport:
-    """The SO(4) split of the curvature operator, the part every command reads."""
-    ric0 = cd.ric0_frame
+def decompose(cds: Sequence[CurvatureData]) -> list[DecompReport]:
+    """The SO(4) split of the curvature operator, the part every command reads,
+    formed once over all the points; one record per point."""
+    ric0 = np.stack([cd.ric0_frame for cd in cds])
     ric0_anti = algebra.j_anti_part(ric0)
-    return DecompReport(
-        cd=cd,
-        parts=algebra.split_operator(cd.operator),
-        s=cd.s_value,
-        ric0=ric0,
-        ric0_anti=ric0_anti,
-        ric_anti_norm=float(algebra.frobenius(ric0_anti)),
-    )
+    parts = algebra.split_operator(np.stack([cd.operator for cd in cds]))
+    ric_anti_norm = algebra.frobenius(ric0_anti).tolist()
+    batch = jets.Batch(DecompReport, wplus=parts["wplus"], r_frames=[cd.R_frame for cd in cds])
+    return [
+        DecompReport(cd, point_parts, cd.s_value, ric0[k], ric0_anti[k], ric_anti_norm[k], batch, k)
+        for k, (cd, point_parts) in enumerate(zip(cds, _per_point(parts, len(cds))))
+    ]

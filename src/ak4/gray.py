@@ -7,9 +7,9 @@ frame index tuples. The classification ladder turns them into verdicts:
 KAHLER when nabla J vanishes, AK-G1/AK-G2/AK-G3 for almost Kahler
 structures satisfying the corresponding identity, AK for merely almost
 Kahler, ALMOST-HERMITIAN otherwise. `classify` builds that ladder on its own,
-so `ak4 classify`, which prints only the ladder, samples no Lagrangian plane;
-`gray_report` holds the plane statistics and the W+ spectrum that `report`
-adds.
+once per batch of points, so `ak4 classify`, which prints only the
+ladder, samples no Lagrangian plane; `gray_report` holds the plane statistics
+and the W+ spectrum that `report` adds, per point.
 
 Totally-real (Lagrangian) planes are sampled deterministically: a random
 unit vector X, then a unit Y from the orthogonal complement of
@@ -19,6 +19,7 @@ sampling has no bias near J-invariant planes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,33 +191,38 @@ def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarr
 # -- classification -------------------------------------------------------------
 
 
-def classify(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> GrayLadder:
-    """The Gray residuals, the verdict of the class ladder and descriptive flags.
+def classify(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], hfos: Sequence[HermitianFirstOrder]) -> list[GrayLadder]:
+    """The Gray residuals, the verdict of the class ladder and descriptive
+    flags at every point, the residuals and flag norms formed once over all
+    the points; one ladder per point.
 
     The AK rungs and the j-invariant-ricci flag use the bounds of the
     `almost_kahler` and `j_invariant_ricci` hypotheses, so a point with an AK
     verdict or the flag is one where the rows assuming them apply.
     """
-    g1, g2, g3 = (float(v) for v in algebra.gray_residuals(cd.R_frame))
+    g1, g2, g3 = (v.tolist() for v in algebra.gray_residuals(np.stack([cd.R_frame for cd in cds])))
     tol = DEFAULT_VERDICT_TOL
-    flags = []
-    if dr.ric_anti_norm < tol and abs(np.trace(dr.ric0)) < tol and float(algebra.frobenius(dr.ric0)) < tol:
-        flags.append("einstein")
-    if float(algebra.frobenius(dr.wminus)) < tol:
-        flags.append("self-dual")
-    if float(algebra.frobenius(dr.wplus)) < tol:
-        flags.append("anti-self-dual")
-    if dr.is_j_invariant_ricci:
-        flags.append("j-invariant-ricci")
-
-    nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))
-    if nabla_j < tol and hfo.nijenhuis_norm < tol:
-        verdict = "KAHLER"
-    elif hfo.is_almost_kahler:
-        verdict = "AK-G1" if g1 < tol else "AK-G2" if g2 < tol else "AK-G3" if g3 < tol else "AK"
-    else:
-        verdict = "ALMOST-HERMITIAN"
-    return GrayLadder(g1=g1, g2=g2, g3=g3, verdict=verdict, flags=tuple(flags))
+    ric0 = np.stack([dr.ric0 for dr in drs])
+    flag_holds = {
+        "einstein": (np.array([dr.ric_anti_norm for dr in drs]) < tol)
+        & (np.abs(np.trace(ric0, axis1=1, axis2=2)) < tol)
+        & (algebra.frobenius(ric0) < tol),
+        "self-dual": algebra.frobenius(np.stack([dr.wminus for dr in drs])) < tol,
+        "anti-self-dual": algebra.frobenius(np.stack([dr.wplus for dr in drs])) < tol,
+        "j-invariant-ricci": [dr.is_j_invariant_ricci for dr in drs],
+    }
+    ladders = []
+    for k, hfo in enumerate(hfos):
+        nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))
+        if nabla_j < tol and hfo.nijenhuis_norm < tol:
+            verdict = "KAHLER"
+        elif hfo.is_almost_kahler:
+            verdict = "AK-G1" if g1[k] < tol else "AK-G2" if g2[k] < tol else "AK-G3" if g3[k] < tol else "AK"
+        else:
+            verdict = "ALMOST-HERMITIAN"
+        flags = tuple(flag for flag, holds in flag_holds.items() if holds[k])
+        ladders.append(GrayLadder(g1=g1[k], g2=g2[k], g3=g3[k], verdict=verdict, flags=flags))
+    return ladders
 
 
 def gray_report(cd: CurvatureData, dr: DecompReport, n_planes: int, seed: int) -> GrayReport:

@@ -342,17 +342,20 @@ def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:
     return tuple(n - 1 for n in np.moveaxis(probe, src, dst).shape)
 
 
-def moveaxis(j: Jet, src, dst) -> Jet:
-    """Move leading tensor axes, like np.moveaxis (coefficient axis is untouched)."""
-    key = (j.c.ndim, src, dst)
+def moveaxis(j: Jet, src, dst, points: bool = False) -> Jet:
+    """Move leading tensor axes, like np.moveaxis (coefficient axis is untouched);
+    with `points`, src and dst count the tensor axes after the point axis."""
+    key = (j.c.ndim, src, dst, points)
     perm = _PERMS.get(key)
     if perm is None:
-        perm = _PERMS[key] = _move_perm(*key)
+        lead = int(points)
+        perm = _PERMS[key] = tuple(range(lead)) + tuple(lead + p for p in _move_perm(j.c.ndim - lead, src, dst))
     return Jet._of(j.order, j.c.transpose(perm))
 
 
-def partials(j: Jet) -> Jet:
-    """Stack of the four partial derivatives, new axis first.
+def partials(j: Jet, points: bool = False) -> Jet:
+    """Stack of the four partial derivatives, new axis first (after the point
+    axis with `points`).
 
     One gather over the `_DERIV` table of all four axes; each coefficient is
     the product `partial` forms, laid out as np.stack of the four would lay them out.
@@ -361,8 +364,47 @@ def partials(j: Jet) -> Jet:
         raise JetOrderError("derivative requested from an order-0 jet")
     src, mult = _DERIV[j.order]
     d = j.c[..., src] * mult  # (..., m, ncoef)
-    last = d.ndim - 1
-    return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(last - 1, *range(last - 1), last)))
+    last, lead = d.ndim - 1, int(points)
+    return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(*range(lead), last - 1, *range(lead, last - 1), last)))
+
+
+def stack(js) -> Jet:
+    """Jets of one order stacked along a new point axis, in order."""
+    return Jet._of(js[0].order, np.stack([j.c for j in js]))
+
+
+class Batch:
+    """What the records of one batched stage share: the stacked inputs the
+    stage keeps, and the per-point values of each `per_batch` property of
+    `kind`, computed on the first read at any record. It holds none of its
+    own records, so they form no reference cycle and are freed by refcount."""
+
+    def __init__(self, kind: type, **inputs):
+        self.kind = kind
+        self.__dict__.update(inputs)
+
+    def __getattr__(self, name: str):  # a per_batch value, on its first read
+        value = getattr(self.kind, name).compute(self)
+        setattr(self, name, value)
+        return value
+
+
+class per_batch:
+    """A value of a record of a batched stage that is computed once for its
+    whole batch: `compute(batch)` returns one value per point, and the record
+    reads entry `record.index` of `record.batch`."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, _owner, name):
+        self.name = name
+
+    def __get__(self, record, _owner=None):
+        if record is None:
+            return self
+        return getattr(record.batch, self.name)[record.index]
 
 
 def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple, points: bool) -> tuple:

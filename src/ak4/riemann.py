@@ -19,13 +19,24 @@ sectional curvature, see the product-surfaces tests):
 Covariant differentiation consumes one jet order per derivative and raises
 JetOrderError rather than silently truncating when the order is exhausted.
 
-`hermitian_first_order` computes |nabla J|^2 and |d Omega|. The Nijenhuis
-tensor, theta, a, b and the norms and residual built on them are computed on
-first read, so `ak4 classify` never computes theta, a or b.
+`connection`, `curvature` and `hermitian_first_order` run once per batch of
+points (a command's points, up to `cli.BATCH_POINTS` at a time). Each takes
+the records of all the batch's points, stacks their jets on a
+leading point axis, computes with `jets.contract(..., points=True)`, a
+point-axis `jets.partials` and a point-axis `tensorops.frame_components`, and
+returns one record per point whose arrays are views of the batch; a single
+point is a batch of one. Point k of a batch has, bit for bit, the values of a
+batch of that point alone. The records of one batch share it: nabla Omega,
+the traceless Ricci frame and the Nijenhuis tensor (`jets.per_batch`) are
+computed for every point on the first read at any of them. What only a
+report row or the second-order report reads stays per point: covariant
+derivatives, divergences, the Weyl tensors, theta, a, b and the residuals
+built on them, so `ak4 classify` never computes theta, a or b.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,17 +49,19 @@ from .jets import Jet
 
 @dataclass
 class ConnectionData:
-    """Christoffel jets and covariant differentiation of covariant tensors."""
+    """Christoffel jets and covariant differentiation of covariant tensors at one point."""
 
     sp: StructurePoint
     gamma: Jet  # Gamma[k, i, j] = Gamma^k_ij, order one below the metric
+    batch: jets.Batch = field(repr=False)  # sps, gamma (stacked)
+    index: int
     _gamma_terms: dict[int, tuple[Jet, Jet]] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def nabla_omega(self) -> Jet:
-        """nabla Omega, slots (m, i, j): the first-order data, the Ricci
-        identity and the Weitzenboeck check of Omega all read this one jet."""
-        return self.covd(self.sp.omega)
+    @jets.per_batch
+    def nabla_omega(batch: jets.Batch) -> Jet:
+        """nabla Omega, slots (m, i, j), formed for the whole batch: the first-order
+        data, the Ricci identity and the Weitzenboeck check of Omega all read this one jet."""
+        return _covd(batch.gamma, jets.stack([sp.omega for sp in batch.sps]), points=True)
 
     @cached_property
     def nabla2_omega(self) -> Jet:
@@ -61,12 +74,7 @@ class ConnectionData:
         The new derivative index comes first:
         (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
         """
-        k = t.c.ndim - 1
-        out = jets.partials(t)
-        for a in range(k):
-            term = jets.contract(self.gamma, jets.moveaxis(t, a, 0), 0, 0)  # (m, q, rest)
-            out = out - jets.moveaxis(term, 1, a + 1)
-        return out
+        return _covd(self.gamma, t)
 
     def neg_trace(self, t: Jet) -> Jet:
         """-g^mn t_{m,n,...}: the codifferential of T when t = nabla T, the
@@ -105,15 +113,27 @@ class ConnectionData:
         return -self.divergence(t, 0)
 
 
-def connection(sp: StructurePoint) -> ConnectionData:
-    """Levi-Civita connection of the structure point's metric."""
-    if sp.order < 1:
+def _covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
+    """`ConnectionData.covd` with the Christoffel jets `gamma`, at every point with `points`."""
+    out = jets.partials(t, points)
+    for a in range(t.c.ndim - 1 - int(points)):
+        term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)  # (m, q, rest)
+        out = out - jets.moveaxis(term, 1, a + 1, points)
+    return out
+
+
+def connection(sps: Sequence[StructurePoint]) -> list[ConnectionData]:
+    """Levi-Civita connection of each structure point's metric, formed once
+    over all the points; one record per point."""
+    if sps[0].order < 1:
         raise jets.JetOrderError("connection needs jet order >= 1")
-    dg = jets.partials(sp.g)  # dg[m, i, j] = d_m g_ij
+    g, g_inv = jets.stack([sp.g for sp in sps]), jets.stack([sp.g_inv for sp in sps])
+    dg = jets.partials(g, points=True)  # dg[m, i, j] = d_m g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij)
-    sym = jets.moveaxis(dg, (0, 1, 2), (1, 0, 2)) + jets.moveaxis(dg, (0, 1, 2), (2, 1, 0)) - dg
-    gamma = 0.5 * jets.contract(sp.g_inv, sym, 1, 0)
-    return ConnectionData(sp=sp, gamma=gamma)
+    sym = jets.moveaxis(dg, (0, 1, 2), (1, 0, 2), True) + jets.moveaxis(dg, (0, 1, 2), (2, 1, 0), True) - dg
+    gamma = 0.5 * jets.contract(g_inv, sym, 1, 0, points=True)
+    batch = jets.Batch(ConnectionData, sps=sps, gamma=gamma)
+    return [ConnectionData(sp=sp, gamma=gamma[k], batch=batch, index=k) for k, sp in enumerate(sps)]
 
 
 @dataclass
@@ -129,10 +149,13 @@ class CurvatureData:
     ric_frame: np.ndarray
     s_value: float
     operator: np.ndarray  # 6x6 matrix on the (Omega, phi, Jphi, asd triple) basis
+    batch: jets.Batch = field(repr=False)  # ric_frame, s_value (stacked)
+    index: int
 
-    @property
-    def ric0_frame(self) -> np.ndarray:
-        return self.ric_frame - (self.s_value / 4.0) * np.eye(4)
+    @jets.per_batch
+    def ric0_frame(batch: jets.Batch) -> np.ndarray:
+        """Frame components of the traceless Ricci tensor, formed for the whole batch."""
+        return batch.ric_frame - (batch.s_value / 4.0)[:, None, None] * np.eye(4)
 
     @cached_property
     def ric0(self) -> Jet:
@@ -194,38 +217,46 @@ class CurvatureData:
         return tensorops.dual_projection(half, sp.g_inv, sp.mu, sign, (2, 3))
 
 
-def curvature(conn: ConnectionData) -> CurvatureData:
-    """Riemann, Ricci and scalar curvature plus the operator on 2-forms."""
-    sp = conn.sp
-    if sp.order < 2:
+def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
+    """Riemann, Ricci and scalar curvature plus the operator on 2-forms,
+    formed once over all the points; one record per point."""
+    sps = [conn.sp for conn in conns]
+    if sps[0].order < 2:
         raise jets.JetOrderError("curvature needs jet order >= 2")
-    gamma = conn.gamma
-    dg = jets.partials(gamma)  # dg[m, l, i, j] = d_m Gamma^l_ij
+    gamma = jets.stack([conn.gamma for conn in conns])
+    dg = jets.partials(gamma, points=True)  # dg[m, l, i, j] = d_m Gamma^l_ij
     # [nabla_i, nabla_j] d_k = (d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik) d_l
-    t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3))  # t1[l, i, j, k] = d_i Gamma^l_jk
+    t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3), True)  # t1[l, i, j, k] = d_i Gamma^l_jk
     # R is one order below Gamma, so the product needs Gamma only to that order
     gamma_low = gamma.truncate(dg.order)
-    gg = jets.contract(gamma_low, gamma_low, 2, 0)  # gg[l, i, j, k] = G^l_im G^m_jk
-    comm_up = t1 - jets.moveaxis(t1, 1, 2) + gg - jets.moveaxis(gg, 1, 2)
-    riem = -jets.moveaxis(jets.contract(sp.g, comm_up, 0, 0), 0, 3)  # R_ijkl (sphere-positive)
-    ric = jets.contract(sp.g_inv, riem, (0, 1), (0, 2))  # Ric_jk = g^im R_ijmk
-    s = jets.contract(sp.g_inv, ric, (0, 1), (0, 1))
+    gg = jets.contract(gamma_low, gamma_low, 2, 0, points=True)  # gg[l, i, j, k] = G^l_im G^m_jk
+    comm_up = t1 - jets.moveaxis(t1, 1, 2, True) + gg - jets.moveaxis(gg, 1, 2, True)
+    g, g_inv = jets.stack([sp.g for sp in sps]), jets.stack([sp.g_inv for sp in sps])
+    riem = -jets.moveaxis(jets.contract(g, comm_up, 0, 0, points=True), 0, 3, True)  # R_ijkl (sphere-positive)
+    ric = jets.contract(g_inv, riem, (0, 1), (0, 2), points=True)  # Ric_jk = g^im R_ijmk
+    s = jets.contract(g_inv, ric, (0, 1), (0, 1), points=True)
 
-    frame = sp.frame
+    frame = np.stack([sp.frame for sp in sps])
     R_frame = tensorops.frame_components(riem.value, frame)
     ric_frame = tensorops.frame_components(ric.value, frame)
     operator = algebra.operator_matrix(R_frame)
-    return CurvatureData(
-        sp=sp,
-        conn=conn,
-        R=riem,
-        ric=ric,
-        s=s,
-        R_frame=R_frame,
-        ric_frame=ric_frame,
-        s_value=float(s.value),
-        operator=operator,
-    )
+    batch = jets.Batch(CurvatureData, ric_frame=ric_frame, s_value=s.value)
+    return [
+        CurvatureData(
+            sp=sp,
+            conn=conn,
+            R=riem[k],
+            ric=ric[k],
+            s=s[k],
+            R_frame=R_frame[k],
+            ric_frame=ric_frame[k],
+            s_value=float(s.value[k]),
+            operator=operator[k],
+            batch=batch,
+            index=k,
+        )
+        for k, (sp, conn) in enumerate(zip(sps, conns))
+    ]
 
 
 # -- first-order almost Hermitian invariants -----------------------------------
@@ -241,14 +272,22 @@ class HermitianFirstOrder:
     conn: ConnectionData
     nabla_j_sq: float  # |nabla J|^2, full tensor norm
     d_omega_norm: float
+    batch: jets.Batch = field(repr=False)  # sps, frame (stacked)
+    index: int
 
     @property
     def is_almost_kahler(self) -> bool:
         return self.d_omega_norm < 1e-9
 
-    @cached_property
-    def nijenhuis(self) -> Jet:
-        return _nijenhuis(self.conn.sp)
+    @jets.per_batch
+    def nijenhuis(batch: jets.Batch) -> Jet:
+        """The Nijenhuis tensor, formed for the whole batch."""
+        return _nijenhuis(jets.stack([sp.J.truncate(1) for sp in batch.sps]), jets.stack([sp.g.truncate(0) for sp in batch.sps]))
+
+    @jets.per_batch
+    def nijenhuis_norm(batch: jets.Batch) -> list[float]:
+        """|N|, formed for the whole batch: the verdict ladder reads it."""
+        return _frame_max(batch.nijenhuis.value, batch.frame).tolist()
 
     @cached_property
     def theta(self) -> Jet:
@@ -269,16 +308,12 @@ class HermitianFirstOrder:
 
     @cached_property
     def theta_norm(self) -> float:
-        return _frame_max(self.theta.value, self.conn.sp)
-
-    @cached_property
-    def nijenhuis_norm(self) -> float:
-        return _frame_max(self.nijenhuis.value, self.conn.sp)
+        return float(_frame_max(self.theta.value, self.conn.sp.frame))
 
     @cached_property
     def b_plus_ja_norm(self) -> float:
         ja = -jets.contract(self.a, self.conn.sp.J, 0, 0)  # (J a)_i = -a_k J^k_i
-        return _frame_max((self.b + ja).value, self.conn.sp)
+        return float(_frame_max((self.b + ja).value, self.conn.sp.frame))
 
     @cached_property
     def identity_residual(self) -> float:
@@ -286,40 +321,44 @@ class HermitianFirstOrder:
         return _nabla_j_identity_residual(self.conn.sp, self.conn.nabla_omega, self.theta, self.nijenhuis)
 
 
-def hermitian_first_order(conn: ConnectionData) -> HermitianFirstOrder:
-    """|nabla J|^2 and |d Omega| at a point, the first-order values every command reads."""
-    sp = conn.sp
-    no_f = tensorops.frame_components(conn.nabla_omega.value, sp.frame)
-    return HermitianFirstOrder(
-        conn=conn,
-        nabla_j_sq=float(np.sum(no_f * no_f)),
-        d_omega_norm=_frame_max(tensorops.ext_d_2form(sp.omega).value, sp),
-    )
+def hermitian_first_order(conns: Sequence[ConnectionData]) -> list[HermitianFirstOrder]:
+    """|nabla J|^2 and |d Omega|, the first-order values every command reads,
+    formed once over all the points; one record per point."""
+    frame = np.stack([conn.sp.frame for conn in conns])
+    nabla_omega = tensorops.frame_components(np.stack([conn.nabla_omega.value for conn in conns]), frame)
+    nabla_j_sq = np.sum(nabla_omega * nabla_omega, axis=(1, 2, 3))
+    d_omega = tensorops.ext_d_2form(jets.stack([conn.sp.omega for conn in conns]), points=True)
+    d_omega_norm = _frame_max(d_omega.value, frame)
+    batch = jets.Batch(HermitianFirstOrder, sps=[conn.sp for conn in conns], frame=frame)
+    values = zip(conns, nabla_j_sq.tolist(), d_omega_norm.tolist())
+    return [HermitianFirstOrder(conn, sq, d, batch, k) for k, (conn, sq, d) in enumerate(values)]
 
 
-def _frame_max(values: np.ndarray, sp: StructurePoint) -> float:
-    """Max-norm of the frame components of a tensor value at sp."""
-    return float(np.abs(tensorops.frame_components(values, sp.frame)).max())
+def _frame_max(values: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Max-norm of the frame components of a tensor value, at each point when
+    the frame (and the value) carries a leading point axis."""
+    components = np.abs(tensorops.frame_components(values, frame))
+    return components.max(axis=tuple(range(frame.ndim - 2, components.ndim)))
 
 
-def _nijenhuis(sp: StructurePoint) -> Jet:
-    """N_X(Y, Z) = g([JY,JZ] - [Y,Z] - J[JY,Z] - J[Y,JZ], X) on coordinate fields.
+def _nijenhuis(J: Jet, g: Jet) -> Jet:
+    """N_X(Y, Z) = g([JY,JZ] - [Y,Z] - J[JY,Z] - J[Y,JZ], X) on coordinate fields,
+    at each point of the point axis of J and g.
 
     Only its value is read, so J enters to first order and g as a value."""
-    J = sp.J.truncate(1)
-    dJ = jets.partials(J)  # dJ[m, i, j] = d_m J^i_j
+    dJ = jets.partials(J, points=True)  # dJ[m, i, j] = d_m J^i_j
     # D[y, z, n] = J^m_y d_m J^n_z, so [J d_y, J d_z]^n = D[y,z,n] - D[z,y,n]
-    d_field = jets.moveaxis(jets.contract(J, dJ, 0, 0), 1, 2)
-    br_jj = d_field - jets.moveaxis(d_field, 0, 1)
+    d_field = jets.moveaxis(jets.contract(J, dJ, 0, 0, points=True), 1, 2, True)
+    br_jj = d_field - jets.moveaxis(d_field, 0, 1, True)
     # [J d_y, d_z]^n = -d_z J^n_y and [d_y, J d_z]^n = +d_y J^n_z
-    p1 = jets.moveaxis(dJ, (0, 1, 2), (1, 2, 0))  # p1[y, z, n] = d_z J^n_y
-    p2 = jets.moveaxis(dJ, (0, 1, 2), (0, 2, 1))  # p2[y, z, n] = d_y J^n_z
+    p1 = jets.moveaxis(dJ, (0, 1, 2), (1, 2, 0), True)  # p1[y, z, n] = d_z J^n_y
+    p2 = jets.moveaxis(dJ, (0, 1, 2), (0, 2, 1), True)  # p2[y, z, n] = d_y J^n_z
 
     def apply_j(v: Jet) -> Jet:  # rotate the vector index: (J v)^q = J^q_n v^n
-        return jets.moveaxis(jets.contract(J, v, 1, 2), 0, 2)
+        return jets.moveaxis(jets.contract(J, v, 1, 2, points=True), 0, 2, True)
 
     total_up = br_jj + apply_j(p1) - apply_j(p2)  # [d_y, d_z] = 0
-    return jets.contract(sp.g.truncate(0), total_up, 0, 2)  # N[x, y, z] = g_nx W[y, z, n]
+    return jets.contract(g, total_up, 0, 2, points=True)  # N[x, y, z] = g_nx W[y, z, n]
 
 
 def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet, nij: Jet) -> float:
@@ -334,7 +373,7 @@ def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet,
     term2 = np.einsum("mi,j->mij", jxb, theta.value) - np.einsum("mj,i->mij", jxb, theta.value)
     njx = np.einsum("km,kij->mij", J.value, nij.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
-    return _frame_max(lhs - rhs, sp)
+    return float(_frame_max(lhs - rhs, sp.frame))
 
 
 def ricci_identity_check(cd: CurvatureData) -> float:
@@ -348,4 +387,4 @@ def ricci_identity_check(cd: CurvatureData) -> float:
     rv = cd.R.value
     jv = sp.J.value
     rhs = -np.einsum("mnkj,ki->mnij", rv, jv) - np.einsum("mnik,kj->mnij", rv, jv)
-    return _frame_max(lhs - rhs, sp)
+    return float(_frame_max(lhs - rhs, sp.frame))

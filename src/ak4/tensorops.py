@@ -116,10 +116,10 @@ def ext_d_1form(a: Jet) -> Jet:
     return t - jets.moveaxis(t, 0, 1)
 
 
-def ext_d_2form(phi: Jet) -> Jet:
+def ext_d_2form(phi: Jet, points: bool = False) -> Jet:
     """(d phi)_ijk = d_i phi_jk - d_j phi_ik + d_k phi_ij."""
-    t = jets.partials(phi)
-    return t - jets.moveaxis(t, 1, 0) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1))
+    t = jets.partials(phi, points)
+    return t - jets.moveaxis(t, 1, 0, points) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1), points)
 
 
 def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet, points: bool = False) -> Jet:
@@ -161,12 +161,19 @@ def frame_components(values: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
     frame[a] holds the coordinate components of the frame vector e_a. Each
     axis in turn is brought to the front, flattened against the rest, and
-    multiplied by `frame` in one np.dot.
+    multiplied by `frame` in one np.matmul. A frame of shape (P, 4, 4) takes
+    values with the same leading point axis, which stays outermost in the
+    matmul batch, so each point gets the product, and the bits, it gets alone.
+    The frame is made contiguous first: np.matmul multiplies a strided
+    matrix by a vector in its own loop, whose sums round unlike BLAS's.
     """
+    frame = np.ascontiguousarray(frame)
     out = np.asarray(values)
-    ndim = out.ndim
-    for axis in range(ndim):
-        rest = out.shape[:axis] + out.shape[axis + 1 :]
-        flat = out.transpose((axis, *range(axis), *range(axis + 1, ndim))).reshape(out.shape[axis], -1)
-        out = np.dot(frame, flat).reshape(frame.shape[:1] + rest).transpose((*range(1, axis + 1), 0, *range(axis + 1, ndim)))
+    lead, ndim = frame.ndim - 2, out.ndim
+    pre, points = tuple(range(lead)), out.shape[:lead]
+    for axis in range(lead, ndim):
+        rest = out.shape[lead:axis] + out.shape[axis + 1 :]
+        flat = out.transpose((*pre, axis, *range(lead, axis), *range(axis + 1, ndim))).reshape(points + (out.shape[axis], -1))
+        out = np.matmul(frame, flat).reshape(points + frame.shape[-2:-1] + rest)
+        out = out.transpose((*pre, *range(lead + 1, axis + 1), lead, *range(axis + 1, ndim)))
     return out

@@ -188,7 +188,7 @@ def test_criterion_11_jets_vs_finite_differences(catalog_specs):
     for spec in catalog_specs.values():
         for p in spec.sample_points(2, 101):
             sp = structure_point(spec, p, order=2)
-            cd = riemann.curvature(riemann.connection(sp))
+            [cd] = riemann.curvature(riemann.connection([sp]))
             fd = fd_curvature(spec, p)
             scale = max(1.0, float(np.abs(fd).max()))
             worst = max(worst, float(np.abs(cd.R.value - fd).max()) / scale)

@@ -40,7 +40,7 @@ class TestCottonYork:
 
     def test_insufficient_order(self, catalog_specs):
         sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
-        cd = riemann.curvature(riemann.connection(sp))
+        [cd] = riemann.curvature(riemann.connection([sp]))
         with pytest.raises(JetOrderError):
             bianchi_bach.cotton_york(cd)
 
@@ -193,7 +193,7 @@ class TestWeitzenboeck:
 
     def test_insufficient_order(self, catalog_specs):
         sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=2)
-        cd = riemann.curvature(riemann.connection(sp))
+        [cd] = riemann.curvature(riemann.connection([sp]))
         with pytest.raises(JetOrderError):
             bianchi_bach.weitzenboeck_check(cd)
 

@@ -67,7 +67,7 @@ class TestCatalog:
         from ak4 import riemann
 
         sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=2)
-        hfo = riemann.hermitian_first_order(riemann.connection(sp))
+        [hfo] = riemann.hermitian_first_order(riemann.connection([sp]))
         assert hfo.nabla_j_sq > 1.0  # strictly almost Kahler
 
     def test_product_surfaces_with_unit_factors_is_flat(self):
@@ -75,7 +75,7 @@ class TestCatalog:
         from ak4 import riemann
 
         sp = structure_point(spec, (0.3, 0.3, -0.2, 0.1), order=4)
-        cd = riemann.curvature(riemann.connection(sp))
+        [cd] = riemann.curvature(riemann.connection([sp]))
         assert np.abs(cd.R_frame).max() < 1e-14
 
 

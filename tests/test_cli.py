@@ -28,8 +28,27 @@ BAD_FLAG_VALUES = [
 ]
 
 
+#: The stages that run once per batch of points (one batch per command up to cli.BATCH_POINTS points).
+BATCHED_STAGES = ("riemann.connection", "riemann.curvature", "riemann.hermitian_first_order", "decomp.decompose", "gray.classify")
+
+
 def run_main(argv):
     return cli.main(argv)
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each `module.function` the CLI reaches, by that name."""
+    calls = Counter()
+    for name in names:
+        module, function = name.split(".")
+        original = getattr(getattr(cli, module), function)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(getattr(cli, module), function, counted)
+    return calls
 
 
 class TestReport:
@@ -162,13 +181,13 @@ class TestCheck:
     @pytest.mark.parametrize(("name", "order"), [("kappa", 2), ("prop1", 3), ("bianchi", 4)])
     def test_default_order_is_the_identity_order(self, name, order, monkeypatch, capsys):
         built = []
-        build = cli.PointAnalysis
+        build = charts.structure_at
 
-        def recording(sp, **kwargs):
-            built.append(sp.order)
-            return build(sp, **kwargs)
+        def recording(batches, order):
+            built.append(order)
+            return build(batches, order)
 
-        monkeypatch.setattr(cli, "PointAnalysis", recording)
+        monkeypatch.setattr(cli.charts, "structure_at", recording)
         argv = ["check", name, "--chart", "all", "--points", "1", "--seed", "5"]
         outputs = []
         for extra in ([], ["--order", str(order)]):
@@ -321,20 +340,25 @@ class TestIdentityRegistry:
         assert run_main([*argv, "--chart", "all", "--points", "1"]) == 0
         assert capsys.readouterr().out
 
-    def test_report_computes_each_deferred_value_once_per_point(self, monkeypatch):
-        stages = [("decomp", "star_ricci"), ("algebra", "u2_blocks"), ("algebra", "join_operator")]
-        stages += [("riemann", "_nijenhuis"), ("riemann", "_nabla_j_identity_residual")]
-        calls = Counter()
-        for module, stage in stages:
-            original = getattr(getattr(cli, module), stage)
-
-            def counted(*args, _stage=stage, _original=original, **kwargs):
-                calls[_stage] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(getattr(cli, module), stage, counted)
+    def test_report_computes_each_deferred_value_once(self, monkeypatch):
+        expected = {"decomp.star_ricci": 1, "algebra.u2_blocks": 1, "riemann._nijenhuis": 1}  # once for the batch
+        expected |= {"algebra.join_operator": 2, "riemann._nabla_j_identity_residual": 2}  # once per point: rows only
+        calls = _count_calls(monkeypatch, expected)
         run_report(RunConfig(chart="kodaira-thurston", points=2))
-        assert calls == {stage: 2 for _, stage in stages}
+        assert calls == expected
+
+    @pytest.mark.parametrize(
+        ("argv", "stages"),
+        [
+            pytest.param(["classify", "--points", "4"], BATCHED_STAGES, id="classify"),
+            pytest.param(["check", "kappa", "--points", "2"], ("riemann.connection", "riemann.curvature", "decomp.decompose"), id="check-kappa"),
+        ],
+    )
+    def test_each_batched_stage_runs_once_per_command(self, argv, stages, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, BATCHED_STAGES)
+        assert run_main([*argv, "--chart", "all"]) == 0
+        assert capsys.readouterr().out
+        assert calls == {stage: 1 for stage in stages}
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_every_applicable_row_returns_a_finite_float(self, order, analyses, catalog_specs):
@@ -509,6 +533,60 @@ class TestBadPointInABatch:
         out, err = capsys.readouterr()
         assert code == 2 and err == HALF_BAD_ERROR
         assert [line.split()[0] for line in out.splitlines()] == ["flat"]
+
+
+class TestBatchSize:
+    """A command runs its points in batches of up to cli.BATCH_POINTS; the size changes no output."""
+
+    @pytest.mark.parametrize("command", [["classify"], ["check", "kappa"], ["report", "--chart", "kodaira-thurston", "--order", "2", "--json", "-"]])
+    def test_outputs_do_not_depend_on_the_batch_size(self, command, monkeypatch, capsys):
+        outputs = []
+        for size in (1, 4, cli.BATCH_POINTS):
+            monkeypatch.setattr(cli, "BATCH_POINTS", size)
+            code = run_main([*command, "--points", "7", "--seed", "11"])
+            outputs.append((code, capsys.readouterr().out.split('"timing_s"')[0]))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_each_batch_runs_each_stage_once(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "BATCH_POINTS", 8)
+        calls = _count_calls(monkeypatch, BATCHED_STAGES)
+        assert run_main(["classify", "--points", "4"]) == 0  # 20 points: batches of 8, 8 and 4
+        assert capsys.readouterr().out
+        assert calls == {stage: 3 for stage in BATCHED_STAGES}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_first_bad_point_in_a_later_batch(self, size, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "BATCH_POINTS", size)
+        path = tmp_path / "half-bad.json"
+        path.write_text(json.dumps(half_bad_chart()))
+        code = run_main(["report", "--chart", str(path), "--points", "6", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", HALF_BAD_ERROR)
+
+
+class TestOutOfMemory:
+    """A --points too large to allocate exits 2 with a message, not a traceback.
+    The allocations are patched to fail; nothing that large is allocated."""
+
+    @pytest.mark.parametrize("command", [["report"], ["classify"], ["check", "kappa"]])
+    def test_sample_points_too_large_to_allocate(self, command, monkeypatch, capsys):
+        def no_memory(spec, n, seed):
+            raise MemoryError(f"Unable to allocate {32 * n} bytes for {spec.name} points at seed {seed}")
+
+        monkeypatch.setattr(charts.ChartSpec, "sample_points", no_memory)
+        code = run_main([*command, "--chart", "flat", "--points", "1000000000000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: --points 1000000000000 needs more memory than is available: Unable to allocate 32000000000000 bytes for flat points at seed 42\n"
+
+    def test_a_batched_stage_out_of_memory(self, monkeypatch, capsys):
+        def no_memory(_cds):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.riemann, "curvature", no_memory)
+        code = run_main(["classify"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: --points 32 needs more memory than is available\n")
 
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:

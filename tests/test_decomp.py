@@ -32,8 +32,7 @@ class TestSO4:
         )
         for p in spec.sample_points(2, 21):
             pa_sp = structure_point(spec, p, order=4)
-            cd = riemann.curvature(riemann.connection(pa_sp))
-            dr = decomp.decompose(cd)
+            [dr] = decomp.decompose(riemann.curvature(riemann.connection([pa_sp])))
             assert algebra.frobenius(dr.ric0) > 0.1  # not Einstein
             assert dr.recon_residual < 1e-8
             assert abs(dr.s) < 1e-8  # curvatures +1 and -1 cancel

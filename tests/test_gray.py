@@ -313,7 +313,7 @@ class TestClassification:
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-8
         full = analyses["kodaira-thurston"][0]
         pa = SimpleNamespace(dr=dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm))
-        flagged = "j-invariant-ricci" in gray.classify(full.cd, pa.dr, full.hfo).flags
+        flagged = "j-invariant-ricci" in gray.classify([full.cd], [pa.dr], [full.hfo])[0].flags
         assert flagged == cli.j_invariant_ricci(pa) == (ric_anti_norm < 1e-8)
 
     @pytest.mark.parametrize("d_omega_norm", [5e-8, 5e-10])
@@ -321,7 +321,7 @@ class TestClassification:
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-9
         full = analyses["kodaira-thurston"][0]
         pa = SimpleNamespace(hfo=dataclasses.replace(full.hfo, d_omega_norm=d_omega_norm))
-        verdict = gray.classify(full.cd, full.dr, pa.hfo).verdict
+        verdict = gray.classify([full.cd], [full.dr], [pa.hfo])[0].verdict
         assert verdict.startswith("AK") == cli.almost_kahler(pa) == (d_omega_norm < 1e-9)
 
 

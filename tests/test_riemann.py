@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ak4 import charts, jets, riemann
+from ak4 import charts, cli, jets, riemann
 from ak4.errors import JetOrderError
+from ak4.jets import Jet
 
 from conftest import KAHLER_NAMES, product_surfaces, sphere_factor, structure_point
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
@@ -40,7 +43,8 @@ class TestConnection:
         spec = product_surfaces("exp(x1)", "1", name="exp-factor", domain=((-0.8, 0.8),) * 4)
         for p in [(0.3, -0.2, 0.0, 0.0), (0.0, 0.5, 0.1, 0.2), (-0.6, 0.1, 0.4, -0.4)]:
             sp = structure_point(spec, p, order=2)
-            g = riemann.connection(sp).gamma.value
+            [conn] = riemann.connection([sp])
+            g = conn.gamma.value
             expected = np.zeros((4, 4, 4))
             expected[0, 0, 0] = 1.0
             expected[0, 1, 1] = -1.0
@@ -64,7 +68,7 @@ class TestConnection:
     def test_insufficient_order(self, catalog_specs):
         sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=0)
         with pytest.raises(JetOrderError):
-            riemann.connection(sp)
+            riemann.connection([sp])
 
 
 class TestCurvature:
@@ -77,7 +81,7 @@ class TestCurvature:
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(3, 5):
             sp = structure_point(spec, p, order=4)
-            cd = riemann.curvature(riemann.connection(sp))
+            [cd] = riemann.curvature(riemann.connection([sp]))
             assert abs(cd.s_value - 2.0) < 1e-8
             fd = fd_curvature(spec, p)
             scale = max(1.0, np.abs(fd).max())
@@ -104,7 +108,7 @@ class TestCurvature:
         for name, spec in catalog_specs.items():
             for p in spec.sample_points(2, 13):
                 sp = structure_point(spec, p, order=2)
-                cd = riemann.curvature(riemann.connection(sp))
+                [cd] = riemann.curvature(riemann.connection([sp]))
                 fd = fd_curvature(spec, p)
                 scale = max(1.0, np.abs(fd).max())
                 assert np.abs(cd.R.value - fd).max() / scale < 1e-4, name
@@ -112,7 +116,7 @@ class TestCurvature:
     def test_insufficient_order(self, catalog_specs):
         sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
         with pytest.raises(JetOrderError):
-            riemann.curvature(riemann.connection(sp))
+            riemann.curvature(riemann.connection([sp]))
 
 
 class TestHermitianFirstOrder:
@@ -166,9 +170,73 @@ class TestRicciIdentity:
 
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
         sp = structure_point(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
-        conn = riemann.connection(sp)
-        cd = riemann.curvature(conn)
+        [conn] = riemann.connection([sp])
+        [cd] = riemann.curvature([conn])
         dr = conn.covd(cd.R)  # curvature has order 1 at chart order 3
         assert dr.order == 0
         with pytest.raises(JetOrderError):
             conn.covd(dr)  # order exhausted: error, never silent truncation
+
+
+#: The values of each batched stage's record that a test compares, by the
+#: PointAnalysis attribute that holds the record: every dataclass field but
+#: the records and structure it was built from, and every value that the
+#: first read fills for the whole batch.
+STAGE_VALUES = {
+    "conn": ("gamma", "nabla_omega"),
+    "cd": ("R", "ric", "s", "R_frame", "ric_frame", "s_value", "operator", "ric0_frame"),
+    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm"),
+    "dr": ("parts", "s", "ric0", "ric0_anti", "ric_anti_norm", "w1", "w2", "w3", "psi", "kappa", "ric_star", "s_star", "star_skew_residual"),
+    "ladder": ("g1", "g2", "g3", "verdict", "flags"),
+}
+#: Dataclass fields that hold an input of the stage, not a value it computed.
+INPUTS = {"sp", "conn", "cd", "_gamma_terms", "batch", "index"}
+
+
+def _same(x, y) -> bool:
+    """Same bits, for jets, dicts of arrays, arrays, floats and strings."""
+    if isinstance(x, Jet):
+        return x.order == y.order and np.array_equal(x.c, y.c)
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    return type(x) is type(y) and np.array_equal(x, y)
+
+
+def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
+    return {(stage, name): getattr(getattr(pa, stage), name) for stage, names in STAGE_VALUES.items() for name in names}
+
+
+class TestPipelineBatch:
+    """Each batched stage gives each point the bits of a one-point batch."""
+
+    def test_every_computed_field_is_compared(self, analyses):
+        pa = analyses["kodaira-thurston"][0]
+        for stage, names in STAGE_VALUES.items():
+            fields = {f.name for f in dataclasses.fields(getattr(pa, stage))}
+            assert fields - INPUTS <= set(names), stage
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_every_value_equals_the_one_point_batch(self, catalog_specs, order, n):
+        batches = [(spec, spec.sample_points(n, 23)) for spec in catalog_specs.values()]
+        sps = charts.structure_at(batches, order)
+        alone = [cli.point_analyses([sp]) for sp in sps]
+        per_chart = [pa for k in range(0, len(sps), n) for pa in cli.point_analyses(sps[k : k + n])]
+        together = cli.point_analyses(sps)
+        assert len(alone) == len(per_chart) == len(together) == 5 * n
+        for [a], b, c in zip(alone, per_chart, together):
+            expected = _stage_values(a)
+            for key, value in _stage_values(b).items():
+                assert _same(value, expected[key]), (key, "per chart")
+            for key, value in _stage_values(c).items():
+                assert _same(value, expected[key]), (key, "all charts")
+
+    def test_the_first_read_fills_the_batch(self, catalog_specs):
+        spec = catalog_specs["kodaira-thurston"]
+        pas = cli.point_analyses(charts.structure_at([(spec, spec.sample_points(3, 5))], 2))
+        ladder = pas[1].ladder
+        batch = pas[0].batch
+        assert {"conn", "cd", "hfo", "dr", "ladder"} <= vars(batch).keys()
+        assert all(pa.batch is batch for pa in pas) and batch.ladder[1] is ladder
+        assert "nabla_omega" in vars(pas[0].conn.batch) and "ric0_frame" in vars(pas[0].cd.batch)
+        assert "_u2" not in vars(pas[0].dr.batch)  # the ladder reads no U(2) block
