@@ -21,6 +21,7 @@ The beta identification depends on the phi gauge fixed by the adapted frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,12 +227,9 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
     [-1, 1] and rounded to 6 decimals. The field is built at the order the
     Weitzenboeck check reads, min(sp.order, J_SIDE_ORDER).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
     order = min(sp.order, J_SIDE_ORDER)
     x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
-    # one block of draws, 9 per entry above the diagonal in row-major order;
-    # c[k] holds the coefficient of monomial k for all six entries
-    c = np.array([float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=54)]).reshape(6, 9).T
+    c = _random_2form_coefficients(seed)
     # each product keeps the jet on the left, so Jet, not numpy, broadcasts it
     val = (
         Jet.constant(c[0], order)
@@ -249,6 +247,18 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
     out[upper] = val.c
     out[upper[::-1]] = -val.c
     return Jet(order, out)
+
+
+@functools.lru_cache(maxsize=8)
+def _random_2form_coefficients(seed: int) -> np.ndarray:
+    """The rounded coefficients of `random_polynomial_2form`, drawn once per
+    seed: one block of draws, 9 per entry above the diagonal in row-major
+    order; row k holds the coefficient of monomial k for all six entries
+    (a read-only array)."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
+    c = np.array([float(f"{v:.6f}") for v in rng.uniform(-1.0, 1.0, size=54)]).reshape(6, 9).T
+    c.flags.writeable = False
+    return c
 
 
 # -- report assembly ------------------------------------------------------------

@@ -14,9 +14,10 @@ J phi, where (J phi)(X, Y) = -phi(JX, Y); this phi gauge is a free choice
 and every gauge-dependent quantity downstream is documented as such.
 
 `structure_at` runs this structure stage once per batch of sample points (a
-command's points, up to `cli.BATCH_POINTS` at a time): each chart's entry
-expressions are evaluated on that chart's points with one memo, and the rest
-on a leading point axis across charts.
+command's points, up to `cli.BATCH_POINTS` at a time): the entry expressions
+of all the charts are evaluated by one `exprs.eval_jet` call per jet order,
+each chart on its own points with its kept `exprs.Program`, and the rest on a
+leading point axis across charts.
 Each point's jets are the bits a batch of that point alone would give.
 """
 
@@ -60,13 +61,34 @@ class ChartSpec:
     tags: tuple[str, ...] = ()
     g: dict[tuple[int, int], Expr] = field(repr=False, default=None)
     J: tuple[tuple[Expr, ...], ...] = field(repr=False, default=None)
+    _programs: dict[str, exprs.Program] = field(repr=False, compare=False, init=False, default_factory=dict)
+
+    def program(self, entries: str) -> exprs.Program:
+        """The evaluation program of the g entries ("g", upper triangle in
+        row-major order), of the J entries ("J", row-major) or of both in
+        that order ("gJ"), compiled on its first use and kept on the chart."""
+        prog = self._programs.get(entries)
+        if prog is None:
+            roots = [self.g[ij] for ij in _UPPER] if "g" in entries else []
+            roots += [e for row in self.J for e in row] if "J" in entries else []
+            prog = self._programs[entries] = exprs.Program(roots)
+        return prog
 
     def sample_points(self, n: int, seed: int) -> np.ndarray:
         """n deterministic uniform samples from the domain box."""
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x41]))
         lo = np.array([d[0] for d in self.domain])
         hi = np.array([d[1] for d in self.domain])
-        return lo + rng.random((n, 4)) * (hi - lo)
+        return lo + _unit_draws(n, seed) * (hi - lo)
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_draws(n: int, seed: int) -> np.ndarray:
+    """The (n, 4) uniform draws in [0, 1) that `sample_points` scales to a
+    chart's box, drawn once per count and seed: every chart of a command
+    samples the same draws (a read-only array)."""
+    draws = np.random.default_rng(np.random.SeedSequence([int(seed), 0x41])).random((n, 4))
+    draws.flags.writeable = False
+    return draws
 
 
 def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
@@ -367,8 +389,9 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     the pointwise invariants; one StructurePoint per point, in order.
 
     `batches` is a sequence of (spec, points) pairs with points of shape
-    (N, 4). Each chart's entry expressions are evaluated once on all its
-    points, with one memo per chart: subexpressions shared between entries,
+    (N, 4). The entry expressions of every chart are evaluated together, by
+    one `exprs.eval_jet` call per jet order on the charts' programs (see
+    `ChartSpec.program`): subexpressions shared between a chart's entries,
     such as a common denominator, are evaluated once. Everything after that
     (g^-1, Omega, the adapted frame, mu, phi, J phi and the invariant
     checks) runs once on the points of all charts together, along a leading
@@ -381,34 +404,37 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     batch that is exactly what is wrong at the point.
     """
     batches = [(spec, np.asarray(pts, dtype=float).reshape(-1, 4)) for spec, pts in batches]
-    points = []
     for spec, pts in batches:
-        for p in pts.tolist():
-            if not all(lo <= x <= hi for x, (lo, hi) in zip(p, spec.domain)):
-                raise ChartError(f"point {tuple(p)} outside domain of chart {spec.name!r}")
-            points.append(tuple(p))
+        lo, hi = np.array(spec.domain).T
+        outside = ~((lo <= pts) & (pts <= hi)).all(axis=1)  # NaN is outside too
+        if outside.any():
+            raise ChartError(f"point {tuple(pts[np.argmax(outside)].tolist())} outside domain of chart {spec.name!r}")
     if not 0 <= order <= jets.MAX_ORDER:
         raise ChartError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
+    points = [tuple(p) for _, pts in batches for p in pts.tolist()]
     n_points = len(points)
     if not n_points:
         return []
 
     j_order = min(order, J_SIDE_ORDER)
+    specs, arrays = [spec for spec, _ in batches], [pts for _, pts in batches]
     gc = np.empty((n_points, 4, 4, jets.NCOEF[order]))
     jc = np.empty((n_points, 4, 4, jets.NCOEF[j_order]))
-    start = 0
     with np.errstate(all="ignore"):  # _check_finite reports an overflow by entry
-        for spec, pts in batches:
-            rows = slice(start, start + len(pts))
-            start = rows.stop
-            memo: dict = {}
-            for i, j in _UPPER:
-                entry = exprs.eval_jet(spec.g[(i, j)], pts, order, memo).c
-                gc[rows, i, j] = entry
-                gc[rows, j, i] = entry
-            for i in range(4):
-                for j in range(4):
-                    jc[rows, i, j] = exprs.eval_jet(spec.J[i][j], pts, j_order, memo).c
+        if j_order == order:
+            entries = exprs.eval_jet([spec.program("gJ") for spec in specs], arrays, order)
+        else:
+            g_entries = exprs.eval_jet([spec.program("g") for spec in specs], arrays, order)
+            j_entries = exprs.eval_jet([spec.program("J") for spec in specs], arrays, j_order)
+            entries = [g + j for g, j in zip(g_entries, j_entries)]
+    start = 0
+    for roots, pts in zip(entries, arrays):
+        rows = slice(start, start + len(pts))
+        start = rows.stop
+        for (i, j), jet in zip(_UPPER, roots):
+            gc[rows, i, j] = gc[rows, j, i] = jet.c
+        for k, jet in enumerate(roots[len(_UPPER) :]):
+            jc[rows, k // 4, k % 4] = jet.c
     g, J = Jet._of(order, gc), Jet._of(j_order, jc)
     _check_finite(g, "g_{}{}")
     _check_finite(J, "J^{}_{}")
@@ -457,21 +483,24 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
         diffs[:, k] = starred.value - form.value
     _check(diffs, residuals, 7, 11)
 
+    # iterating a batch array yields the views of its points
     return [
         StructurePoint(
             point=p,
             order=order,
-            g=Jet._of(order, g.c[k]),
-            g_inv=Jet._of(g_inv.order, g_inv.c[k]),
-            J=Jet._of(j_order, J.c[k]),
-            omega=Jet._of(j_order, omega.c[k]),
-            mu=Jet._of(j_order, mu.c[k]),
-            frame=frame[k],
-            phi=Jet._of(j_order, phi.c[k]),
-            jphi=Jet._of(j_order, jphi.c[k]),
+            g=Jet._of(order, g_k),
+            g_inv=Jet._of(g_inv.order, g_inv_k),
+            J=Jet._of(j_order, j_k),
+            omega=Jet._of(j_order, omega_k),
+            mu=Jet._of(j_order, mu_k),
+            frame=frame_k,
+            phi=Jet._of(j_order, phi_k),
+            jphi=Jet._of(j_order, jphi_k),
             invariant_residuals=dict(zip(INVARIANTS, r)),
         )
-        for k, (p, r) in enumerate(zip(points, residuals.tolist()))
+        for p, g_k, g_inv_k, j_k, omega_k, mu_k, frame_k, phi_k, jphi_k, r in zip(
+            points, g.c, g_inv.c, J.c, omega.c, mu.c, frame, phi.c, jphi.c, residuals.tolist()
+        )
     ]
 
 
@@ -498,10 +527,12 @@ def _adapted_frame(g: Jet, J: Jet) -> Jet:
         rows = slice(None) if len(todo) == len(e3) else todo
         g_m = g[rows]
         cand = _basis_vector_jet(m, g_m)
+        lowered = g_m[:, m]  # g(d_m, .), a row of g, exactly what contracting g with d_m gives up to the sign of zero
         for e in (e1[rows], e2[rows]):
-            coeff = jets.contract(jets.contract(g_m, cand, 0, 0, points=True), e, 0, 0, points=True)
+            coeff = jets.contract(lowered, e, 0, 0, points=True)
             cand = cand - coeff[:, None] * e
-        norm2 = jets.contract(jets.contract(g_m, cand, 0, 0, points=True), cand, 0, 0, points=True)
+            lowered = jets.contract(g_m, cand, 0, 0, points=True)
+        norm2 = jets.contract(lowered, cand, 0, 0, points=True)
         served = norm2.value > 1e-10
         if served.all():
             e3[rows] = (cand / jets.sqrt(norm2)[:, None]).c

@@ -580,6 +580,24 @@ SANDBOX_TOL = 1e-10
 CHECK_NAMES = tuple(sorted({i.name for i in IDENTITIES} | {i.group for i in IDENTITIES} | set(SANDBOX_CHECKS)))
 
 
+def _point_text(point: tuple[float, ...]) -> str:
+    """`np.array2string(np.array(point), precision=3)`, byte for byte.
+
+    numpy prints finite coordinates in positional notation unless a non-zero
+    |x| is below 1e-4 or from 1e8 up, or two of them differ by more than a
+    factor 1000. In that common case each coordinate is correctly rounded to
+    3 decimals with its trailing zeros cut (what numpy's shortest-digit
+    rounding gives), and the integer and fraction parts are padded to a
+    common width. Every other point is left to numpy.
+    """
+    nonzero = [abs(x) for x in point if x != 0.0]
+    if not all(map(math.isfinite, point)) or (nonzero and (max(nonzero) >= 1e8 or min(nonzero) < 1e-4 or max(nonzero) / min(nonzero) > 1000.0)):
+        return np.array2string(np.asarray(point), precision=3)
+    parts = [f"{x:.3f}".rstrip("0").split(".") for x in point]
+    left, right = max(len(i) for i, _ in parts), max(len(f) for _, f in parts)
+    return "[" + " ".join(f"{i:>{left}}.{f:<{right}}" for i, f in parts) + "]"
+
+
 def cmd_check(config: RunConfig, name: str) -> int:
     """Run one named identity; prints the residual table and worst case."""
     if name not in CHECK_NAMES:
@@ -598,7 +616,7 @@ def cmd_check(config: RunConfig, name: str) -> int:
     print(f"check {name}  (tolerance {tol:.1e})")
     worst = None
     for r in rows:
-        pt = "" if r["point"] is None else np.array2string(np.asarray(r["point"]), precision=3)
+        pt = "" if r["point"] is None else _point_text(r["point"])
         if r["residual"] is None:
             print(f"  {r['chart']:20s} {pt:>44s}  not applicable")
             continue

@@ -13,15 +13,23 @@ a constant (it may use pi/e and arithmetic but no coordinate). Identifiers
 are the coordinates x1..x4, the constants pi and e, and the functions
 sin, cos, tan, exp, log, sqrt, sinh, cosh, tanh, atan.
 
-Two independent evaluators are provided: `eval_jet` produces a truncated
-Taylor jet, at one point or at a batch of points along a leading axis, and
-`eval_float` is a plain floating-point evaluation used as an independent
-reference path. A memo of `eval_jet` belongs to one batch, such as the
-sample points of one chart.
+Two independent evaluators are provided: `eval_jet` produces truncated
+Taylor jets, and `eval_float` is a plain floating-point evaluation used as an
+independent reference path.
+
+`eval_jet` has one path. It evaluates a `Program`, the distinct nodes of some
+root expressions in evaluation order (a straight-line Taylor-mode program in
+the sense of Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), at a
+batch of points along a leading axis; a single expression is a program of one
+root. Several programs, each with its own points (the charts of a batch), run
+together level by level: the nodes of one height and one operation go
+through one jet operation on their stacked rows. A chart compiles its
+program once (`charts.ChartSpec.program`) and keeps it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -45,7 +53,7 @@ MAX_DEPTH = 256
 class _Node:
     """Base of the AST node classes. Each node computes its structural hash
     once, when it is built, from its fields (a child's hash is already
-    stored), so hashing a memo key in `eval_jet` does not walk the subtree.
+    stored), so finding equal subtrees in a `Program` does not walk them.
     Equality stays the structural field comparison of the dataclasses."""
 
     def __init_subclass__(cls, **kwargs):
@@ -324,64 +332,158 @@ _FLOAT_FUNCS = {
 }
 
 
-def eval_jet(e: Expr, p, order: int, memo: dict | None = None) -> Jet:
-    """Evaluate e as a truncated Taylor jet of the given order at point p.
+class Program:
+    """The distinct nodes of some root expressions, in evaluation order.
 
-    p is one point (4 coordinates) or an array of points of shape (..., 4),
-    whose leading axes the jet keeps: the jet of a batch at point k equals,
-    bit for bit, the jet of that point alone. A subexpression that uses no
-    coordinate has no point axis; it broadcasts against the others, and so
-    does the result when e uses no coordinate at all. A batch raises
-    DomainError exactly when one of its points does alone.
+    Each node is one jet operation `op` on the nodes `args`, which come
+    before it: ("const", value), ("x", index), ("neg",), a binary operator,
+    ("^", exponent) or a function name. Equal subtrees, within one root or
+    across roots, are one node. A node that uses no coordinate is a constant:
+    it carries no point axis, and its coefficients at each order are computed
+    once and kept. The other nodes are grouped by (height, op), the height
+    being 0 at a leaf and one more than the highest argument, so the nodes of
+    one group never depend on each other.
+    """
 
-    `memo` shares work between calls. Each subexpression's jet is stored in
-    it under (node, points, order), so a subtree that recurs within e, or in
-    another expression evaluated with the same memo, is evaluated once. Nodes
-    compare by structure, and equal parsed nodes evaluate to the same bits at
-    the same points and order (the parser makes no negative zero, the only
-    float equal to a float of different bits), so a memo changes no value.
+    def __init__(self, roots):
+        index: dict[Expr, int] = {}
+        ops, args, heights, pointed = [], [], [], []
 
-    A memo belongs to one batch of points, such as the sample points of one
-    chart. Its keys keep it from handing back a jet of other points or of
-    another order, but one kept across batches only grows. It holds the jets
-    it returns, so callers must not modify them in place.
+        def visit(node: Expr) -> int:
+            k = index.get(node)
+            if k is None:
+                kids = tuple(visit(child) for child in _children(node))
+                k = index[node] = len(ops)
+                ops.append(_op(node))
+                args.append(kids)
+                heights.append(1 + max((heights[a] for a in kids), default=-1))
+                pointed.append(isinstance(node, Coord) or any(pointed[a] for a in kids))
+            return k
+
+        self.roots = tuple(visit(root) for root in roots)
+        self.ops, self.args = tuple(ops), tuple(args)
+        self.constants = tuple(k for k in range(len(ops)) if not pointed[k])
+        groups: dict[tuple, list[int]] = {}
+        for k in sorted((k for k in range(len(ops)) if pointed[k]), key=heights.__getitem__):
+            groups.setdefault((heights[k], ops[k]), []).append(k)
+        self.groups = tuple(groups.items())
+        self._constant_values: dict[int, list] = {}
+
+    def constant_values(self, order: int) -> list:
+        """The coefficients of every constant node at `order` (read-only
+        arrays), None at the others; computed on the first call at each order
+        that raises nothing."""
+        vals = self._constant_values.get(order)
+        if vals is None:
+            vals = [None] * len(self.ops)
+            for k in self.constants:
+                vals[k] = _apply(self.ops[k], [Jet._of(order, vals[a]) for a in self.args[k]], order).c
+                vals[k].flags.writeable = False
+            self._constant_values[order] = vals
+        return vals
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(programs: tuple[Program, ...]) -> tuple:
+    """The (height, op) groups of all the programs merged, lowest height
+    first: (op, members), each member a (program index, node, args) triple."""
+    merged: dict[tuple, list[tuple]] = {}
+    for t, prog in enumerate(programs):
+        for key, nodes in prog.groups:
+            merged.setdefault(key, []).extend((t, k, prog.args[k]) for k in nodes)
+    return tuple((op, tuple(members)) for (_, op), members in sorted(merged.items(), key=lambda item: item[0][0]))
+
+
+def _op(node: Expr) -> tuple:
+    if isinstance(node, (Num, Const)):
+        return ("const", node.value)
+    if isinstance(node, Coord):
+        return ("x", node.index)
+    if isinstance(node, Neg):
+        return ("neg",)
+    if isinstance(node, BinOp):
+        return (node.op,)
+    if isinstance(node, Pow):
+        return ("^", node.exponent)
+    if isinstance(node, Call):
+        return (node.fn,)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _apply(op: tuple, args: list[Jet], order: int) -> Jet:
+    """One jet operation of a program on its argument jets."""
+    kind = op[0]
+    if kind == "const":
+        return Jet.constant(op[1], order)
+    if kind == "neg":
+        return -args[0]
+    if kind == "+":
+        return args[0] + args[1]
+    if kind == "-":
+        return args[0] - args[1]
+    if kind == "*":
+        return args[0] * args[1]
+    if kind == "/":
+        return args[0] / args[1]
+    if kind == "^":
+        return jets.power(args[0], op[1])
+    return _JET_FUNCS[kind](args[0])
+
+
+def eval_jet(e, p, order: int):
+    """Evaluate expressions as truncated Taylor jets of the given order.
+
+    With one expression e, its jet at p: one point (4 coordinates) or an
+    array of points of shape (..., 4), whose leading axes the jet keeps.
+    With a sequence of `Program`s e and a sequence p of (N, 4) point arrays,
+    one per program, a list per program of its roots' jets at its points,
+    each with a leading axis of length N.
+
+    Either way the work runs level by level: all the nodes of one (height,
+    op) group, across every program and point, go through one jet operation
+    on their stacked rows. Every jet operation acts row by row, so the jet of
+    a point equals, bit for bit, its jet alone, in any batch and beside any
+    other program. A node that uses no coordinate is evaluated on its own,
+    without a point axis; it broadcasts against the others, and so does a
+    root that uses no coordinate at all. A batch raises DomainError exactly
+    when one of its points does alone.
+
+    The returned jets may be views of the arrays of a group, so callers must
+    not modify them in place.
     """
     if not 0 <= order <= jets.MAX_ORDER:
         raise JetOrderError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
-    p = np.asarray(p, dtype=float)
-    return _eval_jet(e, p, (p.shape, p.tobytes()), order, {} if memo is None else memo)
+    if isinstance(e, _Node):
+        p = np.asarray(p, dtype=float)
+        [[jet]] = _run([Program((e,))], [p.reshape(-1, 4)], order)
+        return jet if jet.c.ndim == 1 else Jet._of(order, jet.c.reshape(p.shape[:-1] + jet.c.shape[-1:]))
+    return _run(e, [np.asarray(pts, dtype=float) for pts in p], order)
 
 
-def _eval_jet(e: Expr, p: np.ndarray, where: tuple, order: int, memo: dict) -> Jet:
-    key = (e, where, order)
-    jet = memo.get(key)
-    if jet is None:
-        jet = memo[key] = _eval_node(e, p, where, order, memo)
-    return jet
-
-
-def _eval_node(e: Expr, p: np.ndarray, where: tuple, order: int, memo: dict) -> Jet:
-    if isinstance(e, (Num, Const)):
-        return Jet.constant(e.value, order)
-    if isinstance(e, Coord):
-        return Jet.coordinate(e.index, p, order)
-    if isinstance(e, Neg):
-        return -_eval_jet(e.arg, p, where, order, memo)
-    if isinstance(e, BinOp):
-        left = _eval_jet(e.left, p, where, order, memo)
-        right = _eval_jet(e.right, p, where, order, memo)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
-    if isinstance(e, Pow):
-        return jets.power(_eval_jet(e.base, p, where, order, memo), e.exponent)
-    if isinstance(e, Call):
-        return _JET_FUNCS[e.fn](_eval_jet(e.arg, p, where, order, memo))
-    raise TypeError(f"not an expression node: {e!r}")
+def _run(programs, points: list[np.ndarray], order: int) -> list[list[Jet]]:
+    """The roots' jets of each program at its points: the kept constants,
+    then the merged (height, op) groups of `_schedule`."""
+    values = [list(prog.constant_values(order)) for prog in programs]
+    counts = [len(p) for p in points]
+    for op, members in _schedule(tuple(programs)):
+        if op[0] == "x":
+            rows = points[members[0][0]] if len(members) == 1 else np.concatenate([points[t] for t, _, _ in members])
+            out = Jet.coordinate(op[1], rows, order).c
+        elif len(members) == 1:
+            t, _, args = members[0]
+            out = _apply(op, [Jet._of(order, values[t][a]) for a in args], order).c
+        else:
+            stacked = []
+            for slot in range(len(members[0][2])):
+                parts = [values[t][args[slot]] for t, _, args in members]
+                parts = [c if c.ndim == 2 else np.broadcast_to(c, (counts[t], c.shape[-1])) for c, (t, _, _) in zip(parts, members)]
+                stacked.append(Jet._of(order, np.concatenate(parts)))
+            out = _apply(op, stacked, order).c
+        start = 0
+        for t, k, _ in members:
+            values[t][k] = out[start : start + counts[t]]
+            start += counts[t]
+    return [[Jet._of(order, vals[k]) for k in prog.roots] for prog, vals in zip(programs, values)]
 
 
 def eval_float(e: Expr, p) -> float:

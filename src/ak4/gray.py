@@ -19,6 +19,7 @@ sampling has no bias near J-invariant planes.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -107,6 +108,16 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     """
     if n_planes < MIN_PLANES:
         raise ValueError(f"need at least {MIN_PLANES} sample planes")
+    x, y = _lagrangian_planes(n_planes, seed)
+    mus = np.einsum("ijkl,ni,nj,nk,nl->n", cd.R_frame, x, y, x, y)
+    mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
+    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max())}
+
+
+@functools.lru_cache(maxsize=8)
+def _lagrangian_planes(n_planes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit frame vectors (X, Y) of `n_planes` seeded Lagrangian planes,
+    drawn once per seed and plane count (read-only arrays)."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A]))
     # one block of draws: plane k takes X from row (k, 0) and Y from row (k, 1)
     draws = rng.standard_normal((n_planes, 2, 4))
@@ -119,9 +130,8 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
             y[k] = _lagrangian_part(rng.standard_normal((1, 4)), x[k : k + 1], jx[k : k + 1])[0]
             norm[k] = np.linalg.norm(y[k])
     y /= norm[:, None]
-    mus = np.einsum("ijkl,ni,nj,nk,nl->n", cd.R_frame, x, y, x, y)
-    mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
-    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max())}
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -180,6 +180,10 @@ _DERIV = _build_deriv_tables()
 #: `contract` plans and `moveaxis` permutations, filled on first use of each
 #: operand shape and axis choice; see the module docstring.
 _PLANS: dict[tuple, tuple] = {}
+#: Most bytes the gathered operands and the product of one point-axis
+#: `contract` take at once: a larger batch is contracted a slice of points at
+#: a time, which bounds the memory of a batch and moves no bit.
+CONTRACT_CHUNK_BYTES = 1 << 20
 _PERMS: dict[tuple, tuple[int, ...]] = {}
 
 
@@ -363,7 +367,8 @@ def partials(j: Jet, points: bool = False) -> Jet:
     if j.order == 0:
         raise JetOrderError("derivative requested from an order-0 jet")
     src, mult = _DERIV[j.order]
-    d = j.c[..., src] * mult  # (..., m, ncoef)
+    d = j.c[..., src]  # (..., m, ncoef), a new array
+    d *= mult
     last, lead = d.ndim - 1, int(points)
     return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(*range(lead), last - 1, *range(lead, last - 1), last)))
 
@@ -442,6 +447,7 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
         pre + (lead, lead + 2, lead + 1),
         pre + (lead + 1, lead + 2, lead),
         size + sa + sb + (n,),
+        8 * n * (width * p * (na + nb) + na * nb),
     )
 
 
@@ -464,7 +470,9 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     axis goes in front of all of these, outermost in the matmul batch, so
     every point gets the same BLAS call as alone. The permutations and
     shapes of these steps come from a plan cached per operand shapes
-    (without the point count) and axes.
+    (without the point count) and axes. A batch whose gathered operands
+    would pass CONTRACT_CHUNK_BYTES is contracted a slice of points at a
+    time, with the same calls per point.
     """
     if isinstance(axes_a, int):
         axes_a = (axes_a,)
@@ -477,7 +485,16 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _contract_plan(*key)
-    o, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape = plan
+    step = max(1, CONTRACT_CHUNK_BYTES // plan[-1])
+    if points and len(ca) > step:
+        chunks = [_contract(ca[k : k + step], cb[k : k + step], plan, True) for k in range(0, len(ca), step)]
+        return Jet._of(plan[0], np.concatenate(chunks))
+    return Jet._of(plan[0], _contract(ca, cb, plan, points))
+
+
+def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple, points: bool) -> np.ndarray:
+    """The coefficients of `contract` by one plan."""
+    _, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape, _ = plan
     # slab n of fa stays zero: the padding pairs of `_CONTRACT` point at it
     fa = np.empty(ca.shape[:1] + fa_shape if points else fa_shape)
     fa[zero] = 0.0
@@ -485,7 +502,7 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     ga = fa.take(ia, axis=axis).reshape(ga_shape)
     gb = cb[..., :n].transpose(perm_b).take(ib, axis=axis).reshape(gb_shape)
     out = np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm)
-    return Jet._of(o, out.reshape(out_shape))
+    return out.reshape(out_shape)
 
 
 def outer(a: Jet, b: Jet, points: bool = False) -> Jet:

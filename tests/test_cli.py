@@ -564,6 +564,23 @@ class TestBatchSize:
         assert (code, out, err) == (2, "", HALF_BAD_ERROR)
 
 
+#: Coordinates a `check` row may print: inside a domain box, tiny, zero, huge or not finite.
+_COORDINATES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(-2e-3, 2e-3),
+    st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 0.0005, 0.9995, -0.0625]),
+    st.floats(-1e9, 1e9),
+    st.floats(),
+)
+
+
+class TestPointColumn:
+    @given(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES, _COORDINATES))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_array2string(self, point):
+        assert cli._point_text(point) == np.array2string(np.asarray(point), precision=3)
+
+
 class TestOutOfMemory:
     """A --points too large to allocate exits 2 with a message, not a traceback.
     The allocations are patched to fail; nothing that large is allocated."""

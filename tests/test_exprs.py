@@ -9,8 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ak4 import jets
 from ak4.errors import DomainError, ParseError
-from ak4.exprs import FUNCTIONS, MAX_DEPTH, BinOp, Call, Const, Coord, Neg, Num, Pow, _depth, eval_float, eval_jet, parse_expr
+from ak4.exprs import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Const,
+    Coord,
+    Neg,
+    Num,
+    Pow,
+    Program,
+    _depth,
+    _uses_coordinate,
+    eval_float,
+    eval_jet,
+    parse_expr,
+)
 
 
 class TestGrammar:
@@ -149,7 +166,7 @@ class TestEvaluation:
         e = parse_expr(src)
         assert _depth(e) == MAX_DEPTH
         p = (0.1, 0.2, 0.3, 0.4)
-        assert eval_jet(e, p, 4, {}).value == pytest.approx(eval_float(e, p), rel=1e-14)
+        assert eval_jet(e, p, 4).value == pytest.approx(eval_float(e, p), rel=1e-14)
 
 
 #: Pieces of the grammar, and of exponents that overflow or leave a domain, so
@@ -249,6 +266,43 @@ class TestBatchEvaluation:
             reference = _float_or_none(e, p)
             if reference is not None and math.isfinite(reference) and math.isfinite(jet.value):
                 assert abs(jet.value - reference) <= 1e-12 * max(abs(reference), _magnitude(e, p)), p
+
+    @given(st.lists(st.tuples(st.lists(_EXPRESSIONS, min_size=1, max_size=4), _POINTS), min_size=1, max_size=5), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_programs_in_one_batch_equal_the_one_point_jets(self, sets, order):
+        # expression sets with their own point counts, as the charts of a batch
+        programs = [Program([parse_expr(text) for text in texts]) for texts, _ in sets]
+        points = [np.array(pts) for _, pts in sets]
+        with np.errstate(all="ignore"):
+            alone = []
+            for (texts, pts), program in zip(sets, programs):
+                rows = []
+                for text in texts:
+                    row = []
+                    for p in pts:
+                        try:
+                            row.append(eval_jet(parse_expr(text), p, order))
+                        except DomainError:
+                            row.append(None)
+                    rows.append(row)
+                alone.append(rows)
+            try:
+                batch = eval_jet(programs, points, order)
+            except DomainError:
+                batch = None
+        # a batch raises exactly when one of its points does alone
+        assert (batch is None) == any(jet is None for rows in alone for row in rows for jet in row)
+        if batch is None:
+            return
+        for (texts, pts), roots, rows in zip(sets, batch, alone):
+            assert len(roots) == len(texts)
+            for text, jet, row in zip(texts, roots, rows):
+                if _uses_coordinate(parse_expr(text)):
+                    assert jet.c.shape == (len(pts), jets.NCOEF[order])
+                else:
+                    assert jet.c.shape == (jets.NCOEF[order],)  # a constant keeps no point axis
+                for c, one in zip(np.broadcast_to(jet.c, (len(pts), jet.c.shape[-1])), row):
+                    assert _same_bits(c, one.c), text
 
     def test_a_point_keeps_its_shape(self):
         e = parse_expr("x1*x2 + sin(x3)")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ak4 import jets
 from ak4.errors import DomainError, JetOrderError
-from ak4.exprs import eval_float, eval_jet, parse_expr
+from ak4.exprs import Program, eval_float, eval_jet, parse_expr
 from ak4.jets import Jet
 
 from oracles import STENCILS_ACC2, fd_taylor_coefficients
@@ -314,6 +314,19 @@ class TestContractionKernel:
         b = random_tensor_jet(rng, shape_b, order)
         assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 5000, 10**9])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_a_batch_contracted_in_slices_of_points(self, order, chunk_bytes, monkeypatch):
+        # slices of one point, of a few points, and the whole batch at once give the one-point bits
+        rng = np.random.default_rng(70 + order)
+        a = random_tensor_jet(rng, (7, 4, 3), order)
+        b = random_tensor_jet(rng, (7, 3, 4, 2), order)
+        monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", chunk_bytes)
+        got = jets.contract(a, b, 1, 0, points=True)
+        assert got.c.shape == (7, 4, 4, 2, jets.NCOEF[order])
+        for k in range(7):
+            assert np.array_equal(got.c[k], jets.contract(a[k], b[k], 1, 0).c)
+
 
 def old_contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
     """`contract` as it was before plans were cached: every shape, permutation
@@ -382,8 +395,8 @@ class TestCachedKernelsMatchTheirOracles:
             assert got.c.shape == np.moveaxis(j.c, src, dst).shape
 
 
-class TestEvalMemo:
-    """One memo shared between eval_jet calls changes no bit."""
+class TestSharedProgram:
+    """One program shared by several expressions, and kept across evaluations, changes no bit."""
 
     @staticmethod
     def related_expressions(rng) -> list:
@@ -394,23 +407,22 @@ class TestEvalMemo:
 
     @given(st.integers(0, 10**6), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
-    def test_shared_memo_gives_the_fresh_bits(self, seed, order):
+    def test_shared_program_gives_the_fresh_bits(self, seed, order):
         rng = np.random.default_rng(seed)
         exprs = self.related_expressions(rng)
-        p = tuple(rng.uniform(-1, 1, 4))
-        memo: dict = {}
-        shared = [eval_jet(e, p, order, memo) for e in exprs]
+        p = [tuple(rng.uniform(-1, 1, 4))]
+        [shared] = eval_jet([Program(exprs)], [p], order)
         for e, jet in zip(exprs, shared):
             assert np.array_equal(jet.c, eval_jet(e, p, order).c)
 
     @given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
-    def test_memo_reused_at_another_point_or_order(self, seed, order_p, order_q):
+    def test_program_reused_at_another_point_or_order(self, seed, order_p, order_q):
         rng = np.random.default_rng(seed)
         exprs = self.related_expressions(rng)
-        p, q = tuple(rng.uniform(-1, 1, 4)), tuple(rng.uniform(-1, 1, 4))
-        memo: dict = {}
-        for e in exprs:
-            eval_jet(e, p, order_p, memo)
-        for e in exprs:
-            assert np.array_equal(eval_jet(e, q, order_q, memo).c, eval_jet(e, q, order_q).c)
+        p, q = [tuple(rng.uniform(-1, 1, 4))], [tuple(rng.uniform(-1, 1, 4))]
+        program = Program(exprs)
+        eval_jet([program], [p], order_p)
+        [at_q] = eval_jet([program], [q], order_q)
+        for e, jet in zip(exprs, at_q):
+            assert np.array_equal(jet.c, eval_jet(e, q, order_q).c)

@@ -1,4 +1,5 @@
-"""The benchmark's traced functions exist in ak4.
+"""The benchmark's traced functions exist in ak4, and the structure stage
+reaches the traced expression evaluator.
 
 perfbench/run.py wraps each (module, attribute) of its TRACED table in a span;
 a renamed or deleted function would leave its layer reading null. The table is
@@ -10,6 +11,8 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -31,3 +34,24 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"ak4.{module}"), attr, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(("argv", "batch_points", "orders"), [(["--order", "4"], 64, [2, 4]), (["--order", "2"], 64, [2]), (["--order", "4"], 8, [2, 2, 2, 4, 4, 4])])
+def test_structure_stage_evaluates_through_the_traced_eval_jet(argv, batch_points, orders, monkeypatch, capsys):
+    """The exprs.eval_jet layer measures the evaluation of the chart entries:
+    run.py wraps the module attribute, so charts.structure_at must call it
+    through the module, once per jet order per batch (J and everything built
+    from it stop at order 2)."""
+    from ak4 import cli, exprs
+
+    original, calls = exprs.eval_jet, []
+
+    def counted(e, p, order):
+        calls.append(order)
+        return original(e, p, order)
+
+    monkeypatch.setattr(exprs, "eval_jet", counted)
+    monkeypatch.setattr(cli, "BATCH_POINTS", batch_points)
+    assert cli.main(["classify", "--chart", "all", "--points", "4", *argv]) == 0  # 20 points
+    assert capsys.readouterr().out
+    assert sorted(calls) == orders
