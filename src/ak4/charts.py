@@ -527,7 +527,9 @@ def _adapted_frame(g: Jet, J: Jet) -> Jet:
         rows = slice(None) if len(todo) == len(e3) else todo
         g_m = g[rows]
         cand = _basis_vector_jet(m, g_m)
-        lowered = g_m[:, m]  # g(d_m, .), a row of g, exactly what contracting g with d_m gives up to the sign of zero
+        # g(d_m, .) is a row of g: contracting g with d_m gives it up to the
+        # sign of zero, which the contraction with e then drops
+        lowered = g_m[:, m]
         for e in (e1[rows], e2[rows]):
             coeff = jets.contract(lowered, e, 0, 0, points=True)
             cand = cand - coeff[:, None] * e

@@ -180,11 +180,11 @@ _DERIV = _build_deriv_tables()
 #: `contract` plans and `moveaxis` permutations, filled on first use of each
 #: operand shape and axis choice; see the module docstring.
 _PLANS: dict[tuple, tuple] = {}
+_PERMS: dict[tuple, tuple[int, ...]] = {}
 #: Most bytes the gathered operands and the product of one point-axis
 #: `contract` take at once: a larger batch is contracted a slice of points at
 #: a time, which bounds the memory of a batch and moves no bit.
 CONTRACT_CHUNK_BYTES = 1 << 20
-_PERMS: dict[tuple, tuple[int, ...]] = {}
 
 
 def _mul_raw(ca: np.ndarray, cb: np.ndarray, order: int) -> np.ndarray:
@@ -417,7 +417,8 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
 
     With `points`, the shapes leave out the point axis, and the permutations,
     index tuples and reshape targets keep it first (as -1 in the targets);
-    `contract` puts its length in front of the shape it allocates.
+    `contract` puts its length in front of the shape it allocates. The last
+    entry is the bytes per point of the gathered operands and the product.
     """
     o = min(NCOEF.index(shape_a[-1]), NCOEF.index(shape_b[-1]))
     n = NCOEF[o]
