@@ -21,6 +21,10 @@ Runs `ak4.cli.main` in-process over:
   `half-bad` chart file (written to a temporary file, labelled by its name
   so that no digest depends on the path) at `--points 6 --seed 3`, where
   points 3 and 5 are bad and each command must stop at point 3;
+- every expression feature: `report --json -` at orders 2 and 4 and
+  `classify` on the `every-function` chart file (written and labelled like
+  `half-bad`) at `--points 4 --seed 5`, whose entries use every function,
+  pi and e in both spellings, and repeat subexpressions across entries;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -47,6 +51,7 @@ import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import re  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
@@ -70,13 +75,35 @@ HALF_BAD = {
 }
 
 
+def every_function_chart() -> dict:
+    """A chart whose entries use every function, pi and e, each constant
+    also in its numeric spelling, with subexpressions repeated across
+    entries: g = f(x)^2 (dx1^2 + ... + dx4^2), and the standard J rotated in
+    the (x2, x3) plane by an angle t(x), J d1 = cos(t) d2 + sin(t) d3."""
+    f = "{e} + exp(x1/2)*cos(x2) + log(2 + x3)*sqrt(1 + x4^2)/cosh(x1) + sinh(x2)*tanh(x3) + tan(x4/{pi})"
+    t = "atan(x1)*{e}/{pi} + tanh(x2)*pi/4 + sin(x3)*x4"
+    e, pi = repr(math.e), repr(math.pi)
+    f_named, f_numeric = f.format(e="e", pi="pi"), f.format(e=e, pi=pi)
+    c, s = f"cos({t.format(e='e', pi=pi)})", f"sin({t.format(e=e, pi='pi')})"
+    g = {key: "0" for key in ("12", "13", "14", "23", "24", "34")}
+    g.update({"11": f"({f_named})^2", "22": f"({f_numeric})^2", "33": f"({f_named})^2", "44": f"({f_numeric})^2"})
+    J = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
+    J.update({"1_2": f"-{c}", "1_3": f"-{s}", "2_1": c, "2_4": s, "3_1": s, "3_4": f"-{c}", "4_2": f"-{s}", "4_3": c})
+    return {"name": "every-function", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-0.5, 0.5]] * 4, "g": g, "J": J}
+
+
+#: The chart files of the matrix, by name.
+CHART_FILES = {chart["name"]: chart for chart in (HALF_BAD, every_function_chart())}
+
+
 @functools.cache
-def half_bad_path() -> str:
-    """HALF_BAD as a chart file in a temporary folder, removed when the process exits."""
+def chart_path(name: str) -> str:
+    """CHART_FILES[name] as a chart file in a temporary folder, removed when
+    the process exits."""
     folder = tempfile.mkdtemp(prefix="ak4-fingerprint-")
     atexit.register(shutil.rmtree, folder, True)
-    path = str(Path(folder) / "half-bad.json")
-    Path(path).write_text(json.dumps(HALF_BAD), encoding="utf-8")
+    path = str(Path(folder) / f"{name}.json")
+    Path(path).write_text(json.dumps(CHART_FILES[name]), encoding="utf-8")
     return path
 
 
@@ -110,7 +137,10 @@ def cases():
         yield " ".join(argv), argv
     for command in (["report"], ["classify"], ["check", "kappa"]):
         tail = ["--points", "6", "--seed", "3"]
-        yield " ".join([*command, "--chart", HALF_BAD["name"], *tail]), [*command, "--chart", half_bad_path(), *tail]
+        yield " ".join([*command, "--chart", HALF_BAD["name"], *tail]), [*command, "--chart", chart_path(HALF_BAD["name"]), *tail]
+    tail = ["--points", "4", "--seed", "5"]
+    for command in (["report", "--order", "2", "--json", "-"], ["report", "--order", "4", "--json", "-"], ["classify"]):
+        yield " ".join([*command, "--chart", "every-function", *tail]), [*command, "--chart", chart_path("every-function"), *tail]
 
 
 def fingerprint(argv: list[str]) -> str:

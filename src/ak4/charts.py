@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -111,6 +112,8 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     for i, (lo, hi) in enumerate(domain):
         if not lo < hi:
             raise ChartError(f"{name_hint}: degenerate domain interval for coordinate {i + 1}")
+        if not math.isfinite(hi - lo):
+            raise ChartError(f"{name_hint}: domain interval for coordinate {i + 1} is not of finite width")
     for key in ("g", "J"):
         if not isinstance(data[key], dict) or not all(isinstance(v, str) for v in data[key].values()):
             raise ChartError(f"{name_hint}: {key} must be an object of expression strings")

@@ -66,21 +66,20 @@ class PointAnalysis:
     """The pipeline at one sample point, from its validated structure: every
     later stage runs on first use, at the structure's jet order.
 
-    A command's analyses share a batch of up to BATCH_POINTS points
-    (`batch`, made by `point_analyses`; an analysis made alone is a batch of
-    one). Connection, curvature, first-order data, decomposition and the
-    verdict ladder run once for the whole batch, on a leading point axis, on
-    the first read at any of its points: at these sizes a stage's cost is
-    mostly Python overhead per call, which a batch pays once. The Lagrangian
-    plane statistics and the second-order report run per point, on views of
-    the batched records.
+    A command's analyses share a batch of up to BATCH_POINTS points, made by
+    `point_analyses`: the analysis of point `index` reads its structure from
+    `batch.sps`. Connection, curvature, first-order data, decomposition and
+    the verdict ladder run once for the whole batch, on a leading point
+    axis, on the first read at any of its points: at these sizes a stage's
+    cost is mostly Python overhead per call, which a batch pays once. The
+    Lagrangian plane statistics and the second-order report run per point,
+    on views of the batched records.
     """
 
-    def __init__(self, sp: charts.StructurePoint, planes: int = 64, seed: int = 42, batch: jets.Batch | None = None, index: int = 0):
-        self.sp = sp
-        self.order, self.planes, self.seed = sp.order, planes, seed
-        self.batch = jets.Batch(PointAnalysis, sps=[sp]) if batch is None else batch
-        self.index = index
+    def __init__(self, batch: jets.Batch, index: int, planes: int, seed: int):
+        self.batch, self.index = batch, index
+        self.sp = batch.sps[index]
+        self.order, self.planes, self.seed = self.sp.order, planes, seed
 
     @jets.per_batch
     def conn(batch: jets.Batch) -> list[riemann.ConnectionData]:
@@ -126,7 +125,7 @@ class PointAnalysis:
 def point_analyses(sps: list[charts.StructurePoint], planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
     """One PointAnalysis per structure point, all sharing one batch."""
     batch = jets.Batch(PointAnalysis, sps=sps)
-    return [PointAnalysis(sp, planes=planes, seed=seed, batch=batch, index=k) for k, sp in enumerate(sps)]
+    return [PointAnalysis(batch, k, planes, seed) for k in range(len(sps))]
 
 
 #: The most points one batch holds. A command runs its points in batches of
@@ -164,7 +163,8 @@ def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
                 except (StructureError, DomainError) as exc:
                     coords = ", ".join(f"{x:.6g}" for x in p)
                     raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
-                yield spec, PointAnalysis(sp, planes=config.planes, seed=config.seed)
+                [pa] = point_analyses([sp], config.planes, config.seed)
+                yield spec, pa
             else:
                 yield spec, pas[k]
 

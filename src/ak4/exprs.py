@@ -17,21 +17,21 @@ Two independent evaluators are provided: `eval_jet` produces truncated
 Taylor jets, and `eval_float` is a plain floating-point evaluation used as an
 independent reference path.
 
-`eval_jet` has one path. It evaluates a `Program`, the distinct nodes of some
-root expressions in evaluation order (a straight-line Taylor-mode program in
-the sense of Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008), at a
-batch of points along a leading axis; a single expression is a program of one
-root. Several programs, each with its own points (the charts of a batch), run
-together level by level: the nodes of one height and one operation go
-through one jet operation on their stacked rows. A chart compiles its
-program once (`charts.ChartSpec.program`) and keeps it.
+`eval_jet` has one signature. It evaluates `Program`s, each the distinct
+nodes of some root expressions in evaluation order (a straight-line
+Taylor-mode program in the sense of Griewank & Walther, Evaluating
+Derivatives, 2nd ed., 2008), each at its own batch of points along a leading
+axis (the charts of a batch). The programs run together level by level: the
+nodes of one height and one operation go through one jet operation on their
+stacked rows. A chart compiles its program once (`charts.ChartSpec.program`)
+and keeps it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,81 +42,50 @@ from .jets import Jet
 COORD_NAMES = ("x1", "x2", "x3", "x4")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan")
-#: Deepest expression tree accepted. Both evaluators recurse once per level,
-#: and a sum of n terms is n levels deep.
+#: Deepest expression tree accepted. `Program` compilation, `eval_float` and
+#: `_uses_coordinate` recurse once per level, and a sum of n terms is n levels
+#: deep.
 MAX_DEPTH = 256
 
 
 # -- AST ----------------------------------------------------------------------
 
 
-class _Node:
-    """Base of the AST node classes. Each node computes its structural hash
-    once, when it is built, from its fields (a child's hash is already
-    stored), so finding equal subtrees in a `Program` does not walk them.
-    Equality stays the structural field comparison of the dataclasses."""
-
-    def __init_subclass__(cls, **kwargs):
-        # Set before @dataclass runs, which keeps a `__hash__` already in the
-        # class dict instead of writing one that rehashes every field.
-        super().__init_subclass__(**kwargs)
-        cls.__hash__ = _Node.__hash__
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self), *(getattr(self, f.name) for f in fields(self)))))
-
-    def __hash__(self):
-        return self._hash
-
-
 @dataclass(frozen=True)
-class Num(_Node):
+class Num:
     value: float
 
 
 @dataclass(frozen=True)
-class Const(_Node):
-    name: str
-
-    @property
-    def value(self) -> float:
-        return CONSTANTS[self.name]
-
-
-@dataclass(frozen=True)
-class Coord(_Node):
+class Coord:
     index: int  # 0-based
 
-    @property
-    def name(self) -> str:
-        return COORD_NAMES[self.index]
-
 
 @dataclass(frozen=True)
-class Neg(_Node):
+class Neg:
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp(_Node):
+class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Pow(_Node):
+class Pow:
     base: "Expr"
     exponent: float
 
 
 @dataclass(frozen=True)
-class Call(_Node):
+class Call:
     fn: str
     arg: "Expr"
 
 
-Expr = Num | Const | Coord | Neg | BinOp | Pow | Call
+Expr = Num | Coord | Neg | BinOp | Pow | Call
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -250,7 +219,7 @@ class _Parser:
             if value in COORD_NAMES:
                 return Coord(COORD_NAMES.index(value))
             if value in CONSTANTS:
-                return Const(value)
+                return Num(CONSTANTS[value])
             if value in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
@@ -337,27 +306,29 @@ class Program:
 
     Each node is one jet operation `op` on the nodes `args`, which come
     before it: ("const", value), ("x", index), ("neg",), a binary operator,
-    ("^", exponent) or a function name. Equal subtrees, within one root or
-    across roots, are one node. A node that uses no coordinate is a constant:
-    it carries no point axis, and its coefficients at each order are computed
-    once and kept. The other nodes are grouped by (height, op), the height
-    being 0 at a leaf and one more than the highest argument, so the nodes of
-    one group never depend on each other.
+    ("^", exponent) or a function name. Nodes are interned bottom-up by
+    (op, args), so equal subtrees, within one root or across roots, are one
+    node, and no expression node is ever hashed. A node that uses no
+    coordinate is a constant: it carries no point axis, and its coefficients
+    at each order are computed once and kept. The other nodes are grouped by
+    (height, op), the height being 0 at a leaf and one more than the highest
+    argument, so the nodes of one group never depend on each other.
     """
 
     def __init__(self, roots):
-        index: dict[Expr, int] = {}
+        index: dict[tuple, int] = {}
         ops, args, heights, pointed = [], [], [], []
 
         def visit(node: Expr) -> int:
-            k = index.get(node)
+            key = (_op(node), tuple(map(visit, _children(node))))
+            k = index.get(key)
             if k is None:
-                kids = tuple(visit(child) for child in _children(node))
-                k = index[node] = len(ops)
-                ops.append(_op(node))
+                op, kids = key
+                k = index[key] = len(ops)
+                ops.append(op)
                 args.append(kids)
                 heights.append(1 + max((heights[a] for a in kids), default=-1))
-                pointed.append(isinstance(node, Coord) or any(pointed[a] for a in kids))
+                pointed.append(op[0] == "x" or any(pointed[a] for a in kids))
             return k
 
         self.roots = tuple(visit(root) for root in roots)
@@ -395,7 +366,7 @@ def _schedule(programs: tuple[Program, ...]) -> tuple:
 
 
 def _op(node: Expr) -> tuple:
-    if isinstance(node, (Num, Const)):
+    if isinstance(node, Num):
         return ("const", node.value)
     if isinstance(node, Coord):
         return ("x", node.index)
@@ -430,39 +401,27 @@ def _apply(op: tuple, args: list[Jet], order: int) -> Jet:
     return _JET_FUNCS[kind](args[0])
 
 
-def eval_jet(e, p, order: int):
-    """Evaluate expressions as truncated Taylor jets of the given order.
+def eval_jet(programs, points, order: int) -> list[list[Jet]]:
+    """The truncated Taylor jets of the given order of each program's roots
+    at its points: `points` holds one (N, 4) array per program, and each
+    jet has a leading axis of length N.
 
-    With one expression e, its jet at p: one point (4 coordinates) or an
-    array of points of shape (..., 4), whose leading axes the jet keeps.
-    With a sequence of `Program`s e and a sequence p of (N, 4) point arrays,
-    one per program, a list per program of its roots' jets at its points,
-    each with a leading axis of length N.
-
-    Either way the work runs level by level: all the nodes of one (height,
-    op) group, across every program and point, go through one jet operation
-    on their stacked rows. Every jet operation acts row by row, so the jet of
-    a point equals, bit for bit, its jet alone, in any batch and beside any
-    other program. A node that uses no coordinate is evaluated on its own,
-    without a point axis; it broadcasts against the others, and so does a
-    root that uses no coordinate at all. A batch raises DomainError exactly
-    when one of its points does alone.
+    The work runs level by level: the kept constants, then the merged
+    (height, op) groups of `_schedule`, all the nodes of one group, across
+    every program and point, going through one jet operation on their
+    stacked rows. Every jet operation acts row by row, so the jet of a point
+    equals, bit for bit, its jet alone, in any batch and beside any other
+    program. A node that uses no coordinate is evaluated on its own, without
+    a point axis; it broadcasts against the others, and so does a root that
+    uses no coordinate at all. A batch raises DomainError exactly when one of
+    its points does alone.
 
     The returned jets may be views of the arrays of a group, so callers must
     not modify them in place.
     """
     if not 0 <= order <= jets.MAX_ORDER:
         raise JetOrderError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
-    if isinstance(e, _Node):
-        p = np.asarray(p, dtype=float)
-        [[jet]] = _run([Program((e,))], [p.reshape(-1, 4)], order)
-        return jet if jet.c.ndim == 1 else Jet._of(order, jet.c.reshape(p.shape[:-1] + jet.c.shape[-1:]))
-    return _run(e, [np.asarray(pts, dtype=float) for pts in p], order)
-
-
-def _run(programs, points: list[np.ndarray], order: int) -> list[list[Jet]]:
-    """The roots' jets of each program at its points: the kept constants,
-    then the merged (height, op) groups of `_schedule`."""
+    points = [np.asarray(pts, dtype=float) for pts in points]
     values = [list(prog.constant_values(order)) for prog in programs]
     counts = [len(p) for p in points]
     for op, members in _schedule(tuple(programs)):
@@ -489,8 +448,6 @@ def _run(programs, points: list[np.ndarray], order: int) -> list[list[Jet]]:
 def eval_float(e: Expr, p) -> float:
     """Plain floating-point evaluation of e at p (no jets involved)."""
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
         return e.value
     if isinstance(e, Coord):
         return float(p[e.index])

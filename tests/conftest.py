@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ak4 import charts, cli, jets
+from ak4 import charts, cli, exprs, jets
 from ak4.cli import PointAnalysis
 from ak4.jets import Jet
 
@@ -113,7 +113,7 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
     out: dict[str, list[PointAnalysis]] = {}
     for name, spec in catalog_specs.items():
         batch = charts.structure_at([(spec, spec.sample_points(N_FULL, FULL_SEED))], 4)
-        out[name] = [PointAnalysis(sp, planes=64, seed=FULL_SEED) for sp in batch]
+        out[name] = [pa for sp in batch for pa in cli.point_analyses([sp], 64, FULL_SEED)]
     return out
 
 
@@ -130,6 +130,16 @@ def stack(js) -> Jet:
     return Jet(order, np.stack([j.c[..., : jets.NCOEF[order]] for j in js]))
 
 
+def expr_jet(e: exprs.Expr, p, order: int) -> Jet:
+    """The jet of one expression at one point (4 coordinates) or at an array
+    of points of shape (..., 4), whose leading axes it keeps: a program of
+    one root on the points as one batch. A root that uses no coordinate
+    keeps no point axis."""
+    p = np.asarray(p, dtype=float)
+    [[jet]] = exprs.eval_jet([exprs.Program([e])], [p.reshape(-1, 4)], order)
+    return jet if jet.c.ndim == 1 else Jet(order, jet.c.reshape(p.shape[:-1] + jet.c.shape[-1:]))
+
+
 def structure_point(spec: charts.ChartSpec, p, order: int = 4) -> charts.StructurePoint:
     """The structure of `spec` at one point, from a one-point batch."""
     [sp] = charts.structure_at([(spec, [p])], order)
@@ -137,8 +147,10 @@ def structure_point(spec: charts.ChartSpec, p, order: int = 4) -> charts.Structu
 
 
 def point_analysis(spec: charts.ChartSpec, p, order: int = 4, **kwargs) -> PointAnalysis:
-    """The pipeline of `spec` at one point; kwargs go to PointAnalysis."""
-    return PointAnalysis(structure_point(spec, p, order), **kwargs)
+    """The pipeline of `spec` at one point, a batch of one; kwargs go to
+    `cli.point_analyses`."""
+    [pa] = cli.point_analyses([structure_point(spec, p, order)], **kwargs)
+    return pa
 
 
 def identity(name: str) -> cli.Identity:

@@ -8,9 +8,9 @@ import pytest
 from ak4 import bianchi_bach, charts, cli, jets, riemann, tensorops
 from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
-from ak4.exprs import eval_jet, parse_expr
+from ak4.exprs import parse_expr
 
-from conftest import EINSTEIN_NAMES, point_analysis, product_surfaces, sphere_factor, structure_point
+from conftest import EINSTEIN_NAMES, expr_jet, point_analysis, product_surfaces, sphere_factor, structure_point
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
@@ -182,7 +182,7 @@ class TestWeitzenboeck:
             assert not field[i, i].c.any()
             for j in range(i + 1, 4):
                 src = " + ".join(f"({c:.6f})*{m}" for c, m in zip(rng.uniform(-1.0, 1.0, 9), monomials))
-                expect = eval_jet(parse_expr(src), sp.point, field.order).c
+                expect = expr_jet(parse_expr(src), sp.point, field.order).c
                 assert np.array_equal(field[i, j].c, expect)
                 assert np.array_equal(field[j, i].c, -expect)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ import pytest
 from ak4 import charts, jets, tensorops
 from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
-from ak4.exprs import eval_jet
 
-from conftest import CATALOG_NAMES, product_surfaces, rotated_j_chart, stack, structure_point
+from conftest import CATALOG_NAMES, expr_jet, product_surfaces, rotated_j_chart, stack, structure_point
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
@@ -131,6 +131,8 @@ class TestChartFiles:
             pytest.param("domain", lambda d: {**d, "domain": [[0, "a"]] + [[0, 1]] * 3}, id="domain-bound-not-number"),
             pytest.param("domain", lambda d: {**d, "domain": [[0]] + [[0, 1]] * 3}, id="domain-short-interval"),
             pytest.param("domain", lambda d: {**d, "domain": 5}, id="domain-not-list"),
+            pytest.param("coordinate 1", lambda d: {**d, "domain": [[0, math.inf]] + [[0, 1]] * 3}, id="domain-bound-infinite"),
+            pytest.param("coordinate 2", lambda d: {**d, "domain": [[0, 1], [-1e308, 1e308], [0, 1], [0, 1]]}, id="domain-width-overflows"),
             pytest.param("g", lambda d: {**d, "g": "11 12 13"}, id="g-not-object"),
             pytest.param("J", lambda d: {**d, "J": {**d["J"], "1_1": 0}}, id="J-entry-not-string"),
             pytest.param("tags", lambda d: {**d, "tags": 5}, id="tags-not-list"),
@@ -213,7 +215,7 @@ class TestStructureOrders:
             for p in spec.sample_points(3, 11):
                 sp = structure_point(spec, p, order=4)
                 g = sp.g[None]
-                J = stack([stack([eval_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
+                J = stack([stack([expr_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
                 omega = jets.contract(J, g, 0, 0, points=True)
                 frame_vectors = charts._adapted_frame(g, J)
                 mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ak4 import jets
+from ak4 import charts, jets
 from ak4.errors import DomainError, ParseError
 from ak4.exprs import (
     FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
-    Const,
     Coord,
     Neg,
     Num,
@@ -29,6 +28,8 @@ from ak4.exprs import (
     parse_expr,
 )
 
+from conftest import expr_jet
+
 
 class TestGrammar:
     def test_example_ast(self):
@@ -37,7 +38,7 @@ class TestGrammar:
 
     def test_constant_times_pi(self):
         node = parse_expr("2*pi")
-        assert node == BinOp("*", Num(2.0), Const("pi"))
+        assert node == BinOp("*", Num(2.0), Num(math.pi))
         assert eval_float(node, (0, 0, 0, 0)) == pytest.approx(2 * math.pi)
 
     def test_precedence_pow_over_unary_minus(self):
@@ -128,37 +129,37 @@ class TestEvaluation:
         src = "exp(x1/2)*sin(x2) - x3/(2 + x4^2) + pi"
         e = parse_expr(src)
         p = (0.3, -0.7, 1.2, 0.4)
-        assert eval_jet(e, p, 3).value == pytest.approx(eval_float(e, p), abs=1e-14)
+        assert expr_jet(e, p, 3).value == pytest.approx(eval_float(e, p), abs=1e-14)
 
     def test_log_domain_error(self):
         e = parse_expr("log(x1)")
         with pytest.raises(DomainError):
-            eval_jet(e, (-1.0, 0, 0, 0), 2)
+            expr_jet(e, (-1.0, 0, 0, 0), 2)
         with pytest.raises(DomainError):
             eval_float(e, (-1.0, 0, 0, 0))
 
     def test_sqrt_domain_error(self):
         with pytest.raises(DomainError):
-            eval_jet(parse_expr("sqrt(x1)"), (-0.5, 0, 0, 0), 2)
+            expr_jet(parse_expr("sqrt(x1)"), (-0.5, 0, 0, 0), 2)
 
     def test_order_out_of_range(self):
         from ak4.errors import JetOrderError
 
         with pytest.raises(JetOrderError):
-            eval_jet(parse_expr("x1"), (0, 0, 0, 0), 5)
+            expr_jet(parse_expr("x1"), (0, 0, 0, 0), 5)
 
     def test_non_integer_power_of_negative_base(self):
         with pytest.raises(DomainError):
-            eval_jet(parse_expr("x1^0.5"), (-2.0, 0, 0, 0), 2)
+            expr_jet(parse_expr("x1^0.5"), (-2.0, 0, 0, 0), 2)
 
     def test_integer_power_of_negative_base_ok(self):
-        assert eval_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
+        assert expr_jet(parse_expr("x1^3"), (-2.0, 0, 0, 0), 2).value == -8.0
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     def test_overflowed_value_stays_inf(self, order):
         # the nilpotent part has a zero constant term, which must not turn f(a0) = inf into nan
         with np.errstate(over="ignore", invalid="ignore"):
-            jet = eval_jet(parse_expr("exp(1000)"), (0.1, 0.2, 0.3, 0.4), order)
+            jet = expr_jet(parse_expr("exp(1000)"), (0.1, 0.2, 0.3, 0.4), order)
         assert jet.value == math.inf
 
     @pytest.mark.parametrize("src", ["1" + "+0.5*sin(x1)" * 253, "-" * 255 + "x1"])
@@ -166,7 +167,7 @@ class TestEvaluation:
         e = parse_expr(src)
         assert _depth(e) == MAX_DEPTH
         p = (0.1, 0.2, 0.3, 0.4)
-        assert eval_jet(e, p, 4).value == pytest.approx(eval_float(e, p), rel=1e-14)
+        assert expr_jet(e, p, 4).value == pytest.approx(eval_float(e, p), rel=1e-14)
 
 
 #: Pieces of the grammar, and of exponents that overflow or leave a domain, so
@@ -249,11 +250,11 @@ class TestBatchEvaluation:
             alone = []
             for p in points:
                 try:
-                    alone.append(eval_jet(e, p, order))
+                    alone.append(expr_jet(e, p, order))
                 except DomainError:
                     alone.append(None)
             try:
-                batch = eval_jet(e, np.array(points), order)
+                batch = expr_jet(e, np.array(points), order)
             except DomainError:
                 batch = None
         # a batch raises exactly when one of its points does alone
@@ -281,7 +282,7 @@ class TestBatchEvaluation:
                     row = []
                     for p in pts:
                         try:
-                            row.append(eval_jet(parse_expr(text), p, order))
+                            row.append(expr_jet(parse_expr(text), p, order))
                         except DomainError:
                             row.append(None)
                     rows.append(row)
@@ -304,10 +305,29 @@ class TestBatchEvaluation:
                 for c, one in zip(np.broadcast_to(jet.c, (len(pts), jet.c.shape[-1])), row):
                     assert _same_bits(c, one.c), text
 
-    def test_a_point_keeps_its_shape(self):
-        e = parse_expr("x1*x2 + sin(x3)")
-        p = (0.1, 0.2, 0.3, 0.4)
-        single, batch = eval_jet(e, p, 2), eval_jet(e, [p], 2)
-        assert single.c.shape == (15,) and batch.c.shape == (1, 15)
-        assert np.array_equal(single.c, batch.c[0])
-        assert eval_jet(parse_expr("2*pi"), [p, p], 2).c.shape == (15,)  # no coordinate, no point axis
+
+class TestProgramInterning:
+    """`Program` shares equal subtrees by interning (op, args), never by
+    hashing expression nodes."""
+
+    def test_compiling_hashes_no_expression_node(self, monkeypatch):
+        roots = [parse_expr(text) for text in ("x1*x2 + x1*x2", "2*pi + sin(x3)^2 - e", "1" + "+0.5*sin(x1)" * 253)]
+        roots += [e for spec in charts.catalog() for e in spec.g.values()]
+        hashed = []
+
+        def counted(node):
+            hashed.append(type(node).__name__)
+            return id(node)
+
+        for cls in (Num, Coord, Neg, BinOp, Pow, Call):
+            monkeypatch.setattr(cls, "__hash__", counted)
+        Program(roots)
+        assert hashed == []
+
+    def test_a_constant_and_its_numeric_spelling_are_one_node(self):
+        program = Program([parse_expr("pi"), parse_expr("3.141592653589793")])
+        assert len(program.ops) == 1 and program.roots == (0, 0)
+
+    def test_a_repeated_subtree_is_one_node(self):
+        # x1, x2, x1*x2 and the sum
+        assert len(Program([parse_expr("x1*x2 + x1*x2")]).ops) == 4

@@ -15,11 +15,12 @@ from ak4.errors import DomainError, JetOrderError
 from ak4.exprs import Program, eval_float, eval_jet, parse_expr
 from ak4.jets import Jet
 
+from conftest import expr_jet
 from oracles import STENCILS_ACC2, fd_taylor_coefficients
 
 
 def jet_of(src: str, p, order: int = 4) -> Jet:
-    return eval_jet(parse_expr(src), p, order)
+    return expr_jet(parse_expr(src), p, order)
 
 
 def coeff(j: Jet, alpha) -> np.ndarray:
@@ -53,7 +54,7 @@ class TestKnownSeries:
     def test_exp_cos_order4_vs_finite_differences(self):
         e = parse_expr("exp(x1)*cos(x3)")
         p = (0.3, 0.0, 0.7, 0.0)
-        j = eval_jet(e, p, 4)
+        j = expr_jet(e, p, 4)
         fd = fd_taylor_coefficients(lambda q: eval_float(e, q), p, 4)
         scale = np.abs(fd).max()
         assert np.abs(j.c - fd).max() <= 1e-6 * max(1.0, scale)
@@ -65,7 +66,7 @@ class TestKnownSeries:
     def test_elementary_functions_vs_finite_differences(self, src):
         e = parse_expr(src)
         p = (0.4, -0.3, 0.25, 0.15)
-        j = eval_jet(e, p, 4)
+        j = expr_jet(e, p, 4)
         fd = fd_taylor_coefficients(lambda q: eval_float(e, q), p, 4)
         assert np.abs(j.c - fd).max() <= 2e-6 * max(1.0, np.abs(fd).max())
 
@@ -141,8 +142,8 @@ class TestOrderContract:
         e = parse_expr("exp(x1)*cos(x3) + x2/(1.5 + x4^2)")
         p = (0.3, -0.2, 0.7, 0.4)
         for k in range(1, 5):
-            full = eval_jet(e, p, k)
-            lower = eval_jet(e, p, k - 1)
+            full = expr_jet(e, p, k)
+            lower = expr_jet(e, p, k - 1)
             assert np.array_equal(full.truncate(k - 1).c, lower.c)
 
     def test_partial_consumes_one_order(self):
@@ -215,7 +216,7 @@ class TestRandomExpressionsVsFiniteDifferences:
             src = random_expression(rng, depth=int(rng.integers(2, 7)))
             e = parse_expr(src)
             p = tuple(rng.uniform(-1, 1, 4))
-            j = eval_jet(e, p, 2)
+            j = expr_jet(e, p, 2)
             fd = fd_taylor_coefficients(
                 lambda q: eval_float(e, q), p, 2, h_by_order={0: 1.0, 1: 1e-4, 2: 1e-4}, stencils=STENCILS_ACC2
             )
@@ -413,7 +414,7 @@ class TestSharedProgram:
         p = [tuple(rng.uniform(-1, 1, 4))]
         [shared] = eval_jet([Program(exprs)], [p], order)
         for e, jet in zip(exprs, shared):
-            assert np.array_equal(jet.c, eval_jet(e, p, order).c)
+            assert np.array_equal(jet.c, expr_jet(e, p, order).c)
 
     @given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -425,4 +426,4 @@ class TestSharedProgram:
         eval_jet([program], [p], order_p)
         [at_q] = eval_jet([program], [q], order_q)
         for e, jet in zip(exprs, at_q):
-            assert np.array_equal(jet.c, eval_jet(e, q, order_q).c)
+            assert np.array_equal(jet.c, expr_jet(e, q, order_q).c)

@@ -15,11 +15,10 @@ import pytest
 
 from ak4 import algebra, bianchi_bach, charts, cli, jets, riemann, sandbox, tensorops
 from ak4.charts import J_FRAME
-from ak4.exprs import eval_jet
 from ak4.jets import Jet
 from ak4.tensorops import EPS4
 
-from conftest import CATALOG_NAMES, all_points, point_analysis, stack, structure_point
+from conftest import CATALOG_NAMES, all_points, expr_jet, point_analysis, stack, structure_point
 
 
 def old_determinant4(g: Jet) -> Jet:
@@ -50,7 +49,7 @@ def old_rot(r: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
 
 
 def metric_jet(spec: charts.ChartSpec, p, order: int) -> Jet:
-    rows = [[eval_jet(spec.g[(min(i, j), max(i, j))], p, order) for j in range(4)] for i in range(4)]
+    rows = [[expr_jet(spec.g[(min(i, j), max(i, j))], p, order) for j in range(4)] for i in range(4)]
     return stack([stack(row) for row in rows])
 
 
