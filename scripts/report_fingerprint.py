@@ -28,7 +28,15 @@ Runs `ak4.cli.main` in-process over:
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
-first, since it is the only field that changes from run to run. Two trees
+first, since it is the only field that changes from run to run.
+
+It then digests the structure stage itself, `charts.structure_at`, at
+orders 2, 3 and 4 on 4 points (seed 5) of every catalog chart together and
+of the `every-function` chart, each as one batch and as one-point batches:
+one `sha256  structure ...` line per slice, over every `StructurePoint`
+field, the mu, phi and J phi jets read after the stage returns, every jet's
+order and coefficient bytes (so the sign of zero counts), and the `repr` of
+the invariant residuals. Two trees
 produce the same outputs exactly when their fingerprint files are equal:
 
     python3 scripts/report_fingerprint.py > before.txt
@@ -143,6 +151,38 @@ def cases():
         yield " ".join([*command, "--chart", "every-function", *tail]), [*command, "--chart", chart_path("every-function"), *tail]
 
 
+#: The jet fields of a `charts.StructurePoint`, in the order they are digested.
+STRUCTURE_JETS = ("g", "g_inv", "J", "omega", "mu", "phi", "jphi")
+
+
+def structure_cases():
+    """(label, batches, order, one_point) for every structure slice."""
+    every_function = charts.chart_from_dict(every_function_chart())
+    for order in (2, 3, 4):
+        for chart, specs in (("all", charts.catalog()), ("every-function", [every_function])):
+            batches = [(spec, spec.sample_points(4, 5)) for spec in specs]
+            for one_point in (False, True):
+                label = f"structure --chart {chart} --order {order} --points 4 --seed 5"
+                yield label + (" one-point-batches" if one_point else ""), batches, order, one_point
+
+
+def structure_fingerprint(batches, order: int, one_point: bool) -> str:
+    if one_point:
+        sps = [sp for spec, pts in batches for p in pts for sp in charts.structure_at([(spec, p[None])], order)]
+    else:
+        sps = charts.structure_at(batches, order)
+    digest = hashlib.sha256()
+    for sp in sps:
+        digest.update(repr((sp.point, sp.order)).encode("utf-8"))
+        for name in STRUCTURE_JETS:
+            jet = getattr(sp, name)
+            digest.update(f"{name} {jet.order} {jet.c.shape}".encode("utf-8"))
+            digest.update(jet.c.tobytes())
+        digest.update(sp.frame.tobytes())
+        digest.update(repr(sp.invariant_residuals).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def fingerprint(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -154,6 +194,8 @@ def fingerprint(argv: list[str]) -> str:
 def main() -> int:
     for label, argv in cases():
         print(f"{fingerprint(argv)}  {label}", flush=True)
+    for label, batches, order, one_point in structure_cases():
+        print(f"{structure_fingerprint(batches, order, one_point)}  {label}", flush=True)
     return 0
 
 

@@ -17,7 +17,9 @@ and every gauge-dependent quantity downstream is documented as such.
 command's points, up to `cli.BATCH_POINTS` at a time): the entry expressions
 of all the charts are evaluated by one `exprs.eval_jet` call per jet order,
 each chart on its own points with its kept `exprs.Program`, and the rest on a
-leading point axis across charts.
+leading point axis across charts. The adapted frame and the invariant checks
+read only values, so they run on order-0 truncations; mu, phi and J phi are
+built as jets for the whole batch on their first read.
 Each point's jets are the bits a batch of that point alone would give.
 """
 
@@ -37,8 +39,9 @@ from .exprs import Expr, parse_expr
 from .jets import Jet
 
 STRUCTURE_TOL = 1e-9
-#: Jet order of J and of everything built from it (Omega, the adapted frame,
-#: phi, J phi, mu). No identity differentiates these fields more than twice:
+#: Jet order of J and of the jets built from it (Omega, mu, phi, J phi and
+#: the adapted frame they are built with). No identity differentiates these
+#: fields more than twice:
 #: nabla Omega feeds a and b, and the `nabla2-omega-shape` row takes d of a;
 #: the second covariant derivative of Omega enters the Ricci identity and the
 #: `nabla2-omega-shape` row; the Weitzenboeck check takes the Laplacian of
@@ -48,6 +51,9 @@ STRUCTURE_TOL = 1e-9
 #: jets at this order changes no value a reader sees.
 J_SIDE_ORDER = 2
 _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+#: For each entry of a 4x4 symmetric matrix in row-major order, the index in
+#: _UPPER of the entry or of its mirror.
+_SYMMETRIC = [_UPPER.index((min(i, j), max(i, j))) for i in range(4) for j in range(4)]
 
 
 @dataclass(frozen=True)
@@ -323,16 +329,29 @@ class StructurePoint:
     Christoffel symbol, a curvature tensor or a covariant derivative, which
     has at most that order. J, omega, mu, phi and jphi carry
     min(order, J_SIDE_ORDER), the most any identity differentiates them.
-    Truncated Taylor arithmetic never lets a higher-degree input coefficient
-    reach a lower-degree output coefficient, so these jets equal the leading
-    coefficients of the same jets built at the requested order. J, omega, mu
-    and the frame agree bit for bit; so do phi and jphi to first order, the
-    most any reader uses. Their degree-2 coefficients can differ in the last
-    bit, because BLAS sums the adapted frame's dot products over a padded
-    pair axis whose length depends on the order.
+    frame is a value, the adapted frame at the point.
 
-    The jets are views into the arrays of the batch `structure_at` built the
-    point in; they hold the same bits as the jets of a one-point batch.
+    `structure_at` forms g, g_inv, J, omega, the frame and the invariant
+    residuals for the whole batch; the jets are views into its arrays. It
+    builds the frame, and the values of mu, phi and jphi that the
+    self-duality checks read, from the order-0 truncations of g and J. mu,
+    phi and jphi are `jets.per_batch` jets: the first read at any point of
+    the batch builds them for all its points, from `batch.g` (g truncated to
+    J's order), `batch.J` and `batch.orientation` (the sign of det frame
+    that makes Omega self-dual), with the adapted frame rebuilt at J's order.
+
+    Truncated Taylor arithmetic never lets a higher-degree input coefficient
+    reach a lower-degree output coefficient, so every jet equals the leading
+    coefficients of the same jet built at the requested order. J, omega, mu
+    and the frame agree bit for bit. So do the order-0 frame and the value
+    of the frame built at J's order, and the values of mu, phi and jphi
+    that the checks read and the jets' values, on every chart the tests and
+    fingerprints cover, sign of zero included. phi and jphi agree bit for
+    bit to first order, the most any reader uses; their degree-2
+    coefficients can differ in the last bit from an order-4 build, because
+    BLAS sums the adapted frame's dot products over a padded pair axis whose
+    length depends on the order. A point holds the bits of the same point
+    in a one-point batch.
     """
 
     point: tuple[float, float, float, float]
@@ -341,11 +360,26 @@ class StructurePoint:
     g_inv: Jet
     J: Jet
     omega: Jet
-    mu: Jet
     frame: np.ndarray
-    phi: Jet
-    jphi: Jet
     invariant_residuals: dict[str, float]
+    batch: jets.Batch = field(repr=False)  # g (at J's order), J, orientation (stacked)
+    index: int
+
+    @jets.per_batch
+    def mu(batch: jets.Batch) -> Jet:
+        """The volume form of g under the orientation that makes Omega self-dual."""
+        return tensorops.volume_form(batch.g, batch.orientation)
+
+    @jets.per_batch
+    def phi(batch: jets.Batch) -> Jet:
+        """phi = e1^e3 - e2^e4 from the adapted coframe, built at J's order."""
+        coframe = jets.contract(_adapted_frame(batch.g, batch.J), batch.g, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
+        return _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
+
+    @jets.per_batch
+    def jphi(batch: jets.Batch) -> Jet:
+        """(J phi)_ij = -phi(J d_i, d_j)."""
+        return -jets.contract(batch.J, batch.phi, 0, 0, points=True)
 
 
 #: The pointwise invariants `structure_at` checks, in the order it checks
@@ -396,10 +430,13 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     one `exprs.eval_jet` call per jet order on the charts' programs (see
     `ChartSpec.program`): subexpressions shared between a chart's entries,
     such as a common denominator, are evaluated once. Everything after that
-    (g^-1, Omega, the adapted frame, mu, phi, J phi and the invariant
-    checks) runs once on the points of all charts together, along a leading
-    point axis. Each StructurePoint equals, bit for bit, the one a batch of
-    that point alone gives.
+    runs once on the points of all charts together, along a leading point
+    axis: g^-1 and Omega as jets, then the adapted frame and the invariant
+    checks on values, from the order-0 truncations of g and J (the checks
+    read mu, phi and J phi only through their values). mu, phi and J phi
+    are built as jets on their first read (see StructurePoint). Each
+    StructurePoint equals, bit for bit, the one a batch of that point alone
+    gives.
 
     Raises ChartError if a point lies outside its chart's domain box, and for
     the first bad point of the batch DomainError naming a non-finite g or J
@@ -421,8 +458,8 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
 
     j_order = min(order, J_SIDE_ORDER)
     specs, arrays = [spec for spec, _ in batches], [pts for _, pts in batches]
-    gc = np.empty((n_points, 4, 4, jets.NCOEF[order]))
-    jc = np.empty((n_points, 4, 4, jets.NCOEF[j_order]))
+    upper = np.empty((n_points, len(_UPPER), jets.NCOEF[order]))
+    jc = np.empty((n_points, 16, jets.NCOEF[j_order]))
     with np.errstate(all="ignore"):  # _check_finite reports an overflow by entry
         if j_order == order:
             entries = exprs.eval_jet([spec.program("gJ") for spec in specs], arrays, order)
@@ -434,14 +471,15 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     for roots, pts in zip(entries, arrays):
         rows = slice(start, start + len(pts))
         start = rows.stop
-        for (i, j), jet in zip(_UPPER, roots):
-            gc[rows, i, j] = gc[rows, j, i] = jet.c
+        # a root that uses no coordinate has no point axis and broadcasts to the rows
+        for k, jet in enumerate(roots[: len(_UPPER)]):
+            upper[rows, k] = jet.c
         for k, jet in enumerate(roots[len(_UPPER) :]):
-            jc[rows, k // 4, k % 4] = jet.c
-    g, J = Jet._of(order, gc), Jet._of(j_order, jc)
+            jc[rows, k] = jet.c
+    g = Jet._of(order, upper[:, _SYMMETRIC].reshape(n_points, 4, 4, -1))
+    J = Jet._of(j_order, jc.reshape(n_points, 4, 4, -1))
     _check_finite(g, "g_{}{}")
     _check_finite(J, "J^{}_{}")
-    g_low = g.truncate(j_order)
 
     residuals = np.empty((n_points, len(INVARIANTS)))
     diffs = np.zeros((n_points, len(INVARIANTS), 4, 4))
@@ -461,31 +499,31 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs[:, 3] = omega.value + omega.value.transpose(0, 2, 1)
     _check(diffs, residuals, 3, 4)
 
-    frame_vectors = _adapted_frame(g_low, J)
+    # The frame and the remaining checks read only values, so they run on
+    # order-0 truncations; mu, phi and J phi are built at j_order on first read.
+    g_order0, J_order0 = g.truncate(0), J.truncate(0)
+    frame_vectors = _adapted_frame(g_order0, J_order0)
     frame = frame_vectors.value
     diffs[:, 4] = frame @ g0 @ frame.transpose(0, 2, 1) - np.eye(4)
     diffs[:, 5, 0] = (j0 @ frame[:, 0, :, None])[..., 0] - frame[:, 1]
     diffs[:, 6, 0] = (j0 @ frame[:, 2, :, None])[..., 0] - frame[:, 3]
     _check(diffs, residuals, 4, 7)
 
-    mu = tensorops.volume_form(g_low, np.sign(np.linalg.det(frame)))
-
-    coframe = jets.contract(frame_vectors, g_low, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
-    phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
-    jphi = -jets.contract(J, phi, 0, 0, points=True)  # (J phi)_ij = -phi(J d_i, d_j)
-
-    # The remaining checks read only values, so they run on order-0 truncations.
+    orientation = np.sign(np.linalg.det(frame))
+    coframe = jets.contract(frame_vectors, g_order0, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    coframe0 = coframe.truncate(0)
-    rebuilt = _coframe_wedge(coframe0, 0, 1) + _coframe_wedge(coframe0, 2, 3)
+    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
     diffs[:, 7] = rebuilt.value - omega.value
     # Self-duality of the positive basis under the declared orientation.
-    g_inv0, mu0 = g_inv.truncate(0), mu.truncate(0)
-    for k, form in ((8, omega), (9, phi), (10, jphi)):
-        starred = tensorops.hodge_star_2form(form.truncate(0), g_inv0, mu0, points=True)
+    phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
+    jphi = -jets.contract(J_order0, phi, 0, 0, points=True)
+    g_inv0, mu = g_inv.truncate(0), tensorops.volume_form(g_order0, orientation)
+    for k, form in ((8, omega.truncate(0)), (9, phi), (10, jphi)):
+        starred = tensorops.hodge_star_2form(form, g_inv0, mu, points=True)
         diffs[:, k] = starred.value - form.value
     _check(diffs, residuals, 7, 11)
 
+    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=orientation)
     # iterating a batch array yields the views of its points
     return [
         StructurePoint(
@@ -495,14 +533,13 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
             g_inv=Jet._of(g_inv.order, g_inv_k),
             J=Jet._of(j_order, j_k),
             omega=Jet._of(j_order, omega_k),
-            mu=Jet._of(j_order, mu_k),
             frame=frame_k,
-            phi=Jet._of(j_order, phi_k),
-            jphi=Jet._of(j_order, jphi_k),
             invariant_residuals=dict(zip(INVARIANTS, r)),
+            batch=batch,
+            index=k,
         )
-        for p, g_k, g_inv_k, j_k, omega_k, mu_k, frame_k, phi_k, jphi_k, r in zip(
-            points, g.c, g_inv.c, J.c, omega.c, mu.c, frame, phi.c, jphi.c, residuals.tolist()
+        for k, (p, g_k, g_inv_k, j_k, omega_k, frame_k, r) in enumerate(
+            zip(points, g.c, g_inv.c, J.c, omega.c, frame, residuals.tolist())
         )
     ]
 

@@ -56,9 +56,10 @@ coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
 ed., ch. 13), so a jet can be truncated before it is used, or built at a
 lower order, without changing what its readers see. Callers build each jet
 only to the order its readers differentiate: `charts.structure_at` keeps J
-and everything built from it at order 2 and the inverse metric one order
-below g, the Weyl tensor takes g at the curvature's order, and value-only
-readers truncate their inputs to order 0. A jet truncated too far cannot give
+and the jets built from it at order 2 and the inverse metric one order
+below g, and builds the adapted frame and its checks from order-0
+truncations; the Weyl tensor takes g at the curvature's order, and
+value-only readers truncate their inputs to order 0. A jet truncated too far cannot give
 a silently wrong answer: `partial` and `partials` raise JetOrderError when
 its order runs out.
 

@@ -12,7 +12,7 @@ from ak4 import charts, jets, tensorops
 from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
 
-from conftest import CATALOG_NAMES, expr_jet, product_surfaces, rotated_j_chart, stack, structure_point
+from conftest import CATALOG_NAMES, expr_jet, product_surfaces, ricci_anti_chart, rotated_j_chart, stack, structure_point
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
@@ -160,6 +160,25 @@ class TestChartFiles:
             charts.load_chart(tmp_path / "nope.json")
 
 
+def record_orders(monkeypatch) -> tuple[list[int], list[int]]:
+    """The order of each `tensorops.determinant4` and each
+    `charts._adapted_frame` call, from here on."""
+    dets, frames = [], []
+    determinant4, adapted_frame = tensorops.determinant4, charts._adapted_frame
+
+    def counted_det(g):
+        dets.append(g.order)
+        return determinant4(g)
+
+    def counted_frame(g, J):
+        frames.append(g.order)
+        return adapted_frame(g, J)
+
+    monkeypatch.setattr(tensorops, "determinant4", counted_det)
+    monkeypatch.setattr(charts, "_adapted_frame", counted_frame)
+    return dets, frames
+
+
 class TestStructureValidation:
     def test_broken_j_square(self, catalog_specs):
         data = charts.chart_to_dict(catalog_specs["flat"])
@@ -180,19 +199,16 @@ class TestStructureValidation:
             structure_point(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
     def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
-        calls = []
-        determinant4 = tensorops.determinant4
-
-        def counted(g):
-            calls.append(g.order)
-            return determinant4(g)
-
-        monkeypatch.setattr(tensorops, "determinant4", counted)
+        calls, _ = record_orders(monkeypatch)
         spec = catalog_specs["kodaira-thurston"]
         for order in (2, 4):
             calls.clear()
-            structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=order)
-            assert calls == [min(order, 2)]
+            sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+            assert calls == [0]  # mu's value, for the self-duality checks
+            sp.mu
+            assert calls == [0, min(order, 2)]  # the mu jet, on its first read
+            sp.mu
+            assert calls == [0, min(order, 2)]
 
     def test_omega_never_user_supplied(self, catalog_specs):
         # Omega is derived from (g, J); for every catalog chart it must equal
@@ -200,6 +216,18 @@ class TestStructureValidation:
         for spec in catalog_specs.values():
             sp = structure_point(spec, spec.sample_points(1, 9)[0], order=2)
             assert sp.invariant_residuals["Omega = e1^e2 + e3^e4"] < STRUCT_TOL
+
+
+def eager_j_side(g: jets.Jet, J: jets.Jet) -> tuple[jets.Jet, jets.Jet, jets.Jet, jets.Jet]:
+    """The adapted frame, mu, phi and J phi of the metrics g and structures J
+    (point axis first), built by the calls `structure_at` once made eagerly,
+    with mu oriented by the frame's determinant."""
+    frame_vectors = charts._adapted_frame(g, J)
+    mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))
+    coframe = jets.contract(frame_vectors, g, 1, 0, points=True)
+    phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
+    jphi = -jets.contract(J, phi, 0, 0, points=True)
+    return frame_vectors, mu, phi, jphi
 
 
 class TestStructureOrders:
@@ -217,11 +245,7 @@ class TestStructureOrders:
                 g = sp.g[None]
                 J = stack([stack([expr_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
                 omega = jets.contract(J, g, 0, 0, points=True)
-                frame_vectors = charts._adapted_frame(g, J)
-                mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))
-                coframe = jets.contract(frame_vectors, g, 1, 0, points=True)
-                phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
-                jphi = -jets.contract(J, phi, 0, 0, points=True)
+                frame_vectors, mu, phi, jphi = eager_j_side(g, J)
                 assert np.array_equal(sp.frame, frame_vectors.value[0])
                 for name, full in (("J", J), ("omega", omega), ("mu", mu)):
                     assert np.array_equal(getattr(sp, name).c, full.c[0, ..., :n]), (spec.name, name)
@@ -238,6 +262,54 @@ class TestStructureOrders:
         assert (sp.order, sp.g.order, sp.g_inv.order) == (order, order, order - 1)
         for name in ("J", "omega", "mu", "phi", "jphi"):
             assert getattr(sp, name).order == min(order, 2), name
+
+
+class TestStructureDemand:
+    """The structure stage validates on values; mu, phi and J phi are built
+    as jets only when a reader asks for them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--chart", "all", "--order", "2", "--points", "4"],
+            ["check", "kappa", "--chart", "all", "--points", "1"],
+        ],
+    )
+    def test_verdicts_and_kappa_read_only_values(self, argv, monkeypatch, capsys):
+        from ak4 import cli
+
+        dets, frames = record_orders(monkeypatch)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert dets == [0] and frames == [0]  # one batch
+
+    def test_report_builds_the_jets_once_per_batch(self, monkeypatch, capsys):
+        from ak4 import cli
+
+        dets, frames = record_orders(monkeypatch)
+        assert cli.main(["report", "--chart", "kodaira-thurston", "--points", "2"]) == 0
+        assert capsys.readouterr().out
+        order = 4  # the report default
+        assert dets == [0, min(order, charts.J_SIDE_ORDER)]
+        assert frames == [0, min(order, charts.J_SIDE_ORDER)]
+
+
+class TestDeferredJets:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_values_and_jets_hold_the_eager_bits(self, catalog_specs, order):
+        # tobytes(), so that the sign of zero counts
+        specs = [*catalog_specs.values(), rotated_j_chart(), ricci_anti_chart()]
+        batches = [(spec, spec.sample_points(3, 23)) for spec in specs]
+        together = charts.structure_at(batches, order)
+        alone = [structure_point(spec, p, order) for spec, pts in batches for p in pts]
+        for sps in [together] + [[sp] for sp in alone]:
+            g = jets.stack([sp.g.truncate(sp.J.order) for sp in sps])
+            frame_vectors, mu, phi, jphi = eager_j_side(g, jets.stack([sp.J for sp in sps]))
+            for k, sp in enumerate(sps):
+                assert sp.frame.tobytes() == frame_vectors.value[k].tobytes()
+                for name, eager in (("mu", mu), ("phi", phi), ("jphi", jphi)):
+                    jet = getattr(sp, name)
+                    assert jet.order == eager.order and jet.c.tobytes() == eager.c[k].tobytes(), name
 
 
 class TestAdaptedFrame:
