@@ -332,26 +332,26 @@ class StructurePoint:
     frame is a value, the adapted frame at the point.
 
     `structure_at` forms g, g_inv, J, omega, the frame and the invariant
-    residuals for the whole batch; the jets are views into its arrays. It
-    builds the frame, and the values of mu, phi and jphi that the
-    self-duality checks read, from the order-0 truncations of g and J. mu,
+    residuals for the whole batch; the jets are views into its arrays. mu,
     phi and jphi are `jets.per_batch` jets: the first read at any point of
     the batch builds them for all its points, from `batch.g` (g truncated to
     J's order), `batch.J` and `batch.orientation` (the sign of det frame
-    that makes Omega self-dual), with the adapted frame rebuilt at J's order.
+    that makes Omega self-dual), through the adapted frame and coframe
+    (`_frame_vectors`, `_coframe`) at J's order. `structure_at` takes the
+    frame, and the values of mu, phi and jphi that the self-duality checks
+    read, from the same per-batch values on a batch of the order-0
+    truncations of g and J.
 
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
     reach a lower-degree output coefficient, so every jet equals the leading
-    coefficients of the same jet built at the requested order. J, omega, mu
-    and the frame agree bit for bit. So do the order-0 frame and the value
-    of the frame built at J's order, and the values of mu, phi and jphi
-    that the checks read and the jets' values, on every chart the tests and
-    fingerprints cover, sign of zero included. phi and jphi agree bit for
-    bit to first order, the most any reader uses; their degree-2
-    coefficients can differ in the last bit from an order-4 build, because
-    BLAS sums the adapted frame's dot products over a padded pair axis whose
-    length depends on the order. A point holds the bits of the same point
-    in a one-point batch.
+    coefficients of the same jet built at the requested order: J, omega and
+    mu bit for bit, phi and jphi bit for bit to first order, the most any
+    reader uses (their degree-2 coefficients can differ in the last bit from
+    an order-4 build, because BLAS sums the adapted frame's dot products
+    over a padded pair axis whose length depends on the order). The order-0
+    frame and values equal the values of the jets built at J's order bit for
+    bit, sign of zero included, on every chart the tests and fingerprints
+    cover. A point holds the bits of the same point in a one-point batch.
     """
 
     point: tuple[float, float, float, float]
@@ -372,14 +372,23 @@ class StructurePoint:
 
     @jets.per_batch
     def phi(batch: jets.Batch) -> Jet:
-        """phi = e1^e3 - e2^e4 from the adapted coframe, built at J's order."""
-        coframe = jets.contract(_adapted_frame(batch.g, batch.J), batch.g, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
-        return _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
+        """phi = e1^e3 - e2^e4 in the adapted coframe."""
+        return _coframe_wedge(batch._coframe, 0, 2) - _coframe_wedge(batch._coframe, 1, 3)
 
     @jets.per_batch
     def jphi(batch: jets.Batch) -> Jet:
         """(J phi)_ij = -phi(J d_i, d_j)."""
         return -jets.contract(batch.J, batch.phi, 0, 0, points=True)
+
+    @jets.per_batch
+    def _frame_vectors(batch: jets.Batch) -> Jet:
+        """The adapted frame as coordinate jets (`_adapted_frame`)."""
+        return _adapted_frame(batch.g, batch.J)
+
+    @jets.per_batch
+    def _coframe(batch: jets.Batch) -> Jet:
+        """The adapted coframe, (e^a)_i = g_ij E_a^j."""
+        return jets.contract(batch._frame_vectors, batch.g, 1, 0, points=True)
 
 
 #: The pointwise invariants `structure_at` checks, in the order it checks
@@ -499,31 +508,28 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs[:, 3] = omega.value + omega.value.transpose(0, 2, 1)
     _check(diffs, residuals, 3, 4)
 
-    # The frame and the remaining checks read only values, so they run on
-    # order-0 truncations; mu, phi and J phi are built at j_order on first read.
-    g_order0, J_order0 = g.truncate(0), J.truncate(0)
-    frame_vectors = _adapted_frame(g_order0, J_order0)
-    frame = frame_vectors.value
+    # The frame and the remaining checks read only values, so they run on the
+    # StructurePoint values of an order-0 batch; the points' batch builds mu,
+    # phi and J phi the same way at j_order, on their first read.
+    values = jets.Batch(StructurePoint, g=g.truncate(0), J=J.truncate(0))
+    frame = values._frame_vectors.value
     diffs[:, 4] = frame @ g0 @ frame.transpose(0, 2, 1) - np.eye(4)
     diffs[:, 5, 0] = (j0 @ frame[:, 0, :, None])[..., 0] - frame[:, 1]
     diffs[:, 6, 0] = (j0 @ frame[:, 2, :, None])[..., 0] - frame[:, 3]
     _check(diffs, residuals, 4, 7)
 
-    orientation = np.sign(np.linalg.det(frame))
-    coframe = jets.contract(frame_vectors, g_order0, 1, 0, points=True)  # (e^a)_i = g_ij E_a^j
+    values.orientation = np.sign(np.linalg.det(frame))
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
+    rebuilt = _coframe_wedge(values._coframe, 0, 1) + _coframe_wedge(values._coframe, 2, 3)
     diffs[:, 7] = rebuilt.value - omega.value
     # Self-duality of the positive basis under the declared orientation.
-    phi = _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
-    jphi = -jets.contract(J_order0, phi, 0, 0, points=True)
-    g_inv0, mu = g_inv.truncate(0), tensorops.volume_form(g_order0, orientation)
-    for k, form in ((8, omega.truncate(0)), (9, phi), (10, jphi)):
-        starred = tensorops.hodge_star_2form(form, g_inv0, mu, points=True)
+    g_inv0 = g_inv.truncate(0)
+    for k, form in ((8, omega.truncate(0)), (9, values.phi), (10, values.jphi)):
+        starred = tensorops.hodge_star_2form(form, g_inv0, values.mu, points=True)
         diffs[:, k] = starred.value - form.value
     _check(diffs, residuals, 7, 11)
 
-    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=orientation)
+    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=values.orientation)
     # iterating a batch array yields the views of its points
     return [
         StructurePoint(
