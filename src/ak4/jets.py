@@ -383,7 +383,9 @@ class Batch:
     """What the records of one batched stage share: the stacked inputs the
     stage keeps, and the per-point values of each `per_batch` property of
     `kind`, computed on the first read at any record. It holds none of its
-    own records, so they form no reference cycle and are freed by refcount."""
+    own records, so they form no reference cycle and are freed by refcount.
+    A caller may also read the values off a batch directly, with no records:
+    `charts.structure_at` takes the order-0 values its checks need this way."""
 
     def __init__(self, kind: type, **inputs):
         self.kind = kind
