@@ -22,11 +22,12 @@ The beta identification depends on the phi gauge fixed by the adapted frame.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, jets, tensorops
+from . import algebra, jets, riemann, tensorops
 from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER, StructurePoint
 from .decomp import DecompReport
 from .jets import Jet
@@ -43,21 +44,22 @@ class SecondOrderReport:
     residuals: dict[str, float]
 
 
-def cotton_york(cd: CurvatureData) -> Jet:
-    """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0)."""
-    if cd.sp.order < 3:
+def cotton_york(cds: Sequence[CurvatureData]) -> Jet:
+    """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0), at each point."""
+    if cds[0].sp.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    dh = cd.conn.covd(cd.h)  # (m, i, j) = nabla_m h_ij
+    batch = riemann.batch_of(cds)
+    dh = riemann.covd(batch.gamma, batch.h, points=True)  # (m, i, j) = nabla_m h_ij
     # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
-    return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
+    return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0), True) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0), True)
 
 
-def delta_weyl(cd: CurvatureData, which: str = "full") -> Jet:
-    """Codifferential of the (projected) Weyl tensor, slots (X; Y, Z).
+def delta_weyl(cds: Sequence[CurvatureData], which: str = "full") -> Jet:
+    """Codifferential of the (projected) Weyl tensor at each point, slots (X; Y, Z).
 
-    The jets are memoized on `cd`, so the report and the Bach routes share them.
+    The jets are memoized on the batch, so the report and the Bach routes share them.
     """
-    return getattr(cd, {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
+    return getattr(riemann.batch_of(cds), {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
 
 
 def _pair_with_form(t3_f: np.ndarray, form_f: np.ndarray) -> np.ndarray:
@@ -93,8 +95,8 @@ def reconstruct_v_minus(beta: np.ndarray) -> np.ndarray:
 
 
 def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Extract (alpha, beta) from frame components of delta W+ and report the
-    completeness residual |delta W+ - A(alpha) - B(beta)|."""
+    """Extract (alpha, beta) from frame components of delta W+ at one point and
+    report the completeness residual |delta W+ - A(alpha) - B(beta)|."""
     gamma = _pair_with_form(dwp_frame, OMEGA_F)
     alpha = 0.5 * np.einsum("m,ma->a", gamma, J_FRAME)  # alpha_a = (1/2) gamma_m J^m_a
     a_part = reconstruct_v_plus(alpha)
@@ -106,33 +108,35 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return alpha, beta, completeness
 
 
-def _bach_from(cd: CurvatureData, w: Jet, dw: Jet) -> np.ndarray:
-    """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components."""
-    sp = cd.sp
-    term1 = cd.conn.divergence(dw, 1).value  # (x, y)
+def _bach_from(batch: jets.Batch, w: Jet, dw: Jet) -> np.ndarray:
+    """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components, at each point."""
+    term1 = riemann.divergence(batch.g_inv, batch.gamma, batch.terms, dw, 1, points=True).value  # (x, y)
     # the W h term is read as a value only: it runs on order-0 truncations
-    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
-    return tensorops.frame_components(term1 + term2, sp.frame)
+    term2 = jets.contract(w.truncate(0), batch.h_raised, (1, 2), (0, 1), points=True).value  # W_xaby h^ab -> (x, y)
+    return tensorops.frame_components(term1 + term2, batch.frame)
 
 
-def bach_direct(cd: CurvatureData) -> np.ndarray:
-    """The Bach tensor from the full Weyl tensor, frame components."""
-    if cd.sp.order < 4:
+def bach_direct(cds: Sequence[CurvatureData]) -> np.ndarray:
+    """The Bach tensor from the full Weyl tensor, frame components, at each point."""
+    if cds[0].sp.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    return _bach_from(cd, cd.weyl, delta_weyl(cd, "full"))
+    batch = riemann.batch_of(cds)
+    return _bach_from(batch, batch.weyl, delta_weyl(cds, "full"))
 
 
-def bach_gauduchon(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
-    """The Bach tensor from each Weyl half separately: B = 2 * (half-expression)."""
-    if cd.sp.order < 4:
+def bach_gauduchon(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.ndarray]:
+    """The Bach tensor from each Weyl half separately, B = 2 * (half-expression), at each point."""
+    if cds[0].sp.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    bp = 2.0 * _bach_from(cd, cd.weyl_plus, delta_weyl(cd, "plus"))
-    bm = 2.0 * _bach_from(cd, cd.weyl_minus, delta_weyl(cd, "minus"))
+    batch = riemann.batch_of(cds)
+    bp = 2.0 * _bach_from(batch, batch.weyl_plus, delta_weyl(cds, "plus"))
+    bm = 2.0 * _bach_from(batch, batch.weyl_minus, delta_weyl(cds, "minus"))
     return bp, bm
 
 
-def bach_almost_kahler(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci.
+def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci,
+    at each point.
 
     Returns (B, B_ricci_route) where
 
@@ -145,90 +149,88 @@ def bach_almost_kahler(cd: CurvatureData) -> tuple[np.ndarray, np.ndarray]:
     Both equal the Bach tensor only where the structure is almost Kahler and
     the Ricci tensor J-invariant; the caller checks that.
     """
-    sp = cd.sp
-    if sp.order < 4:
+    if cds[0].sp.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-
-    conn = cd.conn
-    frame = sp.frame
-    ds = jets.partials(cd.s)
-    hess = conn.covd(ds).value  # (nabla ds)_{mi}
+    batch = riemann.batch_of(cds)
+    gamma, frame = batch.gamma, batch.frame
+    hess = riemann.covd(gamma, jets.partials(batch.s, True), True).value  # (nabla ds)_{mi}
     hess_f = tensorops.frame_components(hess, frame)
     hess_inv = algebra.j_invariant_part(hess_f)
     hess_anti = algebra.j_anti_part(hess_f)
-    lap_s = -float(np.trace(hess_f))
+    lap_s = -np.trace(hess_f, axis1=1, axis2=2)[:, None, None]
 
-    ric0_f = cd.ric0_frame
-    s_val = cd.s_value
+    ric0_f = batch.ric0_frame
+    s_val = batch.s_value[:, None, None]
 
     # rho0_ij = J^k_i Ric0_kj, to first order: only the value of its covariant derivative is read
-    rho0 = jets.contract(sp.J.truncate(1), cd.ric0.truncate(1), 0, 0)
-    d_rho0 = tensorops.frame_components(conn.covd(rho0).value, frame)
-    d_omega = tensorops.frame_components(conn.nabla_omega.value, frame)
-    # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in
-    s_tensor = np.einsum("mnj,min->ij", d_rho0, d_omega)
+    j1 = jets.stack([cd.sp.J.truncate(1) for cd in cds])
+    rho0 = jets.contract(j1, batch.ric0.truncate(1), 0, 0, points=True)
+    d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0, True).value, frame)
+    d_omega = tensorops.frame_components(np.stack([cd.conn.nabla_omega.value for cd in cds]), frame)
+    # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in;
+    # einsum per point, whose sums a batch shape could reorder
+    s_tensor = np.stack([np.einsum("mnj,min->ij", x, y) for x, y in zip(d_rho0, d_omega)])
 
-    b_ak = (
-        -hess_inv / 3.0
-        + hess_anti / 6.0
-        - (lap_s / 12.0) * np.eye(4)
-        - (s_val / 6.0) * ric0_f
-        + s_tensor
-    )
+    b_ak = -hess_inv / 3.0 + hess_anti / 6.0 - (lap_s / 12.0) * np.eye(4) - (s_val / 6.0) * ric0_f + s_tensor
 
-    lap_ric0 = tensorops.frame_components(conn.codifferential(conn.covd(cd.ric0)).value, frame)
-    w_f = tensorops.frame_components(cd.weyl.value, frame)
-    w_ring = -np.einsum("xaby,ab->xy", w_f, ric0_f)
+    rough = -riemann.divergence(batch.g_inv, gamma, batch.terms, riemann.covd(gamma, batch.ric0, True), 0, True)
+    lap_ric0 = tensorops.frame_components(rough.value, frame)
+    w_f = tensorops.frame_components(batch.weyl.value, frame)
+    w_ring = -np.stack([np.einsum("xaby,ab->xy", w, r) for w, r in zip(w_f, ric0_f)])
     b_ricci = 0.5 * lap_ric0 + (lap_s / 24.0) * np.eye(4) + hess_f / 6.0 + (s_val / 6.0) * ric0_f - w_ring
     return b_ak, b_ricci
 
 
-def weitzenboeck_check(cd: CurvatureData, field: Jet | None = None) -> float:
-    """Residual of the 2-form Weitzenboeck identity
+def weitzenboeck_check(cds: Sequence[CurvatureData], field: Jet | None = None) -> np.ndarray:
+    """Residual of the 2-form Weitzenboeck identity at each point,
 
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
 
-    for the supplied 2-form field (default: the fundamental 2-form). Both
-    sides differentiate the field at most twice, so it enters at order 2.
-    nabla phi is formed once and gives delta phi; nabla*nabla phi is the
-    codifferential of nabla phi, except for Omega, whose `nabla_omega` and
-    `nabla2_omega` the connection has cached already. The algebraic terms
-    (s/3) phi and W(phi) are read as values only, so they are formed from
-    order-0 truncations.
+    for the supplied 2-form field, with a point axis (default: the
+    fundamental 2-form). Both sides differentiate the field at most twice,
+    so it enters at order 2. nabla phi is formed once and gives delta phi;
+    nabla*nabla phi is the codifferential of nabla phi, except for Omega,
+    whose `nabla_omega` and `nabla2_omega` the connection has cached
+    already. The algebraic terms (s/3) phi and W(phi) are read as values
+    only, so they are formed from order-0 truncations.
     """
-    sp = cd.sp
-    if sp.order < 3:
+    if cds[0].sp.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
-    conn = cd.conn
+    batch = riemann.batch_of(cds)
+    g_inv, gamma = batch.g_inv, batch.gamma
     if field is None:
-        phi, nabla_phi = sp.omega, conn.nabla_omega
-        rough = conn.neg_trace(conn.nabla2_omega)
+        phi = jets.stack([cd.sp.omega for cd in cds])
+        nabla_phi = jets.stack([cd.conn.nabla_omega for cd in cds])
+        rough = riemann.neg_trace(g_inv, jets.stack([cd.conn.nabla2_omega for cd in cds]), True)
     else:
         phi = field.truncate(J_SIDE_ORDER)
-        nabla_phi = conn.covd(phi)
-        rough = conn.codifferential(nabla_phi)
-    delta_phi = conn.neg_trace(nabla_phi)  # 1-form
-    d_delta = tensorops.ext_d_1form(delta_phi)
-    d_phi = tensorops.ext_d_2form(phi)
-    delta_d = conn.codifferential(d_phi)
+        nabla_phi = riemann.covd(gamma, phi, True)
+        rough = -riemann.divergence(g_inv, gamma, batch.terms, nabla_phi, 0, True)
+    delta_phi = riemann.neg_trace(g_inv, nabla_phi, True)  # 1-form
+    d_delta = tensorops.ext_d_1form(delta_phi, True)
+    d_phi = tensorops.ext_d_2form(phi, True)
+    delta_d = -riemann.divergence(g_inv, gamma, batch.terms, d_phi, 0, True)
     laplace = d_delta + delta_d
     phi0 = phi.truncate(0)
-    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, sp.g_inv.truncate(0), (2, 3))
-    rhs = rough + (cd.s.truncate(0) / 3.0) * phi0 - 2.0 * w_phi
+    w_phi = tensorops.form_inner(batch.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3), True)
+    rhs = rough + (batch.s.truncate(0)[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
     residual = (laplace - rhs).value
-    return float(np.abs(tensorops.frame_components(residual, sp.frame)).max())
+    return np.abs(tensorops.frame_components(residual, batch.frame)).max(axis=(1, 2))
 
 
-def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
-    """Deterministic quadratic-coefficient 2-form field for identity tests.
+def random_polynomial_2form(sps: Sequence[StructurePoint], seed: int) -> Jet:
+    """Deterministic quadratic-coefficient 2-form field for identity tests,
+    at each structure point, with a point axis.
 
     Each entry above the diagonal is a combination of the monomials 1, x1..x4,
     x1 x3, x2^2, x4 x1 and x3^2 with coefficients drawn uniformly from
     [-1, 1] and rounded to 6 decimals. The field is built at the order the
-    Weitzenboeck check reads, min(sp.order, J_SIDE_ORDER).
+    Weitzenboeck check reads, min(order, J_SIDE_ORDER).
     """
-    order = min(sp.order, J_SIDE_ORDER)
-    x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
+    order = min(sps[0].order, J_SIDE_ORDER)
+    # a length-1 axis after the points, which the six entries broadcast along
+    points = np.array([sp.point for sp in sps])[:, None]
+    x1, x2, x3, x4 = (Jet.coordinate(i, points, order) for i in range(4))
     c = _random_2form_coefficients(seed)
     # each product keeps the jet on the left, so Jet, not numpy, broadcasts it
     val = (
@@ -243,9 +245,9 @@ def random_polynomial_2form(sp: StructurePoint, seed: int) -> Jet:
         + x3**2 * c[8]
     )
     upper = np.triu_indices(4, 1)
-    out = np.zeros((4, 4, val.c.shape[-1]))
-    out[upper] = val.c
-    out[upper[::-1]] = -val.c
+    out = np.zeros((len(sps), 4, 4, val.c.shape[-1]))
+    out[:, upper[0], upper[1]] = val.c
+    out[:, upper[1], upper[0]] = -val.c
     return Jet(order, out)
 
 
@@ -264,65 +266,74 @@ def _random_2form_coefficients(seed: int) -> np.ndarray:
 # -- report assembly ------------------------------------------------------------
 
 
-def second_order_report(cd: CurvatureData, hfo: HermitianFirstOrder, dr: DecompReport, weitzenboeck_seed: int) -> SecondOrderReport:
-    """Compute every second-order quantity and the full residual table."""
-    sp = cd.sp
-    if sp.order < 4:
+def second_order_report(
+    cds: Sequence[CurvatureData], hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompReport], weitzenboeck_seed: int
+) -> list[SecondOrderReport]:
+    """Compute every second-order quantity and the full residual table at each
+    point of a batch: the jets on the batch's point axis, the frame values
+    after them per point."""
+    if cds[0].sp.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
-    frame = sp.frame
+    batch = riemann.batch_of(cds)
+    frame = batch.frame
 
-    c_jet = cotton_york(cd)
+    c_jet = cotton_york(cds)
     c_f = tensorops.frame_components(c_jet.value, frame)
-    dw_f = tensorops.frame_components(delta_weyl(cd, "full").value, frame)
-    dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
+    dw_f = tensorops.frame_components(delta_weyl(cds, "full").value, frame)
+    dwp_f = tensorops.frame_components(delta_weyl(cds, "plus").value, frame)
 
     # only the value of C+ is read: it is projected from order-0 truncations
-    c_plus = tensorops.dual_projection(c_jet.truncate(0), sp.g_inv.truncate(0), sp.mu.truncate(0), +1.0, (1, 2))
+    c_plus = tensorops.dual_projection(c_jet.truncate(0), batch.g_inv.truncate(0), batch._mu.truncate(0), +1.0, (1, 2), points=True)
     c_plus_f = tensorops.frame_components(c_plus.value, frame)
 
-    alpha, beta, completeness = split_delta_wplus(dwp_f)
-
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
-    ds_f = tensorops.frame_components(jets.partials(cd.s).value, frame)
-    ric0_f = cd.ric0_frame
-    theta_f = tensorops.frame_components(hfo.theta.value, frame)
-    alpha_pred = -ds_f / 12.0 + 0.5 * ric0_f @ theta_f
-    a_f = tensorops.frame_components(hfo.a.value, frame)
-    b_f = tensorops.frame_components(hfo.b.value, frame)
-    jb = _j_form(b_f)
-    beta_pred = -0.25 * ric0_f @ (a_f + jb)
+    ds_f = tensorops.frame_components(jets.partials(batch.s, True).value, frame)
+    theta_f = tensorops.frame_components(np.stack([hfo.theta.value for hfo in hfos]), frame)
+    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in hfos]), frame)
+    b_f = tensorops.frame_components(np.stack([hfo.b.value for hfo in hfos]), frame)
 
-    bd = bach_direct(cd)
-    bp, bm = bach_gauduchon(cd)
+    bd = bach_direct(cds)
+    bp, bm = bach_gauduchon(cds)
 
-    wz_omega = weitzenboeck_check(cd)
-    wz_random = weitzenboeck_check(cd, random_polynomial_2form(sp, weitzenboeck_seed))
+    wz_omega = weitzenboeck_check(cds).tolist()
+    wz_random = weitzenboeck_check(cds, random_polynomial_2form([cd.sp for cd in cds], weitzenboeck_seed)).tolist()
 
-    residuals = {
-        "delta W = C": float(np.abs(dw_f - c_f).max()),
-        "delta W+ = C+": float(np.abs(dwp_f - c_plus_f).max()),
-        "V+ + V- completeness": completeness,
-        "alpha formula": float(np.abs(alpha - alpha_pred).max()),
-        "beta formula": float(np.abs(beta - beta_pred).max()),
-        "bach symmetric": float(np.abs(bd - bd.T).max()),
-        "bach traceless": float(abs(np.trace(bd))),
-        "bach direct vs plus": float(np.abs(bd - bp).max()),
-        "bach direct vs minus": float(np.abs(bd - bm).max()),
-        "weitzenboeck omega": wz_omega,
-        "weitzenboeck random": wz_random,
-        "beta norm": float(np.abs(beta).max()),
-        "alpha norm": float(np.abs(alpha).max()),
-    }
     # the hypotheses of the closed forms, as the registry's `almost_kahler` and
     # `j_invariant_ricci` test them; the JSON report names the one that fails
-    skip_reason = None
-    if not hfo.is_almost_kahler:
-        skip_reason = f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}"
-    elif not dr.is_j_invariant_ricci:
-        skip_reason = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm:.3e}"
-    else:
-        bach_ak, bach_ricci = bach_almost_kahler(cd)
-        residuals["bach direct vs almost-kahler form"] = float(np.abs(bd - bach_ak).max())
-        residuals["bach direct vs ricci form"] = float(np.abs(bd - bach_ricci).max())
+    skip_reasons = []
+    for hfo, dr in zip(hfos, drs):
+        if not hfo.is_almost_kahler:
+            skip_reasons.append(f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}")
+        elif not dr.is_j_invariant_ricci:
+            skip_reasons.append(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm:.3e}")
+        else:
+            skip_reasons.append(None)
+    # the closed forms run on the whole batch where any point satisfies their hypotheses
+    bach_ak, bach_ricci = bach_almost_kahler(cds) if None in skip_reasons else (None, None)
 
-    return SecondOrderReport(bach_ak_skip_reason=skip_reason, residuals=residuals)
+    reports = []
+    for k, skip_reason in enumerate(skip_reasons):
+        alpha, beta, completeness = split_delta_wplus(dwp_f[k])
+        ric0_f = batch.ric0_frame[k]
+        alpha_pred = -ds_f[k] / 12.0 + 0.5 * ric0_f @ theta_f[k]
+        beta_pred = -0.25 * ric0_f @ (a_f[k] + _j_form(b_f[k]))
+        residuals = {
+            "delta W = C": float(np.abs(dw_f[k] - c_f[k]).max()),
+            "delta W+ = C+": float(np.abs(dwp_f[k] - c_plus_f[k]).max()),
+            "V+ + V- completeness": completeness,
+            "alpha formula": float(np.abs(alpha - alpha_pred).max()),
+            "beta formula": float(np.abs(beta - beta_pred).max()),
+            "bach symmetric": float(np.abs(bd[k] - bd[k].T).max()),
+            "bach traceless": float(abs(np.trace(bd[k]))),
+            "bach direct vs plus": float(np.abs(bd[k] - bp[k]).max()),
+            "bach direct vs minus": float(np.abs(bd[k] - bm[k]).max()),
+            "weitzenboeck omega": wz_omega[k],
+            "weitzenboeck random": wz_random[k],
+            "beta norm": float(np.abs(beta).max()),
+            "alpha norm": float(np.abs(alpha).max()),
+        }
+        if skip_reason is None:
+            residuals["bach direct vs almost-kahler form"] = float(np.abs(bd[k] - bach_ak[k]).max())
+            residuals["bach direct vs ricci form"] = float(np.abs(bd[k] - bach_ricci[k]).max())
+        reports.append(SecondOrderReport(bach_ak_skip_reason=skip_reason, residuals=residuals))
+    return reports

@@ -362,7 +362,7 @@ class StructurePoint:
     omega: Jet
     frame: np.ndarray
     invariant_residuals: dict[str, float]
-    batch: jets.Batch = field(repr=False)  # g (at J's order), J, orientation (stacked)
+    batch: jets.Batch = field(repr=False)  # g (at J's order), J, orientation (stacked), values
     index: int
 
     @jets.per_batch
@@ -529,7 +529,8 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
         diffs[:, k] = starred.value - form.value
     _check(diffs, residuals, 7, 11)
 
-    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=values.orientation)
+    # the values batch stays reachable: value-only readers take phi and J phi from it
+    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=values.orientation, values=values)
     # iterating a batch array yields the views of its points
     return [
         StructurePoint(

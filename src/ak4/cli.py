@@ -68,18 +68,19 @@ class PointAnalysis:
 
     A command's analyses share a batch of up to BATCH_POINTS points, made by
     `point_analyses`: the analysis of point `index` reads its structure from
-    `batch.sps`. Connection, curvature, first-order data, decomposition and
-    the verdict ladder run once for the whole batch, on a leading point
-    axis, on the first read at any of its points: at these sizes a stage's
-    cost is mostly Python overhead per call, which a batch pays once. The
-    Lagrangian plane statistics and the second-order report run per point,
-    on views of the batched records.
+    `batch.sps`, and the plane count and seed from `batch.planes` and
+    `batch.seed`. Connection, curvature, first-order data, decomposition,
+    the verdict ladder and the second-order report run once for the whole
+    batch, on a leading point axis, on the first read at any of its points:
+    at these sizes a stage's cost is mostly Python overhead per call, which
+    a batch pays once. The Lagrangian plane statistics run per point, on
+    views of the batched records.
     """
 
-    def __init__(self, batch: jets.Batch, index: int, planes: int, seed: int):
+    def __init__(self, batch: jets.Batch, index: int):
         self.batch, self.index = batch, index
         self.sp = batch.sps[index]
-        self.order, self.planes, self.seed = self.sp.order, planes, seed
+        self.order = self.sp.order
 
     @jets.per_batch
     def conn(batch: jets.Batch) -> list[riemann.ConnectionData]:
@@ -103,13 +104,18 @@ class PointAnalysis:
 
     @cached_property
     def gr(self) -> gray.GrayReport:
-        return gray.gray_report(self.cd, self.dr, n_planes=self.planes, seed=self.seed)
+        return gray.gray_report(self.cd, self.dr, n_planes=self.batch.planes, seed=self.batch.seed)
 
-    @cached_property
-    def sor(self) -> bianchi_bach.SecondOrderReport | None:
-        if self.order < 4:
-            return None
-        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr, weitzenboeck_seed=self.seed)
+    @jets.per_batch
+    def sor(batch: jets.Batch) -> list[bianchi_bach.SecondOrderReport | None]:
+        if batch.sps[0].order < 4:
+            return [None] * len(batch.sps)
+        # one report per batch of curvature records, each a slice of the points
+        step, reports = riemann.CURVATURE_SLICE, []
+        for k in range(0, len(batch.sps), step):
+            part = slice(k, k + step)
+            reports += bianchi_bach.second_order_report(batch.cd[part], batch.hfo[part], batch.dr[part], weitzenboeck_seed=batch.seed)
+        return reports
 
     @property
     def skipped(self) -> tuple[str, ...]:
@@ -124,8 +130,8 @@ class PointAnalysis:
 
 def point_analyses(sps: list[charts.StructurePoint], planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
     """One PointAnalysis per structure point, all sharing one batch."""
-    batch = jets.Batch(PointAnalysis, sps=sps)
-    return [PointAnalysis(batch, k, planes, seed) for k in range(len(sps))]
+    batch = jets.Batch(PointAnalysis, sps=sps, planes=planes, seed=seed)
+    return [PointAnalysis(batch, k) for k in range(len(sps))]
 
 
 #: The most points one batch holds. A command runs its points in batches of

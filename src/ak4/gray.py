@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, jets, tensorops
+from . import algebra, jets, riemann, tensorops
 from .charts import J_FRAME
 from .decomp import DecompReport
 from .jets import Jet
@@ -170,7 +170,8 @@ def nabla2_omega_shape_residual(hfo: HermitianFirstOrder) -> float:
     nabla phi = -a (x) Omega + xi (x) J phi.
     """
     sp = hfo.conn.sp
-    a = hfo.a
+    # a is differentiated here, so it is built to first order, not read off hfo
+    a = riemann.nabla_omega_along(hfo.conn.nabla_omega, sp.phi, sp.g_inv)
     ja = -jets.contract(a, sp.J, 0, 0)  # (Ja)_i = -a_k J^k_i
     xi = 0.5 * tensorops.form_inner(hfo.conn.covd(sp.phi), sp.jphi, sp.g_inv, (1, 2))
     dd = hfo.conn.nabla2_omega.value  # (m, n, i, j)

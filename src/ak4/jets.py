@@ -186,6 +186,10 @@ _PERMS: dict[tuple, tuple[int, ...]] = {}
 #: `contract` take at once: a larger batch is contracted a slice of points at
 #: a time, which bounds the memory of a batch and moves no bit.
 CONTRACT_CHUNK_BYTES = 1 << 20
+#: The workspace of `_contract`: one float64 arena that only grows, to the
+#: largest size the gathered operands of one call need, and that each plan cuts
+#: its views from (see the module docstring).
+_ARENA = np.empty(0)
 
 
 def _mul_raw(ca: np.ndarray, cb: np.ndarray, order: int) -> np.ndarray:
@@ -420,8 +424,10 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
 
     With `points`, the shapes leave out the point axis, and the permutations,
     index tuples and reshape targets keep it first (as -1 in the targets);
-    `contract` puts its length in front of the shape it allocates. The last
-    entry is the bytes per point of the gathered operands and the product.
+    `contract` puts its length in front of the shapes it lays out. The
+    entries before that are the shapes `take` gives the gathered operands,
+    and the workspace views of the plan by leading shape (`_views`); the
+    last is the bytes per point of the gathered operands and the product.
     """
     o = min(NCOEF.index(shape_a[-1]), NCOEF.index(shape_b[-1]))
     n = NCOEF[o]
@@ -451,6 +457,9 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
         pre + (lead, lead + 2, lead + 1),
         pre + (lead + 1, lead + 2, lead),
         size + sa + sb + (n,),
+        (n * width,) + summed + sa,
+        (n * width,) + summed + sb,
+        {},
         8 * n * (width * p * (na + nb) + na * nb),
     )
 
@@ -498,15 +507,37 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
 
 def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple, points: bool) -> np.ndarray:
     """The coefficients of `contract` by one plan."""
-    _, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape, _ = plan
-    # slab n of fa stays zero: the padding pairs of `_CONTRACT` point at it
-    fa = np.empty(ca.shape[:1] + fa_shape if points else fa_shape)
+    _, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape, ga_take, gb_take, views, _ = plan
+    lead = ca.shape[:1] if points else ()
+    view = views.get(lead)
+    if view is None:
+        view = views[lead] = _views(lead, fa_shape, ga_take, gb_take, ga_shape, gb_shape)
+    fa, ga_out, gb_out, ga, gb = view
+    # slab n of fa must be zero: the padding pairs of `_CONTRACT` point at it
     fa[zero] = 0.0
     fa[data] = ca[..., :n].transpose(perm_a)
-    ga = fa.take(ia, axis=axis).reshape(ga_shape)
-    gb = cb[..., :n].transpose(perm_b).take(ib, axis=axis).reshape(gb_shape)
+    # mode="clip" writes into `out` directly; the default "raise" would buffer it
+    fa.take(ia, axis=axis, out=ga_out, mode="clip")
+    cb[..., :n].transpose(perm_b).take(ib, axis=axis, out=gb_out, mode="clip")
     out = np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm)
     return out.reshape(out_shape)
+
+
+def _views(lead: tuple, fa_shape: tuple, ga_take: tuple, gb_take: tuple, ga_shape: tuple, gb_shape: tuple) -> tuple:
+    """Views of the workspace for one plan and leading shape: fa, the
+    gathered a and b as `take` writes them, and the same two as the matmul
+    reads them. The arena grows to fit them if it must; a growth drops the
+    views every plan cut from the old arena, which frees it."""
+    global _ARENA
+    shapes = [lead + fa_shape, lead + ga_take, lead + gb_take]
+    sizes = [math.prod(shape) for shape in shapes]
+    if _ARENA.size < sum(sizes):
+        for plan in _PLANS.values():
+            plan[-2].clear()
+        _ARENA = np.empty(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    fa, ga, gb = (_ARENA[start : start + size].reshape(shape) for start, size, shape in zip(starts, sizes, shapes))
+    return fa, ga, gb, ga.reshape(ga_shape), gb.reshape(gb_shape)
 
 
 def outer(a: Jet, b: Jet, points: bool = False) -> Jet:

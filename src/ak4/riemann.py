@@ -55,70 +55,64 @@ class ConnectionData:
     gamma: Jet  # Gamma[k, i, j] = Gamma^k_ij, order one below the metric
     batch: jets.Batch = field(repr=False)  # sps, gamma (stacked)
     index: int
-    _gamma_terms: dict[int, tuple[Jet, Jet]] = field(default_factory=dict, init=False, repr=False)
 
     @jets.per_batch
     def nabla_omega(batch: jets.Batch) -> Jet:
         """nabla Omega, slots (m, i, j), formed for the whole batch: the first-order
         data, the Ricci identity and the Weitzenboeck check of Omega all read this one jet."""
-        return _covd(batch.gamma, jets.stack([sp.omega for sp in batch.sps]), points=True)
+        return covd(batch.gamma, jets.stack([sp.omega for sp in batch.sps]), points=True)
 
-    @cached_property
-    def nabla2_omega(self) -> Jet:
-        """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of `nabla_omega`."""
-        return self.covd(self.nabla_omega)
+    @jets.per_batch
+    def nabla2_omega(batch: jets.Batch) -> Jet:
+        """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of
+        `nabla_omega`, formed for the whole batch."""
+        return covd(batch.gamma, batch.nabla_omega, points=True)
 
     def covd(self, t: Jet) -> Jet:
-        """Covariant derivative of a fully covariant tensor of jets.
-
-        The new derivative index comes first:
-        (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
-        """
-        return _covd(self.gamma, t)
-
-    def neg_trace(self, t: Jet) -> Jet:
-        """-g^mn t_{m,n,...}: the codifferential of T when t = nabla T, the
-        rough Laplacian nabla^* nabla T when t = nabla^2 T."""
-        return -jets.contract(self.sp.g_inv, t, (0, 1), (0, 1))
-
-    def gamma_terms(self, order: int) -> tuple[Jet, Jet]:
-        """The Gamma-terms of a divergence whose result has `order`:
-        v^p = g^mi Gamma^p_mi for its own slot and K[i, p, c] = g^mi Gamma^p_mc
-        for every other slot, contracted at that order once per point."""
-        terms = self._gamma_terms.get(order)
-        if terms is None:
-            g_inv, gamma = self.sp.g_inv.truncate(order), self.gamma.truncate(order)
-            terms = self._gamma_terms[order] = (jets.contract(g_inv, gamma, (0, 1), (1, 2)), jets.contract(g_inv, gamma, 0, 1))
-        return terms
-
-    def divergence(self, t: Jet, slot: int = 0) -> Jet:
-        """g^mi (nabla_m t)_{..i..} with i at `slot`, without forming nabla t.
-
-        It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
-        (p at slot a, c the free index there), with v and K of `gamma_terms`
-        at the result's order. The other slots keep their order.
-        """
-        out = jets.contract(self.sp.g_inv, jets.partials(t), (0, 1), (0, slot + 1))
-        low = t.truncate(out.order)
-        trace, raised = self.gamma_terms(out.order)
-        out = out - jets.contract(trace, low, 0, slot)
-        for a in range(t.c.ndim - 1):
-            if a != slot:
-                term = jets.contract(raised, low, (0, 1), (slot, a))  # (c, other slots)
-                out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
-        return out
-
-    def codifferential(self, t: Jet) -> Jet:
-        """Negative divergence on the first slot."""
-        return -self.divergence(t, 0)
+        """Covariant derivative of a fully covariant tensor of jets at the point (`covd`)."""
+        return covd(self.gamma, t)
 
 
-def _covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
-    """`ConnectionData.covd` with the Christoffel jets `gamma`, at every point with `points`."""
+def covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
+    """Covariant derivative of a fully covariant tensor of jets with the
+    Christoffel jets `gamma`, at every point with `points`.
+
+    The new derivative index comes first:
+    (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
+    """
     out = jets.partials(t, points)
     for a in range(t.c.ndim - 1 - int(points)):
         term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)  # (m, q, rest)
         out = out - jets.moveaxis(term, 1, a + 1, points)
+    return out
+
+
+def neg_trace(g_inv: Jet, t: Jet, points: bool = False) -> Jet:
+    """-g^mn t_{m,n,...}, at every point with `points`: the codifferential of
+    T when t = nabla T, the rough Laplacian nabla^* nabla T when t = nabla^2 T."""
+    return -jets.contract(g_inv, t, (0, 1), (0, 1), points)
+
+
+def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0, points: bool = False) -> Jet:
+    """g^mi (nabla_m t)_{..i..} with i at `slot`, at every point with `points`.
+
+    It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
+    (p at slot a, c the free index there), with v^p = g^mi Gamma^p_mi and
+    K[i, p, c] = g^mi Gamma^p_mc at the result's order, so nabla t is never
+    formed. v and K are kept in `terms` by order, so each is contracted once
+    per (g_inv, gamma) and order. The other slots keep their order.
+    """
+    out = jets.contract(g_inv, jets.partials(t, points), (0, 1), (0, slot + 1), points)
+    low = t.truncate(out.order)
+    if out.order not in terms:
+        g_low, gamma_low = g_inv.truncate(out.order), gamma.truncate(out.order)
+        terms[out.order] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2), points), jets.contract(g_low, gamma_low, 0, 1, points))
+    trace, raised = terms[out.order]
+    out = out - jets.contract(trace, low, 0, slot, points)
+    for a in range(t.c.ndim - 1 - int(points)):
+        if a != slot:
+            term = jets.contract(raised, low, (0, 1), (slot, a), points)  # (c, other slots)
+            out = out - jets.moveaxis(term, 0, a if a < slot else a - 1, points)
     return out
 
 
@@ -138,7 +132,12 @@ def connection(sps: Sequence[StructurePoint]) -> list[ConnectionData]:
 
 @dataclass
 class CurvatureData:
-    """Curvature of a chart point: coordinate jets, frame components, operator."""
+    """Curvature of a chart point: coordinate jets, frame components, operator.
+
+    The second-order report's jets, the traceless Ricci tensor, h, the Weyl
+    tensor, its halves and their codifferentials, are `jets.per_batch`:
+    the first read at any point forms them for the whole batch, on the
+    batch's stacked jets (see `curvature`)."""
 
     sp: StructurePoint
     conn: ConnectionData
@@ -149,7 +148,7 @@ class CurvatureData:
     ric_frame: np.ndarray
     s_value: float
     operator: np.ndarray  # 6x6 matrix on the (Omega, phi, Jphi, asd triple) basis
-    batch: jets.Batch = field(repr=False)  # ric_frame, s_value (stacked)
+    batch: jets.Batch = field(repr=False)  # sps, conns, g and g_inv (at R's order), R, ric, s, frame, ric_frame, s_value (stacked), terms (`divergence`)
     index: int
 
     @jets.per_batch
@@ -157,64 +156,89 @@ class CurvatureData:
         """Frame components of the traceless Ricci tensor, formed for the whole batch."""
         return batch.ric_frame - (batch.s_value / 4.0)[:, None, None] * np.eye(4)
 
-    @cached_property
-    def ric0(self) -> Jet:
-        return self.ric - 0.25 * (self.s * self.sp.g)
+    @jets.per_batch
+    def ric0(batch: jets.Batch) -> Jet:
+        return batch.ric - 0.25 * (batch.s[:, None, None] * batch.g)
 
-    @cached_property
-    def h(self) -> Jet:
+    @jets.per_batch
+    def h(batch: jets.Batch) -> Jet:
         """The normalized Ricci tensor h = (1/2)(Ric - s/6 g): Cotton-York
         differentiates it and each Bach route contracts it with its Weyl tensor."""
-        return 0.5 * (self.ric - (self.s / 6.0) * self.sp.g)
+        return 0.5 * (batch.ric - (batch.s / 6.0)[:, None, None] * batch.g)
 
-    @cached_property
-    def h_raised(self) -> Jet:
+    @jets.per_batch
+    def h_raised(batch: jets.Batch) -> Jet:
         """h^ab at order 0: the Bach routes read only its value."""
-        g_inv0 = self.sp.g_inv.truncate(0)
-        return tensorops.raise_pair(self.h.truncate(0), g_inv0, 0, 1)
+        return tensorops.raise_pair(batch.h.truncate(0), batch.g_inv.truncate(0), 0, 1, points=True)
 
-    @cached_property
-    def weyl(self) -> Jet:
+    @jets.per_batch
+    def weyl(batch: jets.Batch) -> Jet:
         """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks.
 
         R has two orders fewer than g, so g enters at R's order."""
-        g = self.sp.g.truncate(self.R.order)
-        scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(g, g))
-        ric0_part = 0.5 * tensorops.kn_jet(self.ric0, g)
-        return self.R - scalar_part - ric0_part
+        g = batch.g.truncate(batch.R.order)
+        scalar_part = jets.outer(batch.s / 24.0, tensorops.kn_jet(g, g, True), True)
+        ric0_part = 0.5 * tensorops.kn_jet(batch.ric0, g, True)
+        return batch.R - scalar_part - ric0_part
 
-    @cached_property
-    def weyl_plus(self) -> Jet:
-        return self._weyl_half(+1.0)
+    @jets.per_batch
+    def weyl_plus(batch: jets.Batch) -> Jet:
+        return _weyl_half(batch, +1.0)
 
-    @cached_property
-    def weyl_minus(self) -> Jet:
-        return self._weyl_half(-1.0)
+    @jets.per_batch
+    def weyl_minus(batch: jets.Batch) -> Jet:
+        return _weyl_half(batch, -1.0)
 
-    @cached_property
-    def delta_weyl(self) -> Jet:
+    @jets.per_batch
+    def delta_weyl(batch: jets.Batch) -> Jet:
         """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
-        return self.conn.codifferential(self.weyl)
+        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl, 0, True)
 
-    @cached_property
-    def delta_weyl_plus(self) -> Jet:
+    @jets.per_batch
+    def delta_weyl_plus(batch: jets.Batch) -> Jet:
         """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
-        return self.conn.codifferential(self.weyl_plus)
+        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl_plus, 0, True)
 
-    @cached_property
-    def delta_weyl_minus(self) -> Jet:
+    @jets.per_batch
+    def delta_weyl_minus(batch: jets.Batch) -> Jet:
         """Codifferential of W-, computed from W- itself."""
-        return self.conn.codifferential(self.weyl_minus)
+        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl_minus, 0, True)
 
-    @cached_property
-    def _weyl_star(self) -> Jet:
+    @jets.per_batch
+    def gamma(batch: jets.Batch) -> Jet:
+        """The Christoffel jets at the curvature's order, the most the batch's
+        covariant derivatives and divergences read."""
+        return jets.stack([conn.gamma.truncate(batch.R.order) for conn in batch.conns])
+
+    @jets.per_batch
+    def _mu(batch: jets.Batch) -> Jet:
+        """The structure points' volume forms, stacked."""
+        return jets.stack([sp.mu for sp in batch.sps])
+
+    @jets.per_batch
+    def _weyl_star(batch: jets.Batch) -> Jet:
         """The Hodge star of W's first pair, shared by W+ and W-."""
-        return tensorops.hodge_star_2form(self.weyl, self.sp.g_inv, self.sp.mu)
+        return tensorops.hodge_star_2form(batch.weyl, batch.g_inv, batch._mu, points=True)
 
-    def _weyl_half(self, sign: float) -> Jet:
-        sp = self.sp
-        half = tensorops.dual_projection(self.weyl, sp.g_inv, sp.mu, sign, (0, 1), self._weyl_star)
-        return tensorops.dual_projection(half, sp.g_inv, sp.mu, sign, (2, 3))
+
+def _weyl_half(batch: jets.Batch, sign: float) -> Jet:
+    half = tensorops.dual_projection(batch.weyl, batch.g_inv, batch._mu, sign, (0, 1), batch._weyl_star, points=True)
+    return tensorops.dual_projection(half, batch.g_inv, batch._mu, sign, (2, 3), points=True)
+
+
+def batch_of(cds: Sequence[CurvatureData]) -> jets.Batch:
+    """The batch that the curvature records `cds` make up, all of it and in order."""
+    batch = cds[0].batch
+    if len(cds) != len(batch.s_value) or any(cd.batch is not batch or cd.index != k for k, cd in enumerate(cds)):
+        raise ValueError("expected all the curvature records of one batch, in order")
+    return batch
+
+
+#: The most points that share a CurvatureData batch. The second-order jets
+#: (`CurvatureData` per-batch values, and the report built on them) are
+#: formed a slice of this many points at a time: their temporaries grow with
+#: the points formed at once, and past a few points a larger slice saves little.
+CURVATURE_SLICE = 8
 
 
 def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
@@ -231,7 +255,8 @@ def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
     gamma_low = gamma.truncate(dg.order)
     gg = jets.contract(gamma_low, gamma_low, 2, 0, points=True)  # gg[l, i, j, k] = G^l_im G^m_jk
     comm_up = t1 - jets.moveaxis(t1, 1, 2, True) + gg - jets.moveaxis(gg, 1, 2, True)
-    g, g_inv = jets.stack([sp.g for sp in sps]), jets.stack([sp.g_inv for sp in sps])
+    # every later product and the batch's readers take g and g^-1 at R's order
+    g, g_inv = jets.stack([sp.g.truncate(dg.order) for sp in sps]), jets.stack([sp.g_inv.truncate(dg.order) for sp in sps])
     riem = -jets.moveaxis(jets.contract(g, comm_up, 0, 0, points=True), 0, 3, True)  # R_ijkl (sphere-positive)
     ric = jets.contract(g_inv, riem, (0, 1), (0, 2), points=True)  # Ric_jk = g^im R_ijmk
     s = jets.contract(g_inv, ric, (0, 1), (0, 1), points=True)
@@ -240,23 +265,40 @@ def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
     R_frame = tensorops.frame_components(riem.value, frame)
     ric_frame = tensorops.frame_components(ric.value, frame)
     operator = algebra.operator_matrix(R_frame)
-    batch = jets.Batch(CurvatureData, ric_frame=ric_frame, s_value=s.value)
-    return [
-        CurvatureData(
-            sp=sp,
-            conn=conn,
-            R=riem[k],
-            ric=ric[k],
-            s=s[k],
-            R_frame=R_frame[k],
-            ric_frame=ric_frame[k],
-            s_value=float(s.value[k]),
-            operator=operator[k],
-            batch=batch,
-            index=k,
+    records = []
+    for start in range(0, len(sps), CURVATURE_SLICE):
+        part = slice(start, start + CURVATURE_SLICE)
+        batch = jets.Batch(
+            CurvatureData,
+            sps=sps[part],
+            conns=conns[part],
+            g=g[part],
+            g_inv=g_inv[part],
+            terms={},
+            R=riem[part],
+            ric=ric[part],
+            s=s[part],
+            frame=frame[part],
+            ric_frame=ric_frame[part],
+            s_value=s.value[part],
         )
-        for k, (sp, conn) in enumerate(zip(sps, conns))
-    ]
+        records += [
+            CurvatureData(
+                sp=sps[k],
+                conn=conns[k],
+                R=riem[k],
+                ric=ric[k],
+                s=s[k],
+                R_frame=R_frame[k],
+                ric_frame=ric_frame[k],
+                s_value=float(s.value[k]),
+                operator=operator[k],
+                batch=batch,
+                index=k - start,
+            )
+            for k in range(start, min(start + CURVATURE_SLICE, len(sps)))
+        ]
+    return records
 
 
 # -- first-order almost Hermitian invariants -----------------------------------
@@ -272,7 +314,7 @@ class HermitianFirstOrder:
     conn: ConnectionData
     nabla_j_sq: float  # |nabla J|^2, full tensor norm
     d_omega_norm: float
-    batch: jets.Batch = field(repr=False)  # sps, frame (stacked)
+    batch: jets.Batch = field(repr=False)  # sps, frame, nabla_omega0, g_inv0, J0 (stacked)
     index: int
 
     @property
@@ -289,31 +331,34 @@ class HermitianFirstOrder:
         """|N|, formed for the whole batch: the verdict ladder reads it."""
         return _frame_max(batch.nijenhuis.value, batch.frame).tolist()
 
-    @cached_property
-    def theta(self) -> Jet:
-        """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX)."""
-        delta_omega = self.conn.neg_trace(self.conn.nabla_omega)
-        return -jets.contract(delta_omega, self.conn.sp.J, 0, 0)
+    @jets.per_batch
+    def theta(batch: jets.Batch) -> Jet:
+        """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX), formed
+        for the whole batch. Every reader reads its value, so it is built from
+        the order-0 truncations of nabla Omega, g^-1 and J."""
+        delta_omega = neg_trace(batch.g_inv0, batch.nabla_omega0, points=True)
+        return -jets.contract(delta_omega, batch.J0, 0, 0, points=True)
 
-    @cached_property
-    def a(self) -> Jet:
-        """a(X) = <nabla_X Omega, phi> / |phi|^2, and `b` likewise with J phi."""
-        sp = self.conn.sp
-        return 0.5 * tensorops.form_inner(self.conn.nabla_omega, sp.phi, sp.g_inv, (1, 2))
+    @jets.per_batch
+    def a(batch: jets.Batch) -> Jet:
+        """a (`nabla_omega_along` phi), formed for the whole batch from order-0
+        truncations, the order-0 phi the structure stage checked among them:
+        every reader reads its value."""
+        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "phi"), batch.g_inv0, points=True)
 
-    @cached_property
-    def b(self) -> Jet:
-        sp = self.conn.sp
-        return 0.5 * tensorops.form_inner(self.conn.nabla_omega, sp.jphi, sp.g_inv, (1, 2))
+    @jets.per_batch
+    def b(batch: jets.Batch) -> Jet:
+        """b (`nabla_omega_along` J phi), formed like `a`."""
+        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "jphi"), batch.g_inv0, points=True)
 
-    @cached_property
-    def theta_norm(self) -> float:
-        return float(_frame_max(self.theta.value, self.conn.sp.frame))
+    @jets.per_batch
+    def theta_norm(batch: jets.Batch) -> list[float]:
+        return _frame_max(batch.theta.value, batch.frame).tolist()
 
-    @cached_property
-    def b_plus_ja_norm(self) -> float:
-        ja = -jets.contract(self.a, self.conn.sp.J, 0, 0)  # (J a)_i = -a_k J^k_i
-        return float(_frame_max((self.b + ja).value, self.conn.sp.frame))
+    @jets.per_batch
+    def b_plus_ja_norm(batch: jets.Batch) -> list[float]:
+        ja = -jets.contract(batch.a, batch.J0, 0, 0, points=True)  # (J a)_i = -a_k J^k_i
+        return _frame_max((batch.b + ja).value, batch.frame).tolist()
 
     @cached_property
     def identity_residual(self) -> float:
@@ -324,14 +369,29 @@ class HermitianFirstOrder:
 def hermitian_first_order(conns: Sequence[ConnectionData]) -> list[HermitianFirstOrder]:
     """|nabla J|^2 and |d Omega|, the first-order values every command reads,
     formed once over all the points; one record per point."""
-    frame = np.stack([conn.sp.frame for conn in conns])
-    nabla_omega = tensorops.frame_components(np.stack([conn.nabla_omega.value for conn in conns]), frame)
+    sps = [conn.sp for conn in conns]
+    frame = np.stack([sp.frame for sp in sps])
+    nabla_omega0 = jets.stack([conn.nabla_omega.truncate(0) for conn in conns])
+    nabla_omega = tensorops.frame_components(nabla_omega0.value, frame)
     nabla_j_sq = np.sum(nabla_omega * nabla_omega, axis=(1, 2, 3))
-    d_omega = tensorops.ext_d_2form(jets.stack([conn.sp.omega for conn in conns]), points=True)
+    d_omega = tensorops.ext_d_2form(jets.stack([sp.omega for sp in sps]), points=True)
     d_omega_norm = _frame_max(d_omega.value, frame)
-    batch = jets.Batch(HermitianFirstOrder, sps=[conn.sp for conn in conns], frame=frame)
+    g_inv0, j0 = jets.stack([sp.g_inv.truncate(0) for sp in sps]), jets.stack([sp.J.truncate(0) for sp in sps])
+    batch = jets.Batch(HermitianFirstOrder, sps=sps, frame=frame, nabla_omega0=nabla_omega0, g_inv0=g_inv0, J0=j0)
     values = zip(conns, nabla_j_sq.tolist(), d_omega_norm.tolist())
     return [HermitianFirstOrder(conn, sq, d, batch, k) for k, (conn, sq, d) in enumerate(values)]
+
+
+def nabla_omega_along(nabla_omega: Jet, form: Jet, g_inv: Jet, points: bool = False) -> Jet:
+    """The 1-form X -> <nabla_X Omega, form> / |form|^2 for a gauge form (phi
+    gives a, J phi gives b), at every point with `points`."""
+    return 0.5 * tensorops.form_inner(nabla_omega, form, g_inv, (1, 2), points)
+
+
+def _checked_values(sps: Sequence[StructurePoint], name: str) -> Jet:
+    """The order-0 `name` (phi or jphi) of each structure point, from the
+    values its structure stage checked, stacked."""
+    return jets.stack([getattr(sp.batch.values, name)[sp.index] for sp in sps])
 
 
 def _frame_max(values: np.ndarray, frame: np.ndarray) -> np.ndarray:

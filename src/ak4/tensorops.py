@@ -110,10 +110,10 @@ def wedge11(a: Jet, b: Jet, points: bool = False) -> Jet:
     return t - jets.moveaxis(t, lead, lead + 1)
 
 
-def ext_d_1form(a: Jet) -> Jet:
+def ext_d_1form(a: Jet, points: bool = False) -> Jet:
     """(da)_ij = d_i a_j - d_j a_i."""
-    t = jets.partials(a)
-    return t - jets.moveaxis(t, 0, 1)
+    t = jets.partials(a, points)
+    return t - jets.moveaxis(t, 0, 1, points)
 
 
 def ext_d_2form(phi: Jet, points: bool = False) -> Jet:
@@ -127,7 +127,7 @@ def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet, points: bool = False) -> Jet:
     return form_inner(mu, phi, ginv, (2, 3), points)
 
 
-def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None) -> Jet:
+def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None, points: bool = False) -> Jet:
     """Project an antisymmetric index pair onto its (anti-)self-dual part.
 
     sign=+1.0 applies (1/2)(id + *) to the pair, sign=-1.0 the complement.
@@ -135,24 +135,24 @@ def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, in
     Hodge star of t on that pair with the pair's slots first, so it is formed once.
     """
     a, b = pair
-    tp = jets.moveaxis(jets.moveaxis(t, a, 0), b, 1)
+    tp = jets.moveaxis(jets.moveaxis(t, a, 0, points), b, 1, points)
     if star is None:
-        star = hodge_star_2form(tp, ginv, mu)
+        star = hodge_star_2form(tp, ginv, mu, points)
     out = 0.5 * (tp + float(sign) * star)
-    return jets.moveaxis(jets.moveaxis(out, 1, b), 0, a)
+    return jets.moveaxis(jets.moveaxis(out, 1, b, points), 0, a, points)
 
 
-def kn_jet(h: Jet, g: Jet) -> Jet:
+def kn_jet(h: Jet, g: Jet, points: bool = False) -> Jet:
     """Kulkarni-Nomizu product of symmetric 2-tensor jets.
 
     (h kn g)_ijkl = h_ik g_jl + h_jl g_ik - h_il g_jk - h_jk g_il
     """
-    hg = jets.outer(h, g)  # h_ab g_cd on axes (a,b,c,d)
-    gh = jets.outer(g, h)
-    t = jets.moveaxis(hg, (0, 1, 2, 3), (0, 2, 1, 3))  # h_ik g_jl
-    t = t + jets.moveaxis(gh, (0, 1, 2, 3), (0, 2, 1, 3))  # + g_ik h_jl
-    t = t - jets.moveaxis(hg, (0, 1, 2, 3), (0, 3, 1, 2))  # - h_il g_jk
-    t = t - jets.moveaxis(gh, (0, 1, 2, 3), (0, 3, 1, 2))  # - g_il h_jk
+    hg = jets.outer(h, g, points)  # h_ab g_cd on axes (a,b,c,d)
+    gh = jets.outer(g, h, points)
+    t = jets.moveaxis(hg, (0, 1, 2, 3), (0, 2, 1, 3), points)  # h_ik g_jl
+    t = t + jets.moveaxis(gh, (0, 1, 2, 3), (0, 2, 1, 3), points)  # + g_ik h_jl
+    t = t - jets.moveaxis(hg, (0, 1, 2, 3), (0, 3, 1, 2), points)  # - h_il g_jk
+    t = t - jets.moveaxis(gh, (0, 1, 2, 3), (0, 3, 1, 2), points)  # - g_il h_jk
     return t
 
 

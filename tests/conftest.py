@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ak4 import charts, cli, exprs, jets
+from ak4 import charts, cli, exprs, jets, riemann
 from ak4.cli import PointAnalysis
 from ak4.jets import Jet
 
@@ -151,6 +151,11 @@ def point_analysis(spec: charts.ChartSpec, p, order: int = 4, **kwargs) -> Point
     `cli.point_analyses`."""
     [pa] = cli.point_analyses([structure_point(spec, p, order)], **kwargs)
     return pa
+
+
+def divergence(conn: riemann.ConnectionData, t: Jet, slot: int = 0) -> Jet:
+    """`riemann.divergence` of t at the one point of `conn`."""
+    return riemann.divergence(conn.sp.g_inv, conn.gamma, {}, t, slot)
 
 
 def identity(name: str) -> cli.Identity:

@@ -89,7 +89,7 @@ def test_criterion_04_second_bianchi(analyses):
         for pa in rows:
             worst = max(worst, pa.sor.residuals["delta W = C"], pa.sor.residuals["delta W+ = C+"])
             if name == "product-surfaces":
-                cotton = tensorops.frame_components(bianchi_bach.cotton_york(pa.cd).value, pa.sp.frame)
+                cotton = tensorops.frame_components(bianchi_bach.cotton_york([pa.cd])[0].value, pa.sp.frame)
                 nontrivial = max(nontrivial, float(np.abs(cotton).max()))
     ok = worst < 1e-7 and nontrivial > 1e-3
     _verdict(4, "delta W = C (incl. non-Einstein)", ok, f"worst {worst:.2e}, |C| on product {nontrivial:.2e}")
@@ -122,7 +122,7 @@ def test_criterion_06_bach_three_way(analyses):
             if "bach direct vs almost-kahler form" in res:
                 worst_pair = max(worst_pair, res["bach direct vs almost-kahler form"], res["bach direct vs ricci form"])
             if name in ("complex-hyperbolic", "fubini-study"):  # Einstein / self-dual
-                worst_vanish = max(worst_vanish, float(np.abs(bianchi_bach.bach_direct(pa.cd)).max()))
+                worst_vanish = max(worst_vanish, float(np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max()))
     ok = worst_pair < 1e-6 and worst_vanish < 1e-6
     _verdict(6, "bach three-way + vanishing", ok, f"pairwise {worst_pair:.2e}, einstein/self-dual |B| {worst_vanish:.2e}")
 

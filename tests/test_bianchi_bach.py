@@ -10,12 +10,12 @@ from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
 from ak4.exprs import parse_expr
 
-from conftest import EINSTEIN_NAMES, expr_jet, point_analysis, product_surfaces, sphere_factor, structure_point
+from conftest import EINSTEIN_NAMES, divergence, expr_jet, point_analysis, product_surfaces, sphere_factor, structure_point
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
     """Frame components C[x, y, z] of the Cotton-York tensor at the point."""
-    return tensorops.frame_components(bianchi_bach.cotton_york(pa.cd).value, pa.sp.frame)
+    return tensorops.frame_components(bianchi_bach.cotton_york([pa.cd])[0].value, pa.sp.frame)
 
 
 class TestCottonYork:
@@ -42,14 +42,14 @@ class TestCottonYork:
         sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
         [cd] = riemann.curvature(riemann.connection([sp]))
         with pytest.raises(JetOrderError):
-            bianchi_bach.cotton_york(cd)
+            bianchi_bach.cotton_york([cd])
 
     def test_delta_weyl_memoized_from_each_weyl_piece(self, analyses):
         cd = analyses["kodaira-thurston"][0].cd
         for which, w in (("full", cd.weyl), ("plus", cd.weyl_plus), ("minus", cd.weyl_minus)):
-            dw = bianchi_bach.delta_weyl(cd, which)
-            assert dw is bianchi_bach.delta_weyl(cd, which)
-            assert np.array_equal(dw.c, (-cd.conn.divergence(w, 0)).c)
+            dw = bianchi_bach.delta_weyl([cd], which)
+            assert dw is bianchi_bach.delta_weyl([cd], which)
+            assert np.array_equal(dw[0].c, (-divergence(cd.conn, w, 0)).c)
 
 
 class TestDeltaWPlusSplit:
@@ -113,12 +113,12 @@ class TestDeltaWPlusSplit:
 
 class TestBach:
     def test_flat_zero(self, analyses):
-        assert np.abs(bianchi_bach.bach_direct(analyses["flat"][0].cd)).max() == 0.0
+        assert np.abs(bianchi_bach.bach_direct([analyses["flat"][0].cd])[0]).max() == 0.0
 
     def test_einstein_and_self_dual_vanish(self, analyses):
         for name in ("complex-hyperbolic", "fubini-study"):
             for pa in analyses[name]:
-                assert np.abs(bianchi_bach.bach_direct(pa.cd)).max() < 1e-6
+                assert np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max() < 1e-6
 
     def test_three_way_agreement(self, analyses):
         for rows in analyses.values():
@@ -134,7 +134,7 @@ class TestBach:
             assert pa.sor.bach_ak_skip_reason is None
             assert pa.sor.residuals["bach direct vs almost-kahler form"] < 1e-6
             assert pa.sor.residuals["bach direct vs ricci form"] < 1e-6
-            assert np.abs(bianchi_bach.bach_direct(pa.cd)).max() > 1e-3  # genuinely non-Bach-flat
+            assert np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max() > 1e-3  # genuinely non-Bach-flat
 
     def test_almost_kahler_form_rejected_on_kodaira_thurston(self, analyses):
         for pa in analyses["kodaira-thurston"]:
@@ -149,8 +149,8 @@ class TestBach:
         for p in spec.sample_points(2, 17):
             pa = point_analysis(spec, p, order=4)
             expected = -(pa.dr.s / 6.0) * pa.dr.ric0
-            bach_ak, _ = bianchi_bach.bach_almost_kahler(pa.cd)
-            assert np.abs(bianchi_bach.bach_direct(pa.cd) - expected).max() < 1e-7
+            [bach_ak], _ = bianchi_bach.bach_almost_kahler([pa.cd])
+            assert np.abs(bianchi_bach.bach_direct([pa.cd])[0] - expected).max() < 1e-7
             assert np.abs(bach_ak - expected).max() < 1e-7
 
 
@@ -166,7 +166,7 @@ class TestWeitzenboeck:
         for name in ("product-surfaces", "kodaira-thurston"):
             for pa in analyses[name]:
                 sp, cd = pa.sp, pa.cd
-                rough = cd.conn.codifferential(cd.conn.nabla_omega)
+                rough = -divergence(cd.conn, cd.conn.nabla_omega)
                 w_om = 0.5 * jets.contract(cd.weyl, tensorops.raise_pair(sp.omega, sp.g_inv, 0, 1), (2, 3), (0, 1))
                 rhs = -(cd.s / 3.0) * sp.omega + 2.0 * w_om
                 res = np.abs(tensorops.frame_components((rough - rhs).value, sp.frame)).max()
@@ -175,7 +175,7 @@ class TestWeitzenboeck:
     def test_random_field_is_the_rounded_polynomial(self, analyses):
         # the field is the expression text with the same rng draws, parsed and evaluated as jets
         sp = analyses["kodaira-thurston"][0].sp
-        field = bianchi_bach.random_polynomial_2form(sp, 2024)
+        [field] = bianchi_bach.random_polynomial_2form([sp], 2024)
         rng = np.random.default_rng(np.random.SeedSequence([2024, 0x2F]))
         monomials = ["1", "x1", "x2", "x3", "x4", "x1*x3", "x2^2", "x4*x1", "x3^2"]
         for i in range(4):
@@ -195,7 +195,7 @@ class TestWeitzenboeck:
         sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=2)
         [cd] = riemann.curvature(riemann.connection([sp]))
         with pytest.raises(JetOrderError):
-            bianchi_bach.weitzenboeck_check(cd)
+            bianchi_bach.weitzenboeck_check([cd])
 
 
 class TestIntegrabilityCriterion:

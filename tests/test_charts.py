@@ -290,8 +290,8 @@ class TestStructureDemand:
         assert cli.main(["report", "--chart", "kodaira-thurston", "--points", "2"]) == 0
         assert capsys.readouterr().out
         order = 4  # the report default
-        assert dets == [0, min(order, charts.J_SIDE_ORDER)]
-        assert frames == [0, min(order, charts.J_SIDE_ORDER)]
+        assert dets == [0, min(order, charts.J_SIDE_ORDER)]  # mu, for the Weyl halves
+        assert frames == [0]  # a, b and theta are values: the report builds no frame jet
 
 
 class TestDeferredJets:

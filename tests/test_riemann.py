@@ -190,7 +190,7 @@ STAGE_VALUES = {
     "ladder": ("g1", "g2", "g3", "verdict", "flags"),
 }
 #: Dataclass fields that hold an input of the stage, not a value it computed.
-INPUTS = {"sp", "conn", "cd", "_gamma_terms", "batch", "index"}
+INPUTS = {"sp", "conn", "cd", "batch", "index"}
 
 
 def _same(x, y) -> bool:
