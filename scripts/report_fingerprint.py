@@ -25,6 +25,8 @@ Runs `ak4.cli.main` in-process over:
   `classify` on the `every-function` chart file (written and labelled like
   `half-bad`) at `--points 4 --seed 5`, whose entries use every function,
   pi and e in both spellings, and repeat subexpressions across entries;
+- the shape of the benchmark's `report-order4` workload: `report --json -`
+  for every catalog chart at `--points 2 --order 4`;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -149,6 +151,9 @@ def cases():
     tail = ["--points", "4", "--seed", "5"]
     for command in (["report", "--order", "2", "--json", "-"], ["report", "--order", "4", "--json", "-"], ["classify"]):
         yield " ".join([*command, "--chart", "every-function", *tail]), [*command, "--chart", chart_path("every-function"), *tail]
+    for spec in charts.catalog():
+        argv = ["report", "--chart", spec.name, "--points", "2", "--order", "4", "--json", "-"]
+        yield " ".join(argv), argv
 
 
 #: The jet fields of a `charts.StructurePoint`, in the order they are digested.

@@ -322,11 +322,57 @@ class TestContractionKernel:
         rng = np.random.default_rng(70 + order)
         a = random_tensor_jet(rng, (7, 4, 3), order)
         b = random_tensor_jet(rng, (7, 3, 4, 2), order)
+        monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", 10**9)
+        whole = jets.contract(a, b, 1, 0, points=True)
         monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", chunk_bytes)
         got = jets.contract(a, b, 1, 0, points=True)
         assert got.c.shape == (7, 4, 4, 2, jets.NCOEF[order])
+        assert np.array_equal(got.c, whole.c)
         for k in range(7):
             assert np.array_equal(got.c[k], jets.contract(a[k], b[k], 1, 0).c)
+
+
+class TestContractionWorkspace:
+    """`jets._contract` gathers into views of one arena; no result aliases it."""
+
+    #: (shape of a, shape of b, axes of a, axes of b, order) after a point axis;
+    #: the last needs about 4.6 MB per point, so it grows the arena.
+    CASES = [((4, 3), (3, 4, 2), 1, 0, 4), ((4, 4), (4, 4), 1, 0, 2), ((4,), (4, 4, 4), 0, 1, 3), ((4, 4, 4, 4), (4, 4, 4, 4), (2, 3), (0, 1), 4)]
+
+    def _contract_cases(self, rng, points_counts, cases=CASES):
+        for n in points_counts:
+            for shape_a, shape_b, axes_a, axes_b, order in cases:
+                a = random_tensor_jet(rng, (n,) + shape_a, order)
+                b = random_tensor_jet(rng, (n,) + shape_b, order)
+                yield jets.contract(a, b, axes_a, axes_b, points=True)
+
+    def test_a_returned_jet_keeps_its_bits_after_later_contracts(self, monkeypatch):
+        monkeypatch.setattr(jets, "_PLANS", {})
+        monkeypatch.setattr(jets, "_ARENA", np.empty(0))
+        rng = np.random.default_rng(80)
+        first = list(self._contract_cases(rng, [3], self.CASES[:-1]))
+        saved = [jet.c.copy() for jet in first]
+        arena = jets._ARENA
+        later = list(self._contract_cases(rng, [1, 5, 2, 3]))
+        assert jets._ARENA is not arena  # the last case grew the arena
+        for jet in first + later:
+            assert not np.shares_memory(jet.c, jets._ARENA) and not np.shares_memory(jet.c, arena)
+        assert all(np.array_equal(jet.c, c) for jet, c in zip(first, saved))
+
+    @pytest.mark.parametrize("chunk_bytes", [5000, 1 << 20])
+    def test_the_arena_never_grows_past_the_largest_gathered_size(self, chunk_bytes, monkeypatch):
+        monkeypatch.setattr(jets, "_PLANS", {})
+        monkeypatch.setattr(jets, "_ARENA", np.empty(0))
+        monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", chunk_bytes)
+        list(self._contract_cases(np.random.default_rng(81), [1, 6, 2, 9]))
+        # every cached view block (fa, gathered a, gathered b) cuts the current arena
+        blocks = [sum(v.size for v in view[:3]) for plan in jets._PLANS.values() for view in plan[-2].values()]
+        assert jets._ARENA.size == max(blocks)
+        assert all(np.shares_memory(view[0], jets._ARENA) for plan in jets._PLANS.values() for view in plan[-2].values())
+        # a point axis is gathered a slice of points at a time: the largest block is one point's,
+        # or fits the chunk bound
+        largest_point = max(plan[-1] for plan in jets._PLANS.values())
+        assert jets._ARENA.nbytes <= 2 * max(largest_point, chunk_bytes)
 
 
 def old_contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:

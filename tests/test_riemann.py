@@ -159,6 +159,25 @@ class TestHermitianFirstOrder:
         assert pa.hfo.nijenhuis_norm < 1e-12
 
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_values_from_order_0_equal_the_first_order_jets(self, catalog_specs, order):
+        # a, b, theta and b + Ja as first-order jets, built the way the
+        # nabla2-omega-shape row builds a; tobytes(), so the sign of zero counts
+        batches = [(spec, spec.sample_points(4, 7)) for spec in catalog_specs.values()]
+        for pa in cli.point_analyses(charts.structure_at(batches, order)):
+            sp, conn, hfo = pa.sp, pa.conn, pa.hfo
+            a = riemann.nabla_omega_along(conn.nabla_omega, sp.phi, sp.g_inv)
+            b = riemann.nabla_omega_along(conn.nabla_omega, sp.jphi, sp.g_inv)
+            theta = -jets.contract(riemann.neg_trace(sp.g_inv, conn.nabla_omega), sp.J, 0, 0)
+            b_plus_ja = b - jets.contract(a, sp.J, 0, 0)
+            assert (a.order, hfo.a.order) == (1, 0)
+            assert hfo.a.value.tobytes() == a.value.tobytes()
+            assert hfo.b.value.tobytes() == b.value.tobytes()
+            assert hfo.theta.value.tobytes() == theta.value.tobytes()
+            assert hfo.theta_norm == float(riemann._frame_max(theta.value, sp.frame))
+            assert hfo.b_plus_ja_norm == float(riemann._frame_max(b_plus_ja.value, sp.frame))
+
+
 class TestRicciIdentity:
     def test_flat_zero(self, analyses):
         assert riemann.ricci_identity_check(analyses["flat"][0].cd) == 0.0
@@ -183,11 +202,17 @@ class TestRicciIdentity:
 #: the records and structure it was built from, and every value that the
 #: first read fills for the whole batch.
 STAGE_VALUES = {
-    "conn": ("gamma", "nabla_omega"),
-    "cd": ("R", "ric", "s", "R_frame", "ric_frame", "s_value", "operator", "ric0_frame"),
-    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm"),
+    "conn": ("gamma", "nabla_omega", "nabla2_omega"),
+    "cd": ("R", "ric", "s", "R_frame", "ric_frame", "s_value", "operator", "ric0_frame", "ric0", "h", "h_raised", "weyl", "weyl_plus", "weyl_minus"),
+    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm", "theta", "a", "b", "theta_norm", "b_plus_ja_norm"),
     "dr": ("parts", "s", "ric0", "ric0_anti", "ric_anti_norm", "w1", "w2", "w3", "psi", "kappa", "ric_star", "s_star", "star_skew_residual"),
     "ladder": ("g1", "g2", "g3", "verdict", "flags"),
+}
+#: The values an order-4 analysis adds: the codifferentials of the Weyl
+#: tensors and the second-order report.
+SECOND_ORDER_VALUES = {
+    "cd": ("delta_weyl", "delta_weyl_plus", "delta_weyl_minus"),
+    "sor": ("residuals", "bach_ak_skip_reason"),
 }
 #: Dataclass fields that hold an input of the stage, not a value it computed.
 INPUTS = {"sp", "conn", "cd", "batch", "index"}
@@ -203,7 +228,23 @@ def _same(x, y) -> bool:
 
 
 def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
-    return {(stage, name): getattr(getattr(pa, stage), name) for stage, names in STAGE_VALUES.items() for name in names}
+    stages = (STAGE_VALUES, SECOND_ORDER_VALUES) if pa.order == 4 else (STAGE_VALUES,)
+    return {(stage, name): getattr(getattr(pa, stage), name) for values in stages for stage, names in values.items() for name in names}
+
+
+def _assert_batches_match(sps: list, n: int) -> None:
+    """Analyses of `sps` (charts of n points each) in one batch and per chart
+    give every value of one-point batches, bit for bit."""
+    alone = [cli.point_analyses([sp]) for sp in sps]
+    per_chart = [pa for k in range(0, len(sps), n) for pa in cli.point_analyses(sps[k : k + n])]
+    together = cli.point_analyses(sps)
+    assert len(alone) == len(per_chart) == len(together) == len(sps)
+    for [a], b, c in zip(alone, per_chart, together):
+        expected = _stage_values(a)
+        for key, value in _stage_values(b).items():
+            assert _same(value, expected[key]), (key, "per chart")
+        for key, value in _stage_values(c).items():
+            assert _same(value, expected[key]), (key, "all charts")
 
 
 class TestPipelineBatch:
@@ -219,17 +260,16 @@ class TestPipelineBatch:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_every_value_equals_the_one_point_batch(self, catalog_specs, order, n):
         batches = [(spec, spec.sample_points(n, 23)) for spec in catalog_specs.values()]
-        sps = charts.structure_at(batches, order)
-        alone = [cli.point_analyses([sp]) for sp in sps]
-        per_chart = [pa for k in range(0, len(sps), n) for pa in cli.point_analyses(sps[k : k + n])]
-        together = cli.point_analyses(sps)
-        assert len(alone) == len(per_chart) == len(together) == 5 * n
-        for [a], b, c in zip(alone, per_chart, together):
-            expected = _stage_values(a)
-            for key, value in _stage_values(b).items():
-                assert _same(value, expected[key]), (key, "per chart")
-            for key, value in _stage_values(c).items():
-                assert _same(value, expected[key]), (key, "all charts")
+        _assert_batches_match(charts.structure_at(batches, order), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_batch_where_the_closed_bach_forms_apply_at_some_points(self, catalog_specs, n):
+        # fubini-study and kodaira-thurston points in one batch, as `check --chart all` batches them
+        batches = [(catalog_specs[name], catalog_specs[name].sample_points(n, 31)) for name in ("fubini-study", "kodaira-thurston")]
+        sps = charts.structure_at(batches, 4)
+        reasons = [pa.sor.bach_ak_skip_reason for pa in cli.point_analyses(sps)]
+        assert reasons[:n] == [None] * n and None not in reasons[n:]
+        _assert_batches_match(sps, n)
 
     def test_the_first_read_fills_the_batch(self, catalog_specs):
         spec = catalog_specs["kodaira-thurston"]
