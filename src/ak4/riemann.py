@@ -265,10 +265,9 @@ def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
     R_frame = tensorops.frame_components(riem.value, frame)
     ric_frame = tensorops.frame_components(ric.value, frame)
     operator = algebra.operator_matrix(R_frame)
-    records = []
-    for start in range(0, len(sps), CURVATURE_SLICE):
-        part = slice(start, start + CURVATURE_SLICE)
-        batch = jets.Batch(
+    parts = [slice(start, start + CURVATURE_SLICE) for start in range(0, len(sps), CURVATURE_SLICE)]
+    batches = [
+        jets.Batch(
             CurvatureData,
             sps=sps[part],
             conns=conns[part],
@@ -282,23 +281,24 @@ def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
             ric_frame=ric_frame[part],
             s_value=s.value[part],
         )
-        records += [
-            CurvatureData(
-                sp=sps[k],
-                conn=conns[k],
-                R=riem[k],
-                ric=ric[k],
-                s=s[k],
-                R_frame=R_frame[k],
-                ric_frame=ric_frame[k],
-                s_value=float(s.value[k]),
-                operator=operator[k],
-                batch=batch,
-                index=k - start,
-            )
-            for k in range(start, min(start + CURVATURE_SLICE, len(sps)))
-        ]
-    return records
+        for part in parts
+    ]
+    return [
+        CurvatureData(
+            sp=sp,
+            conn=conn,
+            R=riem[k],
+            ric=ric[k],
+            s=s[k],
+            R_frame=R_frame[k],
+            ric_frame=ric_frame[k],
+            s_value=float(s.value[k]),
+            operator=operator[k],
+            batch=batches[k // CURVATURE_SLICE],
+            index=k % CURVATURE_SLICE,
+        )
+        for k, (sp, conn) in enumerate(zip(sps, conns))
+    ]
 
 
 # -- first-order almost Hermitian invariants -----------------------------------
