@@ -17,6 +17,14 @@ A(alpha) + B(beta) with
 identifying both pieces with 1-forms. alpha is extracted by pairing with
 Omega (which annihilates every B), beta by pairing the remainder with phi.
 The beta identification depends on the phi gauge fixed by the adapted frame.
+
+Each function takes the curvature records of one batch (all of it, in
+order; see `riemann.curvature`) and returns one value per point: a jet or
+an array with a leading point axis, or a list. The jets are formed once on
+the batch's point axis, bit for bit what each point gives alone; the 4x4
+frame values after them (the delta W+ split, the einsums of the closed Bach
+forms and the residual table) are computed point by point, since an einsum
+on a point axis may sum in another order.
 """
 
 from __future__ import annotations

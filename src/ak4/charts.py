@@ -340,7 +340,10 @@ class StructurePoint:
     (`_frame_vectors`, `_coframe`) at J's order. `structure_at` takes the
     frame, and the values of mu, phi and jphi that the self-duality checks
     read, from the same per-batch values on a batch of the order-0
-    truncations of g and J.
+    truncations of g and J. That batch stays reachable as `batch.values`:
+    the first-order stage builds a and b, which are read only as values,
+    from its phi and jphi, so only the check that differentiates them
+    (`nabla2-omega-shape`) builds phi and jphi at J's order.
 
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
     reach a lower-degree output coefficient, so every jet equals the leading

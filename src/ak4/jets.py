@@ -41,6 +41,20 @@ moves a bit: a plan holds exactly what `contract` used to recompute on every
 call, so the matmul operands are the same values in the same layout, and
 np.moveaxis is itself a transpose by the same permutation.
 
+`contract` allocates only its result. It gathers its operands into one
+module-level workspace, `_ARENA`, a float64 arena that only grows, to the
+largest size the gathered operands of one call need (a point-axis
+contraction is cut to about CONTRACT_CHUNK_BYTES a slice); each plan cuts
+its views of the arena once per leading shape and keeps them, and a growth
+drops every view of the old arena, so it is freed. The gathers write into
+the views (`take(..., out=, mode="clip")`; the default mode "raise" would
+buffer its output), and the matmul result is a fresh array, so no returned
+jet aliases the arena. Fresh gathered operands went through glibc's
+allocator on every call, and the large ones through mmap and page faults
+whose count depends on the allocator's dynamic thresholds. The arena is
+shared by every call, so `contract` is not thread-safe: ak4 runs on one
+thread.
+
 A report point builds about a thousand jets, so their construction is kept
 cheap too. `Jet.__init__` converts and checks its input for outside callers;
 the kernels here build their results with `Jet._of`, which skips both, since
@@ -188,7 +202,7 @@ _PERMS: dict[tuple, tuple[int, ...]] = {}
 CONTRACT_CHUNK_BYTES = 1 << 20
 #: The workspace of `_contract`: one float64 arena that only grows, to the
 #: largest size the gathered operands of one call need, and that each plan cuts
-#: its views from (see the module docstring).
+#: its views from (see the module docstring). Single-threaded.
 _ARENA = np.empty(0)
 
 
@@ -483,9 +497,10 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     axis goes in front of all of these, outermost in the matmul batch, so
     every point gets the same BLAS call as alone. The permutations and
     shapes of these steps come from a plan cached per operand shapes
-    (without the point count) and axes. A batch whose gathered operands
-    would pass CONTRACT_CHUNK_BYTES is contracted a slice of points at a
-    time, with the same calls per point.
+    (without the point count) and axes, and the gathered operands go into
+    the workspace views of the plan (see the module docstring). A batch
+    whose gathered operands would pass CONTRACT_CHUNK_BYTES is contracted a
+    slice of points at a time, with the same calls per point.
     """
     if isinstance(axes_a, int):
         axes_a = (axes_a,)

@@ -26,12 +26,18 @@ leading point axis, computes with `jets.contract(..., points=True)`, a
 point-axis `jets.partials` and a point-axis `tensorops.frame_components`, and
 returns one record per point whose arrays are views of the batch; a single
 point is a batch of one. Point k of a batch has, bit for bit, the values of a
-batch of that point alone. The records of one batch share it: nabla Omega,
-the traceless Ricci frame and the Nijenhuis tensor (`jets.per_batch`) are
-computed for every point on the first read at any of them. What only a
-report row or the second-order report reads stays per point: covariant
-derivatives, divergences, the Weyl tensors, theta, a, b and the residuals
-built on them, so `ak4 classify` never computes theta, a or b.
+batch of that point alone. The records of one batch share it: what only
+some commands read is a `jets.per_batch` value, computed for every point of
+the batch on the first read at any of them, so `ak4 classify` never
+computes theta, a or b. These are nabla Omega and nabla^2 Omega, the
+traceless Ricci frame, the Nijenhuis tensor, theta, a and b (values, built
+from order-0 truncations), and the jets of the second-order report: Ric0,
+h, the Weyl tensor, its halves and their codifferentials. `curvature`
+gives each slice of CURVATURE_SLICE points a batch of its own, so those
+jets are formed a slice at a time. `covd`, `neg_trace` and `divergence`
+take the point axis as `jets.contract` does. What stays per point is what a
+report row reads off 4x4 frame values (the Ricci identity, the nabla J
+identity), where an einsum on a point axis could sum in another order.
 """
 
 from __future__ import annotations
@@ -148,7 +154,8 @@ class CurvatureData:
     ric_frame: np.ndarray
     s_value: float
     operator: np.ndarray  # 6x6 matrix on the (Omega, phi, Jphi, asd triple) basis
-    batch: jets.Batch = field(repr=False)  # sps, conns, g and g_inv (at R's order), R, ric, s, frame, ric_frame, s_value (stacked), terms (`divergence`)
+    # sps, conns, g and g_inv (at R's order), R, ric, s, frame, ric_frame, s_value (stacked), terms (`divergence`)
+    batch: jets.Batch = field(repr=False)
     index: int
 
     @jets.per_batch
@@ -243,7 +250,8 @@ CURVATURE_SLICE = 8
 
 def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
     """Riemann, Ricci and scalar curvature plus the operator on 2-forms,
-    formed once over all the points; one record per point."""
+    formed once over all the points; one record per point, the records of
+    each CURVATURE_SLICE points sharing a batch."""
     sps = [conn.sp for conn in conns]
     if sps[0].order < 2:
         raise jets.JetOrderError("curvature needs jet order >= 2")
@@ -314,7 +322,7 @@ class HermitianFirstOrder:
     conn: ConnectionData
     nabla_j_sq: float  # |nabla J|^2, full tensor norm
     d_omega_norm: float
-    batch: jets.Batch = field(repr=False)  # sps, frame, nabla_omega0, g_inv0, J0 (stacked)
+    batch: jets.Batch = field(repr=False)  # sps, frame, nabla_omega0 (stacked)
     index: int
 
     @property
@@ -332,24 +340,32 @@ class HermitianFirstOrder:
         return _frame_max(batch.nijenhuis.value, batch.frame).tolist()
 
     @jets.per_batch
+    def _g_inv0(batch: jets.Batch) -> Jet:
+        return jets.stack([sp.g_inv.truncate(0) for sp in batch.sps])
+
+    @jets.per_batch
+    def _j0(batch: jets.Batch) -> Jet:
+        return jets.stack([sp.J.truncate(0) for sp in batch.sps])
+
+    @jets.per_batch
     def theta(batch: jets.Batch) -> Jet:
         """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX), formed
         for the whole batch. Every reader reads its value, so it is built from
         the order-0 truncations of nabla Omega, g^-1 and J."""
-        delta_omega = neg_trace(batch.g_inv0, batch.nabla_omega0, points=True)
-        return -jets.contract(delta_omega, batch.J0, 0, 0, points=True)
+        delta_omega = neg_trace(batch._g_inv0, batch.nabla_omega0, points=True)
+        return -jets.contract(delta_omega, batch._j0, 0, 0, points=True)
 
     @jets.per_batch
     def a(batch: jets.Batch) -> Jet:
         """a (`nabla_omega_along` phi), formed for the whole batch from order-0
         truncations, the order-0 phi the structure stage checked among them:
         every reader reads its value."""
-        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "phi"), batch.g_inv0, points=True)
+        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "phi"), batch._g_inv0, points=True)
 
     @jets.per_batch
     def b(batch: jets.Batch) -> Jet:
         """b (`nabla_omega_along` J phi), formed like `a`."""
-        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "jphi"), batch.g_inv0, points=True)
+        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "jphi"), batch._g_inv0, points=True)
 
     @jets.per_batch
     def theta_norm(batch: jets.Batch) -> list[float]:
@@ -357,7 +373,7 @@ class HermitianFirstOrder:
 
     @jets.per_batch
     def b_plus_ja_norm(batch: jets.Batch) -> list[float]:
-        ja = -jets.contract(batch.a, batch.J0, 0, 0, points=True)  # (J a)_i = -a_k J^k_i
+        ja = -jets.contract(batch.a, batch._j0, 0, 0, points=True)  # (J a)_i = -a_k J^k_i
         return _frame_max((batch.b + ja).value, batch.frame).tolist()
 
     @cached_property
@@ -371,13 +387,12 @@ def hermitian_first_order(conns: Sequence[ConnectionData]) -> list[HermitianFirs
     formed once over all the points; one record per point."""
     sps = [conn.sp for conn in conns]
     frame = np.stack([sp.frame for sp in sps])
-    nabla_omega0 = jets.stack([conn.nabla_omega.truncate(0) for conn in conns])
+    nabla_omega0 = Jet._of(0, np.stack([conn.nabla_omega.c[..., :1] for conn in conns]))
     nabla_omega = tensorops.frame_components(nabla_omega0.value, frame)
     nabla_j_sq = np.sum(nabla_omega * nabla_omega, axis=(1, 2, 3))
     d_omega = tensorops.ext_d_2form(jets.stack([sp.omega for sp in sps]), points=True)
     d_omega_norm = _frame_max(d_omega.value, frame)
-    g_inv0, j0 = jets.stack([sp.g_inv.truncate(0) for sp in sps]), jets.stack([sp.J.truncate(0) for sp in sps])
-    batch = jets.Batch(HermitianFirstOrder, sps=sps, frame=frame, nabla_omega0=nabla_omega0, g_inv0=g_inv0, J0=j0)
+    batch = jets.Batch(HermitianFirstOrder, sps=sps, frame=frame, nabla_omega0=nabla_omega0)
     values = zip(conns, nabla_j_sq.tolist(), d_omega_norm.tolist())
     return [HermitianFirstOrder(conn, sq, d, batch, k) for k, (conn, sq, d) in enumerate(values)]
 
