@@ -92,9 +92,12 @@ def gray_residuals(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g3: R(X,Y,Z,W) = R(JX,JY,JZ,JW)
     """
     axes = (-4, -3, -2, -1)
+    # the rotations that start with slot 0 share it, and g3's starts with g2's first
+    r0 = _rot(r, (0,))
+    r01 = _rot(r0, (1,))
     g1 = np.abs(r - _rot(r, (2, 3))).max(axis=axes)
-    g2 = np.abs(r - _rot(r, (0, 1)) - _rot(r, (0, 2)) - _rot(r, (0, 3))).max(axis=axes)
-    g3 = np.abs(r - _rot(r, (0, 1, 2, 3))).max(axis=axes)
+    g2 = np.abs(r - r01 - _rot(r0, (2,)) - _rot(r0, (3,))).max(axis=axes)
+    g3 = np.abs(r - _rot(r01, (2, 3))).max(axis=axes)
     return g1, g2, g3
 
 

@@ -20,11 +20,12 @@ The beta identification depends on the phi gauge fixed by the adapted frame.
 
 Each function takes the curvature records of one batch (all of it, in
 order; see `riemann.curvature`) and returns one value per point: a jet or
-an array with a leading point axis, or a list. The jets are formed once on
-the batch's point axis, bit for bit what each point gives alone; the 4x4
-frame values after them (the delta W+ split, the einsums of the closed Bach
-forms and the residual table) are computed point by point, since an einsum
-on a point axis may sum in another order.
+an array with a leading point axis, or a list. Everything runs once on the
+batch's point axis, bit for bit what each point gives alone: the jets, the
+delta W+ split and the residual table. Two einsums on 4x4 frame values stay
+a loop over the points: the pairing of delta W+ with Omega in
+`split_delta_wplus`, where a batched einsum sums 16 terms of a strided
+operand in another order, and S in `bach_almost_kahler`.
 """
 
 from __future__ import annotations
@@ -72,47 +73,53 @@ def delta_weyl(cds: Sequence[CurvatureData], which: str = "full") -> Jet:
 
 def _pair_with_form(t3_f: np.ndarray, form_f: np.ndarray) -> np.ndarray:
     """gamma_m = <t3_m, form> with the half-norm inner product, frame components."""
-    return 0.5 * np.einsum("mij,ij->m", t3_f, form_f)
+    return 0.5 * np.einsum("...mij,ij->...m", t3_f, form_f)
 
 
 def _j_form(alpha: np.ndarray) -> np.ndarray:
     """(J alpha)_i = -alpha_k J^k_i in frame components."""
-    return -np.einsum("k,ki->i", alpha, J_FRAME)
+    return -np.einsum("...k,ki->...i", alpha, J_FRAME)
 
 
 def reconstruct_v_plus(alpha: np.ndarray) -> np.ndarray:
-    """A(alpha)[m, i, j] in frame components."""
+    """A(alpha)[..., m, i, j] in frame components."""
     ja = _j_form(alpha)
     eye = np.eye(4)
-    a = np.einsum("m,ij->mij", ja, OMEGA_F)
-    wedge1 = np.einsum("i,mj->mij", alpha, eye) - np.einsum("j,mi->mij", alpha, eye)
+    a = np.einsum("...m,ij->...mij", ja, OMEGA_F)
+    wedge1 = np.einsum("...i,mj->...mij", alpha, eye) - np.einsum("...j,mi->...mij", alpha, eye)
     # (J e_m)^flat_i = J^i_m
     jm = J_FRAME.T  # jm[m, i] = J^i_m
-    wedge2 = np.einsum("i,mj->mij", ja, jm) - np.einsum("j,mi->mij", ja, jm)
+    wedge2 = np.einsum("...i,mj->...mij", ja, jm) - np.einsum("...j,mi->...mij", ja, jm)
     return a - 0.5 * (wedge1 - wedge2)
 
 
 def reconstruct_v_minus(beta: np.ndarray) -> np.ndarray:
-    """B(beta)[m, i, j] in frame components."""
+    """B(beta)[..., m, i, j] in frame components."""
     jb = _j_form(beta)
     phi_m = PHI_F  # phi(e_m, .)_j = PHI_F[m, j]
     jphi_m = JPHI_F
-    t = np.einsum("i,mj->mij", jb, phi_m) - np.einsum("j,mi->mij", jb, phi_m)
-    t += np.einsum("i,mj->mij", beta, jphi_m) - np.einsum("j,mi->mij", beta, jphi_m)
+    t = np.einsum("...i,mj->...mij", jb, phi_m) - np.einsum("...j,mi->...mij", jb, phi_m)
+    t += np.einsum("...i,mj->...mij", beta, jphi_m) - np.einsum("...j,mi->...mij", beta, jphi_m)
     return t
 
 
-def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Extract (alpha, beta) from frame components of delta W+ at one point and
-    report the completeness residual |delta W+ - A(alpha) - B(beta)|."""
-    gamma = _pair_with_form(dwp_frame, OMEGA_F)
-    alpha = 0.5 * np.einsum("m,ma->a", gamma, J_FRAME)  # alpha_a = (1/2) gamma_m J^m_a
+def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extract (alpha, beta) from frame components of delta W+, shape (P, 4, 4, 4),
+    and report the completeness residual |delta W+ - A(alpha) - B(beta)|, at
+    each point.
+
+    The pairing with Omega runs one point at a time: delta W+ comes strided
+    out of `tensorops.frame_components`, and on such an operand einsum sums
+    a point's 16 terms in another order when it has a point axis. The rest
+    runs on the point axis."""
+    gamma = np.stack([_pair_with_form(t3_f, OMEGA_F) for t3_f in dwp_frame])
+    alpha = 0.5 * np.einsum("...m,ma->...a", gamma, J_FRAME)  # alpha_a = (1/2) gamma_m J^m_a
     a_part = reconstruct_v_plus(alpha)
     rem = dwp_frame - a_part
     gamma2 = _pair_with_form(rem, PHI_F)
-    beta = 0.5 * np.einsum("m,ma->a", gamma2, J_FRAME)
+    beta = 0.5 * np.einsum("...m,ma->...a", gamma2, J_FRAME)
     b_part = reconstruct_v_minus(beta)
-    completeness = float(np.abs(dwp_frame - a_part - b_part).max())
+    completeness = np.abs(dwp_frame - a_part - b_part).max(axis=(-3, -2, -1))
     return alpha, beta, completeness
 
 
@@ -176,7 +183,8 @@ def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.nda
     d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0, True).value, frame)
     d_omega = tensorops.frame_components(np.stack([cd.conn.nabla_omega.value for cd in cds]), frame)
     # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in;
-    # einsum per point, whose sums a batch shape could reorder
+    # einsum per point: S vanishes on every catalog point where the closed
+    # forms apply, so no output shows whether a batched einsum keeps its bits
     s_tensor = np.stack([np.einsum("mnj,min->ij", x, y) for x, y in zip(d_rho0, d_omega)])
 
     b_ak = -hess_inv / 3.0 + hess_anti / 6.0 - (lap_s / 12.0) * np.eye(4) - (s_val / 6.0) * ric0_f + s_tensor
@@ -184,7 +192,8 @@ def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.nda
     rough = -riemann.divergence(batch.g_inv, gamma, batch.terms, riemann.covd(gamma, batch.ric0, True), 0, True)
     lap_ric0 = tensorops.frame_components(rough.value, frame)
     w_f = tensorops.frame_components(batch.weyl.value, frame)
-    w_ring = -np.stack([np.einsum("xaby,ab->xy", w, r) for w, r in zip(w_f, ric0_f)])
+    # on the point axis: it keeps each point's bits (product-surfaces shows W(Ric0) != 0)
+    w_ring = -np.einsum("pxaby,pab->pxy", w_f, ric0_f)
     b_ricci = 0.5 * lap_ric0 + (lap_s / 24.0) * np.eye(4) + hess_f / 6.0 + (s_val / 6.0) * ric0_f - w_ring
     return b_ak, b_ricci
 
@@ -278,8 +287,8 @@ def second_order_report(
     cds: Sequence[CurvatureData], hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompReport], weitzenboeck_seed: int
 ) -> list[SecondOrderReport]:
     """Compute every second-order quantity and the full residual table at each
-    point of a batch: the jets on the batch's point axis, the frame values
-    after them per point."""
+    point of a batch, all on the batch's point axis: each residual is one
+    column, formed once for the batch."""
     if cds[0].sp.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
     batch = riemann.batch_of(cds)
@@ -303,9 +312,6 @@ def second_order_report(
     bd = bach_direct(cds)
     bp, bm = bach_gauduchon(cds)
 
-    wz_omega = weitzenboeck_check(cds).tolist()
-    wz_random = weitzenboeck_check(cds, random_polynomial_2form([cd.sp for cd in cds], weitzenboeck_seed)).tolist()
-
     # the hypotheses of the closed forms, as the registry's `almost_kahler` and
     # `j_invariant_ricci` test them; the JSON report names the one that fails
     skip_reasons = []
@@ -316,32 +322,44 @@ def second_order_report(
             skip_reasons.append(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm:.3e}")
         else:
             skip_reasons.append(None)
-    # the closed forms run on the whole batch where any point satisfies their hypotheses
-    bach_ak, bach_ricci = bach_almost_kahler(cds) if None in skip_reasons else (None, None)
 
+    def max_abs(x: np.ndarray) -> list[float]:
+        return np.abs(x).max(axis=tuple(range(1, x.ndim))).tolist()
+
+    alpha, beta, completeness = split_delta_wplus(dwp_f)
+    ric0_f = batch.ric0_frame
+    alpha_pred = -ds_f / 12.0 + (0.5 * ric0_f @ theta_f[:, :, None])[:, :, 0]
+    beta_pred = (-0.25 * ric0_f @ (a_f + _j_form(b_f))[:, :, None])[:, :, 0]
+    columns = {
+        "delta W = C": _max_abs(dw_f - c_f),
+        "delta W+ = C+": _max_abs(dwp_f - c_plus_f),
+        "V+ + V- completeness": completeness.tolist(),
+        "alpha formula": _max_abs(alpha - alpha_pred),
+        "beta formula": _max_abs(beta - beta_pred),
+        "bach symmetric": _max_abs(bd - np.swapaxes(bd, 1, 2)),
+        "bach traceless": np.abs(np.trace(bd, axis1=1, axis2=2)).tolist(),
+        "bach direct vs plus": _max_abs(bd - bp),
+        "bach direct vs minus": _max_abs(bd - bm),
+        "weitzenboeck omega": weitzenboeck_check(cds).tolist(),
+        "weitzenboeck random": weitzenboeck_check(cds, random_polynomial_2form([cd.sp for cd in cds], weitzenboeck_seed)).tolist(),
+        "beta norm": _max_abs(beta),
+        "alpha norm": _max_abs(alpha),
+    }
+    # the closed forms run on the whole batch where any point satisfies their
+    # hypotheses, and are reported at those points only
+    closed = {}
+    if None in skip_reasons:
+        bach_ak, bach_ricci = bach_almost_kahler(cds)
+        closed = {"bach direct vs almost-kahler form": _max_abs(bd - bach_ak), "bach direct vs ricci form": _max_abs(bd - bach_ricci)}
     reports = []
     for k, skip_reason in enumerate(skip_reasons):
-        alpha, beta, completeness = split_delta_wplus(dwp_f[k])
-        ric0_f = batch.ric0_frame[k]
-        alpha_pred = -ds_f[k] / 12.0 + 0.5 * ric0_f @ theta_f[k]
-        beta_pred = -0.25 * ric0_f @ (a_f[k] + _j_form(b_f[k]))
-        residuals = {
-            "delta W = C": float(np.abs(dw_f[k] - c_f[k]).max()),
-            "delta W+ = C+": float(np.abs(dwp_f[k] - c_plus_f[k]).max()),
-            "V+ + V- completeness": completeness,
-            "alpha formula": float(np.abs(alpha - alpha_pred).max()),
-            "beta formula": float(np.abs(beta - beta_pred).max()),
-            "bach symmetric": float(np.abs(bd[k] - bd[k].T).max()),
-            "bach traceless": float(abs(np.trace(bd[k]))),
-            "bach direct vs plus": float(np.abs(bd[k] - bp[k]).max()),
-            "bach direct vs minus": float(np.abs(bd[k] - bm[k]).max()),
-            "weitzenboeck omega": wz_omega[k],
-            "weitzenboeck random": wz_random[k],
-            "beta norm": float(np.abs(beta).max()),
-            "alpha norm": float(np.abs(alpha).max()),
-        }
+        residuals = {name: column[k] for name, column in columns.items()}
         if skip_reason is None:
-            residuals["bach direct vs almost-kahler form"] = float(np.abs(bd[k] - bach_ak[k]).max())
-            residuals["bach direct vs ricci form"] = float(np.abs(bd[k] - bach_ricci[k]).max())
+            residuals.update({name: column[k] for name, column in closed.items()})
         reports.append(SecondOrderReport(bach_ak_skip_reason=skip_reason, residuals=residuals))
     return reports
+
+
+def _max_abs(x: np.ndarray) -> list[float]:
+    """The largest |entry| of each point's block of x."""
+    return np.abs(x).max(axis=tuple(range(1, x.ndim))).tolist()

@@ -22,9 +22,8 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +69,12 @@ class PointAnalysis:
     `point_analyses`: the analysis of point `index` reads its structure from
     `batch.sps`, and the plane count and seed from `batch.planes` and
     `batch.seed`. Connection, curvature, first-order data, decomposition,
-    the verdict ladder and the second-order report run once for the whole
-    batch, on a leading point axis, on the first read at any of its points:
-    at these sizes a stage's cost is mostly Python overhead per call, which
-    a batch pays once. The Lagrangian plane statistics run per point, on
-    views of the batched records.
+    the verdict ladder, the Lagrangian plane statistics and the W+ spectrum
+    (`gr`) and the second-order report run once for the whole batch, on a
+    leading point axis, on the first read at any of its points: at these
+    sizes a stage's cost is mostly Python overhead per call, which a batch
+    pays once. The registry rows read the batch as columns, one value per
+    point (`Identity`).
     """
 
     def __init__(self, batch: jets.Batch, index: int):
@@ -102,9 +102,9 @@ class PointAnalysis:
     def ladder(batch: jets.Batch) -> list[gray.GrayLadder]:
         return gray.classify(batch.cd, batch.dr, batch.hfo)
 
-    @cached_property
-    def gr(self) -> gray.GrayReport:
-        return gray.gray_report(self.cd, self.dr, n_planes=self.batch.planes, seed=self.batch.seed)
+    @jets.per_batch
+    def gr(batch: jets.Batch) -> list[gray.GrayReport]:
+        return gray.gray_report(batch.cd, batch.dr, n_planes=batch.planes, seed=batch.seed)
 
     @jets.per_batch
     def sor(batch: jets.Batch) -> list[bianchi_bach.SecondOrderReport | None]:
@@ -184,51 +184,55 @@ def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
 # -- the identity registry ---------------------------------------------------------
 
 
-# Hypotheses: each predicate bounds a value a pipeline stage computes. They are
-# bounds on the geometry, not residual tolerances, so --tol-scale leaves them be.
+# Hypotheses: each predicate bounds a value a pipeline stage computes, at each
+# point of a batch of analyses. They are bounds on the geometry, not residual
+# tolerances, so --tol-scale leaves them be.
 
 
-def almost_kahler(pa: PointAnalysis) -> bool:
+def almost_kahler(batch: jets.Batch) -> list[bool]:
     """d Omega = 0."""
-    return pa.hfo.is_almost_kahler
+    return [hfo.is_almost_kahler for hfo in batch.hfo]
 
 
-def j_invariant_ricci(pa: PointAnalysis) -> bool:
+def j_invariant_ricci(batch: jets.Batch) -> list[bool]:
     """Ric^anti = 0."""
-    return pa.dr.is_j_invariant_ricci
+    return [dr.is_j_invariant_ricci for dr in batch.dr]
 
 
-def second_gray(pa: PointAnalysis) -> bool:
+def second_gray(batch: jets.Batch) -> list[bool]:
     """The second Gray condition holds, at the verdict ladder's bound."""
-    return pa.ladder.g2 < gray.DEFAULT_VERDICT_TOL
+    return [ladder.g2 < gray.DEFAULT_VERDICT_TOL for ladder in batch.ladder]
 
 
-def kahler_nullity(pa: PointAnalysis) -> bool:
+def kahler_nullity(batch: jets.Batch) -> list[bool]:
     """a != 0, so the Kahler nullity, the complement of span{a, Ja}, is defined."""
-    a_f = tensorops.frame_components(pa.hfo.a.value, pa.sp.frame)
-    return bool(a_f @ a_f > 1e-10)
+    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in batch.hfo]), np.stack([sp.frame for sp in batch.sps]))
+    return (np.einsum("pi,pi->p", a_f, a_f) > 1e-10).tolist()
 
 
-def lemma6_triple(pa: PointAnalysis) -> bool:
+def lemma6_triple(batch: jets.Batch) -> list[bool]:
     """Ric^anti = 0, W3+ = 0 and W- = 0."""
-    return gray.lemma6_triple(pa.dr) < gray.DEFAULT_VERDICT_TOL
+    return (gray.lemma6_triple(batch.dr) < gray.DEFAULT_VERDICT_TOL).tolist()
 
 
 @dataclass(frozen=True)
 class Identity:
     """One identity of the report and of `ak4 check`.
 
-    `residual(pa)` is evaluated only at points where every predicate in
-    `assumes` holds. `group` is the `check` name the identity answers to
-    (its own name by default); `check <group>` takes the max over the group.
-    Identities with `report=False` run only under `check`.
+    `residual(batch)` gives one residual per point of a batch of analyses
+    (`point_analyses`), and each predicate in `assumes` one bool per point;
+    the residual is read only at points where every predicate holds, and
+    evaluated only for a batch with such a point. `group` is the `check`
+    name the identity answers to (its own name by default); `check <group>`
+    takes the max over the group. Identities with `report=False` run only
+    under `check`.
     """
 
     name: str
     tol: float  # ladder tier, before --tol-scale
     order: int  # lowest jet order that supports the identity
-    residual: Callable[[PointAnalysis], float]
-    assumes: tuple[Callable[[PointAnalysis], bool], ...] = ()
+    residual: Callable[[jets.Batch], Sequence[float]]
+    assumes: tuple[Callable[[jets.Batch], Sequence[bool]], ...] = ()
     group: str | None = None
     report: bool = True
 
@@ -236,33 +240,51 @@ class Identity:
         if self.group is None:
             object.__setattr__(self, "group", self.name)
 
-    def applies(self, pa: PointAnalysis) -> bool:
-        return all(holds(pa) for holds in self.assumes)
+    def applies(self, batch: jets.Batch) -> list[bool]:
+        """Whether every predicate in `assumes` holds, at each point of the batch."""
+        holds = [True] * len(batch.sps)
+        for predicate in self.assumes:
+            holds = [h and p for h, p in zip(holds, predicate(batch))]
+        return holds
+
+
+def _each(stage: str, name: str):
+    """A residual read off each point's record of `stage`, a value of its batch."""
+    return lambda batch: [getattr(record, name) for record in getattr(batch, stage)]
 
 
 def _second_order(key: str):
-    """A residual of the second-order report."""
-    return lambda pa: pa.sor.residuals[key]
+    """A residual of the second-order report; None where a point's report has
+    none (the closed Bach forms where their hypotheses fail)."""
+    return lambda batch: [sor.residuals.get(key) for sor in batch.sor]
 
 
-def _lemma5(pa: PointAnalysis) -> float:
-    g2, triple = pa.ladder.g2, gray.lemma5_triple(pa.dr)
-    # equivalence at chart level: both small or both clearly nonzero
-    if g2 < 1e-10:
-        return triple
-    if triple < 1e-10:
-        return g2
-    return 0.0
+def _s_star(batch: jets.Batch) -> list[float]:
+    return [abs(dr.s_star - dr.s - 0.5 * hfo.nabla_j_sq) for dr, hfo in zip(batch.dr, batch.hfo)]
 
 
-def _gamma0_antisymmetry(pa: PointAnalysis) -> float:
-    gamma0 = gray.canonical_ricci_form(pa.dr, pa.hfo)
-    return float(np.abs(gamma0 + gamma0.T).max())
+def _lemma5(batch: jets.Batch) -> list[float]:
+    rows = []
+    for ladder, triple in zip(batch.ladder, gray.lemma5_triple(batch.dr).tolist()):
+        # equivalence at chart level: both small or both clearly nonzero
+        rows.append(triple if ladder.g2 < 1e-10 else ladder.g2 if triple < 1e-10 else 0.0)
+    return rows
 
 
-def _weitzenboeck(pa: PointAnalysis) -> float:
+def _gamma0_antisymmetry(batch: jets.Batch) -> list[float]:
+    """Per point: the canonical Ricci form's einsums on one point's frame values."""
+    gammas = [gray.canonical_ricci_form(dr, hfo) for dr, hfo in zip(batch.dr, batch.hfo)]
+    return [float(np.abs(gamma0 + gamma0.T).max()) for gamma0 in gammas]
+
+
+def _nabla2_omega_shape(batch: jets.Batch) -> list[float]:
+    """Per point: the shape identity's jets are formed at one point at a time."""
+    return [gray.nabla2_omega_shape_residual(hfo) for hfo in batch.hfo]
+
+
+def _weitzenboeck(batch: jets.Batch) -> list[float]:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
-    return max(pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
+    return [max(sor.residuals["weitzenboeck omega"], sor.residuals["weitzenboeck random"]) for sor in batch.sor]
 
 
 def _mu_formula_gap(gr: gray.GrayReport) -> float:
@@ -271,20 +293,20 @@ def _mu_formula_gap(gr: gray.GrayReport) -> float:
 
 #: Every identity, in report row order.
 IDENTITIES = (
-    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda pa: max(pa.sp.invariant_residuals.values())),
-    Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, lambda pa: pa.dr.recon_residual),
-    Identity("u2-reassembly", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.u2_residual),
-    Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.orthogonality_residual),
-    Identity("kappa", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.kappa_identity_residual),
-    Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, lambda pa: pa.dr.star_skew_residual),
-    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda pa: riemann.ricci_identity_check(pa.cd)),
-    Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.identity_residual),
-    Identity("s-star", TOL_FIRST_ORDER, 2, lambda pa: abs(pa.dr.s_star - pa.dr.s - 0.5 * pa.hfo.nabla_j_sq), (almost_kahler,)),
-    Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.b_plus_ja_norm, (almost_kahler,)),
-    Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, lambda pa: pa.hfo.theta_norm, (almost_kahler,)),
-    Identity("prop1", TOL_FIRST_ORDER, 3, lambda pa: gray.prop1_check(pa.cd, pa.dr, pa.hfo), (second_gray,)),
-    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, lambda pa: pa.gr.mu_max - pa.gr.mu_min, (lemma6_triple,), group="lemma6"),
-    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, lambda pa: _mu_formula_gap(pa.gr), (lemma6_triple,), group="lemma6"),
+    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda batch: [max(sp.invariant_residuals.values()) for sp in batch.sps]),
+    Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, _each("dr", "recon_residual")),
+    Identity("u2-reassembly", TOL_ALGEBRAIC, 2, _each("dr", "u2_residual")),
+    Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, _each("dr", "orthogonality_residual")),
+    Identity("kappa", TOL_ALGEBRAIC, 2, _each("dr", "kappa_identity_residual")),
+    Identity("star-skew-vs-psi", TOL_ALGEBRAIC, 2, _each("dr", "star_skew_residual")),
+    Identity("ric-id", TOL_FIRST_ORDER, 2, lambda batch: riemann.ricci_identity_check(batch.cd)),
+    Identity("nabla-j-identity", TOL_FIRST_ORDER, 2, _each("hfo", "identity_residual")),
+    Identity("s-star", TOL_FIRST_ORDER, 2, _s_star, (almost_kahler,)),
+    Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, _each("hfo", "b_plus_ja_norm"), (almost_kahler,)),
+    Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, _each("hfo", "theta_norm"), (almost_kahler,)),
+    Identity("prop1", TOL_FIRST_ORDER, 3, lambda batch: gray.prop1_check(batch.cd, batch.dr, batch.hfo), (second_gray,)),
+    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, lambda batch: [gr.mu_max - gr.mu_min for gr in batch.gr], (lemma6_triple,), group="lemma6"),
+    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, lambda batch: [_mu_formula_gap(gr) for gr in batch.gr], (lemma6_triple,), group="lemma6"),
     Identity("bianchi", TOL_THIRD_ORDER, 4, _second_order("delta W = C")),
     Identity("bianchi-half", TOL_THIRD_ORDER, 4, _second_order("delta W+ = C+")),
     Identity("v-split-completeness", TOL_THIRD_ORDER, 4, _second_order("V+ + V- completeness")),
@@ -312,8 +334,8 @@ IDENTITIES = (
         group="bach-3way",
     ),
     Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
-    Identity("prop2i", TOL_FIRST_ORDER, 2, lambda pa: gray.prop2i_residual(pa.hfo, pa.dr), (second_gray, kahler_nullity), report=False),
-    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, lambda pa: gray.nabla2_omega_shape_residual(pa.hfo), (almost_kahler,), report=False),
+    Identity("prop2i", TOL_FIRST_ORDER, 2, lambda batch: gray.prop2i_residual(batch.hfo, batch.dr), (second_gray, kahler_nullity), report=False),
+    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, _nabla2_omega_shape, (almost_kahler,), report=False),
     Identity("gamma0-antisymmetry", TOL_ALGEBRAIC, 2, _gamma0_antisymmetry, report=False),
 )
 
@@ -333,15 +355,27 @@ def _select(names, identities: tuple[Identity, ...]) -> tuple[Identity, ...]:
     return tuple(i for i in identities if i.name in names or i.group in names)
 
 
-def _identity_rows(pa: PointAnalysis, tol_scale: float, identities: tuple[Identity, ...] = REPORTED) -> list[dict]:
-    """Per-point identity table: name, residual, tolerance, pass."""
-    rows = []
+def _columns(batch: jets.Batch, identities: tuple[Identity, ...]) -> list[tuple[Identity, list[bool], Sequence[float]]]:
+    """(identity, applies, residuals) for each identity that some point of the
+    batch satisfies: each residual column is formed once, for the whole batch."""
+    columns = []
     for ident in identities:
-        if ident.order <= pa.order and ident.applies(pa):
-            residual = ident.residual(pa)
-            tol = ident.tol * tol_scale
-            rows.append({"name": ident.name, "residual": residual, "tol": tol, "pass": bool(np.isfinite(residual) and residual <= tol)})
-    return rows
+        if ident.order <= batch.sps[0].order:
+            applies = ident.applies(batch)
+            if any(applies):
+                columns.append((ident, applies, ident.residual(batch)))
+    return columns
+
+
+def _identity_rows(batch: jets.Batch, tol_scale: float, identities: tuple[Identity, ...] = REPORTED) -> list[list[dict]]:
+    """The identity table of each point of a batch: name, residual, tolerance, pass."""
+    tables: list[list[dict]] = [[] for _ in batch.sps]
+    for ident, applies, residuals in _columns(batch, identities):
+        tol = ident.tol * tol_scale
+        for table, holds, residual in zip(tables, applies, residuals):
+            if holds:
+                table.append({"name": ident.name, "residual": residual, "tol": tol, "pass": bool(math.isfinite(residual) and residual <= tol)})
+    return tables
 
 
 def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
@@ -360,7 +394,7 @@ def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
             "mu_max": gr.mu_max,
             "psi": list(dr.psi),
         },
-        "block_norms": dr.block_norms(),
+        "block_norms": dr.block_norms,
         "gray": {"g1": ladder.g1, "g2": ladder.g2, "g3": ladder.g3},
         "wplus_eigenvalues": list(gr.wplus_eigenvalues),
         "identities": rows,
@@ -392,8 +426,11 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     point_docs = []
     worst: dict[str, dict] = {}
     verdicts = []
+    batch = None
     for idx, (_, pa) in enumerate(_analyses([spec], config, config.order)):
-        rows = _identity_rows(pa, config.tol_scale, identities)
+        if pa.batch is not batch:  # the first point of a batch: the batch's tables
+            batch, tables = pa.batch, _identity_rows(pa.batch, config.tol_scale, identities)
+        rows = tables[pa.index]
         for r in rows:
             w = worst.setdefault(r["name"], {"residual": -1.0, "tol": r["tol"], "pass": True})
             if _rank(r["residual"]) > _rank(w["residual"]):
@@ -451,29 +488,52 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+#: The values json writes as scalars (a bool is an int, np.float64 a float).
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.cache
+def _scalar_encoder(inner: str, key_separator: str = ": "):
+    """json's C encoder for containers of scalars whose items go at the indent
+    `inner`: it separates them with "," + `inner` and sorts the keys. The C
+    encoder takes no indent, so the caller writes the first and last breaks.
+    Every value it is given is a scalar or such a container, so it never
+    calls a `default`."""
+    return json.encoder.c_make_encoder(None, None, _JSON_STR, None, key_separator, "," + inner, True, False, True)
+
+
+def _is_scalar_dict(o) -> bool:
+    """Whether `o` is a non-empty dict of scalars."""
+    return isinstance(o, dict) and bool(o) and all(isinstance(value, _SCALARS) for value in o.values())
+
+
 def _write_json(o, nl: str, out: list[str]) -> None:
     """Append the JSON text of `o` to `out`; `nl` is the newline and indent of its level.
 
-    The types are tested in the order `json` tests them, so a bool is never
-    written as an int and a float subclass such as np.float64 as a float.
+    Containers are tested first: no type is both a container and a scalar.
+    The scalar types are tested in the order `json` tests them, so a bool is
+    never written as an int and a float subclass such as np.float64 as a
+    float. A non-empty list or dict of scalars, and a list or dict of
+    non-empty dicts of scalars, go through json's C encoder.
     """
-    if isinstance(o, str):
-        out.append(_JSON_STR(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    elif isinstance(o, (list, tuple)):
+    if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
+        if all(isinstance(item, _SCALARS) for item in o):
+            out.append("[" + inner + _scalar_encoder(inner)(o, 0)[0][1:-1] + nl + "]")
+            return
+        if all(_is_scalar_dict(item) for item in o):
+            # One call for all the dicts, which separates their items and the
+            # list's alike. A raw newline comes only from a separator (strings
+            # are escaped), and only the list's is between "}" and "{" (no
+            # scalar ends with "}", no key starts with "{"): that one is
+            # rewritten to the list's indent.
+            item = inner + "  "
+            body = _scalar_encoder(item)(o, 0)[0][2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
+            out.append("[" + inner + "{" + item + body + inner + "}" + nl + "]")
+            return
         sep = "[" + inner
         for item in o:
             out.append(sep)
@@ -485,12 +545,36 @@ def _write_json(o, nl: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = nl + "  "
+        if all(isinstance(value, _SCALARS) for value in o.values()):
+            out.append("{" + inner + _scalar_encoder(inner)(o, 0)[0][1:-1] + nl + "}")
+            return
+        if all(_is_scalar_dict(value) for value in o.values()):
+            # One call for all the dicts, as for a list of them, with a NUL
+            # (escaped in strings) marking every key separator: the one before
+            # "{" opens an inner dict, and the outer separator is the one
+            # between "}" and '"'.
+            item = inner + "  "
+            body = _scalar_encoder(item, ":\0")(o, 0)[0][1:-2].replace("}," + item + '"', inner + "}," + inner + '"')
+            out.append("{" + inner + body.replace(":\0{", ": {" + item).replace("\0", " ") + inner + "}" + nl + "}")
+            return
         sep = "{" + inner
         for key, value in sorted(o.items()):
             out.append(sep + _JSON_STR(_json_key(key)) + ": ")
             _write_json(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif isinstance(o, str):
+        out.append(_JSON_STR(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -517,6 +601,7 @@ def write_json(doc: dict, path: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+        tmp = None  # renamed: nothing is left to remove
     except OSError as exc:
         raise AK4Error(f"cannot write the JSON report to {path}: {exc.strerror or exc}") from exc
     finally:
@@ -536,9 +621,11 @@ def _charts_for(config: RunConfig) -> list[charts.ChartSpec]:
 def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> list[dict]:
     """Max residual of the applicable identities at each chart point; None where none applies."""
     order = max(config.order, max(i.order for i in identities))
-    rows = []
+    rows, batch = [], None
     for spec, pa in _analyses(_charts_for(config), config, order):
-        values = [i.residual(pa) for i in identities if i.applies(pa)]
+        if pa.batch is not batch:  # the first point of a batch: the batch's columns
+            batch, columns = pa.batch, _columns(pa.batch, identities)
+        values = [residuals[pa.index] for _, applies, residuals in columns if applies[pa.index]]
         rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values, key=_rank)) if values else None})
     return rows
 

@@ -14,18 +14,17 @@ corresponding (0,4) tensor.
 
 `decompose` computes the SO(4) split, Ric0 and Ric^anti, which every command
 reads, once per batch of points on a leading point axis, and returns one
-record per point (see `riemann`). The U(2) blocks (kappa, Psi) and star-Ricci (s*) are
+record per point (see `riemann`). The U(2) blocks (kappa, Psi), star-Ricci
+(s*), the residuals that only report rows read and the block norms are
 computed for the whole batch on the first read at any point, so
-`ak4 classify`, which reads only the split, computes none of them. The
-residuals of `DecompReport`, which only report rows read, are computed per
-point on first read.
+`ak4 classify`, which reads only the split, computes none of them. R(Omega)
+in s* is the one step that runs point by point (see `star_ricci`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +36,9 @@ from .riemann import CurvatureData
 J_INVARIANT_RICCI_TOL = 1e-8
 
 
-def _entry(group: str, key):
-    """A read-only attribute: entry `key` of the attribute `group`."""
-    return property(lambda self: getattr(self, group)[key])
-
-
-def _per_point(blocks: dict[str, np.ndarray], n: int) -> list[dict[str, np.ndarray]]:
-    """A dict of (n, ...) arrays as one dict of views per point."""
-    return [{key: value[k] for key, value in blocks.items()} for k in range(n)]
+def _column(group: str, key):
+    """A read-only attribute: the point's entry of column `key` of the batch's `group`."""
+    return property(lambda self: getattr(self.batch, group)[key][self.index])
 
 
 @dataclass
@@ -57,82 +51,85 @@ class DecompReport:
     ric0: np.ndarray  # frame components, 4x4
     ric0_anti: np.ndarray
     ric_anti_norm: float
-    batch: jets.Batch = field(repr=False)  # wplus (stacked), r_frames
+    # operator, parts, s, ric0, ric0_anti (stacked), r_frames
+    batch: jets.Batch = field(repr=False)
     index: int
 
     @property
     def is_j_invariant_ricci(self) -> bool:
         return self.ric_anti_norm < J_INVARIANT_RICCI_TOL
 
-    wplus = _entry("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
-    wminus = _entry("parts", "wminus")
+    wplus = _column("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
+    wminus = _column("parts", "wminus")
+
+    # `_u2` and `_star` give whole-batch columns, which only `_column` reads
 
     @jets.per_batch
-    def _u2(batch: jets.Batch) -> list[dict[str, np.ndarray]]:
+    def _u2(batch: jets.Batch) -> dict[str, np.ndarray]:
         """The U(2) blocks of W+, formed for the whole batch."""
-        return _per_point(algebra.u2_blocks(batch.wplus), len(batch.wplus))
+        return algebra.u2_blocks(batch.parts["wplus"])
 
-    w1 = _entry("_u2", "w1")
-    w2 = _entry("_u2", "w2")
-    w3 = _entry("_u2", "w3")
-    psi = _entry("_u2", "psi")  # components of Psi along (phi, J phi)
-
-    @cached_property
-    def kappa(self) -> float:
-        return float(self._u2["kappa"])
+    w1 = _column("_u2", "w1")
+    w2 = _column("_u2", "w2")
+    w3 = _column("_u2", "w3")
+    psi = _column("_u2", "psi")  # components of Psi along (phi, J phi)
 
     @jets.per_batch
-    def _star(batch: jets.Batch) -> list[tuple[np.ndarray, float, float]]:
+    def kappa(batch: jets.Batch) -> list[float]:
+        return batch._u2["kappa"].tolist()
+
+    @jets.per_batch
+    def _star(batch: jets.Batch) -> tuple[np.ndarray, list[float], list[float]]:
         """Star-Ricci, s* and the skew residual, formed for the whole batch."""
-        ric_star, s_star, residual = star_ricci(batch.r_frames, np.stack([u2["psi"] for u2 in batch._u2]))
-        return list(zip(ric_star, s_star.tolist(), residual.tolist()))
+        ric_star, s_star, residual = star_ricci(batch.r_frames, batch._u2["psi"])
+        return ric_star, s_star.tolist(), residual.tolist()
 
-    ric_star = _entry("_star", 0)  # 4x4, not assumed symmetric
-    s_star = _entry("_star", 1)
-    star_skew_residual = _entry("_star", 2)  # skew(Ric*) vs -(1/2) J Psi
+    ric_star = _column("_star", 0)  # 4x4, not assumed symmetric
+    s_star = _column("_star", 1)
+    star_skew_residual = _column("_star", 2)  # skew(Ric*) vs -(1/2) J Psi
 
-    @cached_property
-    def recon_residual(self) -> float:
-        return float(np.abs(self.cd.operator - algebra.join_operator(self.parts)).max())
+    @jets.per_batch
+    def recon_residual(batch: jets.Batch) -> list[float]:
+        return np.abs(batch.operator - algebra.join_operator(batch.parts)).max(axis=(1, 2)).tolist()
 
-    @cached_property
-    def u2_residual(self) -> float:
-        return float(np.abs(self.wplus - (self.w1 + self.w2 + self.w3)).max())
+    @jets.per_batch
+    def u2_residual(batch: jets.Batch) -> list[float]:
+        u2 = batch._u2
+        return np.abs(batch.parts["wplus"] - (u2["w1"] + u2["w2"] + u2["w3"])).max(axis=(1, 2)).tolist()
 
-    @cached_property
-    def orthogonality_residual(self) -> float:
-        # Mutual orthogonality of the seven summands as operators.
-        summands = [float(self.parts["s"]) / 12.0 * np.eye(6)]
-        for h in (algebra.j_invariant_part(self.ric0), self.ric0_anti):
-            summands.append(algebra.operator_matrix(0.5 * algebra.kn_delta(h)))
-        for blk in (self.w1, self.w2, self.w3):
-            emb = np.zeros((6, 6))
-            emb[:3, :3] = blk
-            summands.append(emb)
-        emb = np.zeros((6, 6))
-        emb[3:, 3:] = self.wminus
-        summands.append(emb)
-        ortho = 0.0
-        for i in range(len(summands)):
-            for j in range(i + 1, len(summands)):
-                ortho = max(ortho, abs(float(np.sum(summands[i] * summands[j]))))
-        return ortho
+    @jets.per_batch
+    def orthogonality_residual(batch: jets.Batch) -> list[float]:
+        """Mutual orthogonality of the seven summands as operators."""
+        parts, u2 = batch.parts, batch._u2
+        summands = np.zeros((7, len(batch.s), 6, 6))
+        summands[0] = (parts["s"] / 12.0)[:, None, None] * np.eye(6)
+        # the J-invariant and anti-invariant Ricci parts, lifted in one call
+        ric0_parts = np.stack([algebra.j_invariant_part(batch.ric0), batch.ric0_anti])
+        summands[1:3] = algebra.operator_matrix(0.5 * algebra.kn_delta(ric0_parts))
+        for k, name in enumerate(("w1", "w2", "w3")):
+            summands[3 + k, :, :3, :3] = u2[name]
+        summands[6, :, 3:, 3:] = parts["wminus"]
+        first, second = np.triu_indices(7, 1)
+        pairs = np.sum(summands[first] * summands[second], axis=(2, 3))
+        return np.fmax.reduce(np.abs(pairs), axis=0, initial=0.0).tolist()
 
-    @cached_property
-    def kappa_identity_residual(self) -> float:  # kappa - (3 s* - s)/2
-        return float(abs(self.kappa - 0.5 * (3.0 * self.s_star - self.s)))
+    @jets.per_batch
+    def kappa_identity_residual(batch: jets.Batch) -> list[float]:  # kappa - (3 s* - s)/2
+        return np.abs(batch._u2["kappa"] - 0.5 * (3.0 * np.array(batch._star[1]) - batch.s)).tolist()
 
-    def block_norms(self) -> dict[str, float]:
-        f = algebra.frobenius
-        return {
-            "ric0": float(f(self.ric0)),
-            "ric0_anti": float(f(self.ric0_anti)),
-            "wplus": float(f(self.wplus)),
-            "wminus": float(f(self.wminus)),
-            "w1": float(f(self.w1)),
-            "w2": float(f(self.w2)),
-            "w3": float(f(self.w3)),
+    @jets.per_batch
+    def block_norms(batch: jets.Batch) -> list[dict[str, float]]:
+        f, parts, u2 = algebra.frobenius, batch.parts, batch._u2
+        norms = {
+            "ric0": f(batch.ric0),
+            "ric0_anti": f(batch.ric0_anti),
+            "wplus": f(parts["wplus"]),
+            "wminus": f(parts["wminus"]),
+            "w1": f(u2["w1"]),
+            "w2": f(u2["w2"]),
+            "w3": f(u2["w3"]),
         }
+        return [dict(zip(norms, point)) for point in zip(*(v.tolist() for v in norms.values()))]
 
 
 def star_ricci(r_frames: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,10 +157,13 @@ def decompose(cds: Sequence[CurvatureData]) -> list[DecompReport]:
     formed once over all the points; one record per point."""
     ric0 = np.stack([cd.ric0_frame for cd in cds])
     ric0_anti = algebra.j_anti_part(ric0)
-    parts = algebra.split_operator(np.stack([cd.operator for cd in cds]))
+    operator = np.stack([cd.operator for cd in cds])
+    parts = algebra.split_operator(operator)
+    s = np.array([cd.s_value for cd in cds])
     ric_anti_norm = algebra.frobenius(ric0_anti).tolist()
-    batch = jets.Batch(DecompReport, wplus=parts["wplus"], r_frames=[cd.R_frame for cd in cds])
+    batch = jets.Batch(DecompReport, operator=operator, parts=parts, s=s, ric0=ric0, ric0_anti=ric0_anti, r_frames=[cd.R_frame for cd in cds])
+    point_parts = [{key: value[k] for key, value in parts.items()} for k in range(len(cds))]
     return [
-        DecompReport(cd, point_parts, cd.s_value, ric0[k], ric0_anti[k], ric_anti_norm[k], batch, k)
-        for k, (cd, point_parts) in enumerate(zip(cds, _per_point(parts, len(cds))))
+        DecompReport(cd, point_parts[k], cd.s_value, ric0[k], ric0_anti[k], ric_anti_norm[k], batch, k)
+        for k, cd in enumerate(cds)
     ]

@@ -7,9 +7,10 @@ frame index tuples. The classification ladder turns them into verdicts:
 KAHLER when nabla J vanishes, AK-G1/AK-G2/AK-G3 for almost Kahler
 structures satisfying the corresponding identity, AK for merely almost
 Kahler, ALMOST-HERMITIAN otherwise. `classify` builds that ladder on its own,
-once per batch of points, so `ak4 classify`, which prints only the
-ladder, samples no Lagrangian plane; `gray_report` holds the plane statistics
-and the W+ spectrum that `report` adds, per point.
+so `ak4 classify`, which prints only the ladder, samples no Lagrangian
+plane; `gray_report` holds the plane statistics and the W+ spectrum that
+`report` adds. Both, and `prop1_check`, take the records of a batch of
+points and run once on its point axis, with the bits of a batch of one.
 
 Totally-real (Lagrangian) planes are sampled deterministically: a random
 unit vector X, then a unit Y from the orthogonal complement of
@@ -32,6 +33,8 @@ from .jets import Jet
 from .riemann import CurvatureData, HermitianFirstOrder
 
 DEFAULT_VERDICT_TOL = 1e-7
+#: The verdicts of the class ladder, finest first.
+LADDER = ("KAHLER", "AK-G1", "AK-G2", "AK-G3", "AK", "ALMOST-HERMITIAN")
 #: Fewest Lagrangian planes `totally_real_curvature` samples.
 MIN_PLANES = 16
 
@@ -57,50 +60,59 @@ class GrayReport:
     wplus_eigenvalues: np.ndarray
 
 
-def lemma5_triple(dr: DecompReport) -> float:
-    """The largest of |Ric^anti|, |W2+| and |W3+|: the side of the equivalence
-    (second Gray identity <-> Ric J-invariant, W2+ = 0, W3+ = 0) opposite g2."""
-    return max(dr.ric_anti_norm, float(algebra.frobenius(dr.w2)), float(algebra.frobenius(dr.w3)))
+def lemma5_triple(drs: Sequence[DecompReport]) -> np.ndarray:
+    """The largest of |Ric^anti|, |W2+| and |W3+| at each point: the side of the
+    equivalence (second Gray identity <-> Ric J-invariant, W2+ = 0, W3+ = 0)
+    opposite g2."""
+    ric_anti = np.array([dr.ric_anti_norm for dr in drs])
+    return np.maximum(ric_anti, np.maximum(_frobenius_of(drs, "w2"), _frobenius_of(drs, "w3")))
 
 
-def lemma6_triple(dr: DecompReport) -> float:
-    """The largest of |Ric^anti|, |W3+| and |W-|: Lemma 6 assumes all three vanish."""
-    return max(dr.ric_anti_norm, float(algebra.frobenius(dr.w3)), float(algebra.frobenius(dr.wminus)))
+def lemma6_triple(drs: Sequence[DecompReport]) -> np.ndarray:
+    """The largest of |Ric^anti|, |W3+| and |W-| at each point: Lemma 6 assumes all three vanish."""
+    ric_anti = np.array([dr.ric_anti_norm for dr in drs])
+    return np.maximum(ric_anti, np.maximum(_frobenius_of(drs, "w3"), _frobenius_of(drs, "wminus")))
 
 
-def star_scalar_jet(cd: CurvatureData) -> Jet:
-    """The star-scalar curvature as a first-order jet (trace of -R(Omega)(J., .)).
+def _frobenius_of(drs: Sequence[DecompReport], block: str) -> np.ndarray:
+    return algebra.frobenius(np.stack([getattr(dr, block) for dr in drs]))
+
+
+def star_scalar_jet(cds: Sequence[CurvatureData]) -> Jet:
+    """The star-scalar curvature as a first-order jet (trace of -R(Omega)(J., .)),
+    with a point axis.
 
     First order is all `prop1_check` differentiates, so every input enters
     truncated to it."""
-    sp = cd.sp
-    ginv = sp.g_inv.truncate(1)
-    r_omega = tensorops.form_inner(cd.R.truncate(1), sp.omega.truncate(1), ginv, (2, 3))
-    ric_star = -jets.contract(sp.J.truncate(1), r_omega, 0, 0)  # -J^k_i (R Omega)_kj
-    return jets.contract(ginv, ric_star, (0, 1), (0, 1))
+    sps = [cd.sp for cd in cds]
+    ginv = jets.stack([sp.g_inv.truncate(1) for sp in sps])
+    omega, J = jets.stack([sp.omega.truncate(1) for sp in sps]), jets.stack([sp.J.truncate(1) for sp in sps])
+    r_omega = tensorops.form_inner(jets.stack([cd.R.truncate(1) for cd in cds]), omega, ginv, (2, 3), True)
+    ric_star = -jets.contract(J, r_omega, 0, 0, True)  # -J^k_i (R Omega)_kj
+    return jets.contract(ginv, ric_star, (0, 1), (0, 1), True)
 
 
-def prop1_check(cd: CurvatureData, dr: DecompReport, hfo: HermitianFirstOrder) -> float:
-    """Residual of d(s - s*) - kappa theta = 4 Ric0(theta), which holds under
-    the second Gray condition.
+def prop1_check(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], hfos: Sequence[HermitianFirstOrder]) -> list[float]:
+    """Residual of d(s - s*) - kappa theta = 4 Ric0(theta) at each point, which
+    holds under the second Gray condition.
 
     On almost Kahler points theta = 0, so the residual is |d(s* - s)|, the
     pointwise constancy of |nabla J|^2.
     """
-    sp = cd.sp
-    if sp.order < 3:
+    if cds[0].sp.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
-    s_star = star_scalar_jet(cd)
-    diff = cd.s - s_star
-    d_diff = tensorops.frame_components(jets.partials(diff).value, sp.frame)
-    theta_f = tensorops.frame_components(hfo.theta.value, sp.frame)
-    lhs = d_diff - dr.kappa * theta_f
-    rhs = 4.0 * dr.ric0 @ theta_f
-    return float(np.abs(lhs - rhs).max())
+    frame = np.stack([cd.sp.frame for cd in cds])
+    diff = jets.stack([cd.s for cd in cds]) - star_scalar_jet(cds)
+    d_diff = tensorops.frame_components(jets.partials(diff, True).value, frame)
+    theta_f = tensorops.frame_components(np.stack([hfo.theta.value for hfo in hfos]), frame)
+    lhs = d_diff - np.array([dr.kappa for dr in drs])[:, None] * theta_f
+    rhs = (4.0 * np.stack([dr.ric0 for dr in drs]) @ theta_f[:, :, None])[:, :, 0]
+    return np.abs(lhs - rhs).max(axis=1).tolist()
 
 
-def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, seed: int) -> dict:
-    """Sectional curvature statistics over seeded Lagrangian planes.
+def totally_real_curvature(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], n_planes: int, seed: int) -> dict[str, list[float]]:
+    """Sectional curvature statistics over seeded Lagrangian planes, a list
+    of one value per point for each statistic.
 
     A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
     both X and JX enforces this exactly. When `lemma6_triple` vanishes the
@@ -108,16 +120,35 @@ def totally_real_curvature(cd: CurvatureData, dr: DecompReport, n_planes: int, s
     """
     if n_planes < MIN_PLANES:
         raise ValueError(f"need at least {MIN_PLANES} sample planes")
+    # mu[p, n] = sum_ijkl R_ijkl x_i y_j x_k y_l with the bits that
+    # einsum("ijkl,ni,nj,nk,nl->n") gives at each point: every term is that
+    # product in that operand order, and the terms are added one at a time,
+    # to 0.0 first, in the memory order of R's four slots (np.stack keeps the
+    # layout of the R_frame views), with the planes on the last axis
+    r = np.stack([cd.R_frame for cd in cds])
+    memory = sorted(range(4), key=lambda slot: -r.strides[1 + slot])
+
+    def along(slot: int, v: np.ndarray) -> np.ndarray:
+        """The plane vectors v (4, n_planes) on the terms' axis of `slot`."""
+        shape = [1] * 6
+        shape[1 + memory.index(slot)], shape[5] = 4, n_planes
+        return v.reshape(shape)
+
     x, y = _lagrangian_planes(n_planes, seed)
-    mus = np.einsum("ijkl,ni,nj,nk,nl->n", cd.R_frame, x, y, x, y)
-    mu_formula = (2.0 * dr.s - dr.kappa) / 24.0
-    return {"mu_formula": mu_formula, "mu_min": float(mus.min()), "mu_max": float(mus.max())}
+    terms = r.transpose(0, *(1 + slot for slot in memory))[..., None] * along(0, x)
+    for slot, v in ((1, y), (2, x), (3, y)):
+        terms *= along(slot, v)
+    mus = np.add.reduce(terms.reshape(len(cds), 256, n_planes), axis=1) + 0.0
+    s, kappa = np.array([dr.s for dr in drs]), np.array([dr.kappa for dr in drs])
+    mu_formula = (2.0 * s - kappa) / 24.0
+    return {"mu_formula": mu_formula.tolist(), "mu_min": mus.min(axis=1).tolist(), "mu_max": mus.max(axis=1).tolist()}
 
 
 @functools.lru_cache(maxsize=8)
 def _lagrangian_planes(n_planes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit frame vectors (X, Y) of `n_planes` seeded Lagrangian planes,
-    drawn once per seed and plane count (read-only arrays)."""
+    drawn once per seed and plane count: read-only (4, n_planes) arrays, one
+    plane per column."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A]))
     # one block of draws: plane k takes X from row (k, 0) and Y from row (k, 1)
     draws = rng.standard_normal((n_planes, 2, 4))
@@ -130,6 +161,7 @@ def _lagrangian_planes(n_planes: int, seed: int) -> tuple[np.ndarray, np.ndarray
             y[k] = _lagrangian_part(rng.standard_normal((1, 4)), x[k : k + 1], jx[k : k + 1])[0]
             norm[k] = np.linalg.norm(y[k])
     y /= norm[:, None]
+    x, y = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
     x.flags.writeable = y.flags.writeable = False
     return x, y
 
@@ -144,19 +176,24 @@ def _lagrangian_part(y: np.ndarray, x: np.ndarray, jx: np.ndarray) -> np.ndarray
     return y - (_row_dot(y, x)[:, None] * x + _row_dot(y, jx)[:, None] * jx)
 
 
-def prop2i_residual(hfo: HermitianFirstOrder, dr: DecompReport) -> float:
-    """Residual of the traceless-Ricci normal form Ric0 = (kappa/4)(-g|_D + g|_Dperp),
-    where D, the Kahler nullity, is the orthogonal complement of span{a, Ja}.
+def prop2i_residual(hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompReport]) -> list[float]:
+    """Residual of the traceless-Ricci normal form Ric0 = (kappa/4)(-g|_D + g|_Dperp)
+    at each point, where D, the Kahler nullity, is the orthogonal complement
+    of span{a, Ja}.
 
     The normal form assumes the second Gray condition, and D is defined only
-    where a does not vanish; both are left to the caller.
+    where a does not vanish; both are left to the caller. Where a = 0 the
+    residual is a number with no meaning, computed without a warning.
     """
-    a_f = tensorops.frame_components(hfo.a.value, hfo.conn.sp.frame)
-    a_f = a_f / np.linalg.norm(a_f)
-    ja_f = J_FRAME @ a_f
-    g_perp = np.outer(a_f, a_f) + np.outer(ja_f, ja_f)
-    prop2i = dr.ric0 - (dr.kappa / 4.0) * (-(np.eye(4) - g_perp) + g_perp)
-    return float(np.abs(prop2i).max())
+    frame = np.stack([hfo.conn.sp.frame for hfo in hfos])
+    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in hfos]), frame)
+    norm = np.sqrt(_row_dot(a_f, a_f))  # each point's np.linalg.norm, bit for bit
+    a_f = a_f / np.where(norm > 0.0, norm, 1.0)[:, None]
+    ja_f = (J_FRAME @ a_f[:, :, None])[:, :, 0]
+    g_perp = a_f[:, :, None] * a_f[:, None, :] + ja_f[:, :, None] * ja_f[:, None, :]
+    kappa = np.array([dr.kappa for dr in drs])[:, None, None]
+    prop2i = np.stack([dr.ric0 for dr in drs]) - (kappa / 4.0) * (-(np.eye(4) - g_perp) + g_perp)
+    return np.abs(prop2i).max(axis=(1, 2)).tolist()
 
 
 def nabla2_omega_shape_residual(hfo: HermitianFirstOrder) -> float:
@@ -204,41 +241,37 @@ def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarr
 
 def classify(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], hfos: Sequence[HermitianFirstOrder]) -> list[GrayLadder]:
     """The Gray residuals, the verdict of the class ladder and descriptive
-    flags at every point, the residuals and flag norms formed once over all
-    the points; one ladder per point.
+    flags at every point, each formed once over all the points; one ladder
+    per point.
 
     The AK rungs and the j-invariant-ricci flag use the bounds of the
     `almost_kahler` and `j_invariant_ricci` hypotheses, so a point with an AK
     verdict or the flag is one where the rows assuming them apply.
     """
-    g1, g2, g3 = (v.tolist() for v in algebra.gray_residuals(np.stack([cd.R_frame for cd in cds])))
+    g1, g2, g3 = algebra.gray_residuals(np.stack([cd.R_frame for cd in cds]))
     tol = DEFAULT_VERDICT_TOL
     ric0 = np.stack([dr.ric0 for dr in drs])
+    ric_anti_norm = np.array([dr.ric_anti_norm for dr in drs])
     flag_holds = {
-        "einstein": (np.array([dr.ric_anti_norm for dr in drs]) < tol)
-        & (np.abs(np.trace(ric0, axis1=1, axis2=2)) < tol)
-        & (algebra.frobenius(ric0) < tol),
+        "einstein": (ric_anti_norm < tol) & (np.abs(np.trace(ric0, axis1=1, axis2=2)) < tol) & (algebra.frobenius(ric0) < tol),
         "self-dual": algebra.frobenius(np.stack([dr.wminus for dr in drs])) < tol,
         "anti-self-dual": algebra.frobenius(np.stack([dr.wplus for dr in drs])) < tol,
-        "j-invariant-ricci": [dr.is_j_invariant_ricci for dr in drs],
+        "j-invariant-ricci": np.array([dr.is_j_invariant_ricci for dr in drs]),
     }
-    ladders = []
-    for k, hfo in enumerate(hfos):
-        nabla_j = np.sqrt(max(hfo.nabla_j_sq, 0.0))
-        if nabla_j < tol and hfo.nijenhuis_norm < tol:
-            verdict = "KAHLER"
-        elif hfo.is_almost_kahler:
-            verdict = "AK-G1" if g1[k] < tol else "AK-G2" if g2[k] < tol else "AK-G3" if g3[k] < tol else "AK"
-        else:
-            verdict = "ALMOST-HERMITIAN"
-        flags = tuple(flag for flag, holds in flag_holds.items() if holds[k])
-        ladders.append(GrayLadder(g1=g1[k], g2=g2[k], g3=g3[k], verdict=verdict, flags=flags))
-    return ladders
+    nabla_j = np.sqrt(np.maximum([hfo.nabla_j_sq for hfo in hfos], 0.0))
+    kahler = (nabla_j < tol) & (np.array([hfo.nijenhuis_norm for hfo in hfos]) < tol)
+    almost_kahler = np.array([hfo.is_almost_kahler for hfo in hfos])
+    # the rung of each point, an index into LADDER
+    ak_rung = np.where(g1 < tol, 1, np.where(g2 < tol, 2, np.where(g3 < tol, 3, 4)))
+    rungs = np.where(kahler, 0, np.where(almost_kahler, ak_rung, 5)).tolist()
+    columns = [np.asarray(holds).tolist() for holds in flag_holds.values()]
+    flags = [tuple(flag for flag, holds in zip(flag_holds, point) if holds) for point in zip(*columns)]
+    return [GrayLadder(g1k, g2k, g3k, LADDER[rung], f) for g1k, g2k, g3k, rung, f in zip(g1.tolist(), g2.tolist(), g3.tolist(), rungs, flags)]
 
 
-def gray_report(cd: CurvatureData, dr: DecompReport, n_planes: int, seed: int) -> GrayReport:
-    """The Lagrangian sectional curvature statistics and the W+ eigenvalues."""
-    return GrayReport(
-        **totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed),
-        wplus_eigenvalues=np.linalg.eigvalsh(dr.wplus),
-    )
+def gray_report(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], n_planes: int, seed: int) -> list[GrayReport]:
+    """The Lagrangian sectional curvature statistics and the W+ eigenvalues at
+    each point, formed once over all the points."""
+    stats = totally_real_curvature(cds, drs, n_planes=n_planes, seed=seed)
+    eigenvalues = np.linalg.eigvalsh(np.stack([dr.wplus for dr in drs]))
+    return [GrayReport(*values) for values in zip(stats["mu_formula"], stats["mu_min"], stats["mu_max"], eigenvalues)]

@@ -35,16 +35,16 @@ from order-0 truncations), and the jets of the second-order report: Ric0,
 h, the Weyl tensor, its halves and their codifferentials. `curvature`
 gives each slice of CURVATURE_SLICE points a batch of its own, so those
 jets are formed a slice at a time. `covd`, `neg_trace` and `divergence`
-take the point axis as `jets.contract` does. What stays per point is what a
-report row reads off 4x4 frame values (the Ricci identity, the nabla J
-identity), where an einsum on a point axis could sum in another order.
+take the point axis as `jets.contract` does. The report rows that read 4x4
+frame values, the Ricci identity (`ricci_identity_check`) and the nabla J
+identity (`HermitianFirstOrder.identity_residual`), run on the point axis
+too, once per batch, each with the bits of a batch of one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -219,8 +219,12 @@ class CurvatureData:
 
     @jets.per_batch
     def _mu(batch: jets.Batch) -> Jet:
-        """The structure points' volume forms, stacked."""
-        return jets.stack([sp.mu for sp in batch.sps])
+        """The structure points' volume forms: a view of their structure batch's
+        stacked mu, whose points the curvature batch's are, consecutively."""
+        first = batch.sps[0]
+        if any(sp.batch is not first.batch or sp.index != first.index + k for k, sp in enumerate(batch.sps)):
+            raise ValueError("expected consecutive structure points of one batch")
+        return first.batch.mu[first.index : first.index + len(batch.sps)]
 
     @jets.per_batch
     def _weyl_star(batch: jets.Batch) -> Jet:
@@ -376,10 +380,10 @@ class HermitianFirstOrder:
         ja = -jets.contract(batch.a, batch._j0, 0, 0, points=True)  # (J a)_i = -a_k J^k_i
         return _frame_max((batch.b + ja).value, batch.frame).tolist()
 
-    @cached_property
-    def identity_residual(self) -> float:
-        """nabla_X J vs its Lee-form/Nijenhuis reconstruction."""
-        return _nabla_j_identity_residual(self.conn.sp, self.conn.nabla_omega, self.theta, self.nijenhuis)
+    @jets.per_batch
+    def identity_residual(batch: jets.Batch) -> list[float]:
+        """nabla_X J vs its Lee-form/Nijenhuis reconstruction, formed for the whole batch."""
+        return _nabla_j_identity_residual(batch, batch.nabla_omega0, batch.theta, batch.nijenhuis).tolist()
 
 
 def hermitian_first_order(conns: Sequence[ConnectionData]) -> list[HermitianFirstOrder]:
@@ -436,30 +440,37 @@ def _nijenhuis(J: Jet, g: Jet) -> Jet:
     return jets.contract(g, total_up, 0, 2, points=True)  # N[x, y, z] = g_nx W[y, z, n]
 
 
-def _nabla_j_identity_residual(sp: StructurePoint, nabla_omega: Jet, theta: Jet, nij: Jet) -> float:
+def _nabla_j_identity_residual(batch: jets.Batch, nabla_omega: Jet, theta: Jet, nij: Jet) -> np.ndarray:
     """Residual of nabla_X J = 1/2 (X ^ J theta + JX ^ theta) + 1/2 N_{JX},
-    with both sides read as 2-forms through Omega."""
-    J = sp.J
-    jtheta = -jets.contract(theta, J, 0, 0)
-    xb = sp.g  # X^flat for X = d_m is the row g_{m .}
+    with both sides read as 2-forms through Omega, at each point of a
+    `HermitianFirstOrder` batch (only the jets' values are read)."""
+    sps = batch.sps
+    J = np.stack([sp.J.value for sp in sps])
+    jtheta = -jets.contract(theta, batch._j0, 0, 0, points=True).value
+    xb = np.stack([sp.g.value for sp in sps])  # X^flat for X = d_m is the row g_{m .}
     lhs = nabla_omega.value
-    term1 = np.einsum("mi,j->mij", xb.value, jtheta.value) - np.einsum("mj,i->mij", xb.value, jtheta.value)
-    jxb = sp.omega.value  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
-    term2 = np.einsum("mi,j->mij", jxb, theta.value) - np.einsum("mj,i->mij", jxb, theta.value)
-    njx = np.einsum("km,kij->mij", J.value, nij.value)  # N_{J d_m}(d_i, d_j)
+    term1 = _wedge_rows(xb, jtheta)
+    jxb = np.stack([sp.omega.value for sp in sps])  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
+    term2 = _wedge_rows(jxb, theta.value)
+    njx = np.einsum("pkm,pkij->pmij", J, nij.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
-    return float(_frame_max(lhs - rhs, sp.frame))
+    return _frame_max(lhs - rhs, batch.frame)
 
 
-def ricci_identity_check(cd: CurvatureData) -> float:
-    """Max-norm residual of the commuted second derivative of Omega:
+def _wedge_rows(rows: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """(rows_m ^ form)_ij = rows_mi form_j - rows_mj form_i at each point: one
+    product per entry, as einsum("pmi,pj->pmij") forms it."""
+    return rows[:, :, :, None] * form[:, None, None, :] - rows[:, :, None, :] * form[:, None, :, None]
+
+
+def ricci_identity_check(cds: Sequence[CurvatureData]) -> list[float]:
+    """Max-norm residual of the commuted second derivative of Omega at each point:
 
     (nabla^2_{X,Y} - nabla^2_{Y,X})(Omega)(Z, T) = -R_{X,Y,JZ,T} - R_{X,Y,Z,JT}.
     """
-    sp = cd.sp
-    dd = cd.conn.nabla2_omega  # (m, n, i, j)
-    lhs = dd.value - np.moveaxis(dd.value, 0, 1)
-    rv = cd.R.value
-    jv = sp.J.value
-    rhs = -np.einsum("mnkj,ki->mnij", rv, jv) - np.einsum("mnik,kj->mnij", rv, jv)
-    return float(_frame_max(lhs - rhs, sp.frame))
+    dd = np.stack([cd.conn.nabla2_omega.value for cd in cds])  # (m, n, i, j)
+    lhs = dd - np.moveaxis(dd, 1, 2)
+    rv = np.stack([cd.R.value for cd in cds])
+    jv = np.stack([cd.sp.J.value for cd in cds])
+    rhs = -np.einsum("pmnkj,pki->pmnij", rv, jv) - np.einsum("pmnik,pkj->pmnij", rv, jv)
+    return _frame_max(lhs - rhs, np.stack([cd.sp.frame for cd in cds])).tolist()

@@ -163,5 +163,15 @@ def identity(name: str) -> cli.Identity:
     return next(i for i in cli.IDENTITIES if i.name == name)
 
 
+def applies_at(ident: cli.Identity, pa: PointAnalysis) -> bool:
+    """Whether `ident`'s hypotheses hold at the point of `pa`."""
+    return ident.applies(pa.batch)[pa.index]
+
+
+def residual_at(ident: cli.Identity, pa: PointAnalysis) -> float:
+    """`ident`'s residual at the point of `pa`, from its batch's column."""
+    return ident.residual(pa.batch)[pa.index]
+
+
 def all_points(analyses) -> list[tuple[str, PointAnalysis]]:
     return [(name, pa) for name, rows in analyses.items() for pa in rows]

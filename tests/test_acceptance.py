@@ -15,7 +15,7 @@ import numpy as np
 
 from ak4 import algebra, bianchi_bach, charts, cli, riemann, sandbox, tensorops
 
-from conftest import identity, point_analysis, product_surfaces, sphere_factor, structure_point
+from conftest import applies_at, identity, point_analysis, product_surfaces, residual_at, sphere_factor, structure_point
 from oracles import fd_curvature
 
 
@@ -69,8 +69,8 @@ def test_criterion_03_scalar_curvature_relations(analyses):
         for pa in rows:
             worst_kappa = max(worst_kappa, pa.dr.kappa_identity_residual)
             if pa.hfo.d_omega_norm < 1e-9:
-                assert s_star.applies(pa)
-                worst_sstar = max(worst_sstar, s_star.residual(pa))
+                assert applies_at(s_star, pa)
+                worst_sstar = max(worst_sstar, residual_at(s_star, pa))
             if name == "kodaira-thurston":
                 kt_difference = pa.dr.s_star - pa.dr.s
     ok = worst_kappa < 1e-9 and worst_sstar < 1e-8 and kt_difference > 1e-3
@@ -162,7 +162,7 @@ def test_criterion_09_ricci_and_weitzenboeck(analyses):
     worst_wz = 0.0
     for rows in analyses.values():
         for pa in rows:
-            worst_ric = max(worst_ric, riemann.ricci_identity_check(pa.cd))
+            worst_ric = max(worst_ric, riemann.ricci_identity_check([pa.cd])[0])
             worst_wz = max(worst_wz, pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
     ok = worst_ric < 1e-8 and worst_wz < 1e-6
     _verdict(9, "ricci identity + weitzenboeck", ok, f"ric-id {worst_ric:.2e}, weitzenboeck {worst_wz:.2e}")

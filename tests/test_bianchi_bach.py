@@ -87,7 +87,7 @@ class TestDeltaWPlusSplit:
             alpha = rng.standard_normal(4)
             beta = rng.standard_normal(4)
             v = bianchi_bach.reconstruct_v_plus(alpha) + bianchi_bach.reconstruct_v_minus(beta)
-            a2, b2, comp = bianchi_bach.split_delta_wplus(v)
+            [a2], [b2], [comp] = bianchi_bach.split_delta_wplus(v[None])
             assert np.abs(a2 - alpha).max() < 1e-12
             assert np.abs(b2 - beta).max() < 1e-12
             assert comp < 1e-12

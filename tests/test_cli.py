@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ak4 import charts, cli
 from ak4.cli import RunConfig, run_report
 from ak4.errors import AK4Error
-from conftest import half_bad_chart, point_analysis
+from conftest import applies_at, half_bad_chart, point_analysis, residual_at
 
 #: Out-of-range values of the flags RunConfig validates.
 BAD_FLAG_VALUES = [
@@ -342,10 +342,42 @@ class TestIdentityRegistry:
 
     def test_report_computes_each_deferred_value_once(self, monkeypatch):
         expected = {"decomp.star_ricci": 1, "algebra.u2_blocks": 1, "riemann._nijenhuis": 1}  # once for the batch
-        expected |= {"algebra.join_operator": 2, "riemann._nabla_j_identity_residual": 2}  # once per point: rows only
+        expected |= {"algebra.join_operator": 1, "riemann._nabla_j_identity_residual": 1}  # once for the batch: rows only
         calls = _count_calls(monkeypatch, expected)
         run_report(RunConfig(chart="kodaira-thurston", points=2))
         assert calls == expected
+
+    @pytest.mark.parametrize("batch_points", [2, cli.BATCH_POINTS])
+    def test_each_row_is_evaluated_once_per_batch(self, batch_points, monkeypatch):
+        calls = Counter()
+
+        def counted(ident):
+            def residual(batch):
+                calls[ident.name] += 1
+                return ident.residual(batch)
+
+            return dataclasses.replace(ident, residual=residual)
+
+        patched = tuple(counted(i) for i in cli.IDENTITIES)
+        monkeypatch.setattr(cli, "IDENTITIES", patched)
+        monkeypatch.setattr(cli, "REPORTED", tuple(i for i in patched if i.report))
+        monkeypatch.setattr(cli, "BATCH_POINTS", batch_points)
+        batches = -(-4 // batch_points)
+        for chart in ("fubini-study", "kodaira-thurston"):
+            calls.clear()
+            doc, _ = run_report(RunConfig(chart=chart, points=4, order=4))
+            # a row runs on a batch only where some point satisfies its hypotheses,
+            # and here each row applies at every point or at none
+            assert calls == Counter({row["name"]: batches for row in doc["points"][0]["identities"]}), chart
+
+    def test_no_row_warns_or_raises_where_it_does_not_apply(self, capsys):
+        # on every catalog chart some hypothesis fails, and prop2i's Kahler
+        # nullity is undefined wherever a = 0; nothing may warn there
+        with np.errstate(all="raise"):
+            for name in cli.CHECK_NAMES:
+                assert run_main(["check", name, "--chart", "all", "--points", "2", "--order", "4"]) in (0, 1), name
+            assert run_main(["report", "--chart", "kodaira-thurston", "--points", "2", "--json", "-"]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize(
         ("argv", "stages"),
@@ -366,8 +398,8 @@ class TestIdentityRegistry:
             for full in analyses[name]:
                 pa = full if order == 4 else point_analysis(spec, full.sp.point, order=order)
                 for ident in cli.IDENTITIES:
-                    if ident.order <= order and ident.applies(pa):
-                        value = ident.residual(pa)
+                    if ident.order <= order and applies_at(ident, pa):
+                        value = residual_at(ident, pa)
                         assert isinstance(value, float) and math.isfinite(value), (name, order, ident.name)
 
 
@@ -607,12 +639,10 @@ class TestOutOfMemory:
 
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:
-    """Make the kappa row's residual NaN at the second point it is evaluated on."""
-    calls = []
+    """Make the kappa row's residual NaN at the second point of each batch."""
 
-    def residual(pa):
-        calls.append(pa)
-        return math.nan if len(calls) == 2 else 1e-12
+    def residual(batch):
+        return [math.nan if k == 1 else 1e-12 for k in range(len(batch.sps))]
 
     patched = tuple(dataclasses.replace(i, residual=residual) if i.name == "kappa" else i for i in cli.IDENTITIES)
     monkeypatch.setattr(cli, "IDENTITIES", patched)
@@ -646,7 +676,7 @@ class TestNonFiniteResidual:
     def test_group_max_keeps_it(self, first):
         values = {"finite": 1e-12, "nan": math.nan}
         second = "nan" if first == "finite" else "finite"
-        group = tuple(cli.Identity(k, cli.TOL_ALGEBRAIC, 2, lambda pa, v=values[k]: v, group="g") for k in (first, second))
+        group = tuple(cli.Identity(k, cli.TOL_ALGEBRAIC, 2, lambda batch, v=values[k]: [v] * len(batch.sps), group="g") for k in (first, second))
         rows = cli._per_point_check(RunConfig(chart="flat", points=1, order=2), group)
         assert len(rows) == 1 and math.isnan(rows[0]["residual"])
 
@@ -699,6 +729,22 @@ class TestJsonWriter:
             {True: 1, False: 2},
             {None: [1.5]},
             {1.5: 0, -math.inf: 1},
+        ]
+        for doc in docs:
+            assert cli._json_text(doc) == _json_reference(doc)
+
+    def test_containers_of_scalar_dicts(self):
+        # strings that hold what the one-call paths rewrite around: braces,
+        # commas, quotes, newlines and NULs, beside the scalars json writes
+        tricky = ["}", "{", '"}', "},\n{", "a: {", ":\0{", "\0", "\\", '\\"', "x\n    \"y\": {"]
+        rows = [{k: v, "n": i, "f": math.nan, "b": True, "z": None} for i, (k, v) in enumerate(zip(tricky, reversed(tricky)))]
+        docs = [
+            rows,
+            {k: row for k, row in zip(tricky, rows)},
+            {"rows": rows, "by": {k: row for k, row in zip(tricky, rows)}, "one": [{"k": "}"}], "keys": {1.5: {"a": 1}, -2: {"b": 2}}},
+            [{"a": 1}, {}],
+            {"a": {"b": 1}, "c": {}},
+            [rows, [{"x": [1]}]],
         ]
         for doc in docs:
             assert cli._json_text(doc) == _json_reference(doc)

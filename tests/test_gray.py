@@ -14,7 +14,7 @@ from ak4 import algebra, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES, hyperbolic_factor, identity, point_analysis, product_surfaces, sphere_factor
+from conftest import KAHLER_NAMES, applies_at, hyperbolic_factor, identity, point_analysis, product_surfaces, residual_at, sphere_factor
 
 
 class TestGrayResiduals:
@@ -78,7 +78,7 @@ class TestLemma5:
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
                 assert pa.ladder.g2 < 1e-8
-                assert gray.lemma5_triple(pa.dr) < 1e-8
+                assert gray.lemma5_triple([pa.dr])[0] < 1e-8
 
 
 class TestProp1:
@@ -87,27 +87,27 @@ class TestProp1:
     def test_kahler_einstein_trivial(self, analyses):
         for name in ("fubini-study", "complex-hyperbolic"):
             for pa in analyses[name]:
-                assert self.prop1.applies(pa)
-                assert self.prop1.residual(pa) < 1e-8
+                assert applies_at(self.prop1, pa)
+                assert residual_at(self.prop1, pa) < 1e-8
 
     def test_constant_curvature_product(self):
         spec = product_surfaces(
             sphere_factor(1.0), sphere_factor(1.0), name="two-spheres", domain=((-0.7, 0.7),) * 4
         )
         pa = point_analysis(spec, (0.2, -0.1, 0.4, 0.3), order=4)
-        assert self.prop1.applies(pa)
-        assert self.prop1.residual(pa) < 1e-8
+        assert applies_at(self.prop1, pa)
+        assert residual_at(self.prop1, pa) < 1e-8
 
     def test_product_surfaces_nontrivial_scalar(self, analyses):
         # Kahler, so the hypothesis holds; s varies but s* tracks it exactly.
         for pa in analyses["product-surfaces"]:
-            assert self.prop1.applies(pa)
-            assert self.prop1.residual(pa) < 1e-8  # theta = 0, so this is |d(s* - s)|
+            assert applies_at(self.prop1, pa)
+            assert residual_at(self.prop1, pa) < 1e-8  # theta = 0, so this is |d(s* - s)|
 
     def test_kodaira_thurston_hypothesis_not_met(self, analyses):
         for pa in analyses["kodaira-thurston"]:
             assert pa.ladder.g2 > gray.DEFAULT_VERDICT_TOL
-            assert not self.prop1.applies(pa)
+            assert not applies_at(self.prop1, pa)
 
 
 class TestTotallyRealCurvature:
@@ -152,15 +152,15 @@ class TestTotallyRealCurvature:
         for rows in analyses.values():
             for pa in rows:
                 for seed in (42, 7, 2024):
-                    planes = gray.totally_real_curvature(pa.cd, pa.dr, n_planes=64, seed=seed)
+                    planes = gray.totally_real_curvature([pa.cd], [pa.dr], n_planes=64, seed=seed)
                     mus = _per_plane_mus(pa.cd.R_frame, 64, seed)
-                    assert planes["mu_min"] == float(mus.min())
-                    assert planes["mu_max"] == float(mus.max())
+                    assert planes["mu_min"] == [float(mus.min())]
+                    assert planes["mu_max"] == [float(mus.max())]
 
     def test_plane_count_validation(self, analyses):
         pa = analyses["flat"][0]
         with pytest.raises(ValueError):
-            gray.totally_real_curvature(pa.cd, pa.dr, n_planes=4, seed=42)
+            gray.totally_real_curvature([pa.cd], [pa.dr], n_planes=4, seed=42)
 
     def test_sandbox_lemma6_equivalence(self):
         # constancy <=> (Ric J-invariant, W3+ = 0, W- = 0); exercise both
@@ -247,13 +247,13 @@ class TestReversedStructure:
     def test_kahler_charts_nullity_undefined(self, analyses):
         for name in KAHLER_NAMES:
             pa = analyses[name][0]
-            assert not cli.kahler_nullity(pa)
-            assert not identity("prop2i").applies(pa)
+            assert not cli.kahler_nullity(pa.batch)[pa.index]
+            assert not applies_at(identity("prop2i"), pa)
 
     def test_kodaira_thurston_reversed_structure(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert cli.kahler_nullity(pa)
-            assert not cli.second_gray(pa)  # but Proposition 2(i) does not apply
+            assert cli.kahler_nullity(pa.batch)[pa.index]
+            assert not cli.second_gray(pa.batch)[pa.index]  # but Proposition 2(i) does not apply
             # the commuted-second-derivative shape identity is unconditional
             assert gray.nabla2_omega_shape_residual(pa.hfo) < 1e-8
 
@@ -266,12 +266,16 @@ class TestReversedStructure:
         assert np.abs(algebra.j_anti_part(ric0)).max() < 1e-12  # J-invariant
         sp = SimpleNamespace(frame=np.eye(4))
         hfo = SimpleNamespace(a=SimpleNamespace(value=np.array([0.3, 0.0, 0.0, 0.0])), conn=SimpleNamespace(sp=sp))
-        assert gray.prop2i_residual(hfo, SimpleNamespace(ric0=ric0, kappa=kappa)) < 1e-15
+        assert gray.prop2i_residual([hfo], [SimpleNamespace(ric0=ric0, kappa=kappa)])[0] < 1e-15
         perturbed = ric0 + 0.01 * np.diag([1.0, 1.0, -1.0, -1.0])
-        assert gray.prop2i_residual(hfo, SimpleNamespace(ric0=perturbed, kappa=kappa)) > 1e-3
-        assert cli.kahler_nullity(SimpleNamespace(hfo=hfo, sp=sp))
+        assert gray.prop2i_residual([hfo], [SimpleNamespace(ric0=perturbed, kappa=kappa)])[0] > 1e-3
+        assert cli.kahler_nullity(SimpleNamespace(hfo=[hfo], sps=[sp])) == [True]
         flat_a = SimpleNamespace(a=SimpleNamespace(value=np.zeros(4)), conn=SimpleNamespace(sp=sp))
-        assert not cli.kahler_nullity(SimpleNamespace(hfo=flat_a, sp=sp))
+        assert cli.kahler_nullity(SimpleNamespace(hfo=[flat_a], sps=[sp])) == [False]
+        # a batch where the nullity is undefined at one point: no warning there
+        with np.errstate(all="raise"):
+            residuals = gray.prop2i_residual([hfo, flat_a], [SimpleNamespace(ric0=ric0, kappa=kappa)] * 2)
+        assert residuals[0] < 1e-15
 
 
 def _antisymmetry(gamma0: np.ndarray) -> float:
@@ -312,24 +316,24 @@ class TestClassification:
     def test_j_invariant_ricci_flag_agrees_with_the_hypothesis(self, analyses, ric_anti_norm):
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-8
         full = analyses["kodaira-thurston"][0]
-        pa = SimpleNamespace(dr=dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm))
-        flagged = "j-invariant-ricci" in gray.classify([full.cd], [pa.dr], [full.hfo])[0].flags
-        assert flagged == cli.j_invariant_ricci(pa) == (ric_anti_norm < 1e-8)
+        dr = dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm)
+        flagged = "j-invariant-ricci" in gray.classify([full.cd], [dr], [full.hfo])[0].flags
+        assert flagged == cli.j_invariant_ricci(SimpleNamespace(dr=[dr]))[0] == (ric_anti_norm < 1e-8)
 
     @pytest.mark.parametrize("d_omega_norm", [5e-8, 5e-10])
     def test_almost_kahler_verdict_agrees_with_the_hypothesis(self, analyses, d_omega_norm):
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-9
         full = analyses["kodaira-thurston"][0]
-        pa = SimpleNamespace(hfo=dataclasses.replace(full.hfo, d_omega_norm=d_omega_norm))
-        verdict = gray.classify([full.cd], [full.dr], [pa.hfo])[0].verdict
-        assert verdict.startswith("AK") == cli.almost_kahler(pa) == (d_omega_norm < 1e-9)
+        hfo = dataclasses.replace(full.hfo, d_omega_norm=d_omega_norm)
+        verdict = gray.classify([full.cd], [full.dr], [hfo])[0].verdict
+        assert verdict.startswith("AK") == cli.almost_kahler(SimpleNamespace(hfo=[hfo]))[0] == (d_omega_norm < 1e-9)
 
 
 class TestLemma6EquivalenceAcrossCharts:
     def test_both_directions_on_all_analyzed_points(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                triple_max = gray.lemma6_triple(pa.dr)
+                triple_max = gray.lemma6_triple([pa.dr])[0]
                 spread = pa.gr.mu_max - pa.gr.mu_min
                 if triple_max < 1e-8:
                     assert spread < 1e-7

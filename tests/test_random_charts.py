@@ -46,7 +46,8 @@ def test_unconditional_identities_on_random_hermitian_charts():
         for p in spec.sample_points(2, seed):
             pa = point_analysis(spec, p, order=4, planes=16, seed=1)
             saw_nonzero_lee_form |= pa.hfo.theta_norm > 1e-3
-            for row in cli._identity_rows(pa, 1.0):
+            [rows] = cli._identity_rows(pa.batch, 1.0)
+            for row in rows:
                 if not row["pass"]:
                     failures.append((spec.name, row["name"], row["residual"]))
     assert not failures, failures

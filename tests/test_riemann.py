@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ak4 import charts, cli, jets, riemann
+from ak4 import charts, cli, gray, jets, riemann
 from ak4.errors import JetOrderError
 from ak4.jets import Jet
 
@@ -180,12 +180,12 @@ class TestHermitianFirstOrder:
 
 class TestRicciIdentity:
     def test_flat_zero(self, analyses):
-        assert riemann.ricci_identity_check(analyses["flat"][0].cd) == 0.0
+        assert riemann.ricci_identity_check([analyses["flat"][0].cd]) == [0.0]
 
     def test_all_catalog_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert riemann.ricci_identity_check(pa.cd) < 1e-8
+                assert riemann.ricci_identity_check([pa.cd])[0] < 1e-8
 
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
         sp = structure_point(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
@@ -204,9 +204,29 @@ class TestRicciIdentity:
 STAGE_VALUES = {
     "conn": ("gamma", "nabla_omega", "nabla2_omega"),
     "cd": ("R", "ric", "s", "R_frame", "ric_frame", "s_value", "operator", "ric0_frame", "ric0", "h", "h_raised", "weyl", "weyl_plus", "weyl_minus"),
-    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm", "theta", "a", "b", "theta_norm", "b_plus_ja_norm"),
-    "dr": ("parts", "s", "ric0", "ric0_anti", "ric_anti_norm", "w1", "w2", "w3", "psi", "kappa", "ric_star", "s_star", "star_skew_residual"),
+    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm", "theta", "a", "b", "theta_norm", "b_plus_ja_norm", "identity_residual"),
+    "dr": (
+        "parts",
+        "s",
+        "ric0",
+        "ric0_anti",
+        "ric_anti_norm",
+        "w1",
+        "w2",
+        "w3",
+        "psi",
+        "kappa",
+        "ric_star",
+        "s_star",
+        "star_skew_residual",
+        "recon_residual",
+        "u2_residual",
+        "orthogonality_residual",
+        "kappa_identity_residual",
+        "block_norms",
+    ),
     "ladder": ("g1", "g2", "g3", "verdict", "flags"),
+    "gr": ("mu_formula", "mu_min", "mu_max", "wplus_eigenvalues"),
 }
 #: The values an order-4 analysis adds: the codifferentials of the Weyl
 #: tensors and the second-order report.
@@ -216,6 +236,8 @@ SECOND_ORDER_VALUES = {
 }
 #: Dataclass fields that hold an input of the stage, not a value it computed.
 INPUTS = {"sp", "conn", "cd", "batch", "index"}
+#: The hypotheses of the registry rows, each a column over a batch.
+HYPOTHESES = (cli.almost_kahler, cli.j_invariant_ricci, cli.second_gray, cli.kahler_nullity, cli.lemma6_triple)
 
 
 def _same(x, y) -> bool:
@@ -224,12 +246,30 @@ def _same(x, y) -> bool:
         return x.order == y.order and np.array_equal(x.c, y.c)
     if isinstance(x, dict):
         return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, float):  # repr tells -0.0 from 0.0 and keeps NaN equal to itself
+        return type(x) is type(y) and repr(x) == repr(y)
     return type(x) is type(y) and np.array_equal(x, y)
 
 
 def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
+    """Every value of the point's analysis a batch must not change: the stage
+    values, each hypothesis and the measured values behind them, each
+    applicable row's residual, and the report's point document."""
     stages = (STAGE_VALUES, SECOND_ORDER_VALUES) if pa.order == 4 else (STAGE_VALUES,)
-    return {(stage, name): getattr(getattr(pa, stage), name) for values in stages for stage, names in values.items() for name in names}
+    values = {(stage, name): getattr(getattr(pa, stage), name) for group in stages for stage, names in group.items() for name in names}
+    for hypothesis in HYPOTHESES:
+        values["hypothesis", hypothesis.__name__] = hypothesis(pa.batch)[pa.index]
+    values["hypothesis", "lemma5 triple"] = float(gray.lemma5_triple([pa.dr])[0])
+    values["hypothesis", "lemma6 triple"] = float(gray.lemma6_triple([pa.dr])[0])
+    for ident in cli.IDENTITIES:
+        if ident.order <= pa.order:
+            applies = ident.applies(pa.batch)[pa.index]
+            values["applies", ident.name] = applies
+            if applies:
+                values["residual", ident.name] = ident.residual(pa.batch)[pa.index]
+    rows = cli._identity_rows(pa.batch, 1.0)[pa.index]
+    values["document", "json"] = cli._json_text(cli._point_document(pa, rows))
+    return values
 
 
 def _assert_batches_match(sps: list, n: int) -> None:
@@ -241,10 +281,11 @@ def _assert_batches_match(sps: list, n: int) -> None:
     assert len(alone) == len(per_chart) == len(together) == len(sps)
     for [a], b, c in zip(alone, per_chart, together):
         expected = _stage_values(a)
-        for key, value in _stage_values(b).items():
-            assert _same(value, expected[key]), (key, "per chart")
-        for key, value in _stage_values(c).items():
-            assert _same(value, expected[key]), (key, "all charts")
+        for label, analysis in (("per chart", b), ("all charts", c)):
+            values = _stage_values(analysis)
+            assert values.keys() == expected.keys(), label
+            for key, value in values.items():
+                assert _same(value, expected[key]), (key, label)
 
 
 class TestPipelineBatch:
@@ -270,6 +311,16 @@ class TestPipelineBatch:
         reasons = [pa.sor.bach_ak_skip_reason for pa in cli.point_analyses(sps)]
         assert reasons[:n] == [None] * n and None not in reasons[n:]
         _assert_batches_match(sps, n)
+
+    def test_a_curvature_batch_reads_mu_from_consecutive_structure_points(self, catalog_specs):
+        spec = catalog_specs["fubini-study"]
+        sps = charts.structure_at([(spec, spec.sample_points(4, 5))], 4)
+        [cd] = riemann.curvature(riemann.connection(sps[1:2]))
+        assert np.shares_memory(cd.batch._mu.c, sps[0].batch.mu.c)
+        assert np.array_equal(cd.batch._mu.c[0], sps[1].mu.c)
+        cds = riemann.curvature(riemann.connection([sps[0], sps[2]]))
+        with pytest.raises(ValueError, match="consecutive structure points"):
+            cds[0].batch._mu
 
     def test_the_first_read_fills_the_batch(self, catalog_specs):
         spec = catalog_specs["kodaira-thurston"]

@@ -257,8 +257,8 @@ class TestJetKernels:
         for spec in catalog_specs.values():
             pa = point_analysis(spec, spec.sample_points(1, 11)[0], order=order)
             for ident in cli.IDENTITIES:
-                if ident.order <= order and ident.applies(pa):
-                    ident.residual(pa)
+                if ident.order <= order and any(ident.applies(pa.batch)):
+                    ident.residual(pa.batch)
             assert pa.gr.mu_max >= pa.gr.mu_min
             stored += list(_jets_on(pa, set()))
         assert len(built) > 1000 and len(stored) > 20
