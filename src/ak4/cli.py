@@ -104,18 +104,14 @@ class PointAnalysis:
 
     @jets.per_batch
     def gr(batch: jets.Batch) -> list[gray.GrayReport]:
-        return gray.gray_report(batch.cd, batch.dr, n_planes=batch.planes, seed=batch.seed)
+        return _by_slice(batch, lambda part: gray.gray_report(batch.cd[part], batch.dr[part], n_planes=batch.planes, seed=batch.seed))
 
     @jets.per_batch
     def sor(batch: jets.Batch) -> list[bianchi_bach.SecondOrderReport | None]:
         if batch.sps[0].order < 4:
             return [None] * len(batch.sps)
         # one report per batch of curvature records, each a slice of the points
-        step, reports = riemann.CURVATURE_SLICE, []
-        for k in range(0, len(batch.sps), step):
-            part = slice(k, k + step)
-            reports += bianchi_bach.second_order_report(batch.cd[part], batch.hfo[part], batch.dr[part], weitzenboeck_seed=batch.seed)
-        return reports
+        return _by_slice(batch, lambda part: bianchi_bach.second_order_report(batch.cd[part], batch.hfo[part], batch.dr[part], weitzenboeck_seed=batch.seed))
 
     @property
     def skipped(self) -> tuple[str, ...]:
@@ -126,6 +122,14 @@ class PointAnalysis:
         if self.order < 3:
             skipped.append("scalar-derivative identity: needs order 3")
         return tuple(skipped)
+
+
+def _by_slice(batch: jets.Batch, stage: Callable[[slice], list]) -> list:
+    """The values `stage(part)` gives for each slice of the batch's points
+    that shares a curvature batch (`riemann.CURVATURE_SLICE` points), in
+    order: the stages whose temporaries grow with the points formed at once."""
+    step = riemann.CURVATURE_SLICE
+    return [value for k in range(0, len(batch.sps), step) for value in stage(slice(k, k + step))]
 
 
 def point_analyses(sps: list[charts.StructurePoint], planes: int = 64, seed: int = 42) -> list[PointAnalysis]:

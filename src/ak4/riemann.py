@@ -449,18 +449,12 @@ def _nabla_j_identity_residual(batch: jets.Batch, nabla_omega: Jet, theta: Jet, 
     jtheta = -jets.contract(theta, batch._j0, 0, 0, points=True).value
     xb = np.stack([sp.g.value for sp in sps])  # X^flat for X = d_m is the row g_{m .}
     lhs = nabla_omega.value
-    term1 = _wedge_rows(xb, jtheta)
+    term1 = np.einsum("pmi,pj->pmij", xb, jtheta) - np.einsum("pmj,pi->pmij", xb, jtheta)
     jxb = np.stack([sp.omega.value for sp in sps])  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
-    term2 = _wedge_rows(jxb, theta.value)
+    term2 = np.einsum("pmi,pj->pmij", jxb, theta.value) - np.einsum("pmj,pi->pmij", jxb, theta.value)
     njx = np.einsum("pkm,pkij->pmij", J, nij.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
     return _frame_max(lhs - rhs, batch.frame)
-
-
-def _wedge_rows(rows: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """(rows_m ^ form)_ij = rows_mi form_j - rows_mj form_i at each point: one
-    product per entry, as einsum("pmi,pj->pmij") forms it."""
-    return rows[:, :, :, None] * form[:, None, None, :] - rows[:, :, None, :] * form[:, None, :, None]
 
 
 def ricci_identity_check(cds: Sequence[CurvatureData]) -> list[float]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ak4 import charts, cli
+from ak4 import charts, cli, riemann
 from ak4.cli import RunConfig, run_report
 from ak4.errors import AK4Error
 from conftest import applies_at, half_bad_chart, point_analysis, residual_at
@@ -369,6 +369,12 @@ class TestIdentityRegistry:
             # a row runs on a batch only where some point satisfies its hypotheses,
             # and here each row applies at every point or at none
             assert calls == Counter({row["name"]: batches for row in doc["points"][0]["identities"]}), chart
+
+    def test_the_plane_and_second_order_stages_run_once_per_curvature_slice(self, monkeypatch):
+        # their temporaries grow with the points formed at once
+        calls = _count_calls(monkeypatch, ("gray.gray_report", "bianchi_bach.second_order_report"))
+        run_report(RunConfig(chart="fubini-study", points=2 * riemann.CURVATURE_SLICE + 1, order=4))
+        assert calls == {"gray.gray_report": 3, "bianchi_bach.second_order_report": 3}
 
     def test_no_row_warns_or_raises_where_it_does_not_apply(self, capsys):
         # on every catalog chart some hypothesis fails, and prop2i's Kahler
