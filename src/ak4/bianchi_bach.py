@@ -323,9 +323,6 @@ def second_order_report(
         else:
             skip_reasons.append(None)
 
-    def max_abs(x: np.ndarray) -> list[float]:
-        return np.abs(x).max(axis=tuple(range(1, x.ndim))).tolist()
-
     alpha, beta, completeness = split_delta_wplus(dwp_f)
     ric0_f = batch.ric0_frame
     alpha_pred = -ds_f / 12.0 + (0.5 * ric0_f @ theta_f[:, :, None])[:, :, 0]
