@@ -354,7 +354,9 @@ class StructurePoint:
     over a padded pair axis whose length depends on the order). The order-0
     frame and values equal the values of the jets built at J's order bit for
     bit, sign of zero included, on every chart the tests and fingerprints
-    cover. A point holds the bits of the same point in a one-point batch.
+    cover. The order-0 batch goes through the order-0 paths of the jet
+    kernels (see `jets`), whose bits are those of the general paths. A point
+    holds the bits of the same point in a one-point batch.
     """
 
     point: tuple[float, float, float, float]
@@ -445,7 +447,10 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     runs once on the points of all charts together, along a leading point
     axis: g^-1 and Omega as jets, then the adapted frame and the invariant
     checks on values, from the order-0 truncations of g and J (the checks
-    read mu, phi and J phi only through their values). mu, phi and J phi
+    read mu, phi and J phi only through their values). The frame's
+    Gram-Schmidt candidates go through one pass (`_adapted_frame`), and the
+    self-duality checks star Omega, phi and J phi by one Hodge star, stacked
+    on the point axis (3P rows, each contracted as alone). mu, phi and J phi
     are built as jets on their first read (see StructurePoint). Each
     StructurePoint equals, bit for bit, the one a batch of that point alone
     gives.
@@ -525,11 +530,12 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
     rebuilt = _coframe_wedge(values._coframe, 0, 1) + _coframe_wedge(values._coframe, 2, 3)
     diffs[:, 7] = rebuilt.value - omega.value
-    # Self-duality of the positive basis under the declared orientation.
-    g_inv0 = g_inv.truncate(0)
-    for k, form in ((8, omega.truncate(0)), (9, values.phi), (10, values.jphi)):
-        starred = tensorops.hodge_star_2form(form, g_inv0, values.mu, points=True)
-        diffs[:, k] = starred.value - form.value
+    # Self-duality of the positive basis under the declared orientation: one
+    # star of Omega, phi and J phi stacked on the point axis (3P rows)
+    forms = Jet._of(0, np.concatenate([omega.c[..., :1], values.phi.c, values.jphi.c]))
+    at = np.tile(np.arange(n_points), 3)
+    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], values.mu[at], points=True)
+    diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
     _check(diffs, residuals, 7, 11)
 
     # the values batch stays reachable: value-only readers take phi and J phi from it
@@ -563,43 +569,40 @@ def _adapted_frame(g: Jet, J: Jet) -> Jet:
     axis 0 the point axis.
 
     e3 normalizes the first coordinate vector d_m, m = 1, 2, 3, left
-    independent of span{e1, e2} by Gram-Schmidt. Each point takes its own m:
-    a candidate and its norm are formed only on the points no earlier m
-    served, and normalized only on those it serves.
+    independent of span{e1, e2} by Gram-Schmidt: one that keeps more than
+    1e-10 of its squared length g(d_m, d_m) outside the span, a bound that
+    holds at any scale of g. Each point takes its own m. The three
+    candidates of every point go through one Gram-Schmidt pass, stacked
+    m-major on the point axis (3P rows, each contracted as alone), and only
+    the row each point picks is normalized.
     """
+    n = len(g.c)
     e1 = _basis_vector_jet(0, g) / jets.sqrt(g[:, 0, 0])[:, None]
     e2 = jets.contract(J, e1, 1, 0, points=True)
-    frame = np.empty(e1.c.shape[:1] + (4,) + e1.c.shape[1:])
-    frame[:, 0], frame[:, 1] = e1.c, e2.c
-    e3 = frame[:, 2]
-    todo = np.arange(len(e3))  # the points no m has served yet
-    for m in range(1, 4):
-        rows = slice(None) if len(todo) == len(e3) else todo
-        g_m = g[rows]
-        cand = _basis_vector_jet(m, g_m)
-        # g(d_m, .) is a row of g: contracting g with d_m gives it up to the
-        # sign of zero, which the contraction with e then drops
-        lowered = g_m[:, m]
-        for e in (e1[rows], e2[rows]):
-            coeff = jets.contract(lowered, e, 0, 0, points=True)
-            cand = cand - coeff[:, None] * e
-            lowered = jets.contract(g_m, cand, 0, 0, points=True)
-        norm2 = jets.contract(lowered, cand, 0, 0, points=True)
-        served = norm2.value > 1e-10
-        if served.all():
-            e3[rows] = (cand / jets.sqrt(norm2)[:, None]).c
-            break
-        if served.any():
-            e3[todo[served]] = (cand[served] / jets.sqrt(norm2[served])[:, None]).c
-            todo = todo[~served]
-    else:
+    rows, m = np.arange(3 * n), np.repeat([1, 2, 3], n)
+    at = rows % n  # the point of each row
+    g3 = g[at]
+    cand = _basis_vector_jet(m, g3)
+    # g(d_m, .) is a row of g: contracting g with d_m gives it up to the
+    # sign of zero, which the contraction with e then drops
+    lowered = g3[rows, m]
+    for e in (e1[at], e2[at]):
+        coeff = jets.contract(lowered, e, 0, 0, points=True)
+        cand = cand - coeff[:, None] * e
+        lowered = jets.contract(g3, cand, 0, 0, points=True)
+    norm2 = jets.contract(lowered, cand, 0, 0, points=True)
+    served = (norm2.value > 1e-10 * g3.value[rows, m, m]).reshape(3, n)
+    if not served.any(axis=0).all():
         raise StructureError("frame construction (no independent coordinate vector)", 0.0)
-    frame[:, 3] = jets.contract(J, Jet._of(e1.order, e3), 1, 0, points=True).c
-    return Jet._of(e1.order, frame)
+    pick = served.argmax(axis=0) * n + np.arange(n)  # the first m that serves each point
+    e3 = cand[pick] / jets.sqrt(norm2[pick])[:, None]
+    e4 = jets.contract(J, e3, 1, 0, points=True)
+    return Jet._of(e1.order, np.stack([e1.c, e2.c, e3.c, e4.c], axis=1))
 
 
-def _basis_vector_jet(m: int, g: Jet) -> Jet:
-    """The coordinate vector d_m as a jet at each point of the 4x4 jet matrices g."""
+def _basis_vector_jet(m, g: Jet) -> Jet:
+    """The coordinate vector d_m as a jet at each point of the 4x4 jet
+    matrices g (point axis first); m is one index, or one per point."""
     c = np.zeros(g.c.shape[:-2] + (jets.NCOEF[g.order],))
-    c[..., m, 0] = 1.0
+    c[np.arange(len(c)), m, 0] = 1.0
     return Jet._of(g.order, c)

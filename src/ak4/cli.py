@@ -244,11 +244,16 @@ class Identity:
         if self.group is None:
             object.__setattr__(self, "group", self.name)
 
-    def applies(self, batch: jets.Batch) -> list[bool]:
-        """Whether every predicate in `assumes` holds, at each point of the batch."""
+    def applies(self, batch: jets.Batch, truth: dict | None = None) -> list[bool]:
+        """Whether every predicate in `assumes` holds, at each point of the
+        batch. `truth` maps each predicate evaluated on the batch to its
+        column, so identities that share a hypothesis evaluate it once."""
+        truth = {} if truth is None else truth
         holds = [True] * len(batch.sps)
         for predicate in self.assumes:
-            holds = [h and p for h, p in zip(holds, predicate(batch))]
+            if predicate not in truth:
+                truth[predicate] = predicate(batch)
+            holds = [h and p for h, p in zip(holds, truth[predicate])]
         return holds
 
 
@@ -361,11 +366,12 @@ def _select(names, identities: tuple[Identity, ...]) -> tuple[Identity, ...]:
 
 def _columns(batch: jets.Batch, identities: tuple[Identity, ...]) -> list[tuple[Identity, list[bool], Sequence[float]]]:
     """(identity, applies, residuals) for each identity that some point of the
-    batch satisfies: each residual column is formed once, for the whole batch."""
-    columns = []
+    batch satisfies: each residual column and each hypothesis column is
+    formed once, for the whole batch."""
+    columns, truth = [], {}
     for ident in identities:
         if ident.order <= batch.sps[0].order:
-            applies = ident.applies(batch)
+            applies = ident.applies(batch, truth)
             if any(applies):
                 columns.append((ident, applies, ident.residual(batch)))
     return columns

@@ -55,6 +55,16 @@ whose count depends on the allocator's dynamic thresholds. The arena is
 shared by every call, so `contract` is not thread-safe: ak4 runs on one
 thread.
 
+At order 0 a jet is its value, and each kernel takes a short path with the
+bits of its general one, keeping its `DomainError` check: `_mul_raw` is
+`ca * cb` (the one convolution pair's segmented sum is that product),
+`contract` goes through `_contract_values`, which lays its operands out as
+`_contract` lays out the gathered ones, without the arena or the pair
+gather, so the matmul is the same BLAS call; `reciprocal` is `1.0 / b`, and
+`_compose` (sqrt, exp, log and the trigonometric functions) returns f(a0).
+The structure stage's adapted frame and checks and every value-only reader
+run at order 0.
+
 A report point builds about a thousand jets, so their construction is kept
 cheap too. `Jet.__init__` converts and checks its input for outside callers;
 the kernels here build their results with `Jet._of`, which skips both, since
@@ -207,6 +217,8 @@ _ARENA = np.empty(0)
 
 
 def _mul_raw(ca: np.ndarray, cb: np.ndarray, order: int) -> np.ndarray:
+    if order == 0:  # one pair, (0, 0): the segmented sum of one product is that product
+        return ca * cb
     ia, ib, starts = _MUL[order]
     p = ca[..., ia] * cb[..., ib]
     return np.add.reduceat(p, starts, axis=-1)
@@ -513,11 +525,12 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _contract_plan(*key)
+    kernel = _contract_values if plan[0] == 0 else _contract
     step = max(1, CONTRACT_CHUNK_BYTES // plan[-1])
     if points and len(ca) > step:
-        chunks = [_contract(ca[k : k + step], cb[k : k + step], plan, True) for k in range(0, len(ca), step)]
+        chunks = [kernel(ca[k : k + step], cb[k : k + step], plan, True) for k in range(0, len(ca), step)]
         return Jet._of(plan[0], np.concatenate(chunks))
-    return Jet._of(plan[0], _contract(ca, cb, plan, points))
+    return Jet._of(plan[0], kernel(ca, cb, plan, points))
 
 
 def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple, points: bool) -> np.ndarray:
@@ -536,6 +549,17 @@ def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple, points: bool) -> np.n
     cb[..., :n].transpose(perm_b).take(ib, axis=axis, out=gb_out, mode="clip")
     out = np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm)
     return out.reshape(out_shape)
+
+
+def _contract_values(ca: np.ndarray, cb: np.ndarray, plan: tuple, _points: bool) -> np.ndarray:
+    """The coefficients of `contract` by an order-0 plan: the one pair (0, 0)
+    needs no zero slab and no gather, so the operands are laid out as
+    `_contract` lays out its gathered ones, C-contiguous in fresh arrays, and
+    the matmul reads them the same way (the same BLAS call, so the same bits)."""
+    _, n, perm_a, perm_b, _, _, _, _, _, _, ga_shape, gb_shape, mm_perm, out_perm, out_shape, *_ = plan
+    ga = np.ascontiguousarray(ca[..., :n].transpose(perm_a)).reshape(ga_shape)
+    gb = np.ascontiguousarray(cb[..., :n].transpose(perm_b)).reshape(gb_shape)
+    return np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm).reshape(out_shape)
 
 
 def _views(lead: tuple, fa_shape: tuple, ga_take: tuple, gb_take: tuple, ga_shape: tuple, gb_shape: tuple) -> tuple:
@@ -568,6 +592,8 @@ def reciprocal(b: Jet) -> Jet:
     b0 = b.c[..., 0]
     if np.any(b0 == 0.0):
         raise DomainError("division by jet with zero constant term")
+    if b.order == 0:  # the series below is its constant term, 1.0, over b0
+        return Jet._of(0, 1.0 / b.c)
     u = b.c / b0[..., None]
     u[..., 0] = 0.0
     # (1+u)^-1 = 1 - u + u^2 - u^3 + u^4 truncated; u is nilpotent.
@@ -603,10 +629,10 @@ def power(a: Jet, q) -> Jet:
 
 def _compose(a: Jet, fk: np.ndarray) -> Jet:
     """Sum_k fk[..., k] * (a - a0)^k, the univariate Taylor composition."""
+    if a.order == 0:  # fk holds f(a0) alone: a fresh array of a's shape
+        return Jet._of(0, fk)
     out = np.zeros_like(a.c)
     out[..., 0] = fk[..., 0]
-    if a.order == 0:
-        return Jet._of(0, out)
     v = a.c.copy()
     v[..., 0] = 0.0
     p = v

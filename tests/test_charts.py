@@ -372,6 +372,28 @@ class TestAdaptedFrame:
         assert np.abs(sp.frame[2] - np.array([0, 0, 1, 0])).max() < 1e-12
 
 
+def scaled_chart(spec: charts.ChartSpec, c2: float) -> charts.ChartSpec:
+    """The chart of the metric c2 * g with the same J."""
+    data = charts.chart_to_dict(spec)
+    data["g"] = {key: f"{c2!r}*({src})" for key, src in data["g"].items()}
+    return charts.chart_from_dict(data, name_hint=f"{spec.name} scaled by {c2!r}")
+
+
+class TestFrameAtAnyScale:
+    """The adapted frame's independence test is relative to g(d_m, d_m), so a
+    homothety g -> c^2 g scales the frame by 1/c and builds it the same way."""
+
+    @pytest.mark.parametrize("c2", [1e-10, 1e-12])
+    def test_a_small_metric_gives_the_scaled_frame(self, catalog_specs, c2):
+        for spec in catalog_specs.values():
+            pts = spec.sample_points(4, 3)
+            unscaled = charts.structure_at([(spec, pts)], 2)
+            scaled = charts.structure_at([(scaled_chart(spec, c2), pts)], 2)
+            for a, b in zip(unscaled, scaled):
+                gap = np.abs(math.sqrt(c2) * b.frame - a.frame).max()
+                assert gap <= 1e-12 * np.abs(a.frame).max(), spec.name
+
+
 class TestAdaptedFrameOp:
     def test_adapted_frame_returns_basis(self, analyses):
         pa = analyses["kodaira-thurston"][0]

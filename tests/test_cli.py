@@ -370,6 +370,16 @@ class TestIdentityRegistry:
             # and here each row applies at every point or at none
             assert calls == Counter({row["name"]: batches for row in doc["points"][0]["identities"]}), chart
 
+    @pytest.mark.parametrize("batch_points", [2, cli.BATCH_POINTS])
+    def test_each_hypothesis_is_evaluated_once_per_batch(self, batch_points, monkeypatch):
+        # lemma6-constancy and lemma6-mu-formula both assume the lemma 6 triple
+        calls = _count_calls(monkeypatch, ("gray.lemma6_triple",))
+        monkeypatch.setattr(cli, "BATCH_POINTS", batch_points)
+        for chart in ("fubini-study", "kodaira-thurston"):
+            calls.clear()
+            run_report(RunConfig(chart=chart, points=4, order=4))
+            assert calls == {"gray.lemma6_triple": -(-4 // batch_points)}, chart
+
     def test_the_plane_and_second_order_stages_run_once_per_curvature_slice(self, monkeypatch):
         # their temporaries grow with the points formed at once
         calls = _count_calls(monkeypatch, ("gray.gray_report", "bianchi_bach.second_order_report"))

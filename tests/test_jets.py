@@ -442,6 +442,67 @@ class TestCachedKernelsMatchTheirOracles:
             assert got.c.shape == np.moveaxis(j.c, src, dst).shape
 
 
+def signed_values(rng, shape) -> np.ndarray:
+    """Uniform values in [-1, 1) over many magnitudes, a quarter of them +0.0 or -0.0."""
+    n = math.prod(shape)
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+    zero = rng.random(n) < 0.25
+    x[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, n))[zero]
+    return x.reshape(shape)
+
+
+class TestOrderZeroPaths:
+    """The order-0 paths of the kernels give the bits of their general paths,
+    signs of zero included (compared as bytes)."""
+
+    @pytest.mark.parametrize("points", [False, True])
+    @pytest.mark.parametrize(
+        ("shape_a", "shape_b", "axes_a", "axes_b"),
+        [((4, 4), (4,), (), ()), ((2, 3), (), (), ()), ((4, 4), (4,), 1, 0), ((4,), (4, 4), 0, 1), ((4, 4, 4, 4), (4, 4), (2, 3), (0, 1)), ((4, 3), (3, 4), (0, 1), (1, 0))],
+    )
+    @pytest.mark.parametrize("orders", [(0, 0), (2, 0), (0, 4)])
+    def test_contract_equals_the_gather_path_of_the_same_plan(self, shape_a, shape_b, axes_a, axes_b, orders, points):
+        rng = np.random.default_rng(90)
+        lead = (5,) if points else ()
+        a = Jet(orders[0], signed_values(rng, lead + shape_a + (jets.NCOEF[orders[0]],)))
+        b = Jet(orders[1], signed_values(rng, lead + shape_b + (jets.NCOEF[orders[1]],)))
+        got = jets.contract(a, b, axes_a, axes_b, points)
+        axes = (axes_a,) if isinstance(axes_a, int) else axes_a, (axes_b,) if isinstance(axes_b, int) else axes_b
+        plan = jets._PLANS[(a.c.shape[len(lead) :], b.c.shape[len(lead) :], *axes, points)]
+        assert got.order == plan[0] == 0
+        assert got.c.tobytes() == jets._contract(a.c, b.c, plan, points).tobytes()
+
+    @pytest.mark.parametrize(("shape_a", "shape_b"), [((), ()), ((3, 1, 4), (5, 1)), ((6, 4, 4), (6, 4, 4))])
+    def test_mul_equals_the_table_path(self, shape_a, shape_b):
+        rng = np.random.default_rng(91)
+        ca, cb = signed_values(rng, shape_a + (1,)), signed_values(rng, shape_b + (1,))
+        ca.flat[:2] = np.inf, -np.inf
+        ia, ib, starts = jets._MUL[0]
+        with np.errstate(invalid="ignore"):  # inf times zero
+            table = np.add.reduceat(ca[..., ia] * cb[..., ib], starts, axis=-1)
+            assert jets._mul_raw(ca, cb, 0).tobytes() == table.tobytes()
+            assert (Jet(0, ca) * Jet(0, cb)).c.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("function", [jets.reciprocal, jets.sqrt, jets.log, jets.exp, jets.sin, jets.cos, jets.sinh, jets.cosh, jets.atan])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4, 4)])
+    def test_elementary_functions_equal_the_value_of_the_general_path(self, function, shape):
+        # the value of an order-1 jet goes through the series and the composition
+        rng = np.random.default_rng(92)
+        c = rng.uniform(-1.0, 1.0, shape + (jets.NCOEF[1],))
+        c[..., 0] = np.abs(signed_values(rng, shape)) + 1e-3
+        if function in (jets.reciprocal, jets.sin, jets.atan):
+            c[..., 0] *= np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        with np.errstate(over="ignore"):  # exp, sinh and cosh of up to 1e8
+            got, general = function(Jet(1, c).truncate(0)), function(Jet(1, c))
+        assert got.order == 0 and got.c.shape == shape + (1,)
+        assert got.c.tobytes() == np.ascontiguousarray(general.c[..., :1]).tobytes()
+
+    @pytest.mark.parametrize(("function", "value"), [(jets.reciprocal, 0.0), (jets.reciprocal, -0.0), (jets.sqrt, 0.0), (jets.sqrt, -2.0), (jets.log, -0.0)])
+    def test_the_domain_checks_hold_at_order_0(self, function, value):
+        with pytest.raises(DomainError):
+            function(Jet(0, np.array([[1.0], [value]])))
+
+
 class TestSharedProgram:
     """One program shared by several expressions, and kept across evaluations, changes no bit."""
 

@@ -11,7 +11,7 @@ from ak4 import charts, cli, gray, jets, riemann
 from ak4.errors import JetOrderError
 from ak4.jets import Jet
 
-from conftest import KAHLER_NAMES, product_surfaces, sphere_factor, structure_point
+from conftest import KAHLER_NAMES, product_surfaces, rotated_j_chart, sphere_factor, structure_point
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
@@ -311,6 +311,14 @@ class TestPipelineBatch:
         reasons = [pa.sor.bach_ak_skip_reason for pa in cli.point_analyses(sps)]
         assert reasons[:n] == [None] * n and None not in reasons[n:]
         _assert_batches_match(sps, n)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_a_batch_whose_points_take_their_frame_from_different_candidates(self, order):
+        # e3 comes from d3 (m = 2) at x1 = 0 and from d2 (m = 1) at x1 = 0.3
+        pts = np.array([(0.0, 0.1, 0.2, 0.3), (0.3, 0.1, 0.2, 0.3), (0.0, -0.4, 0.5, 0.1)])
+        sps = charts.structure_at([(rotated_j_chart(), pts)], order)
+        assert [bool(np.abs(sp.frame[2] - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15) for sp in sps] == [True, False, True]
+        _assert_batches_match(sps, len(sps))
 
     def test_a_curvature_batch_reads_mu_from_consecutive_structure_points(self, catalog_specs):
         spec = catalog_specs["fubini-study"]
