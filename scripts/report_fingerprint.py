@@ -35,10 +35,10 @@ first, since it is the only field that changes from run to run.
 It then digests the structure stage itself, `charts.structure_at`, at
 orders 2, 3 and 4 on 4 points (seed 5) of every catalog chart together and
 of the `every-function` chart, each as one batch and as one-point batches:
-one `sha256  structure ...` line per slice, over every `StructurePoint`
-field, the mu, phi and J phi jets read after the stage returns, every jet's
-order and coefficient bytes (so the sign of zero counts), and the `repr` of
-the invariant residuals. Two trees
+one `sha256  structure ...` line per slice, over every `StructureBatch`
+field at each point, the mu, phi and J phi jets read after the stage
+returns, every jet's order and coefficient bytes (so the sign of zero
+counts), and the `repr` of the invariant residuals as a dict by invariant. Two trees
 produce the same outputs exactly when their fingerprint files are equal:
 
     python3 scripts/report_fingerprint.py > before.txt
@@ -156,7 +156,7 @@ def cases():
         yield " ".join(argv), argv
 
 
-#: The jet fields of a `charts.StructurePoint`, in the order they are digested.
+#: The jet fields of a `charts.StructureBatch`, in the order they are digested.
 STRUCTURE_JETS = ("g", "g_inv", "J", "omega", "mu", "phi", "jphi")
 
 
@@ -172,19 +172,22 @@ def structure_cases():
 
 
 def structure_fingerprint(batches, order: int, one_point: bool) -> str:
+    """The digest of every point of the structure batches, point by point:
+    each field's entry at the point, the jets read after the stage returns."""
     if one_point:
-        sps = [sp for spec, pts in batches for p in pts for sp in charts.structure_at([(spec, p[None])], order)]
+        structures = [charts.structure_at([(spec, p[None])], order) for spec, pts in batches for p in pts]
     else:
-        sps = charts.structure_at(batches, order)
+        structures = [charts.structure_at(batches, order)]
     digest = hashlib.sha256()
-    for sp in sps:
-        digest.update(repr((sp.point, sp.order)).encode("utf-8"))
-        for name in STRUCTURE_JETS:
-            jet = getattr(sp, name)
-            digest.update(f"{name} {jet.order} {jet.c.shape}".encode("utf-8"))
-            digest.update(jet.c.tobytes())
-        digest.update(sp.frame.tobytes())
-        digest.update(repr(sp.invariant_residuals).encode("utf-8"))
+    for structure in structures:
+        for k, point in enumerate(structure.points):
+            digest.update(repr((point, structure.order)).encode("utf-8"))
+            for name in STRUCTURE_JETS:
+                jet = getattr(structure, name)[k]
+                digest.update(f"{name} {jet.order} {jet.c.shape}".encode("utf-8"))
+                digest.update(jet.c.tobytes())
+            digest.update(structure.frame[k].tobytes())
+            digest.update(repr(dict(zip(charts.INVARIANTS, structure.invariant_residuals[k].tolist()))).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -8,15 +8,15 @@ curvature conditions.
 
 __version__ = "0.1.0"
 
-from .charts import ChartSpec, StructurePoint, catalog, load_chart, structure_at
-from .decomp import DecompReport, decompose, star_ricci
+from .charts import ChartSpec, StructureBatch, catalog, load_chart, structure_at
+from .decomp import DecompBatch, decompose, star_ricci
 from .errors import AK4Error, ChartError, DomainError, JetOrderError, ParseError, StructureError
 from .exprs import eval_float, eval_jet, parse_expr
 from .jets import Jet
 from .riemann import (
-    ConnectionData,
-    CurvatureData,
-    HermitianFirstOrder,
+    ConnectionBatch,
+    CurvatureBatch,
+    FirstOrderBatch,
     connection,
     curvature,
     hermitian_first_order,
@@ -28,16 +28,16 @@ __all__ = [
     "AK4Error",
     "ChartError",
     "ChartSpec",
-    "ConnectionData",
-    "CurvatureData",
-    "DecompReport",
+    "ConnectionBatch",
+    "CurvatureBatch",
+    "DecompBatch",
     "DomainError",
-    "HermitianFirstOrder",
+    "FirstOrderBatch",
     "Jet",
     "JetOrderError",
     "ParseError",
+    "StructureBatch",
     "StructureError",
-    "StructurePoint",
     "catalog",
     "connection",
     "curvature",

@@ -18,12 +18,12 @@ identifying both pieces with 1-forms. alpha is extracted by pairing with
 Omega (which annihilates every B), beta by pairing the remainder with phi.
 The beta identification depends on the phi gauge fixed by the adapted frame.
 
-Each function takes the curvature records of one batch (all of it, in
-order; see `riemann.curvature`) and returns one value per point: a jet or
-an array with a leading point axis, or a list. Everything runs once on the
-batch's point axis, bit for bit what each point gives alone: the jets, the
-delta W+ split and the residual table. Two einsums on 4x4 frame values stay
-a loop over the points: the pairing of delta W+ with Omega in
+Each function takes a `riemann.CurvatureBatch`, one of the curvature
+slices `second_order_report` runs on, and returns one value per point: a
+jet or an array with a leading point axis, or a list. Everything runs once
+on the slice's point axis, bit for bit what each point gives alone: the
+jets, the delta W+ split and the residual table. Two einsums on 4x4 frame
+values stay a loop over the points: the pairing of delta W+ with Omega in
 `split_delta_wplus`, where a batched einsum sums 16 terms of a strided
 operand in another order, and S in `bach_almost_kahler`.
 """
@@ -31,44 +31,44 @@ operand in another order, and S in `bach_almost_kahler`.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, jets, riemann, tensorops
-from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER, StructurePoint
-from .decomp import DecompReport
+from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER
+from .decomp import DecompBatch
 from .jets import Jet
-from .riemann import CurvatureData, HermitianFirstOrder
+from .riemann import CurvatureBatch, FirstOrderBatch
 
 OMEGA_F, PHI_F, JPHI_F = FRAME_FORMS[0], FRAME_FORMS[1], FRAME_FORMS[2]
 
 
 @dataclass
 class SecondOrderReport:
-    """Third- and fourth-order curvature identities at one point."""
+    """Third- and fourth-order curvature identities at each point of a batch:
+    one residual column per identity, None at the points where the closed
+    Bach forms' hypotheses fail (each with its reason)."""
 
-    bach_ak_skip_reason: str | None
-    residuals: dict[str, float]
+    bach_ak_skip_reason: list[str | None]
+    residuals: dict[str, list[float | None]]
 
 
-def cotton_york(cds: Sequence[CurvatureData]) -> Jet:
+def cotton_york(cd: CurvatureBatch) -> Jet:
     """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0), at each point."""
-    if cds[0].sp.order < 3:
+    if cd.conn.structure.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    batch = riemann.batch_of(cds)
-    dh = riemann.covd(batch.gamma, batch.h, points=True)  # (m, i, j) = nabla_m h_ij
+    dh = riemann.covd(cd.gamma, cd.h, points=True)  # (m, i, j) = nabla_m h_ij
     # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
     return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0), True) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0), True)
 
 
-def delta_weyl(cds: Sequence[CurvatureData], which: str = "full") -> Jet:
+def delta_weyl(cd: CurvatureBatch, which: str = "full") -> Jet:
     """Codifferential of the (projected) Weyl tensor at each point, slots (X; Y, Z).
 
-    The jets are memoized on the batch, so the report and the Bach routes share them.
+    The jets are cached on the batch, so the report and the Bach routes share them.
     """
-    return getattr(riemann.batch_of(cds), {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
+    return getattr(cd, {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
 
 
 def _pair_with_form(t3_f: np.ndarray, form_f: np.ndarray) -> np.ndarray:
@@ -123,33 +123,31 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return alpha, beta, completeness
 
 
-def _bach_from(batch: jets.Batch, w: Jet, dw: Jet) -> np.ndarray:
+def _bach_from(cd: CurvatureBatch, w: Jet, dw: Jet) -> np.ndarray:
     """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components, at each point."""
-    term1 = riemann.divergence(batch.g_inv, batch.gamma, batch.terms, dw, 1, points=True).value  # (x, y)
+    term1 = riemann.divergence(cd.g_inv, cd.gamma, cd.terms, dw, 1, points=True).value  # (x, y)
     # the W h term is read as a value only: it runs on order-0 truncations
-    term2 = jets.contract(w.truncate(0), batch.h_raised, (1, 2), (0, 1), points=True).value  # W_xaby h^ab -> (x, y)
-    return tensorops.frame_components(term1 + term2, batch.frame)
+    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1), points=True).value  # W_xaby h^ab -> (x, y)
+    return tensorops.frame_components(term1 + term2, cd.frame)
 
 
-def bach_direct(cds: Sequence[CurvatureData]) -> np.ndarray:
+def bach_direct(cd: CurvatureBatch) -> np.ndarray:
     """The Bach tensor from the full Weyl tensor, frame components, at each point."""
-    if cds[0].sp.order < 4:
+    if cd.conn.structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    batch = riemann.batch_of(cds)
-    return _bach_from(batch, batch.weyl, delta_weyl(cds, "full"))
+    return _bach_from(cd, cd.weyl, delta_weyl(cd, "full"))
 
 
-def bach_gauduchon(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.ndarray]:
+def bach_gauduchon(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     """The Bach tensor from each Weyl half separately, B = 2 * (half-expression), at each point."""
-    if cds[0].sp.order < 4:
+    if cd.conn.structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    batch = riemann.batch_of(cds)
-    bp = 2.0 * _bach_from(batch, batch.weyl_plus, delta_weyl(cds, "plus"))
-    bm = 2.0 * _bach_from(batch, batch.weyl_minus, delta_weyl(cds, "minus"))
+    bp = 2.0 * _bach_from(cd, cd.weyl_plus, delta_weyl(cd, "plus"))
+    bm = 2.0 * _bach_from(cd, cd.weyl_minus, delta_weyl(cd, "minus"))
     return bp, bm
 
 
-def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.ndarray]:
+def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bach tensor for almost Kahler metrics with J-invariant Ricci,
     at each point.
 
@@ -164,24 +162,24 @@ def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.nda
     Both equal the Bach tensor only where the structure is almost Kahler and
     the Ricci tensor J-invariant; the caller checks that.
     """
-    if cds[0].sp.order < 4:
+    structure = cd.conn.structure
+    if structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    batch = riemann.batch_of(cds)
-    gamma, frame = batch.gamma, batch.frame
-    hess = riemann.covd(gamma, jets.partials(batch.s, True), True).value  # (nabla ds)_{mi}
+    gamma, frame = cd.gamma, cd.frame
+    hess = riemann.covd(gamma, jets.partials(cd.s, True), True).value  # (nabla ds)_{mi}
     hess_f = tensorops.frame_components(hess, frame)
     hess_inv = algebra.j_invariant_part(hess_f)
     hess_anti = algebra.j_anti_part(hess_f)
     lap_s = -np.trace(hess_f, axis1=1, axis2=2)[:, None, None]
 
-    ric0_f = batch.ric0_frame
-    s_val = batch.s_value[:, None, None]
+    ric0_f = cd.ric0_frame
+    s_val = cd.s_value[:, None, None]
 
     # rho0_ij = J^k_i Ric0_kj, to first order: only the value of its covariant derivative is read
-    j1 = jets.stack([cd.sp.J.truncate(1) for cd in cds])
-    rho0 = jets.contract(j1, batch.ric0.truncate(1), 0, 0, points=True)
+    rho0 = jets.contract(structure.J[cd.rows].truncate(1), cd.ric0.truncate(1), 0, 0, points=True)
     d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0, True).value, frame)
-    d_omega = tensorops.frame_components(np.stack([cd.conn.nabla_omega.value for cd in cds]), frame)
+    # a compact copy in the value's axis order, for frame_components' matmul
+    d_omega = tensorops.frame_components(cd.conn.nabla_omega.value[cd.rows].copy(order="K"), frame)
     # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in;
     # einsum per point: S vanishes on every catalog point where the closed
     # forms apply, so no output shows whether a batched einsum keeps its bits
@@ -189,16 +187,16 @@ def bach_almost_kahler(cds: Sequence[CurvatureData]) -> tuple[np.ndarray, np.nda
 
     b_ak = -hess_inv / 3.0 + hess_anti / 6.0 - (lap_s / 12.0) * np.eye(4) - (s_val / 6.0) * ric0_f + s_tensor
 
-    rough = -riemann.divergence(batch.g_inv, gamma, batch.terms, riemann.covd(gamma, batch.ric0, True), 0, True)
+    rough = -riemann.divergence(cd.g_inv, gamma, cd.terms, riemann.covd(gamma, cd.ric0, True), 0, True)
     lap_ric0 = tensorops.frame_components(rough.value, frame)
-    w_f = tensorops.frame_components(batch.weyl.value, frame)
+    w_f = tensorops.frame_components(cd.weyl.value, frame)
     # on the point axis: it keeps each point's bits (product-surfaces shows W(Ric0) != 0)
     w_ring = -np.einsum("pxaby,pab->pxy", w_f, ric0_f)
     b_ricci = 0.5 * lap_ric0 + (lap_s / 24.0) * np.eye(4) + hess_f / 6.0 + (s_val / 6.0) * ric0_f - w_ring
     return b_ak, b_ricci
 
 
-def weitzenboeck_check(cds: Sequence[CurvatureData], field: Jet | None = None) -> np.ndarray:
+def weitzenboeck_check(cd: CurvatureBatch, field: Jet | None = None) -> np.ndarray:
     """Residual of the 2-form Weitzenboeck identity at each point,
 
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
@@ -211,43 +209,43 @@ def weitzenboeck_check(cds: Sequence[CurvatureData], field: Jet | None = None) -
     already. The algebraic terms (s/3) phi and W(phi) are read as values
     only, so they are formed from order-0 truncations.
     """
-    if cds[0].sp.order < 3:
+    conn = cd.conn
+    if conn.structure.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
-    batch = riemann.batch_of(cds)
-    g_inv, gamma = batch.g_inv, batch.gamma
+    g_inv, gamma = cd.g_inv, cd.gamma
     if field is None:
-        phi = jets.stack([cd.sp.omega for cd in cds])
-        nabla_phi = jets.stack([cd.conn.nabla_omega for cd in cds])
-        rough = riemann.neg_trace(g_inv, jets.stack([cd.conn.nabla2_omega for cd in cds]), True)
+        phi = conn.structure.omega[cd.rows]
+        nabla_phi = conn.nabla_omega[cd.rows]
+        rough = riemann.neg_trace(g_inv, conn.nabla2_omega[cd.rows], True)
     else:
         phi = field.truncate(J_SIDE_ORDER)
         nabla_phi = riemann.covd(gamma, phi, True)
-        rough = -riemann.divergence(g_inv, gamma, batch.terms, nabla_phi, 0, True)
+        rough = -riemann.divergence(g_inv, gamma, cd.terms, nabla_phi, 0, True)
     delta_phi = riemann.neg_trace(g_inv, nabla_phi, True)  # 1-form
     d_delta = tensorops.ext_d_1form(delta_phi, True)
     d_phi = tensorops.ext_d_2form(phi, True)
-    delta_d = -riemann.divergence(g_inv, gamma, batch.terms, d_phi, 0, True)
+    delta_d = -riemann.divergence(g_inv, gamma, cd.terms, d_phi, 0, True)
     laplace = d_delta + delta_d
     phi0 = phi.truncate(0)
-    w_phi = tensorops.form_inner(batch.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3), True)
-    rhs = rough + (batch.s.truncate(0)[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
+    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3), True)
+    rhs = rough + (cd.s.truncate(0)[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
     residual = (laplace - rhs).value
-    return np.abs(tensorops.frame_components(residual, batch.frame)).max(axis=(1, 2))
+    return np.abs(tensorops.frame_components(residual, cd.frame)).max(axis=(1, 2))
 
 
-def random_polynomial_2form(sps: Sequence[StructurePoint], seed: int) -> Jet:
+def random_polynomial_2form(points: list[tuple[float, float, float, float]], order: int, seed: int) -> Jet:
     """Deterministic quadratic-coefficient 2-form field for identity tests,
-    at each structure point, with a point axis.
+    at each of the points, with a point axis.
 
     Each entry above the diagonal is a combination of the monomials 1, x1..x4,
     x1 x3, x2^2, x4 x1 and x3^2 with coefficients drawn uniformly from
     [-1, 1] and rounded to 6 decimals. The field is built at the order the
     Weitzenboeck check reads, min(order, J_SIDE_ORDER).
     """
-    order = min(sps[0].order, J_SIDE_ORDER)
+    order = min(order, J_SIDE_ORDER)
     # a length-1 axis after the points, which the six entries broadcast along
-    points = np.array([sp.point for sp in sps])[:, None]
-    x1, x2, x3, x4 = (Jet.coordinate(i, points, order) for i in range(4))
+    at = np.array(points)[:, None]
+    x1, x2, x3, x4 = (Jet.coordinate(i, at, order) for i in range(4))
     c = _random_2form_coefficients(seed)
     # each product keeps the jet on the left, so Jet, not numpy, broadcasts it
     val = (
@@ -262,7 +260,7 @@ def random_polynomial_2form(sps: Sequence[StructurePoint], seed: int) -> Jet:
         + x3**2 * c[8]
     )
     upper = np.triu_indices(4, 1)
-    out = np.zeros((len(sps), 4, 4, val.c.shape[-1]))
+    out = np.zeros((len(points), 4, 4, val.c.shape[-1]))
     out[:, upper[0], upper[1]] = val.c
     out[:, upper[1], upper[0]] = -val.c
     return Jet(order, out)
@@ -283,50 +281,57 @@ def _random_2form_coefficients(seed: int) -> np.ndarray:
 # -- report assembly ------------------------------------------------------------
 
 
-def second_order_report(
-    cds: Sequence[CurvatureData], hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompReport], weitzenboeck_seed: int
-) -> list[SecondOrderReport]:
+def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, dr: DecompBatch, weitzenboeck_seed: int) -> SecondOrderReport:
     """Compute every second-order quantity and the full residual table at each
-    point of a batch, all on the batch's point axis: each residual is one
-    column, formed once for the batch."""
-    if cds[0].sp.order < 4:
+    point of a batch: each residual is one column, formed on the point axis
+    of each curvature slice (`CurvatureBatch.slices`), whose second-order
+    jets are formed a slice at a time."""
+    if cd.conn.structure.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
-    batch = riemann.batch_of(cds)
-    frame = batch.frame
-
-    c_jet = cotton_york(cds)
-    c_f = tensorops.frame_components(c_jet.value, frame)
-    dw_f = tensorops.frame_components(delta_weyl(cds, "full").value, frame)
-    dwp_f = tensorops.frame_components(delta_weyl(cds, "plus").value, frame)
-
-    # only the value of C+ is read: it is projected from order-0 truncations
-    c_plus = tensorops.dual_projection(c_jet.truncate(0), batch.g_inv.truncate(0), batch._mu.truncate(0), +1.0, (1, 2), points=True)
-    c_plus_f = tensorops.frame_components(c_plus.value, frame)
-
-    # Lemma-type predictions for alpha and beta under J-invariant Ricci.
-    ds_f = tensorops.frame_components(jets.partials(batch.s, True).value, frame)
-    theta_f = tensorops.frame_components(np.stack([hfo.theta.value for hfo in hfos]), frame)
-    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in hfos]), frame)
-    b_f = tensorops.frame_components(np.stack([hfo.b.value for hfo in hfos]), frame)
-
-    bd = bach_direct(cds)
-    bp, bm = bach_gauduchon(cds)
-
     # the hypotheses of the closed forms, as the registry's `almost_kahler` and
     # `j_invariant_ricci` test them; the JSON report names the one that fails
     skip_reasons = []
-    for hfo, dr in zip(hfos, drs):
-        if not hfo.is_almost_kahler:
-            skip_reasons.append(f"not almost Kahler at this point: |dOmega| = {hfo.d_omega_norm:.3e}")
-        elif not dr.is_j_invariant_ricci:
-            skip_reasons.append(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm:.3e}")
+    for ak, d_omega, j_inv, ric_anti in zip(hfo.is_almost_kahler.tolist(), hfo.d_omega_norm.tolist(), dr.is_j_invariant_ricci.tolist(), dr.ric_anti_norm.tolist()):
+        if not ak:
+            skip_reasons.append(f"not almost Kahler at this point: |dOmega| = {d_omega:.3e}")
+        elif not j_inv:
+            skip_reasons.append(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti:.3e}")
         else:
             skip_reasons.append(None)
+    residuals: dict[str, list] = {}
+    for part in cd.slices:
+        for name, column in _slice_residuals(part, hfo, skip_reasons[part.rows], weitzenboeck_seed).items():
+            residuals.setdefault(name, []).extend(column)
+    return SecondOrderReport(skip_reasons, residuals)
+
+
+def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: list[str | None], weitzenboeck_seed: int) -> dict[str, list]:
+    """The residual columns of the points of one curvature slice; the closed
+    forms' columns hold None where their hypotheses fail."""
+    rows, frame = cd.rows, cd.frame
+    c_jet = cotton_york(cd)
+    c_f = tensorops.frame_components(c_jet.value, frame)
+    dw_f = tensorops.frame_components(delta_weyl(cd, "full").value, frame)
+    dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
+
+    # only the value of C+ is read: it is projected from order-0 truncations
+    c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2), points=True)
+    c_plus_f = tensorops.frame_components(c_plus.value, frame)
+
+    # Lemma-type predictions for alpha and beta under J-invariant Ricci.
+    ds_f = tensorops.frame_components(jets.partials(cd.s, True).value, frame)
+    theta_f = tensorops.frame_components(hfo.theta.value[rows], frame)
+    a_f = tensorops.frame_components(hfo.a.value[rows], frame)
+    b_f = tensorops.frame_components(hfo.b.value[rows], frame)
+
+    bd = bach_direct(cd)
+    bp, bm = bach_gauduchon(cd)
 
     alpha, beta, completeness = split_delta_wplus(dwp_f)
-    ric0_f = batch.ric0_frame
+    ric0_f = cd.ric0_frame
     alpha_pred = -ds_f / 12.0 + (0.5 * ric0_f @ theta_f[:, :, None])[:, :, 0]
     beta_pred = (-0.25 * ric0_f @ (a_f + _j_form(b_f))[:, :, None])[:, :, 0]
+    field = random_polynomial_2form(cd.conn.structure.points[rows], cd.conn.structure.order, weitzenboeck_seed)
     columns = {
         "delta W = C": _max_abs(dw_f - c_f),
         "delta W+ = C+": _max_abs(dwp_f - c_plus_f),
@@ -337,24 +342,19 @@ def second_order_report(
         "bach traceless": np.abs(np.trace(bd, axis1=1, axis2=2)).tolist(),
         "bach direct vs plus": _max_abs(bd - bp),
         "bach direct vs minus": _max_abs(bd - bm),
-        "weitzenboeck omega": weitzenboeck_check(cds).tolist(),
-        "weitzenboeck random": weitzenboeck_check(cds, random_polynomial_2form([cd.sp for cd in cds], weitzenboeck_seed)).tolist(),
+        "weitzenboeck omega": weitzenboeck_check(cd).tolist(),
+        "weitzenboeck random": weitzenboeck_check(cd, field).tolist(),
         "beta norm": _max_abs(beta),
         "alpha norm": _max_abs(alpha),
     }
-    # the closed forms run on the whole batch where any point satisfies their
+    # the closed forms run on the whole slice where any point satisfies their
     # hypotheses, and are reported at those points only
-    closed = {}
+    closed = {"bach direct vs almost-kahler form": [None] * len(skip_reasons), "bach direct vs ricci form": [None] * len(skip_reasons)}
     if None in skip_reasons:
-        bach_ak, bach_ricci = bach_almost_kahler(cds)
-        closed = {"bach direct vs almost-kahler form": _max_abs(bd - bach_ak), "bach direct vs ricci form": _max_abs(bd - bach_ricci)}
-    reports = []
-    for k, skip_reason in enumerate(skip_reasons):
-        residuals = {name: column[k] for name, column in columns.items()}
-        if skip_reason is None:
-            residuals.update({name: column[k] for name, column in closed.items()})
-        reports.append(SecondOrderReport(bach_ak_skip_reason=skip_reason, residuals=residuals))
-    return reports
+        bach_ak, bach_ricci = bach_almost_kahler(cd)
+        for name, column in zip(closed, (_max_abs(bd - bach_ak), _max_abs(bd - bach_ricci))):
+            closed[name] = [value if reason is None else None for value, reason in zip(column, skip_reasons)]
+    return columns | closed
 
 
 def _max_abs(x: np.ndarray) -> list[float]:

@@ -14,13 +14,14 @@ J phi, where (J phi)(X, Y) = -phi(JX, Y); this phi gauge is a free choice
 and every gauge-dependent quantity downstream is documented as such.
 
 `structure_at` runs this structure stage once per batch of sample points (a
-command's points, up to `cli.BATCH_POINTS` at a time): the entry expressions
-of all the charts are evaluated by one `exprs.eval_jet` call per jet order,
-each chart on its own points with its kept `exprs.Program`, and the rest on a
-leading point axis across charts. The adapted frame and the invariant checks
-read only values, so they run on order-0 truncations; mu, phi and J phi are
-built as jets for the whole batch on their first read.
-Each point's jets are the bits a batch of that point alone would give.
+command's points, up to `cli.BATCH_POINTS` at a time) and returns one
+`StructureBatch`: the entry expressions of all the charts are evaluated by
+one `exprs.eval_jet` call per jet order, each chart on its own points with
+its kept `exprs.Program`, and the rest on a leading point axis across
+charts. The adapted frame and the invariant checks read only values, so they
+run on order-0 truncations; mu, phi and J phi are built as jets for the
+whole batch on their first read. Each point's jets are the bits a batch of
+that point alone would give.
 """
 
 from __future__ import annotations
@@ -317,32 +318,34 @@ FRAME_FORMS = np.stack(
 
 
 @dataclass
-class StructurePoint:
-    """All structure jets of a chart at one point, plus the adapted frame.
+class StructureBatch:
+    """All structure jets of a batch of chart points, on a leading point axis,
+    plus the adapted frames.
 
-    frame[a] are the coordinate components of the frame vector e_a. phi and
-    jphi are coordinate 2-form jets; with omega their frame components are
-    the first three rows of FRAME_FORMS.
+    frame[p, a] are the coordinate components of the frame vector e_a at
+    point p. phi and jphi are coordinate 2-form jets; with omega their frame
+    components are the first three rows of FRAME_FORMS. A point is an index
+    into the point axis of every field.
 
     g carries the requested `order` and g_inv one order less (at least 0):
     every reader contracts g_inv with a derivative of g, such as a
     Christoffel symbol, a curvature tensor or a covariant derivative, which
     has at most that order. J, omega, mu, phi and jphi carry
     min(order, J_SIDE_ORDER), the most any identity differentiates them.
-    frame is a value, the adapted frame at the point.
+    frame is a value, the adapted frame at each point, and
+    invariant_residuals holds one row per point, one column per INVARIANTS
+    entry.
 
     `structure_at` forms g, g_inv, J, omega, the frame and the invariant
-    residuals for the whole batch; the jets are views into its arrays. mu,
-    phi and jphi are `jets.per_batch` jets: the first read at any point of
-    the batch builds them for all its points, from `batch.g` (g truncated to
-    J's order), `batch.J` and `batch.orientation` (the sign of det frame
-    that makes Omega self-dual), through the adapted frame and coframe
-    (`_frame_vectors`, `_coframe`) at J's order. `structure_at` takes the
-    frame, and the values of mu, phi and jphi that the self-duality checks
-    read, from the same per-batch values on a batch of the order-0
-    truncations of g and J. That batch stays reachable as `batch.values`:
-    the first-order stage builds a and b, which are read only as values,
-    from its phi and jphi, so only the check that differentiates them
+    residuals. mu, phi and jphi are cached properties, built for the whole
+    batch on their first read from g truncated to J's order, J and the
+    orientation (the sign of det frame that makes Omega self-dual), through
+    the adapted frame and coframe (`_adapted_frame`, `_coframe`) at J's
+    order. `structure_at` takes the frame, and the values of mu, phi and
+    jphi that the self-duality checks read, from the same calls on the
+    order-0 truncations of g and J. The order-0 phi and jphi stay as
+    `phi0` and `jphi0`: the first-order stage builds a and b, which are read
+    only as values, from them, so only the check that differentiates them
     (`nabla2-omega-shape`) builds phi and jphi at J's order.
 
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
@@ -354,46 +357,41 @@ class StructurePoint:
     over a padded pair axis whose length depends on the order). The order-0
     frame and values equal the values of the jets built at J's order bit for
     bit, sign of zero included, on every chart the tests and fingerprints
-    cover. The order-0 batch goes through the order-0 paths of the jet
-    kernels (see `jets`), whose bits are those of the general paths. A point
-    holds the bits of the same point in a one-point batch.
+    cover. The order-0 values go through the order-0 paths of the jet
+    kernels (see `jets`), whose bits are those of the general paths. Each
+    point holds the bits of the same point in a one-point batch.
     """
 
-    point: tuple[float, float, float, float]
+    points: list[tuple[float, float, float, float]]
     order: int
     g: Jet
     g_inv: Jet
     J: Jet
     omega: Jet
     frame: np.ndarray
-    invariant_residuals: dict[str, float]
-    batch: jets.Batch = field(repr=False)  # g (at J's order), J, orientation (stacked), values
-    index: int
+    invariant_residuals: np.ndarray
+    orientation: np.ndarray
+    phi0: Jet
+    jphi0: Jet
 
-    @jets.per_batch
-    def mu(batch: jets.Batch) -> Jet:
+    @functools.cached_property
+    def mu(self) -> Jet:
         """The volume form of g under the orientation that makes Omega self-dual."""
-        return tensorops.volume_form(batch.g, batch.orientation)
+        return tensorops.volume_form(self.g.truncate(self.J.order), self.orientation)
 
-    @jets.per_batch
-    def phi(batch: jets.Batch) -> Jet:
+    @functools.cached_property
+    def phi(self) -> Jet:
         """phi = e1^e3 - e2^e4 in the adapted coframe."""
-        return _coframe_wedge(batch._coframe, 0, 2) - _coframe_wedge(batch._coframe, 1, 3)
+        return _phi(self._coframe)
 
-    @jets.per_batch
-    def jphi(batch: jets.Batch) -> Jet:
-        """(J phi)_ij = -phi(J d_i, d_j)."""
-        return -jets.contract(batch.J, batch.phi, 0, 0, points=True)
+    @functools.cached_property
+    def jphi(self) -> Jet:
+        return _jphi(self.J, self.phi)
 
-    @jets.per_batch
-    def _frame_vectors(batch: jets.Batch) -> Jet:
-        """The adapted frame as coordinate jets (`_adapted_frame`)."""
-        return _adapted_frame(batch.g, batch.J)
-
-    @jets.per_batch
-    def _coframe(batch: jets.Batch) -> Jet:
-        """The adapted coframe, (e^a)_i = g_ij E_a^j."""
-        return jets.contract(batch._frame_vectors, batch.g, 1, 0, points=True)
+    @functools.cached_property
+    def _coframe(self) -> Jet:
+        g = self.g.truncate(self.J.order)
+        return _coframe(_adapted_frame(g, self.J), g)
 
 
 #: The pointwise invariants `structure_at` checks, in the order it checks
@@ -435,9 +433,10 @@ def _check_finite(m: Jet, entry: str) -> None:
         raise DomainError(f"chart entry {entry.format(i + 1, j + 1)}{what} {float(m.c[where])!r} is not finite")
 
 
-def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4) -> list[StructurePoint]:
+def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4) -> StructureBatch | None:
     """Evaluate all structure jets at every point of `batches` and validate
-    the pointwise invariants; one StructurePoint per point, in order.
+    the pointwise invariants; one StructureBatch of the points, in order
+    (None when there are none).
 
     `batches` is a sequence of (spec, points) pairs with points of shape
     (N, 4). The entry expressions of every chart are evaluated together, by
@@ -451,9 +450,8 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     Gram-Schmidt candidates go through one pass (`_adapted_frame`), and the
     self-duality checks star Omega, phi and J phi by one Hodge star, stacked
     on the point axis (3P rows, each contracted as alone). mu, phi and J phi
-    are built as jets on their first read (see StructurePoint). Each
-    StructurePoint equals, bit for bit, the one a batch of that point alone
-    gives.
+    are built as jets on their first read (see StructureBatch). Each point
+    holds, bit for bit, what a batch of that point alone gives.
 
     Raises ChartError if a point lies outside its chart's domain box, and for
     the first bad point of the batch DomainError naming a non-finite g or J
@@ -471,7 +469,7 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     points = [tuple(p) for _, pts in batches for p in pts.tolist()]
     n_points = len(points)
     if not n_points:
-        return []
+        return None
 
     j_order = min(order, J_SIDE_ORDER)
     specs, arrays = [spec for spec, _ in batches], [pts for _, pts in batches]
@@ -517,51 +515,49 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     _check(diffs, residuals, 3, 4)
 
     # The frame and the remaining checks read only values, so they run on the
-    # StructurePoint values of an order-0 batch; the points' batch builds mu,
-    # phi and J phi the same way at j_order, on their first read.
-    values = jets.Batch(StructurePoint, g=g.truncate(0), J=J.truncate(0))
-    frame = values._frame_vectors.value
+    # order-0 truncations of g and J; the batch builds mu, phi and J phi the
+    # same way at j_order, on their first read.
+    g_low, j_low = g.truncate(0), J.truncate(0)
+    frame_vectors = _adapted_frame(g_low, j_low)
+    frame = frame_vectors.value
     diffs[:, 4] = frame @ g0 @ frame.transpose(0, 2, 1) - np.eye(4)
     diffs[:, 5, 0] = (j0 @ frame[:, 0, :, None])[..., 0] - frame[:, 1]
     diffs[:, 6, 0] = (j0 @ frame[:, 2, :, None])[..., 0] - frame[:, 3]
     _check(diffs, residuals, 4, 7)
 
-    values.orientation = np.sign(np.linalg.det(frame))
+    orientation = np.sign(np.linalg.det(frame))
+    coframe = _coframe(frame_vectors, g_low)
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    rebuilt = _coframe_wedge(values._coframe, 0, 1) + _coframe_wedge(values._coframe, 2, 3)
+    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
     diffs[:, 7] = rebuilt.value - omega.value
     # Self-duality of the positive basis under the declared orientation: one
     # star of Omega, phi and J phi stacked on the point axis (3P rows)
-    forms = Jet._of(0, np.concatenate([omega.c[..., :1], values.phi.c, values.jphi.c]))
+    phi0 = _phi(coframe)
+    jphi0 = _jphi(j_low, phi0)
+    forms = Jet._of(0, np.concatenate([omega.c[..., :1], phi0.c, jphi0.c]))
     at = np.tile(np.arange(n_points), 3)
-    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], values.mu[at], points=True)
+    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], tensorops.volume_form(g_low, orientation)[at], points=True)
     diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
     _check(diffs, residuals, 7, 11)
+    return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
 
-    # the values batch stays reachable: value-only readers take phi and J phi from it
-    batch = jets.Batch(StructurePoint, g=g.truncate(j_order), J=J, orientation=values.orientation, values=values)
-    # iterating a batch array yields the views of its points
-    return [
-        StructurePoint(
-            point=p,
-            order=order,
-            g=Jet._of(order, g_k),
-            g_inv=Jet._of(g_inv.order, g_inv_k),
-            J=Jet._of(j_order, j_k),
-            omega=Jet._of(j_order, omega_k),
-            frame=frame_k,
-            invariant_residuals=dict(zip(INVARIANTS, r)),
-            batch=batch,
-            index=k,
-        )
-        for k, (p, g_k, g_inv_k, j_k, omega_k, frame_k, r) in enumerate(
-            zip(points, g.c, g_inv.c, J.c, omega.c, frame, residuals.tolist())
-        )
-    ]
+
+def _coframe(frame_vectors: Jet, g: Jet) -> Jet:
+    """The adapted coframe, (e^a)_i = g_ij E_a^j."""
+    return jets.contract(frame_vectors, g, 1, 0, points=True)
 
 
 def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
     return tensorops.wedge11(coframe[:, a], coframe[:, b], points=True)
+
+
+def _phi(coframe: Jet) -> Jet:
+    return _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
+
+
+def _jphi(J: Jet, phi: Jet) -> Jet:
+    """(J phi)_ij = -phi(J d_i, d_j)."""
+    return -jets.contract(J, phi, 0, 0, points=True)
 
 
 def _adapted_frame(g: Jet, J: Jet) -> Jet:

@@ -61,81 +61,78 @@ class RunConfig:
             raise AK4Error(f"--seed must be >= 0, got {self.seed}")
 
 
-class PointAnalysis:
-    """The pipeline at one sample point, from its validated structure: every
-    later stage runs on first use, at the structure's jet order.
-
-    A command's analyses share a batch of up to BATCH_POINTS points, made by
-    `point_analyses`: the analysis of point `index` reads its structure from
-    `batch.sps`, and the plane count and seed from `batch.planes` and
-    `batch.seed`. Connection, curvature, first-order data, decomposition,
-    the verdict ladder, the Lagrangian plane statistics and the W+ spectrum
-    (`gr`) and the second-order report run once for the whole batch, on a
-    leading point axis, on the first read at any of its points: at these
-    sizes a stage's cost is mostly Python overhead per call, which a batch
-    pays once. The registry rows read the batch as columns, one value per
+@dataclass
+class AnalysisBatch:
+    """The pipeline of a batch of up to BATCH_POINTS sample points, from their
+    validated structure: connection, curvature, first-order data,
+    decomposition, the verdict ladder, the Lagrangian plane statistics and
+    the W+ spectrum (`gr`) and the second-order report each run on the first
+    read, once for the whole batch, on its leading point axis, at the
+    structure's jet order. At these sizes a stage's cost is mostly Python
+    overhead per call, which a batch pays once. Each stage takes the records
+    of the stages before it and returns one record whose fields keep the
+    point axis; the registry rows read the batch as columns, one value per
     point (`Identity`).
     """
 
-    def __init__(self, batch: jets.Batch, index: int):
-        self.batch, self.index = batch, index
-        self.sp = batch.sps[index]
-        self.order = self.sp.order
+    structure: charts.StructureBatch
+    planes: int
+    seed: int
 
-    @jets.per_batch
-    def conn(batch: jets.Batch) -> list[riemann.ConnectionData]:
-        return riemann.connection(batch.sps)
+    @functools.cached_property
+    def conn(self) -> riemann.ConnectionBatch:
+        return riemann.connection(self.structure)
 
-    @jets.per_batch
-    def cd(batch: jets.Batch) -> list[riemann.CurvatureData]:
-        return riemann.curvature(batch.conn)
+    @functools.cached_property
+    def cd(self) -> riemann.CurvatureBatch:
+        return riemann.curvature(self.conn)
 
-    @jets.per_batch
-    def hfo(batch: jets.Batch) -> list[riemann.HermitianFirstOrder]:
-        return riemann.hermitian_first_order(batch.conn)
+    @functools.cached_property
+    def hfo(self) -> riemann.FirstOrderBatch:
+        return riemann.hermitian_first_order(self.conn)
 
-    @jets.per_batch
-    def dr(batch: jets.Batch) -> list[decomp.DecompReport]:
-        return decomp.decompose(batch.cd)
+    @functools.cached_property
+    def dr(self) -> decomp.DecompBatch:
+        return decomp.decompose(self.cd)
 
-    @jets.per_batch
-    def ladder(batch: jets.Batch) -> list[gray.GrayLadder]:
-        return gray.classify(batch.cd, batch.dr, batch.hfo)
+    @functools.cached_property
+    def ladder(self) -> gray.GrayLadder:
+        return gray.classify(self.cd, self.dr, self.hfo)
 
-    @jets.per_batch
-    def gr(batch: jets.Batch) -> list[gray.GrayReport]:
-        return _by_slice(batch, lambda part: gray.gray_report(batch.cd[part], batch.dr[part], n_planes=batch.planes, seed=batch.seed))
+    @functools.cached_property
+    def gr(self) -> gray.GrayReport:
+        return gray.gray_report(self.cd, self.dr, n_planes=self.planes, seed=self.seed)
 
-    @jets.per_batch
-    def sor(batch: jets.Batch) -> list[bianchi_bach.SecondOrderReport | None]:
-        if batch.sps[0].order < 4:
-            return [None] * len(batch.sps)
-        # one report per batch of curvature records, each a slice of the points
-        return _by_slice(batch, lambda part: bianchi_bach.second_order_report(batch.cd[part], batch.hfo[part], batch.dr[part], weitzenboeck_seed=batch.seed))
+    @functools.cached_property
+    def sor(self) -> bianchi_bach.SecondOrderReport | None:
+        if self.structure.order < 4:
+            return None
+        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr, weitzenboeck_seed=self.seed)
 
     @property
     def skipped(self) -> tuple[str, ...]:
         """The identity families the jet order cannot support."""
         skipped = []
-        if self.order < 4:
+        if self.structure.order < 4:
             skipped.append("second-order identities (cotton-york, bach, weitzenboeck): need order 4")
-        if self.order < 3:
+        if self.structure.order < 3:
             skipped.append("scalar-derivative identity: needs order 3")
         return tuple(skipped)
 
 
-def _by_slice(batch: jets.Batch, stage: Callable[[slice], list]) -> list:
-    """The values `stage(part)` gives for each slice of the batch's points
-    that shares a curvature batch (`riemann.CURVATURE_SLICE` points), in
-    order: the stages whose temporaries grow with the points formed at once."""
-    step = riemann.CURVATURE_SLICE
-    return [value for k in range(0, len(batch.sps), step) for value in stage(slice(k, k + step))]
+@dataclass
+class PointAnalysis:
+    """One sample point of an analysis batch: the point is an index into the
+    point axis of every record of `batch`."""
+
+    batch: AnalysisBatch
+    index: int
 
 
-def point_analyses(sps: list[charts.StructurePoint], planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
-    """One PointAnalysis per structure point, all sharing one batch."""
-    batch = jets.Batch(PointAnalysis, sps=sps, planes=planes, seed=seed)
-    return [PointAnalysis(batch, k) for k in range(len(sps))]
+def point_analyses(structure: charts.StructureBatch, planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
+    """One PointAnalysis per point of the structure batch, all sharing one analysis batch."""
+    batch = AnalysisBatch(structure, planes, seed)
+    return [PointAnalysis(batch, k) for k in range(len(structure.points))]
 
 
 #: The most points one batch holds. A command runs its points in batches of
@@ -169,11 +166,11 @@ def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
         for k, (spec, idx, p) in enumerate(block):
             if pas is None:
                 try:
-                    [sp] = charts.structure_at([(spec, p[None])], order)
+                    structure = charts.structure_at([(spec, p[None])], order)
                 except (StructureError, DomainError) as exc:
                     coords = ", ".join(f"{x:.6g}" for x in p)
                     raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
-                [pa] = point_analyses([sp], config.planes, config.seed)
+                [pa] = point_analyses(structure, config.planes, config.seed)
                 yield spec, pa
             else:
                 yield spec, pas[k]
@@ -193,28 +190,29 @@ def _resolve_chart(name_or_path: str) -> charts.ChartSpec:
 # tolerances, so --tol-scale leaves them be.
 
 
-def almost_kahler(batch: jets.Batch) -> list[bool]:
+def almost_kahler(batch: AnalysisBatch) -> list[bool]:
     """d Omega = 0."""
-    return [hfo.is_almost_kahler for hfo in batch.hfo]
+    return batch.hfo.is_almost_kahler.tolist()
 
 
-def j_invariant_ricci(batch: jets.Batch) -> list[bool]:
+def j_invariant_ricci(batch: AnalysisBatch) -> list[bool]:
     """Ric^anti = 0."""
-    return [dr.is_j_invariant_ricci for dr in batch.dr]
+    return batch.dr.is_j_invariant_ricci.tolist()
 
 
-def second_gray(batch: jets.Batch) -> list[bool]:
+def second_gray(batch: AnalysisBatch) -> list[bool]:
     """The second Gray condition holds, at the verdict ladder's bound."""
-    return [ladder.g2 < gray.DEFAULT_VERDICT_TOL for ladder in batch.ladder]
+    return [g2 < gray.DEFAULT_VERDICT_TOL for g2 in batch.ladder.g2]
 
 
-def kahler_nullity(batch: jets.Batch) -> list[bool]:
+def kahler_nullity(batch: AnalysisBatch) -> list[bool]:
     """a != 0, so the Kahler nullity, the complement of span{a, Ja}, is defined."""
-    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in batch.hfo]), np.stack([sp.frame for sp in batch.sps]))
+    hfo = batch.hfo
+    a_f = tensorops.frame_components(hfo.a.value, hfo.conn.structure.frame)
     return (np.einsum("pi,pi->p", a_f, a_f) > 1e-10).tolist()
 
 
-def lemma6_triple(batch: jets.Batch) -> list[bool]:
+def lemma6_triple(batch: AnalysisBatch) -> list[bool]:
     """Ric^anti = 0, W3+ = 0 and W- = 0."""
     return (gray.lemma6_triple(batch.dr) < gray.DEFAULT_VERDICT_TOL).tolist()
 
@@ -235,8 +233,8 @@ class Identity:
     name: str
     tol: float  # ladder tier, before --tol-scale
     order: int  # lowest jet order that supports the identity
-    residual: Callable[[jets.Batch], Sequence[float]]
-    assumes: tuple[Callable[[jets.Batch], Sequence[bool]], ...] = ()
+    residual: Callable[[AnalysisBatch], Sequence[float]]
+    assumes: tuple[Callable[[AnalysisBatch], Sequence[bool]], ...] = ()
     group: str | None = None
     report: bool = True
 
@@ -244,12 +242,12 @@ class Identity:
         if self.group is None:
             object.__setattr__(self, "group", self.name)
 
-    def applies(self, batch: jets.Batch, truth: dict | None = None) -> list[bool]:
+    def applies(self, batch: AnalysisBatch, truth: dict | None = None) -> list[bool]:
         """Whether every predicate in `assumes` holds, at each point of the
         batch. `truth` maps each predicate evaluated on the batch to its
         column, so identities that share a hypothesis evaluate it once."""
         truth = {} if truth is None else truth
-        holds = [True] * len(batch.sps)
+        holds = [True] * len(batch.structure.points)
         for predicate in self.assumes:
             if predicate not in truth:
                 truth[predicate] = predicate(batch)
@@ -258,51 +256,45 @@ class Identity:
 
 
 def _each(stage: str, name: str):
-    """A residual read off each point's record of `stage`, a value of its batch."""
-    return lambda batch: [getattr(record, name) for record in getattr(batch, stage)]
+    """A residual column of the batch's record of `stage`."""
+    return lambda batch: getattr(getattr(batch, stage), name)
 
 
 def _second_order(key: str):
-    """A residual of the second-order report; None where a point's report has
+    """A residual column of the second-order report; None where a point has
     none (the closed Bach forms where their hypotheses fail)."""
-    return lambda batch: [sor.residuals.get(key) for sor in batch.sor]
+    return lambda batch: batch.sor.residuals[key]
 
 
-def _s_star(batch: jets.Batch) -> list[float]:
-    return [abs(dr.s_star - dr.s - 0.5 * hfo.nabla_j_sq) for dr, hfo in zip(batch.dr, batch.hfo)]
+def _s_star(batch: AnalysisBatch) -> list[float]:
+    return np.abs(batch.dr.s_star - batch.cd.s_value - 0.5 * batch.hfo.nabla_j_sq).tolist()
 
 
-def _lemma5(batch: jets.Batch) -> list[float]:
+def _lemma5(batch: AnalysisBatch) -> list[float]:
     rows = []
-    for ladder, triple in zip(batch.ladder, gray.lemma5_triple(batch.dr).tolist()):
+    for g2, triple in zip(batch.ladder.g2, gray.lemma5_triple(batch.dr).tolist()):
         # equivalence at chart level: both small or both clearly nonzero
-        rows.append(triple if ladder.g2 < 1e-10 else ladder.g2 if triple < 1e-10 else 0.0)
+        rows.append(triple if g2 < 1e-10 else g2 if triple < 1e-10 else 0.0)
     return rows
 
 
-def _gamma0_antisymmetry(batch: jets.Batch) -> list[float]:
-    """Per point: the canonical Ricci form's einsums on one point's frame values."""
-    gammas = [gray.canonical_ricci_form(dr, hfo) for dr, hfo in zip(batch.dr, batch.hfo)]
-    return [float(np.abs(gamma0 + gamma0.T).max()) for gamma0 in gammas]
+def _gamma0_antisymmetry(batch: AnalysisBatch) -> list[float]:
+    gamma0 = gray.canonical_ricci_form(batch.dr)
+    return np.abs(gamma0 + np.swapaxes(gamma0, 1, 2)).max(axis=(1, 2)).tolist()
 
 
-def _nabla2_omega_shape(batch: jets.Batch) -> list[float]:
-    """Per point: the shape identity's jets are formed at one point at a time."""
-    return [gray.nabla2_omega_shape_residual(hfo) for hfo in batch.hfo]
-
-
-def _weitzenboeck(batch: jets.Batch) -> list[float]:
+def _weitzenboeck(batch: AnalysisBatch) -> list[float]:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
-    return [max(sor.residuals["weitzenboeck omega"], sor.residuals["weitzenboeck random"]) for sor in batch.sor]
+    return list(map(max, batch.sor.residuals["weitzenboeck omega"], batch.sor.residuals["weitzenboeck random"]))
 
 
-def _mu_formula_gap(gr: gray.GrayReport) -> float:
-    return max(abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
+def _mu_formula_gap(gr: gray.GrayReport) -> list[float]:
+    return [max(abs(high - formula), abs(low - formula)) for formula, low, high in zip(gr.mu_formula, gr.mu_min, gr.mu_max)]
 
 
 #: Every identity, in report row order.
 IDENTITIES = (
-    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda batch: [max(sp.invariant_residuals.values()) for sp in batch.sps]),
+    Identity("structure-invariants", TOL_ALGEBRAIC, 2, lambda batch: batch.structure.invariant_residuals.max(axis=1).tolist()),
     Identity("so4-reconstruction", TOL_FIRST_ORDER, 2, _each("dr", "recon_residual")),
     Identity("u2-reassembly", TOL_ALGEBRAIC, 2, _each("dr", "u2_residual")),
     Identity("u2-orthogonality", TOL_ALGEBRAIC, 2, _each("dr", "orthogonality_residual")),
@@ -314,8 +306,8 @@ IDENTITIES = (
     Identity("ak-shape (b = -Ja)", TOL_FIRST_ORDER, 2, _each("hfo", "b_plus_ja_norm"), (almost_kahler,)),
     Identity("lee-form-vanishes", TOL_FIRST_ORDER, 2, _each("hfo", "theta_norm"), (almost_kahler,)),
     Identity("prop1", TOL_FIRST_ORDER, 3, lambda batch: gray.prop1_check(batch.cd, batch.dr, batch.hfo), (second_gray,)),
-    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, lambda batch: [gr.mu_max - gr.mu_min for gr in batch.gr], (lemma6_triple,), group="lemma6"),
-    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, lambda batch: [_mu_formula_gap(gr) for gr in batch.gr], (lemma6_triple,), group="lemma6"),
+    Identity("lemma6-constancy", TOL_THIRD_ORDER, 2, lambda batch: [high - low for low, high in zip(batch.gr.mu_min, batch.gr.mu_max)], (lemma6_triple,), group="lemma6"),
+    Identity("lemma6-mu-formula", TOL_THIRD_ORDER, 2, lambda batch: _mu_formula_gap(batch.gr), (lemma6_triple,), group="lemma6"),
     Identity("bianchi", TOL_THIRD_ORDER, 4, _second_order("delta W = C")),
     Identity("bianchi-half", TOL_THIRD_ORDER, 4, _second_order("delta W+ = C+")),
     Identity("v-split-completeness", TOL_THIRD_ORDER, 4, _second_order("V+ + V- completeness")),
@@ -344,7 +336,7 @@ IDENTITIES = (
     ),
     Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
     Identity("prop2i", TOL_FIRST_ORDER, 2, lambda batch: gray.prop2i_residual(batch.hfo, batch.dr), (second_gray, kahler_nullity), report=False),
-    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, _nabla2_omega_shape, (almost_kahler,), report=False),
+    Identity("nabla2-omega-shape", TOL_FIRST_ORDER, 2, lambda batch: gray.nabla2_omega_shape_residual(batch.conn), (almost_kahler,), report=False),
     Identity("gamma0-antisymmetry", TOL_ALGEBRAIC, 2, _gamma0_antisymmetry, report=False),
 )
 
@@ -364,22 +356,22 @@ def _select(names, identities: tuple[Identity, ...]) -> tuple[Identity, ...]:
     return tuple(i for i in identities if i.name in names or i.group in names)
 
 
-def _columns(batch: jets.Batch, identities: tuple[Identity, ...]) -> list[tuple[Identity, list[bool], Sequence[float]]]:
+def _columns(batch: AnalysisBatch, identities: tuple[Identity, ...]) -> list[tuple[Identity, list[bool], Sequence[float]]]:
     """(identity, applies, residuals) for each identity that some point of the
     batch satisfies: each residual column and each hypothesis column is
     formed once, for the whole batch."""
     columns, truth = [], {}
     for ident in identities:
-        if ident.order <= batch.sps[0].order:
+        if ident.order <= batch.structure.order:
             applies = ident.applies(batch, truth)
             if any(applies):
                 columns.append((ident, applies, ident.residual(batch)))
     return columns
 
 
-def _identity_rows(batch: jets.Batch, tol_scale: float, identities: tuple[Identity, ...] = REPORTED) -> list[list[dict]]:
+def _identity_rows(batch: AnalysisBatch, tol_scale: float, identities: tuple[Identity, ...] = REPORTED) -> list[list[dict]]:
     """The identity table of each point of a batch: name, residual, tolerance, pass."""
-    tables: list[list[dict]] = [[] for _ in batch.sps]
+    tables: list[list[dict]] = [[] for _ in batch.structure.points]
     for ident, applies, residuals in _columns(batch, identities):
         tol = ident.tol * tol_scale
         for table, holds, residual in zip(tables, applies, residuals):
@@ -389,31 +381,32 @@ def _identity_rows(batch: jets.Batch, tol_scale: float, identities: tuple[Identi
 
 
 def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
-    dr, ladder, gr = pa.dr, pa.ladder, pa.gr
+    batch, k = pa.batch, pa.index
+    dr, ladder, gr, sor = batch.dr, batch.ladder, batch.gr, batch.sor
     doc = {
-        "point": list(pa.sp.point),
-        "verdict": ladder.verdict,
-        "flags": list(ladder.flags),
+        "point": list(batch.structure.points[k]),
+        "verdict": ladder.verdict[k],
+        "flags": list(ladder.flags[k]),
         "scalars": {
-            "s": dr.s,
-            "s_star": dr.s_star,
-            "kappa": dr.kappa,
-            "nabla_j_sq": pa.hfo.nabla_j_sq,
-            "mu_formula": gr.mu_formula,
-            "mu_min": gr.mu_min,
-            "mu_max": gr.mu_max,
-            "psi": list(dr.psi),
+            "s": batch.cd.s_value[k],
+            "s_star": dr.s_star[k],
+            "kappa": dr.kappa[k],
+            "nabla_j_sq": batch.hfo.nabla_j_sq[k],
+            "mu_formula": gr.mu_formula[k],
+            "mu_min": gr.mu_min[k],
+            "mu_max": gr.mu_max[k],
+            "psi": dr.psi[k].tolist(),
         },
-        "block_norms": dr.block_norms,
-        "gray": {"g1": ladder.g1, "g2": ladder.g2, "g3": ladder.g3},
-        "wplus_eigenvalues": list(gr.wplus_eigenvalues),
+        "block_norms": dr.block_norms[k],
+        "gray": {"g1": ladder.g1[k], "g2": ladder.g2[k], "g3": ladder.g3[k]},
+        "wplus_eigenvalues": gr.wplus_eigenvalues[k].tolist(),
         "identities": rows,
-        "skipped": list(pa.skipped),
+        "skipped": list(batch.skipped),
     }
-    if pa.sor is not None:
-        doc["second_order"] = dict(pa.sor.residuals)
-        if pa.sor.bach_ak_skip_reason:
-            doc["second_order"]["bach_ak_skipped"] = pa.sor.bach_ak_skip_reason
+    if sor is not None:
+        doc["second_order"] = {name: column[k] for name, column in sor.residuals.items() if column[k] is not None}
+        if sor.bach_ak_skip_reason[k]:
+            doc["second_order"]["bach_ak_skipped"] = sor.bach_ak_skip_reason[k]
     return doc
 
 
@@ -447,7 +440,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
                 w["residual"] = r["residual"]
                 w["point_index"] = idx
             w["pass"] = bool(w["pass"] and r["pass"])
-        verdicts.append(pa.ladder.verdict)
+        verdicts.append(batch.ladder.verdict[pa.index])
         point_docs.append(_point_document(pa, rows))
     all_pass = all(w["pass"] for w in worst.values())
     doc = {
@@ -636,7 +629,7 @@ def _per_point_check(config: RunConfig, identities: tuple[Identity, ...]) -> lis
         if pa.batch is not batch:  # the first point of a batch: the batch's columns
             batch, columns = pa.batch, _columns(pa.batch, identities)
         values = [residuals[pa.index] for _, applies, residuals in columns if applies[pa.index]]
-        rows.append({"chart": spec.name, "point": pa.sp.point, "residual": float(max(values, key=_rank)) if values else None})
+        rows.append({"chart": spec.name, "point": batch.structure.points[pa.index], "residual": float(max(values, key=_rank)) if values else None})
     return rows
 
 
@@ -761,17 +754,18 @@ def cmd_report(config: RunConfig) -> int:
 def cmd_classify(config: RunConfig) -> int:
     verdicts = []
     for spec, last in _analyses(_charts_for(config), config, config.order):
-        verdicts.append(last.ladder.verdict)
+        ladder, k = last.batch.ladder, last.index
+        verdicts.append(ladder.verdict[k])
         if len(verdicts) < config.points:
             continue
         # the chart's last point: its line is printed before a bad point of a later chart ends the run
         names = sorted(set(verdicts))
         verdicts = []
-        ladder, h = last.ladder, last.hfo
-        flags = ", ".join(ladder.flags) if ladder.flags else "-"
+        h = last.batch.hfo
+        flags = ", ".join(ladder.flags[k]) if ladder.flags[k] else "-"
         values = (
-            f"|nabla J|={np.sqrt(max(h.nabla_j_sq, 0)):.3e} |dOmega|={h.d_omega_norm:.3e} "
-            f"g1={ladder.g1:.3e} g2={ladder.g2:.3e} g3={ladder.g3:.3e}"
+            f"|nabla J|={np.sqrt(max(h.nabla_j_sq[k], 0)):.3e} |dOmega|={h.d_omega_norm[k]:.3e} "
+            f"g1={ladder.g1[k]:.3e} g2={ladder.g2[k]:.3e} g3={ladder.g3[k]:.3e}"
         )
         print(f"{spec.name:22s} {'/'.join(names):18s} [{flags}]  {values}")
     return 0
@@ -836,9 +830,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the sample points, and the (P, ...) arrays of each batch, grow with --points
+        # the sample points, and the (P, ...) arrays of each batch, grow with
+        # --points, the plane samples with --planes: name each size flag given
+        given = vars(args)
+        sizes = [f"--{flag} {given[flag]}" for flag in ("points", "planes") if flag in given] or [f"--points {RunConfig.points}"]
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: --points {vars(args).get('points', RunConfig.points)} needs more memory than is available{detail}", file=sys.stderr)
+        print(f"error: {' '.join(sizes)} needs more memory than is available{detail}", file=sys.stderr)
         return 2
     return 2
 

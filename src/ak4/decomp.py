@@ -14,129 +14,117 @@ corresponding (0,4) tensor.
 
 `decompose` computes the SO(4) split, Ric0 and Ric^anti, which every command
 reads, once per batch of points on a leading point axis, and returns one
-record per point (see `riemann`). The U(2) blocks (kappa, Psi), star-Ricci
-(s*), the residuals that only report rows read and the block norms are
-computed for the whole batch on the first read at any point, so
-`ak4 classify`, which reads only the split, computes none of them. R(Omega)
-in s* is the one step that runs point by point (see `star_ricci`).
+record of the batch (see `riemann`). The U(2) blocks (kappa, Psi),
+star-Ricci (s*), the residuals that only report rows read and the block
+norms are cached properties, computed for the whole batch on their first
+read, so `ak4 classify`, which reads only the split, computes none of them.
+R(Omega) in s* is the one step that runs point by point (see `star_ricci`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, jets
+from . import algebra
 from .charts import FRAME_FORMS, J_FRAME
-from .riemann import CurvatureData
+from .riemann import CurvatureBatch
 
 #: |Ric^anti| below which the Ricci tensor counts as J-invariant.
 J_INVARIANT_RICCI_TOL = 1e-8
 
 
 def _column(group: str, key):
-    """A read-only attribute: the point's entry of column `key` of the batch's `group`."""
-    return property(lambda self: getattr(self.batch, group)[key][self.index])
+    """A read-only attribute: column `key` of the batch's `group`."""
+    return property(lambda self: getattr(self, group)[key])
 
 
 @dataclass
-class DecompReport:
-    """Full curvature decomposition at one point, with residuals."""
+class DecompBatch:
+    """Full curvature decomposition at every point of a batch, with residuals."""
 
-    cd: CurvatureData
+    cd: CurvatureBatch
     parts: dict[str, np.ndarray]  # algebra.split_operator(cd.operator)
-    s: float
-    ric0: np.ndarray  # frame components, 4x4
+    ric0: np.ndarray  # frame components, (P, 4, 4)
     ric0_anti: np.ndarray
-    ric_anti_norm: float
-    # operator, parts, s, ric0, ric0_anti (stacked), r_frames
-    batch: jets.Batch = field(repr=False)
-    index: int
+    ric_anti_norm: np.ndarray
 
-    @property
-    def is_j_invariant_ricci(self) -> bool:
+    @functools.cached_property
+    def is_j_invariant_ricci(self) -> np.ndarray:
         return self.ric_anti_norm < J_INVARIANT_RICCI_TOL
 
     wplus = _column("parts", "wplus")  # 3x3 blocks on (Omega, phi, Jphi)
     wminus = _column("parts", "wminus")
 
-    # `_u2` and `_star` give whole-batch columns, which only `_column` reads
-
-    @jets.per_batch
-    def _u2(batch: jets.Batch) -> dict[str, np.ndarray]:
-        """The U(2) blocks of W+, formed for the whole batch."""
-        return algebra.u2_blocks(batch.parts["wplus"])
+    @functools.cached_property
+    def _u2(self) -> dict[str, np.ndarray]:
+        """The U(2) blocks of W+."""
+        return algebra.u2_blocks(self.parts["wplus"])
 
     w1 = _column("_u2", "w1")
     w2 = _column("_u2", "w2")
     w3 = _column("_u2", "w3")
     psi = _column("_u2", "psi")  # components of Psi along (phi, J phi)
+    kappa = _column("_u2", "kappa")
 
-    @jets.per_batch
-    def kappa(batch: jets.Batch) -> list[float]:
-        return batch._u2["kappa"].tolist()
-
-    @jets.per_batch
-    def _star(batch: jets.Batch) -> tuple[np.ndarray, list[float], list[float]]:
-        """Star-Ricci, s* and the skew residual, formed for the whole batch."""
-        ric_star, s_star, residual = star_ricci(batch.r_frames, batch._u2["psi"])
-        return ric_star, s_star.tolist(), residual.tolist()
+    @functools.cached_property
+    def _star(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Star-Ricci, s* and the skew residual."""
+        return star_ricci(self.cd.R_frame, self.psi)
 
     ric_star = _column("_star", 0)  # 4x4, not assumed symmetric
     s_star = _column("_star", 1)
     star_skew_residual = _column("_star", 2)  # skew(Ric*) vs -(1/2) J Psi
 
-    @jets.per_batch
-    def recon_residual(batch: jets.Batch) -> list[float]:
-        return np.abs(batch.operator - algebra.join_operator(batch.parts)).max(axis=(1, 2)).tolist()
+    @functools.cached_property
+    def recon_residual(self) -> list[float]:
+        return np.abs(self.cd.operator - algebra.join_operator(self.parts)).max(axis=(1, 2)).tolist()
 
-    @jets.per_batch
-    def u2_residual(batch: jets.Batch) -> list[float]:
-        u2 = batch._u2
-        return np.abs(batch.parts["wplus"] - (u2["w1"] + u2["w2"] + u2["w3"])).max(axis=(1, 2)).tolist()
+    @functools.cached_property
+    def u2_residual(self) -> list[float]:
+        return np.abs(self.wplus - (self.w1 + self.w2 + self.w3)).max(axis=(1, 2)).tolist()
 
-    @jets.per_batch
-    def orthogonality_residual(batch: jets.Batch) -> list[float]:
+    @functools.cached_property
+    def orthogonality_residual(self) -> list[float]:
         """Mutual orthogonality of the seven summands as operators."""
-        parts, u2 = batch.parts, batch._u2
-        summands = np.zeros((7, len(batch.s), 6, 6))
-        summands[0] = (parts["s"] / 12.0)[:, None, None] * np.eye(6)
+        summands = np.zeros((7, len(self.ric0), 6, 6))
+        summands[0] = (self.parts["s"] / 12.0)[:, None, None] * np.eye(6)
         # the J-invariant and anti-invariant Ricci parts, lifted in one call
-        ric0_parts = np.stack([algebra.j_invariant_part(batch.ric0), batch.ric0_anti])
+        ric0_parts = np.stack([algebra.j_invariant_part(self.ric0), self.ric0_anti])
         summands[1:3] = algebra.operator_matrix(0.5 * algebra.kn_delta(ric0_parts))
-        for k, name in enumerate(("w1", "w2", "w3")):
-            summands[3 + k, :, :3, :3] = u2[name]
-        summands[6, :, 3:, 3:] = parts["wminus"]
+        for k, block in enumerate((self.w1, self.w2, self.w3)):
+            summands[3 + k, :, :3, :3] = block
+        summands[6, :, 3:, 3:] = self.wminus
         first, second = np.triu_indices(7, 1)
         pairs = np.sum(summands[first] * summands[second], axis=(2, 3))
         return np.fmax.reduce(np.abs(pairs), axis=0, initial=0.0).tolist()
 
-    @jets.per_batch
-    def kappa_identity_residual(batch: jets.Batch) -> list[float]:  # kappa - (3 s* - s)/2
-        return np.abs(batch._u2["kappa"] - 0.5 * (3.0 * np.array(batch._star[1]) - batch.s)).tolist()
+    @functools.cached_property
+    def kappa_identity_residual(self) -> list[float]:  # kappa - (3 s* - s)/2
+        return np.abs(self.kappa - 0.5 * (3.0 * self.s_star - self.cd.s_value)).tolist()
 
-    @jets.per_batch
-    def block_norms(batch: jets.Batch) -> list[dict[str, float]]:
-        f, parts, u2 = algebra.frobenius, batch.parts, batch._u2
+    @functools.cached_property
+    def block_norms(self) -> list[dict[str, float]]:
+        f = algebra.frobenius
         norms = {
-            "ric0": f(batch.ric0),
-            "ric0_anti": f(batch.ric0_anti),
-            "wplus": f(parts["wplus"]),
-            "wminus": f(parts["wminus"]),
-            "w1": f(u2["w1"]),
-            "w2": f(u2["w2"]),
-            "w3": f(u2["w3"]),
+            "ric0": f(self.ric0),
+            "ric0_anti": f(self.ric0_anti),
+            "wplus": f(self.wplus),
+            "wminus": f(self.wminus),
+            "w1": f(self.w1),
+            "w2": f(self.w2),
+            "w3": f(self.w3),
         }
         return [dict(zip(norms, point)) for point in zip(*(v.tolist() for v in norms.values()))]
 
 
-def star_ricci(r_frames: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def star_ricci(r_frames: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Star-Ricci tensor Ric*(X, Y) = -R(Omega)(JX, Y), its trace, and the
-    residual of skew(Ric*) = -(1/2) J Psi at each point, from each point's
-    R_frame and the components psi (P, 2) of Psi along (phi, J phi) from
-    `algebra.u2_blocks`.
+    residual of skew(Ric*) = -(1/2) J Psi at each point, from the frame
+    components r_frames (P, 4, 4, 4, 4) of R and the components psi (P, 2)
+    of Psi along (phi, J phi) from `algebra.u2_blocks`.
 
     R(Omega) is contracted one point at a time: einsum sums its 16 terms in
     an order that depends on the operand's shape and strides, and a batched
@@ -152,18 +140,9 @@ def star_ricci(r_frames: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndar
     return ric_star, s_star, residual
 
 
-def decompose(cds: Sequence[CurvatureData]) -> list[DecompReport]:
+def decompose(cd: CurvatureBatch) -> DecompBatch:
     """The SO(4) split of the curvature operator, the part every command reads,
-    formed once over all the points; one record per point."""
-    ric0 = np.stack([cd.ric0_frame for cd in cds])
+    at every point of the batch."""
+    ric0 = cd.ric0_frame
     ric0_anti = algebra.j_anti_part(ric0)
-    operator = np.stack([cd.operator for cd in cds])
-    parts = algebra.split_operator(operator)
-    s = np.array([cd.s_value for cd in cds])
-    ric_anti_norm = algebra.frobenius(ric0_anti).tolist()
-    batch = jets.Batch(DecompReport, operator=operator, parts=parts, s=s, ric0=ric0, ric0_anti=ric0_anti, r_frames=[cd.R_frame for cd in cds])
-    point_parts = [{key: value[k] for key, value in parts.items()} for k in range(len(cds))]
-    return [
-        DecompReport(cd, point_parts[k], cd.s_value, ric0[k], ric0_anti[k], ric_anti_norm[k], batch, k)
-        for k, cd in enumerate(cds)
-    ]
+    return DecompBatch(cd, algebra.split_operator(cd.operator), ric0, ric0_anti, algebra.frobenius(ric0_anti))

@@ -9,8 +9,9 @@ structures satisfying the corresponding identity, AK for merely almost
 Kahler, ALMOST-HERMITIAN otherwise. `classify` builds that ladder on its own,
 so `ak4 classify`, which prints only the ladder, samples no Lagrangian
 plane; `gray_report` holds the plane statistics and the W+ spectrum that
-`report` adds. Both, and `prop1_check`, take the records of a batch of
-points and run once on its point axis, with the bits of a batch of one.
+`report` adds. Both, and `prop1_check`, take the stage records of a batch
+of points and run once on its point axis, with the bits of a batch of one;
+each returns one record of the batch, or a list with one entry per point.
 
 Totally-real (Lagrangian) planes are sampled deterministically: a random
 unit vector X, then a unit Y from the orthogonal complement of
@@ -21,16 +22,15 @@ sampling has no bias near J-invariant planes.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, jets, riemann, tensorops
 from .charts import J_FRAME
-from .decomp import DecompReport
+from .decomp import DecompBatch
 from .jets import Jet
-from .riemann import CurvatureData, HermitianFirstOrder
+from .riemann import ConnectionBatch, CurvatureBatch, FirstOrderBatch
 
 DEFAULT_VERDICT_TOL = 1e-7
 #: The verdicts of the class ladder, finest first.
@@ -41,91 +41,95 @@ MIN_PLANES = 16
 
 @dataclass
 class GrayLadder:
-    """The three Gray residuals and the class ladder's verdict and flags."""
+    """The three Gray residuals and the class ladder's verdict and flags, one
+    entry per point of a batch."""
 
-    g1: float
-    g2: float
-    g3: float
-    verdict: str
-    flags: tuple[str, ...]
+    g1: list[float]
+    g2: list[float]
+    g3: list[float]
+    verdict: list[str]
+    flags: list[tuple[str, ...]]
 
 
 @dataclass
 class GrayReport:
-    """Lagrangian sectional curvature statistics and the W+ spectrum."""
+    """Lagrangian sectional curvature statistics and the W+ spectrum, one
+    entry per point of a batch."""
 
-    mu_formula: float  # (2s - kappa)/24
-    mu_min: float
-    mu_max: float
+    mu_formula: list[float]  # (2s - kappa)/24
+    mu_min: list[float]
+    mu_max: list[float]
     wplus_eigenvalues: np.ndarray
 
 
-def lemma5_triple(drs: Sequence[DecompReport]) -> np.ndarray:
+def lemma5_triple(dr: DecompBatch) -> np.ndarray:
     """The largest of |Ric^anti|, |W2+| and |W3+| at each point: the side of the
     equivalence (second Gray identity <-> Ric J-invariant, W2+ = 0, W3+ = 0)
     opposite g2."""
-    ric_anti = np.array([dr.ric_anti_norm for dr in drs])
-    return np.maximum(ric_anti, np.maximum(_frobenius_of(drs, "w2"), _frobenius_of(drs, "w3")))
+    return np.maximum(dr.ric_anti_norm, np.maximum(algebra.frobenius(dr.w2), algebra.frobenius(dr.w3)))
 
 
-def lemma6_triple(drs: Sequence[DecompReport]) -> np.ndarray:
+def lemma6_triple(dr: DecompBatch) -> np.ndarray:
     """The largest of |Ric^anti|, |W3+| and |W-| at each point: Lemma 6 assumes all three vanish."""
-    ric_anti = np.array([dr.ric_anti_norm for dr in drs])
-    return np.maximum(ric_anti, np.maximum(_frobenius_of(drs, "w3"), _frobenius_of(drs, "wminus")))
+    return np.maximum(dr.ric_anti_norm, np.maximum(algebra.frobenius(dr.w3), algebra.frobenius(dr.wminus)))
 
 
-def _frobenius_of(drs: Sequence[DecompReport], block: str) -> np.ndarray:
-    return algebra.frobenius(np.stack([getattr(dr, block) for dr in drs]))
-
-
-def star_scalar_jet(cds: Sequence[CurvatureData]) -> Jet:
+def star_scalar_jet(cd: CurvatureBatch) -> Jet:
     """The star-scalar curvature as a first-order jet (trace of -R(Omega)(J., .)),
     with a point axis.
 
     First order is all `prop1_check` differentiates, so every input enters
     truncated to it."""
-    sps = [cd.sp for cd in cds]
-    ginv = jets.stack([sp.g_inv.truncate(1) for sp in sps])
-    omega, J = jets.stack([sp.omega.truncate(1) for sp in sps]), jets.stack([sp.J.truncate(1) for sp in sps])
-    r_omega = tensorops.form_inner(jets.stack([cd.R.truncate(1) for cd in cds]), omega, ginv, (2, 3), True)
-    ric_star = -jets.contract(J, r_omega, 0, 0, True)  # -J^k_i (R Omega)_kj
+    structure = cd.conn.structure
+    ginv = structure.g_inv.truncate(1)
+    r_omega = tensorops.form_inner(cd.R.truncate(1), structure.omega.truncate(1), ginv, (2, 3), True)
+    ric_star = -jets.contract(structure.J.truncate(1), r_omega, 0, 0, True)  # -J^k_i (R Omega)_kj
     return jets.contract(ginv, ric_star, (0, 1), (0, 1), True)
 
 
-def prop1_check(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], hfos: Sequence[HermitianFirstOrder]) -> list[float]:
+def prop1_check(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> list[float]:
     """Residual of d(s - s*) - kappa theta = 4 Ric0(theta) at each point, which
     holds under the second Gray condition.
 
     On almost Kahler points theta = 0, so the residual is |d(s* - s)|, the
     pointwise constancy of |nabla J|^2.
     """
-    if cds[0].sp.order < 3:
+    if cd.conn.structure.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
-    frame = np.stack([cd.sp.frame for cd in cds])
-    diff = jets.stack([cd.s for cd in cds]) - star_scalar_jet(cds)
-    d_diff = tensorops.frame_components(jets.partials(diff, True).value, frame)
-    theta_f = tensorops.frame_components(np.stack([hfo.theta.value for hfo in hfos]), frame)
-    lhs = d_diff - np.array([dr.kappa for dr in drs])[:, None] * theta_f
-    rhs = (4.0 * np.stack([dr.ric0 for dr in drs]) @ theta_f[:, :, None])[:, :, 0]
+    diff = cd.s - star_scalar_jet(cd)
+    d_diff = tensorops.frame_components(jets.partials(diff, True).value, cd.frame)
+    theta_f = tensorops.frame_components(hfo.theta.value, cd.frame)
+    lhs = d_diff - dr.kappa[:, None] * theta_f
+    rhs = (4.0 * dr.ric0 @ theta_f[:, :, None])[:, :, 0]
     return np.abs(lhs - rhs).max(axis=1).tolist()
 
 
-def totally_real_curvature(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], n_planes: int, seed: int) -> dict[str, list[float]]:
+def totally_real_curvature(cd: CurvatureBatch, dr: DecompBatch, n_planes: int, seed: int) -> dict[str, list[float]]:
     """Sectional curvature statistics over seeded Lagrangian planes, a list
     of one value per point for each statistic.
 
     A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
     both X and JX enforces this exactly. When `lemma6_triple` vanishes the
-    sampled curvature must be the pointwise constant (2s - kappa)/24.
+    sampled curvature must be the pointwise constant (2s - kappa)/24. The
+    planes are taken a curvature slice at a time (`CurvatureBatch.slices`):
+    the temporaries grow with the points.
     """
     if n_planes < MIN_PLANES:
         raise ValueError(f"need at least {MIN_PLANES} sample planes")
-    # mu[p, n] = sum_ijkl R_ijkl x_i y_j x_k y_l with the bits that
-    # einsum("ijkl,ni,nj,nk,nl->n") gives at each point: every term is that
-    # product in that operand order, and the terms are added one at a time,
-    # to 0.0 first, in the memory order of R's four slots (np.stack keeps the
-    # layout of the R_frame views), with the planes on the last axis
-    r = np.stack([cd.R_frame for cd in cds])
+    x, y = _lagrangian_planes(n_planes, seed)
+    mus = np.concatenate([_plane_curvatures(part.R_frame, x, y) for part in cd.slices])
+    mu_formula = (2.0 * cd.s_value - dr.kappa) / 24.0
+    return {"mu_formula": mu_formula.tolist(), "mu_min": mus.min(axis=1).tolist(), "mu_max": mus.max(axis=1).tolist()}
+
+
+def _plane_curvatures(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mu[p, n] = sum_ijkl R_ijkl x_i y_j x_k y_l for the frame components r
+    (P, 4, 4, 4, 4) and the plane vectors x, y (4, n_planes), with the bits
+    that einsum("ijkl,ni,nj,nk,nl->n") gives at each point: every term is
+    that product in that operand order, and the terms are added one at a
+    time, to 0.0 first, in the memory order of R's four slots, with the
+    planes on the last axis."""
+    n_planes = x.shape[1]
     memory = sorted(range(4), key=lambda slot: -r.strides[1 + slot])
 
     def along(slot: int, v: np.ndarray) -> np.ndarray:
@@ -134,14 +138,10 @@ def totally_real_curvature(cds: Sequence[CurvatureData], drs: Sequence[DecompRep
         shape[1 + memory.index(slot)], shape[5] = 4, n_planes
         return v.reshape(shape)
 
-    x, y = _lagrangian_planes(n_planes, seed)
     terms = r.transpose(0, *(1 + slot for slot in memory))[..., None] * along(0, x)
     for slot, v in ((1, y), (2, x), (3, y)):
         terms *= along(slot, v)
-    mus = np.add.reduce(terms.reshape(len(cds), 256, n_planes), axis=1) + 0.0
-    s, kappa = np.array([dr.s for dr in drs]), np.array([dr.kappa for dr in drs])
-    mu_formula = (2.0 * s - kappa) / 24.0
-    return {"mu_formula": mu_formula.tolist(), "mu_min": mus.min(axis=1).tolist(), "mu_max": mus.max(axis=1).tolist()}
+    return np.add.reduce(terms.reshape(len(r), 256, n_planes), axis=1) + 0.0
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,7 +176,7 @@ def _lagrangian_part(y: np.ndarray, x: np.ndarray, jx: np.ndarray) -> np.ndarray
     return y - (_row_dot(y, x)[:, None] * x + _row_dot(y, jx)[:, None] * jx)
 
 
-def prop2i_residual(hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompReport]) -> list[float]:
+def prop2i_residual(hfo: FirstOrderBatch, dr: DecompBatch) -> list[float]:
     """Residual of the traceless-Ricci normal form Ric0 = (kappa/4)(-g|_D + g|_Dperp)
     at each point, where D, the Kahler nullity, is the orthogonal complement
     of span{a, Ja}.
@@ -185,93 +185,97 @@ def prop2i_residual(hfos: Sequence[HermitianFirstOrder], drs: Sequence[DecompRep
     where a does not vanish; both are left to the caller. Where a = 0 the
     residual is a number with no meaning, computed without a warning.
     """
-    frame = np.stack([hfo.conn.sp.frame for hfo in hfos])
-    a_f = tensorops.frame_components(np.stack([hfo.a.value for hfo in hfos]), frame)
+    a_f = tensorops.frame_components(hfo.a.value, hfo.conn.structure.frame)
     norm = np.sqrt(_row_dot(a_f, a_f))  # each point's np.linalg.norm, bit for bit
     a_f = a_f / np.where(norm > 0.0, norm, 1.0)[:, None]
     ja_f = (J_FRAME @ a_f[:, :, None])[:, :, 0]
     g_perp = a_f[:, :, None] * a_f[:, None, :] + ja_f[:, :, None] * ja_f[:, None, :]
-    kappa = np.array([dr.kappa for dr in drs])[:, None, None]
-    prop2i = np.stack([dr.ric0 for dr in drs]) - (kappa / 4.0) * (-(np.eye(4) - g_perp) + g_perp)
+    kappa = dr.kappa[:, None, None]
+    prop2i = dr.ric0 - (kappa / 4.0) * (-(np.eye(4) - g_perp) + g_perp)
     return np.abs(prop2i).max(axis=(1, 2)).tolist()
 
 
-def nabla2_omega_shape_residual(hfo: HermitianFirstOrder) -> float:
-    """Residual of the shape of the commuted second derivative of Omega on an
-    almost Kahler point:
+def nabla2_omega_shape_residual(conn: ConnectionBatch) -> list[float]:
+    """Residual of the shape of the commuted second derivative of Omega at
+    each point of the batch, where it holds on almost Kahler points:
 
         nabla^2_{m,n} Omega - nabla^2_{n,m} Omega
             = (da - Ja ^ xi)_mn phi - (d(Ja) + a ^ xi)_mn J phi,
 
     where xi is the connection 1-form of the phi gauge,
-    nabla phi = -a (x) Omega + xi (x) J phi.
+    nabla phi = -a (x) Omega + xi (x) J phi. Its jets are formed one point
+    at a time.
     """
-    sp = hfo.conn.sp
-    # a is differentiated here, so it is built to first order, not read off hfo
-    a = riemann.nabla_omega_along(hfo.conn.nabla_omega, sp.phi, sp.g_inv)
-    ja = -jets.contract(a, sp.J, 0, 0)  # (Ja)_i = -a_k J^k_i
-    xi = 0.5 * tensorops.form_inner(hfo.conn.covd(sp.phi), sp.jphi, sp.g_inv, (1, 2))
-    dd = hfo.conn.nabla2_omega.value  # (m, n, i, j)
-    lhs = dd - np.moveaxis(dd, 0, 1)
-    coeff_phi = (tensorops.ext_d_1form(a) - tensorops.wedge11(ja, xi)).value
-    coeff_jphi = (tensorops.ext_d_1form(ja) + tensorops.wedge11(a, xi)).value
-    rhs = np.einsum("mn,ij->mnij", coeff_phi, sp.phi.value) - np.einsum("mn,ij->mnij", coeff_jphi, sp.jphi.value)
-    return float(np.abs(tensorops.frame_components(lhs - rhs, sp.frame)).max())
+    structure, residuals = conn.structure, []
+    for k in range(len(structure.points)):
+        phi, jphi, g_inv = structure.phi[k], structure.jphi[k], structure.g_inv[k]
+        # a is differentiated here, so it is built to first order, not read off the first-order batch
+        a = riemann.nabla_omega_along(conn.nabla_omega[k], phi, g_inv)
+        ja = -jets.contract(a, structure.J[k], 0, 0)  # (Ja)_i = -a_k J^k_i
+        xi = 0.5 * tensorops.form_inner(riemann.covd(conn.gamma[k], phi), jphi, g_inv, (1, 2))
+        dd = conn.nabla2_omega.value[k]  # (m, n, i, j)
+        lhs = dd - np.moveaxis(dd, 0, 1)
+        coeff_phi = (tensorops.ext_d_1form(a) - tensorops.wedge11(ja, xi)).value
+        coeff_jphi = (tensorops.ext_d_1form(ja) + tensorops.wedge11(a, xi)).value
+        rhs = np.einsum("mn,ij->mnij", coeff_phi, phi.value) - np.einsum("mn,ij->mnij", coeff_jphi, jphi.value)
+        residuals.append(float(np.abs(tensorops.frame_components(lhs - rhs, structure.frame[k])).max()))
+    return residuals
 
 
-def canonical_ricci_form(dr: DecompReport, hfo: HermitianFirstOrder) -> np.ndarray:
-    """Ricci form of the first canonical Hermitian connection, in frame components:
+def canonical_ricci_form(dr: DecompBatch) -> np.ndarray:
+    """Ricci form of the first canonical Hermitian connection at each point
+    of the batch, in frame components:
 
         gamma0(X, Y) = 4 Ric*(JX, Y) + <J nabla_X J, nabla_Y J>.
 
     It is antisymmetric; on Kahler points the second term vanishes and gamma0
-    is four times the usual Ricci form.
+    is four times the usual Ricci form. Its einsums run on one point's frame
+    values at a time.
     """
-    d_omega_f = tensorops.frame_components(hfo.conn.nabla_omega.value, hfo.conn.sp.frame)
-    # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
-    gamma = 4.0 * np.einsum("kx,ky->xy", J_FRAME, dr.ric_star)
-    # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
-    # where P(e_i, e_j) = (nabla_m Omega)(e_i, e_j)
-    jp = -np.einsum("mik,kj->mij", d_omega_f, J_FRAME)
-    return gamma + np.einsum("xij,yij->xy", jp, d_omega_f)
+    conn = dr.cd.conn
+    gammas = []
+    for d_omega, frame, ric_star in zip(conn.nabla_omega.value, conn.structure.frame, dr.ric_star):
+        d_omega_f = tensorops.frame_components(d_omega, frame)
+        # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
+        gamma = 4.0 * np.einsum("kx,ky->xy", J_FRAME, ric_star)
+        # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
+        # where P(e_i, e_j) = (nabla_m Omega)(e_i, e_j)
+        jp = -np.einsum("mik,kj->mij", d_omega_f, J_FRAME)
+        gammas.append(gamma + np.einsum("xij,yij->xy", jp, d_omega_f))
+    return np.stack(gammas)
 
 
 # -- classification -------------------------------------------------------------
 
 
-def classify(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], hfos: Sequence[HermitianFirstOrder]) -> list[GrayLadder]:
+def classify(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> GrayLadder:
     """The Gray residuals, the verdict of the class ladder and descriptive
-    flags at every point, each formed once over all the points; one ladder
-    per point.
+    flags at every point of the batch.
 
     The AK rungs and the j-invariant-ricci flag use the bounds of the
     `almost_kahler` and `j_invariant_ricci` hypotheses, so a point with an AK
     verdict or the flag is one where the rows assuming them apply.
     """
-    g1, g2, g3 = algebra.gray_residuals(np.stack([cd.R_frame for cd in cds]))
+    g1, g2, g3 = algebra.gray_residuals(cd.R_frame)
     tol = DEFAULT_VERDICT_TOL
-    ric0 = np.stack([dr.ric0 for dr in drs])
-    ric_anti_norm = np.array([dr.ric_anti_norm for dr in drs])
     flag_holds = {
-        "einstein": (ric_anti_norm < tol) & (np.abs(np.trace(ric0, axis1=1, axis2=2)) < tol) & (algebra.frobenius(ric0) < tol),
-        "self-dual": algebra.frobenius(np.stack([dr.wminus for dr in drs])) < tol,
-        "anti-self-dual": algebra.frobenius(np.stack([dr.wplus for dr in drs])) < tol,
-        "j-invariant-ricci": np.array([dr.is_j_invariant_ricci for dr in drs]),
+        "einstein": (dr.ric_anti_norm < tol) & (np.abs(np.trace(dr.ric0, axis1=1, axis2=2)) < tol) & (algebra.frobenius(dr.ric0) < tol),
+        "self-dual": algebra.frobenius(dr.wminus) < tol,
+        "anti-self-dual": algebra.frobenius(dr.wplus) < tol,
+        "j-invariant-ricci": dr.is_j_invariant_ricci,
     }
-    nabla_j = np.sqrt(np.maximum([hfo.nabla_j_sq for hfo in hfos], 0.0))
-    kahler = (nabla_j < tol) & (np.array([hfo.nijenhuis_norm for hfo in hfos]) < tol)
-    almost_kahler = np.array([hfo.is_almost_kahler for hfo in hfos])
+    nabla_j = np.sqrt(np.maximum(hfo.nabla_j_sq, 0.0))
+    kahler = (nabla_j < tol) & (hfo.nijenhuis_norm < tol)
     # the rung of each point, an index into LADDER
     ak_rung = np.where(g1 < tol, 1, np.where(g2 < tol, 2, np.where(g3 < tol, 3, 4)))
-    rungs = np.where(kahler, 0, np.where(almost_kahler, ak_rung, 5)).tolist()
-    columns = [np.asarray(holds).tolist() for holds in flag_holds.values()]
+    rungs = np.where(kahler, 0, np.where(hfo.is_almost_kahler, ak_rung, 5)).tolist()
+    columns = [holds.tolist() for holds in flag_holds.values()]
     flags = [tuple(flag for flag, holds in zip(flag_holds, point) if holds) for point in zip(*columns)]
-    return [GrayLadder(g1k, g2k, g3k, LADDER[rung], f) for g1k, g2k, g3k, rung, f in zip(g1.tolist(), g2.tolist(), g3.tolist(), rungs, flags)]
+    return GrayLadder(g1.tolist(), g2.tolist(), g3.tolist(), [LADDER[rung] for rung in rungs], flags)
 
 
-def gray_report(cds: Sequence[CurvatureData], drs: Sequence[DecompReport], n_planes: int, seed: int) -> list[GrayReport]:
+def gray_report(cd: CurvatureBatch, dr: DecompBatch, n_planes: int, seed: int) -> GrayReport:
     """The Lagrangian sectional curvature statistics and the W+ eigenvalues at
-    each point, formed once over all the points."""
-    stats = totally_real_curvature(cds, drs, n_planes=n_planes, seed=seed)
-    eigenvalues = np.linalg.eigvalsh(np.stack([dr.wplus for dr in drs]))
-    return [GrayReport(*values) for values in zip(stats["mu_formula"], stats["mu_min"], stats["mu_max"], eigenvalues)]
+    each point of the batch."""
+    stats = totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed)
+    return GrayReport(stats["mu_formula"], stats["mu_min"], stats["mu_max"], np.linalg.eigvalsh(dr.wplus))

@@ -4,7 +4,7 @@ A jet stores the Taylor coefficients c[alpha] = (d^alpha f / alpha!) of a
 scalar function at a base point, for every multi-index alpha = (i1,i2,i3,i4)
 with |alpha| <= order <= 4 (70 coefficients at order 4). A jet is only its
 order and coefficients: it does not record the base point, which lives once
-per sample point on `charts.StructurePoint.point`, and arithmetic assumes
+per sample point on `charts.StructureBatch.points`, and arithmetic assumes
 both operands were expanded at the same point. Ring operations are
 exact truncated-polynomial operations, so the coefficients of a product are
 the discrete convolution of the factors' coefficients. Elementary functions
@@ -402,47 +402,6 @@ def partials(j: Jet, points: bool = False) -> Jet:
     d *= mult
     last, lead = d.ndim - 1, int(points)
     return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(*range(lead), last - 1, *range(lead, last - 1), last)))
-
-
-def stack(js) -> Jet:
-    """Jets of one order stacked along a new point axis, in order."""
-    return Jet._of(js[0].order, np.stack([j.c for j in js]))
-
-
-class Batch:
-    """What the records of one batched stage share: the stacked inputs the
-    stage keeps, and the per-point values of each `per_batch` property of
-    `kind`, computed on the first read at any record. It holds none of its
-    own records, so they form no reference cycle and are freed by refcount.
-    A caller may also read the values off a batch directly, with no records:
-    `charts.structure_at` takes the order-0 values its checks need this way."""
-
-    def __init__(self, kind: type, **inputs):
-        self.kind = kind
-        self.__dict__.update(inputs)
-
-    def __getattr__(self, name: str):  # a per_batch value, on its first read
-        value = getattr(self.kind, name).compute(self)
-        setattr(self, name, value)
-        return value
-
-
-class per_batch:
-    """A value of a record of a batched stage that is computed once for its
-    whole batch: `compute(batch)` returns one value per point, and the record
-    reads entry `record.index` of `record.batch`."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, _owner, name):
-        self.name = name
-
-    def __get__(self, record, _owner=None):
-        if record is None:
-            return self
-        return getattr(record.batch, self.name)[record.index]
 
 
 def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple, points: bool) -> tuple:

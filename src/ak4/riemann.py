@@ -21,62 +21,58 @@ JetOrderError rather than silently truncating when the order is exhausted.
 
 `connection`, `curvature` and `hermitian_first_order` run once per batch of
 points (a command's points, up to `cli.BATCH_POINTS` at a time). Each takes
-the records of all the batch's points, stacks their jets on a
-leading point axis, computes with `jets.contract(..., points=True)`, a
-point-axis `jets.partials` and a point-axis `tensorops.frame_components`, and
-returns one record per point whose arrays are views of the batch; a single
-point is a batch of one. Point k of a batch has, bit for bit, the values of a
-batch of that point alone. The records of one batch share it: what only
-some commands read is a `jets.per_batch` value, computed for every point of
-the batch on the first read at any of them, so `ak4 classify` never
-computes theta, a or b. These are nabla Omega and nabla^2 Omega, the
-traceless Ricci frame, the Nijenhuis tensor, theta, a and b (values, built
-from order-0 truncations), and the jets of the second-order report: Ric0,
-h, the Weyl tensor, its halves and their codifferentials. `curvature`
-gives each slice of CURVATURE_SLICE points a batch of its own, so those
-jets are formed a slice at a time. `covd`, `neg_trace` and `divergence`
-take the point axis as `jets.contract` does. The report rows that read 4x4
-frame values, the Ricci identity (`ricci_identity_check`) and the nabla J
-identity (`HermitianFirstOrder.identity_residual`), run on the point axis
-too, once per batch, each with the bits of a batch of one.
+the record of the stage before it, `charts.StructureBatch` first, and
+returns one record whose fields keep the leading point axis: it reads the
+earlier stage's arrays as they are, with no per-point copies, and computes
+with `jets.contract(..., points=True)`, a point-axis `jets.partials` and a
+point-axis `tensorops.frame_components`. A point is an index into that
+axis, and a single point is a batch of one. Point k of a batch has, bit for
+bit, the values of a batch of that point alone. What only some commands
+read is a cached property, computed for the whole batch on its first read,
+so `ak4 classify` never computes theta, a or b. These are nabla Omega and
+nabla^2 Omega, the traceless Ricci frame, the Nijenhuis tensor, theta, a
+and b (values, built from order-0 truncations), and the jets of the
+second-order report: Ric0, h, the Weyl tensor, its halves and their
+codifferentials. Those jets are formed on `CurvatureBatch.slices`, views of
+CURVATURE_SLICE points of the batch, a slice at a time. `covd`, `neg_trace`
+and `divergence` take the point axis as `jets.contract` does. The report
+rows that read 4x4 frame values, the Ricci identity (`ricci_identity_check`)
+and the nabla J identity (`FirstOrderBatch.identity_residual`), run on the
+point axis too, once per batch, each with the bits of a batch of one: where
+einsum reads a value that is a strided view of a batch jet, it reads a
+compact copy in the same axis order, the layout a stack of the points'
+views had, since einsum sums in an order that depends on strides.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, jets, tensorops
-from .charts import StructurePoint
+from .charts import StructureBatch
 from .jets import Jet
 
 
 @dataclass
-class ConnectionData:
-    """Christoffel jets and covariant differentiation of covariant tensors at one point."""
+class ConnectionBatch:
+    """Christoffel jets of a batch of structure points, on its point axis."""
 
-    sp: StructurePoint
-    gamma: Jet  # Gamma[k, i, j] = Gamma^k_ij, order one below the metric
-    batch: jets.Batch = field(repr=False)  # sps, gamma (stacked)
-    index: int
+    structure: StructureBatch
+    gamma: Jet  # gamma[p, k, i, j] = Gamma^k_ij at point p, order one below the metric
 
-    @jets.per_batch
-    def nabla_omega(batch: jets.Batch) -> Jet:
-        """nabla Omega, slots (m, i, j), formed for the whole batch: the first-order
-        data, the Ricci identity and the Weitzenboeck check of Omega all read this one jet."""
-        return covd(batch.gamma, jets.stack([sp.omega for sp in batch.sps]), points=True)
+    @functools.cached_property
+    def nabla_omega(self) -> Jet:
+        """nabla Omega, slots (m, i, j): the first-order data, the Ricci
+        identity and the Weitzenboeck check of Omega all read this one jet."""
+        return covd(self.gamma, self.structure.omega, points=True)
 
-    @jets.per_batch
-    def nabla2_omega(batch: jets.Batch) -> Jet:
-        """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of
-        `nabla_omega`, formed for the whole batch."""
-        return covd(batch.gamma, batch.nabla_omega, points=True)
-
-    def covd(self, t: Jet) -> Jet:
-        """Covariant derivative of a fully covariant tensor of jets at the point (`covd`)."""
-        return covd(self.gamma, t)
+    @functools.cached_property
+    def nabla2_omega(self) -> Jet:
+        """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of `nabla_omega`."""
+        return covd(self.gamma, self.nabla_omega, points=True)
 
 
 def covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
@@ -85,8 +81,12 @@ def covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
 
     The new derivative index comes first:
     (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
+    The derivative term has one order less than t, so gamma and t enter the
+    contractions at that order.
     """
     out = jets.partials(t, points)
+    low = min(out.order, gamma.order)
+    gamma, t = gamma.truncate(low), t.truncate(low)
     for a in range(t.c.ndim - 1 - int(points)):
         term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)  # (m, q, rest)
         out = out - jets.moveaxis(term, 1, a + 1, points)
@@ -122,295 +122,235 @@ def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0, point
     return out
 
 
-def connection(sps: Sequence[StructurePoint]) -> list[ConnectionData]:
-    """Levi-Civita connection of each structure point's metric, formed once
-    over all the points; one record per point."""
-    if sps[0].order < 1:
+def connection(structure: StructureBatch) -> ConnectionBatch:
+    """Levi-Civita connection of the metric at every point of the batch."""
+    if structure.order < 1:
         raise jets.JetOrderError("connection needs jet order >= 1")
-    g, g_inv = jets.stack([sp.g for sp in sps]), jets.stack([sp.g_inv for sp in sps])
-    dg = jets.partials(g, points=True)  # dg[m, i, j] = d_m g_ij
+    dg = jets.partials(structure.g, points=True)  # dg[m, i, j] = d_m g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij)
     sym = jets.moveaxis(dg, (0, 1, 2), (1, 0, 2), True) + jets.moveaxis(dg, (0, 1, 2), (2, 1, 0), True) - dg
-    gamma = 0.5 * jets.contract(g_inv, sym, 1, 0, points=True)
-    batch = jets.Batch(ConnectionData, sps=sps, gamma=gamma)
-    return [ConnectionData(sp=sp, gamma=gamma[k], batch=batch, index=k) for k, sp in enumerate(sps)]
+    return ConnectionBatch(structure, 0.5 * jets.contract(structure.g_inv, sym, 1, 0, points=True))
 
 
-@dataclass
-class CurvatureData:
-    """Curvature of a chart point: coordinate jets, frame components, operator.
-
-    The second-order report's jets, the traceless Ricci tensor, h, the Weyl
-    tensor, its halves and their codifferentials, are `jets.per_batch`:
-    the first read at any point forms them for the whole batch, on the
-    batch's stacked jets (see `curvature`)."""
-
-    sp: StructurePoint
-    conn: ConnectionData
-    R: Jet  # (0,4) coordinate jets, conventions in the module docstring
-    ric: Jet
-    s: Jet
-    R_frame: np.ndarray
-    ric_frame: np.ndarray
-    s_value: float
-    operator: np.ndarray  # 6x6 matrix on the (Omega, phi, Jphi, asd triple) basis
-    # sps, conns, g and g_inv (at R's order), R, ric, s, frame, ric_frame, s_value (stacked), terms (`divergence`)
-    batch: jets.Batch = field(repr=False)
-    index: int
-
-    @jets.per_batch
-    def ric0_frame(batch: jets.Batch) -> np.ndarray:
-        """Frame components of the traceless Ricci tensor, formed for the whole batch."""
-        return batch.ric_frame - (batch.s_value / 4.0)[:, None, None] * np.eye(4)
-
-    @jets.per_batch
-    def ric0(batch: jets.Batch) -> Jet:
-        return batch.ric - 0.25 * (batch.s[:, None, None] * batch.g)
-
-    @jets.per_batch
-    def h(batch: jets.Batch) -> Jet:
-        """The normalized Ricci tensor h = (1/2)(Ric - s/6 g): Cotton-York
-        differentiates it and each Bach route contracts it with its Weyl tensor."""
-        return 0.5 * (batch.ric - (batch.s / 6.0)[:, None, None] * batch.g)
-
-    @jets.per_batch
-    def h_raised(batch: jets.Batch) -> Jet:
-        """h^ab at order 0: the Bach routes read only its value."""
-        return tensorops.raise_pair(batch.h.truncate(0), batch.g_inv.truncate(0), 0, 1, points=True)
-
-    @jets.per_batch
-    def weyl(batch: jets.Batch) -> Jet:
-        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks.
-
-        R has two orders fewer than g, so g enters at R's order."""
-        g = batch.g.truncate(batch.R.order)
-        scalar_part = jets.outer(batch.s / 24.0, tensorops.kn_jet(g, g, True), True)
-        ric0_part = 0.5 * tensorops.kn_jet(batch.ric0, g, True)
-        return batch.R - scalar_part - ric0_part
-
-    @jets.per_batch
-    def weyl_plus(batch: jets.Batch) -> Jet:
-        return _weyl_half(batch, +1.0)
-
-    @jets.per_batch
-    def weyl_minus(batch: jets.Batch) -> Jet:
-        return _weyl_half(batch, -1.0)
-
-    @jets.per_batch
-    def delta_weyl(batch: jets.Batch) -> Jet:
-        """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
-        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl, 0, True)
-
-    @jets.per_batch
-    def delta_weyl_plus(batch: jets.Batch) -> Jet:
-        """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
-        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl_plus, 0, True)
-
-    @jets.per_batch
-    def delta_weyl_minus(batch: jets.Batch) -> Jet:
-        """Codifferential of W-, computed from W- itself."""
-        return -divergence(batch.g_inv, batch.gamma, batch.terms, batch.weyl_minus, 0, True)
-
-    @jets.per_batch
-    def gamma(batch: jets.Batch) -> Jet:
-        """The Christoffel jets at the curvature's order, the most the batch's
-        covariant derivatives and divergences read."""
-        return jets.stack([conn.gamma.truncate(batch.R.order) for conn in batch.conns])
-
-    @jets.per_batch
-    def _mu(batch: jets.Batch) -> Jet:
-        """The structure points' volume forms: a view of their structure batch's
-        stacked mu, whose points the curvature batch's are, consecutively."""
-        first = batch.sps[0]
-        if any(sp.batch is not first.batch or sp.index != first.index + k for k, sp in enumerate(batch.sps)):
-            raise ValueError("expected consecutive structure points of one batch")
-        return first.batch.mu[first.index : first.index + len(batch.sps)]
-
-    @jets.per_batch
-    def _weyl_star(batch: jets.Batch) -> Jet:
-        """The Hodge star of W's first pair, shared by W+ and W-."""
-        return tensorops.hodge_star_2form(batch.weyl, batch.g_inv, batch._mu, points=True)
-
-
-def _weyl_half(batch: jets.Batch, sign: float) -> Jet:
-    half = tensorops.dual_projection(batch.weyl, batch.g_inv, batch._mu, sign, (0, 1), batch._weyl_star, points=True)
-    return tensorops.dual_projection(half, batch.g_inv, batch._mu, sign, (2, 3), points=True)
-
-
-def batch_of(cds: Sequence[CurvatureData]) -> jets.Batch:
-    """The batch that the curvature records `cds` make up, all of it and in order."""
-    batch = cds[0].batch
-    if len(cds) != len(batch.s_value) or any(cd.batch is not batch or cd.index != k for k, cd in enumerate(cds)):
-        raise ValueError("expected all the curvature records of one batch, in order")
-    return batch
-
-
-#: The most points that share a CurvatureData batch. The second-order jets
-#: (`CurvatureData` per-batch values, and the report built on them) are
-#: formed a slice of this many points at a time: their temporaries grow with
-#: the points formed at once, and past a few points a larger slice saves little.
+#: The most points whose second-order jets are formed at once. The report
+#: rows built on the `CurvatureBatch` second-order jets, and the Lagrangian
+#: plane statistics, run on `CurvatureBatch.slices`, batches of up to this
+#: many points: their temporaries grow with the points formed at once, and
+#: past a few points a larger slice saves little.
 CURVATURE_SLICE = 8
 
 
-def curvature(conns: Sequence[ConnectionData]) -> list[CurvatureData]:
-    """Riemann, Ricci and scalar curvature plus the operator on 2-forms,
-    formed once over all the points; one record per point, the records of
-    each CURVATURE_SLICE points sharing a batch."""
-    sps = [conn.sp for conn in conns]
-    if sps[0].order < 2:
+@dataclass
+class CurvatureBatch:
+    """Curvature of a batch of chart points: coordinate jets, frame components,
+    operator, each on the point axis.
+
+    `rows` are the points of `conn` the batch holds: all of them for the
+    batch `curvature` returns, CURVATURE_SLICE of them for each of its
+    `slices`. The second-order report's jets, the traceless Ricci tensor, h,
+    the Weyl tensor, its halves and their codifferentials, are cached
+    properties, formed for the batch's points on the first read."""
+
+    conn: ConnectionBatch
+    rows: slice
+    g: Jet  # g, g^-1 and Gamma at R's order, the most their readers take
+    g_inv: Jet
+    gamma: Jet
+    R: Jet  # (0,4) coordinate jets, conventions in the module docstring
+    ric: Jet
+    s: Jet
+    frame: np.ndarray
+    R_frame: np.ndarray
+    ric_frame: np.ndarray
+    s_value: np.ndarray
+    operator: np.ndarray  # 6x6 matrices on the (Omega, phi, Jphi, asd triple) basis
+    terms: dict = field(default_factory=dict, repr=False)  # `divergence`'s contractions by order
+
+    @functools.cached_property
+    def slices(self) -> list[CurvatureBatch]:
+        """The batch cut into batches of up to CURVATURE_SLICE consecutive
+        points (itself when it has no more), whose arrays are views of its
+        own and which form their own second-order jets."""
+        n = len(self.s_value)
+        if n <= CURVATURE_SLICE:
+            return [self]
+        parts = [slice(start, min(start + CURVATURE_SLICE, n)) for start in range(0, n, CURVATURE_SLICE)]
+        views = ("g", "g_inv", "gamma", "R", "ric", "s", "frame", "R_frame", "ric_frame", "s_value", "operator")
+        return [CurvatureBatch(self.conn, rows, **{name: getattr(self, name)[rows] for name in views}) for rows in parts]
+
+    @functools.cached_property
+    def ric0_frame(self) -> np.ndarray:
+        """Frame components of the traceless Ricci tensor."""
+        return self.ric_frame - (self.s_value / 4.0)[:, None, None] * np.eye(4)
+
+    @functools.cached_property
+    def ric0(self) -> Jet:
+        return self.ric - 0.25 * (self.s[:, None, None] * self.g)
+
+    @functools.cached_property
+    def h(self) -> Jet:
+        """The normalized Ricci tensor h = (1/2)(Ric - s/6 g): Cotton-York
+        differentiates it and each Bach route contracts it with its Weyl tensor."""
+        return 0.5 * (self.ric - (self.s / 6.0)[:, None, None] * self.g)
+
+    @functools.cached_property
+    def h_raised(self) -> Jet:
+        """h^ab at order 0: the Bach routes read only its value."""
+        return tensorops.raise_pair(self.h.truncate(0), self.g_inv.truncate(0), 0, 1, points=True)
+
+    @functools.cached_property
+    def weyl(self) -> Jet:
+        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks."""
+        scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(self.g, self.g, True), True)
+        ric0_part = 0.5 * tensorops.kn_jet(self.ric0, self.g, True)
+        return self.R - scalar_part - ric0_part
+
+    @functools.cached_property
+    def weyl_plus(self) -> Jet:
+        return self._weyl_half(+1.0)
+
+    @functools.cached_property
+    def weyl_minus(self) -> Jet:
+        return self._weyl_half(-1.0)
+
+    @functools.cached_property
+    def delta_weyl(self) -> Jet:
+        """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl, 0, True)
+
+    @functools.cached_property
+    def delta_weyl_plus(self) -> Jet:
+        """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_plus, 0, True)
+
+    @functools.cached_property
+    def delta_weyl_minus(self) -> Jet:
+        """Codifferential of W-, computed from W- itself."""
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_minus, 0, True)
+
+    @functools.cached_property
+    def _mu(self) -> Jet:
+        """The volume forms of the batch's points: a view of the structure batch's mu."""
+        return self.conn.structure.mu[self.rows]
+
+    @functools.cached_property
+    def _weyl_star(self) -> Jet:
+        """The Hodge star of W's first pair, shared by W+ and W-."""
+        return tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu, points=True)
+
+    def _weyl_half(self, sign: float) -> Jet:
+        half = tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), self._weyl_star, points=True)
+        return tensorops.dual_projection(half, self.g_inv, self._mu, sign, (2, 3), points=True)
+
+
+def curvature(conn: ConnectionBatch) -> CurvatureBatch:
+    """Riemann, Ricci and scalar curvature plus the operator on 2-forms at
+    every point of the batch."""
+    structure = conn.structure
+    if structure.order < 2:
         raise jets.JetOrderError("curvature needs jet order >= 2")
-    gamma = jets.stack([conn.gamma for conn in conns])
-    dg = jets.partials(gamma, points=True)  # dg[m, l, i, j] = d_m Gamma^l_ij
+    dg = jets.partials(conn.gamma, points=True)  # dg[m, l, i, j] = d_m Gamma^l_ij
     # [nabla_i, nabla_j] d_k = (d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik) d_l
     t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3), True)  # t1[l, i, j, k] = d_i Gamma^l_jk
     # R is one order below Gamma, so the product needs Gamma only to that order
-    gamma_low = gamma.truncate(dg.order)
+    gamma_low = conn.gamma.truncate(dg.order)
     gg = jets.contract(gamma_low, gamma_low, 2, 0, points=True)  # gg[l, i, j, k] = G^l_im G^m_jk
     comm_up = t1 - jets.moveaxis(t1, 1, 2, True) + gg - jets.moveaxis(gg, 1, 2, True)
     # every later product and the batch's readers take g and g^-1 at R's order
-    g, g_inv = jets.stack([sp.g.truncate(dg.order) for sp in sps]), jets.stack([sp.g_inv.truncate(dg.order) for sp in sps])
+    g, g_inv = structure.g.truncate(dg.order), structure.g_inv.truncate(dg.order)
     riem = -jets.moveaxis(jets.contract(g, comm_up, 0, 0, points=True), 0, 3, True)  # R_ijkl (sphere-positive)
     ric = jets.contract(g_inv, riem, (0, 1), (0, 2), points=True)  # Ric_jk = g^im R_ijmk
     s = jets.contract(g_inv, ric, (0, 1), (0, 1), points=True)
 
-    frame = np.stack([sp.frame for sp in sps])
+    frame = structure.frame
     R_frame = tensorops.frame_components(riem.value, frame)
     ric_frame = tensorops.frame_components(ric.value, frame)
     operator = algebra.operator_matrix(R_frame)
-    parts = [slice(start, start + CURVATURE_SLICE) for start in range(0, len(sps), CURVATURE_SLICE)]
-    batches = [
-        jets.Batch(
-            CurvatureData,
-            sps=sps[part],
-            conns=conns[part],
-            g=g[part],
-            g_inv=g_inv[part],
-            terms={},
-            R=riem[part],
-            ric=ric[part],
-            s=s[part],
-            frame=frame[part],
-            ric_frame=ric_frame[part],
-            s_value=s.value[part],
-        )
-        for part in parts
-    ]
-    return [
-        CurvatureData(
-            sp=sp,
-            conn=conn,
-            R=riem[k],
-            ric=ric[k],
-            s=s[k],
-            R_frame=R_frame[k],
-            ric_frame=ric_frame[k],
-            s_value=float(s.value[k]),
-            operator=operator[k],
-            batch=batches[k // CURVATURE_SLICE],
-            index=k % CURVATURE_SLICE,
-        )
-        for k, (sp, conn) in enumerate(zip(sps, conns))
-    ]
+    rows = slice(0, len(frame))
+    return CurvatureBatch(conn, rows, g, g_inv, gamma_low, riem, ric, s, frame, R_frame, ric_frame, s.value, operator)
 
 
 # -- first-order almost Hermitian invariants -----------------------------------
 
 
 @dataclass
-class HermitianFirstOrder:
-    """nabla J data: Lee form, Nijenhuis tensor, and the 1-forms a, b with
-    nabla J = a (x) I + b (x) (J o I), where I is the anti-commuting structure
-    whose fundamental form is the gauge phi. nabla Omega itself is
-    `conn.nabla_omega`."""
+class FirstOrderBatch:
+    """nabla J data at every point of a batch: Lee form, Nijenhuis tensor, and
+    the 1-forms a, b with nabla J = a (x) I + b (x) (J o I), where I is the
+    anti-commuting structure whose fundamental form is the gauge phi.
+    nabla Omega itself is `conn.nabla_omega`."""
 
-    conn: ConnectionData
-    nabla_j_sq: float  # |nabla J|^2, full tensor norm
-    d_omega_norm: float
-    batch: jets.Batch = field(repr=False)  # sps, frame, nabla_omega0 (stacked)
-    index: int
+    conn: ConnectionBatch
+    nabla_j_sq: np.ndarray  # |nabla J|^2, full tensor norm
+    d_omega_norm: np.ndarray
+    nabla_omega0: Jet  # nabla Omega at order 0, the values its readers read
 
-    @property
-    def is_almost_kahler(self) -> bool:
+    @functools.cached_property
+    def is_almost_kahler(self) -> np.ndarray:
         return self.d_omega_norm < 1e-9
 
-    @jets.per_batch
-    def nijenhuis(batch: jets.Batch) -> Jet:
-        """The Nijenhuis tensor, formed for the whole batch."""
-        return _nijenhuis(jets.stack([sp.J.truncate(1) for sp in batch.sps]), jets.stack([sp.g.truncate(0) for sp in batch.sps]))
+    @functools.cached_property
+    def nijenhuis(self) -> Jet:
+        structure = self.conn.structure
+        return _nijenhuis(structure.J.truncate(1), structure.g.truncate(0))
 
-    @jets.per_batch
-    def nijenhuis_norm(batch: jets.Batch) -> list[float]:
-        """|N|, formed for the whole batch: the verdict ladder reads it."""
-        return _frame_max(batch.nijenhuis.value, batch.frame).tolist()
+    @functools.cached_property
+    def nijenhuis_norm(self) -> np.ndarray:
+        """|N|: the verdict ladder reads it."""
+        return _frame_max(self.nijenhuis.value, self.conn.structure.frame)
 
-    @jets.per_batch
-    def _g_inv0(batch: jets.Batch) -> Jet:
-        return jets.stack([sp.g_inv.truncate(0) for sp in batch.sps])
+    @functools.cached_property
+    def theta(self) -> Jet:
+        """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX). Every
+        reader reads its value, so it is built from the order-0 truncations
+        of nabla Omega, g^-1 and J."""
+        structure = self.conn.structure
+        delta_omega = neg_trace(structure.g_inv.truncate(0), self.nabla_omega0, points=True)
+        return -jets.contract(delta_omega, structure.J.truncate(0), 0, 0, points=True)
 
-    @jets.per_batch
-    def _j0(batch: jets.Batch) -> Jet:
-        return jets.stack([sp.J.truncate(0) for sp in batch.sps])
+    @functools.cached_property
+    def a(self) -> Jet:
+        """a (`nabla_omega_along` phi), from order-0 truncations, the order-0
+        phi the structure stage checked among them: every reader reads its value."""
+        structure = self.conn.structure
+        return nabla_omega_along(self.nabla_omega0, structure.phi0, structure.g_inv.truncate(0), points=True)
 
-    @jets.per_batch
-    def theta(batch: jets.Batch) -> Jet:
-        """The Lee form theta = J(delta Omega), (J alpha)(X) = -alpha(JX), formed
-        for the whole batch. Every reader reads its value, so it is built from
-        the order-0 truncations of nabla Omega, g^-1 and J."""
-        delta_omega = neg_trace(batch._g_inv0, batch.nabla_omega0, points=True)
-        return -jets.contract(delta_omega, batch._j0, 0, 0, points=True)
-
-    @jets.per_batch
-    def a(batch: jets.Batch) -> Jet:
-        """a (`nabla_omega_along` phi), formed for the whole batch from order-0
-        truncations, the order-0 phi the structure stage checked among them:
-        every reader reads its value."""
-        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "phi"), batch._g_inv0, points=True)
-
-    @jets.per_batch
-    def b(batch: jets.Batch) -> Jet:
+    @functools.cached_property
+    def b(self) -> Jet:
         """b (`nabla_omega_along` J phi), formed like `a`."""
-        return nabla_omega_along(batch.nabla_omega0, _checked_values(batch.sps, "jphi"), batch._g_inv0, points=True)
+        structure = self.conn.structure
+        return nabla_omega_along(self.nabla_omega0, structure.jphi0, structure.g_inv.truncate(0), points=True)
 
-    @jets.per_batch
-    def theta_norm(batch: jets.Batch) -> list[float]:
-        return _frame_max(batch.theta.value, batch.frame).tolist()
+    @functools.cached_property
+    def theta_norm(self) -> list[float]:
+        return _frame_max(self.theta.value, self.conn.structure.frame).tolist()
 
-    @jets.per_batch
-    def b_plus_ja_norm(batch: jets.Batch) -> list[float]:
-        ja = -jets.contract(batch.a, batch._j0, 0, 0, points=True)  # (J a)_i = -a_k J^k_i
-        return _frame_max((batch.b + ja).value, batch.frame).tolist()
+    @functools.cached_property
+    def b_plus_ja_norm(self) -> list[float]:
+        ja = -jets.contract(self.a, self.conn.structure.J.truncate(0), 0, 0, points=True)  # (J a)_i = -a_k J^k_i
+        return _frame_max((self.b + ja).value, self.conn.structure.frame).tolist()
 
-    @jets.per_batch
-    def identity_residual(batch: jets.Batch) -> list[float]:
-        """nabla_X J vs its Lee-form/Nijenhuis reconstruction, formed for the whole batch."""
-        return _nabla_j_identity_residual(batch, batch.nabla_omega0, batch.theta, batch.nijenhuis).tolist()
+    @functools.cached_property
+    def identity_residual(self) -> list[float]:
+        """nabla_X J vs its Lee-form/Nijenhuis reconstruction."""
+        return _nabla_j_identity_residual(self).tolist()
 
 
-def hermitian_first_order(conns: Sequence[ConnectionData]) -> list[HermitianFirstOrder]:
+def hermitian_first_order(conn: ConnectionBatch) -> FirstOrderBatch:
     """|nabla J|^2 and |d Omega|, the first-order values every command reads,
-    formed once over all the points; one record per point."""
-    sps = [conn.sp for conn in conns]
-    frame = np.stack([sp.frame for sp in sps])
-    nabla_omega0 = Jet._of(0, np.stack([conn.nabla_omega.c[..., :1] for conn in conns]))
-    nabla_omega = tensorops.frame_components(nabla_omega0.value, frame)
+    at every point of the batch."""
+    structure = conn.structure
+    nabla_omega0 = Jet._of(0, conn.nabla_omega.c[..., :1].copy(order="K"))  # compact: see `_nabla_j_identity_residual`
+    nabla_omega = tensorops.frame_components(nabla_omega0.value, structure.frame)
     nabla_j_sq = np.sum(nabla_omega * nabla_omega, axis=(1, 2, 3))
-    d_omega = tensorops.ext_d_2form(jets.stack([sp.omega for sp in sps]), points=True)
-    d_omega_norm = _frame_max(d_omega.value, frame)
-    batch = jets.Batch(HermitianFirstOrder, sps=sps, frame=frame, nabla_omega0=nabla_omega0)
-    values = zip(conns, nabla_j_sq.tolist(), d_omega_norm.tolist())
-    return [HermitianFirstOrder(conn, sq, d, batch, k) for k, (conn, sq, d) in enumerate(values)]
+    d_omega_norm = _frame_max(tensorops.ext_d_2form(structure.omega, points=True).value, structure.frame)
+    return FirstOrderBatch(conn, nabla_j_sq, d_omega_norm, nabla_omega0)
 
 
 def nabla_omega_along(nabla_omega: Jet, form: Jet, g_inv: Jet, points: bool = False) -> Jet:
     """The 1-form X -> <nabla_X Omega, form> / |form|^2 for a gauge form (phi
     gives a, J phi gives b), at every point with `points`."""
     return 0.5 * tensorops.form_inner(nabla_omega, form, g_inv, (1, 2), points)
-
-
-def _checked_values(sps: Sequence[StructurePoint], name: str) -> Jet:
-    """The order-0 `name` (phi or jphi) of each structure point, from the
-    values its structure stage checked, stacked."""
-    return jets.stack([getattr(sp.batch.values, name)[sp.index] for sp in sps])
 
 
 def _frame_max(values: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -440,31 +380,32 @@ def _nijenhuis(J: Jet, g: Jet) -> Jet:
     return jets.contract(g, total_up, 0, 2, points=True)  # N[x, y, z] = g_nx W[y, z, n]
 
 
-def _nabla_j_identity_residual(batch: jets.Batch, nabla_omega: Jet, theta: Jet, nij: Jet) -> np.ndarray:
+def _nabla_j_identity_residual(hfo: FirstOrderBatch) -> np.ndarray:
     """Residual of nabla_X J = 1/2 (X ^ J theta + JX ^ theta) + 1/2 N_{JX},
-    with both sides read as 2-forms through Omega, at each point of a
-    `HermitianFirstOrder` batch (only the jets' values are read)."""
-    sps = batch.sps
-    J = np.stack([sp.J.value for sp in sps])
-    jtheta = -jets.contract(theta, batch._j0, 0, 0, points=True).value
-    xb = np.stack([sp.g.value for sp in sps])  # X^flat for X = d_m is the row g_{m .}
-    lhs = nabla_omega.value
+    with both sides read as 2-forms through Omega, at each point of the
+    batch (only the jets' values are read)."""
+    structure, theta = hfo.conn.structure, hfo.theta
+    jtheta = -jets.contract(theta, structure.J.truncate(0), 0, 0, points=True).value
+    # compact copies of the frame values, in their axis order: einsum sums in
+    # an order that depends on its operands' strides
+    xb = structure.g.value.copy(order="K")  # X^flat for X = d_m is the row g_{m .}
     term1 = np.einsum("pmi,pj->pmij", xb, jtheta) - np.einsum("pmj,pi->pmij", xb, jtheta)
-    jxb = np.stack([sp.omega.value for sp in sps])  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
+    jxb = structure.omega.value.copy(order="K")  # (J d_m)^flat_i = J^k_m g_ki = Omega_mi
     term2 = np.einsum("pmi,pj->pmij", jxb, theta.value) - np.einsum("pmj,pi->pmij", jxb, theta.value)
-    njx = np.einsum("pkm,pkij->pmij", J, nij.value)  # N_{J d_m}(d_i, d_j)
+    njx = np.einsum("pkm,pkij->pmij", structure.J.value.copy(order="K"), hfo.nijenhuis.value)  # N_{J d_m}(d_i, d_j)
     rhs = 0.5 * (term1 + term2) + 0.5 * njx
-    return _frame_max(lhs - rhs, batch.frame)
+    return _frame_max(hfo.nabla_omega0.value - rhs, structure.frame)
 
 
-def ricci_identity_check(cds: Sequence[CurvatureData]) -> list[float]:
+def ricci_identity_check(cd: CurvatureBatch) -> list[float]:
     """Max-norm residual of the commuted second derivative of Omega at each point:
 
     (nabla^2_{X,Y} - nabla^2_{Y,X})(Omega)(Z, T) = -R_{X,Y,JZ,T} - R_{X,Y,Z,JT}.
     """
-    dd = np.stack([cd.conn.nabla2_omega.value for cd in cds])  # (m, n, i, j)
+    # compact copies in the values' axis order, for einsum (see `_nabla_j_identity_residual`)
+    dd = cd.conn.nabla2_omega.value[cd.rows].copy(order="K")  # (m, n, i, j)
     lhs = dd - np.moveaxis(dd, 1, 2)
-    rv = np.stack([cd.R.value for cd in cds])
-    jv = np.stack([cd.sp.J.value for cd in cds])
+    rv = cd.R.value.copy(order="K")
+    jv = cd.conn.structure.J.value[cd.rows].copy(order="K")
     rhs = -np.einsum("pmnkj,pki->pmnij", rv, jv) - np.einsum("pmnik,pkj->pmnij", rv, jv)
-    return _frame_max(lhs - rhs, np.stack([cd.sp.frame for cd in cds])).tolist()
+    return _frame_max(lhs - rhs, cd.frame).tolist()

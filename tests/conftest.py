@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -109,11 +111,11 @@ def catalog_specs() -> dict[str, charts.ChartSpec]:
 
 @pytest.fixture(scope="session")
 def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
-    """Full order-4 analyses at N_FULL seeded points per catalog chart."""
+    """Full order-4 analyses at N_FULL seeded points per catalog chart, each
+    point a batch of its own."""
     out: dict[str, list[PointAnalysis]] = {}
     for name, spec in catalog_specs.items():
-        batch = charts.structure_at([(spec, spec.sample_points(N_FULL, FULL_SEED))], 4)
-        out[name] = [pa for sp in batch for pa in cli.point_analyses([sp], 64, FULL_SEED)]
+        out[name] = [point_analysis(spec, p, 4, planes=64, seed=FULL_SEED) for p in spec.sample_points(N_FULL, FULL_SEED)]
     return out
 
 
@@ -140,22 +142,66 @@ def expr_jet(e: exprs.Expr, p, order: int) -> Jet:
     return jet if jet.c.ndim == 1 else Jet(order, jet.c.reshape(p.shape[:-1] + jet.c.shape[-1:]))
 
 
-def structure_point(spec: charts.ChartSpec, p, order: int = 4) -> charts.StructurePoint:
-    """The structure of `spec` at one point, from a one-point batch."""
-    [sp] = charts.structure_at([(spec, [p])], order)
-    return sp
+def structure_batch(spec: charts.ChartSpec, p, order: int = 4) -> charts.StructureBatch:
+    """The structure of `spec` at one point, a batch of one."""
+    return charts.structure_at([(spec, [p])], order)
+
+
+#: The jets of a `charts.StructureBatch`, each with its point axis.
+STRUCTURE_JETS = ("g", "g_inv", "J", "omega", "mu", "phi", "jphi")
+
+
+def point_fields(structure: charts.StructureBatch, k: int) -> SimpleNamespace:
+    """Every field of point k of a structure batch, its mu, phi and J phi
+    read too, and its invariant residuals by name."""
+    residuals = dict(zip(charts.INVARIANTS, structure.invariant_residuals[k].tolist()))
+    jets_at = {name: getattr(structure, name)[k] for name in STRUCTURE_JETS}
+    return SimpleNamespace(point=structure.points[k], order=structure.order, frame=structure.frame[k], invariant_residuals=residuals, **jets_at)
+
+
+def points_of(structure: charts.StructureBatch) -> list[SimpleNamespace]:
+    """`point_fields` of every point of the batch, in order."""
+    return [point_fields(structure, k) for k in range(len(structure.points))]
+
+
+def structure_point(spec: charts.ChartSpec, p, order: int = 4) -> SimpleNamespace:
+    """`point_fields` of `spec` at one point, from a batch of one."""
+    return point_fields(structure_batch(spec, p, order), 0)
 
 
 def point_analysis(spec: charts.ChartSpec, p, order: int = 4, **kwargs) -> PointAnalysis:
     """The pipeline of `spec` at one point, a batch of one; kwargs go to
     `cli.point_analyses`."""
-    [pa] = cli.point_analyses([structure_point(spec, p, order)], **kwargs)
+    [pa] = cli.point_analyses(structure_batch(spec, p, order), **kwargs)
     return pa
 
 
-def divergence(conn: riemann.ConnectionData, t: Jet, slot: int = 0) -> Jet:
-    """`riemann.divergence` of t at the one point of `conn`."""
-    return riemann.divergence(conn.sp.g_inv, conn.gamma, {}, t, slot)
+class Entries:
+    """The entries of a batch record at one point, as attributes:
+    `Entries(batch.dr, k).kappa` is `batch.dr.kappa[k]`."""
+
+    def __init__(self, record, index: int):
+        self._record, self._index = record, index
+
+    def __getattr__(self, name: str):
+        return getattr(self._record, name)[self._index]
+
+
+def at(pa: PointAnalysis, stage: str) -> Entries:
+    """The entries of the analysis batch's record of `stage` ("structure",
+    "conn", "cd", "hfo", "dr", "ladder", "gr" or "sor") at the point of `pa`."""
+    return Entries(getattr(pa.batch, stage), pa.index)
+
+
+def second_order_residuals(pa: PointAnalysis) -> dict[str, float | None]:
+    """The second-order residuals at the point of `pa`, by name; None for a
+    closed Bach form whose hypotheses fail there."""
+    return {name: column[pa.index] for name, column in pa.batch.sor.residuals.items()}
+
+
+def divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int = 0, k: int = 0) -> Jet:
+    """`riemann.divergence` of t at point k of `conn`."""
+    return riemann.divergence(conn.structure.g_inv[k], conn.gamma[k], {}, t, slot)
 
 
 def identity(name: str) -> cli.Identity:

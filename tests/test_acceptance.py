@@ -15,7 +15,7 @@ import numpy as np
 
 from ak4 import algebra, bianchi_bach, charts, cli, riemann, sandbox, tensorops
 
-from conftest import applies_at, identity, point_analysis, product_surfaces, residual_at, sphere_factor, structure_point
+from conftest import applies_at, at, identity, point_analysis, product_surfaces, residual_at, second_order_residuals, sphere_factor, structure_batch, structure_point
 from oracles import fd_curvature
 
 
@@ -37,7 +37,8 @@ def test_criterion_02_reconstruction_and_idempotence(analyses):
     worst_chart = 0.0
     for rows in analyses.values():
         for pa in rows:
-            worst_chart = max(worst_chart, pa.dr.recon_residual, pa.dr.u2_residual)
+            dr = at(pa, "dr")
+            worst_chart = max(worst_chart, dr.recon_residual, dr.u2_residual)
     batch = sandbox.random_batch(1000, 2024)
     m = algebra.operator_matrix(batch)
     parts = algebra.split_operator(m)
@@ -67,12 +68,12 @@ def test_criterion_03_scalar_curvature_relations(analyses):
     s_star = identity("s-star")
     for name, rows in analyses.items():
         for pa in rows:
-            worst_kappa = max(worst_kappa, pa.dr.kappa_identity_residual)
-            if pa.hfo.d_omega_norm < 1e-9:
+            worst_kappa = max(worst_kappa, at(pa, "dr").kappa_identity_residual)
+            if at(pa, "hfo").d_omega_norm < 1e-9:
                 assert applies_at(s_star, pa)
                 worst_sstar = max(worst_sstar, residual_at(s_star, pa))
             if name == "kodaira-thurston":
-                kt_difference = pa.dr.s_star - pa.dr.s
+                kt_difference = at(pa, "dr").s_star - at(pa, "cd").s_value
     ok = worst_kappa < 1e-9 and worst_sstar < 1e-8 and kt_difference > 1e-3
     _verdict(
         3,
@@ -87,9 +88,10 @@ def test_criterion_04_second_bianchi(analyses):
     nontrivial = 0.0
     for name, rows in analyses.items():
         for pa in rows:
-            worst = max(worst, pa.sor.residuals["delta W = C"], pa.sor.residuals["delta W+ = C+"])
+            res = second_order_residuals(pa)
+            worst = max(worst, res["delta W = C"], res["delta W+ = C+"])
             if name == "product-surfaces":
-                cotton = tensorops.frame_components(bianchi_bach.cotton_york([pa.cd])[0].value, pa.sp.frame)
+                cotton = tensorops.frame_components(bianchi_bach.cotton_york(pa.batch.cd)[pa.index].value, at(pa, "structure").frame)
                 nontrivial = max(nontrivial, float(np.abs(cotton).max()))
     ok = worst < 1e-7 and nontrivial > 1e-3
     _verdict(4, "delta W = C (incl. non-Einstein)", ok, f"worst {worst:.2e}, |C| on product {nontrivial:.2e}")
@@ -99,10 +101,11 @@ def test_criterion_05_alpha_beta_formulas(analyses, ricci_anti_analysis):
     worst = 0.0
     for rows in analyses.values():
         for pa in rows:
-            if pa.dr.ric_anti_norm < 1e-8:  # hypothesis: J-invariant Ricci
-                worst = max(worst, pa.sor.residuals["alpha formula"], pa.sor.residuals["beta formula"])
-    violation = ricci_anti_analysis.sor.residuals["alpha formula"]
-    kt_violation = min(pa.sor.residuals["alpha formula"] for pa in analyses["kodaira-thurston"])
+            if at(pa, "dr").ric_anti_norm < 1e-8:  # hypothesis: J-invariant Ricci
+                res = second_order_residuals(pa)
+                worst = max(worst, res["alpha formula"], res["beta formula"])
+    violation = second_order_residuals(ricci_anti_analysis)["alpha formula"]
+    kt_violation = min(second_order_residuals(pa)["alpha formula"] for pa in analyses["kodaira-thurston"])
     ok = worst < 1e-7 and violation > 1e-2 and kt_violation > 1e-2
     _verdict(
         5,
@@ -117,12 +120,12 @@ def test_criterion_06_bach_three_way(analyses):
     worst_vanish = 0.0
     for name, rows in analyses.items():
         for pa in rows:
-            res = pa.sor.residuals
+            res = second_order_residuals(pa)
             worst_pair = max(worst_pair, res["bach direct vs plus"], res["bach direct vs minus"])
-            if "bach direct vs almost-kahler form" in res:
+            if res["bach direct vs almost-kahler form"] is not None:
                 worst_pair = max(worst_pair, res["bach direct vs almost-kahler form"], res["bach direct vs ricci form"])
             if name in ("complex-hyperbolic", "fubini-study"):  # Einstein / self-dual
-                worst_vanish = max(worst_vanish, float(np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max()))
+                worst_vanish = max(worst_vanish, float(np.abs(bianchi_bach.bach_direct(pa.batch.cd)[pa.index]).max()))
     ok = worst_pair < 1e-6 and worst_vanish < 1e-6
     _verdict(6, "bach three-way + vanishing", ok, f"pairwise {worst_pair:.2e}, einstein/self-dual |B| {worst_vanish:.2e}")
 
@@ -147,12 +150,13 @@ def test_criterion_07_lemma5_and_gray_chain():
 def test_criterion_08_totally_real_curvature(analyses):
     worst_fs = 0.0
     for pa in analyses["fubini-study"]:
-        gr = pa.gr
+        gr = at(pa, "gr")
         worst_fs = max(worst_fs, gr.mu_max - gr.mu_min, abs(gr.mu_max - gr.mu_formula), abs(gr.mu_min - gr.mu_formula))
     spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
     pa = point_analysis(spec, (0.15, -0.2, 0.3, 0.1), order=4)
-    spread = pa.gr.mu_max - pa.gr.mu_min
-    wminus = float(algebra.frobenius(pa.dr.wminus))
+    gr = at(pa, "gr")
+    spread = gr.mu_max - gr.mu_min
+    wminus = float(algebra.frobenius(at(pa, "dr").wminus))
     ok = worst_fs < 1e-7 and spread > 1e-3 and wminus > 1e-3
     _verdict(8, "totally-real curvature both ways", ok, f"fs {worst_fs:.2e}, spread {spread:.2e}, |W-| {wminus:.2e}")
 
@@ -162,8 +166,9 @@ def test_criterion_09_ricci_and_weitzenboeck(analyses):
     worst_wz = 0.0
     for rows in analyses.values():
         for pa in rows:
-            worst_ric = max(worst_ric, riemann.ricci_identity_check([pa.cd])[0])
-            worst_wz = max(worst_wz, pa.sor.residuals["weitzenboeck omega"], pa.sor.residuals["weitzenboeck random"])
+            worst_ric = max(worst_ric, riemann.ricci_identity_check(pa.batch.cd)[pa.index])
+            res = second_order_residuals(pa)
+            worst_wz = max(worst_wz, res["weitzenboeck omega"], res["weitzenboeck random"])
     ok = worst_ric < 1e-8 and worst_wz < 1e-6
     _verdict(9, "ricci identity + weitzenboeck", ok, f"ric-id {worst_ric:.2e}, weitzenboeck {worst_wz:.2e}")
 
@@ -187,9 +192,8 @@ def test_criterion_11_jets_vs_finite_differences(catalog_specs):
     worst = 0.0
     for spec in catalog_specs.values():
         for p in spec.sample_points(2, 101):
-            sp = structure_point(spec, p, order=2)
-            [cd] = riemann.curvature(riemann.connection([sp]))
+            cd = riemann.curvature(riemann.connection(structure_batch(spec, p, order=2)))
             fd = fd_curvature(spec, p)
             scale = max(1.0, float(np.abs(fd).max()))
-            worst = max(worst, float(np.abs(cd.R.value - fd).max()) / scale)
+            worst = max(worst, float(np.abs(cd.R.value[0] - fd).max()) / scale)
     _verdict(11, "jet AD vs finite differences", worst < 1e-4, f"worst relative {worst:.2e}")

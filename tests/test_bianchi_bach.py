@@ -10,12 +10,12 @@ from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
 from ak4.exprs import parse_expr
 
-from conftest import EINSTEIN_NAMES, divergence, expr_jet, point_analysis, product_surfaces, sphere_factor, structure_point
+from conftest import EINSTEIN_NAMES, at, divergence, expr_jet, point_analysis, product_surfaces, second_order_residuals, sphere_factor, structure_batch
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
     """Frame components C[x, y, z] of the Cotton-York tensor at the point."""
-    return tensorops.frame_components(bianchi_bach.cotton_york([pa.cd])[0].value, pa.sp.frame)
+    return tensorops.frame_components(bianchi_bach.cotton_york(pa.batch.cd)[pa.index].value, at(pa, "structure").frame)
 
 
 class TestCottonYork:
@@ -30,31 +30,30 @@ class TestCottonYork:
     def test_product_surfaces_nonzero_with_bianchi(self, analyses):
         for pa in analyses["product-surfaces"]:
             assert np.abs(_cotton_frame(pa)).max() > 1e-3  # non-constant curvature
-            assert pa.sor.residuals["delta W = C"] < 1e-7
+            assert second_order_residuals(pa)["delta W = C"] < 1e-7
 
     def test_delta_w_equals_c_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.sor.residuals["delta W = C"] < 1e-7
-                assert pa.sor.residuals["delta W+ = C+"] < 1e-7
+                assert second_order_residuals(pa)["delta W = C"] < 1e-7
+                assert second_order_residuals(pa)["delta W+ = C+"] < 1e-7
 
     def test_insufficient_order(self, catalog_specs):
-        sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)
-        [cd] = riemann.curvature(riemann.connection([sp]))
+        cd = riemann.curvature(riemann.connection(structure_batch(catalog_specs["fubini-study"], (0, 0, 0, 0), order=2)))
         with pytest.raises(JetOrderError):
-            bianchi_bach.cotton_york([cd])
+            bianchi_bach.cotton_york(cd)
 
     def test_delta_weyl_memoized_from_each_weyl_piece(self, analyses):
-        cd = analyses["kodaira-thurston"][0].cd
+        cd = analyses["kodaira-thurston"][0].batch.cd
         for which, w in (("full", cd.weyl), ("plus", cd.weyl_plus), ("minus", cd.weyl_minus)):
-            dw = bianchi_bach.delta_weyl([cd], which)
-            assert dw is bianchi_bach.delta_weyl([cd], which)
-            assert np.array_equal(dw[0].c, (-divergence(cd.conn, w, 0)).c)
+            dw = bianchi_bach.delta_weyl(cd, which)
+            assert dw is bianchi_bach.delta_weyl(cd, which)
+            assert np.array_equal(dw[0].c, (-divergence(cd.conn, w[0], 0)).c)
 
 
 class TestDeltaWPlusSplit:
     def test_flat_alpha_beta_zero(self, analyses):
-        res = analyses["flat"][0].sor.residuals
+        res = second_order_residuals(analyses["flat"][0])
         assert res["alpha norm"] == 0.0
         assert res["beta norm"] == 0.0
 
@@ -62,22 +61,22 @@ class TestDeltaWPlusSplit:
         # Kahler with J-invariant Ricci and theta = 0: alpha = -ds/12,
         # nontrivially nonzero since the scalar curvature varies.
         for pa in analyses["product-surfaces"]:
-            assert pa.sor.residuals["alpha norm"] > 1e-3
-            assert pa.sor.residuals["alpha formula"] < 1e-7
-            assert pa.sor.residuals["beta formula"] < 1e-7
-            assert pa.sor.residuals["beta norm"] < 1e-7  # integrable: V- part vanishes
+            assert second_order_residuals(pa)["alpha norm"] > 1e-3
+            assert second_order_residuals(pa)["alpha formula"] < 1e-7
+            assert second_order_residuals(pa)["beta formula"] < 1e-7
+            assert second_order_residuals(pa)["beta norm"] < 1e-7  # integrable: V- part vanishes
 
     def test_completeness_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.sor.residuals["V+ + V- completeness"] < 1e-7
+                assert second_order_residuals(pa)["V+ + V- completeness"] < 1e-7
 
     def test_hypothesis_sensitivity(self, ricci_anti_analysis, analyses):
         # With Ric not J-invariant the alpha formula must fail decisively.
-        assert ricci_anti_analysis.dr.ric_anti_norm > 1e-2
-        assert ricci_anti_analysis.sor.residuals["alpha formula"] > 1e-2
+        assert at(ricci_anti_analysis, "dr").ric_anti_norm > 1e-2
+        assert second_order_residuals(ricci_anti_analysis)["alpha formula"] > 1e-2
         for pa in analyses["kodaira-thurston"]:
-            assert pa.sor.residuals["alpha formula"] > 1e-2
+            assert second_order_residuals(pa)["alpha formula"] > 1e-2
 
     def test_reconstruction_inverts_extraction(self):
         # A(alpha) and B(beta) are injective with clean extractions: feeding a
@@ -113,17 +112,17 @@ class TestDeltaWPlusSplit:
 
 class TestBach:
     def test_flat_zero(self, analyses):
-        assert np.abs(bianchi_bach.bach_direct([analyses["flat"][0].cd])[0]).max() == 0.0
+        assert np.abs(bianchi_bach.bach_direct(analyses["flat"][0].batch.cd)[0]).max() == 0.0
 
     def test_einstein_and_self_dual_vanish(self, analyses):
         for name in ("complex-hyperbolic", "fubini-study"):
             for pa in analyses[name]:
-                assert np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max() < 1e-6
+                assert np.abs(bianchi_bach.bach_direct(pa.batch.cd)[pa.index]).max() < 1e-6
 
     def test_three_way_agreement(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                res = pa.sor.residuals
+                res = second_order_residuals(pa)
                 assert res["bach direct vs plus"] < 1e-6
                 assert res["bach direct vs minus"] < 1e-6
                 assert res["bach symmetric"] < 1e-7
@@ -131,16 +130,16 @@ class TestBach:
 
     def test_almost_kahler_form_on_product_surfaces(self, analyses):
         for pa in analyses["product-surfaces"]:
-            assert pa.sor.bach_ak_skip_reason is None
-            assert pa.sor.residuals["bach direct vs almost-kahler form"] < 1e-6
-            assert pa.sor.residuals["bach direct vs ricci form"] < 1e-6
-            assert np.abs(bianchi_bach.bach_direct([pa.cd])[0]).max() > 1e-3  # genuinely non-Bach-flat
+            assert at(pa, "sor").bach_ak_skip_reason is None
+            assert second_order_residuals(pa)["bach direct vs almost-kahler form"] < 1e-6
+            assert second_order_residuals(pa)["bach direct vs ricci form"] < 1e-6
+            assert np.abs(bianchi_bach.bach_direct(pa.batch.cd)[pa.index]).max() > 1e-3  # genuinely non-Bach-flat
 
     def test_almost_kahler_form_rejected_on_kodaira_thurston(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert "bach direct vs almost-kahler form" not in pa.sor.residuals
+            assert second_order_residuals(pa)["bach direct vs almost-kahler form"] is None
             second_order = cli._point_document(pa, [])["second_order"]
-            assert second_order["bach_ak_skipped"] == f"Ricci tensor not J-invariant at this point: |Ric^anti| = {pa.dr.ric_anti_norm:.3e}"
+            assert second_order["bach_ak_skipped"] == f"Ricci tensor not J-invariant at this point: |Ric^anti| = {at(pa, 'dr').ric_anti_norm:.3e}"
 
     def test_constant_scalar_j_invariant_reduction(self):
         # Kahler, constant s, non-Einstein: every derivative term in the
@@ -148,25 +147,25 @@ class TestBach:
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(2, 17):
             pa = point_analysis(spec, p, order=4)
-            expected = -(pa.dr.s / 6.0) * pa.dr.ric0
-            [bach_ak], _ = bianchi_bach.bach_almost_kahler([pa.cd])
-            assert np.abs(bianchi_bach.bach_direct([pa.cd])[0] - expected).max() < 1e-7
+            expected = -(at(pa, "cd").s_value / 6.0) * at(pa, "dr").ric0
+            [bach_ak], _ = bianchi_bach.bach_almost_kahler(pa.batch.cd)
+            assert np.abs(bianchi_bach.bach_direct(pa.batch.cd)[pa.index] - expected).max() < 1e-7
             assert np.abs(bach_ak - expected).max() < 1e-7
 
 
 class TestWeitzenboeck:
     def test_flat_any_field(self, analyses):
         pa = analyses["flat"][0]
-        assert pa.sor.residuals["weitzenboeck omega"] < 1e-7
-        assert pa.sor.residuals["weitzenboeck random"] < 1e-7
+        assert second_order_residuals(pa)["weitzenboeck omega"] < 1e-7
+        assert second_order_residuals(pa)["weitzenboeck random"] < 1e-7
 
     def test_harmonic_omega_reduction(self, analyses):
         # On almost Kahler charts Omega is closed and coclosed, so
         # nabla*nabla Omega = delta(nabla Omega) = -(s/3) Omega + 2 W(Omega).
         for name in ("product-surfaces", "kodaira-thurston"):
             for pa in analyses[name]:
-                sp, cd = pa.sp, pa.cd
-                rough = -divergence(cd.conn, cd.conn.nabla_omega)
+                sp, cd, conn = at(pa, "structure"), at(pa, "cd"), pa.batch.conn
+                rough = -divergence(conn, conn.nabla_omega[pa.index], 0, pa.index)
                 w_om = 0.5 * jets.contract(cd.weyl, tensorops.raise_pair(sp.omega, sp.g_inv, 0, 1), (2, 3), (0, 1))
                 rhs = -(cd.s / 3.0) * sp.omega + 2.0 * w_om
                 res = np.abs(tensorops.frame_components((rough - rhs).value, sp.frame)).max()
@@ -174,28 +173,27 @@ class TestWeitzenboeck:
 
     def test_random_field_is_the_rounded_polynomial(self, analyses):
         # the field is the expression text with the same rng draws, parsed and evaluated as jets
-        sp = analyses["kodaira-thurston"][0].sp
-        [field] = bianchi_bach.random_polynomial_2form([sp], 2024)
+        structure = analyses["kodaira-thurston"][0].batch.structure
+        [field] = bianchi_bach.random_polynomial_2form(structure.points, structure.order, 2024)
         rng = np.random.default_rng(np.random.SeedSequence([2024, 0x2F]))
         monomials = ["1", "x1", "x2", "x3", "x4", "x1*x3", "x2^2", "x4*x1", "x3^2"]
         for i in range(4):
             assert not field[i, i].c.any()
             for j in range(i + 1, 4):
                 src = " + ".join(f"({c:.6f})*{m}" for c, m in zip(rng.uniform(-1.0, 1.0, 9), monomials))
-                expect = expr_jet(parse_expr(src), sp.point, field.order).c
+                expect = expr_jet(parse_expr(src), structure.points[0], field.order).c
                 assert np.array_equal(field[i, j].c, expect)
                 assert np.array_equal(field[j, i].c, -expect)
 
     def test_random_field_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.sor.residuals["weitzenboeck random"] < 1e-6
+                assert second_order_residuals(pa)["weitzenboeck random"] < 1e-6
 
     def test_insufficient_order(self, catalog_specs):
-        sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=2)
-        [cd] = riemann.curvature(riemann.connection([sp]))
+        cd = riemann.curvature(riemann.connection(structure_batch(catalog_specs["flat"], (0, 0, 0, 0), order=2)))
         with pytest.raises(JetOrderError):
-            bianchi_bach.weitzenboeck_check([cd])
+            bianchi_bach.weitzenboeck_check(cd)
 
 
 class TestIntegrabilityCriterion:
@@ -209,11 +207,11 @@ class TestIntegrabilityCriterion:
         rows.append(ricci_anti_analysis)
         checked = 0
         for pa in rows:
-            ric0_norm = float(algebra.frobenius(pa.dr.ric0))
-            beta_norm = pa.sor.residuals["beta norm"]
+            ric0_norm = float(algebra.frobenius(at(pa, "dr").ric0))
+            beta_norm = second_order_residuals(pa)["beta norm"]
             if ric0_norm > 1e-3 and beta_norm < 1e-8:
-                assert pa.hfo.nijenhuis_norm < 1e-6
+                assert at(pa, "hfo").nijenhuis_norm < 1e-6
                 checked += 1
-            if pa.hfo.nijenhuis_norm < 1e-9 and pa.dr.ric_anti_norm < 1e-8:
+            if at(pa, "hfo").nijenhuis_norm < 1e-9 and at(pa, "dr").ric_anti_norm < 1e-8:
                 assert beta_norm < 1e-8
         assert checked >= 3  # the implication is exercised, not vacuous

@@ -12,7 +12,7 @@ from ak4 import charts, jets, tensorops
 from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
 
-from conftest import CATALOG_NAMES, expr_jet, product_surfaces, ricci_anti_chart, rotated_j_chart, stack, structure_point
+from conftest import CATALOG_NAMES, at, expr_jet, points_of, product_surfaces, ricci_anti_chart, rotated_j_chart, stack, structure_batch, structure_point
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
@@ -66,16 +66,14 @@ class TestCatalog:
             assert np.abs(d_om).max() < 1e-10
         from ak4 import riemann
 
-        sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=2)
-        [hfo] = riemann.hermitian_first_order(riemann.connection([sp]))
-        assert hfo.nabla_j_sq > 1.0  # strictly almost Kahler
+        hfo = riemann.hermitian_first_order(riemann.connection(structure_batch(spec, (0.2, 0.1, -0.3, 0.5), order=2)))
+        assert hfo.nabla_j_sq[0] > 1.0  # strictly almost Kahler
 
     def test_product_surfaces_with_unit_factors_is_flat(self):
         spec = product_surfaces("1", "1", name="trivial")
         from ak4 import riemann
 
-        sp = structure_point(spec, (0.3, 0.3, -0.2, 0.1), order=4)
-        [cd] = riemann.curvature(riemann.connection([sp]))
+        cd = riemann.curvature(riemann.connection(structure_batch(spec, (0.3, 0.3, -0.2, 0.1), order=4)))
         assert np.abs(cd.R_frame).max() < 1e-14
 
 
@@ -185,29 +183,29 @@ class TestStructureValidation:
         data["J"]["2_1"] = "0.5"  # J o J != -Id
         spec = charts.chart_from_dict(data)
         with pytest.raises(StructureError, match="J o J"):
-            structure_point(spec, (0, 0, 0, 0), order=2)
+            structure_batch(spec, (0, 0, 0, 0), order=2)
 
     def test_incompatible_metric(self, catalog_specs):
         data = charts.chart_to_dict(catalog_specs["flat"])
         data["g"]["11"] = "2"  # J no longer orthogonal
         spec = charts.chart_from_dict(data)
         with pytest.raises(StructureError, match=r"g\(J"):
-            structure_point(spec, (0, 0, 0, 0), order=2)
+            structure_batch(spec, (0, 0, 0, 0), order=2)
 
     def test_point_outside_domain(self, catalog_specs):
         with pytest.raises(ChartError, match="outside domain"):
-            structure_point(catalog_specs["flat"], (3, 0, 0, 0), order=2)
+            structure_batch(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
     def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
         calls, _ = record_orders(monkeypatch)
         spec = catalog_specs["kodaira-thurston"]
         for order in (2, 4):
             calls.clear()
-            sp = structure_point(spec, (0.2, 0.1, -0.3, 0.5), order=order)
+            structure = structure_batch(spec, (0.2, 0.1, -0.3, 0.5), order=order)
             assert calls == [0]  # mu's value, for the self-duality checks
-            sp.mu
+            structure.mu
             assert calls == [0, min(order, 2)]  # the mu jet, on its first read
-            sp.mu
+            structure.mu
             assert calls == [0, min(order, 2)]
 
     def test_omega_never_user_supplied(self, catalog_specs):
@@ -300,11 +298,11 @@ class TestDeferredJets:
         # tobytes(), so that the sign of zero counts
         specs = [*catalog_specs.values(), rotated_j_chart(), ricci_anti_chart()]
         batches = [(spec, spec.sample_points(3, 23)) for spec in specs]
-        together = charts.structure_at(batches, order)
+        together = points_of(charts.structure_at(batches, order))
         alone = [structure_point(spec, p, order) for spec, pts in batches for p in pts]
         for sps in [together] + [[sp] for sp in alone]:
-            g = jets.stack([sp.g.truncate(sp.J.order) for sp in sps])
-            frame_vectors, mu, phi, jphi = eager_j_side(g, jets.stack([sp.J for sp in sps]))
+            g = stack([sp.g.truncate(sp.J.order) for sp in sps])
+            frame_vectors, mu, phi, jphi = eager_j_side(g, stack([sp.J for sp in sps]))
             for k, sp in enumerate(sps):
                 assert sp.frame.tobytes() == frame_vectors.value[k].tobytes()
                 for name, eager in (("mu", mu), ("phi", phi), ("jphi", jphi)):
@@ -324,7 +322,7 @@ class TestAdaptedFrame:
     def test_self_dual_triple_star_eigenvectors(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                sp = pa.sp
+                sp = at(pa, "structure")
                 for form in (sp.omega, sp.phi, sp.jphi):
                     starred = tensorops.hodge_star_2form(form, sp.g_inv, sp.mu)
                     assert np.abs((starred - form).value).max() < STRUCT_TOL
@@ -334,7 +332,7 @@ class TestAdaptedFrame:
         # plane; the anti-self-dual triple is J-invariant.
         for rows in analyses.values():
             for pa in rows:
-                sp = pa.sp
+                sp = at(pa, "structure")
                 ginv = sp.g_inv
                 for form in (sp.omega, sp.phi, sp.jphi):
                     n2 = tensorops.form_inner(form, form, ginv).value
@@ -389,18 +387,18 @@ class TestFrameAtAnyScale:
             pts = spec.sample_points(4, 3)
             unscaled = charts.structure_at([(spec, pts)], 2)
             scaled = charts.structure_at([(scaled_chart(spec, c2), pts)], 2)
-            for a, b in zip(unscaled, scaled):
-                gap = np.abs(math.sqrt(c2) * b.frame - a.frame).max()
-                assert gap <= 1e-12 * np.abs(a.frame).max(), spec.name
+            for a, b in zip(unscaled.frame, scaled.frame):
+                gap = np.abs(math.sqrt(c2) * b - a).max()
+                assert gap <= 1e-12 * np.abs(a).max(), spec.name
 
 
 class TestAdaptedFrameOp:
     def test_adapted_frame_returns_basis(self, analyses):
         pa = analyses["kodaira-thurston"][0]
-        assert pa.sp.frame.shape == (4, 4)
+        assert at(pa, "structure").frame.shape == (4, 4)
 
 
-def assert_same_structure(a: charts.StructurePoint, b: charts.StructurePoint) -> None:
+def assert_same_structure(a, b) -> None:
     """Every field of two structure points holds the same bits."""
     assert (a.point, a.order) == (b.point, b.order)
     for name in ("g", "g_inv", "J", "omega", "mu", "phi", "jphi"):
@@ -418,8 +416,8 @@ class TestStructureBatch:
     def test_every_field_equals_the_one_point_batch(self, catalog_specs, order, n):
         batches = [(spec, spec.sample_points(n, 17)) for spec in catalog_specs.values()]
         alone = [structure_point(spec, p, order) for spec, pts in batches for p in pts]
-        per_chart = [sp for batch in batches for sp in charts.structure_at([batch], order)]
-        together = charts.structure_at(batches, order)
+        per_chart = [sp for batch in batches for sp in points_of(charts.structure_at([batch], order))]
+        together = points_of(charts.structure_at(batches, order))
         assert len(alone) == len(per_chart) == len(together) == 5 * n
         for a, b, c in zip(alone, per_chart, together):
             assert_same_structure(b, a)
@@ -430,13 +428,13 @@ class TestStructureBatch:
         spec = rotated_j_chart()
         pts = np.array([(0.0, 0.1, 0.2, 0.3), (0.3, 0.1, 0.2, 0.3)])
         for batch in (pts, pts[::-1]):
-            together = charts.structure_at([(spec, batch)], order)
+            together = points_of(charts.structure_at([(spec, batch)], order))
             for sp, p in zip(together, batch):
                 assert_same_structure(sp, structure_point(spec, p, order))
-        first, second = charts.structure_at([(spec, pts)], order)
+        first, second = points_of(charts.structure_at([(spec, pts)], order))
         # e3 comes from d3 (m = 2) at x1 = 0, and from d2 (m = 1) at x1 = 0.3
         np.testing.assert_allclose(first.frame[2], [0.0, 0.0, 1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(second.frame[2], [0.0, np.sin(0.3), -np.cos(0.3), 0.0], atol=1e-15)
 
     def test_empty_batch(self, catalog_specs):
-        assert charts.structure_at([(catalog_specs["flat"], np.empty((0, 4)))], 2) == []
+        assert charts.structure_at([(catalog_specs["flat"], np.empty((0, 4)))], 2) is None

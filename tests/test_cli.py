@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ak4 import charts, cli, riemann
 from ak4.cli import RunConfig, run_report
 from ak4.errors import AK4Error
-from conftest import applies_at, half_bad_chart, point_analysis, residual_at
+from conftest import applies_at, at, half_bad_chart, point_analysis, residual_at
 
 #: Out-of-range values of the flags RunConfig validates.
 BAD_FLAG_VALUES = [
@@ -380,11 +380,12 @@ class TestIdentityRegistry:
             run_report(RunConfig(chart=chart, points=4, order=4))
             assert calls == {"gray.lemma6_triple": -(-4 // batch_points)}, chart
 
-    def test_the_plane_and_second_order_stages_run_once_per_curvature_slice(self, monkeypatch):
+    def test_the_planes_and_second_order_jets_are_formed_once_per_curvature_slice(self, monkeypatch):
         # their temporaries grow with the points formed at once
-        calls = _count_calls(monkeypatch, ("gray.gray_report", "bianchi_bach.second_order_report"))
+        stages = ("gray.gray_report", "gray._plane_curvatures", "bianchi_bach.second_order_report", "bianchi_bach.cotton_york")
+        calls = _count_calls(monkeypatch, stages)
         run_report(RunConfig(chart="fubini-study", points=2 * riemann.CURVATURE_SLICE + 1, order=4))
-        assert calls == {"gray.gray_report": 3, "bianchi_bach.second_order_report": 3}
+        assert calls == {"gray.gray_report": 1, "gray._plane_curvatures": 3, "bianchi_bach.second_order_report": 1, "bianchi_bach.cotton_york": 3}
 
     def test_no_row_warns_or_raises_where_it_does_not_apply(self, capsys):
         # on every catalog chart some hypothesis fails, and prop2i's Kahler
@@ -412,7 +413,7 @@ class TestIdentityRegistry:
     def test_every_applicable_row_returns_a_finite_float(self, order, analyses, catalog_specs):
         for name, spec in catalog_specs.items():
             for full in analyses[name]:
-                pa = full if order == 4 else point_analysis(spec, full.sp.point, order=order)
+                pa = full if order == 4 else point_analysis(spec, at(full, "structure").points, order=order)
                 for ident in cli.IDENTITIES:
                     if ident.order <= order and applies_at(ident, pa):
                         value = residual_at(ident, pa)
@@ -569,7 +570,7 @@ class TestBadPointInABatch:
         seen = []
         with pytest.raises(AK4Error) as err:
             for spec, pa in cli._analyses([flat, bad], config, 2):
-                seen.append((spec.name, pa.sp.point))
+                seen.append((spec.name, at(pa, "structure").points))
         assert f"error: {err.value}\n" == HALF_BAD_ERROR
         expected = [("flat", tuple(p)) for p in flat.sample_points(6, 3)] + [("half-bad", tuple(p)) for p in bad.sample_points(6, 3)[:3]]
         assert seen == expected
@@ -653,12 +654,24 @@ class TestOutOfMemory:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: --points 32 needs more memory than is available\n")
 
+    def test_a_plane_sample_too_large_to_allocate(self, monkeypatch, capsys):
+        # the plane sample is sized by --planes, so the message names it beside --points
+        def no_memory(n_planes, seed):
+            raise MemoryError(f"Unable to allocate {64 * n_planes} bytes for {n_planes} planes at seed {seed}")
+
+        monkeypatch.setattr(cli.gray, "_lagrangian_planes", no_memory)
+        code = run_main(["report", "--chart", "flat", "--points", "1", "--planes", "999999999999"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        expected = "error: --points 1 --planes 999999999999 needs more memory than is available: Unable to allocate 63999999999936 bytes for 999999999999 planes at seed 42\n"
+        assert err == expected
+
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:
     """Make the kappa row's residual NaN at the second point of each batch."""
 
     def residual(batch):
-        return [math.nan if k == 1 else 1e-12 for k in range(len(batch.sps))]
+        return [math.nan if k == 1 else 1e-12 for k in range(len(batch.structure.points))]
 
     patched = tuple(dataclasses.replace(i, residual=residual) if i.name == "kappa" else i for i in cli.IDENTITIES)
     monkeypatch.setattr(cli, "IDENTITIES", patched)
@@ -692,7 +705,7 @@ class TestNonFiniteResidual:
     def test_group_max_keeps_it(self, first):
         values = {"finite": 1e-12, "nan": math.nan}
         second = "nan" if first == "finite" else "finite"
-        group = tuple(cli.Identity(k, cli.TOL_ALGEBRAIC, 2, lambda batch, v=values[k]: [v] * len(batch.sps), group="g") for k in (first, second))
+        group = tuple(cli.Identity(k, cli.TOL_ALGEBRAIC, 2, lambda batch, v=values[k]: [v] * len(batch.structure.points), group="g") for k in (first, second))
         rows = cli._per_point_check(RunConfig(chart="flat", points=1, order=2), group)
         assert len(rows) == 1 and math.isnan(rows[0]["residual"])
 

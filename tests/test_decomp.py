@@ -7,21 +7,22 @@ import pytest
 
 from ak4 import algebra, charts, decomp, riemann, sandbox
 
-from conftest import KAHLER_NAMES, applies_at, hyperbolic_factor, identity, product_surfaces, residual_at, sphere_factor, structure_point
+from conftest import KAHLER_NAMES, Entries, applies_at, at, hyperbolic_factor, identity, product_surfaces, residual_at, sphere_factor, structure_batch
 
 
 class TestSO4:
     def test_flat_all_parts_vanish(self, analyses):
-        dr = analyses["flat"][0].dr
-        for norm in dr.block_norms.values():
+        pa = analyses["flat"][0]
+        for norm in at(pa, "dr").block_norms.values():
             assert norm == 0.0
-        assert dr.s == 0.0
+        assert at(pa, "cd").s_value == 0.0
 
     def test_fubini_study_self_dual_einstein(self, analyses):
         for pa in analyses["fubini-study"]:
-            assert np.abs(pa.dr.wminus).max() < 1e-8
-            assert np.abs(pa.dr.ric0).max() < 1e-8
-            assert pa.dr.recon_residual < 1e-8
+            dr = at(pa, "dr")
+            assert np.abs(dr.wminus).max() < 1e-8
+            assert np.abs(dr.ric0).max() < 1e-8
+            assert dr.recon_residual < 1e-8
 
     def test_unequal_constant_curvatures(self):
         spec = product_surfaces(
@@ -31,76 +32,79 @@ class TestSO4:
             domain=((-0.5, 0.5),) * 4,
         )
         for p in spec.sample_points(2, 21):
-            pa_sp = structure_point(spec, p, order=4)
-            [dr] = decomp.decompose(riemann.curvature(riemann.connection([pa_sp])))
+            cd = riemann.curvature(riemann.connection(structure_batch(spec, p, order=4)))
+            dr = Entries(decomp.decompose(cd), 0)
             assert algebra.frobenius(dr.ric0) > 0.1  # not Einstein
             assert dr.recon_residual < 1e-8
-            assert abs(dr.s) < 1e-8  # curvatures +1 and -1 cancel
+            assert abs(cd.s_value[0]) < 1e-8  # curvatures +1 and -1 cancel
 
     def test_reconstruction_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.dr.recon_residual < 1e-8
-                assert pa.dr.u2_residual < 1e-9
-                assert pa.dr.orthogonality_residual < 1e-9
+                dr = at(pa, "dr")
+                assert dr.recon_residual < 1e-8
+                assert dr.u2_residual < 1e-9
+                assert dr.orthogonality_residual < 1e-9
 
 
 class TestU2:
     def test_kahler_charts(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                dr = pa.dr
+                dr = at(pa, "dr")
                 assert algebra.frobenius(dr.w2) < 1e-8
                 assert algebra.frobenius(dr.w3) < 1e-8
-                assert abs(dr.kappa - dr.s) < 1e-8
+                assert abs(dr.kappa - at(pa, "cd").s_value) < 1e-8
 
     def test_kappa_identity_everywhere(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.dr.kappa_identity_residual < 1e-9
+                assert at(pa, "dr").kappa_identity_residual < 1e-9
 
     def test_kodaira_thurston_blocks(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert pa.dr.kappa_identity_residual < 1e-9
-            assert pa.dr.s_star - pa.dr.s > 0.5  # strictly almost Kahler
+            dr = at(pa, "dr")
+            assert dr.kappa_identity_residual < 1e-9
+            assert dr.s_star - at(pa, "cd").s_value > 0.5  # strictly almost Kahler
 
 
 class TestStarRicci:
     def test_kahler_star_ricci_equals_ricci(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                ric = pa.cd.ric_frame
-                assert np.abs(pa.dr.ric_star - ric).max() < 1e-8
-                assert abs(pa.dr.s_star - pa.dr.s) < 1e-8
+                cd, dr = at(pa, "cd"), at(pa, "dr")
+                assert np.abs(dr.ric_star - cd.ric_frame).max() < 1e-8
+                assert abs(dr.s_star - cd.s_value) < 1e-8
 
     def test_flat_star_ricci_zero(self, analyses):
-        assert np.abs(analyses["flat"][0].dr.ric_star).max() == 0.0
+        assert np.abs(at(analyses["flat"][0], "dr").ric_star).max() == 0.0
 
     def test_kodaira_thurston_scalar_difference(self, analyses):
         s_star = identity("s-star")
         for pa in analyses["kodaira-thurston"]:
             assert applies_at(s_star, pa)
             assert residual_at(s_star, pa) < 1e-8
-            assert pa.dr.s_star - pa.dr.s == pytest.approx(0.5 * pa.hfo.nabla_j_sq, abs=1e-9)
+            assert at(pa, "dr").s_star - at(pa, "cd").s_value == pytest.approx(0.5 * at(pa, "hfo").nabla_j_sq, abs=1e-9)
 
     def test_skew_part_consistency(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert pa.dr.star_skew_residual < 1e-9
+                assert at(pa, "dr").star_skew_residual < 1e-9
 
 
 class TestJInvariance:
     def test_einstein_charts(self, analyses):
         for name in ("flat", "fubini-study", "complex-hyperbolic"):
             for pa in analyses[name]:
-                assert pa.dr.ric_anti_norm < 1e-8
-                assert algebra.frobenius(pa.cd.operator[1:3, 3:]) < 1e-8
+                assert at(pa, "dr").ric_anti_norm < 1e-8
+                assert algebra.frobenius(at(pa, "cd").operator[1:3, 3:]) < 1e-8
 
     def test_product_surfaces_kahler_non_einstein(self, analyses):
         for pa in analyses["product-surfaces"]:
-            assert pa.dr.ric_anti_norm < 1e-8
-            assert algebra.frobenius(pa.cd.operator[1:3, 3:]) < 1e-8
-            assert algebra.frobenius(pa.dr.ric0) > 1e-3  # Ric0 itself nonzero
+            dr = at(pa, "dr")
+            assert dr.ric_anti_norm < 1e-8
+            assert algebra.frobenius(at(pa, "cd").operator[1:3, 3:]) < 1e-8
+            assert algebra.frobenius(dr.ric0) > 1e-3  # Ric0 itself nonzero
 
     def test_injected_anti_invariant_ricci(self):
         # Constructed counterexample: a purely anti-invariant Ric0 must load
@@ -175,7 +179,8 @@ class TestTraces:
     def test_ric0_traceless_and_scalar_consistency(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert abs(np.trace(pa.dr.ric0)) < 1e-9
-                assert abs(np.trace(pa.cd.ric_frame) - pa.dr.s) < 1e-9
+                cd = at(pa, "cd")
+                assert abs(np.trace(at(pa, "dr").ric0)) < 1e-9
+                assert abs(np.trace(cd.ric_frame) - cd.s_value) < 1e-9
                 # operator trace is s/2 under the half-norm convention
-                assert abs(2.0 * np.trace(pa.cd.operator) - pa.dr.s) < 1e-9
+                assert abs(2.0 * np.trace(cd.operator) - cd.s_value) < 1e-9

@@ -14,24 +14,26 @@ from ak4 import algebra, cli, gray, sandbox
 from ak4.charts import J_FRAME
 from ak4.cli import PointAnalysis
 
-from conftest import KAHLER_NAMES, applies_at, hyperbolic_factor, identity, point_analysis, product_surfaces, residual_at, sphere_factor
+from conftest import KAHLER_NAMES, applies_at, at, hyperbolic_factor, identity, point_analysis, product_surfaces, residual_at, sphere_factor
 
 
 class TestGrayResiduals:
     def test_kahler_charts_satisfy_all_conditions(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                assert pa.ladder.g1 < 1e-8
-                assert pa.ladder.g2 < 1e-8
-                assert pa.ladder.g3 < 1e-8
+                ladder = at(pa, "ladder")
+                assert ladder.g1 < 1e-8
+                assert ladder.g2 < 1e-8
+                assert ladder.g3 < 1e-8
 
     def test_flat_zero(self, analyses):
         pa = analyses["flat"][0]
-        assert (pa.ladder.g1, pa.ladder.g2, pa.ladder.g3) == (0.0, 0.0, 0.0)
+        ladder = at(pa, "ladder")
+        assert (ladder.g1, ladder.g2, ladder.g3) == (0.0, 0.0, 0.0)
 
     def test_kodaira_thurston_second_condition_fails(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert pa.ladder.g2 > 1e-4  # recorded, clearly nonzero
+            assert at(pa, "ladder").g2 > 1e-4  # recorded, clearly nonzero
 
 
 class TestImplicationChain:
@@ -77,8 +79,8 @@ class TestLemma5:
     def test_kahler_charts_both_sides(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                assert pa.ladder.g2 < 1e-8
-                assert gray.lemma5_triple([pa.dr])[0] < 1e-8
+                assert at(pa, "ladder").g2 < 1e-8
+                assert gray.lemma5_triple(pa.batch.dr)[pa.index] < 1e-8
 
 
 class TestProp1:
@@ -106,28 +108,30 @@ class TestProp1:
 
     def test_kodaira_thurston_hypothesis_not_met(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert pa.ladder.g2 > gray.DEFAULT_VERDICT_TOL
+            assert at(pa, "ladder").g2 > gray.DEFAULT_VERDICT_TOL
             assert not applies_at(self.prop1, pa)
 
 
 class TestTotallyRealCurvature:
     def test_flat_spread_zero(self, analyses):
-        gr = analyses["flat"][0].gr
+        gr = at(analyses["flat"][0], "gr")
         assert gr.mu_formula == 0.0
         assert gr.mu_max - gr.mu_min == 0.0
 
     def test_fubini_study_constant_and_formula(self, analyses):
         for pa in analyses["fubini-study"]:
-            gr = pa.gr
+            gr = at(pa, "gr")
             assert gr.mu_max - gr.mu_min < 1e-7
-            assert abs(gr.mu_formula - (2 * pa.dr.s - pa.dr.kappa) / 24.0) < 1e-12
-            assert abs(gr.mu_max - pa.dr.s / 24.0) < 1e-7  # kappa = s
+            s = at(pa, "cd").s_value
+            assert abs(gr.mu_formula - (2 * s - at(pa, "dr").kappa) / 24.0) < 1e-12
+            assert abs(gr.mu_max - s / 24.0) < 1e-7  # kappa = s
 
     def test_unequal_factor_curvatures_spread(self):
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         pa = point_analysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
-        assert pa.gr.mu_max - pa.gr.mu_min > 1e-3
-        assert algebra.frobenius(pa.dr.wminus) > 1e-3
+        gr = at(pa, "gr")
+        assert gr.mu_max - gr.mu_min > 1e-3
+        assert algebra.frobenius(at(pa, "dr").wminus) > 1e-3
 
     def test_opposite_factor_curvatures_conformally_flat(self):
         # Curvatures +1 and -1 cancel: W- = 0, and the totally-real sectional
@@ -136,8 +140,9 @@ class TestTotallyRealCurvature:
             sphere_factor(1.0), hyperbolic_factor(-1.0), name="mixed", domain=((-0.5, 0.5),) * 4
         )
         pa = point_analysis(spec, (0.1, 0.2, -0.1, 0.3), order=4)
-        assert algebra.frobenius(pa.dr.wminus) < 1e-9
-        assert max(abs(pa.gr.mu_max), abs(pa.gr.mu_min)) < 1e-9
+        assert algebra.frobenius(at(pa, "dr").wminus) < 1e-9
+        gr = at(pa, "gr")
+        assert max(abs(gr.mu_max), abs(gr.mu_min)) < 1e-9
 
     def test_lagrangian_sampling_respects_constraint(self):
         draws = np.random.default_rng(0).standard_normal((100, 2, 4))
@@ -152,15 +157,15 @@ class TestTotallyRealCurvature:
         for rows in analyses.values():
             for pa in rows:
                 for seed in (42, 7, 2024):
-                    planes = gray.totally_real_curvature([pa.cd], [pa.dr], n_planes=64, seed=seed)
-                    mus = _per_plane_mus(pa.cd.R_frame, 64, seed)
+                    planes = gray.totally_real_curvature(pa.batch.cd, pa.batch.dr, n_planes=64, seed=seed)
+                    mus = _per_plane_mus(at(pa, "cd").R_frame, 64, seed)
                     assert planes["mu_min"] == [float(mus.min())]
                     assert planes["mu_max"] == [float(mus.max())]
 
     def test_plane_count_validation(self, analyses):
         pa = analyses["flat"][0]
         with pytest.raises(ValueError):
-            gray.totally_real_curvature([pa.cd], [pa.dr], n_planes=4, seed=42)
+            gray.totally_real_curvature(pa.batch.cd, pa.batch.dr, n_planes=4, seed=42)
 
     def test_sandbox_lemma6_equivalence(self):
         # constancy <=> (Ric J-invariant, W3+ = 0, W- = 0); exercise both
@@ -216,14 +221,14 @@ class TestWPlusDegeneracy:
     def test_kahler_double_eigenvalue(self, analyses):
         for name in ("fubini-study", "complex-hyperbolic"):
             for pa in analyses[name]:
-                eig = pa.gr.wplus_eigenvalues
-                kappa = pa.dr.kappa
+                eig = at(pa, "gr").wplus_eigenvalues
+                kappa = at(pa, "dr").kappa
                 expected = np.sort([kappa / 6.0, -kappa / 12.0, -kappa / 12.0])
                 assert np.abs(np.sort(eig) - expected).max() < 1e-8
                 assert min(abs(eig[0] - eig[1]), abs(eig[1] - eig[2]), abs(eig[0] - eig[2])) < 1e-8
 
     def test_flat_all_zero(self, analyses):
-        assert np.abs(analyses["flat"][0].gr.wplus_eigenvalues).max() == 0.0
+        assert np.abs(at(analyses["flat"][0], "gr").wplus_eigenvalues).max() == 0.0
 
     def test_sandbox_dichotomy_given_w3_zero(self):
         # with W3+ = 0: degenerate spectrum <=> W2+ = 0
@@ -255,7 +260,7 @@ class TestReversedStructure:
             assert cli.kahler_nullity(pa.batch)[pa.index]
             assert not cli.second_gray(pa.batch)[pa.index]  # but Proposition 2(i) does not apply
             # the commuted-second-derivative shape identity is unconditional
-            assert gray.nabla2_omega_shape_residual(pa.hfo) < 1e-8
+            assert gray.nabla2_omega_shape_residual(pa.batch.conn)[pa.index] < 1e-8
 
     def test_prop2i_on_synthetic_configuration(self):
         # Ric0 in the normal form (kappa/4)(-g|_D + g|_Dperp), D-perp = span{e1, e2}
@@ -264,17 +269,23 @@ class TestReversedStructure:
         ric0 = (kappa / 4.0) * (-(np.eye(4) - g_perp) + g_perp)
         assert abs(np.trace(ric0)) < 1e-12
         assert np.abs(algebra.j_anti_part(ric0)).max() < 1e-12  # J-invariant
-        sp = SimpleNamespace(frame=np.eye(4))
-        hfo = SimpleNamespace(a=SimpleNamespace(value=np.array([0.3, 0.0, 0.0, 0.0])), conn=SimpleNamespace(sp=sp))
-        assert gray.prop2i_residual([hfo], [SimpleNamespace(ric0=ric0, kappa=kappa)])[0] < 1e-15
+        def first_order(*a_values):
+            """A first-order batch with these values of a, in the identity frame."""
+            structure = SimpleNamespace(frame=np.stack([np.eye(4)] * len(a_values)))
+            return SimpleNamespace(a=SimpleNamespace(value=np.array(a_values)), conn=SimpleNamespace(structure=structure))
+
+        def decomposition(*ric0s):
+            return SimpleNamespace(ric0=np.array(ric0s), kappa=np.full(len(ric0s), kappa))
+
+        hfo = first_order([0.3, 0.0, 0.0, 0.0])
+        assert gray.prop2i_residual(hfo, decomposition(ric0))[0] < 1e-15
         perturbed = ric0 + 0.01 * np.diag([1.0, 1.0, -1.0, -1.0])
-        assert gray.prop2i_residual([hfo], [SimpleNamespace(ric0=perturbed, kappa=kappa)])[0] > 1e-3
-        assert cli.kahler_nullity(SimpleNamespace(hfo=[hfo], sps=[sp])) == [True]
-        flat_a = SimpleNamespace(a=SimpleNamespace(value=np.zeros(4)), conn=SimpleNamespace(sp=sp))
-        assert cli.kahler_nullity(SimpleNamespace(hfo=[flat_a], sps=[sp])) == [False]
+        assert gray.prop2i_residual(hfo, decomposition(perturbed))[0] > 1e-3
+        assert cli.kahler_nullity(SimpleNamespace(hfo=hfo)) == [True]
+        assert cli.kahler_nullity(SimpleNamespace(hfo=first_order(np.zeros(4)))) == [False]
         # a batch where the nullity is undefined at one point: no warning there
         with np.errstate(all="raise"):
-            residuals = gray.prop2i_residual([hfo, flat_a], [SimpleNamespace(ric0=ric0, kappa=kappa)] * 2)
+            residuals = gray.prop2i_residual(first_order([0.3, 0.0, 0.0, 0.0], np.zeros(4)), decomposition(ric0, ric0))
         assert residuals[0] < 1e-15
 
 
@@ -285,58 +296,59 @@ def _antisymmetry(gamma0: np.ndarray) -> float:
 class TestCanonicalRicciForm:
     def test_flat_zero(self, analyses):
         pa = analyses["flat"][0]
-        assert np.abs(gray.canonical_ricci_form(pa.dr, pa.hfo)).max() == 0.0
+        assert np.abs(gray.canonical_ricci_form(pa.batch.dr)[pa.index]).max() == 0.0
 
     def test_kahler_reduction_to_ricci_form(self, analyses):
         # With nabla J = 0 the torsion term dies and gamma0(X, Y) = 4 rho(JX->..):
         # compare against 4 Ric(J., .) built from the Ricci tensor directly.
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                gamma0 = gray.canonical_ricci_form(pa.dr, pa.hfo)
-                rho4 = 4.0 * np.einsum("kx,ky->xy", J_FRAME, pa.cd.ric_frame)
+                gamma0 = gray.canonical_ricci_form(pa.batch.dr)[pa.index]
+                rho4 = 4.0 * np.einsum("kx,ky->xy", J_FRAME, at(pa, "cd").ric_frame)
                 assert np.abs(gamma0 - rho4).max() < 1e-8
                 assert _antisymmetry(gamma0) < 1e-8
 
     def test_kodaira_thurston_antisymmetry(self, analyses):
         for pa in analyses["kodaira-thurston"]:
-            assert _antisymmetry(gray.canonical_ricci_form(pa.dr, pa.hfo)) < 1e-8
+            assert _antisymmetry(gray.canonical_ricci_form(pa.batch.dr)[pa.index]) < 1e-8
 
 
 class TestClassification:
     def test_verdicts(self, analyses):
-        assert analyses["flat"][0].ladder.verdict == "KAHLER"
-        assert analyses["fubini-study"][0].ladder.verdict == "KAHLER"
-        assert analyses["kodaira-thurston"][0].ladder.verdict == "AK"
-        assert "einstein" in analyses["complex-hyperbolic"][0].ladder.flags
+        assert at(analyses["flat"][0], "ladder").verdict == "KAHLER"
+        assert at(analyses["fubini-study"][0], "ladder").verdict == "KAHLER"
+        assert at(analyses["kodaira-thurston"][0], "ladder").verdict == "AK"
+        assert "einstein" in at(analyses["complex-hyperbolic"][0], "ladder").flags
 
     def test_almost_hermitian_verdict(self, ricci_anti_analysis):
-        assert ricci_anti_analysis.ladder.verdict == "ALMOST-HERMITIAN"
+        assert at(ricci_anti_analysis, "ladder").verdict == "ALMOST-HERMITIAN"
 
     @pytest.mark.parametrize("ric_anti_norm", [5e-8, 5e-9])
     def test_j_invariant_ricci_flag_agrees_with_the_hypothesis(self, analyses, ric_anti_norm):
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-8
         full = analyses["kodaira-thurston"][0]
-        dr = dataclasses.replace(full.dr, ric_anti_norm=ric_anti_norm)
-        flagged = "j-invariant-ricci" in gray.classify([full.cd], [dr], [full.hfo])[0].flags
-        assert flagged == cli.j_invariant_ricci(SimpleNamespace(dr=[dr]))[0] == (ric_anti_norm < 1e-8)
+        dr = dataclasses.replace(full.batch.dr, ric_anti_norm=np.array([ric_anti_norm]))
+        flagged = "j-invariant-ricci" in gray.classify(full.batch.cd, dr, full.batch.hfo).flags[0]
+        assert flagged == cli.j_invariant_ricci(SimpleNamespace(dr=dr))[0] == (ric_anti_norm < 1e-8)
 
     @pytest.mark.parametrize("d_omega_norm", [5e-8, 5e-10])
     def test_almost_kahler_verdict_agrees_with_the_hypothesis(self, analyses, d_omega_norm):
         # 5e-8 lies between the verdict bound 1e-7 and the hypothesis bound 1e-9
         full = analyses["kodaira-thurston"][0]
-        hfo = dataclasses.replace(full.hfo, d_omega_norm=d_omega_norm)
-        verdict = gray.classify([full.cd], [full.dr], [hfo])[0].verdict
-        assert verdict.startswith("AK") == cli.almost_kahler(SimpleNamespace(hfo=[hfo]))[0] == (d_omega_norm < 1e-9)
+        hfo = dataclasses.replace(full.batch.hfo, d_omega_norm=np.array([d_omega_norm]))
+        verdict = gray.classify(full.batch.cd, full.batch.dr, hfo).verdict[0]
+        assert verdict.startswith("AK") == cli.almost_kahler(SimpleNamespace(hfo=hfo))[0] == (d_omega_norm < 1e-9)
 
 
 class TestLemma6EquivalenceAcrossCharts:
     def test_both_directions_on_all_analyzed_points(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                triple_max = gray.lemma6_triple([pa.dr])[0]
-                spread = pa.gr.mu_max - pa.gr.mu_min
+                triple_max = gray.lemma6_triple(pa.batch.dr)[pa.index]
+                gr = at(pa, "gr")
+                spread = gr.mu_max - gr.mu_min
                 if triple_max < 1e-8:
                     assert spread < 1e-7
-                    assert abs(pa.gr.mu_max - pa.gr.mu_formula) < 1e-7
+                    assert abs(gr.mu_max - gr.mu_formula) < 1e-7
                 if spread < 1e-10:
                     assert triple_max < 1e-7

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ak4 import charts, cli
-from conftest import point_analysis
+from conftest import at, point_analysis
 
 _J_STD = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
 _J_STD.update({"2_1": "1", "1_2": "-1", "4_3": "1", "3_4": "-1"})
@@ -45,7 +45,7 @@ def test_unconditional_identities_on_random_hermitian_charts():
         spec = conformal_chart(seed)
         for p in spec.sample_points(2, seed):
             pa = point_analysis(spec, p, order=4, planes=16, seed=1)
-            saw_nonzero_lee_form |= pa.hfo.theta_norm > 1e-3
+            saw_nonzero_lee_form |= at(pa, "hfo").theta_norm > 1e-3
             [rows] = cli._identity_rows(pa.batch, 1.0)
             for row in rows:
                 if not row["pass"]:

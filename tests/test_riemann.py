@@ -11,12 +11,13 @@ from ak4 import charts, cli, gray, jets, riemann
 from ak4.errors import JetOrderError
 from ak4.jets import Jet
 
-from conftest import KAHLER_NAMES, product_surfaces, rotated_j_chart, sphere_factor, structure_point
+from conftest import KAHLER_NAMES, at, product_surfaces, rotated_j_chart, sphere_factor, structure_batch
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
-def _invariant_residuals(cd: riemann.CurvatureData) -> dict[str, float]:
+def _invariant_residuals(pa: cli.PointAnalysis) -> dict[str, float]:
     """Symmetry, first-Bianchi, operator-symmetry and metric-compatibility residuals."""
+    cd = at(pa, "cd")
     rf = cd.R_frame
     scale = max(1.0, float(np.abs(rf).max()))
     res = {
@@ -26,7 +27,7 @@ def _invariant_residuals(cd: riemann.CurvatureData) -> dict[str, float]:
         "first Bianchi": float(np.abs(rf + rf.transpose(0, 2, 3, 1) + rf.transpose(0, 3, 1, 2)).max()),
         "operator symmetric": float(np.abs(cd.operator - cd.operator.T).max()),
     }
-    nabla_g = cd.conn.covd(cd.sp.g)
+    nabla_g = riemann.covd(at(pa, "conn").gamma, at(pa, "structure").g)
     res["metric compatibility"] = float(np.abs(nabla_g.value).max())
     res["scale"] = scale
     return res
@@ -34,7 +35,7 @@ def _invariant_residuals(cd: riemann.CurvatureData) -> dict[str, float]:
 
 class TestConnection:
     def test_flat_connection_vanishes(self, analyses):
-        conn = analyses["flat"][0].cd.conn
+        conn = analyses["flat"][0].batch.conn
         assert np.abs(conn.gamma.c).max() == 0.0
 
     def test_conformal_factor_christoffels(self):
@@ -42,9 +43,7 @@ class TestConnection:
         # G^1_11 = 1, G^1_22 = -1, G^2_12 = G^2_21 = 1, everything else 0.
         spec = product_surfaces("exp(x1)", "1", name="exp-factor", domain=((-0.8, 0.8),) * 4)
         for p in [(0.3, -0.2, 0.0, 0.0), (0.0, 0.5, 0.1, 0.2), (-0.6, 0.1, 0.4, -0.4)]:
-            sp = structure_point(spec, p, order=2)
-            [conn] = riemann.connection([sp])
-            g = conn.gamma.value
+            g = riemann.connection(structure_batch(spec, p, order=2)).gamma.value[0]
             expected = np.zeros((4, 4, 4))
             expected[0, 0, 0] = 1.0
             expected[0, 1, 1] = -1.0
@@ -56,46 +55,51 @@ class TestConnection:
     def test_metric_compatibility_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                nabla_g = pa.cd.conn.covd(pa.sp.g)
+                nabla_g = riemann.covd(pa.batch.conn.gamma, pa.batch.structure.g, points=True)
                 assert np.abs(nabla_g.c).max() < 1e-9
 
     def test_torsion_free(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                g = pa.cd.conn.gamma
-                assert np.abs(g.c - np.swapaxes(g.c, 1, 2)).max() < 1e-14
+                g = pa.batch.conn.gamma
+                assert np.abs(g.c - np.swapaxes(g.c, 2, 3)).max() < 1e-14
 
     def test_insufficient_order(self, catalog_specs):
-        sp = structure_point(catalog_specs["flat"], (0, 0, 0, 0), order=0)
+        structure = structure_batch(catalog_specs["flat"], (0, 0, 0, 0), order=0)
         with pytest.raises(JetOrderError):
-            riemann.connection([sp])
+            riemann.connection(structure)
+
+
+def _curvature(spec, p, order: int) -> riemann.CurvatureBatch:
+    """The curvature of `spec` at one point, a batch of one."""
+    return riemann.curvature(riemann.connection(structure_batch(spec, p, order)))
 
 
 class TestCurvature:
     def test_flat_curvature_vanishes(self, analyses):
-        cd = analyses["flat"][0].cd
+        cd = at(analyses["flat"][0], "cd")
         assert np.abs(cd.R_frame).max() == 0.0
         assert cd.s_value == 0.0
 
     def test_sphere_times_plane_scalar_two(self):
         spec = product_surfaces(sphere_factor(1.0), "1", name="sphere-plane", domain=((-0.7, 0.7),) * 4)
         for p in spec.sample_points(3, 5):
-            sp = structure_point(spec, p, order=4)
-            [cd] = riemann.curvature(riemann.connection([sp]))
-            assert abs(cd.s_value - 2.0) < 1e-8
+            cd = _curvature(spec, p, order=4)
+            assert abs(cd.s_value[0] - 2.0) < 1e-8
             fd = fd_curvature(spec, p)
             scale = max(1.0, np.abs(fd).max())
-            assert np.abs(cd.R.value - fd).max() / scale < 1e-4
+            assert np.abs(cd.R.value[0] - fd).max() / scale < 1e-4
 
     def test_complex_hyperbolic_einstein_negative(self, analyses):
         for pa in analyses["complex-hyperbolic"]:
-            assert np.abs(pa.cd.ric0_frame).max() < 1e-8
-            assert pa.cd.s_value < 0
+            cd = at(pa, "cd")
+            assert np.abs(cd.ric0_frame).max() < 1e-8
+            assert cd.s_value < 0
 
     def test_symmetries_and_first_bianchi(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                res = _invariant_residuals(pa.cd)
+                res = _invariant_residuals(pa)
                 assert res["antisymmetry (first pair)"] < 1e-9
                 assert res["antisymmetry (second pair)"] < 1e-9
                 assert res["pair symmetry"] < 1e-9
@@ -107,23 +111,21 @@ class TestCurvature:
         # from jets against nested second-order central differences.
         for name, spec in catalog_specs.items():
             for p in spec.sample_points(2, 13):
-                sp = structure_point(spec, p, order=2)
-                [cd] = riemann.curvature(riemann.connection([sp]))
+                cd = _curvature(spec, p, order=2)
                 fd = fd_curvature(spec, p)
                 scale = max(1.0, np.abs(fd).max())
-                assert np.abs(cd.R.value - fd).max() / scale < 1e-4, name
+                assert np.abs(cd.R.value[0] - fd).max() / scale < 1e-4, name
 
     def test_insufficient_order(self, catalog_specs):
-        sp = structure_point(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
         with pytest.raises(JetOrderError):
-            riemann.curvature(riemann.connection([sp]))
+            _curvature(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
 
 
 class TestHermitianFirstOrder:
     def test_kahler_charts_have_parallel_j(self, analyses):
         for name in KAHLER_NAMES:
             for pa in analyses[name]:
-                h = pa.hfo
+                h = at(pa, "hfo")
                 assert h.nabla_j_sq < 1e-18
                 assert h.theta_norm < 1e-9
                 assert h.nijenhuis_norm < 1e-9
@@ -133,31 +135,30 @@ class TestHermitianFirstOrder:
 
     def test_kodaira_thurston_strictly_almost_kahler(self, analyses, catalog_specs):
         for pa in analyses["kodaira-thurston"]:
-            h = pa.hfo
+            h, sp = at(pa, "hfo"), at(pa, "structure")
             assert h.d_omega_norm < 1e-9
             assert h.theta_norm < 1e-9
             assert h.b_plus_ja_norm < 1e-9  # b = -Ja
-            a_sq = float(jets.contract(h.a, jets.contract(pa.sp.g_inv, h.a, 1, 0), 0, 0).value)
-            s_star_minus_s = pa.dr.s_star - pa.dr.s
+            a_sq = float(jets.contract(h.a, jets.contract(sp.g_inv, h.a, 1, 0), 0, 0).value)
+            s_star_minus_s = at(pa, "dr").s_star - at(pa, "cd").s_value
             assert abs(a_sq - s_star_minus_s / 4.0) < 1e-8
-            fd = fd_nabla_omega(catalog_specs["kodaira-thurston"], pa.sp.point)
-            assert np.abs(fd - h.conn.nabla_omega.value).max() < 1e-6
+            fd = fd_nabla_omega(catalog_specs["kodaira-thurston"], sp.points)
+            assert np.abs(fd - at(pa, "conn").nabla_omega.value).max() < 1e-6
 
     def test_nabla_j_identity_all_charts(self, analyses, ricci_anti_analysis):
         rows = [pa for chart_rows in analyses.values() for pa in chart_rows]
         rows.append(ricci_anti_analysis)  # integrable non-Kahler: N = 0, theta != 0
         for pa in rows:
-            assert pa.hfo.identity_residual < 1e-8
+            assert at(pa, "hfo").identity_residual < 1e-8
 
     def test_lee_form_on_warped_chart(self, ricci_anti_analysis):
         # theta = 2 f'/f dx1 for g = dx1^2 + dx2^2 + f(x1)^2(dx3^2 + dx4^2)
         pa = ricci_anti_analysis
-        x1 = pa.sp.point[0]
+        x1 = at(pa, "structure").points[0]
         f = 1 + x1**2 / 2
         expected = np.array([2 * x1 / f, 0, 0, 0])
-        assert np.abs(pa.hfo.theta.value - expected).max() < 1e-12
-        assert pa.hfo.nijenhuis_norm < 1e-12
-
+        assert np.abs(at(pa, "hfo").theta.value - expected).max() < 1e-12
+        assert at(pa, "hfo").nijenhuis_norm < 1e-12
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_values_from_order_0_equal_the_first_order_jets(self, catalog_specs, order):
@@ -165,10 +166,10 @@ class TestHermitianFirstOrder:
         # nabla2-omega-shape row builds a; tobytes(), so the sign of zero counts
         batches = [(spec, spec.sample_points(4, 7)) for spec in catalog_specs.values()]
         for pa in cli.point_analyses(charts.structure_at(batches, order)):
-            sp, conn, hfo = pa.sp, pa.conn, pa.hfo
-            a = riemann.nabla_omega_along(conn.nabla_omega, sp.phi, sp.g_inv)
-            b = riemann.nabla_omega_along(conn.nabla_omega, sp.jphi, sp.g_inv)
-            theta = -jets.contract(riemann.neg_trace(sp.g_inv, conn.nabla_omega), sp.J, 0, 0)
+            sp, nabla_omega, hfo = at(pa, "structure"), at(pa, "conn").nabla_omega, at(pa, "hfo")
+            a = riemann.nabla_omega_along(nabla_omega, sp.phi, sp.g_inv)
+            b = riemann.nabla_omega_along(nabla_omega, sp.jphi, sp.g_inv)
+            theta = -jets.contract(riemann.neg_trace(sp.g_inv, nabla_omega), sp.J, 0, 0)
             b_plus_ja = b - jets.contract(a, sp.J, 0, 0)
             assert (a.order, hfo.a.order) == (1, 0)
             assert hfo.a.value.tobytes() == a.value.tobytes()
@@ -180,37 +181,100 @@ class TestHermitianFirstOrder:
 
 class TestRicciIdentity:
     def test_flat_zero(self, analyses):
-        assert riemann.ricci_identity_check([analyses["flat"][0].cd]) == [0.0]
+        assert riemann.ricci_identity_check(analyses["flat"][0].batch.cd) == [0.0]
 
     def test_all_catalog_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                assert riemann.ricci_identity_check([pa.cd])[0] < 1e-8
+                assert riemann.ricci_identity_check(pa.batch.cd)[pa.index] < 1e-8
 
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
-        sp = structure_point(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
-        [conn] = riemann.connection([sp])
-        [cd] = riemann.curvature([conn])
-        dr = conn.covd(cd.R)  # curvature has order 1 at chart order 3
+        cd = _curvature(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
+        gamma = cd.conn.gamma
+        dr = riemann.covd(gamma, cd.R, points=True)  # curvature has order 1 at chart order 3
         assert dr.order == 0
         with pytest.raises(JetOrderError):
-            conn.covd(dr)  # order exhausted: error, never silent truncation
+            riemann.covd(gamma, dr, points=True)  # order exhausted: error, never silent truncation
+
+
+def old_covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
+    """The covariant derivative with Gamma and t contracted at their own
+    orders, one above the result's: `riemann.covd` before it truncated them."""
+    out = jets.partials(t, points)
+    for a in range(t.c.ndim - 1 - int(points)):
+        term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)
+        out = out - jets.moveaxis(term, 1, a + 1, points)
+    return out
+
+
+class TestCovd:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_truncated_contractions_keep_the_bits(self, catalog_specs, order):
+        # tobytes(), so the sign of zero counts; the Christoffel jets at the
+        # connection's order and at the curvature's, as the stages take them
+        for seed in range(6):
+            batches = [(spec, spec.sample_points(1, seed)) for spec in catalog_specs.values()]
+            cd = riemann.curvature(riemann.connection(charts.structure_at(batches, order)))
+            structure = cd.conn.structure
+            tensors = {"omega": structure.omega, "g": structure.g, "h": cd.h, "ric0": cd.ric0, "weyl": cd.weyl}
+            if cd.s.order:
+                tensors["ds"] = jets.partials(cd.s, True)
+            for name, t in tensors.items():
+                for gamma in (cd.conn.gamma, cd.gamma):
+                    if t.order == 0:
+                        continue
+                    new, old = riemann.covd(gamma, t, points=True), old_covd(gamma, t, points=True)
+                    assert (new.order, new.c.tobytes()) == (old.order, old.c.tobytes()), (name, seed)
 
 
 #: The values of each batched stage's record that a test compares, by the
-#: PointAnalysis attribute that holds the record: every dataclass field but
+#: AnalysisBatch attribute that holds the record: every dataclass field but
 #: the records and structure it was built from, and every value that the
 #: first read fills for the whole batch.
 STAGE_VALUES = {
     "conn": ("gamma", "nabla_omega", "nabla2_omega"),
-    "cd": ("R", "ric", "s", "R_frame", "ric_frame", "s_value", "operator", "ric0_frame", "ric0", "h", "h_raised", "weyl", "weyl_plus", "weyl_minus"),
-    "hfo": ("nabla_j_sq", "d_omega_norm", "nijenhuis", "nijenhuis_norm", "theta", "a", "b", "theta_norm", "b_plus_ja_norm", "identity_residual"),
+    "cd": (
+        "g",
+        "g_inv",
+        "gamma",
+        "R",
+        "ric",
+        "s",
+        "frame",
+        "R_frame",
+        "ric_frame",
+        "s_value",
+        "operator",
+        "ric0_frame",
+        "ric0",
+        "h",
+        "h_raised",
+        "weyl",
+        "weyl_plus",
+        "weyl_minus",
+    ),
+    "hfo": (
+        "nabla_j_sq",
+        "d_omega_norm",
+        "nabla_omega0",
+        "is_almost_kahler",
+        "nijenhuis",
+        "nijenhuis_norm",
+        "theta",
+        "a",
+        "b",
+        "theta_norm",
+        "b_plus_ja_norm",
+        "identity_residual",
+    ),
     "dr": (
         "parts",
-        "s",
         "ric0",
         "ric0_anti",
         "ric_anti_norm",
+        "is_j_invariant_ricci",
+        "wplus",
+        "wminus",
         "w1",
         "w2",
         "w3",
@@ -229,13 +293,14 @@ STAGE_VALUES = {
     "gr": ("mu_formula", "mu_min", "mu_max", "wplus_eigenvalues"),
 }
 #: The values an order-4 analysis adds: the codifferentials of the Weyl
-#: tensors and the second-order report.
+#: tensors, read off the curvature slice that holds the point, as the
+#: second-order report reads them, and the second-order report.
 SECOND_ORDER_VALUES = {
     "cd": ("delta_weyl", "delta_weyl_plus", "delta_weyl_minus"),
     "sor": ("residuals", "bach_ak_skip_reason"),
 }
 #: Dataclass fields that hold an input of the stage, not a value it computed.
-INPUTS = {"sp", "conn", "cd", "batch", "index"}
+INPUTS = {"structure", "conn", "cd", "rows", "terms"}
 #: The hypotheses of the registry rows, each a column over a batch.
 HYPOTHESES = (cli.almost_kahler, cli.j_invariant_ricci, cli.second_gray, cli.kahler_nullity, cli.lemma6_triple)
 
@@ -251,34 +316,45 @@ def _same(x, y) -> bool:
     return type(x) is type(y) and np.array_equal(x, y)
 
 
+def _entry(record, name: str, k: int):
+    """Entry k of the point-axis value `name` of a batch record; a dict of
+    columns gives the dict of its entries."""
+    value = getattr(record, name)
+    return {key: column[k] for key, column in value.items()} if isinstance(value, dict) else value[k]
+
+
 def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
     """Every value of the point's analysis a batch must not change: the stage
     values, each hypothesis and the measured values behind them, each
     applicable row's residual, and the report's point document."""
-    stages = (STAGE_VALUES, SECOND_ORDER_VALUES) if pa.order == 4 else (STAGE_VALUES,)
-    values = {(stage, name): getattr(getattr(pa, stage), name) for group in stages for stage, names in group.items() for name in names}
+    batch, k = pa.batch, pa.index
+    values = {(stage, name): _entry(getattr(batch, stage), name, k) for stage, names in STAGE_VALUES.items() for name in names}
+    if batch.structure.order == 4:
+        part = batch.cd.slices[k // riemann.CURVATURE_SLICE]
+        values.update({("cd", name): _entry(part, name, k - part.rows.start) for name in SECOND_ORDER_VALUES["cd"]})
+        values.update({("sor", name): _entry(batch.sor, name, k) for name in SECOND_ORDER_VALUES["sor"]})
     for hypothesis in HYPOTHESES:
-        values["hypothesis", hypothesis.__name__] = hypothesis(pa.batch)[pa.index]
-    values["hypothesis", "lemma5 triple"] = float(gray.lemma5_triple([pa.dr])[0])
-    values["hypothesis", "lemma6 triple"] = float(gray.lemma6_triple([pa.dr])[0])
+        values["hypothesis", hypothesis.__name__] = hypothesis(batch)[k]
+    values["hypothesis", "lemma5 triple"] = float(gray.lemma5_triple(batch.dr)[k])
+    values["hypothesis", "lemma6 triple"] = float(gray.lemma6_triple(batch.dr)[k])
     for ident in cli.IDENTITIES:
-        if ident.order <= pa.order:
-            applies = ident.applies(pa.batch)[pa.index]
+        if ident.order <= batch.structure.order:
+            applies = ident.applies(batch)[k]
             values["applies", ident.name] = applies
             if applies:
-                values["residual", ident.name] = ident.residual(pa.batch)[pa.index]
-    rows = cli._identity_rows(pa.batch, 1.0)[pa.index]
+                values["residual", ident.name] = ident.residual(batch)[k]
+    rows = cli._identity_rows(batch, 1.0)[k]
     values["document", "json"] = cli._json_text(cli._point_document(pa, rows))
     return values
 
 
-def _assert_batches_match(sps: list, n: int) -> None:
-    """Analyses of `sps` (charts of n points each) in one batch and per chart
-    give every value of one-point batches, bit for bit."""
-    alone = [cli.point_analyses([sp]) for sp in sps]
-    per_chart = [pa for k in range(0, len(sps), n) for pa in cli.point_analyses(sps[k : k + n])]
-    together = cli.point_analyses(sps)
-    assert len(alone) == len(per_chart) == len(together) == len(sps)
+def _assert_batches_match(batches: list, order: int) -> None:
+    """Analyses of the (spec, points) `batches` in one batch and per chart give
+    every value of one-point batches, bit for bit."""
+    alone = [cli.point_analyses(charts.structure_at([(spec, p[None])], order)) for spec, pts in batches for p in pts]
+    per_chart = [pa for batch in batches for pa in cli.point_analyses(charts.structure_at([batch], order))]
+    together = cli.point_analyses(charts.structure_at(batches, order))
+    assert len(alone) == len(per_chart) == len(together) == sum(len(pts) for _, pts in batches)
     for [a], b, c in zip(alone, per_chart, together):
         expected = _stage_values(a)
         for label, analysis in (("per chart", b), ("all charts", c)):
@@ -292,50 +368,73 @@ class TestPipelineBatch:
     """Each batched stage gives each point the bits of a one-point batch."""
 
     def test_every_computed_field_is_compared(self, analyses):
-        pa = analyses["kodaira-thurston"][0]
+        batch = analyses["kodaira-thurston"][0].batch
         for stage, names in STAGE_VALUES.items():
-            fields = {f.name for f in dataclasses.fields(getattr(pa, stage))}
+            fields = {f.name for f in dataclasses.fields(getattr(batch, stage))}
             assert fields - INPUTS <= set(names), stage
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_every_value_equals_the_one_point_batch(self, catalog_specs, order, n):
-        batches = [(spec, spec.sample_points(n, 23)) for spec in catalog_specs.values()]
-        _assert_batches_match(charts.structure_at(batches, order), n)
+        _assert_batches_match([(spec, spec.sample_points(n, 23)) for spec in catalog_specs.values()], order)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_a_batch_where_the_closed_bach_forms_apply_at_some_points(self, catalog_specs, n):
         # fubini-study and kodaira-thurston points in one batch, as `check --chart all` batches them
         batches = [(catalog_specs[name], catalog_specs[name].sample_points(n, 31)) for name in ("fubini-study", "kodaira-thurston")]
-        sps = charts.structure_at(batches, 4)
-        reasons = [pa.sor.bach_ak_skip_reason for pa in cli.point_analyses(sps)]
+        reasons = cli.point_analyses(charts.structure_at(batches, 4))[0].batch.sor.bach_ak_skip_reason
         assert reasons[:n] == [None] * n and None not in reasons[n:]
-        _assert_batches_match(sps, n)
+        _assert_batches_match(batches, 4)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_a_batch_whose_points_take_their_frame_from_different_candidates(self, order):
         # e3 comes from d3 (m = 2) at x1 = 0 and from d2 (m = 1) at x1 = 0.3
         pts = np.array([(0.0, 0.1, 0.2, 0.3), (0.3, 0.1, 0.2, 0.3), (0.0, -0.4, 0.5, 0.1)])
-        sps = charts.structure_at([(rotated_j_chart(), pts)], order)
-        assert [bool(np.abs(sp.frame[2] - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15) for sp in sps] == [True, False, True]
-        _assert_batches_match(sps, len(sps))
+        frame = charts.structure_at([(rotated_j_chart(), pts)], order).frame
+        assert [bool(np.abs(e3 - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15) for e3 in frame[:, 2]] == [True, False, True]
+        _assert_batches_match([(rotated_j_chart(), pts)], order)
 
-    def test_a_curvature_batch_reads_mu_from_consecutive_structure_points(self, catalog_specs):
-        spec = catalog_specs["fubini-study"]
-        sps = charts.structure_at([(spec, spec.sample_points(4, 5))], 4)
-        [cd] = riemann.curvature(riemann.connection(sps[1:2]))
-        assert np.shares_memory(cd.batch._mu.c, sps[0].batch.mu.c)
-        assert np.array_equal(cd.batch._mu.c[0], sps[1].mu.c)
-        cds = riemann.curvature(riemann.connection([sps[0], sps[2]]))
-        with pytest.raises(ValueError, match="consecutive structure points"):
-            cds[0].batch._mu
+    def test_curvature_slices_are_views_of_the_batch(self, catalog_specs):
+        # 20 points: slices of 8, 8 and 4, whose second-order jets read the structure batch's mu
+        batches = [(spec, spec.sample_points(4, 5)) for spec in catalog_specs.values()]
+        structure = charts.structure_at(batches, 4)
+        cd = riemann.curvature(riemann.connection(structure))
+        parts = cd.slices
+        assert [part.rows for part in parts] == [slice(0, 8), slice(8, 16), slice(16, 20)]
+        assert cd.slices is parts and riemann.curvature(riemann.connection(structure)).slices is not parts
+        for part in parts:
+            for name in ("R", "g_inv", "gamma", "s", "frame", "R_frame", "s_value"):
+                whole, mine = getattr(cd, name), getattr(part, name)
+                whole, mine = (whole.c, mine.c) if isinstance(whole, Jet) else (whole, mine)
+                assert np.shares_memory(mine, whole) and np.array_equal(mine, whole[part.rows]), name
+            assert np.shares_memory(part._mu.c, structure.mu.c)
+            assert np.array_equal(part._mu.c, structure.mu.c[part.rows])
+        small = riemann.curvature(riemann.connection(charts.structure_at(batches[:2], 4)))
+        assert small.slices == [small]  # 8 points: the batch is its own slice
+
+    def test_each_stage_reads_the_arrays_of_the_stage_before(self, catalog_specs):
+        # the classify-order2 shape: 4 points of each catalog chart, one batch
+        batches = [(spec, spec.sample_points(4, 5)) for spec in catalog_specs.values()]
+        batch = cli.point_analyses(charts.structure_at(batches, 2))[0].batch
+        structure, conn, cd, hfo, dr = batch.structure, batch.conn, batch.cd, batch.hfo, batch.dr
+        assert batch.ladder.verdict  # every stage classify runs
+        shared = {
+            "g": (cd.g.c, structure.g.c),
+            "g^-1": (cd.g_inv.c, structure.g_inv.c),
+            "Gamma": (cd.gamma.c, conn.gamma.c),
+            "frame (curvature)": (cd.frame, structure.frame),
+            "Ric0": (dr.ric0, cd.ric0_frame),
+            "operator blocks": (dr.parts["mixed"], cd.operator),
+        }
+        for name, (mine, theirs) in shared.items():
+            assert np.shares_memory(mine, theirs), name
 
     def test_the_first_read_fills_the_batch(self, catalog_specs):
         spec = catalog_specs["kodaira-thurston"]
         pas = cli.point_analyses(charts.structure_at([(spec, spec.sample_points(3, 5))], 2))
-        ladder = pas[1].ladder
+        ladder = pas[1].batch.ladder
         batch = pas[0].batch
         assert {"conn", "cd", "hfo", "dr", "ladder"} <= vars(batch).keys()
-        assert all(pa.batch is batch for pa in pas) and batch.ladder[1] is ladder
-        assert "nabla_omega" in vars(pas[0].conn.batch) and "ric0_frame" in vars(pas[0].cd.batch)
-        assert "_u2" not in vars(pas[0].dr.batch)  # the ladder reads no U(2) block
+        assert all(pa.batch is batch for pa in pas) and batch.ladder is ladder
+        assert "nabla_omega" in vars(batch.conn) and "ric0_frame" in vars(batch.cd)
+        assert "_u2" not in vars(batch.dr)  # the ladder reads no U(2) block

@@ -18,7 +18,7 @@ from ak4.charts import J_FRAME
 from ak4.jets import Jet
 from ak4.tensorops import EPS4
 
-from conftest import CATALOG_NAMES, all_points, divergence, expr_jet, point_analysis, stack, structure_point
+from conftest import CATALOG_NAMES, all_points, at, divergence, expr_jet, point_analysis, stack, structure_point
 
 
 def old_determinant4(g: Jet) -> Jet:
@@ -53,7 +53,7 @@ def metric_jet(spec: charts.ChartSpec, p, order: int) -> Jet:
     return stack([stack(row) for row in rows])
 
 
-def old_random_polynomial_2form(sp: charts.StructurePoint, seed: int) -> Jet:
+def old_random_polynomial_2form(sp, seed: int) -> Jet:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2F]))
     order = min(sp.order, charts.J_SIDE_ORDER)
     x1, x2, x3, x4 = (Jet.coordinate(i, sp.point, order) for i in range(4))
@@ -79,10 +79,11 @@ def old_random_polynomial_2form(sp: charts.StructurePoint, seed: int) -> Jet:
     return stack([stack(row) for row in entries])
 
 
-def old_weyl(cd) -> Jet:
-    """The Weyl tensor with the Kulkarni-Nomizu square of g taken at g's full
-    order; each subtraction is written as the earlier `Jet.__sub__` did it."""
-    g = cd.sp.g
+def old_weyl(pa: cli.PointAnalysis) -> Jet:
+    """The Weyl tensor at the point of `pa` with the Kulkarni-Nomizu square
+    of g taken at g's full order; each subtraction is written as the earlier
+    `Jet.__sub__` did it."""
+    g, cd = at(pa, "structure").g, at(pa, "cd")
     scalar_part = jets.outer(cd.s / 24.0, tensorops.kn_jet(g, g))
     ric0_part = 0.5 * tensorops.kn_jet(cd.ric0, g)
     return cd.R + (-scalar_part) + (-ric0_part)
@@ -126,8 +127,8 @@ class TestDeterminant:
 class TestFrameComponents:
     def test_catalog_tensors_match_the_tensordot_loop(self, analyses):
         for _, pa in all_points(analyses):
-            frame = pa.sp.frame
-            for values in (pa.cd.R.value, pa.cd.ric.value, pa.conn.nabla_omega.value, pa.hfo.theta.value, pa.cd.s.value):
+            frame = at(pa, "structure").frame
+            for values in (at(pa, "cd").R.value, at(pa, "cd").ric.value, at(pa, "conn").nabla_omega.value, at(pa, "hfo").theta.value, at(pa, "cd").s.value):
                 assert np.array_equal(tensorops.frame_components(values, frame), old_frame_components(values, frame))
 
     def test_sandbox_batch_matches_the_tensordot_loop(self):
@@ -141,7 +142,7 @@ class TestRot:
     @pytest.mark.parametrize("slots", ROT_SLOTS)
     def test_catalog_curvature_matches_the_tensordot_loop(self, slots, analyses):
         for _, pa in all_points(analyses):
-            assert np.array_equal(algebra._rot(pa.cd.R_frame, slots), old_rot(pa.cd.R_frame, slots))
+            assert np.array_equal(algebra._rot(at(pa, "cd").R_frame, slots), old_rot(at(pa, "cd").R_frame, slots))
 
     @pytest.mark.parametrize("slots", ROT_SLOTS)
     def test_sandbox_batch_matches_the_tensordot_loop(self, slots):
@@ -174,7 +175,7 @@ class TestJetKernels:
     @pytest.mark.parametrize("order", range(1, 5))
     def test_partials_match_a_stack_of_partial(self, order, analyses):
         for _, pa in all_points(analyses):
-            for j in (pa.sp.g, pa.sp.omega, pa.conn.gamma, pa.cd.R, pa.sp.g[0, 1]):
+            for j in (at(pa, "structure").g, at(pa, "structure").omega, at(pa, "conn").gamma, at(pa, "cd").R, at(pa, "structure").g[0, 1]):
                 if j.order >= order:
                     j = j.truncate(order)
                     got = jets.partials(j)
@@ -189,8 +190,8 @@ class TestJetKernels:
     def test_subtraction_matches_adding_the_negation(self, analyses):
         rng = np.random.default_rng(7)
         for _, pa in all_points(analyses):
-            a, b = pa.cd.R, jets.moveaxis(pa.cd.R, 0, 2)
-            for other in (b, b.truncate(1), pa.cd.weyl):
+            a, b = at(pa, "cd").R, jets.moveaxis(at(pa, "cd").R, 0, 2)
+            for other in (b, b.truncate(1), at(pa, "cd").weyl):
                 assert np.array_equal((a - other).c, (a + (-other)).c)
             scalar = rng.standard_normal((4, 4, 4, 4))
             assert np.array_equal((a - scalar).c, (a + (-scalar)).c)
@@ -202,22 +203,22 @@ class TestJetKernels:
             for p in spec.sample_points(2, 5):
                 sp = structure_point(spec, p, order)
                 for seed in (0, 42, 2024):
-                    [got] = bianchi_bach.random_polynomial_2form([sp], seed)
+                    [got] = bianchi_bach.random_polynomial_2form([sp.point], sp.order, seed)
                     old = old_random_polynomial_2form(sp, seed)
                     assert got.order == old.order
                     assert np.array_equal(got.c, old.c)
 
     def test_weyl_from_g_at_curvature_order_matches_full_order_g(self, analyses):
         for _, pa in all_points(analyses):
-            assert pa.cd.R.order == 2
-            assert np.array_equal(pa.cd.weyl.c, old_weyl(pa.cd).c)
+            assert at(pa, "cd").R.order == 2
+            assert np.array_equal(at(pa, "cd").weyl.c, old_weyl(pa).c)
 
     def test_cached_nabla_omega_matches_fresh_covariant_derivatives(self, analyses):
         for _, pa in all_points(analyses):
-            conn = pa.conn
-            fresh = conn.covd(pa.sp.omega)
+            conn = at(pa, "conn")
+            fresh = riemann.covd(conn.gamma, at(pa, "structure").omega)
             assert np.array_equal(conn.nabla_omega.c, fresh.c)
-            assert np.array_equal(conn.nabla2_omega.c, conn.covd(fresh).c)
+            assert np.array_equal(conn.nabla2_omega.c, riemann.covd(conn.gamma, fresh).c)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_inverse_metric_at_one_order_less_matches_the_full_inverse(self, order, catalog_specs):
@@ -231,12 +232,12 @@ class TestJetKernels:
     def test_value_only_terms_match_their_full_order_values(self, analyses):
         """C+ and W(phi) are read as values; order-0 inputs give the same bits."""
         for _, pa in all_points(analyses):
-            sp, cd = pa.sp, pa.cd
-            g_inv, mu, c = tensorops.matrix_inverse(sp.g), sp.mu, bianchi_bach.cotton_york([cd])[0]
+            sp, cd, structure = at(pa, "structure"), at(pa, "cd"), pa.batch.structure
+            g_inv, mu, c = tensorops.matrix_inverse(sp.g), sp.mu, bianchi_bach.cotton_york(pa.batch.cd)[pa.index]
             full = tensorops.dual_projection(c, g_inv, mu, 1.0, (1, 2))
             low = tensorops.dual_projection(c.truncate(0), g_inv.truncate(0), mu.truncate(0), 1.0, (1, 2))
             assert np.array_equal(full.value, low.value)
-            for phi in (sp.omega, bianchi_bach.random_polynomial_2form([sp], 42)[0]):
+            for phi in (sp.omega, bianchi_bach.random_polynomial_2form([structure.points[pa.index]], structure.order, 42)[0]):
                 full = tensorops.form_inner(cd.weyl, phi, g_inv, (2, 3))
                 low = tensorops.form_inner(cd.weyl.truncate(0), phi.truncate(0), g_inv.truncate(0), (2, 3))
                 assert np.array_equal(full.value, low.value)
@@ -259,7 +260,7 @@ class TestJetKernels:
             for ident in cli.IDENTITIES:
                 if ident.order <= order and any(ident.applies(pa.batch)):
                     ident.residual(pa.batch)
-            assert pa.gr.mu_max >= pa.gr.mu_min
+            assert at(pa, "gr").mu_max >= at(pa, "gr").mu_min
             stored += list(_jets_on(pa, set()))
         assert len(built) > 1000 and len(stored) > 20
         for o, c in built + [(j.order, j.c) for j in stored]:
@@ -267,9 +268,10 @@ class TestJetKernels:
             assert 0 <= o <= jets.MAX_ORDER and c.shape[-1] == jets.NCOEF[o]
 
 
-def old_divergence(conn, t: Jet, slot: int) -> Jet:
-    """The divergence as it was taken before `divergence`: form nabla t, then trace it."""
-    return -riemann.neg_trace(conn.sp.g_inv, jets.moveaxis(conn.covd(t), slot + 1, 1))
+def old_divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int) -> Jet:
+    """The divergence at the first point of `conn` as it was taken before
+    `divergence`: form nabla t, then trace it."""
+    return -riemann.neg_trace(conn.structure.g_inv[0], jets.moveaxis(riemann.covd(conn.gamma[0], t), slot + 1, 1))
 
 
 class TestDivergence:
@@ -277,7 +279,7 @@ class TestDivergence:
     def test_matches_the_trace_of_the_covariant_derivative(self, rank, analyses):
         rng = np.random.default_rng(rank)
         for name in CATALOG_NAMES:
-            conn = analyses[name][0].conn
+            conn = analyses[name][0].batch.conn
             for order in (1, 2, 3):
                 t = Jet(order, rng.standard_normal((4,) * rank + (jets.NCOEF[order],)))
                 for slot in range(rank):
@@ -302,7 +304,7 @@ class TestDivergence:
 
     def test_weyl_halves_from_the_shared_star_match_the_projection_bit_for_bit(self, analyses):
         for _, pa in all_points(analyses):
-            sp, cd = pa.sp, pa.cd
+            sp, cd = at(pa, "structure"), at(pa, "cd")
             for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
                 first = tensorops.dual_projection(cd.weyl, sp.g_inv, sp.mu, sign, (0, 1))
                 assert np.array_equal(half.c, tensorops.dual_projection(first, sp.g_inv, sp.mu, sign, (2, 3)).c)
