@@ -284,7 +284,7 @@ def _random_2form_coefficients(seed: int) -> np.ndarray:
 def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, dr: DecompBatch, weitzenboeck_seed: int) -> SecondOrderReport:
     """Compute every second-order quantity and the full residual table at each
     point of a batch: each residual is one column, formed on the point axis
-    of each curvature slice (`CurvatureBatch.slices`), whose second-order
+    of each curvature slice (`CurvatureBatch.slices()`), whose second-order
     jets are formed a slice at a time."""
     if cd.conn.structure.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
@@ -299,7 +299,7 @@ def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, dr: DecompBatc
         else:
             skip_reasons.append(None)
     residuals: dict[str, list] = {}
-    for part in cd.slices:
+    for part in cd.slices():
         for name, column in _slice_residuals(part, hfo, skip_reasons[part.rows], weitzenboeck_seed).items():
             residuals.setdefault(name, []).extend(column)
     return SecondOrderReport(skip_reasons, residuals)

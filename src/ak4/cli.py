@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, algebra, bianchi_bach, charts, decomp, gray, jets, riemann, sandbox, tensorops
+from . import __version__, algebra, bianchi_bach, charts, decomp, gray, riemann, sandbox, tensorops
 from .errors import AK4Error, DomainError, StructureError
 
 #: Tolerance ladder: identities get the tolerance of their derivative order.

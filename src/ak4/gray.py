@@ -111,13 +111,13 @@ def totally_real_curvature(cd: CurvatureBatch, dr: DecompBatch, n_planes: int, s
     A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
     both X and JX enforces this exactly. When `lemma6_triple` vanishes the
     sampled curvature must be the pointwise constant (2s - kappa)/24. The
-    planes are taken a curvature slice at a time (`CurvatureBatch.slices`):
+    planes are taken a curvature slice at a time (`CurvatureBatch.slices()`):
     the temporaries grow with the points.
     """
     if n_planes < MIN_PLANES:
         raise ValueError(f"need at least {MIN_PLANES} sample planes")
     x, y = _lagrangian_planes(n_planes, seed)
-    mus = np.concatenate([_plane_curvatures(part.R_frame, x, y) for part in cd.slices])
+    mus = np.concatenate([_plane_curvatures(part.R_frame, x, y) for part in cd.slices()])
     mu_formula = (2.0 * cd.s_value - dr.kappa) / 24.0
     return {"mu_formula": mu_formula.tolist(), "mu_min": mus.min(axis=1).tolist(), "mu_max": mus.max(axis=1).tolist()}
 

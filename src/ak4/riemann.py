@@ -33,8 +33,8 @@ so `ak4 classify` never computes theta, a or b. These are nabla Omega and
 nabla^2 Omega, the traceless Ricci frame, the Nijenhuis tensor, theta, a
 and b (values, built from order-0 truncations), and the jets of the
 second-order report: Ric0, h, the Weyl tensor, its halves and their
-codifferentials. Those jets are formed on `CurvatureBatch.slices`, views of
-CURVATURE_SLICE points of the batch, a slice at a time. `covd`, `neg_trace`
+codifferentials. Those jets are formed on `CurvatureBatch.slices()`, views
+of CURVATURE_SLICE points of the batch, a slice at a time. `covd`, `neg_trace`
 and `divergence` take the point axis as `jets.contract` does. The report
 rows that read 4x4 frame values, the Ricci identity (`ricci_identity_check`)
 and the nabla J identity (`FirstOrderBatch.identity_residual`), run on the
@@ -134,7 +134,7 @@ def connection(structure: StructureBatch) -> ConnectionBatch:
 
 #: The most points whose second-order jets are formed at once. The report
 #: rows built on the `CurvatureBatch` second-order jets, and the Lagrangian
-#: plane statistics, run on `CurvatureBatch.slices`, batches of up to this
+#: plane statistics, run on `CurvatureBatch.slices()`, batches of up to this
 #: many points: their temporaries grow with the points formed at once, and
 #: past a few points a larger slice saves little.
 CURVATURE_SLICE = 8
@@ -147,7 +147,7 @@ class CurvatureBatch:
 
     `rows` are the points of `conn` the batch holds: all of them for the
     batch `curvature` returns, CURVATURE_SLICE of them for each of its
-    `slices`. The second-order report's jets, the traceless Ricci tensor, h,
+    `slices()`. The second-order report's jets, the traceless Ricci tensor, h,
     the Weyl tensor, its halves and their codifferentials, are cached
     properties, formed for the batch's points on the first read."""
 
@@ -166,11 +166,12 @@ class CurvatureBatch:
     operator: np.ndarray  # 6x6 matrices on the (Omega, phi, Jphi, asd triple) basis
     terms: dict = field(default_factory=dict, repr=False)  # `divergence`'s contractions by order
 
-    @functools.cached_property
     def slices(self) -> list[CurvatureBatch]:
         """The batch cut into batches of up to CURVATURE_SLICE consecutive
         points (itself when it has no more), whose arrays are views of its
-        own and which form their own second-order jets."""
+        own and which form their own second-order jets. Not cached: a batch
+        that held itself would be a reference cycle, which refcounting
+        cannot free."""
         n = len(self.s_value)
         if n <= CURVATURE_SLICE:
             return [self]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -330,7 +332,7 @@ def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
     batch, k = pa.batch, pa.index
     values = {(stage, name): _entry(getattr(batch, stage), name, k) for stage, names in STAGE_VALUES.items() for name in names}
     if batch.structure.order == 4:
-        part = batch.cd.slices[k // riemann.CURVATURE_SLICE]
+        part = batch.cd.slices()[k // riemann.CURVATURE_SLICE]
         values.update({("cd", name): _entry(part, name, k - part.rows.start) for name in SECOND_ORDER_VALUES["cd"]})
         values.update({("sor", name): _entry(batch.sor, name, k) for name in SECOND_ORDER_VALUES["sor"]})
     for hypothesis in HYPOTHESES:
@@ -399,9 +401,8 @@ class TestPipelineBatch:
         batches = [(spec, spec.sample_points(4, 5)) for spec in catalog_specs.values()]
         structure = charts.structure_at(batches, 4)
         cd = riemann.curvature(riemann.connection(structure))
-        parts = cd.slices
+        parts = cd.slices()
         assert [part.rows for part in parts] == [slice(0, 8), slice(8, 16), slice(16, 20)]
-        assert cd.slices is parts and riemann.curvature(riemann.connection(structure)).slices is not parts
         for part in parts:
             for name in ("R", "g_inv", "gamma", "s", "frame", "R_frame", "s_value"):
                 whole, mine = getattr(cd, name), getattr(part, name)
@@ -410,7 +411,7 @@ class TestPipelineBatch:
             assert np.shares_memory(part._mu.c, structure.mu.c)
             assert np.array_equal(part._mu.c, structure.mu.c[part.rows])
         small = riemann.curvature(riemann.connection(charts.structure_at(batches[:2], 4)))
-        assert small.slices == [small]  # 8 points: the batch is its own slice
+        assert small.slices()[0] is small  # 8 points: the batch is its own slice
 
     def test_each_stage_reads_the_arrays_of_the_stage_before(self, catalog_specs):
         # the classify-order2 shape: 4 points of each catalog chart, one batch
@@ -428,6 +429,21 @@ class TestPipelineBatch:
         }
         for name, (mine, theirs) in shared.items():
             assert np.shares_memory(mine, theirs), name
+
+    def test_a_batch_is_freed_by_refcount(self, catalog_specs):
+        # no record holds itself or a record that holds it: a reference cycle
+        # would keep every second-order jet until the cyclic collector runs
+        spec = catalog_specs["kodaira-thurston"]
+        gc.disable()
+        try:
+            batch = cli.point_analyses(charts.structure_at([(spec, spec.sample_points(2, 5))], 4))[0].batch
+            assert cli._identity_rows(batch, 1.0)
+            stages = ("structure", "conn", "cd", "hfo", "dr", "ladder", "gr", "sor")
+            refs = [weakref.ref(batch)] + [weakref.ref(getattr(batch, stage)) for stage in stages]
+            del batch
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_the_first_read_fills_the_batch(self, catalog_specs):
         spec = catalog_specs["kodaira-thurston"]
