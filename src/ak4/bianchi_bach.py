@@ -58,9 +58,9 @@ def cotton_york(cd: CurvatureBatch) -> Jet:
     """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0), at each point."""
     if cd.conn.structure.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    dh = riemann.covd(cd.gamma, cd.h, points=True)  # (m, i, j) = nabla_m h_ij
+    dh = riemann.covd(cd.gamma, cd.h)  # (m, i, j) = nabla_m h_ij
     # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
-    return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0), True) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0), True)
+    return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
 
 
 def delta_weyl(cd: CurvatureBatch, which: str = "full") -> Jet:
@@ -125,9 +125,9 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 def _bach_from(cd: CurvatureBatch, w: Jet, dw: Jet) -> np.ndarray:
     """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components, at each point."""
-    term1 = riemann.divergence(cd.g_inv, cd.gamma, cd.terms, dw, 1, points=True).value  # (x, y)
+    term1 = riemann.divergence(cd.g_inv, cd.gamma, cd.terms, dw, 1).value  # (x, y)
     # the W h term is read as a value only: it runs on order-0 truncations
-    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1), points=True).value  # W_xaby h^ab -> (x, y)
+    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
     return tensorops.frame_components(term1 + term2, cd.frame)
 
 
@@ -166,7 +166,7 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     if structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
     gamma, frame = cd.gamma, cd.frame
-    hess = riemann.covd(gamma, jets.partials(cd.s, True), True).value  # (nabla ds)_{mi}
+    hess = riemann.covd(gamma, jets.partials(cd.s)).value  # (nabla ds)_{mi}
     hess_f = tensorops.frame_components(hess, frame)
     hess_inv = algebra.j_invariant_part(hess_f)
     hess_anti = algebra.j_anti_part(hess_f)
@@ -176,8 +176,8 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     s_val = cd.s_value[:, None, None]
 
     # rho0_ij = J^k_i Ric0_kj, to first order: only the value of its covariant derivative is read
-    rho0 = jets.contract(structure.J[cd.rows].truncate(1), cd.ric0.truncate(1), 0, 0, points=True)
-    d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0, True).value, frame)
+    rho0 = jets.contract(structure.J[cd.rows].truncate(1), cd.ric0.truncate(1), 0, 0)
+    d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0).value, frame)
     # a compact copy in the value's axis order, for frame_components' matmul
     d_omega = tensorops.frame_components(cd.conn.nabla_omega.value[cd.rows].copy(order="K"), frame)
     # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in;
@@ -187,7 +187,7 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
 
     b_ak = -hess_inv / 3.0 + hess_anti / 6.0 - (lap_s / 12.0) * np.eye(4) - (s_val / 6.0) * ric0_f + s_tensor
 
-    rough = -riemann.divergence(cd.g_inv, gamma, cd.terms, riemann.covd(gamma, cd.ric0, True), 0, True)
+    rough = -riemann.divergence(cd.g_inv, gamma, cd.terms, riemann.covd(gamma, cd.ric0), 0)
     lap_ric0 = tensorops.frame_components(rough.value, frame)
     w_f = tensorops.frame_components(cd.weyl.value, frame)
     # on the point axis: it keeps each point's bits (product-surfaces shows W(Ric0) != 0)
@@ -216,18 +216,18 @@ def weitzenboeck_check(cd: CurvatureBatch, field: Jet | None = None) -> np.ndarr
     if field is None:
         phi = conn.structure.omega[cd.rows]
         nabla_phi = conn.nabla_omega[cd.rows]
-        rough = riemann.neg_trace(g_inv, conn.nabla2_omega[cd.rows], True)
+        rough = riemann.neg_trace(g_inv, conn.nabla2_omega[cd.rows])
     else:
         phi = field.truncate(J_SIDE_ORDER)
-        nabla_phi = riemann.covd(gamma, phi, True)
-        rough = -riemann.divergence(g_inv, gamma, cd.terms, nabla_phi, 0, True)
-    delta_phi = riemann.neg_trace(g_inv, nabla_phi, True)  # 1-form
-    d_delta = tensorops.ext_d_1form(delta_phi, True)
-    d_phi = tensorops.ext_d_2form(phi, True)
-    delta_d = -riemann.divergence(g_inv, gamma, cd.terms, d_phi, 0, True)
+        nabla_phi = riemann.covd(gamma, phi)
+        rough = -riemann.divergence(g_inv, gamma, cd.terms, nabla_phi, 0)
+    delta_phi = riemann.neg_trace(g_inv, nabla_phi)  # 1-form
+    d_delta = tensorops.ext_d_1form(delta_phi)
+    d_phi = tensorops.ext_d_2form(phi)
+    delta_d = -riemann.divergence(g_inv, gamma, cd.terms, d_phi, 0)
     laplace = d_delta + delta_d
     phi0 = phi.truncate(0)
-    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3), True)
+    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3))
     rhs = rough + (cd.s.truncate(0)[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
     residual = (laplace - rhs).value
     return np.abs(tensorops.frame_components(residual, cd.frame)).max(axis=(1, 2))
@@ -315,11 +315,11 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: lis
     dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
 
     # only the value of C+ is read: it is projected from order-0 truncations
-    c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2), points=True)
+    c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2))
     c_plus_f = tensorops.frame_components(c_plus.value, frame)
 
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
-    ds_f = tensorops.frame_components(jets.partials(cd.s, True).value, frame)
+    ds_f = tensorops.frame_components(jets.partials(cd.s).value, frame)
     theta_f = tensorops.frame_components(hfo.theta.value[rows], frame)
     a_f = tensorops.frame_components(hfo.a.value[rows], frame)
     b_f = tensorops.frame_components(hfo.b.value[rows], frame)

@@ -106,6 +106,8 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     for key in ("name", "coords", "domain", "g", "J"):
         if key not in data:
             raise ChartError(f"{name_hint}: missing top-level key {key!r}")
+    if not isinstance(data["name"], str):
+        raise ChartError(f"{name_hint}: name must be a string")
     coords = data["coords"]
     if not isinstance(coords, list) or len(coords) != 4 or not all(isinstance(c, str) for c in coords):
         raise ChartError(f"{name_hint}: coords must be a list of exactly 4 names")
@@ -153,7 +155,7 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     g = {(i, j): _parse(g_src[(i, j)], f"g_{i + 1}{j + 1}") for i, j in _UPPER}
     J = tuple(tuple(_parse(j_src[i][j], f"J^{i + 1}_{j + 1}") for j in range(4)) for i in range(4))
     return ChartSpec(
-        name=str(data["name"]),
+        name=data["name"],
         coords=tuple(coords),
         domain=domain,
         g_src=g_src,
@@ -508,9 +510,9 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     _check(diffs, residuals, 1, 3)
 
     # every reader contracts g^-1 with at least one derivative of g
-    g_inv = tensorops.matrix_inverse(g.truncate(max(order - 1, 0)), points=True)
+    g_inv = tensorops.matrix_inverse(g.truncate(max(order - 1, 0)))
     # Omega_ij = g(J d_i, d_j) = J^k_i g_kj
-    omega = jets.contract(J, g, 0, 0, points=True)
+    omega = jets.contract(J, g, 0, 0)
     diffs[:, 3] = omega.value + omega.value.transpose(0, 2, 1)
     _check(diffs, residuals, 3, 4)
 
@@ -536,7 +538,7 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     jphi0 = _jphi(j_low, phi0)
     forms = Jet._of(0, np.concatenate([omega.c[..., :1], phi0.c, jphi0.c]))
     at = np.tile(np.arange(n_points), 3)
-    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], tensorops.volume_form(g_low, orientation)[at], points=True)
+    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], tensorops.volume_form(g_low, orientation)[at])
     diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
     _check(diffs, residuals, 7, 11)
     return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
@@ -544,11 +546,11 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
 
 def _coframe(frame_vectors: Jet, g: Jet) -> Jet:
     """The adapted coframe, (e^a)_i = g_ij E_a^j."""
-    return jets.contract(frame_vectors, g, 1, 0, points=True)
+    return jets.contract(frame_vectors, g, 1, 0)
 
 
 def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
-    return tensorops.wedge11(coframe[:, a], coframe[:, b], points=True)
+    return tensorops.wedge11(coframe[:, a], coframe[:, b])
 
 
 def _phi(coframe: Jet) -> Jet:
@@ -557,7 +559,7 @@ def _phi(coframe: Jet) -> Jet:
 
 def _jphi(J: Jet, phi: Jet) -> Jet:
     """(J phi)_ij = -phi(J d_i, d_j)."""
-    return -jets.contract(J, phi, 0, 0, points=True)
+    return -jets.contract(J, phi, 0, 0)
 
 
 def _adapted_frame(g: Jet, J: Jet) -> Jet:
@@ -574,7 +576,7 @@ def _adapted_frame(g: Jet, J: Jet) -> Jet:
     """
     n = len(g.c)
     e1 = _basis_vector_jet(0, g) / jets.sqrt(g[:, 0, 0])[:, None]
-    e2 = jets.contract(J, e1, 1, 0, points=True)
+    e2 = jets.contract(J, e1, 1, 0)
     rows, m = np.arange(3 * n), np.repeat([1, 2, 3], n)
     at = rows % n  # the point of each row
     g3 = g[at]
@@ -583,16 +585,16 @@ def _adapted_frame(g: Jet, J: Jet) -> Jet:
     # sign of zero, which the contraction with e then drops
     lowered = g3[rows, m]
     for e in (e1[at], e2[at]):
-        coeff = jets.contract(lowered, e, 0, 0, points=True)
+        coeff = jets.contract(lowered, e, 0, 0)
         cand = cand - coeff[:, None] * e
-        lowered = jets.contract(g3, cand, 0, 0, points=True)
-    norm2 = jets.contract(lowered, cand, 0, 0, points=True)
+        lowered = jets.contract(g3, cand, 0, 0)
+    norm2 = jets.contract(lowered, cand, 0, 0)
     served = (norm2.value > 1e-10 * g3.value[rows, m, m]).reshape(3, n)
     if not served.any(axis=0).all():
         raise StructureError("frame construction (no independent coordinate vector)", 0.0)
     pick = served.argmax(axis=0) * n + np.arange(n)  # the first m that serves each point
     e3 = cand[pick] / jets.sqrt(norm2[pick])[:, None]
-    e4 = jets.contract(J, e3, 1, 0, points=True)
+    e4 = jets.contract(J, e3, 1, 0)
     return Jet._of(e1.order, np.stack([e1.c, e2.c, e3.c, e4.c], axis=1))
 
 

@@ -778,7 +778,12 @@ def cmd_catalog() -> int:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    """The names of a comma-separated --checks value; a value that names no
+    identity is an error, since an empty selection would mean every row."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"{text!r} names no identity")
+    return names
 
 
 @functools.cache

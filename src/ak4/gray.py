@@ -82,9 +82,9 @@ def star_scalar_jet(cd: CurvatureBatch) -> Jet:
     truncated to it."""
     structure, rows = cd.conn.structure, cd.rows
     ginv = structure.g_inv[rows].truncate(1)
-    r_omega = tensorops.form_inner(cd.R.truncate(1), structure.omega[rows].truncate(1), ginv, (2, 3), True)
-    ric_star = -jets.contract(structure.J[rows].truncate(1), r_omega, 0, 0, True)  # -J^k_i (R Omega)_kj
-    return jets.contract(ginv, ric_star, (0, 1), (0, 1), True)
+    r_omega = tensorops.form_inner(cd.R.truncate(1), structure.omega[rows].truncate(1), ginv, (2, 3))
+    ric_star = -jets.contract(structure.J[rows].truncate(1), r_omega, 0, 0)  # -J^k_i (R Omega)_kj
+    return jets.contract(ginv, ric_star, (0, 1), (0, 1))
 
 
 def prop1_check(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> list[float]:
@@ -97,7 +97,7 @@ def prop1_check(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> li
     if cd.conn.structure.order < 3:
         raise jets.JetOrderError("the first-derivative scalar identity needs jet order >= 3")
     diff = cd.s - star_scalar_jet(cd)
-    d_diff = tensorops.frame_components(jets.partials(diff, True).value, cd.frame)
+    d_diff = tensorops.frame_components(jets.partials(diff).value, cd.frame)
     theta_f = tensorops.frame_components(hfo.theta.value, cd.frame)
     lhs = d_diff - dr.kappa[:, None] * theta_f
     rhs = (4.0 * dr.ric0 @ theta_f[:, :, None])[:, :, 0]
@@ -203,23 +203,20 @@ def nabla2_omega_shape_residual(conn: ConnectionBatch) -> list[float]:
             = (da - Ja ^ xi)_mn phi - (d(Ja) + a ^ xi)_mn J phi,
 
     where xi is the connection 1-form of the phi gauge,
-    nabla phi = -a (x) Omega + xi (x) J phi. Its jets are formed one point
-    at a time.
+    nabla phi = -a (x) Omega + xi (x) J phi.
     """
-    structure, residuals = conn.structure, []
-    for k in range(len(structure.points)):
-        phi, jphi, g_inv = structure.phi[k], structure.jphi[k], structure.g_inv[k]
-        # a is differentiated here, so it is built to first order, not read off the first-order batch
-        a = riemann.nabla_omega_along(conn.nabla_omega[k], phi, g_inv)
-        ja = -jets.contract(a, structure.J[k], 0, 0)  # (Ja)_i = -a_k J^k_i
-        xi = 0.5 * tensorops.form_inner(riemann.covd(conn.gamma[k], phi), jphi, g_inv, (1, 2))
-        dd = conn.nabla2_omega.value[k]  # (m, n, i, j)
-        lhs = dd - np.moveaxis(dd, 0, 1)
-        coeff_phi = (tensorops.ext_d_1form(a) - tensorops.wedge11(ja, xi)).value
-        coeff_jphi = (tensorops.ext_d_1form(ja) + tensorops.wedge11(a, xi)).value
-        rhs = np.einsum("mn,ij->mnij", coeff_phi, phi.value) - np.einsum("mn,ij->mnij", coeff_jphi, jphi.value)
-        residuals.append(float(np.abs(tensorops.frame_components(lhs - rhs, structure.frame[k])).max()))
-    return residuals
+    structure = conn.structure
+    phi, jphi, g_inv = structure.phi, structure.jphi, structure.g_inv
+    # a is differentiated here, so it is built to first order, not read off the first-order batch
+    a = riemann.nabla_omega_along(conn.nabla_omega, phi, g_inv)
+    ja = -jets.contract(a, structure.J, 0, 0)  # (Ja)_i = -a_k J^k_i
+    xi = 0.5 * tensorops.form_inner(riemann.covd(conn.gamma, phi), jphi, g_inv, (1, 2))
+    dd = conn.nabla2_omega.value  # (p, m, n, i, j)
+    lhs = dd - np.moveaxis(dd, 1, 2)
+    coeff_phi = (tensorops.ext_d_1form(a) - tensorops.wedge11(ja, xi)).value
+    coeff_jphi = (tensorops.ext_d_1form(ja) + tensorops.wedge11(a, xi)).value
+    rhs = np.einsum("pmn,pij->pmnij", coeff_phi, phi.value) - np.einsum("pmn,pij->pmnij", coeff_jphi, jphi.value)
+    return np.abs(tensorops.frame_components(lhs - rhs, structure.frame)).max(axis=(1, 2, 3, 4)).tolist()
 
 
 def canonical_ricci_form(dr: DecompBatch) -> np.ndarray:
@@ -229,20 +226,16 @@ def canonical_ricci_form(dr: DecompBatch) -> np.ndarray:
         gamma0(X, Y) = 4 Ric*(JX, Y) + <J nabla_X J, nabla_Y J>.
 
     It is antisymmetric; on Kahler points the second term vanishes and gamma0
-    is four times the usual Ricci form. Its einsums run on one point's frame
-    values at a time.
+    is four times the usual Ricci form.
     """
     conn = dr.cd.conn
-    gammas = []
-    for d_omega, frame, ric_star in zip(conn.nabla_omega.value, conn.structure.frame, dr.ric_star):
-        d_omega_f = tensorops.frame_components(d_omega, frame)
-        # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
-        gamma = 4.0 * np.einsum("kx,ky->xy", J_FRAME, ric_star)
-        # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
-        # where P(e_i, e_j) = (nabla_m Omega)(e_i, e_j)
-        jp = -np.einsum("mik,kj->mij", d_omega_f, J_FRAME)
-        gammas.append(gamma + np.einsum("xij,yij->xy", jp, d_omega_f))
-    return np.stack(gammas)
+    d_omega_f = tensorops.frame_components(conn.nabla_omega.value, conn.structure.frame)
+    # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
+    gamma = 4.0 * np.einsum("kx,pky->pxy", J_FRAME, dr.ric_star)
+    # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
+    # where P(e_i, e_j) = (nabla_m Omega)(e_i, e_j)
+    jp = -np.einsum("pmik,kj->pmij", d_omega_f, J_FRAME)
+    return gamma + np.einsum("pxij,pyij->pxy", jp, d_omega_f)
 
 
 # -- classification -------------------------------------------------------------

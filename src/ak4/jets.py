@@ -23,33 +23,35 @@ axes) put the pair axis first instead: both factors are gathered into
 matmul sums over the convolution pairs and the contracted axes together
 inside BLAS, and never materialises the broadcast elementwise product.
 
-A leading point axis batches the same work over many sample points
+The tensor kernels (`moveaxis`, `partials`, `contract` and `outer`) take a
+leading point axis, which batches the same work over many sample points
 (`charts.structure_at` runs the structure stage on all of a command's points
-at once). Elementwise arithmetic broadcasts over it like any leading axis.
-`contract(..., points=True)` keeps it out of the contraction: it goes
-outermost in the matmul batch, (P, ncoef, ., .), so each point gets the
-BLAS call it would get alone and the same bits.
+at once); a single point is a batch of one. The tensor axes they name count
+after it. Elementwise arithmetic broadcasts over it like any leading axis.
+`contract` keeps it out of the contraction: it goes outermost in the matmul
+batch, (P, ncoef, ., .), so each point gets the BLAS call it would get alone
+and the same bits.
 
 What these kernels derive from shapes alone is computed once. `contract`
 reads its permutations, reshape targets and `_CONTRACT` table from a plan
 cached by the two coefficient-array shapes (whose last axis fixes each
-operand's order; without the point axis, so no point count enters a key),
-the summed axes and whether there is a point axis; `moveaxis` is a bare
-transpose by a permutation cached by (ndim, src, dst). Both caches fill
-lazily, one entry per shape the pipeline meets (a few dozen), and neither
-moves a bit: a plan holds exactly what `contract` used to recompute on every
-call, so the matmul operands are the same values in the same layout, and
-np.moveaxis is itself a transpose by the same permutation.
+operand's order; without the point axis, so no point count enters a key)
+and the summed axes; `moveaxis` is a bare transpose by a permutation cached
+by (ndim, src, dst). Both caches fill lazily, one entry per shape the
+pipeline meets (a few dozen), and neither moves a bit: a plan holds exactly
+what `contract` used to recompute on every call, so the matmul operands are
+the same values in the same layout, and np.moveaxis is itself a transpose by
+the same permutation.
 
 `contract` allocates only its result. It gathers its operands into one
 module-level workspace, `_ARENA`, a float64 arena that only grows, to the
-largest size the gathered operands of one call need (a point-axis
-contraction is cut to about CONTRACT_CHUNK_BYTES a slice); each plan cuts
-its views of the arena once per leading shape and keeps them, and a growth
-drops every view of the old arena, so it is freed. The gathers write into
-the views (`take(..., out=, mode="clip")`; the default mode "raise" would
-buffer its output), and the matmul result is a fresh array, so no returned
-jet aliases the arena. Fresh gathered operands went through glibc's
+largest size the gathered operands of one call need (a batch is contracted
+about CONTRACT_CHUNK_BYTES a slice); each plan cuts its views of the arena
+once per point count and keeps them, and a growth drops every view of the
+old arena, so it is freed. The gathers write into the views
+(`take(..., out=, mode="clip")`; the default mode "raise" would buffer its
+output), and the matmul result is a fresh array, so no returned jet aliases
+the arena. Fresh gathered operands went through glibc's
 allocator on every call, and the large ones through mmap and page faults
 whose count depends on the allocator's dynamic thresholds. The arena is
 shared by every call, so `contract` is not thread-safe: ak4 runs on one
@@ -206,9 +208,9 @@ _DERIV = _build_deriv_tables()
 #: operand shape and axis choice; see the module docstring.
 _PLANS: dict[tuple, tuple] = {}
 _PERMS: dict[tuple, tuple[int, ...]] = {}
-#: Most bytes the gathered operands and the product of one point-axis
-#: `contract` take at once: a larger batch is contracted a slice of points at
-#: a time, which bounds the memory of a batch and moves no bit.
+#: Most bytes the gathered operands and the product of one `contract` take
+#: at once: a larger batch is contracted a slice of points at a time, which
+#: bounds the memory of a batch and moves no bit.
 CONTRACT_CHUNK_BYTES = 1 << 20
 #: The workspace of `_contract`: one float64 arena that only grows, to the
 #: largest size the gathered operands of one call need, and that each plan cuts
@@ -377,20 +379,18 @@ def _move_perm(ndim: int, src, dst) -> tuple[int, ...]:
     return tuple(n - 1 for n in np.moveaxis(probe, src, dst).shape)
 
 
-def moveaxis(j: Jet, src, dst, points: bool = False) -> Jet:
-    """Move leading tensor axes, like np.moveaxis (coefficient axis is untouched);
-    with `points`, src and dst count the tensor axes after the point axis."""
-    key = (j.c.ndim, src, dst, points)
+def moveaxis(j: Jet, src, dst) -> Jet:
+    """Move tensor axes, like np.moveaxis; src and dst count the tensor axes
+    after the point axis (the point and coefficient axes are untouched)."""
+    key = (j.c.ndim, src, dst)
     perm = _PERMS.get(key)
     if perm is None:
-        lead = int(points)
-        perm = _PERMS[key] = tuple(range(lead)) + tuple(lead + p for p in _move_perm(j.c.ndim - lead, src, dst))
+        perm = _PERMS[key] = (0,) + tuple(1 + p for p in _move_perm(j.c.ndim - 1, src, dst))
     return Jet._of(j.order, j.c.transpose(perm))
 
 
-def partials(j: Jet, points: bool = False) -> Jet:
-    """Stack of the four partial derivatives, new axis first (after the point
-    axis with `points`).
+def partials(j: Jet) -> Jet:
+    """Stack of the four partial derivatives, new axis first after the point axis.
 
     One gather over the `_DERIV` table of all four axes; each coefficient is
     the product `partial` forms, laid out as np.stack of the four would lay them out.
@@ -398,21 +398,21 @@ def partials(j: Jet, points: bool = False) -> Jet:
     if j.order == 0:
         raise JetOrderError("derivative requested from an order-0 jet")
     src, mult = _DERIV[j.order]
-    d = j.c[..., src]  # (..., m, ncoef), a new array
+    d = j.c[..., src]  # (P, ..., m, ncoef), a new array
     d *= mult
-    last, lead = d.ndim - 1, int(points)
-    return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(*range(lead), last - 1, *range(lead, last - 1), last)))
+    last = d.ndim - 1
+    return Jet._of(j.order - 1, np.ascontiguousarray(d.transpose(0, last - 1, *range(1, last - 1), last)))
 
 
-def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple, points: bool) -> tuple:
+def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple) -> tuple:
     """Everything `contract` derives from its operands' shapes and axes alone.
 
-    With `points`, the shapes leave out the point axis, and the permutations,
-    index tuples and reshape targets keep it first (as -1 in the targets);
-    `contract` puts its length in front of the shapes it lays out. The
-    entries before that are the shapes `take` gives the gathered operands,
-    and the workspace views of the plan by leading shape (`_views`); the
-    last is the bytes per point of the gathered operands and the product.
+    The shapes leave out the point axis, and the permutations and reshape
+    targets keep it first (as -1 in the targets); `_views` puts its length
+    in front of the shapes it lays out. The entries before the last two are
+    the shapes `take` gives the gathered operands; the last two are the
+    workspace views of the plan by point count (`_views`) and the bytes per
+    point of the gathered operands and the product.
     """
     o = min(NCOEF.index(shape_a[-1]), NCOEF.index(shape_b[-1]))
     n = NCOEF[o]
@@ -424,24 +424,17 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
     sb = tuple(shape_b[ax] for ax in free_b)
     p, na, nb = math.prod(summed), math.prod(sa), math.prod(sb)
     ia, ib, width = _CONTRACT[o]
-    lead = int(points)
-    pre, every, size = tuple(range(lead)), (slice(None),) * lead, (-1,) * lead
     return (
         o,
         n,
-        pre + tuple(lead + ax for ax in (last_a, *axes_a, *free_a)),
-        pre + tuple(lead + ax for ax in (last_b, *axes_b, *free_b)),
+        (0,) + tuple(1 + ax for ax in (last_a, *axes_a, *free_a)),
+        (0,) + tuple(1 + ax for ax in (last_b, *axes_b, *free_b)),
         (n + 1,) + summed + sa,
-        every + (n,),
-        every + (slice(None, n),),
-        lead,
         ia,
         ib,
-        size + (n, width * p, na),
-        size + (n, width * p, nb),
-        pre + (lead, lead + 2, lead + 1),
-        pre + (lead + 1, lead + 2, lead),
-        size + sa + sb + (n,),
+        (-1, n, width * p, na),
+        (-1, n, width * p, nb),
+        (-1,) + sa + sb + (n,),
         (n * width,) + summed + sa,
         (n * width,) + summed + sb,
         {},
@@ -449,22 +442,21 @@ def _contract_plan(shape_a: tuple, shape_b: tuple, axes_a: tuple, axes_b: tuple,
     )
 
 
-def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
-    """Multiply two jet tensors and sum over one or more leading-axis pairs.
+def contract(a: Jet, b: Jet, axes_a, axes_b) -> Jet:
+    """Multiply two jet tensors and sum over one or more tensor-axis pairs,
+    at every point.
 
-    out[sa..., sb...] = sum a[.. p at axes_a ..] * b[.. p at axes_b ..]
-    where the summed axes are matched pairwise.
-
-    With `points`, axis 0 of both operands is a point axis of the same
-    length: axes_a and axes_b count the tensor axes after it, and the result
-    keeps it first. Point k of the result is, bit for bit, the contraction of
-    point k of the operands without `points`.
+    out[k, sa..., sb...] = sum a[k, .. p at axes_a ..] * b[k, .. p at axes_b ..]
+    where the summed axes are matched pairwise. Axis 0 of both operands is
+    a point axis of the same length: axes_a and axes_b count the tensor axes
+    after it, and the result keeps it first. Point k of the result is, bit
+    for bit, the contraction of a batch of point k alone.
 
     The coefficient axis goes first: a becomes (ncoef + 1, P, A) with a zero
     slab last and b becomes (ncoef, P, B), where P, A and B are the flattened
     contracted, free-a and free-b axes. Gathering the `_CONTRACT` pairs gives
     (ncoef, width * P, A) and (ncoef, width * P, B), and one batched matmul
-    sums over pairs and contracted axes at once into (ncoef, A, B). A point
+    sums over pairs and contracted axes at once into (ncoef, A, B). The point
     axis goes in front of all of these, outermost in the matmul batch, so
     every point gets the same BLAS call as alone. The permutations and
     shapes of these steps come from a plan cached per operand shapes
@@ -477,52 +469,49 @@ def contract(a: Jet, b: Jet, axes_a, axes_b, points: bool = False) -> Jet:
         axes_a = (axes_a,)
         axes_b = (axes_b,)
     ca, cb = a.c, b.c
-    if points:
-        key = (ca.shape[1:], cb.shape[1:], axes_a, axes_b, True)
-    else:
-        key = (ca.shape, cb.shape, axes_a, axes_b, False)
+    key = (ca.shape[1:], cb.shape[1:], axes_a, axes_b)
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _contract_plan(*key)
     kernel = _contract_values if plan[0] == 0 else _contract
     step = max(1, CONTRACT_CHUNK_BYTES // plan[-1])
-    if points and len(ca) > step:
-        chunks = [kernel(ca[k : k + step], cb[k : k + step], plan, True) for k in range(0, len(ca), step)]
+    if len(ca) > step:
+        chunks = [kernel(ca[k : k + step], cb[k : k + step], plan) for k in range(0, len(ca), step)]
         return Jet._of(plan[0], np.concatenate(chunks))
-    return Jet._of(plan[0], kernel(ca, cb, plan, points))
+    return Jet._of(plan[0], kernel(ca, cb, plan))
 
 
-def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple, points: bool) -> np.ndarray:
+def _contract(ca: np.ndarray, cb: np.ndarray, plan: tuple) -> np.ndarray:
     """The coefficients of `contract` by one plan."""
-    _, n, perm_a, perm_b, fa_shape, zero, data, axis, ia, ib, ga_shape, gb_shape, mm_perm, out_perm, out_shape, ga_take, gb_take, views, _ = plan
-    lead = ca.shape[:1] if points else ()
+    _, n, perm_a, perm_b, fa_shape, ia, ib, ga_shape, gb_shape, out_shape, ga_take, gb_take, views, _ = plan
+    lead = ca.shape[:1]
     view = views.get(lead)
     if view is None:
         view = views[lead] = _views(lead, fa_shape, ga_take, gb_take, ga_shape, gb_shape)
     fa, ga_out, gb_out, ga, gb = view
     # slab n of fa must be zero: the padding pairs of `_CONTRACT` point at it
-    fa[zero] = 0.0
-    fa[data] = ca[..., :n].transpose(perm_a)
+    fa[:, n] = 0.0
+    fa[:, :n] = ca[..., :n].transpose(perm_a)
     # mode="clip" writes into `out` directly; the default "raise" would buffer it
-    fa.take(ia, axis=axis, out=ga_out, mode="clip")
-    cb[..., :n].transpose(perm_b).take(ib, axis=axis, out=gb_out, mode="clip")
-    out = np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm)
+    fa.take(ia, axis=1, out=ga_out, mode="clip")
+    cb[..., :n].transpose(perm_b).take(ib, axis=1, out=gb_out, mode="clip")
+    out = np.matmul(ga.transpose(0, 1, 3, 2), gb).transpose(0, 2, 3, 1)
     return out.reshape(out_shape)
 
 
-def _contract_values(ca: np.ndarray, cb: np.ndarray, plan: tuple, _points: bool) -> np.ndarray:
+def _contract_values(ca: np.ndarray, cb: np.ndarray, plan: tuple) -> np.ndarray:
     """The coefficients of `contract` by an order-0 plan: the one pair (0, 0)
     needs no zero slab and no gather, so the operands are laid out as
     `_contract` lays out its gathered ones, C-contiguous in fresh arrays, and
     the matmul reads them the same way (the same BLAS call, so the same bits)."""
-    _, n, perm_a, perm_b, _, _, _, _, _, _, ga_shape, gb_shape, mm_perm, out_perm, out_shape, *_ = plan
+    _, n, perm_a, perm_b, _, _, _, ga_shape, gb_shape, out_shape, *_ = plan
     ga = np.ascontiguousarray(ca[..., :n].transpose(perm_a)).reshape(ga_shape)
     gb = np.ascontiguousarray(cb[..., :n].transpose(perm_b)).reshape(gb_shape)
-    return np.matmul(ga.transpose(mm_perm), gb).transpose(out_perm).reshape(out_shape)
+    return np.matmul(ga.transpose(0, 1, 3, 2), gb).transpose(0, 2, 3, 1).reshape(out_shape)
 
 
 def _views(lead: tuple, fa_shape: tuple, ga_take: tuple, gb_take: tuple, ga_shape: tuple, gb_shape: tuple) -> tuple:
-    """Views of the workspace for one plan and leading shape: fa, the
+    """Views of the workspace for one plan and point count: fa, the
     gathered a and b as `take` writes them, and the same two as the matmul
     reads them. The arena grows to fit them if it must; a growth drops the
     views every plan cut from the old arena, which frees it."""
@@ -538,9 +527,9 @@ def _views(lead: tuple, fa_shape: tuple, ga_take: tuple, gb_take: tuple, ga_shap
     return fa, ga, gb, ga.reshape(ga_shape), gb.reshape(gb_shape)
 
 
-def outer(a: Jet, b: Jet, points: bool = False) -> Jet:
-    """Tensor product: out[sa..., sb...] = a[sa...] * b[sb...], pointwise with `points`."""
-    return contract(a, b, (), (), points)
+def outer(a: Jet, b: Jet) -> Jet:
+    """Tensor product at every point: out[P, sa..., sb...] = a[P, sa...] * b[P, sb...]."""
+    return contract(a, b, (), ())
 
 
 # -- reciprocal, powers, elementary functions ---------------------------------

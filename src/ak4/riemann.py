@@ -24,9 +24,9 @@ points (a command's points, up to `cli.BATCH_POINTS` at a time). Each takes
 the record of the stage before it, `charts.StructureBatch` first, and
 returns one record whose fields keep the leading point axis: it reads the
 earlier stage's arrays as they are, with no per-point copies, and computes
-with `jets.contract(..., points=True)`, a point-axis `jets.partials` and a
-point-axis `tensorops.frame_components`. A point is an index into that
-axis, and a single point is a batch of one. Point k of a batch has, bit for
+with the jet kernels, which all take the point axis, and a point-axis
+`tensorops.frame_components`. A point is an index into that axis, and a
+single point is a batch of one. Point k of a batch has, bit for
 bit, the values of a batch of that point alone. What only some commands
 read is a cached property, computed for the whole batch on its first read,
 so `ak4 classify` never computes theta, a or b. These are nabla Omega and
@@ -67,40 +67,40 @@ class ConnectionBatch:
     def nabla_omega(self) -> Jet:
         """nabla Omega, slots (m, i, j): the first-order data, the Ricci
         identity and the Weitzenboeck check of Omega all read this one jet."""
-        return covd(self.gamma, self.structure.omega, points=True)
+        return covd(self.gamma, self.structure.omega)
 
     @functools.cached_property
     def nabla2_omega(self) -> Jet:
         """nabla^2 Omega, slots (m, n, i, j), the covariant derivative of `nabla_omega`."""
-        return covd(self.gamma, self.nabla_omega, points=True)
+        return covd(self.gamma, self.nabla_omega)
 
 
-def covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
+def covd(gamma: Jet, t: Jet) -> Jet:
     """Covariant derivative of a fully covariant tensor of jets with the
-    Christoffel jets `gamma`, at every point with `points`.
+    Christoffel jets `gamma`, at every point.
 
     The new derivative index comes first:
     (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
     The derivative term has one order less than t, so gamma and t enter the
     contractions at that order.
     """
-    out = jets.partials(t, points)
+    out = jets.partials(t)
     low = min(out.order, gamma.order)
     gamma, t = gamma.truncate(low), t.truncate(low)
-    for a in range(t.c.ndim - 1 - int(points)):
-        term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)  # (m, q, rest)
-        out = out - jets.moveaxis(term, 1, a + 1, points)
+    for a in range(t.c.ndim - 2):
+        term = jets.contract(gamma, jets.moveaxis(t, a, 0), 0, 0)  # (m, q, rest)
+        out = out - jets.moveaxis(term, 1, a + 1)
     return out
 
 
-def neg_trace(g_inv: Jet, t: Jet, points: bool = False) -> Jet:
-    """-g^mn t_{m,n,...}, at every point with `points`: the codifferential of
+def neg_trace(g_inv: Jet, t: Jet) -> Jet:
+    """-g^mn t_{m,n,...}, at every point: the codifferential of
     T when t = nabla T, the rough Laplacian nabla^* nabla T when t = nabla^2 T."""
-    return -jets.contract(g_inv, t, (0, 1), (0, 1), points)
+    return -jets.contract(g_inv, t, (0, 1), (0, 1))
 
 
-def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0, points: bool = False) -> Jet:
-    """g^mi (nabla_m t)_{..i..} with i at `slot`, at every point with `points`.
+def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0) -> Jet:
+    """g^mi (nabla_m t)_{..i..} with i at `slot`, at every point.
 
     It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
     (p at slot a, c the free index there), with v^p = g^mi Gamma^p_mi and
@@ -108,17 +108,17 @@ def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0, point
     formed. v and K are kept in `terms` by order, so each is contracted once
     per (g_inv, gamma) and order. The other slots keep their order.
     """
-    out = jets.contract(g_inv, jets.partials(t, points), (0, 1), (0, slot + 1), points)
+    out = jets.contract(g_inv, jets.partials(t), (0, 1), (0, slot + 1))
     low = t.truncate(out.order)
     if out.order not in terms:
         g_low, gamma_low = g_inv.truncate(out.order), gamma.truncate(out.order)
-        terms[out.order] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2), points), jets.contract(g_low, gamma_low, 0, 1, points))
+        terms[out.order] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2)), jets.contract(g_low, gamma_low, 0, 1))
     trace, raised = terms[out.order]
-    out = out - jets.contract(trace, low, 0, slot, points)
-    for a in range(t.c.ndim - 1 - int(points)):
+    out = out - jets.contract(trace, low, 0, slot)
+    for a in range(t.c.ndim - 2):
         if a != slot:
-            term = jets.contract(raised, low, (0, 1), (slot, a), points)  # (c, other slots)
-            out = out - jets.moveaxis(term, 0, a if a < slot else a - 1, points)
+            term = jets.contract(raised, low, (0, 1), (slot, a))  # (c, other slots)
+            out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
     return out
 
 
@@ -126,10 +126,10 @@ def connection(structure: StructureBatch) -> ConnectionBatch:
     """Levi-Civita connection of the metric at every point of the batch."""
     if structure.order < 1:
         raise jets.JetOrderError("connection needs jet order >= 1")
-    dg = jets.partials(structure.g, points=True)  # dg[m, i, j] = d_m g_ij
+    dg = jets.partials(structure.g)  # dg[m, i, j] = d_m g_ij
     # Gamma^k_ij = 1/2 g^kl (d_i g_lj + d_j g_li - d_l g_ij)
-    sym = jets.moveaxis(dg, (0, 1, 2), (1, 0, 2), True) + jets.moveaxis(dg, (0, 1, 2), (2, 1, 0), True) - dg
-    return ConnectionBatch(structure, 0.5 * jets.contract(structure.g_inv, sym, 1, 0, points=True))
+    sym = jets.moveaxis(dg, (0, 1, 2), (1, 0, 2)) + jets.moveaxis(dg, (0, 1, 2), (2, 1, 0)) - dg
+    return ConnectionBatch(structure, 0.5 * jets.contract(structure.g_inv, sym, 1, 0))
 
 
 #: The most points whose second-order jets are formed at once. The report
@@ -197,13 +197,13 @@ class CurvatureBatch:
     @functools.cached_property
     def h_raised(self) -> Jet:
         """h^ab at order 0: the Bach routes read only its value."""
-        return tensorops.raise_pair(self.h.truncate(0), self.g_inv.truncate(0), 0, 1, points=True)
+        return tensorops.raise_pair(self.h.truncate(0), self.g_inv.truncate(0), 0, 1)
 
     @functools.cached_property
     def weyl(self) -> Jet:
         """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks."""
-        scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(self.g, self.g, True), True)
-        ric0_part = 0.5 * tensorops.kn_jet(self.ric0, self.g, True)
+        scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(self.g, self.g))
+        ric0_part = 0.5 * tensorops.kn_jet(self.ric0, self.g)
         return self.R - scalar_part - ric0_part
 
     @functools.cached_property
@@ -217,17 +217,17 @@ class CurvatureBatch:
     @functools.cached_property
     def delta_weyl(self) -> Jet:
         """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl, 0, True)
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl, 0)
 
     @functools.cached_property
     def delta_weyl_plus(self) -> Jet:
         """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_plus, 0, True)
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_plus, 0)
 
     @functools.cached_property
     def delta_weyl_minus(self) -> Jet:
         """Codifferential of W-, computed from W- itself."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_minus, 0, True)
+        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_minus, 0)
 
     @functools.cached_property
     def _mu(self) -> Jet:
@@ -237,11 +237,11 @@ class CurvatureBatch:
     @functools.cached_property
     def _weyl_star(self) -> Jet:
         """The Hodge star of W's first pair, shared by W+ and W-."""
-        return tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu, points=True)
+        return tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu)
 
     def _weyl_half(self, sign: float) -> Jet:
-        half = tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), self._weyl_star, points=True)
-        return tensorops.dual_projection(half, self.g_inv, self._mu, sign, (2, 3), points=True)
+        half = tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), self._weyl_star)
+        return tensorops.dual_projection(half, self.g_inv, self._mu, sign, (2, 3))
 
 
 def curvature(conn: ConnectionBatch) -> CurvatureBatch:
@@ -250,18 +250,18 @@ def curvature(conn: ConnectionBatch) -> CurvatureBatch:
     structure = conn.structure
     if structure.order < 2:
         raise jets.JetOrderError("curvature needs jet order >= 2")
-    dg = jets.partials(conn.gamma, points=True)  # dg[m, l, i, j] = d_m Gamma^l_ij
+    dg = jets.partials(conn.gamma)  # dg[m, l, i, j] = d_m Gamma^l_ij
     # [nabla_i, nabla_j] d_k = (d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik) d_l
-    t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3), True)  # t1[l, i, j, k] = d_i Gamma^l_jk
+    t1 = jets.moveaxis(dg, (0, 1, 2, 3), (1, 0, 2, 3))  # t1[l, i, j, k] = d_i Gamma^l_jk
     # R is one order below Gamma, so the product needs Gamma only to that order
     gamma_low = conn.gamma.truncate(dg.order)
-    gg = jets.contract(gamma_low, gamma_low, 2, 0, points=True)  # gg[l, i, j, k] = G^l_im G^m_jk
-    comm_up = t1 - jets.moveaxis(t1, 1, 2, True) + gg - jets.moveaxis(gg, 1, 2, True)
+    gg = jets.contract(gamma_low, gamma_low, 2, 0)  # gg[l, i, j, k] = G^l_im G^m_jk
+    comm_up = t1 - jets.moveaxis(t1, 1, 2) + gg - jets.moveaxis(gg, 1, 2)
     # every later product and the batch's readers take g and g^-1 at R's order
     g, g_inv = structure.g.truncate(dg.order), structure.g_inv.truncate(dg.order)
-    riem = -jets.moveaxis(jets.contract(g, comm_up, 0, 0, points=True), 0, 3, True)  # R_ijkl (sphere-positive)
-    ric = jets.contract(g_inv, riem, (0, 1), (0, 2), points=True)  # Ric_jk = g^im R_ijmk
-    s = jets.contract(g_inv, ric, (0, 1), (0, 1), points=True)
+    riem = -jets.moveaxis(jets.contract(g, comm_up, 0, 0), 0, 3)  # R_ijkl (sphere-positive)
+    ric = jets.contract(g_inv, riem, (0, 1), (0, 2))  # Ric_jk = g^im R_ijmk
+    s = jets.contract(g_inv, ric, (0, 1), (0, 1))
 
     frame = structure.frame
     R_frame = tensorops.frame_components(riem.value, frame)
@@ -306,21 +306,21 @@ class FirstOrderBatch:
         reader reads its value, so it is built from the order-0 truncations
         of nabla Omega, g^-1 and J."""
         structure = self.conn.structure
-        delta_omega = neg_trace(structure.g_inv.truncate(0), self.nabla_omega0, points=True)
-        return -jets.contract(delta_omega, structure.J.truncate(0), 0, 0, points=True)
+        delta_omega = neg_trace(structure.g_inv.truncate(0), self.nabla_omega0)
+        return -jets.contract(delta_omega, structure.J.truncate(0), 0, 0)
 
     @functools.cached_property
     def a(self) -> Jet:
         """a (`nabla_omega_along` phi), from order-0 truncations, the order-0
         phi the structure stage checked among them: every reader reads its value."""
         structure = self.conn.structure
-        return nabla_omega_along(self.nabla_omega0, structure.phi0, structure.g_inv.truncate(0), points=True)
+        return nabla_omega_along(self.nabla_omega0, structure.phi0, structure.g_inv.truncate(0))
 
     @functools.cached_property
     def b(self) -> Jet:
         """b (`nabla_omega_along` J phi), formed like `a`."""
         structure = self.conn.structure
-        return nabla_omega_along(self.nabla_omega0, structure.jphi0, structure.g_inv.truncate(0), points=True)
+        return nabla_omega_along(self.nabla_omega0, structure.jphi0, structure.g_inv.truncate(0))
 
     @functools.cached_property
     def theta_norm(self) -> list[float]:
@@ -328,7 +328,7 @@ class FirstOrderBatch:
 
     @functools.cached_property
     def b_plus_ja_norm(self) -> list[float]:
-        ja = -jets.contract(self.a, self.conn.structure.J.truncate(0), 0, 0, points=True)  # (J a)_i = -a_k J^k_i
+        ja = -jets.contract(self.a, self.conn.structure.J.truncate(0), 0, 0)  # (J a)_i = -a_k J^k_i
         return _frame_max((self.b + ja).value, self.conn.structure.frame).tolist()
 
     @functools.cached_property
@@ -344,14 +344,14 @@ def hermitian_first_order(conn: ConnectionBatch) -> FirstOrderBatch:
     nabla_omega0 = Jet._of(0, conn.nabla_omega.c[..., :1].copy(order="K"))  # compact: see `_nabla_j_identity_residual`
     nabla_omega = tensorops.frame_components(nabla_omega0.value, structure.frame)
     nabla_j_sq = np.sum(nabla_omega * nabla_omega, axis=(1, 2, 3))
-    d_omega_norm = _frame_max(tensorops.ext_d_2form(structure.omega, points=True).value, structure.frame)
+    d_omega_norm = _frame_max(tensorops.ext_d_2form(structure.omega).value, structure.frame)
     return FirstOrderBatch(conn, nabla_j_sq, d_omega_norm, nabla_omega0)
 
 
-def nabla_omega_along(nabla_omega: Jet, form: Jet, g_inv: Jet, points: bool = False) -> Jet:
+def nabla_omega_along(nabla_omega: Jet, form: Jet, g_inv: Jet) -> Jet:
     """The 1-form X -> <nabla_X Omega, form> / |form|^2 for a gauge form (phi
-    gives a, J phi gives b), at every point with `points`."""
-    return 0.5 * tensorops.form_inner(nabla_omega, form, g_inv, (1, 2), points)
+    gives a, J phi gives b), at every point."""
+    return 0.5 * tensorops.form_inner(nabla_omega, form, g_inv, (1, 2))
 
 
 def _frame_max(values: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -366,19 +366,19 @@ def _nijenhuis(J: Jet, g: Jet) -> Jet:
     at each point of the point axis of J and g.
 
     Only its value is read, so J enters to first order and g as a value."""
-    dJ = jets.partials(J, points=True)  # dJ[m, i, j] = d_m J^i_j
+    dJ = jets.partials(J)  # dJ[m, i, j] = d_m J^i_j
     # D[y, z, n] = J^m_y d_m J^n_z, so [J d_y, J d_z]^n = D[y,z,n] - D[z,y,n]
-    d_field = jets.moveaxis(jets.contract(J, dJ, 0, 0, points=True), 1, 2, True)
-    br_jj = d_field - jets.moveaxis(d_field, 0, 1, True)
+    d_field = jets.moveaxis(jets.contract(J, dJ, 0, 0), 1, 2)
+    br_jj = d_field - jets.moveaxis(d_field, 0, 1)
     # [J d_y, d_z]^n = -d_z J^n_y and [d_y, J d_z]^n = +d_y J^n_z
-    p1 = jets.moveaxis(dJ, (0, 1, 2), (1, 2, 0), True)  # p1[y, z, n] = d_z J^n_y
-    p2 = jets.moveaxis(dJ, (0, 1, 2), (0, 2, 1), True)  # p2[y, z, n] = d_y J^n_z
+    p1 = jets.moveaxis(dJ, (0, 1, 2), (1, 2, 0))  # p1[y, z, n] = d_z J^n_y
+    p2 = jets.moveaxis(dJ, (0, 1, 2), (0, 2, 1))  # p2[y, z, n] = d_y J^n_z
 
     def apply_j(v: Jet) -> Jet:  # rotate the vector index: (J v)^q = J^q_n v^n
-        return jets.moveaxis(jets.contract(J, v, 1, 2, points=True), 0, 2, True)
+        return jets.moveaxis(jets.contract(J, v, 1, 2), 0, 2)
 
     total_up = br_jj + apply_j(p1) - apply_j(p2)  # [d_y, d_z] = 0
-    return jets.contract(g, total_up, 0, 2, points=True)  # N[x, y, z] = g_nx W[y, z, n]
+    return jets.contract(g, total_up, 0, 2)  # N[x, y, z] = g_nx W[y, z, n]
 
 
 def _nabla_j_identity_residual(hfo: FirstOrderBatch) -> np.ndarray:
@@ -386,7 +386,7 @@ def _nabla_j_identity_residual(hfo: FirstOrderBatch) -> np.ndarray:
     with both sides read as 2-forms through Omega, at each point of the
     batch (only the jets' values are read)."""
     structure, theta = hfo.conn.structure, hfo.theta
-    jtheta = -jets.contract(theta, structure.J.truncate(0), 0, 0, points=True).value
+    jtheta = -jets.contract(theta, structure.J.truncate(0), 0, 0).value
     # compact copies of the frame values, in their axis order: einsum sums in
     # an order that depends on its operands' strides
     xb = structure.g.value.copy(order="K")  # X^flat for X = d_m is the row g_{m .}

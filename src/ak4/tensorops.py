@@ -4,6 +4,11 @@ All tensors are fully covariant (lower indices); raising is explicit via
 the inverse metric. Two-form inner products follow the convention that the
 squared norm is half the tensor norm, so the wedge of two orthonormal
 covectors has unit norm and the fundamental 2-form has squared norm 2.
+
+The jet operators take a leading point axis, as the `jets` kernels do: a
+single point is a batch of one, and the tensor axes they name count after
+the point axis. `determinant4`, `volume_form` and `frame_components` read
+their leading axes off their operands' shapes.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ def _eps4() -> np.ndarray:
 EPS4 = _eps4()
 
 
-def matrix_inverse(g: Jet, points: bool = False) -> Jet:
-    """Inverse of a 4x4 jet matrix with invertible constant term, or of one
-    per point with `points` (see `jets.contract`).
+def matrix_inverse(g: Jet) -> Jet:
+    """Inverse of the 4x4 jet matrix at each point, whose constant term is invertible.
 
     Splits g = g0 + E with E nilpotent in the truncated algebra and sums the
     terminating Neumann series (I + g0^-1 E)^-1 g0^-1.
@@ -43,14 +47,14 @@ def matrix_inverse(g: Jet, points: bool = False) -> Jet:
     g0_inv_jet = Jet.constant(g0_inv, g.order)
     e = g.c.copy()
     e[..., 0] = 0.0
-    m = -jets.contract(g0_inv_jet, Jet._of(g.order, e), 1, 0, points)
+    m = -jets.contract(g0_inv_jet, Jet._of(g.order, e), 1, 0)
     acc = Jet._of(g.order, np.zeros(g.c.shape))
     acc.c[..., 0] = np.eye(4)
     term = acc
     for _ in range(g.order):
-        term = jets.contract(term, m, 1, 0, points)
+        term = jets.contract(term, m, 1, 0)
         acc = acc + term
-    return jets.contract(acc, g0_inv_jet, 1, 0, points)
+    return jets.contract(acc, g0_inv_jet, 1, 0)
 
 
 #: Laplace expansion over rows 0 and 1: one row (c, d, e, f) per column pair
@@ -86,48 +90,45 @@ def volume_form(g: Jet, orientation) -> Jet:
     return Jet._of(s.order, c)
 
 
-def raise_axis(t: Jet, ginv: Jet, axis: int, points: bool = False) -> Jet:
-    """Raise the index at the given tensor-axis position (after the point
-    axis with `points`, as in `jets.contract`)."""
-    lead = int(points)
-    return jets.moveaxis(jets.contract(ginv, t, 1, axis, points), lead, lead + axis)
+def raise_axis(t: Jet, ginv: Jet, axis: int) -> Jet:
+    """Raise the index at the given tensor-axis position."""
+    return jets.moveaxis(jets.contract(ginv, t, 1, axis), 0, axis)
 
 
-def raise_pair(t: Jet, ginv: Jet, a: int, b: int, points: bool = False) -> Jet:
-    return raise_axis(raise_axis(t, ginv, a, points), ginv, b, points)
+def raise_pair(t: Jet, ginv: Jet, a: int, b: int) -> Jet:
+    return raise_axis(raise_axis(t, ginv, a), ginv, b)
 
 
-def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1), points: bool = False) -> Jet:
+def form_inner(t: Jet, form: Jet, ginv: Jet, slots: tuple[int, int] = (0, 1)) -> Jet:
     """Half-tensor-norm inner product of the 2-form jet `form` with the
     antisymmetric slot pair `slots` of t; the other slots of t stay, in order."""
-    return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1, points), slots, (0, 1), points)
+    return 0.5 * jets.contract(t, raise_pair(form, ginv, 0, 1), slots, (0, 1))
 
 
-def wedge11(a: Jet, b: Jet, points: bool = False) -> Jet:
+def wedge11(a: Jet, b: Jet) -> Jet:
     """(a ^ b)_ij = a_i b_j - a_j b_i for 1-form jets."""
-    t = jets.outer(a, b, points)
-    lead = int(points)
-    return t - jets.moveaxis(t, lead, lead + 1)
+    t = jets.outer(a, b)
+    return t - jets.moveaxis(t, 0, 1)
 
 
-def ext_d_1form(a: Jet, points: bool = False) -> Jet:
+def ext_d_1form(a: Jet) -> Jet:
     """(da)_ij = d_i a_j - d_j a_i."""
-    t = jets.partials(a, points)
-    return t - jets.moveaxis(t, 0, 1, points)
+    t = jets.partials(a)
+    return t - jets.moveaxis(t, 0, 1)
 
 
-def ext_d_2form(phi: Jet, points: bool = False) -> Jet:
+def ext_d_2form(phi: Jet) -> Jet:
     """(d phi)_ijk = d_i phi_jk - d_j phi_ik + d_k phi_ij."""
-    t = jets.partials(phi, points)
-    return t - jets.moveaxis(t, 1, 0, points) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1), points)
+    t = jets.partials(phi)
+    return t - jets.moveaxis(t, 1, 0) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1))
 
 
-def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet, points: bool = False) -> Jet:
+def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet) -> Jet:
     """(*phi)_ij = (1/2) mu_ijkl phi^kl."""
-    return form_inner(mu, phi, ginv, (2, 3), points)
+    return form_inner(mu, phi, ginv, (2, 3))
 
 
-def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None, points: bool = False) -> Jet:
+def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None) -> Jet:
     """Project an antisymmetric index pair onto its (anti-)self-dual part.
 
     sign=+1.0 applies (1/2)(id + *) to the pair, sign=-1.0 the complement.
@@ -135,24 +136,24 @@ def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, in
     Hodge star of t on that pair with the pair's slots first, so it is formed once.
     """
     a, b = pair
-    tp = jets.moveaxis(jets.moveaxis(t, a, 0, points), b, 1, points)
+    tp = jets.moveaxis(jets.moveaxis(t, a, 0), b, 1)
     if star is None:
-        star = hodge_star_2form(tp, ginv, mu, points)
+        star = hodge_star_2form(tp, ginv, mu)
     out = 0.5 * (tp + float(sign) * star)
-    return jets.moveaxis(jets.moveaxis(out, 1, b, points), 0, a, points)
+    return jets.moveaxis(jets.moveaxis(out, 1, b), 0, a)
 
 
-def kn_jet(h: Jet, g: Jet, points: bool = False) -> Jet:
+def kn_jet(h: Jet, g: Jet) -> Jet:
     """Kulkarni-Nomizu product of symmetric 2-tensor jets.
 
     (h kn g)_ijkl = h_ik g_jl + h_jl g_ik - h_il g_jk - h_jk g_il
     """
-    hg = jets.outer(h, g, points)  # h_ab g_cd on axes (a,b,c,d)
-    gh = jets.outer(g, h, points)
-    t = jets.moveaxis(hg, (0, 1, 2, 3), (0, 2, 1, 3), points)  # h_ik g_jl
-    t = t + jets.moveaxis(gh, (0, 1, 2, 3), (0, 2, 1, 3), points)  # + g_ik h_jl
-    t = t - jets.moveaxis(hg, (0, 1, 2, 3), (0, 3, 1, 2), points)  # - h_il g_jk
-    t = t - jets.moveaxis(gh, (0, 1, 2, 3), (0, 3, 1, 2), points)  # - g_il h_jk
+    hg = jets.outer(h, g)  # h_ab g_cd on axes (a,b,c,d)
+    gh = jets.outer(g, h)
+    t = jets.moveaxis(hg, (0, 1, 2, 3), (0, 2, 1, 3))  # h_ik g_jl
+    t = t + jets.moveaxis(gh, (0, 1, 2, 3), (0, 2, 1, 3))  # + g_ik h_jl
+    t = t - jets.moveaxis(hg, (0, 1, 2, 3), (0, 3, 1, 2))  # - h_il g_jk
+    t = t - jets.moveaxis(gh, (0, 1, 2, 3), (0, 3, 1, 2))  # - g_il h_jk
     return t
 
 

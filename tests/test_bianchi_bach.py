@@ -164,11 +164,11 @@ class TestWeitzenboeck:
         # nabla*nabla Omega = delta(nabla Omega) = -(s/3) Omega + 2 W(Omega).
         for name in ("product-surfaces", "kodaira-thurston"):
             for pa in analyses[name]:
-                sp, cd, conn = at(pa, "structure"), at(pa, "cd"), pa.batch.conn
+                sp, cd, conn = pa.batch.structure, pa.batch.cd, pa.batch.conn
                 rough = -divergence(conn, conn.nabla_omega[pa.index], 0, pa.index)
-                w_om = 0.5 * jets.contract(cd.weyl, tensorops.raise_pair(sp.omega, sp.g_inv, 0, 1), (2, 3), (0, 1))
-                rhs = -(cd.s / 3.0) * sp.omega + 2.0 * w_om
-                res = np.abs(tensorops.frame_components((rough - rhs).value, sp.frame)).max()
+                w_om = 0.5 * jets.contract(cd.weyl, tensorops.raise_pair(sp.omega, sp.g_inv, 0, 1), (2, 3), (0, 1))[pa.index]
+                rhs = -(cd.s[pa.index] / 3.0) * sp.omega[pa.index] + 2.0 * w_om
+                res = np.abs(tensorops.frame_components((rough - rhs).value, sp.frame[pa.index])).max()
                 assert res < 1e-7
 
     def test_random_field_is_the_rounded_polynomial(self, analyses):

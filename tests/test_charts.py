@@ -135,6 +135,10 @@ class TestChartFiles:
             pytest.param("J", lambda d: {**d, "J": {**d["J"], "1_1": 0}}, id="J-entry-not-string"),
             pytest.param("tags", lambda d: {**d, "tags": 5}, id="tags-not-list"),
             pytest.param("JSON object", lambda d: [d], id="chart-not-object"),
+            pytest.param("name must be a string", lambda d: {**d, "name": None}, id="name-null"),
+            pytest.param("name must be a string", lambda d: {**d, "name": 5}, id="name-number"),
+            pytest.param("name must be a string", lambda d: {**d, "name": ["a"]}, id="name-list"),
+            pytest.param("name must be a string", lambda d: {**d, "name": {"x": 1}}, id="name-object"),
         ],
     )
     def test_malformed_chart_types_exit_2(self, key, mutate, tmp_path, catalog_specs, capsys):
@@ -222,9 +226,9 @@ def eager_j_side(g: jets.Jet, J: jets.Jet) -> tuple[jets.Jet, jets.Jet, jets.Jet
     with mu oriented by the frame's determinant."""
     frame_vectors = charts._adapted_frame(g, J)
     mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))
-    coframe = jets.contract(frame_vectors, g, 1, 0, points=True)
+    coframe = jets.contract(frame_vectors, g, 1, 0)
     phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
-    jphi = -jets.contract(J, phi, 0, 0, points=True)
+    jphi = -jets.contract(J, phi, 0, 0)
     return frame_vectors, mu, phi, jphi
 
 
@@ -242,7 +246,7 @@ class TestStructureOrders:
                 sp = structure_point(spec, p, order=4)
                 g = sp.g[None]
                 J = stack([stack([expr_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
-                omega = jets.contract(J, g, 0, 0, points=True)
+                omega = jets.contract(J, g, 0, 0)
                 frame_vectors, mu, phi, jphi = eager_j_side(g, J)
                 assert np.array_equal(sp.frame, frame_vectors.value[0])
                 for name, full in (("J", J), ("omega", omega), ("mu", mu)):
@@ -322,7 +326,7 @@ class TestAdaptedFrame:
     def test_self_dual_triple_star_eigenvectors(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                sp = at(pa, "structure")
+                sp = pa.batch.structure
                 for form in (sp.omega, sp.phi, sp.jphi):
                     starred = tensorops.hodge_star_2form(form, sp.g_inv, sp.mu)
                     assert np.abs((starred - form).value).max() < STRUCT_TOL
@@ -335,7 +339,7 @@ class TestAdaptedFrame:
                 sp = at(pa, "structure")
                 ginv = sp.g_inv
                 for form in (sp.omega, sp.phi, sp.jphi):
-                    n2 = tensorops.form_inner(form, form, ginv).value
+                    n2 = tensorops.form_inner(form[None], form[None], ginv[None]).value[0]
                     assert abs(n2 - 2.0) < STRUCT_TOL
                 jmat = sp.J.value
                 for name, form in (("phi", sp.phi), ("jphi", sp.jphi)):

@@ -436,6 +436,15 @@ class TestCheckSelection:
         assert "'nosuch'" in captured.err and "kappa" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_a_selection_naming_no_identity_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--checks", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "--checks" in captured.err and "names no identity" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_selection_without_applicable_rows(self, capsys):
         code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--checks", "bianchi"])
         out = capsys.readouterr().out

@@ -264,14 +264,15 @@ def assert_kernel_matches(got: Jet, expect: np.ndarray, order: int):
 
 
 class TestContractionKernel:
-    """contract and outer against a loop of scalar Jet.__mul__ products."""
+    """contract and outer, on batches of one point, against a loop of scalar
+    Jet.__mul__ products."""
 
     @pytest.mark.parametrize("order", range(5))
     def test_one_contracted_axis(self, order):
         rng = np.random.default_rng(10 + order)
         a = random_tensor_jet(rng, (3, 4, 2), order)
         b = random_tensor_jet(rng, (2, 5), order)
-        assert_kernel_matches(jets.contract(a, b, 2, 0), loop_contract(a, b, (2,), (0,)), order)
+        assert_kernel_matches(jets.contract(a[None], b[None], 2, 0)[0], loop_contract(a, b, (2,), (0,)), order)
 
     @pytest.mark.parametrize("order", range(5))
     def test_two_moved_contracted_axes(self, order):
@@ -279,22 +280,22 @@ class TestContractionKernel:
         a = random_tensor_jet(rng, (3, 2, 4), order)
         b = random_tensor_jet(rng, (4, 5, 3), order)
         # a's last and first axes pair with b's first and last: neither side is contiguous or in order
-        assert_kernel_matches(jets.contract(a, b, (2, 0), (0, 2)), loop_contract(a, b, (2, 0), (0, 2)), order)
+        assert_kernel_matches(jets.contract(a[None], b[None], (2, 0), (0, 2))[0], loop_contract(a, b, (2, 0), (0, 2)), order)
 
     @pytest.mark.parametrize("order", range(5))
     def test_non_contiguous_input(self, order):
         rng = np.random.default_rng(30 + order)
-        a = jets.moveaxis(random_tensor_jet(rng, (4, 3, 2), order), 0, 2)  # a strided view, shape (3, 2, 4)
+        a = jets.moveaxis(random_tensor_jet(rng, (1, 4, 3, 2), order), 0, 2)  # a strided view, shape (1, 3, 2, 4)
         b = random_tensor_jet(rng, (3, 4), order)
         assert not a.c.flags.c_contiguous
-        assert_kernel_matches(jets.contract(a, b, (2, 0), (1, 0)), loop_contract(a, b, (2, 0), (1, 0)), order)
+        assert_kernel_matches(jets.contract(a, b[None], (2, 0), (1, 0))[0], loop_contract(a[0], b, (2, 0), (1, 0)), order)
 
     @pytest.mark.parametrize("order", range(5))
     def test_empty_output_shape(self, order):
         rng = np.random.default_rng(40 + order)
         a = random_tensor_jet(rng, (4, 3), order)
         b = random_tensor_jet(rng, (3, 4), order)
-        got = jets.contract(a, b, (0, 1), (1, 0))
+        got = jets.contract(a[None], b[None], (0, 1), (1, 0))[0]
         assert got.shape == ()
         assert_kernel_matches(got, loop_contract(a, b, (0, 1), (1, 0)), order)
 
@@ -304,8 +305,8 @@ class TestContractionKernel:
         a = random_tensor_jet(rng, (2, 4), order_a)
         b = random_tensor_jet(rng, (4, 3), order_b)
         order = min(order_a, order_b)
-        assert_kernel_matches(jets.contract(a, b, 1, 0), loop_contract(a, b, (1,), (0,)), order)
-        assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
+        assert_kernel_matches(jets.contract(a[None], b[None], 1, 0)[0], loop_contract(a, b, (1,), (0,)), order)
+        assert_kernel_matches(jets.outer(a[None], b[None])[0], loop_contract(a, b, (), ()), order)
 
     @pytest.mark.parametrize("order", range(5))
     @pytest.mark.parametrize(("shape_a", "shape_b"), [((2, 3), (4,)), ((), (3, 2)), ((), ())])
@@ -313,7 +314,7 @@ class TestContractionKernel:
         rng = np.random.default_rng(60 + order)
         a = random_tensor_jet(rng, shape_a, order)
         b = random_tensor_jet(rng, shape_b, order)
-        assert_kernel_matches(jets.outer(a, b), loop_contract(a, b, (), ()), order)
+        assert_kernel_matches(jets.outer(a[None], b[None])[0], loop_contract(a, b, (), ()), order)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 5000, 10**9])
     @pytest.mark.parametrize("order", [2, 4])
@@ -323,13 +324,13 @@ class TestContractionKernel:
         a = random_tensor_jet(rng, (7, 4, 3), order)
         b = random_tensor_jet(rng, (7, 3, 4, 2), order)
         monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", 10**9)
-        whole = jets.contract(a, b, 1, 0, points=True)
+        whole = jets.contract(a, b, 1, 0)
         monkeypatch.setattr(jets, "CONTRACT_CHUNK_BYTES", chunk_bytes)
-        got = jets.contract(a, b, 1, 0, points=True)
+        got = jets.contract(a, b, 1, 0)
         assert got.c.shape == (7, 4, 4, 2, jets.NCOEF[order])
         assert np.array_equal(got.c, whole.c)
         for k in range(7):
-            assert np.array_equal(got.c[k], jets.contract(a[k], b[k], 1, 0).c)
+            assert np.array_equal(got.c[k], jets.contract(a[k : k + 1], b[k : k + 1], 1, 0).c[0])
 
 
 class TestContractionWorkspace:
@@ -344,7 +345,7 @@ class TestContractionWorkspace:
             for shape_a, shape_b, axes_a, axes_b, order in cases:
                 a = random_tensor_jet(rng, (n,) + shape_a, order)
                 b = random_tensor_jet(rng, (n,) + shape_b, order)
-                yield jets.contract(a, b, axes_a, axes_b, points=True)
+                yield jets.contract(a, b, axes_a, axes_b)
 
     def test_a_returned_jet_keeps_its_bits_after_later_contracts(self, monkeypatch):
         monkeypatch.setattr(jets, "_PLANS", {})
@@ -407,14 +408,14 @@ class TestCachedKernelsMatchTheirOracles:
     @pytest.mark.parametrize("order", range(5))
     def test_plan_filled_by_a_contiguous_operand_serves_a_strided_one(self, order):
         rng = np.random.default_rng(70 + order)
-        strided = jets.moveaxis(random_tensor_jet(rng, (4, 3, 2), order), 0, 2)  # shape (3, 2, 4)
+        strided = jets.moveaxis(random_tensor_jet(rng, (1, 4, 3, 2), order), 0, 2)  # shape (1, 3, 2, 4)
         contiguous = Jet(order, np.ascontiguousarray(strided.c))
-        b = random_tensor_jet(rng, (3, 4), order)
+        b = random_tensor_jet(rng, (1, 3, 4), order)
         assert not strided.c.flags.c_contiguous and contiguous.c.flags.c_contiguous
         first = jets.contract(contiguous, b, (2, 0), (1, 0))
-        assert (strided.c.shape, b.c.shape, (2, 0), (1, 0), False) in jets._PLANS
+        assert (strided.c.shape[1:], b.c.shape[1:], (2, 0), (1, 0)) in jets._PLANS
         got = jets.contract(strided, b, (2, 0), (1, 0))
-        assert np.array_equal(got.c, old_contract(strided, b, (2, 0), (1, 0)).c)
+        assert np.array_equal(got.c[0], old_contract(strided[0], b[0], (2, 0), (1, 0)).c)
         assert np.array_equal(got.c, first.c)
 
     @pytest.mark.parametrize(
@@ -427,7 +428,7 @@ class TestCachedKernelsMatchTheirOracles:
         a = random_tensor_jet(rng, shape_a, orders[0])
         b = random_tensor_jet(rng, shape_b, orders[1])
         for _ in range(2):  # the second call reads the cached plan
-            assert np.array_equal(jets.contract(a, b, axes_a, axes_b).c, old_contract(a, b, axes_a, axes_b).c)
+            assert np.array_equal(jets.contract(a[None], b[None], axes_a, axes_b).c[0], old_contract(a, b, axes_a, axes_b).c)
 
     @pytest.mark.parametrize("ndim", range(2, 7))
     def test_moveaxis_matches_numpy_for_every_axis_choice(self, ndim, monkeypatch):
@@ -437,7 +438,7 @@ class TestCachedKernelsMatchTheirOracles:
         for k in range(1, ndim + 1):
             pairs += [(src, dst) for src in itertools.combinations(range(ndim), k) for dst in itertools.permutations(range(ndim), k)]
         for src, dst in pairs:
-            got = jets.moveaxis(j, src, dst)
+            got = jets.moveaxis(j[None], src, dst)[0]
             assert np.array_equal(got.c, np.moveaxis(j.c, src, dst)), (src, dst)
             assert got.c.shape == np.moveaxis(j.c, src, dst).shape
 
@@ -455,22 +456,21 @@ class TestOrderZeroPaths:
     """The order-0 paths of the kernels give the bits of their general paths,
     signs of zero included (compared as bytes)."""
 
-    @pytest.mark.parametrize("points", [False, True])
+    @pytest.mark.parametrize("n_points", [1, 5])
     @pytest.mark.parametrize(
         ("shape_a", "shape_b", "axes_a", "axes_b"),
         [((4, 4), (4,), (), ()), ((2, 3), (), (), ()), ((4, 4), (4,), 1, 0), ((4,), (4, 4), 0, 1), ((4, 4, 4, 4), (4, 4), (2, 3), (0, 1)), ((4, 3), (3, 4), (0, 1), (1, 0))],
     )
     @pytest.mark.parametrize("orders", [(0, 0), (2, 0), (0, 4)])
-    def test_contract_equals_the_gather_path_of_the_same_plan(self, shape_a, shape_b, axes_a, axes_b, orders, points):
+    def test_contract_equals_the_gather_path_of_the_same_plan(self, shape_a, shape_b, axes_a, axes_b, orders, n_points):
         rng = np.random.default_rng(90)
-        lead = (5,) if points else ()
-        a = Jet(orders[0], signed_values(rng, lead + shape_a + (jets.NCOEF[orders[0]],)))
-        b = Jet(orders[1], signed_values(rng, lead + shape_b + (jets.NCOEF[orders[1]],)))
-        got = jets.contract(a, b, axes_a, axes_b, points)
+        a = Jet(orders[0], signed_values(rng, (n_points,) + shape_a + (jets.NCOEF[orders[0]],)))
+        b = Jet(orders[1], signed_values(rng, (n_points,) + shape_b + (jets.NCOEF[orders[1]],)))
+        got = jets.contract(a, b, axes_a, axes_b)
         axes = (axes_a,) if isinstance(axes_a, int) else axes_a, (axes_b,) if isinstance(axes_b, int) else axes_b
-        plan = jets._PLANS[(a.c.shape[len(lead) :], b.c.shape[len(lead) :], *axes, points)]
+        plan = jets._PLANS[(a.c.shape[1:], b.c.shape[1:], *axes)]
         assert got.order == plan[0] == 0
-        assert got.c.tobytes() == jets._contract(a.c, b.c, plan, points).tobytes()
+        assert got.c.tobytes() == jets._contract(a.c, b.c, plan).tobytes()
 
     @pytest.mark.parametrize(("shape_a", "shape_b"), [((), ()), ((3, 1, 4), (5, 1)), ((6, 4, 4), (6, 4, 4))])
     def test_mul_equals_the_table_path(self, shape_a, shape_b):

@@ -18,7 +18,8 @@ from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
 def _invariant_residuals(pa: cli.PointAnalysis) -> dict[str, float]:
-    """Symmetry, first-Bianchi, operator-symmetry and metric-compatibility residuals."""
+    """Symmetry, first-Bianchi and operator-symmetry residuals (metric
+    compatibility is `TestConnection.test_metric_compatibility_all_charts`)."""
     cd = at(pa, "cd")
     rf = cd.R_frame
     scale = max(1.0, float(np.abs(rf).max()))
@@ -29,8 +30,6 @@ def _invariant_residuals(pa: cli.PointAnalysis) -> dict[str, float]:
         "first Bianchi": float(np.abs(rf + rf.transpose(0, 2, 3, 1) + rf.transpose(0, 3, 1, 2)).max()),
         "operator symmetric": float(np.abs(cd.operator - cd.operator.T).max()),
     }
-    nabla_g = riemann.covd(at(pa, "conn").gamma, at(pa, "structure").g)
-    res["metric compatibility"] = float(np.abs(nabla_g.value).max())
     res["scale"] = scale
     return res
 
@@ -57,7 +56,7 @@ class TestConnection:
     def test_metric_compatibility_all_charts(self, analyses):
         for rows in analyses.values():
             for pa in rows:
-                nabla_g = riemann.covd(pa.batch.conn.gamma, pa.batch.structure.g, points=True)
+                nabla_g = riemann.covd(pa.batch.conn.gamma, pa.batch.structure.g)
                 assert np.abs(nabla_g.c).max() < 1e-9
 
     def test_torsion_free(self, analyses):
@@ -141,7 +140,8 @@ class TestHermitianFirstOrder:
             assert h.d_omega_norm < 1e-9
             assert h.theta_norm < 1e-9
             assert h.b_plus_ja_norm < 1e-9  # b = -Ja
-            a_sq = float(jets.contract(h.a, jets.contract(sp.g_inv, h.a, 1, 0), 0, 0).value)
+            a, g_inv = pa.batch.hfo.a, pa.batch.structure.g_inv
+            a_sq = float(jets.contract(a, jets.contract(g_inv, a, 1, 0), 0, 0).value[pa.index])
             s_star_minus_s = at(pa, "dr").s_star - at(pa, "cd").s_value
             assert abs(a_sq - s_star_minus_s / 4.0) < 1e-8
             fd = fd_nabla_omega(catalog_specs["kodaira-thurston"], sp.points)
@@ -167,18 +167,18 @@ class TestHermitianFirstOrder:
         # a, b, theta and b + Ja as first-order jets, built the way the
         # nabla2-omega-shape row builds a; tobytes(), so the sign of zero counts
         batches = [(spec, spec.sample_points(4, 7)) for spec in catalog_specs.values()]
-        for pa in cli.point_analyses(charts.structure_at(batches, order)):
-            sp, nabla_omega, hfo = at(pa, "structure"), at(pa, "conn").nabla_omega, at(pa, "hfo")
-            a = riemann.nabla_omega_along(nabla_omega, sp.phi, sp.g_inv)
-            b = riemann.nabla_omega_along(nabla_omega, sp.jphi, sp.g_inv)
-            theta = -jets.contract(riemann.neg_trace(sp.g_inv, nabla_omega), sp.J, 0, 0)
-            b_plus_ja = b - jets.contract(a, sp.J, 0, 0)
-            assert (a.order, hfo.a.order) == (1, 0)
-            assert hfo.a.value.tobytes() == a.value.tobytes()
-            assert hfo.b.value.tobytes() == b.value.tobytes()
-            assert hfo.theta.value.tobytes() == theta.value.tobytes()
-            assert hfo.theta_norm == float(riemann._frame_max(theta.value, sp.frame))
-            assert hfo.b_plus_ja_norm == float(riemann._frame_max(b_plus_ja.value, sp.frame))
+        batch = cli.point_analyses(charts.structure_at(batches, order))[0].batch
+        sp, nabla_omega, hfo = batch.structure, batch.conn.nabla_omega, batch.hfo
+        a = riemann.nabla_omega_along(nabla_omega, sp.phi, sp.g_inv)
+        b = riemann.nabla_omega_along(nabla_omega, sp.jphi, sp.g_inv)
+        theta = -jets.contract(riemann.neg_trace(sp.g_inv, nabla_omega), sp.J, 0, 0)
+        b_plus_ja = b - jets.contract(a, sp.J, 0, 0)
+        assert (a.order, hfo.a.order) == (1, 0)
+        assert hfo.a.value.tobytes() == a.value.tobytes()
+        assert hfo.b.value.tobytes() == b.value.tobytes()
+        assert hfo.theta.value.tobytes() == theta.value.tobytes()
+        assert hfo.theta_norm == riemann._frame_max(theta.value, sp.frame).tolist()
+        assert hfo.b_plus_ja_norm == riemann._frame_max(b_plus_ja.value, sp.frame).tolist()
 
 
 class TestRicciIdentity:
@@ -193,19 +193,19 @@ class TestRicciIdentity:
     def test_covariant_derivative_order_exhaustion(self, catalog_specs):
         cd = _curvature(catalog_specs["fubini-study"], (0.1, 0, 0, 0), order=3)
         gamma = cd.conn.gamma
-        dr = riemann.covd(gamma, cd.R, points=True)  # curvature has order 1 at chart order 3
+        dr = riemann.covd(gamma, cd.R)  # curvature has order 1 at chart order 3
         assert dr.order == 0
         with pytest.raises(JetOrderError):
-            riemann.covd(gamma, dr, points=True)  # order exhausted: error, never silent truncation
+            riemann.covd(gamma, dr)  # order exhausted: error, never silent truncation
 
 
-def old_covd(gamma: Jet, t: Jet, points: bool = False) -> Jet:
+def old_covd(gamma: Jet, t: Jet) -> Jet:
     """The covariant derivative with Gamma and t contracted at their own
     orders, one above the result's: `riemann.covd` before it truncated them."""
-    out = jets.partials(t, points)
-    for a in range(t.c.ndim - 1 - int(points)):
-        term = jets.contract(gamma, jets.moveaxis(t, a, 0, points), 0, 0, points)
-        out = out - jets.moveaxis(term, 1, a + 1, points)
+    out = jets.partials(t)
+    for a in range(t.c.ndim - 2):
+        term = jets.contract(gamma, jets.moveaxis(t, a, 0), 0, 0)
+        out = out - jets.moveaxis(term, 1, a + 1)
     return out
 
 
@@ -220,12 +220,12 @@ class TestCovd:
             structure = cd.conn.structure
             tensors = {"omega": structure.omega, "g": structure.g, "h": cd.h, "ric0": cd.ric0, "weyl": cd.weyl}
             if cd.s.order:
-                tensors["ds"] = jets.partials(cd.s, True)
+                tensors["ds"] = jets.partials(cd.s)
             for name, t in tensors.items():
                 for gamma in (cd.conn.gamma, cd.gamma):
                     if t.order == 0:
                         continue
-                    new, old = riemann.covd(gamma, t, points=True), old_covd(gamma, t, points=True)
+                    new, old = riemann.covd(gamma, t), old_covd(gamma, t)
                     assert (new.order, new.c.tobytes()) == (old.order, old.c.tobytes()), (name, seed)
 
 

@@ -80,10 +80,10 @@ def old_random_polynomial_2form(sp, seed: int) -> Jet:
 
 
 def old_weyl(pa: cli.PointAnalysis) -> Jet:
-    """The Weyl tensor at the point of `pa` with the Kulkarni-Nomizu square
+    """The Weyl tensor of the batch of `pa` with the Kulkarni-Nomizu square
     of g taken at g's full order; each subtraction is written as the earlier
     `Jet.__sub__` did it."""
-    g, cd = at(pa, "structure").g, at(pa, "cd")
+    g, cd = pa.batch.structure.g, pa.batch.cd
     scalar_part = jets.outer(cd.s / 24.0, tensorops.kn_jet(g, g))
     ric0_part = 0.5 * tensorops.kn_jet(cd.ric0, g)
     return cd.R + (-scalar_part) + (-ric0_part)
@@ -178,19 +178,19 @@ class TestJetKernels:
             for j in (at(pa, "structure").g, at(pa, "structure").omega, at(pa, "conn").gamma, at(pa, "cd").R, at(pa, "structure").g[0, 1]):
                 if j.order >= order:
                     j = j.truncate(order)
-                    got = jets.partials(j)
+                    got = jets.partials(j[None])[0]
                     old = stack([j.partial(m) for m in range(4)])
                     assert got.order == old.order and got.c.flags.c_contiguous
                     assert np.array_equal(got.c, old.c)
 
     def test_partials_of_an_order_0_jet_raise(self):
         with pytest.raises(jets.JetOrderError):
-            jets.partials(Jet.constant(np.eye(4), 0))
+            jets.partials(Jet.constant(np.eye(4)[None], 0))
 
     def test_subtraction_matches_adding_the_negation(self, analyses):
         rng = np.random.default_rng(7)
         for _, pa in all_points(analyses):
-            a, b = at(pa, "cd").R, jets.moveaxis(at(pa, "cd").R, 0, 2)
+            a, b = at(pa, "cd").R, jets.moveaxis(pa.batch.cd.R, 0, 2)[pa.index]
             for other in (b, b.truncate(1), at(pa, "cd").weyl):
                 assert np.array_equal((a - other).c, (a + (-other)).c)
             scalar = rng.standard_normal((4, 4, 4, 4))
@@ -210,13 +210,13 @@ class TestJetKernels:
 
     def test_weyl_from_g_at_curvature_order_matches_full_order_g(self, analyses):
         for _, pa in all_points(analyses):
-            assert at(pa, "cd").R.order == 2
-            assert np.array_equal(at(pa, "cd").weyl.c, old_weyl(pa).c)
+            assert pa.batch.cd.R.order == 2
+            assert np.array_equal(pa.batch.cd.weyl.c, old_weyl(pa).c)
 
     def test_cached_nabla_omega_matches_fresh_covariant_derivatives(self, analyses):
         for _, pa in all_points(analyses):
-            conn = at(pa, "conn")
-            fresh = riemann.covd(conn.gamma, at(pa, "structure").omega)
+            conn = pa.batch.conn
+            fresh = riemann.covd(conn.gamma, pa.batch.structure.omega)
             assert np.array_equal(conn.nabla_omega.c, fresh.c)
             assert np.array_equal(conn.nabla2_omega.c, riemann.covd(conn.gamma, fresh).c)
 
@@ -225,19 +225,19 @@ class TestJetKernels:
         for spec in catalog_specs.values():
             for p in spec.sample_points(2, 9):
                 sp = structure_point(spec, p, order)
-                full = tensorops.matrix_inverse(sp.g)
+                full = tensorops.matrix_inverse(sp.g[None])[0]
                 assert sp.g_inv.order == order - 1
                 assert np.array_equal(sp.g_inv.c, full.c[..., : jets.NCOEF[order - 1]])
 
     def test_value_only_terms_match_their_full_order_values(self, analyses):
         """C+ and W(phi) are read as values; order-0 inputs give the same bits."""
         for _, pa in all_points(analyses):
-            sp, cd, structure = at(pa, "structure"), at(pa, "cd"), pa.batch.structure
-            g_inv, mu, c = tensorops.matrix_inverse(sp.g), sp.mu, bianchi_bach.cotton_york(pa.batch.cd)[pa.index]
+            structure, cd = pa.batch.structure, pa.batch.cd
+            g_inv, mu, c = tensorops.matrix_inverse(structure.g), structure.mu, bianchi_bach.cotton_york(cd)
             full = tensorops.dual_projection(c, g_inv, mu, 1.0, (1, 2))
             low = tensorops.dual_projection(c.truncate(0), g_inv.truncate(0), mu.truncate(0), 1.0, (1, 2))
             assert np.array_equal(full.value, low.value)
-            for phi in (sp.omega, bianchi_bach.random_polynomial_2form([structure.points[pa.index]], structure.order, 42)[0]):
+            for phi in (structure.omega, bianchi_bach.random_polynomial_2form(structure.points, structure.order, 42)):
                 full = tensorops.form_inner(cd.weyl, phi, g_inv, (2, 3))
                 low = tensorops.form_inner(cd.weyl.truncate(0), phi.truncate(0), g_inv.truncate(0), (2, 3))
                 assert np.array_equal(full.value, low.value)
@@ -270,8 +270,9 @@ class TestJetKernels:
 
 def old_divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int) -> Jet:
     """The divergence at the first point of `conn` as it was taken before
-    `divergence`: form nabla t, then trace it."""
-    return -riemann.neg_trace(conn.structure.g_inv[0], jets.moveaxis(riemann.covd(conn.gamma[0], t), slot + 1, 1))
+    `divergence`: form nabla t, then trace it, on a batch of that point alone."""
+    nabla_t = riemann.covd(conn.gamma[:1], t[None])
+    return -riemann.neg_trace(conn.structure.g_inv[:1], jets.moveaxis(nabla_t, slot + 1, 1))[0]
 
 
 class TestDivergence:
@@ -293,9 +294,9 @@ class TestDivergence:
         ranks = []
         covd = riemann.covd
 
-        def recording(gamma, t, points=False):
-            ranks.append(t.c.ndim - 1 - points)
-            return covd(gamma, t, points)
+        def recording(gamma, t):
+            ranks.append(t.c.ndim - 2)
+            return covd(gamma, t)
 
         monkeypatch.setattr(riemann, "covd", recording)
         doc, code = cli.run_report(cli.RunConfig(chart=name, points=1))
@@ -304,7 +305,7 @@ class TestDivergence:
 
     def test_weyl_halves_from_the_shared_star_match_the_projection_bit_for_bit(self, analyses):
         for _, pa in all_points(analyses):
-            sp, cd = at(pa, "structure"), at(pa, "cd")
+            sp, cd = pa.batch.structure, pa.batch.cd
             for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
                 first = tensorops.dual_projection(cd.weyl, sp.g_inv, sp.mu, sign, (0, 1))
                 assert np.array_equal(half.c, tensorops.dual_projection(first, sp.g_inv, sp.mu, sign, (2, 3)).c)
