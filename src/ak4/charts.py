@@ -17,11 +17,13 @@ and every gauge-dependent quantity downstream is documented as such.
 command's points, up to `cli.BATCH_POINTS` at a time) and returns one
 `StructureBatch`: the entry expressions of all the charts are evaluated by
 one `exprs.eval_jet` call per jet order, each chart on its own points with
-its kept `exprs.Program`, and the rest on a leading point axis across
-charts. The adapted frame and the invariant checks read only values, so they
-run on order-0 truncations; mu, phi and J phi are built as jets for the
-whole batch on their first read. Each point's jets are the bits a batch of
-that point alone would give.
+its kept `exprs.Program`, into one value table that returns each chart's
+entries as one coefficient array with a row per point (a constant entry
+too), from which g and J are cut without a per-entry copy; the rest runs
+on a leading point axis across charts. The adapted frame and the invariant
+checks read only values, so they run on order-0 truncations; mu, phi and
+J phi are built as jets for the whole batch on their first read. Each
+point's jets are the bits a batch of that point alone would give.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ class ChartSpec:
     g: dict[tuple[int, int], Expr] = field(repr=False, default=None)
     J: tuple[tuple[Expr, ...], ...] = field(repr=False, default=None)
     _programs: dict[str, exprs.Program] = field(repr=False, compare=False, init=False, default_factory=dict)
+    #: The domain box as read-only (lo, hi) arrays of the 4 coordinates, built once.
+    bounds: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False, init=False)
+
+    def __post_init__(self):
+        bounds = tuple(np.array(side) for side in zip(*self.domain))
+        for side in bounds:
+            side.flags.writeable = False
+        object.__setattr__(self, "bounds", bounds)
 
     def program(self, entries: str) -> exprs.Program:
         """The evaluation program of the g entries ("g", upper triangle in
@@ -84,8 +94,7 @@ class ChartSpec:
 
     def sample_points(self, n: int, seed: int) -> np.ndarray:
         """n deterministic uniform samples from the domain box."""
-        lo = np.array([d[0] for d in self.domain])
-        hi = np.array([d[1] for d in self.domain])
+        lo, hi = self.bounds
         return lo + _unit_draws(n, seed) * (hi - lo)
 
 
@@ -444,16 +453,19 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     (N, 4). The entry expressions of every chart are evaluated together, by
     one `exprs.eval_jet` call per jet order on the charts' programs (see
     `ChartSpec.program`): subexpressions shared between a chart's entries,
-    such as a common denominator, are evaluated once. Everything after that
-    runs once on the points of all charts together, along a leading point
-    axis: g^-1 and Omega as jets, then the adapted frame and the invariant
-    checks on values, from the order-0 truncations of g and J (the checks
-    read mu, phi and J phi only through their values). The frame's
-    Gram-Schmidt candidates go through one pass (`_adapted_frame`), and the
-    self-duality checks star Omega, phi and J phi by one Hodge star, stacked
-    on the point axis (3P rows, each contracted as alone). mu, phi and J phi
-    are built as jets on their first read (see StructureBatch). Each point
-    holds, bit for bit, what a batch of that point alone gives.
+    such as a common denominator, are evaluated once. Each call returns one
+    (N, entries, ncoef) array per chart; stacked on the point axis, g is
+    gathered from its upper-triangle columns through `_SYMMETRIC` and J is
+    a view of its columns. Everything after that runs once on the points of
+    all charts together, along a leading point axis: g^-1 and Omega as
+    jets, then the adapted frame and the invariant checks on values, from
+    the order-0 truncations of g and J (the checks read mu, phi and J phi
+    only through their values). The frame's Gram-Schmidt candidates go
+    through one pass (`_adapted_frame`), and the self-duality checks star
+    Omega, phi and J phi by one Hodge star, stacked on the point axis (3P
+    rows, each contracted as alone). mu, phi and J phi are built as jets on
+    their first read (see StructureBatch). Each point holds, bit for bit,
+    what a batch of that point alone gives.
 
     Raises ChartError if a point lies outside its chart's domain box, and for
     the first bad point of the batch DomainError naming a non-finite g or J
@@ -462,7 +474,7 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     """
     batches = [(spec, np.asarray(pts, dtype=float).reshape(-1, 4)) for spec, pts in batches]
     for spec, pts in batches:
-        lo, hi = np.array(spec.domain).T
+        lo, hi = spec.bounds
         outside = ~((lo <= pts) & (pts <= hi)).all(axis=1)  # NaN is outside too
         if outside.any():
             raise ChartError(f"point {tuple(pts[np.argmax(outside)].tolist())} outside domain of chart {spec.name!r}")
@@ -475,24 +487,13 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
 
     j_order = min(order, J_SIDE_ORDER)
     specs, arrays = [spec for spec, _ in batches], [pts for _, pts in batches]
-    upper = np.empty((n_points, len(_UPPER), jets.NCOEF[order]))
-    jc = np.empty((n_points, 16, jets.NCOEF[j_order]))
     with np.errstate(all="ignore"):  # _check_finite reports an overflow by entry
         if j_order == order:
-            entries = exprs.eval_jet([spec.program("gJ") for spec in specs], arrays, order)
+            gj = _stacked(exprs.eval_jet([spec.program("gJ") for spec in specs], arrays, order))
+            upper, jc = gj[:, : len(_UPPER)], gj[:, len(_UPPER) :]
         else:
-            g_entries = exprs.eval_jet([spec.program("g") for spec in specs], arrays, order)
-            j_entries = exprs.eval_jet([spec.program("J") for spec in specs], arrays, j_order)
-            entries = [g + j for g, j in zip(g_entries, j_entries)]
-    start = 0
-    for roots, pts in zip(entries, arrays):
-        rows = slice(start, start + len(pts))
-        start = rows.stop
-        # a root that uses no coordinate has no point axis and broadcasts to the rows
-        for k, jet in enumerate(roots[: len(_UPPER)]):
-            upper[rows, k] = jet.c
-        for k, jet in enumerate(roots[len(_UPPER) :]):
-            jc[rows, k] = jet.c
+            upper = _stacked(exprs.eval_jet([spec.program("g") for spec in specs], arrays, order))
+            jc = _stacked(exprs.eval_jet([spec.program("J") for spec in specs], arrays, j_order))
     g = Jet._of(order, upper[:, _SYMMETRIC].reshape(n_points, 4, 4, -1))
     J = Jet._of(j_order, jc.reshape(n_points, 4, 4, -1))
     _check_finite(g, "g_{}{}")
@@ -542,6 +543,11 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
     _check(diffs, residuals, 7, 11)
     return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
+
+
+def _stacked(entries: list[np.ndarray]) -> np.ndarray:
+    """The entry coefficients of every chart of a batch on one point axis."""
+    return entries[0] if len(entries) == 1 else np.concatenate(entries)
 
 
 def _coframe(frame_vectors: Jet, g: Jet) -> Jet:

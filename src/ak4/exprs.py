@@ -21,10 +21,13 @@ independent reference path.
 nodes of some root expressions in evaluation order (a straight-line
 Taylor-mode program in the sense of Griewank & Walther, Evaluating
 Derivatives, 2nd ed., 2008), each at its own batch of points along a leading
-axis (the charts of a batch). The programs run together level by level: the
-nodes of one height and one operation go through one jet operation on their
-stacked rows. A chart compiles its program once (`charts.ChartSpec.program`)
-and keeps it.
+axis (the charts of a batch), and returns one coefficient array per program.
+Every node's coefficients live in one value table per call, indexed by
+point row and node (their tape): the constants, computed once per program
+and order, are broadcast into their rows, and the programs run together
+level by level, the nodes of one height and one operation going through one
+jet operation on their gathered rows. A chart compiles its program once
+(`charts.ChartSpec.program`) and keeps it.
 """
 
 from __future__ import annotations
@@ -309,8 +312,8 @@ class Program:
     ("^", exponent) or a function name. Nodes are interned bottom-up by
     (op, args), so equal subtrees, within one root or across roots, are one
     node, and no expression node is ever hashed. A node that uses no
-    coordinate is a constant: it carries no point axis, and its coefficients
-    at each order are computed once and kept. The other nodes are grouped by
+    coordinate is a constant: its coefficients at each order are computed
+    once, without a point axis, and kept. The other nodes are grouped by
     (height, op), the height being 0 at a leaf and one more than the highest
     argument, so the nodes of one group never depend on each other.
     """
@@ -338,31 +341,59 @@ class Program:
         for k in sorted((k for k in range(len(ops)) if pointed[k]), key=heights.__getitem__):
             groups.setdefault((heights[k], ops[k]), []).append(k)
         self.groups = tuple(groups.items())
-        self._constant_values: dict[int, list] = {}
+        self._constant_values: dict[int, np.ndarray] = {}
 
-    def constant_values(self, order: int) -> list:
-        """The coefficients of every constant node at `order` (read-only
-        arrays), None at the others; computed on the first call at each order
-        that raises nothing."""
+    def constant_values(self, order: int) -> np.ndarray:
+        """The coefficients of the constant nodes at `order`, one row per
+        entry of `constants` (a read-only array); computed on the first call
+        at each order that raises nothing."""
         vals = self._constant_values.get(order)
         if vals is None:
-            vals = [None] * len(self.ops)
+            by_node: dict[int, np.ndarray] = {}
             for k in self.constants:
-                vals[k] = _apply(self.ops[k], [Jet._of(order, vals[a]) for a in self.args[k]], order).c
-                vals[k].flags.writeable = False
+                by_node[k] = _apply(self.ops[k], [Jet._of(order, by_node[a]) for a in self.args[k]], order).c
+            vals = np.array([by_node[k] for k in self.constants]).reshape(len(self.constants), jets.NCOEF[order])
+            vals.flags.writeable = False
             self._constant_values[order] = vals
         return vals
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(programs: tuple[Program, ...]) -> tuple:
-    """The (height, op) groups of all the programs merged, lowest height
-    first: (op, members), each member a (program index, node, args) triple."""
+def _plan(programs: tuple[Program, ...], counts: tuple[int, ...]) -> tuple:
+    """Every index by which `eval_jet` reads or writes its value table for
+    these programs at these point counts: (width, constants, groups, roots).
+
+    The table's rows are the points of all the programs in order, and its
+    node axis is as wide as the largest program. `constants` and `roots`
+    hold one (rows, nodes) key per program. `groups` holds the (height, op)
+    groups of all the programs merged, lowest height first, each as
+    (op, rows, args, out): the rows are those of the members' programs, and
+    args (one key per argument slot) and out are keys into the table. A
+    group of one member is keyed by its program's row slice and node
+    numbers, so it reads views; a larger group by one row and one node index
+    per row.
+    """
+    bounds = np.cumsum((0,) + counts).tolist()
+    spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     merged: dict[tuple, list[tuple]] = {}
     for t, prog in enumerate(programs):
         for key, nodes in prog.groups:
-            merged.setdefault(key, []).extend((t, k, prog.args[k]) for k in nodes)
-    return tuple((op, tuple(members)) for (_, op), members in sorted(merged.items(), key=lambda item: item[0][0]))
+            merged.setdefault(key, []).extend((t, k) for k in nodes)
+    groups = []
+    for (_, op), members in sorted(merged.items(), key=lambda item: item[0][0]):
+        # the node numbers of each member: its arguments, then itself
+        nodes = [programs[t].args[k] + (k,) for t, k in members]
+        if len(members) == 1:
+            rows = spans[members[0][0]]
+            keys = [(rows, k) for k in nodes[0]]
+        else:
+            rows = np.concatenate([np.arange(bounds[t], bounds[t + 1]) for t, _ in members])
+            reps = [counts[t] for t, _ in members]
+            keys = [(rows, np.repeat(column, reps)) for column in zip(*nodes)]
+        groups.append((op, rows, tuple(keys[:-1]), keys[-1]))
+    constants = tuple((span, np.array(prog.constants, dtype=np.intp)) for prog, span in zip(programs, spans))
+    roots = tuple((span, np.array(prog.roots, dtype=np.intp)) for prog, span in zip(programs, spans))
+    return max((len(prog.ops) for prog in programs), default=0), constants, tuple(groups), roots
 
 
 def _op(node: Expr) -> tuple:
@@ -401,48 +432,37 @@ def _apply(op: tuple, args: list[Jet], order: int) -> Jet:
     return _JET_FUNCS[kind](args[0])
 
 
-def eval_jet(programs, points, order: int) -> list[list[Jet]]:
-    """The truncated Taylor jets of the given order of each program's roots
-    at its points: `points` holds one (N, 4) array per program, and each
-    jet has a leading axis of length N.
+def eval_jet(programs, points, order: int) -> list[np.ndarray]:
+    """The truncated Taylor coefficients of the given order of each
+    program's roots at its points: `points` holds one (N, 4) array per
+    program, and each program gets one (N, n_roots, ncoef) array.
 
-    The work runs level by level: the kept constants, then the merged
-    (height, op) groups of `_schedule`, all the nodes of one group, across
-    every program and point, going through one jet operation on their
-    stacked rows. Every jet operation acts row by row, so the jet of a point
-    equals, bit for bit, its jet alone, in any batch and beside any other
-    program. A node that uses no coordinate is evaluated on its own, without
-    a point axis; it broadcasts against the others, and so does a root that
-    uses no coordinate at all. A batch raises DomainError exactly when one of
-    its points does alone.
-
-    The returned jets may be views of the arrays of a group, so callers must
-    not modify them in place.
+    Every node's coefficients live in one value table, a (rows, nodes,
+    ncoef) array whose rows are the points of all the programs in order
+    (Griewank & Walther's tape, with the points as rows); the indices come
+    from `_plan`, cached by the programs and their point counts. The kept
+    constants are broadcast into their programs' rows, then the merged
+    (height, op) groups run lowest height first: each gathers its argument
+    rows, goes through one jet operation on them, and scatters its result
+    back. Every jet operation acts row by row, so the jet of a point equals,
+    bit for bit, its jet alone, in any batch and beside any other program,
+    and a root that uses no coordinate is its constant on every row. A batch
+    raises DomainError exactly when one of its points does alone.
     """
     if not 0 <= order <= jets.MAX_ORDER:
         raise JetOrderError(f"jet order must be in 0..{jets.MAX_ORDER}, got {order}")
     points = [np.asarray(pts, dtype=float) for pts in points]
-    values = [list(prog.constant_values(order)) for prog in programs]
-    counts = [len(p) for p in points]
-    for op, members in _schedule(tuple(programs)):
+    width, constants, groups, roots = _plan(tuple(programs), tuple(len(pts) for pts in points))
+    coords = points[0] if len(points) == 1 else np.concatenate(points)
+    table = np.empty((len(coords), width, jets.NCOEF[order]))
+    for prog, key in zip(programs, constants):
+        table[key] = prog.constant_values(order)
+    for op, rows, args, out in groups:
         if op[0] == "x":
-            rows = points[members[0][0]] if len(members) == 1 else np.concatenate([points[t] for t, _, _ in members])
-            out = Jet.coordinate(op[1], rows, order).c
-        elif len(members) == 1:
-            t, _, args = members[0]
-            out = _apply(op, [Jet._of(order, values[t][a]) for a in args], order).c
+            table[out] = Jet.coordinate(op[1], coords[rows], order).c
         else:
-            stacked = []
-            for slot in range(len(members[0][2])):
-                parts = [values[t][args[slot]] for t, _, args in members]
-                parts = [c if c.ndim == 2 else np.broadcast_to(c, (counts[t], c.shape[-1])) for c, (t, _, _) in zip(parts, members)]
-                stacked.append(Jet._of(order, np.concatenate(parts)))
-            out = _apply(op, stacked, order).c
-        start = 0
-        for t, k, _ in members:
-            values[t][k] = out[start : start + counts[t]]
-            start += counts[t]
-    return [[Jet._of(order, vals[k]) for k in prog.roots] for prog, vals in zip(programs, values)]
+            table[out] = _apply(op, [Jet._of(order, table[key]) for key in args], order).c
+    return [table[key] for key in roots]
 
 
 def eval_float(e: Expr, p) -> float:

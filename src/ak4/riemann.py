@@ -35,7 +35,10 @@ and b (values, built from order-0 truncations), and the jets of the
 second-order report: Ric0, h, the Weyl tensor, its halves and their
 codifferentials. Those jets are formed on `CurvatureBatch.slices()`, views
 of CURVATURE_SLICE points of the batch, a slice at a time. `covd`, `neg_trace`
-and `divergence` take the point axis as `jets.contract` does. The report
+and `divergence` take the point axis as `jets.contract` does; `covd` and
+`divergence` raise ValueError unless Gamma has shape (P, 4, 4, 4, ncoef) and
+the tensor the same point count, since a tensor without its point axis
+would otherwise pass for a batch of 4 points. The report
 rows that read 4x4 frame values, the Ricci identity (`ricci_identity_check`)
 and the nabla J identity (`FirstOrderBatch.identity_residual`), run on the
 point axis too, once per batch, each with the bits of a batch of one: where
@@ -75,6 +78,17 @@ class ConnectionBatch:
         return covd(self.gamma, self.nabla_omega)
 
 
+def _check_batch(gamma: Jet, t: Jet) -> None:
+    """Raise ValueError unless gamma has shape (P, 4, 4, 4, ncoef) and t has
+    the same point count P. Every tensor axis has length 4, so a tensor
+    without its point axis would otherwise pass for a batch of 4 points."""
+    if gamma.c.ndim != 5 or gamma.c.shape[1:4] != (4, 4, 4) or t.c.ndim < 2 or t.c.shape[0] != gamma.c.shape[0]:
+        raise ValueError(
+            f"covariant derivative needs Gamma of shape (P, 4, 4, 4, ncoef) and a tensor with the same "
+            f"point count P, got Gamma {gamma.c.shape} and tensor {t.c.shape}"
+        )
+
+
 def covd(gamma: Jet, t: Jet) -> Jet:
     """Covariant derivative of a fully covariant tensor of jets with the
     Christoffel jets `gamma`, at every point.
@@ -84,6 +98,7 @@ def covd(gamma: Jet, t: Jet) -> Jet:
     The derivative term has one order less than t, so gamma and t enter the
     contractions at that order.
     """
+    _check_batch(gamma, t)
     out = jets.partials(t)
     low = min(out.order, gamma.order)
     gamma, t = gamma.truncate(low), t.truncate(low)
@@ -108,6 +123,7 @@ def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0) -> Je
     formed. v and K are kept in `terms` by order, so each is contracted once
     per (g_inv, gamma) and order. The other slots keep their order.
     """
+    _check_batch(gamma, t)
     out = jets.contract(g_inv, jets.partials(t), (0, 1), (0, slot + 1))
     low = t.truncate(out.order)
     if out.order not in terms:

@@ -135,11 +135,10 @@ def stack(js) -> Jet:
 def expr_jet(e: exprs.Expr, p, order: int) -> Jet:
     """The jet of one expression at one point (4 coordinates) or at an array
     of points of shape (..., 4), whose leading axes it keeps: a program of
-    one root on the points as one batch. A root that uses no coordinate
-    keeps no point axis."""
+    one root on the points as one batch."""
     p = np.asarray(p, dtype=float)
-    [[jet]] = exprs.eval_jet([exprs.Program([e])], [p.reshape(-1, 4)], order)
-    return jet if jet.c.ndim == 1 else Jet(order, jet.c.reshape(p.shape[:-1] + jet.c.shape[-1:]))
+    [c] = exprs.eval_jet([exprs.Program([e])], [p.reshape(-1, 4)], order)
+    return Jet(order, c.reshape(p.shape[:-1] + c.shape[-1:]))
 
 
 def structure_batch(spec: charts.ChartSpec, p, order: int = 4) -> charts.StructureBatch:

@@ -200,6 +200,18 @@ class TestStructureValidation:
         with pytest.raises(ChartError, match="outside domain"):
             structure_batch(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
+    def test_domain_bounds_are_built_once(self, catalog_specs):
+        # sample_points and the domain check read the same read-only arrays
+        for spec in catalog_specs.values():
+            lo, hi = spec.bounds
+            assert lo.tolist() == [d[0] for d in spec.domain] and hi.tolist() == [d[1] for d in spec.domain]
+            assert not lo.flags.writeable and not hi.flags.writeable
+            assert spec.bounds[0] is lo
+            expected = np.array([d[0] for d in spec.domain]) + charts._unit_draws(5, 8) * (np.array([d[1] for d in spec.domain]) - lo)
+            assert spec.sample_points(5, 8).tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                lo[0] = 0.0
+
     def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
         calls, _ = record_orders(monkeypatch)
         spec = catalog_specs["kodaira-thurston"]

@@ -22,7 +22,6 @@ from ak4.exprs import (
     Pow,
     Program,
     _depth,
-    _uses_coordinate,
     eval_float,
     eval_jet,
     parse_expr,
@@ -261,8 +260,8 @@ class TestBatchEvaluation:
         assert (batch is None) == any(jet is None for jet in alone)
         if batch is None:
             return
-        coefficients = np.broadcast_to(batch.c, (len(points), batch.c.shape[-1]))
-        for p, jet, c in zip(points, alone, coefficients):
+        assert batch.c.shape == (len(points), jets.NCOEF[order])  # a constant too has its rows
+        for p, jet, c in zip(points, alone, batch.c):
             assert _same_bits(c, jet.c), p
             reference = _float_or_none(e, p)
             if reference is not None and math.isfinite(reference) and math.isfinite(jet.value):
@@ -295,15 +294,38 @@ class TestBatchEvaluation:
         assert (batch is None) == any(jet is None for rows in alone for row in rows for jet in row)
         if batch is None:
             return
-        for (texts, pts), roots, rows in zip(sets, batch, alone):
-            assert len(roots) == len(texts)
-            for text, jet, row in zip(texts, roots, rows):
-                if _uses_coordinate(parse_expr(text)):
-                    assert jet.c.shape == (len(pts), jets.NCOEF[order])
-                else:
-                    assert jet.c.shape == (jets.NCOEF[order],)  # a constant keeps no point axis
-                for c, one in zip(np.broadcast_to(jet.c, (len(pts), jet.c.shape[-1])), row):
+        for (texts, pts), coefficients, rows in zip(sets, batch, alone):
+            # one array per program, a constant root with its rows too
+            assert coefficients.shape == (len(pts), len(texts), jets.NCOEF[order])
+            for text, column, row in zip(texts, coefficients.swapaxes(0, 1), rows):
+                for c, one in zip(column, row):
                     assert _same_bits(c, one.c), text
+
+    def test_the_cached_plan_is_keyed_by_point_counts(self):
+        # the same programs at counts (1, 2), then (2, 1): each plan places
+        # every program's rows where its own point count puts them
+        programs = [Program([parse_expr(text) for text in texts]) for texts in (("x1*x2", "2", "sin(x3)/x4"), ("exp(x1) + x2", "x3^2"))]
+        rng = np.random.default_rng(3)
+        for counts in ((1, 2), (2, 1)):
+            points = [rng.uniform(0.5, 1.0, (n, 4)) for n in counts]
+            batch = eval_jet(programs, points, 3)
+            for program, pts, coefficients in zip(programs, points, batch):
+                assert coefficients.shape == (len(pts), len(program.roots), jets.NCOEF[3])
+                for p, c in zip(pts, coefficients):
+                    [one] = eval_jet([program], [p[None]], 3)
+                    assert one.tobytes() == c.tobytes()
+
+    def test_a_program_of_constants_fills_every_row(self):
+        flat, fubini = charts.catalog_chart("flat"), charts.catalog_chart("fubini-study")
+        program = flat.program("gJ")
+        assert not program.groups  # every entry of the flat chart is a constant
+        counts = (3, 2)
+        points = [spec.sample_points(n, 5) for spec, n in zip((flat, fubini), counts)]
+        constant, _ = eval_jet([program, fubini.program("gJ")], points, 2)
+        assert constant.shape == (3, 26, jets.NCOEF[2])
+        expected = program.constant_values(2)[[program.constants.index(k) for k in program.roots]]
+        for c in constant:
+            assert c.tobytes() == expected.tobytes()
 
 
 class TestProgramInterning:

@@ -520,8 +520,8 @@ class TestSharedProgram:
         exprs = self.related_expressions(rng)
         p = [tuple(rng.uniform(-1, 1, 4))]
         [shared] = eval_jet([Program(exprs)], [p], order)
-        for e, jet in zip(exprs, shared):
-            assert np.array_equal(jet.c, expr_jet(e, p, order).c)
+        for e, c in zip(exprs, shared.swapaxes(0, 1)):
+            assert np.array_equal(c, expr_jet(e, p, order).c)
 
     @given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
@@ -532,5 +532,5 @@ class TestSharedProgram:
         program = Program(exprs)
         eval_jet([program], [p], order_p)
         [at_q] = eval_jet([program], [q], order_q)
-        for e, jet in zip(exprs, at_q):
-            assert np.array_equal(jet.c, expr_jet(e, q, order_q).c)
+        for e, c in zip(exprs, at_q.swapaxes(0, 1)):
+            assert np.array_equal(c, expr_jet(e, q, order_q).c)

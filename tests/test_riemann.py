@@ -228,6 +228,19 @@ class TestCovd:
                     new, old = riemann.covd(gamma, t), old_covd(gamma, t)
                     assert (new.order, new.c.tobytes()) == (old.order, old.c.tobytes()), (name, seed)
 
+    def test_a_tensor_without_its_point_axis_is_refused(self):
+        # every tensor axis has length 4, so without the check a point-less
+        # Gamma and g pass for a batch of 4 points and give a wrong jet
+        structure = structure_batch(charts.catalog_chart("fubini-study"), (0.1, 0.2, -0.3, 0.25), 4)
+        conn = riemann.connection(structure)
+        assert np.abs(riemann.covd(conn.gamma, structure.g).value).max() < 1e-12
+        with pytest.raises(ValueError, match=r"\(4, 4, 4, 35\).*\(4, 4, 70\)"):
+            riemann.covd(conn.gamma[0], structure.g[0])
+        with pytest.raises(ValueError, match=r"\(1, 4, 4, 4, 35\).*\(2, 4, 4, 70\)"):
+            riemann.covd(conn.gamma, structure.g[[0, 0]])
+        with pytest.raises(ValueError, match=r"\(4, 4, 4, 35\).*\(4, 4, 70\)"):
+            riemann.divergence(structure.g_inv[0], conn.gamma[0], {}, structure.g[0])
+
 
 #: The values of each batched stage's record that a test compares, by the
 #: AnalysisBatch attribute that holds the record: every dataclass field but
