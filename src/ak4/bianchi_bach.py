@@ -26,6 +26,16 @@ jets, the delta W+ split and the residual table. Two einsums on 4x4 frame
 values stay a loop over the points: the pairing of delta W+ with Omega in
 `split_delta_wplus`, where a batched einsum sums 16 terms of a strided
 operand in another order, and S in `bach_almost_kahler`.
+
+Computations of one shape run stacked on the point axis (`jets.concat`),
+k blocks of the slice's P points in one kernel call over k*P rows, each
+block with the bits it has alone. The direct and both Gauduchon Bach routes
+are one `_bach_from` pass, each route from its own W and delta W, which
+`bach_direct` and `bach_gauduchon` share; the Weitzenboeck check runs
+Omega and the random field through one pass once nabla phi and
+nabla*nabla phi are formed; and `_slice_residuals` takes the frame
+components of (C, delta W, delta W+, C+) in one call and of (ds, theta, a,
+b) in another.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ def cotton_york(cd: CurvatureBatch) -> Jet:
     """C_{X,Y,Z} = nabla_Z h(Y,X) - nabla_Y h(Z,X), h = (1/2)(s/12 g + Ric0), at each point."""
     if cd.conn.structure.order < 3:
         raise jets.JetOrderError("Cotton-York needs jet order >= 3")
-    dh = riemann.covd(cd.gamma, cd.h)  # (m, i, j) = nabla_m h_ij
+    # its readers read C's value and its order-0 truncation: h enters to first order
+    dh = riemann.covd(cd.gamma, cd.h.truncate(1))  # (m, i, j) = nabla_m h_ij
     # C[x, y, z] = dh[z, y, x] - dh[y, z, x]
     return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
 
@@ -123,28 +134,38 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return alpha, beta, completeness
 
 
-def _bach_from(cd: CurvatureBatch, w: Jet, dw: Jet) -> np.ndarray:
-    """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components, at each point."""
-    term1 = riemann.divergence(cd.g_inv, cd.gamma, cd.terms, dw, 1).value  # (x, y)
-    # the W h term is read as a value only: it runs on order-0 truncations
-    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
-    return tensorops.frame_components(term1 + term2, cd.frame)
+def _bach_from(cd: CurvatureBatch) -> np.ndarray:
+    """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame
+    components, at each point, for (w, dw) = (W, delta W), (W+, delta W+) and
+    (W-, delta W-): the direct route and the two Gauduchon routes, each from
+    its own W and delta W, in one pass over the three stacked on the point
+    axis. The pass is kept in the slice's `terms`, so that `bach_direct` and
+    `bach_gauduchon` share it."""
+    routes = cd.terms.get("bach")
+    if routes is None:
+        w = jets.concat([cd.weyl.truncate(0), cd.weyl_plus.truncate(0), cd.weyl_minus.truncate(0)])
+        dw = jets.concat([delta_weyl(cd, "full"), delta_weyl(cd, "plus"), delta_weyl(cd, "minus")])
+        g_inv, gamma, h_raised = (jets.concat([t] * 3) for t in (cd.g_inv, cd.gamma, cd.h_raised))
+        term1 = riemann.divergence(g_inv, gamma, cd.terms, dw, 1).value  # (x, y)
+        # the W h term is read as a value only: it runs on order-0 truncations
+        term2 = jets.contract(w, h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
+        routes = cd.terms["bach"] = _frame_blocks(cd, term1 + term2, 3)
+    return routes
 
 
 def bach_direct(cd: CurvatureBatch) -> np.ndarray:
     """The Bach tensor from the full Weyl tensor, frame components, at each point."""
     if cd.conn.structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    return _bach_from(cd, cd.weyl, delta_weyl(cd, "full"))
+    return _bach_from(cd)[0]
 
 
 def bach_gauduchon(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     """The Bach tensor from each Weyl half separately, B = 2 * (half-expression), at each point."""
     if cd.conn.structure.order < 4:
         raise jets.JetOrderError("Bach tensor needs jet order 4")
-    bp = 2.0 * _bach_from(cd, cd.weyl_plus, delta_weyl(cd, "plus"))
-    bm = 2.0 * _bach_from(cd, cd.weyl_minus, delta_weyl(cd, "minus"))
-    return bp, bm
+    _, plus, minus = _bach_from(cd)
+    return 2.0 * plus, 2.0 * minus
 
 
 def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -196,41 +217,42 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     return b_ak, b_ricci
 
 
-def weitzenboeck_check(cd: CurvatureBatch, field: Jet | None = None) -> np.ndarray:
+def weitzenboeck_check(cd: CurvatureBatch, *fields: Jet) -> np.ndarray:
     """Residual of the 2-form Weitzenboeck identity at each point,
 
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
 
-    for the supplied 2-form field, with a point axis (default: the
-    fundamental 2-form). Both sides differentiate the field at most twice,
-    so it enters at order 2. nabla phi is formed once and gives delta phi;
-    nabla*nabla phi is the codifferential of nabla phi, except for Omega,
-    whose `nabla_omega` and `nabla2_omega` the connection has cached
-    already. The algebraic terms (s/3) phi and W(phi) are read as values
-    only, so they are formed from order-0 truncations.
+    for the fundamental 2-form and for each supplied 2-form field, with a
+    point axis, in that order. Both sides differentiate a field at most
+    twice, so it enters at order 2. For Omega, nabla phi and nabla*nabla phi
+    are the connection's cached `nabla_omega` and the trace of its
+    `nabla2_omega`; for a field, nabla phi is formed and nabla*nabla phi is
+    its codifferential. The rest is one pass over all the forms stacked on
+    the point axis: nabla phi gives delta phi, and the algebraic terms (s/3)
+    phi and W(phi) are read as values only, so they are formed from order-0
+    truncations.
     """
     conn = cd.conn
     if conn.structure.order < 3:
         raise jets.JetOrderError("Weitzenboeck check needs jet order >= 3")
     g_inv, gamma = cd.g_inv, cd.gamma
-    if field is None:
-        phi = conn.structure.omega[cd.rows]
-        nabla_phi = conn.nabla_omega[cd.rows]
-        rough = riemann.neg_trace(g_inv, conn.nabla2_omega[cd.rows])
-    else:
-        phi = field.truncate(J_SIDE_ORDER)
-        nabla_phi = riemann.covd(gamma, phi)
-        rough = -riemann.divergence(g_inv, gamma, cd.terms, nabla_phi, 0)
-    delta_phi = riemann.neg_trace(g_inv, nabla_phi)  # 1-form
+    fields = [field.truncate(J_SIDE_ORDER) for field in fields]
+    nablas = [riemann.covd(gamma, field) for field in fields]
+    rough = jets.concat(
+        [riemann.neg_trace(g_inv, conn.nabla2_omega[cd.rows])] + [-riemann.divergence(g_inv, gamma, cd.terms, nabla, 0) for nabla in nablas]
+    )
+    k = 1 + len(fields)
+    phi, g_inv, gamma = jets.concat([conn.structure.omega[cd.rows], *fields]), jets.concat([g_inv] * k), jets.concat([gamma] * k)
+    delta_phi = riemann.neg_trace(g_inv, jets.concat([conn.nabla_omega[cd.rows], *nablas]))  # 1-form
     d_delta = tensorops.ext_d_1form(delta_phi)
     d_phi = tensorops.ext_d_2form(phi)
     delta_d = -riemann.divergence(g_inv, gamma, cd.terms, d_phi, 0)
     laplace = d_delta + delta_d
     phi0 = phi.truncate(0)
-    w_phi = tensorops.form_inner(cd.weyl.truncate(0), phi0, g_inv.truncate(0), (2, 3))
-    rhs = rough + (cd.s.truncate(0)[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
-    residual = (laplace - rhs).value
-    return np.abs(tensorops.frame_components(residual, cd.frame)).max(axis=(1, 2))
+    w_phi = tensorops.form_inner(jets.concat([cd.weyl.truncate(0)] * k), phi0, g_inv.truncate(0), (2, 3))
+    s0 = jets.concat([cd.s.truncate(0)] * k)
+    rhs = rough + (s0[:, None, None] / 3.0) * phi0 - 2.0 * w_phi
+    return np.abs(_frame_blocks(cd, (laplace - rhs).value, k)).max(axis=(2, 3))
 
 
 def random_polynomial_2form(points: list[tuple[float, float, float, float]], order: int, seed: int) -> Jet:
@@ -308,21 +330,16 @@ def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, dr: DecompBatc
 def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: list[str | None], weitzenboeck_seed: int) -> dict[str, list]:
     """The residual columns of the points of one curvature slice; the closed
     forms' columns hold None where their hypotheses fail."""
-    rows, frame = cd.rows, cd.frame
+    rows = cd.rows
     c_jet = cotton_york(cd)
-    c_f = tensorops.frame_components(c_jet.value, frame)
-    dw_f = tensorops.frame_components(delta_weyl(cd, "full").value, frame)
-    dwp_f = tensorops.frame_components(delta_weyl(cd, "plus").value, frame)
-
     # only the value of C+ is read: it is projected from order-0 truncations
     c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2))
-    c_plus_f = tensorops.frame_components(c_plus.value, frame)
+    rank3 = (c_jet.value, delta_weyl(cd, "full").value, delta_weyl(cd, "plus").value, c_plus.value)
+    c_f, dw_f, dwp_f, c_plus_f = _frame_blocks(cd, np.concatenate(rank3), 4)
 
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
-    ds_f = tensorops.frame_components(jets.partials(cd.s).value, frame)
-    theta_f = tensorops.frame_components(hfo.theta.value[rows], frame)
-    a_f = tensorops.frame_components(hfo.a.value[rows], frame)
-    b_f = tensorops.frame_components(hfo.b.value[rows], frame)
+    rank1 = (jets.partials(cd.s).value, hfo.theta.value[rows], hfo.a.value[rows], hfo.b.value[rows])
+    ds_f, theta_f, a_f, b_f = _frame_blocks(cd, np.concatenate(rank1), 4)
 
     bd = bach_direct(cd)
     bp, bm = bach_gauduchon(cd)
@@ -332,6 +349,7 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: lis
     alpha_pred = -ds_f / 12.0 + (0.5 * ric0_f @ theta_f[:, :, None])[:, :, 0]
     beta_pred = (-0.25 * ric0_f @ (a_f + _j_form(b_f))[:, :, None])[:, :, 0]
     field = random_polynomial_2form(cd.conn.structure.points[rows], cd.conn.structure.order, weitzenboeck_seed)
+    weitzenboeck = weitzenboeck_check(cd, field)
     columns = {
         "delta W = C": _max_abs(dw_f - c_f),
         "delta W+ = C+": _max_abs(dwp_f - c_plus_f),
@@ -342,8 +360,8 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: lis
         "bach traceless": np.abs(np.trace(bd, axis1=1, axis2=2)).tolist(),
         "bach direct vs plus": _max_abs(bd - bp),
         "bach direct vs minus": _max_abs(bd - bm),
-        "weitzenboeck omega": weitzenboeck_check(cd).tolist(),
-        "weitzenboeck random": weitzenboeck_check(cd, field).tolist(),
+        "weitzenboeck omega": weitzenboeck[0].tolist(),
+        "weitzenboeck random": weitzenboeck[1].tolist(),
         "beta norm": _max_abs(beta),
         "alpha norm": _max_abs(alpha),
     }
@@ -355,6 +373,14 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: lis
         for name, column in zip(closed, (_max_abs(bd - bach_ak), _max_abs(bd - bach_ricci))):
             closed[name] = [value if reason is None else None for value, reason in zip(column, skip_reasons)]
     return columns | closed
+
+
+def _frame_blocks(cd: CurvatureBatch, values: np.ndarray, k: int) -> np.ndarray:
+    """The frame components of k blocks of tensor values stacked on the
+    point axis, each at the slice's points: one `tensorops.frame_components`
+    call, cut into a (k, P, ...) array."""
+    out = tensorops.frame_components(values, np.concatenate([cd.frame] * k))
+    return out.reshape(k, -1, *out.shape[1:])
 
 
 def _max_abs(x: np.ndarray) -> list[float]:

@@ -35,6 +35,9 @@ TOL_ALGEBRAIC = 1e-9
 TOL_FIRST_ORDER = 1e-8
 TOL_THIRD_ORDER = 1e-7
 TOL_FOURTH_ORDER = 1e-6
+#: The largest --points or --planes: numpy cannot shape the (count, 2, 4)
+#: float64 plane draws past it, nor the (count, 4) point draws at twice it.
+MAX_COUNT = np.iinfo(np.intp).max // 64
 
 
 @dataclass
@@ -51,6 +54,9 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1:
             raise AK4Error(f"--points must be >= 1, got {self.points}")
+        for flag, count in (("--points", self.points), ("--planes", self.planes)):
+            if count > MAX_COUNT:
+                raise AK4Error(f"{flag} must be <= {MAX_COUNT}, the most numpy can shape, got {count}")
         if self.order not in (2, 3, 4):
             raise AK4Error(f"--order must be 2, 3 or 4, got {self.order}")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):

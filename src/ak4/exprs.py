@@ -309,12 +309,15 @@ class Program:
 
     Each node is one jet operation `op` on the nodes `args`, which come
     before it: ("const", value), ("x", index), ("neg",), a binary operator,
-    ("^", exponent) or a function name. Nodes are interned bottom-up by
-    (op, args), so equal subtrees, within one root or across roots, are one
-    node, and no expression node is ever hashed. A node that uses no
-    coordinate is a constant: its coefficients at each order are computed
-    once, without a point axis, and kept. The other nodes are grouped by
-    (height, op), the height being 0 at a leaf and one more than the highest
+    ("^", exponent), ("recip",) or a function name. Nodes are interned
+    bottom-up by (op, args), so equal subtrees, within one root or across
+    roots, are one node, and no expression node is ever hashed. A node that
+    uses no coordinate is a constant: its coefficients at each order are
+    computed once, without a point axis, and kept. So a / c with c constant
+    is interned as a * r with r = ("recip",) of c, a constant: the same bits,
+    since a jet quotient is the product with the reciprocal, without taking
+    the reciprocal on every row. The other nodes are grouped by (height,
+    op), the height being 0 at a leaf and one more than the highest
     argument, so the nodes of one group never depend on each other.
     """
 
@@ -322,17 +325,21 @@ class Program:
         index: dict[tuple, int] = {}
         ops, args, heights, pointed = [], [], [], []
 
-        def visit(node: Expr) -> int:
-            key = (_op(node), tuple(map(visit, _children(node))))
-            k = index.get(key)
+        def intern(op: tuple, kids: tuple) -> int:
+            k = index.get((op, kids))
             if k is None:
-                op, kids = key
-                k = index[key] = len(ops)
+                k = index[op, kids] = len(ops)
                 ops.append(op)
                 args.append(kids)
                 heights.append(1 + max((heights[a] for a in kids), default=-1))
                 pointed.append(op[0] == "x" or any(pointed[a] for a in kids))
             return k
+
+        def visit(node: Expr) -> int:
+            op, kids = _op(node), tuple(map(visit, _children(node)))
+            if op == ("/",) and not pointed[kids[1]]:
+                op, kids = ("*",), (kids[0], intern(("recip",), kids[1:]))
+            return intern(op, kids)
 
         self.roots = tuple(visit(root) for root in roots)
         self.ops, self.args = tuple(ops), tuple(args)
@@ -427,6 +434,8 @@ def _apply(op: tuple, args: list[Jet], order: int) -> Jet:
         return args[0] * args[1]
     if kind == "/":
         return args[0] / args[1]
+    if kind == "recip":
+        return jets.reciprocal(args[0])
     if kind == "^":
         return jets.power(args[0], op[1])
     return _JET_FUNCS[kind](args[0])

@@ -30,7 +30,11 @@ at once); a single point is a batch of one. The tensor axes they name count
 after it. Elementwise arithmetic broadcasts over it like any leading axis.
 `contract` keeps it out of the contraction: it goes outermost in the matmul
 batch, (P, ncoef, ., .), so each point gets the BLAS call it would get alone
-and the same bits.
+and the same bits. So k independent computations of one shape can run as
+one kernel call over k*P rows: `concat` stacks their jets on the point
+axis, and `split` cuts the result back into k blocks of P rows, each with
+the bits of its computation alone (`riemann` and `bianchi_bach` stack the
+second-order report's same-shape work this way).
 
 What these kernels derive from shapes alone is computed once. `contract`
 reads its permutations, reshape targets and `_CONTRACT` table from a plan
@@ -530,6 +534,22 @@ def _views(lead: tuple, fa_shape: tuple, ga_take: tuple, gb_take: tuple, ga_shap
 def outer(a: Jet, b: Jet) -> Jet:
     """Tensor product at every point: out[P, sa..., sb...] = a[P, sa...] * b[P, sb...]."""
     return contract(a, b, (), ())
+
+
+def concat(parts: list[Jet]) -> Jet:
+    """The jets stacked on the point axis, in order: k jets of P points become
+    one batch of k*P points, which a kernel takes in one call where it took
+    k, each block of P rows with the bits it gets alone. The parts have one
+    order and one tensor shape; a single jet is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return Jet._of(parts[0].order, np.concatenate([p.c for p in parts]))
+
+
+def split(j: Jet, k: int) -> list[Jet]:
+    """The k blocks of equal length of j's point axis, views of j: what
+    `concat` stacked."""
+    return [Jet._of(j.order, c) for c in j.c.reshape(k, -1, *j.c.shape[1:])]
 
 
 # -- reciprocal, powers, elementary functions ---------------------------------

@@ -45,6 +45,19 @@ point axis too, once per batch, each with the bits of a batch of one: where
 einsum reads a value that is a strided view of a batch jet, it reads a
 compact copy in the same axis order, the layout a stack of the points'
 views had, since einsum sums in an order that depends on strides.
+
+Since every kernel gives each point of a batch its bits alone, k
+independent jet computations of one shape run as one kernel call over k*P
+rows: `jets.concat` stacks the k pieces on the point axis, with their
+operands repeated k times beside them, and `jets.split` cuts the result
+back into its k blocks. `covd` stacks its slot-moved copies of t and
+`divergence` its slots other than `slot`; kn(g, g) and kn(Ric0, g) are one
+`kn_jet`; the second Hodge star of W+ and W- is one star over both halves,
+each block taking its own sign; delta W, delta W+ and delta W- are one
+divergence of W, W+ and W- stacked, each the codifferential of its own
+tensor, never a difference; and a and b are one `nabla_omega_along` over
+phi and J phi. Each block is subtracted in the order the loop it replaced
+subtracted it.
 """
 
 from __future__ import annotations
@@ -96,14 +109,20 @@ def covd(gamma: Jet, t: Jet) -> Jet:
     The new derivative index comes first:
     (covd T)_{m, i1..ik} = d_m T_{i1..ik} - sum_a Gamma^p_{m i_a} T_{..p..}.
     The derivative term has one order less than t, so gamma and t enter the
-    contractions at that order.
+    contractions at that order. The k copies of t with slot a moved first
+    are one contraction over k*P rows, and the terms are subtracted slot by
+    slot.
     """
     _check_batch(gamma, t)
     out = jets.partials(t)
+    rank = t.c.ndim - 2
+    if not rank:
+        return out
     low = min(out.order, gamma.order)
     gamma, t = gamma.truncate(low), t.truncate(low)
-    for a in range(t.c.ndim - 2):
-        term = jets.contract(gamma, jets.moveaxis(t, a, 0), 0, 0)  # (m, q, rest)
+    moved = jets.concat([jets.moveaxis(t, a, 0) for a in range(rank)])
+    terms = jets.contract(jets.concat([gamma] * rank), moved, 0, 0)  # (m, q, rest) per slot
+    for a, term in enumerate(jets.split(terms, rank)):
         out = out - jets.moveaxis(term, 1, a + 1)
     return out
 
@@ -120,20 +139,26 @@ def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0) -> Je
     It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
     (p at slot a, c the free index there), with v^p = g^mi Gamma^p_mi and
     K[i, p, c] = g^mi Gamma^p_mc at the result's order, so nabla t is never
-    formed. v and K are kept in `terms` by order, so each is contracted once
-    per (g_inv, gamma) and order. The other slots keep their order.
+    formed. v and K are kept in `terms` by order and point count, so each is
+    contracted once per (g_inv, gamma), order and point count. The K terms
+    of the slots other than `slot` are one contraction over the copies of t
+    with (slot, a) moved first, stacked on the point axis; the other slots
+    keep their order.
     """
     _check_batch(gamma, t)
     out = jets.contract(g_inv, jets.partials(t), (0, 1), (0, slot + 1))
     low = t.truncate(out.order)
-    if out.order not in terms:
+    key = (out.order, len(low.c))
+    if key not in terms:
         g_low, gamma_low = g_inv.truncate(out.order), gamma.truncate(out.order)
-        terms[out.order] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2)), jets.contract(g_low, gamma_low, 0, 1))
-    trace, raised = terms[out.order]
+        terms[key] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2)), jets.contract(g_low, gamma_low, 0, 1))
+    trace, raised = terms[key]
     out = out - jets.contract(trace, low, 0, slot)
-    for a in range(t.c.ndim - 2):
-        if a != slot:
-            term = jets.contract(raised, low, (0, 1), (slot, a))  # (c, other slots)
+    others = [a for a in range(t.c.ndim - 2) if a != slot]
+    if others:
+        moved = jets.concat([jets.moveaxis(low, (slot, a), (0, 1)) for a in others])
+        stacked = jets.contract(jets.concat([raised] * len(others)), moved, (0, 1), (0, 1))  # (c, other slots) per slot
+        for a, term in zip(others, jets.split(stacked, len(others))):
             out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
     return out
 
@@ -180,7 +205,7 @@ class CurvatureBatch:
     ric_frame: np.ndarray
     s_value: np.ndarray
     operator: np.ndarray  # 6x6 matrices on the (Omega, phi, Jphi, asd triple) basis
-    terms: dict = field(default_factory=dict, repr=False)  # `divergence`'s contractions by order
+    terms: dict = field(default_factory=dict, repr=False)  # `divergence`'s contractions by (order, points); the Bach routes' pass
 
     def slices(self) -> list[CurvatureBatch]:
         """The batch cut into batches of up to CURVATURE_SLICE consecutive
@@ -217,47 +242,60 @@ class CurvatureBatch:
 
     @functools.cached_property
     def weyl(self) -> Jet:
-        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks."""
-        scalar_part = jets.outer(self.s / 24.0, tensorops.kn_jet(self.g, self.g))
-        ric0_part = 0.5 * tensorops.kn_jet(self.ric0, self.g)
+        """Weyl tensor jets: R minus the scalar and traceless-Ricci blocks.
+        kn(g, g) and kn(Ric0, g) are one `kn_jet` over (g, Ric0) stacked."""
+        kn_gg, kn_ric0 = jets.split(tensorops.kn_jet(jets.concat([self.g, self.ric0]), jets.concat([self.g, self.g])), 2)
+        scalar_part = jets.outer(self.s / 24.0, kn_gg)
+        ric0_part = 0.5 * kn_ric0
         return self.R - scalar_part - ric0_part
 
     @functools.cached_property
+    def _weyl_halves(self) -> list[Jet]:
+        """W+ and W-, each W projected on both pairs with its sign. The first
+        pair's Hodge star is W's, shared; the second pair's is one star over
+        both first projections stacked, and each block takes its own sign."""
+        signs = (1.0, -1.0)
+        star = tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu)
+        firsts = [tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), star) for sign in signs]
+        # the second pair first, as `dual_projection` moves it, for the star
+        pairs = jets.concat([jets.moveaxis(first, (2, 3), (0, 1)) for first in firsts])
+        mu = self._mu.truncate(pairs.order)  # the star reads no more of mu, so no more is copied
+        stars = jets.split(tensorops.hodge_star_2form(pairs, jets.concat([self.g_inv] * 2), jets.concat([mu, mu])), 2)
+        return [tensorops.dual_projection(f, self.g_inv, self._mu, sign, (2, 3), s) for f, sign, s in zip(firsts, signs, stars)]
+
+    @property
     def weyl_plus(self) -> Jet:
-        return self._weyl_half(+1.0)
+        return self._weyl_halves[0]
 
-    @functools.cached_property
+    @property
     def weyl_minus(self) -> Jet:
-        return self._weyl_half(-1.0)
+        return self._weyl_halves[1]
 
     @functools.cached_property
+    def _delta_weyls(self) -> list[Jet]:
+        """The codifferentials of W, W+ and W-, slots (X; Y, Z): one divergence
+        of the three stacked, so each is the codifferential of its own tensor
+        (delta W+ is never delta W - delta W-)."""
+        stacked = jets.concat([self.weyl, self.weyl_plus, self.weyl_minus])
+        g_inv, gamma = jets.concat([self.g_inv] * 3), jets.concat([self.gamma] * 3)
+        return jets.split(-divergence(g_inv, gamma, self.terms, stacked, 0), 3)
+
+    @property
     def delta_weyl(self) -> Jet:
-        """Codifferential of the Weyl tensor, slots (X; Y, Z)."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl, 0)
+        return self._delta_weyls[0]
 
-    @functools.cached_property
+    @property
     def delta_weyl_plus(self) -> Jet:
-        """Codifferential of W+, computed from W+ itself (never as delta W - delta W-)."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_plus, 0)
+        return self._delta_weyls[1]
 
-    @functools.cached_property
+    @property
     def delta_weyl_minus(self) -> Jet:
-        """Codifferential of W-, computed from W- itself."""
-        return -divergence(self.g_inv, self.gamma, self.terms, self.weyl_minus, 0)
+        return self._delta_weyls[2]
 
     @functools.cached_property
     def _mu(self) -> Jet:
         """The volume forms of the batch's points: a view of the structure batch's mu."""
         return self.conn.structure.mu[self.rows]
-
-    @functools.cached_property
-    def _weyl_star(self) -> Jet:
-        """The Hodge star of W's first pair, shared by W+ and W-."""
-        return tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu)
-
-    def _weyl_half(self, sign: float) -> Jet:
-        half = tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), self._weyl_star)
-        return tensorops.dual_projection(half, self.g_inv, self._mu, sign, (2, 3))
 
 
 def curvature(conn: ConnectionBatch) -> CurvatureBatch:
@@ -326,17 +364,24 @@ class FirstOrderBatch:
         return -jets.contract(delta_omega, structure.J.truncate(0), 0, 0)
 
     @functools.cached_property
-    def a(self) -> Jet:
-        """a (`nabla_omega_along` phi), from order-0 truncations, the order-0
-        phi the structure stage checked among them: every reader reads its value."""
+    def _ab(self) -> list[Jet]:
+        """a and b, one `nabla_omega_along` over phi and J phi stacked, from
+        order-0 truncations, the order-0 phi and J phi the structure stage
+        checked among them: every reader reads their values."""
         structure = self.conn.structure
-        return nabla_omega_along(self.nabla_omega0, structure.phi0, structure.g_inv.truncate(0))
+        g_inv = structure.g_inv.truncate(0)
+        forms = jets.concat([structure.phi0, structure.jphi0])
+        return jets.split(nabla_omega_along(jets.concat([self.nabla_omega0] * 2), forms, jets.concat([g_inv, g_inv])), 2)
 
-    @functools.cached_property
+    @property
+    def a(self) -> Jet:
+        """a (`nabla_omega_along` phi)."""
+        return self._ab[0]
+
+    @property
     def b(self) -> Jet:
-        """b (`nabla_omega_along` J phi), formed like `a`."""
-        structure = self.conn.structure
-        return nabla_omega_along(self.nabla_omega0, structure.jphi0, structure.g_inv.truncate(0))
+        """b (`nabla_omega_along` J phi)."""
+        return self._ab[1]
 
     @functools.cached_property
     def theta_norm(self) -> list[float]:

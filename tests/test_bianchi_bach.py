@@ -153,6 +153,38 @@ class TestBach:
             assert np.abs(bach_ak - expected).max() < 1e-7
 
 
+def per_route_bach(cd: riemann.CurvatureBatch, w: jets.Jet, dw: jets.Jet) -> np.ndarray:
+    """One Bach route alone: sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components."""
+    term1 = riemann.divergence(cd.g_inv, cd.gamma, {}, dw, 1).value
+    term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value
+    return tensorops.frame_components(term1 + term2, cd.frame)
+
+
+class TestStackedRoutes:
+    """The Bach routes and the Weitzenboeck forms run stacked on the point
+    axis; each keeps the bits it has alone."""
+
+    @pytest.fixture(scope="class")
+    def cd(self, catalog_specs):
+        batches = [(spec, spec.sample_points(2, 19)) for spec in catalog_specs.values()]
+        return riemann.curvature(riemann.connection(charts.structure_at(batches, 4)))
+
+    def test_each_bach_route_matches_the_route_alone(self, cd):
+        direct = per_route_bach(cd, cd.weyl, cd.delta_weyl)
+        plus, minus = (2.0 * per_route_bach(cd, w, dw) for w, dw in ((cd.weyl_plus, cd.delta_weyl_plus), (cd.weyl_minus, cd.delta_weyl_minus)))
+        assert bianchi_bach.bach_direct(cd).tobytes() == direct.tobytes()
+        assert [b.tobytes() for b in bianchi_bach.bach_gauduchon(cd)] == [plus.tobytes(), minus.tobytes()]
+
+    def test_a_weitzenboeck_residual_does_not_depend_on_the_forms_beside_it(self, cd):
+        points, order = cd.conn.structure.points, cd.conn.structure.order
+        f1, f2 = (bianchi_bach.random_polynomial_2form(points, order, seed) for seed in (3, 4))
+        [omega] = bianchi_bach.weitzenboeck_check(cd)
+        omega_1, res_1 = bianchi_bach.weitzenboeck_check(cd, f1)
+        omega_21, res_2, res_21 = bianchi_bach.weitzenboeck_check(cd, f2, f1)
+        assert omega.tobytes() == omega_1.tobytes() == omega_21.tobytes()
+        assert res_1.tobytes() == res_21.tobytes() and res_2.tobytes() != res_1.tobytes()
+
+
 class TestWeitzenboeck:
     def test_flat_any_field(self, analyses):
         pa = analyses["flat"][0]

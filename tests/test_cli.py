@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ak4 import charts, cli, riemann
+from ak4 import charts, cli, jets, riemann
 from ak4.cli import RunConfig, run_report
 from ak4.errors import AK4Error
-from conftest import applies_at, at, half_bad_chart, point_analysis, residual_at
+from conftest import CATALOG_NAMES, applies_at, at, half_bad_chart, point_analysis, residual_at
 
 #: Out-of-range values of the flags RunConfig validates.
 BAD_FLAG_VALUES = [
@@ -380,6 +380,23 @@ class TestIdentityRegistry:
             run_report(RunConfig(chart=chart, points=4, order=4))
             assert calls == {"gray.lemma6_triple": -(-4 // batch_points)}, chart
 
+    def test_a_two_point_order_4_report_makes_its_jet_contractions_in_stacked_passes(self, monkeypatch):
+        # the second-order report runs its same-shape jet work on the point
+        # axis (`jets.concat`); un-stacking a pass raises these counts, which
+        # were 139 and 124 with one contraction per piece and per slot
+        # (kodaira-thurston skips the closed Bach forms)
+        calls = Counter()
+        contract = jets.contract
+
+        def counted(*args):
+            calls[chart] += 1
+            return contract(*args)
+
+        monkeypatch.setattr(jets, "contract", counted)
+        for chart in CATALOG_NAMES:
+            run_report(RunConfig(chart=chart, points=2, order=4))
+        assert calls == {"flat": 94, "product-surfaces": 94, "fubini-study": 94, "complex-hyperbolic": 94, "kodaira-thurston": 82}
+
     def test_the_planes_and_second_order_jets_are_formed_once_per_curvature_slice(self, monkeypatch):
         # their temporaries grow with the points formed at once
         stages = ("gray.gray_report", "gray._plane_curvatures", "bianchi_bach.second_order_report", "bianchi_bach.cotton_york")
@@ -674,6 +691,36 @@ class TestOutOfMemory:
         assert (code, out) == (2, "")
         expected = "error: --points 1 --planes 999999999999 needs more memory than is available: Unable to allocate 63999999999936 bytes for 999999999999 planes at seed 42\n"
         assert err == expected
+
+
+class TestUnshapeableCount:
+    """A --points or --planes numpy cannot shape exits 2 naming the flag,
+    before anything is sampled or allocated."""
+
+    @pytest.mark.parametrize("count", [10**20, 2**62])
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["report", "--chart", "flat", "--points"], "--points"),
+            (["check", "kappa", "--points"], "--points"),
+            (["classify", "--points"], "--points"),
+            (["report", "--chart", "flat", "--points", "1", "--planes"], "--planes"),
+        ],
+    )
+    def test_is_refused(self, argv, flag, count, monkeypatch, capsys):
+        def sampled(*args):
+            raise AssertionError("sampled before the count was checked")
+
+        monkeypatch.setattr(charts.ChartSpec, "sample_points", sampled)
+        monkeypatch.setattr(cli.gray, "_lagrangian_planes", sampled)
+        code = run_main([*argv, str(count)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be <= {cli.MAX_COUNT}, the most numpy can shape, got {count}\n"
+
+    def test_the_bound_is_shapeable(self):
+        # the largest count accepted still gives the plane draws a byte size numpy can index
+        assert cli.MAX_COUNT * 2 * 4 * 8 <= np.iinfo(np.intp).max < (cli.MAX_COUNT + 1) * 2 * 4 * 8
 
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:

@@ -353,3 +353,20 @@ class TestProgramInterning:
     def test_a_repeated_subtree_is_one_node(self):
         # x1, x2, x1*x2 and the sum
         assert len(Program([parse_expr("x1*x2 + x1*x2")]).ops) == 4
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_a_constant_denominator_is_a_kept_reciprocal(self, order):
+        # a / c with c constant is a * reciprocal(c), the reciprocal a constant
+        # node: the quotient's bits, with no reciprocal taken per row
+        program = Program([parse_expr("(sin(x1) + x2^2) / (3 - pi*e)")])
+        assert program.ops[-1] == ("*",) and ("/",) not in program.ops
+        assert any(program.ops[k] == ("recip",) for k in program.constants)
+        points = np.random.default_rng(order).uniform(-1.0, 1.0, (5, 4))
+        quotient = expr_jet(parse_expr("sin(x1) + x2^2"), points, order) / expr_jet(parse_expr("3 - pi*e"), points, order)
+        assert np.array_equal(expr_jet(parse_expr("(sin(x1) + x2^2) / (3 - pi*e)"), points, order).c, quotient.c)
+
+    @pytest.mark.parametrize("text", ["x1 / 0", "x1 / (1 - 1)", "x1 / (x2 - x2)"])
+    def test_a_zero_denominator_raises_at_one_point_and_in_a_batch(self, text):
+        for points in (np.zeros((1, 4)), np.ones((3, 4))):
+            with pytest.raises(DomainError, match="zero constant term"):
+                expr_jet(parse_expr(text), points, 2)

@@ -275,6 +275,71 @@ def old_divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int) -> Jet:
     return -riemann.neg_trace(conn.structure.g_inv[:1], jets.moveaxis(nabla_t, slot + 1, 1))[0]
 
 
+def per_slot_covd(gamma: Jet, t: Jet) -> Jet:
+    """`riemann.covd` with one contraction per slot, before the slots were stacked."""
+    out = jets.partials(t)
+    low = min(out.order, gamma.order)
+    gamma, t = gamma.truncate(low), t.truncate(low)
+    for a in range(t.c.ndim - 2):
+        term = jets.contract(gamma, jets.moveaxis(t, a, 0), 0, 0)  # (m, q, rest)
+        out = out - jets.moveaxis(term, 1, a + 1)
+    return out
+
+
+def per_slot_divergence(g_inv: Jet, gamma: Jet, t: Jet, slot: int) -> Jet:
+    """`riemann.divergence` with one contraction per slot other than `slot`,
+    before those slots were stacked."""
+    out = jets.contract(g_inv, jets.partials(t), (0, 1), (0, slot + 1))
+    low = t.truncate(out.order)
+    g_low, gamma_low = g_inv.truncate(out.order), gamma.truncate(out.order)
+    trace, raised = jets.contract(g_low, gamma_low, (0, 1), (1, 2)), jets.contract(g_low, gamma_low, 0, 1)
+    out = out - jets.contract(trace, low, 0, slot)
+    for a in range(t.c.ndim - 2):
+        if a != slot:
+            term = jets.contract(raised, low, (0, 1), (slot, a))  # (c, other slots)
+            out = out - jets.moveaxis(term, 0, a if a < slot else a - 1)
+    return out
+
+
+class TestStackedSlots:
+    """`covd` and `divergence` stack their per-slot contractions on the point
+    axis; each gives the bits of the per-slot loop, the sign of zero included."""
+
+    @pytest.fixture(scope="class")
+    def conn(self, catalog_specs):
+        batches = [(spec, spec.sample_points(2, 13)) for spec in catalog_specs.values()]
+        return riemann.connection(charts.structure_at(batches, 4))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_covd_matches_the_per_slot_loop(self, rank, conn):
+        rng = np.random.default_rng(rank)
+        points = len(conn.gamma.c)
+        for order in (1, 2, 3, 4):
+            t = Jet(order, rng.standard_normal((points,) + (4,) * rank + (jets.NCOEF[order],)))
+            got, old = riemann.covd(conn.gamma, t), per_slot_covd(conn.gamma, t)
+            assert (got.order, got.c.shape, got.c.tobytes()) == (old.order, old.c.shape, old.c.tobytes()), order
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_divergence_matches_the_per_slot_loop_at_every_slot(self, rank, conn):
+        rng = np.random.default_rng(10 + rank)
+        points, g_inv = len(conn.gamma.c), conn.structure.g_inv
+        for order in (1, 2, 3):
+            t = Jet(order, rng.standard_normal((points,) + (4,) * rank + (jets.NCOEF[order],)))
+            terms: dict = {}
+            for slot in range(rank):
+                got, old = riemann.divergence(g_inv, conn.gamma, terms, t, slot), per_slot_divergence(g_inv, conn.gamma, t, slot)
+                assert (got.order, got.c.shape, got.c.tobytes()) == (old.order, old.c.shape, old.c.tobytes()), (order, slot)
+
+    def test_a_stacked_divergence_gives_each_block_its_own_bits(self, conn):
+        # three tensors stacked on the point axis, as the Weyl tensor and its halves are
+        rng = np.random.default_rng(7)
+        points, g_inv, gamma = len(conn.gamma.c), conn.structure.g_inv, conn.gamma
+        parts = [Jet(2, rng.standard_normal((points, 4, 4, 4, 4, jets.NCOEF[2]))) for _ in range(3)]
+        stacked = riemann.divergence(jets.concat([g_inv] * 3), jets.concat([gamma] * 3), {}, jets.concat(parts), 0)
+        for block, part in zip(jets.split(stacked, 3), parts):
+            assert block.c.tobytes() == riemann.divergence(g_inv, gamma, {}, part, 0).c.tobytes()
+
+
 class TestDivergence:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_the_trace_of_the_covariant_derivative(self, rank, analyses):
