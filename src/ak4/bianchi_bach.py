@@ -223,14 +223,14 @@ def weitzenboeck_check(cd: CurvatureBatch, *fields: Jet) -> np.ndarray:
         Delta phi = nabla*nabla phi + (s/3) phi - 2 W(phi)
 
     for the fundamental 2-form and for each supplied 2-form field, with a
-    point axis, in that order. Both sides differentiate a field at most
-    twice, so it enters at order 2. For Omega, nabla phi and nabla*nabla phi
-    are the connection's cached `nabla_omega` and the trace of its
-    `nabla2_omega`; for a field, nabla phi is formed and nabla*nabla phi is
-    its codifferential. The rest is one pass over all the forms stacked on
-    the point axis: nabla phi gives delta phi, and the algebraic terms (s/3)
-    phi and W(phi) are read as values only, so they are formed from order-0
-    truncations.
+    point axis: one row of residuals per form, in that order. Both sides
+    differentiate a form at most twice, so it enters at order 2. For Omega,
+    nabla phi and nabla*nabla phi are the connection's cached `nabla_omega`
+    and the trace of its `nabla2_omega`; for a field, nabla phi is formed
+    and nabla*nabla phi is its codifferential. The rest is one pass over all
+    the forms stacked on the point axis: nabla phi gives delta phi, and the
+    algebraic terms (s/3) phi and W(phi) are read as values only, so they
+    are formed from order-0 truncations.
     """
     conn = cd.conn
     if conn.structure.order < 3:

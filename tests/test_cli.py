@@ -718,10 +718,6 @@ class TestUnshapeableCount:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be <= {cli.MAX_COUNT}, the most numpy can shape, got {count}\n"
 
-    def test_the_bound_is_shapeable(self):
-        # the largest count accepted still gives the plane draws a byte size numpy can index
-        assert cli.MAX_COUNT * 2 * 4 * 8 <= np.iinfo(np.intp).max < (cli.MAX_COUNT + 1) * 2 * 4 * 8
-
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:
     """Make the kappa row's residual NaN at the second point of each batch."""
