@@ -4,7 +4,21 @@ Everything here operates on plain numpy arrays in an orthonormal frame
 adapted to the standard complex structure (e2 = J e1, e4 = J e3), with
 leading batch axes supported throughout. This module is independent of the
 chart/jet pipeline, so it can serve as a brute-force oracle for pointwise
-claims about the curvature decomposition.
+claims about the curvature decomposition; the sandbox checks run on it.
+
+The contractions with the constant frame tensors FRAME_FORMS and J_FRAME,
+whose entries are 0 or +-1, are signed gathers (`_gathered`) from index
+and sign tables built once: `operator_matrix`, `form_pairing` and `_rot`,
+which applies J to tensor slots (the Gray identities, the J-invariant
+part, and the J contractions of `decomp`, `gray` and `bianchi_bach`). The
+gather order rule: each output adds its non-zero terms one at a time to
+0.0 in the order the einsum or np.dot it replaced added them on the layout
+the pipeline passes, so every bit is the one that code gave, the sign of
+zero included. That order depended on the operands' strides, which the
+gathers' order does not: on another layout einsum may have rounded
+differently. The replaced code also multiplied the zero entries, so an
+output that read an inf or NaN through a zero coefficient was NaN; the
+gathers give NaN there too.
 
 Conventions match `riemann`: R(X, Y, X, Y) is the sectional curvature, the
 operator on 2-forms is (R phi)_ij = (1/2) R_ijkl phi_kl with the
@@ -14,6 +28,9 @@ half-tensor-norm inner product, and the basis of 2-forms is
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 
 from .charts import FRAME_FORMS, J_FRAME
@@ -21,10 +38,82 @@ from .tensorops import EPS4
 
 DELTA = np.eye(4)
 
+with np.errstate(invalid="ignore"):
+    #: The NaN of 0 * inf, which einsum's zero terms made of an inf.
+    _ZERO_TIMES_INF = np.float64(0.0) * np.inf
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the tables are shared by every call."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index and sign tables of the linear map with the matrix t
+    (outputs, inputs), whose entries are 0 or +-1 and whose rows hold equally
+    many non-zero entries: two read-only (terms, outputs) arrays, the terms
+    of each output in input order (np.nonzero's C order)."""
+    rows, cols = np.nonzero(t)
+    shape = (len(t), -1)
+    return _read_only(cols.reshape(shape).T.copy(), t[rows, cols].reshape(shape).T.copy())
+
+
+def _gathered(x: np.ndarray, table: tuple[np.ndarray, np.ndarray], fibers: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """sum_t sign[t, o] x[..., index[t, o]] for every output o of the table,
+    the terms added one at a time to 0.0 in table order.
+
+    einsum read an output's whole fiber, multiplying the entries outside its
+    terms by 0: an output whose fiber holds more non-finite entries than its
+    terms do is NaN, the NaN of 0 * inf. `fibers(bad)` counts the non-finite
+    entries of each output's fiber, given the non-finite entries of x; the
+    fiber is the whole last axis of x by default.
+    """
+    index, sign = table
+    terms = np.take(x, index, axis=-1)
+    terms *= sign
+    if len(index) == 1:  # 0.0 + t without a reduction over one term
+        terms += 0.0
+        out = terms[..., 0, :]
+    else:
+        out = np.add.reduce(terms, axis=-2, initial=0.0)
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = ~finite
+        read = bad.sum(axis=-1, keepdims=True) if fibers is None else fibers(bad)
+        out[read > np.take(bad, index, axis=-1).sum(axis=-2)] = _ZERO_TIMES_INF
+    return out
+
+
+#: (a, b) x (i, j, k, l): FRAME_FORMS[a, i, j] * FRAME_FORMS[b, k, l], 16 terms per (a, b).
+_OPERATOR = _table((FRAME_FORMS[:, None, :, :, None, None] * FRAME_FORMS[None, :, None, None]).reshape(36, 256))
+#: j x a: J^a_j, one term per j.
+_J_SLOT = _table(J_FRAME.T)
+#: a x (k, l): FRAME_FORMS[a, k, l], four terms per form.
+_FORM = _table(FRAME_FORMS.reshape(6, 16))
+
 
 def operator_matrix(r: np.ndarray) -> np.ndarray:
-    """6x6 matrix of a curvature-type tensor on the 2-form basis."""
-    return np.einsum("...ijkl,aij,bkl->...ab", r, FRAME_FORMS, FRAME_FORMS) / 8.0
+    """6x6 matrix of a curvature-type tensor on the 2-form basis.
+
+    Each entry adds its 16 terms in (i, j, k, l) order, as
+    einsum("...ijkl,aij,bkl->...ab") does on a C-ordered batch and on the
+    strided one `tensorops.frame_components` returns."""
+    m = _gathered(r.reshape(r.shape[:-4] + (256,)), _OPERATOR) / 8.0
+    return m.reshape(r.shape[:-4] + (6, 6))
+
+
+def form_pairing(t: np.ndarray, a: int) -> np.ndarray:
+    """(1/2) sum_kl t[..., k, l] FRAME_FORMS[a, k, l]: the last two slots of t
+    paired with the basis 2-form a by the half-norm inner product.
+
+    The four terms are added in (k, l) order, as einsum("...ijkl,kl->...ij")
+    adds them on the strided values `tensorops.frame_components` returns (on
+    a C-ordered operand einsum pairs them across SIMD lanes instead)."""
+    index, sign = _FORM
+    paired = _gathered(t.reshape(t.shape[:-2] + (16,)), (index[:, a : a + 1], sign[:, a : a + 1]))
+    return 0.5 * paired[..., 0]
 
 
 def tensor_from_operator(m: np.ndarray) -> np.ndarray:
@@ -58,30 +147,48 @@ def bianchi_project(r: np.ndarray) -> np.ndarray:
 
 def j_invariant_part(h: np.ndarray) -> np.ndarray:
     """J-invariant part of a 2-tensor: (h + h(J., J.)) / 2."""
-    return 0.5 * (h + np.einsum("ai,...ab,bj->...ij", J_FRAME, h, J_FRAME))
+    return 0.5 * (h + _rot(h, (0, 1), 2))
 
 
 def j_anti_part(h: np.ndarray) -> np.ndarray:
     return h - j_invariant_part(h)
 
 
-# -- Gray curvature conditions --------------------------------------------------
-
-
-def _rot(r: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply J to the given tensor slots (0-based among the last four axes).
-
-    Each slot's axis in turn is moved last, flattened against the rest, and
-    multiplied by J_FRAME in one np.dot.
-    """
-    out = r
-    ndim = r.ndim
+@functools.cache
+def _rotation(slots: tuple[int, ...], rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table of J applied to the given slots of a flat rank-`rank`
+    tensor, one slot after another: a signed permutation of its 4**rank
+    entries, one term per output, built on its first use and kept."""
+    index = np.indices((4,) * rank)
+    sign = np.ones((4,) * rank)
+    source, slot_sign = _J_SLOT[0][0], _J_SLOT[1][0]
     for slot in slots:
-        axis = ndim - 4 + slot
-        rest = out.shape[:axis] + out.shape[axis + 1 :]
-        flat = out.transpose((*range(axis), *range(axis + 1, ndim), axis)).reshape(-1, out.shape[axis])
-        out = np.dot(flat, J_FRAME).reshape(rest + (4,)).transpose((*range(axis), ndim - 1, *range(axis, ndim - 1)))
-    return out
+        sign *= slot_sign[index[slot]]
+        index[slot] = source[index[slot]]
+    return _read_only(np.ravel_multi_index(tuple(index), index.shape[1:]).reshape(1, -1), sign.reshape(1, -1))
+
+
+def _rot(r: np.ndarray, slots: tuple[int, ...], rank: int = 4) -> np.ndarray:
+    """Apply J to the given distinct tensor slots (0-based among the last
+    `rank` axes): (J r)_..j.. = sum_a r_..a.. J^a_j on each slot.
+
+    One signed gather of each point's 4**rank entries, with the bits that
+    np.dot or einsum with J_FRAME gave slot after slot. Where they multiplied
+    a non-finite entry by a zero of J, the entries of the rotated slots
+    beside it are NaN.
+    """
+    axes = tuple(slot - rank for slot in slots)
+    flat_shape = r.shape[: r.ndim - rank] + (-1,)
+
+    def blocks(bad: np.ndarray) -> np.ndarray:
+        """The non-finite entries of each block the rotated slots span."""
+        bad = bad.reshape(r.shape)
+        return np.broadcast_to(bad.sum(axis=axes, keepdims=True), r.shape).reshape(flat_shape)
+
+    return _gathered(r.reshape(flat_shape), _rotation(tuple(slots), rank), blocks).reshape(r.shape)
+
+
+# -- Gray curvature conditions --------------------------------------------------
 
 
 def gray_residuals(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,12 +199,11 @@ def gray_residuals(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g3: R(X,Y,Z,W) = R(JX,JY,JZ,JW)
     """
     axes = (-4, -3, -2, -1)
-    # the rotations that start with slot 0 share it, and g3's starts with g2's first
-    r0 = _rot(r, (0,))
-    r01 = _rot(r0, (1,))
+    # each rotation is one gather from a compact copy of r
+    r = np.ascontiguousarray(r)
     g1 = np.abs(r - _rot(r, (2, 3))).max(axis=axes)
-    g2 = np.abs(r - r01 - _rot(r0, (2,)) - _rot(r0, (3,))).max(axis=axes)
-    g3 = np.abs(r - _rot(r01, (2, 3))).max(axis=axes)
+    g2 = np.abs(r - _rot(r, (0, 1)) - _rot(r, (0, 2)) - _rot(r, (0, 3))).max(axis=axes)
+    g3 = np.abs(r - _rot(r, (0, 1, 2, 3))).max(axis=axes)
     return g1, g2, g3
 
 

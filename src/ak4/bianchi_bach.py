@@ -22,10 +22,11 @@ Each function takes a `riemann.CurvatureBatch`, one of the curvature
 slices `second_order_report` runs on, and returns one value per point: a
 jet or an array with a leading point axis, or a list. Everything runs once
 on the slice's point axis, bit for bit what each point gives alone: the
-jets, the delta W+ split and the residual table. Two einsums on 4x4 frame
-values stay a loop over the points: the pairing of delta W+ with Omega in
-`split_delta_wplus`, where a batched einsum sums 16 terms of a strided
-operand in another order, and S in `bach_almost_kahler`.
+jets, the delta W+ split and the residual table. One einsum on 4x4 frame
+values stays a loop over the points: S in `bach_almost_kahler`. The
+pairing of delta W+ with Omega in `split_delta_wplus` is a signed gather
+over the slice (`algebra.form_pairing`), with the bits the per-point
+einsum gave.
 
 Computations of one shape run stacked on the point axis (`jets.concat`),
 k blocks of the slice's P points in one kernel call over k*P rows, each
@@ -82,14 +83,9 @@ def delta_weyl(cd: CurvatureBatch, which: str = "full") -> Jet:
     return getattr(cd, {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
 
 
-def _pair_with_form(t3_f: np.ndarray, form_f: np.ndarray) -> np.ndarray:
-    """gamma_m = <t3_m, form> with the half-norm inner product, frame components."""
-    return 0.5 * np.einsum("...mij,ij->...m", t3_f, form_f)
-
-
 def _j_form(alpha: np.ndarray) -> np.ndarray:
     """(J alpha)_i = -alpha_k J^k_i in frame components."""
-    return -np.einsum("...k,ki->...i", alpha, J_FRAME)
+    return -algebra._rot(alpha, (0,), 1)
 
 
 def reconstruct_v_plus(alpha: np.ndarray) -> np.ndarray:
@@ -119,16 +115,18 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     and report the completeness residual |delta W+ - A(alpha) - B(beta)|, at
     each point.
 
-    The pairing with Omega runs one point at a time: delta W+ comes strided
-    out of `tensorops.frame_components`, and on such an operand einsum sums
-    a point's 16 terms in another order when it has a point axis. The rest
-    runs on the point axis."""
-    gamma = np.stack([_pair_with_form(t3_f, OMEGA_F) for t3_f in dwp_frame])
-    alpha = 0.5 * np.einsum("...m,ma->...a", gamma, J_FRAME)  # alpha_a = (1/2) gamma_m J^m_a
+    gamma_m = <t_m, form> pairs each slot m with a 2-form by the half-norm
+    inner product. The pairing with Omega is `algebra.form_pairing` over the
+    batch: delta W+ comes strided out of `tensorops.frame_components`, and
+    the gather adds each point's four terms in the order the per-point
+    einsum it replaces did. The pairing of the C-ordered remainder with phi
+    stays an einsum, which pairs its terms across SIMD lanes."""
+    gamma = algebra.form_pairing(dwp_frame, 0)
+    alpha = 0.5 * algebra._rot(gamma, (0,), 1)  # alpha_a = (1/2) gamma_m J^m_a
     a_part = reconstruct_v_plus(alpha)
     rem = dwp_frame - a_part
-    gamma2 = _pair_with_form(rem, PHI_F)
-    beta = 0.5 * np.einsum("...m,ma->...a", gamma2, J_FRAME)
+    gamma2 = 0.5 * np.einsum("...mij,ij->...m", rem, PHI_F)
+    beta = 0.5 * algebra._rot(gamma2, (0,), 1)
     b_part = reconstruct_v_minus(beta)
     completeness = np.abs(dwp_frame - a_part - b_part).max(axis=(-3, -2, -1))
     return alpha, beta, completeness

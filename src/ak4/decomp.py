@@ -18,7 +18,8 @@ record of the batch (see `riemann`). The U(2) blocks (kappa, Psi),
 star-Ricci (s*), the residuals that only report rows read and the block
 norms are cached properties, computed for the whole batch on their first
 read, so `ak4 classify`, which reads only the split, computes none of them.
-R(Omega) in s* is the one step that runs point by point (see `star_ricci`).
+No step runs point by point: R(Omega) in s* is one signed gather over the
+batch (`algebra.form_pairing`, see `star_ricci`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .charts import FRAME_FORMS, J_FRAME
 from .riemann import CurvatureBatch
 
 #: |Ric^anti| below which the Ricci tensor counts as J-invariant.
@@ -126,16 +126,17 @@ def star_ricci(r_frames: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     components r_frames (P, 4, 4, 4, 4) of R and the components psi (P, 2)
     of Psi along (phi, J phi) from `algebra.u2_blocks`.
 
-    R(Omega) is contracted one point at a time: einsum sums its 16 terms in
-    an order that depends on the operand's shape and strides, and a batched
-    einsum or matmul moves the last bit at some points. Every later step sums
-    at most one non-zero term, or four in a trace, so it runs batched.
+    R(Omega) is `algebra.form_pairing` over the whole batch: its four
+    non-zero terms in (k, l) order, ((R01 - R10) + R23) - R32, the order the
+    per-point einsum it replaces used on the strided R_frame that
+    `tensorops.frame_components` returns. Every later step sums at most one
+    non-zero term, or four in a trace.
     """
-    r_omega = 0.5 * np.stack([np.einsum("ijkl,kl->ij", r, FRAME_FORMS[0]) for r in r_frames])
-    ric_star = -np.einsum("ki,...kj->...ij", J_FRAME, r_omega)
+    r_omega = algebra.form_pairing(r_frames, 0)
+    ric_star = -algebra._rot(r_omega, (0,), 2)
     s_star = np.trace(ric_star, axis1=-2, axis2=-1)
     skew = 0.5 * (ric_star - np.swapaxes(ric_star, -1, -2))
-    j_psi = -np.einsum("ki,...kj->...ij", J_FRAME, algebra.psi_form(psi))
+    j_psi = -algebra._rot(algebra.psi_form(psi), (0,), 2)
     residual = np.abs(skew + 0.5 * j_psi).max(axis=(-2, -1))
     return ric_star, s_star, residual
 

@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ak4 import algebra, bianchi_bach, charts, cli, jets, riemann, sandbox, tensorops
-from ak4.charts import J_FRAME
+from ak4 import algebra, bianchi_bach, charts, cli, decomp, gray, jets, riemann, sandbox, tensorops
+from ak4.charts import FRAME_FORMS, J_FRAME
 from ak4.jets import Jet
 from ak4.tensorops import EPS4
 
@@ -374,3 +374,246 @@ class TestDivergence:
             for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
                 first = tensorops.dual_projection(cd.weyl, sp.g_inv, sp.mu, sign, (0, 1))
                 assert np.array_equal(half.c, tensorops.dual_projection(first, sp.g_inv, sp.mu, sign, (2, 3)).c)
+
+
+# -- the einsums and dots that the frame-tensor gathers replaced ---------------
+
+
+def einsum_operator_matrix(r: np.ndarray) -> np.ndarray:
+    return np.einsum("...ijkl,aij,bkl->...ab", r, FRAME_FORMS, FRAME_FORMS) / 8.0
+
+
+def einsum_j_invariant_part(h: np.ndarray) -> np.ndarray:
+    return 0.5 * (h + np.einsum("ai,...ab,bj->...ij", J_FRAME, h, J_FRAME))
+
+
+def dot_rot(r: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """J on each slot in turn, the slot's axis moved last and multiplied by J_FRAME in one np.dot."""
+    out = r
+    ndim = r.ndim
+    for slot in slots:
+        axis = ndim - 4 + slot
+        rest = out.shape[:axis] + out.shape[axis + 1 :]
+        flat = out.transpose((*range(axis), *range(axis + 1, ndim), axis)).reshape(-1, out.shape[axis])
+        out = np.dot(flat, J_FRAME).reshape(rest + (4,)).transpose((*range(axis), ndim - 1, *range(axis, ndim - 1)))
+    return out
+
+
+def dot_gray_residuals(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    axes = (-4, -3, -2, -1)
+    r0 = dot_rot(r, (0,))
+    r01 = dot_rot(r0, (1,))
+    g1 = np.abs(r - dot_rot(r, (2, 3))).max(axis=axes)
+    g2 = np.abs(r - r01 - dot_rot(r0, (2,)) - dot_rot(r0, (3,))).max(axis=axes)
+    g3 = np.abs(r - dot_rot(r01, (2, 3))).max(axis=axes)
+    return g1, g2, g3
+
+
+#: The J contractions `algebra._rot` replaced, by (rank, slot), as the pipeline wrote them.
+EINSUM_J = {
+    (1, 0): lambda t: np.einsum("...k,ki->...i", t, J_FRAME),
+    (2, 0): lambda t: np.einsum("ki,...kj->...ij", J_FRAME, t),
+    (3, 2): lambda t: np.einsum("...mik,kj->...mij", t, J_FRAME),
+}
+
+
+def einsum_star_ricci(r_frames: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r_omega = 0.5 * np.stack([np.einsum("ijkl,kl->ij", r, FRAME_FORMS[0]) for r in r_frames])
+    ric_star = -np.einsum("ki,...kj->...ij", J_FRAME, r_omega)
+    s_star = np.trace(ric_star, axis1=-2, axis2=-1)
+    skew = 0.5 * (ric_star - np.swapaxes(ric_star, -1, -2))
+    j_psi = -np.einsum("ki,...kj->...ij", J_FRAME, algebra.psi_form(psi))
+    return ric_star, s_star, np.abs(skew + 0.5 * j_psi).max(axis=(-2, -1))
+
+
+def einsum_j_form(alpha: np.ndarray) -> np.ndarray:
+    return -np.einsum("...k,ki->...i", alpha, J_FRAME)
+
+
+def einsum_split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    omega_f, phi_f, jphi_f = FRAME_FORMS[:3]
+    eye, jm = np.eye(4), J_FRAME.T
+    gamma = np.stack([0.5 * np.einsum("...mij,ij->...m", t3_f, omega_f) for t3_f in dwp_frame])
+    alpha = 0.5 * np.einsum("...m,ma->...a", gamma, J_FRAME)
+    ja = einsum_j_form(alpha)
+    wedge1 = np.einsum("...i,mj->...mij", alpha, eye) - np.einsum("...j,mi->...mij", alpha, eye)
+    wedge2 = np.einsum("...i,mj->...mij", ja, jm) - np.einsum("...j,mi->...mij", ja, jm)
+    a_part = np.einsum("...m,ij->...mij", ja, omega_f) - 0.5 * (wedge1 - wedge2)
+    rem = dwp_frame - a_part
+    beta = 0.5 * np.einsum("...m,ma->...a", 0.5 * np.einsum("...mij,ij->...m", rem, phi_f), J_FRAME)
+    jb = einsum_j_form(beta)
+    b_part = np.einsum("...i,mj->...mij", jb, phi_f) - np.einsum("...j,mi->...mij", jb, phi_f)
+    b_part += np.einsum("...i,mj->...mij", beta, jphi_f) - np.einsum("...j,mi->...mij", beta, jphi_f)
+    return alpha, beta, np.abs(dwp_frame - a_part - b_part).max(axis=(-3, -2, -1))
+
+
+def einsum_canonical_ricci_form(dr) -> np.ndarray:
+    conn = dr.cd.conn
+    d_omega_f = tensorops.frame_components(conn.nabla_omega.value, conn.structure.frame)
+    gamma = 4.0 * np.einsum("kx,pky->pxy", J_FRAME, dr.ric_star)
+    jp = -np.einsum("pmik,kj->pmij", d_omega_f, J_FRAME)
+    return gamma + np.einsum("pxij,pyij->pxy", jp, d_omega_f)
+
+
+def assert_same_bits(got, want) -> None:
+    """The same entries, NaN where want is NaN, and the same sign bit on every
+    entry that is not NaN, so +0.0 and -0.0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+def frame_layout(values: np.ndarray, blocks: int = 1, block: int = 0) -> np.ndarray:
+    """A copy of values, a batch on its first axis, in the memory layout that
+    `tensorops.frame_components` gives block `block` of `blocks` such batches
+    stacked on the point axis: R_frame is the one block of its batch, and a
+    report slice's delta W+ is block 2 of 4 (`bianchi_bach._frame_blocks`)."""
+    stacked = np.concatenate([values] * blocks)
+    out = tensorops.frame_components(stacked, np.broadcast_to(np.eye(4), (len(stacked), 4, 4)))
+    out[...] = stacked  # the layout of the frame components, the entries of values, signed zeros included
+    return out.reshape(blocks, len(values), *values.shape[1:])[block]
+
+
+def planted_zeros(shape: tuple[int, ...], seed: int) -> np.ndarray:
+    """Normal entries with about a tenth +0.0 and a tenth -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    u = rng.random(shape)
+    x[u < 0.1] = 0.0
+    x[(u >= 0.1) & (u < 0.2)] = -0.0
+    return x
+
+
+#: Point counts of the random batches: every count up to 25.
+RANDOM_POINTS = range(1, 26)
+
+
+def random_curvatures() -> list[np.ndarray]:
+    """Random (P, 4, 4, 4, 4) batches with planted signed zeros, C-ordered and
+    in R_frame's layout, at every P of RANDOM_POINTS."""
+    batches = [planted_zeros((p, 4, 4, 4, 4), p) for p in RANDOM_POINTS]
+    return batches + [frame_layout(r) for r in batches]
+
+
+def sandbox_curvatures() -> list[np.ndarray]:
+    batch = np.concatenate([sandbox.random_batch(5, 8), sandbox.g1_batch(5, 8), sandbox.g2_batch(5, 8)])
+    return [batch, frame_layout(batch)]
+
+
+@pytest.fixture(scope="module")
+def catalog_batches(catalog_specs) -> list[cli.AnalysisBatch]:
+    """One order-4 analysis batch of 3 seeded points per catalog chart."""
+    return [cli.point_analyses(charts.structure_at([(spec, spec.sample_points(3, 42))], 4))[0].batch for spec in catalog_specs.values()]
+
+
+class TestFrameTensorGathers:
+    """Each contraction with a constant frame tensor is a signed gather with
+    the bits of the einsum or np.dot it replaced, on the pipeline's layouts:
+    the catalog's own batches, sandbox batches and random ones with signed
+    zeros, C-ordered and in the strided layout of frame components."""
+
+    def curvatures(self, analyses, catalog_batches) -> list[np.ndarray]:
+        catalog = [batch.cd.R_frame for batch in catalog_batches] + [at(pa, "cd").R_frame for _, pa in all_points(analyses)]
+        return catalog + sandbox_curvatures() + random_curvatures()
+
+    def test_operator_matrix(self, analyses, catalog_batches):
+        for r in self.curvatures(analyses, catalog_batches):
+            assert_same_bits(algebra.operator_matrix(r), einsum_operator_matrix(r))
+
+    def test_gray_residuals(self, analyses, catalog_batches):
+        for r in self.curvatures(analyses, catalog_batches):
+            for got, want in zip(algebra.gray_residuals(r), dot_gray_residuals(r)):
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("slots", ROT_SLOTS + [(0,), (1,), (2,), (3,)])
+    def test_rotation_of_a_curvature(self, slots, analyses, catalog_batches):
+        for r in self.curvatures(analyses, catalog_batches):
+            assert_same_bits(algebra._rot(r, slots), dot_rot(r, slots))
+
+    @pytest.mark.parametrize("rank, slot", list(EINSUM_J))
+    def test_j_contraction_of_a_lower_rank_tensor(self, rank, slot, catalog_batches):
+        values = [planted_zeros((p,) + (4,) * rank, p) for p in RANDOM_POINTS]
+        values += [np.moveaxis(v, -1, 1).copy() for v in values]  # a strided copy of each
+        for batch in catalog_batches:
+            values += {
+                1: [batch.hfo.theta.value, batch.hfo.a.value],
+                2: [batch.dr.ric0, batch.dr.ric_star, batch.dr.ric0_anti, batch.cd.ric_frame],
+                3: [tensorops.frame_components(batch.conn.nabla_omega.value, batch.structure.frame)],
+            }[rank]
+        for t in values:
+            assert_same_bits(algebra._rot(t, (slot,), rank), EINSUM_J[rank, slot](t))
+
+    def test_j_invariant_part(self, catalog_batches):
+        values = [planted_zeros((p, 4, 4), p) for p in RANDOM_POINTS]
+        values += [batch.dr.ric0 for batch in catalog_batches] + [algebra.ricci_contraction(r) for r in sandbox_curvatures()]
+        for h in values + [np.swapaxes(h, -1, -2) for h in values]:
+            assert_same_bits(algebra.j_invariant_part(h), einsum_j_invariant_part(h))
+
+    def test_star_ricci(self, catalog_batches):
+        """The batched gather keeps the per-point einsum's bits on R_frame's
+        layout, where einsum added the four terms in (k, l) order."""
+        cases = [(batch.cd.R_frame, batch.dr.psi) for batch in catalog_batches]
+        cases += [(r, planted_zeros((len(r), 2), len(r))) for r in random_curvatures()[len(RANDOM_POINTS) :]]
+        cases += [(sandbox_curvatures()[1], planted_zeros((15, 2), 15))]
+        for r, psi in cases:
+            for got, want in zip(decomp.star_ricci(r, psi), einsum_star_ricci(r, psi)):
+                assert_same_bits(got, want)
+
+    def test_split_delta_wplus(self, catalog_batches, monkeypatch):
+        """On the delta W+ of each report slice, and on random ones in its layout."""
+        seen = []
+        split = bianchi_bach.split_delta_wplus
+        monkeypatch.setattr(bianchi_bach, "split_delta_wplus", lambda dwp: seen.append(dwp) or split(dwp))
+        for batch in catalog_batches:
+            assert batch.sor.residuals
+        assert len(seen) == len(catalog_batches)
+        seen += [frame_layout(planted_zeros((p, 4, 4, 4), p), 4, 2) for p in RANDOM_POINTS]
+        for dwp in seen:
+            for got, want in zip(split(dwp), einsum_split_delta_wplus(dwp)):
+                assert_same_bits(got, want)
+
+    def test_j_form_and_the_canonical_ricci_form(self, catalog_batches):
+        for batch in catalog_batches:
+            assert_same_bits(gray.canonical_ricci_form(batch.dr), einsum_canonical_ricci_form(batch.dr))
+        for p in RANDOM_POINTS:
+            alpha = planted_zeros((p, 4), p)
+            assert_same_bits(bianchi_bach._j_form(alpha), einsum_j_form(alpha))
+
+    def test_form_pairing_adds_in_kl_order(self):
+        """On R_frame's layout the gather matches the per-point einsum for
+        every basis form; the order is fixed, whatever the operand's strides."""
+        for r in random_curvatures()[len(RANDOM_POINTS) :]:
+            for a in range(6):
+                want = 0.5 * np.stack([np.einsum("ijkl,kl->ij", x, FRAME_FORMS[a]) for x in r])
+                assert_same_bits(algebra.form_pairing(r, a), want)
+                assert_same_bits(algebra.form_pairing(np.ascontiguousarray(r), a), algebra.form_pairing(r, a))
+
+    def test_non_finite_entries_keep_the_einsum_output(self):
+        """An inf at point 1, an inf and a nan at point 2: einsum's zero terms
+        spread NaN, and the gathers spread it to the same entries. The sign
+        of such a NaN is kept where no input is NaN."""
+        r = sandbox.random_batch(4, 5).copy()
+        r[1, 0, 1, 2, 3] = np.inf
+        r[2, 0, 1, 2, 3] = -np.inf
+        r[2, 3, 2, 1, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            m = algebra.operator_matrix(r)
+            assert np.isfinite(m[[0, 3]]).all()
+            assert np.isnan(m[1]).sum() == 32 and np.isinf(m[1]).sum() == 4
+            assert np.isnan(m[2]).all()
+            assert_same_bits(m, einsum_operator_matrix(r))
+            assert np.array_equal(np.signbit(m[1]), np.signbit(einsum_operator_matrix(r)[1]))
+            for got, want in zip(algebra.gray_residuals(r), dot_gray_residuals(r)):
+                assert np.isnan(got[1:3]).all() and np.isfinite(got[[0, 3]]).all()
+                assert_same_bits(got, want)
+            for slots in ROT_SLOTS:
+                got, want = algebra._rot(r, slots), dot_rot(r, slots)
+                assert_same_bits(got, want)
+                assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+            h = r[:, 0, :, 2, :]
+            assert_same_bits(algebra.j_invariant_part(h), einsum_j_invariant_part(h))
+            r_frame = frame_layout(r)
+            for got, want in zip(decomp.star_ricci(r_frame, np.ones((4, 2))), einsum_star_ricci(r_frame, np.ones((4, 2)))):
+                assert_same_bits(got, want)
