@@ -6,12 +6,13 @@ leading batch axes supported throughout. This module is independent of the
 chart/jet pipeline, so it can serve as a brute-force oracle for pointwise
 claims about the curvature decomposition; the sandbox checks run on it.
 
-The contractions with the constant frame tensors FRAME_FORMS and J_FRAME,
-whose entries are 0 or +-1, are signed gathers (`_gathered`) from index
-and sign tables built once: `operator_matrix`, `form_pairing` and `_rot`,
-which applies J to tensor slots (the Gray identities, the J-invariant
-part, and the J contractions of `decomp`, `gray` and `bianchi_bach`). The
-gather order rule: each output adds its non-zero terms one at a time to
+The pipeline's contractions with the constant frame tensors FRAME_FORMS
+and J_FRAME, whose entries are 0 or +-1, are signed gathers (`_gathered`)
+from index and sign tables built once: `operator_matrix`, `form_pairing`
+(R(Omega) in s* and the Omega pairing of the delta W+ split) and `_rot`,
+which applies J to tensor slots (the Gray identities and the J-invariant
+part). `tensor_from_operator` and `kn_delta` stay einsums. The gather
+order rule: each output adds its non-zero terms one at a time to
 0.0 in the order the einsum or np.dot it replaced added them on the layout
 the pipeline passes, so every bit is the one that code gave, the sign of
 zero included. That order depended on the operands' strides, which the
@@ -71,12 +72,13 @@ def _gathered(x: np.ndarray, table: tuple[np.ndarray, np.ndarray], fibers: Calla
     fiber is the whole last axis of x by default.
     """
     index, sign = table
-    terms = np.take(x, index, axis=-1)
-    terms *= sign
     if len(index) == 1:  # 0.0 + t without a reduction over one term
-        terms += 0.0
-        out = terms[..., 0, :]
+        out = np.take(x, index[0], axis=-1)
+        out *= sign[0]
+        out += 0.0
     else:
+        terms = np.take(x, index, axis=-1)
+        terms *= sign
         out = np.add.reduce(terms, axis=-2, initial=0.0)
     finite = np.isfinite(x)
     if not finite.all():

@@ -85,7 +85,7 @@ def delta_weyl(cd: CurvatureBatch, which: str = "full") -> Jet:
 
 def _j_form(alpha: np.ndarray) -> np.ndarray:
     """(J alpha)_i = -alpha_k J^k_i in frame components."""
-    return -algebra._rot(alpha, (0,), 1)
+    return -np.einsum("...k,ki->...i", alpha, J_FRAME)
 
 
 def reconstruct_v_plus(alpha: np.ndarray) -> np.ndarray:
@@ -122,11 +122,11 @@ def split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     einsum it replaces did. The pairing of the C-ordered remainder with phi
     stays an einsum, which pairs its terms across SIMD lanes."""
     gamma = algebra.form_pairing(dwp_frame, 0)
-    alpha = 0.5 * algebra._rot(gamma, (0,), 1)  # alpha_a = (1/2) gamma_m J^m_a
+    alpha = 0.5 * np.einsum("...m,ma->...a", gamma, J_FRAME)  # alpha_a = (1/2) gamma_m J^m_a
     a_part = reconstruct_v_plus(alpha)
     rem = dwp_frame - a_part
     gamma2 = 0.5 * np.einsum("...mij,ij->...m", rem, PHI_F)
-    beta = 0.5 * algebra._rot(gamma2, (0,), 1)
+    beta = 0.5 * np.einsum("...m,ma->...a", gamma2, J_FRAME)
     b_part = reconstruct_v_minus(beta)
     completeness = np.abs(dwp_frame - a_part - b_part).max(axis=(-3, -2, -1))
     return alpha, beta, completeness

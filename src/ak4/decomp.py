@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
+from .charts import J_FRAME
 from .riemann import CurvatureBatch
 
 #: |Ric^anti| below which the Ricci tensor counts as J-invariant.
@@ -133,10 +134,10 @@ def star_ricci(r_frames: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     non-zero term, or four in a trace.
     """
     r_omega = algebra.form_pairing(r_frames, 0)
-    ric_star = -algebra._rot(r_omega, (0,), 2)
+    ric_star = -np.einsum("ki,...kj->...ij", J_FRAME, r_omega)
     s_star = np.trace(ric_star, axis1=-2, axis2=-1)
     skew = 0.5 * (ric_star - np.swapaxes(ric_star, -1, -2))
-    j_psi = -algebra._rot(algebra.psi_form(psi), (0,), 2)
+    j_psi = -np.einsum("ki,...kj->...ij", J_FRAME, algebra.psi_form(psi))
     residual = np.abs(skew + 0.5 * j_psi).max(axis=(-2, -1))
     return ric_star, s_star, residual
 

@@ -231,10 +231,10 @@ def canonical_ricci_form(dr: DecompBatch) -> np.ndarray:
     conn = dr.cd.conn
     d_omega_f = tensorops.frame_components(conn.nabla_omega.value, conn.structure.frame)
     # first term: 4 Ric*(J e_x, e_y) with (J e_x)^k = J^k_x
-    gamma = 4.0 * algebra._rot(dr.ric_star, (0,), 2)
+    gamma = 4.0 * np.einsum("kx,pky->pxy", J_FRAME, dr.ric_star)
     # (J o nabla_m J) as a lowered 2-tensor: g(J P e_i, e_j) = -P(e_i, J e_j),
     # where P(e_i, e_j) = (nabla_m Omega)(e_i, e_j)
-    jp = -algebra._rot(d_omega_f, (2,), 3)
+    jp = -np.einsum("pmik,kj->pmij", d_omega_f, J_FRAME)
     return gamma + np.einsum("pxij,pyij->pxy", jp, d_omega_f)
 
 

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ak4 import algebra, bianchi_bach, charts, cli, decomp, gray, jets, riemann, sandbox, tensorops
+from ak4 import algebra, bianchi_bach, charts, cli, decomp, jets, riemann, sandbox, tensorops
 from ak4.charts import FRAME_FORMS, J_FRAME
 from ak4.jets import Jet
 from ak4.tensorops import EPS4
@@ -409,14 +409,6 @@ def dot_gray_residuals(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return g1, g2, g3
 
 
-#: The J contractions `algebra._rot` replaced, by (rank, slot), as the pipeline wrote them.
-EINSUM_J = {
-    (1, 0): lambda t: np.einsum("...k,ki->...i", t, J_FRAME),
-    (2, 0): lambda t: np.einsum("ki,...kj->...ij", J_FRAME, t),
-    (3, 2): lambda t: np.einsum("...mik,kj->...mij", t, J_FRAME),
-}
-
-
 def einsum_star_ricci(r_frames: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r_omega = 0.5 * np.stack([np.einsum("ijkl,kl->ij", r, FRAME_FORMS[0]) for r in r_frames])
     ric_star = -np.einsum("ki,...kj->...ij", J_FRAME, r_omega)
@@ -445,14 +437,6 @@ def einsum_split_delta_wplus(dwp_frame: np.ndarray) -> tuple[np.ndarray, np.ndar
     b_part = np.einsum("...i,mj->...mij", jb, phi_f) - np.einsum("...j,mi->...mij", jb, phi_f)
     b_part += np.einsum("...i,mj->...mij", beta, jphi_f) - np.einsum("...j,mi->...mij", beta, jphi_f)
     return alpha, beta, np.abs(dwp_frame - a_part - b_part).max(axis=(-3, -2, -1))
-
-
-def einsum_canonical_ricci_form(dr) -> np.ndarray:
-    conn = dr.cd.conn
-    d_omega_f = tensorops.frame_components(conn.nabla_omega.value, conn.structure.frame)
-    gamma = 4.0 * np.einsum("kx,pky->pxy", J_FRAME, dr.ric_star)
-    jp = -np.einsum("pmik,kj->pmij", d_omega_f, J_FRAME)
-    return gamma + np.einsum("pxij,pyij->pxy", jp, d_omega_f)
 
 
 def assert_same_bits(got, want) -> None:
@@ -532,19 +516,6 @@ class TestFrameTensorGathers:
         for r in self.curvatures(analyses, catalog_batches):
             assert_same_bits(algebra._rot(r, slots), dot_rot(r, slots))
 
-    @pytest.mark.parametrize("rank, slot", list(EINSUM_J))
-    def test_j_contraction_of_a_lower_rank_tensor(self, rank, slot, catalog_batches):
-        values = [planted_zeros((p,) + (4,) * rank, p) for p in RANDOM_POINTS]
-        values += [np.moveaxis(v, -1, 1).copy() for v in values]  # a strided copy of each
-        for batch in catalog_batches:
-            values += {
-                1: [batch.hfo.theta.value, batch.hfo.a.value],
-                2: [batch.dr.ric0, batch.dr.ric_star, batch.dr.ric0_anti, batch.cd.ric_frame],
-                3: [tensorops.frame_components(batch.conn.nabla_omega.value, batch.structure.frame)],
-            }[rank]
-        for t in values:
-            assert_same_bits(algebra._rot(t, (slot,), rank), EINSUM_J[rank, slot](t))
-
     def test_j_invariant_part(self, catalog_batches):
         values = [planted_zeros((p, 4, 4), p) for p in RANDOM_POINTS]
         values += [batch.dr.ric0 for batch in catalog_batches] + [algebra.ricci_contraction(r) for r in sandbox_curvatures()]
@@ -573,13 +544,6 @@ class TestFrameTensorGathers:
         for dwp in seen:
             for got, want in zip(split(dwp), einsum_split_delta_wplus(dwp)):
                 assert_same_bits(got, want)
-
-    def test_j_form_and_the_canonical_ricci_form(self, catalog_batches):
-        for batch in catalog_batches:
-            assert_same_bits(gray.canonical_ricci_form(batch.dr), einsum_canonical_ricci_form(batch.dr))
-        for p in RANDOM_POINTS:
-            alpha = planted_zeros((p, 4), p)
-            assert_same_bits(bianchi_bach._j_form(alpha), einsum_j_form(alpha))
 
     def test_form_pairing_adds_in_kl_order(self):
         """On R_frame's layout the gather matches the per-point einsum for
