@@ -71,6 +71,7 @@ def _gathered(x: np.ndarray, table: tuple[np.ndarray, np.ndarray], fibers: Calla
     entries of each output's fiber, given the non-finite entries of x; the
     fiber is the whole last axis of x by default.
     """
+    x = np.asarray(x, dtype=np.float64)  # the tables are float64, as were einsum's and np.dot's operands
     index, sign = table
     if len(index) == 1:  # 0.0 + t without a reduction over one term
         out = np.take(x, index[0], axis=-1)

@@ -554,6 +554,16 @@ class TestFrameTensorGathers:
                 assert_same_bits(algebra.form_pairing(r, a), want)
                 assert_same_bits(algebra.form_pairing(np.ascontiguousarray(r), a), algebra.form_pairing(r, a))
 
+    def test_integer_and_single_precision_input(self):
+        """einsum and np.dot with the float64 constants computed in float64
+        whatever the input's type; so do the gathers."""
+        r = planted_zeros((3, 4, 4, 4, 4), 3)
+        for x in (np.rint(4.0 * r).astype(np.int64), r.astype(np.float32)):
+            assert_same_bits(algebra.operator_matrix(x), einsum_operator_matrix(x))
+            assert_same_bits(algebra._rot(x, (0, 1, 2, 3)), dot_rot(x, (0, 1, 2, 3)))
+            assert_same_bits(algebra.j_invariant_part(x[:, 0, 1]), einsum_j_invariant_part(x[:, 0, 1]))
+            assert_same_bits(algebra.form_pairing(frame_layout(x), 0), 0.5 * np.stack([np.einsum("ijkl,kl->ij", p, FRAME_FORMS[0]) for p in frame_layout(x)]))
+
     def test_non_finite_entries_keep_the_einsum_output(self):
         """An inf at point 1, an inf and a nan at point 2: einsum's zero terms
         spread NaN, and the gathers spread it to the same entries. The sign
