@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -65,6 +66,8 @@ class RunConfig:
             raise AK4Error(f"--planes must be >= {gray.MIN_PLANES}, got {self.planes}")
         if self.seed < 0:
             raise AK4Error(f"--seed must be >= 0, got {self.seed}")
+        if self.json_path == "":
+            raise AK4Error("--json must be a file path or '-', got ''")
 
 
 @dataclass
@@ -468,148 +471,33 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
     return doc, 0 if all_pass else 1
 
 
-_JSON_STR = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    """A float as `json` spells it: NaN, Infinity, -Infinity or float.__repr__."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    """A dict key as `json` converts it to a string."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is None:
-        return "null"
-    if key is True or key is False:
-        return "true" if key else "false"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-#: The values json writes as scalars (a bool is an int, np.float64 a float).
-_SCALARS = (str, int, float, type(None))
-
-
-@functools.cache
-def _scalar_encoder(inner: str, key_separator: str = ": "):
-    """json's C encoder for containers of scalars whose items go at the indent
-    `inner`: it separates them with "," + `inner` and sorts the keys. The C
-    encoder takes no indent, so the caller writes the first and last breaks.
-    Every value it is given is a scalar or such a container, so it never
-    calls a `default`."""
-    return json.encoder.c_make_encoder(None, None, _JSON_STR, None, key_separator, "," + inner, True, False, True)
-
-
-def _is_scalar_dict(o) -> bool:
-    """Whether `o` is a non-empty dict of scalars."""
-    return isinstance(o, dict) and bool(o) and all(isinstance(value, _SCALARS) for value in o.values())
-
-
-def _write_json(o, nl: str, out: list[str]) -> None:
-    """Append the JSON text of `o` to `out`; `nl` is the newline and indent of its level.
-
-    Containers are tested first: no type is both a container and a scalar.
-    The scalar types are tested in the order `json` tests them, so a bool is
-    never written as an int and a float subclass such as np.float64 as a
-    float. A non-empty list or dict of scalars, and a list or dict of
-    non-empty dicts of scalars, go through json's C encoder.
-    """
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if all(isinstance(item, _SCALARS) for item in o):
-            out.append("[" + inner + _scalar_encoder(inner)(o, 0)[0][1:-1] + nl + "]")
-            return
-        if all(_is_scalar_dict(item) for item in o):
-            # One call for all the dicts, which separates their items and the
-            # list's alike. A raw newline comes only from a separator (strings
-            # are escaped), and only the list's is between "}" and "{" (no
-            # scalar ends with "}", no key starts with "{"): that one is
-            # rewritten to the list's indent.
-            item = inner + "  "
-            body = _scalar_encoder(item)(o, 0)[0][2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
-            out.append("[" + inner + "{" + item + body + inner + "}" + nl + "]")
-            return
-        sep = "[" + inner
-        for item in o:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        if all(isinstance(value, _SCALARS) for value in o.values()):
-            out.append("{" + inner + _scalar_encoder(inner)(o, 0)[0][1:-1] + nl + "}")
-            return
-        if all(_is_scalar_dict(value) for value in o.values()):
-            # One call for all the dicts, as for a list of them, with a NUL
-            # (escaped in strings) marking every key separator: the one before
-            # "{" opens an inner dict, and the outer separator is the one
-            # between "}" and '"'.
-            item = inner + "  "
-            body = _scalar_encoder(item, ":\0")(o, 0)[0][1:-2].replace("}," + item + '"', inner + "}," + inner + '"')
-            out.append("{" + inner + body.replace(":\0{", ": {" + item).replace("\0", " ") + inner + "}" + nl + "}")
-            return
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            out.append(sep + _JSON_STR(_json_key(key)) + ": ")
-            _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, str):
-        out.append(_JSON_STR(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _json_text(doc: dict) -> str:
-    """The report as JSON text: sorted keys, two-space indent, final newline.
-
-    The text equals json.dumps(doc, indent=2, sort_keys=True) + "\n" byte for
-    byte. With an indent, CPython's json falls back to its pure-Python
-    encoder, which this direct writer outruns.
-    """
-    out: list[str] = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    """The report as JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(doc: dict, path: str) -> None:
-    """Atomic JSON write (temp file in the target directory, then rename); an
-    OSError becomes an AK4Error naming the path."""
-    text, tmp = _json_text(doc), None
+    """Write the JSON report to `path`, or through a symlink to its target. A
+    device, FIFO or other existing non-regular file is written in place; a
+    regular file is replaced atomically by a temp file beside it with its
+    permission bits (a new file's are 0o666 less the umask, as open() gives).
+    An OSError becomes an AK4Error naming the path."""
+    text, target, tmp = _json_text(doc), os.path.realpath(path), None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))  # reading the umask sets it: set it back
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
         tmp = None  # renamed: nothing is left to remove
     except OSError as exc:
         raise AK4Error(f"cannot write the JSON report to {path}: {exc.strerror or exc}") from exc

@@ -204,7 +204,7 @@ class _Parser:
             value = eval_float(node, (0.0, 0.0, 0.0, 0.0))
         except OverflowError:
             raise ParseError("exponent overflows the float range", offset) from None
-        except (ValueError, DomainError) as exc:
+        except DomainError as exc:
             raise ParseError(f"exponent cannot be evaluated: {exc}", offset) from None
         if not math.isfinite(value):
             raise ParseError(f"exponent is not finite: {value}", offset)
@@ -507,5 +507,7 @@ def eval_float(e: Expr, p) -> float:
             raise DomainError("log of a non-positive value")
         if e.fn == "sqrt" and arg < 0.0:
             raise DomainError("sqrt of a negative value")
+        if e.fn in ("sin", "cos", "tan") and math.isinf(arg):
+            raise DomainError(f"{e.fn} of an infinite value")
         return _FLOAT_FUNCS[e.fn](arg)
     raise TypeError(f"not an expression node: {e!r}")

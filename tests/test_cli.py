@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
+import threading
 from collections import Counter
 
 import numpy as np
@@ -25,6 +28,7 @@ BAD_FLAG_VALUES = [
     ("--tol-scale", "nan"),
     ("--tol-scale", "inf"),
     ("--tol-scale", "0"),
+    ("--json", ""),
 ]
 
 
@@ -138,7 +142,8 @@ class TestReport:
             pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")
             for i, command in enumerate((["report"], ["check", "kappa"], ["classify"]))
             for flag, value in BAD_FLAG_VALUES
-            if command != ["classify"] or flag == "--seed"  # classify takes neither --planes nor --tol-scale
+            # only report takes --json; classify takes neither --planes nor --tol-scale
+            if (command == ["report"] or flag != "--json") and (command != ["classify"] or flag == "--seed")
         ],
     )
     def test_bad_flag_value_exits_2_naming_the_flag(self, command, flag, value, capsys):
@@ -553,6 +558,47 @@ class TestUserChartFiles:
         assert err.startswith("error: cannot write the JSON report to ") and path in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_json_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "report.json"
+        target.write_text("stale\n")
+        link = tmp_path / "latest.json"
+        link.symlink_to(os.path.join("reports", "report.json"))
+        code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--json", str(link)])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("reports", "report.json")
+        assert json.loads(target.read_text())["schema"] == "ak4/1"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_json_to_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # daemon: were the FIFO replaced instead, its reader would wait for a writer forever
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        doc = {"schema": "ak4/1", "points": [{"residual": 1.5e-17}]}
+        cli.write_json(doc, str(fifo))
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == [cli._json_text(doc).encode("utf-8")]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
+    def test_json_file_keeps_normal_permissions(self, umask, tmp_path):
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("{}\n")
+        existing.chmod(0o604)  # bits no umask gives
+        previous = os.umask(umask)
+        try:
+            cli.write_json({"a": 1}, str(new))
+            cli.write_json({"a": 1}, str(existing))
+            assert os.umask(umask) == umask  # write_json leaves the umask as it found it
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert json.loads(existing.read_text()) == {"a": 1}
 
     @pytest.mark.parametrize(
         "part, key, expr, entry",

@@ -137,6 +137,12 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_float(e, (-1.0, 0, 0, 0))
 
+    @pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+    def test_trig_of_an_infinite_value_is_a_domain_error(self, fn):
+        # x4^-1 * x4^-1 overflows to inf at a tiny x4, where math.sin raises ValueError
+        with pytest.raises(DomainError, match=f"{fn} of an infinite value"):
+            eval_float(parse_expr(f"{fn}(x4^-1 * x4^-1)"), (0.0, 0.0, 0.0, 5e-298))
+
     def test_sqrt_domain_error(self):
         with pytest.raises(DomainError):
             expr_jet(parse_expr("sqrt(x1)"), (-0.5, 0, 0, 0), 2)
