@@ -559,7 +559,7 @@ class TestUserChartFiles:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_json_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+    def test_json_through_a_symlink_writes_its_target(self, tmp_path):
         (tmp_path / "reports").mkdir()
         target = tmp_path / "reports" / "report.json"
         target.write_text("stale\n")
@@ -581,6 +581,7 @@ class TestUserChartFiles:
         doc = {"schema": "ak4/1", "points": [{"residual": 1.5e-17}]}
         cli.write_json(doc, str(fifo))
         reader.join(timeout=10)
+        assert not reader.is_alive()
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert received == [cli._json_text(doc).encode("utf-8")]
 
