@@ -483,6 +483,8 @@ def write_json(doc: dict, path: str) -> None:
     permission bits (a new file's are 0o666 less the umask, as open() gives).
     An OSError becomes an AK4Error naming the path."""
     text, target, tmp = _json_text(doc), os.path.realpath(path), None
+    if path.endswith(os.sep):  # realpath drops the separator that names a directory: keep it, to fail as open() does
+        target += os.sep
     try:
         try:
             mode = os.stat(target).st_mode

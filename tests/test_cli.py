@@ -549,15 +549,17 @@ class TestUserChartFiles:
         assert without_timing(printed) == without_timing(written)
         assert len(without_timing(written)) == len(written.splitlines()) - 1
 
-    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "target", ["missing/report.json", ".", "report.json" + os.sep], ids=["missing-directory", "directory", "trailing-separator"]
+    )
     def test_unwritable_json_path_exits_2(self, target, tmp_path, capsys):
-        path = str(tmp_path / target)
+        path = os.path.join(tmp_path, target)
         code = run_main(["report", "--chart", "flat", "--points", "1", "--order", "2", "--json", path])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: cannot write the JSON report to ") and path in err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert list(tmp_path.rglob("*.tmp")) == []
+        assert list(tmp_path.rglob("*")) == []  # neither a report nor a temp file
 
     def test_json_through_a_symlink_writes_its_target(self, tmp_path):
         (tmp_path / "reports").mkdir()
