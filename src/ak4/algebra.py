@@ -73,14 +73,9 @@ def _gathered(x: np.ndarray, table: tuple[np.ndarray, np.ndarray], fibers: Calla
     """
     x = np.asarray(x, dtype=np.float64)  # the tables are float64, as were einsum's and np.dot's operands
     index, sign = table
-    if len(index) == 1:  # 0.0 + t without a reduction over one term
-        out = np.take(x, index[0], axis=-1)
-        out *= sign[0]
-        out += 0.0
-    else:
-        terms = np.take(x, index, axis=-1)
-        terms *= sign
-        out = np.add.reduce(terms, axis=-2, initial=0.0)
+    terms = np.take(x, index, axis=-1)
+    terms *= sign
+    out = np.add.reduce(terms, axis=-2, initial=0.0)
     finite = np.isfinite(x)
     if not finite.all():
         bad = ~finite
@@ -224,7 +219,7 @@ def split_operator(m: np.ndarray) -> dict[str, np.ndarray]:
     eye3 = np.eye(3)
     wp = a - (tr_a[..., None, None] / 3.0) * eye3
     wm = c - (tr_c[..., None, None] / 3.0) * eye3
-    return {"s": s, "wplus": wp, "wminus": wm, "mixed": b, "tr_plus": tr_a, "tr_minus": tr_c}
+    return {"s": s, "wplus": wp, "wminus": wm, "mixed": b}
 
 
 def join_operator(parts: dict[str, np.ndarray]) -> np.ndarray:

@@ -36,8 +36,8 @@ TOL_ALGEBRAIC = 1e-9
 TOL_FIRST_ORDER = 1e-8
 TOL_THIRD_ORDER = 1e-7
 TOL_FOURTH_ORDER = 1e-6
-#: The largest --points or --planes: numpy cannot shape the (count, 2, 4)
-#: float64 plane draws past it, nor the (count, 4) point draws at twice it.
+#: The largest --points: numpy cannot shape the (count, 4) float64 point
+#: draws past twice it.
 MAX_COUNT = np.iinfo(np.intp).max // 64
 
 
@@ -48,22 +48,18 @@ class RunConfig:
     seed: int = 42
     order: int = 4
     tol_scale: float = 1.0
-    planes: int = 64
     json_path: str | None = None
     checks: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.points < 1:
             raise AK4Error(f"--points must be >= 1, got {self.points}")
-        for flag, count in (("--points", self.points), ("--planes", self.planes)):
-            if count > MAX_COUNT:
-                raise AK4Error(f"{flag} must be <= {MAX_COUNT}, the most numpy can shape, got {count}")
+        if self.points > MAX_COUNT:
+            raise AK4Error(f"--points must be <= {MAX_COUNT}, the most numpy can shape, got {self.points}")
         if self.order not in (2, 3, 4):
             raise AK4Error(f"--order must be 2, 3 or 4, got {self.order}")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise AK4Error(f"--tol-scale must be finite and positive, got {self.tol_scale}")
-        if self.planes < gray.MIN_PLANES:
-            raise AK4Error(f"--planes must be >= {gray.MIN_PLANES}, got {self.planes}")
         if self.seed < 0:
             raise AK4Error(f"--seed must be >= 0, got {self.seed}")
         if self.json_path == "":
@@ -85,7 +81,6 @@ class AnalysisBatch:
     """
 
     structure: charts.StructureBatch
-    planes: int
     seed: int
 
     @functools.cached_property
@@ -110,7 +105,7 @@ class AnalysisBatch:
 
     @functools.cached_property
     def gr(self) -> gray.GrayReport:
-        return gray.gray_report(self.cd, self.dr, n_planes=self.planes, seed=self.seed)
+        return gray.gray_report(self.cd, self.dr, seed=self.seed)
 
     @functools.cached_property
     def sor(self) -> bianchi_bach.SecondOrderReport | None:
@@ -138,9 +133,9 @@ class PointAnalysis:
     index: int
 
 
-def point_analyses(structure: charts.StructureBatch, planes: int = 64, seed: int = 42) -> list[PointAnalysis]:
+def point_analyses(structure: charts.StructureBatch, seed: int = 42) -> list[PointAnalysis]:
     """One PointAnalysis per point of the structure batch, all sharing one analysis batch."""
-    batch = AnalysisBatch(structure, planes, seed)
+    batch = AnalysisBatch(structure, seed)
     return [PointAnalysis(batch, k) for k in range(len(structure.points))]
 
 
@@ -169,7 +164,7 @@ def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
                 batches.append((spec, []))
             batches[-1][1].append(p)
         try:
-            pas = point_analyses(charts.structure_at(batches, order), config.planes, config.seed)
+            pas = point_analyses(charts.structure_at(batches, order), config.seed)
         except (StructureError, DomainError):
             pas = None
         for k, (spec, idx, p) in enumerate(block):
@@ -179,7 +174,7 @@ def _analyses(specs: list[charts.ChartSpec], config: RunConfig, order: int):
                 except (StructureError, DomainError) as exc:
                     coords = ", ".join(f"{x:.6g}" for x in p)
                     raise AK4Error(f"chart {spec.name!r}, point {idx} at ({coords}): {exc}") from exc
-                [pa] = point_analyses(structure, config.planes, config.seed)
+                [pa] = point_analyses(structure, config.seed)
                 yield spec, pa
             else:
                 yield spec, pas[k]
@@ -282,8 +277,10 @@ def _s_star(batch: AnalysisBatch) -> list[float]:
 def _lemma5(batch: AnalysisBatch) -> list[float]:
     rows = []
     for g2, triple in zip(batch.ladder.g2, gray.lemma5_triple(batch.dr).tolist()):
-        # equivalence at chart level: both small or both clearly nonzero
-        rows.append(triple if g2 < 1e-10 else g2 if triple < 1e-10 else 0.0)
+        # equivalence at chart level: both small or both clearly nonzero; a
+        # non-finite side ranks worst, on whichever side it is
+        worse = max(g2, triple, key=_rank)
+        rows.append(triple if g2 < 1e-10 else g2 if triple < 1e-10 else 0.0 if math.isfinite(worse) else worse)
     return rows
 
 
@@ -294,11 +291,11 @@ def _gamma0_antisymmetry(batch: AnalysisBatch) -> list[float]:
 
 def _weitzenboeck(batch: AnalysisBatch) -> list[float]:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
-    return list(map(max, batch.sor.residuals["weitzenboeck omega"], batch.sor.residuals["weitzenboeck random"]))
+    return [max(omega, field, key=_rank) for omega, field in zip(batch.sor.residuals["weitzenboeck omega"], batch.sor.residuals["weitzenboeck random"])]
 
 
 def _mu_formula_gap(gr: gray.GrayReport) -> list[float]:
-    return [max(abs(high - formula), abs(low - formula)) for formula, low, high in zip(gr.mu_formula, gr.mu_min, gr.mu_max)]
+    return [max(abs(high - formula), abs(low - formula), key=_rank) for formula, low, high in zip(gr.mu_formula, gr.mu_min, gr.mu_max)]
 
 
 #: Every identity, in report row order.
@@ -458,7 +455,7 @@ def run_report(config: RunConfig) -> tuple[dict, int]:
         "chart": charts.chart_to_dict(spec),
         "seed": config.seed,
         "order": config.order,
-        "planes": config.planes,
+        "planes": gray.PLANES,
         "tol_scale": config.tol_scale,
         "points": point_docs,
         "aggregate": {
@@ -702,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, choices=(2, 3, 4))
     for p in (p_report, p_check):
         p.add_argument("--tol-scale", type=float, help="multiplies the residual tolerances")
-        p.add_argument("--planes", type=int, help="Lagrangian plane sample count")
     p_report.add_argument("--json", dest="json_path", help="write the JSON report here")
     p_report.add_argument("--checks", type=_names, help="comma-separated identity names to enable (default: all)")
     p_check.set_defaults(chart="all", order=2)  # order raised to the named identity's by _per_point_check
@@ -731,12 +727,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the sample points, and the (P, ...) arrays of each batch, grow with
-        # --points, the plane samples with --planes: name each size flag given
-        given = vars(args)
-        sizes = [f"--{flag} {given[flag]}" for flag in ("points", "planes") if flag in given] or [f"--points {RunConfig.points}"]
+        # the sample points, and the (P, ...) arrays of each batch, grow with --points
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: {' '.join(sizes)} needs more memory than is available{detail}", file=sys.stderr)
+        print(f"error: --points {getattr(args, 'points', RunConfig.points)} needs more memory than is available{detail}", file=sys.stderr)
         return 2
     return 2
 

@@ -13,10 +13,14 @@ plane; `gray_report` holds the plane statistics and the W+ spectrum that
 of points and run once on its point axis, with the bits of a batch of one;
 each returns one record of the batch, or a list with one entry per point.
 
-Totally-real (Lagrangian) planes are sampled deterministically: a random
-unit vector X, then a unit Y from the orthogonal complement of
-span{X, JX}, enforced by explicit projection rather than rejection, so the
-sampling has no bias near J-invariant planes.
+Totally-real (Lagrangian) planes are sampled deterministically, PLANES of
+them per seed: a random unit vector X, then a unit Y from the orthogonal
+complement of span{X, JX}, enforced by explicit projection rather than
+rejection, so the sampling has no bias near J-invariant planes. One einsum
+over the whole batch gives every point's sectional curvature on every
+plane, with the bits of the same einsum on one point and one plane. It
+allocates little beyond its (P, PLANES) result, so it runs on the whole
+batch, not on curvature slices.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .riemann import ConnectionBatch, CurvatureBatch, FirstOrderBatch
 DEFAULT_VERDICT_TOL = 1e-7
 #: The verdicts of the class ladder, finest first.
 LADDER = ("KAHLER", "AK-G1", "AK-G2", "AK-G3", "AK", "ALMOST-HERMITIAN")
-#: Fewest Lagrangian planes `totally_real_curvature` samples.
-MIN_PLANES = 16
+#: The seeded Lagrangian planes `gray_report` samples at each point.
+PLANES = 64
 
 
 @dataclass
@@ -104,54 +108,13 @@ def prop1_check(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> li
     return np.abs(lhs - rhs).max(axis=1).tolist()
 
 
-def totally_real_curvature(cd: CurvatureBatch, dr: DecompBatch, n_planes: int, seed: int) -> dict[str, list[float]]:
-    """Sectional curvature statistics over seeded Lagrangian planes, a list
-    of one value per point for each statistic.
-
-    A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
-    both X and JX enforces this exactly. When `lemma6_triple` vanishes the
-    sampled curvature must be the pointwise constant (2s - kappa)/24. The
-    planes are taken a curvature slice at a time (`CurvatureBatch.slices()`):
-    the temporaries grow with the points.
-    """
-    if n_planes < MIN_PLANES:
-        raise ValueError(f"need at least {MIN_PLANES} sample planes")
-    x, y = _lagrangian_planes(n_planes, seed)
-    mus = np.concatenate([_plane_curvatures(part.R_frame, x, y) for part in cd.slices()])
-    mu_formula = (2.0 * cd.s_value - dr.kappa) / 24.0
-    return {"mu_formula": mu_formula.tolist(), "mu_min": mus.min(axis=1).tolist(), "mu_max": mus.max(axis=1).tolist()}
-
-
-def _plane_curvatures(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mu[p, n] = sum_ijkl R_ijkl x_i y_j x_k y_l for the frame components r
-    (P, 4, 4, 4, 4) and the plane vectors x, y (4, n_planes), with the bits
-    that einsum("ijkl,ni,nj,nk,nl->n") gives at each point: every term is
-    that product in that operand order, and the terms are added one at a
-    time, to 0.0 first, in the memory order of R's four slots, with the
-    planes on the last axis."""
-    n_planes = x.shape[1]
-    memory = sorted(range(4), key=lambda slot: -r.strides[1 + slot])
-
-    def along(slot: int, v: np.ndarray) -> np.ndarray:
-        """The plane vectors v (4, n_planes) on the terms' axis of `slot`."""
-        shape = [1] * 6
-        shape[1 + memory.index(slot)], shape[5] = 4, n_planes
-        return v.reshape(shape)
-
-    terms = r.transpose(0, *(1 + slot for slot in memory))[..., None] * along(0, x)
-    for slot, v in ((1, y), (2, x), (3, y)):
-        terms *= along(slot, v)
-    return np.add.reduce(terms.reshape(len(r), 256, n_planes), axis=1) + 0.0
-
-
 @functools.lru_cache(maxsize=8)
-def _lagrangian_planes(n_planes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit frame vectors (X, Y) of `n_planes` seeded Lagrangian planes,
-    drawn once per seed and plane count: read-only (4, n_planes) arrays, one
-    plane per column."""
+def _lagrangian_planes(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit frame vectors (X, Y) of PLANES seeded Lagrangian planes,
+    drawn once per seed: read-only (4, PLANES) arrays, one plane per column."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A]))
     # one block of draws: plane k takes X from row (k, 0) and Y from row (k, 1)
-    draws = rng.standard_normal((n_planes, 2, 4))
+    draws = rng.standard_normal((PLANES, 2, 4))
     x = draws[:, 0] / np.sqrt(_row_dot(draws[:, 0], draws[:, 0]))[:, None]
     jx = x @ J_FRAME.T
     y = _lagrangian_part(draws[:, 1], x, jx)
@@ -267,8 +230,15 @@ def classify(cd: CurvatureBatch, dr: DecompBatch, hfo: FirstOrderBatch) -> GrayL
     return GrayLadder(g1.tolist(), g2.tolist(), g3.tolist(), [LADDER[rung] for rung in rungs], flags)
 
 
-def gray_report(cd: CurvatureBatch, dr: DecompBatch, n_planes: int, seed: int) -> GrayReport:
-    """The Lagrangian sectional curvature statistics and the W+ eigenvalues at
-    each point of the batch."""
-    stats = totally_real_curvature(cd, dr, n_planes=n_planes, seed=seed)
-    return GrayReport(stats["mu_formula"], stats["mu_min"], stats["mu_max"], np.linalg.eigvalsh(dr.wplus))
+def gray_report(cd: CurvatureBatch, dr: DecompBatch, seed: int) -> GrayReport:
+    """The sectional curvature statistics over PLANES seeded Lagrangian planes
+    and the W+ eigenvalues at each point of the batch.
+
+    A plane X ^ Y is Lagrangian when g(JX, Y) = 0; sampling Y orthogonal to
+    both X and JX enforces this exactly. When `lemma6_triple` vanishes the
+    sampled curvature must be the pointwise constant (2s - kappa)/24.
+    """
+    x, y = _lagrangian_planes(seed)
+    mus = np.einsum("pijkl,in,jn,kn,ln->pn", cd.R_frame, x, y, x, y)  # mu[p, n] = R(X_n, Y_n, X_n, Y_n)
+    mu_formula = (2.0 * cd.s_value - dr.kappa) / 24.0
+    return GrayReport(mu_formula.tolist(), mus.min(axis=1).tolist(), mus.max(axis=1).tolist(), np.linalg.eigvalsh(dr.wplus))

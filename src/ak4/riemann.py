@@ -174,10 +174,10 @@ def connection(structure: StructureBatch) -> ConnectionBatch:
 
 
 #: The most points whose second-order jets are formed at once. The report
-#: rows built on the `CurvatureBatch` second-order jets, and the Lagrangian
-#: plane statistics, run on `CurvatureBatch.slices()`, batches of up to this
-#: many points: their temporaries grow with the points formed at once, and
-#: past a few points a larger slice saves little.
+#: rows built on the `CurvatureBatch` second-order jets run on
+#: `CurvatureBatch.slices()`, batches of up to this many points: their
+#: temporaries grow with the points formed at once, and past a few points a
+#: larger slice saves little.
 CURVATURE_SLICE = 8
 
 

@@ -115,7 +115,7 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
     point a batch of its own."""
     out: dict[str, list[PointAnalysis]] = {}
     for name, spec in catalog_specs.items():
-        out[name] = [point_analysis(spec, p, 4, planes=64, seed=FULL_SEED) for p in spec.sample_points(N_FULL, FULL_SEED)]
+        out[name] = [point_analysis(spec, p, 4, seed=FULL_SEED) for p in spec.sample_points(N_FULL, FULL_SEED)]
     return out
 
 
@@ -123,7 +123,7 @@ def analyses(catalog_specs) -> dict[str, list[PointAnalysis]]:
 def ricci_anti_analysis() -> PointAnalysis:
     spec = ricci_anti_chart()
     p = spec.sample_points(1, FULL_SEED)[0]
-    return point_analysis(spec, p, order=4, planes=64, seed=FULL_SEED)
+    return point_analysis(spec, p, order=4, seed=FULL_SEED)
 
 
 def stack(js) -> Jet:

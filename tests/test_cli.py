@@ -6,9 +6,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ from conftest import CATALOG_NAMES, applies_at, at, half_bad_chart, point_analys
 
 #: Out-of-range values of the flags RunConfig validates.
 BAD_FLAG_VALUES = [
-    ("--planes", "15"),
-    ("--planes", "0"),
     ("--seed", "-1"),
     ("--tol-scale", "nan"),
     ("--tol-scale", "inf"),
@@ -112,8 +112,6 @@ class TestReport:
         for bad in (float("nan"), float("inf"), 0.0):
             with pytest.raises(AK4Error, match="--tol-scale"):
                 RunConfig(tol_scale=bad)
-        with pytest.raises(AK4Error, match="--planes"):
-            RunConfig(planes=15)
         with pytest.raises(AK4Error, match="--seed"):
             RunConfig(seed=-1)
 
@@ -142,7 +140,7 @@ class TestReport:
             pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")
             for i, command in enumerate((["report"], ["check", "kappa"], ["classify"]))
             for flag, value in BAD_FLAG_VALUES
-            # only report takes --json; classify takes neither --planes nor --tol-scale
+            # only report takes --json; classify takes no --tol-scale
             if (command == ["report"] or flag != "--json") and (command != ["classify"] or flag == "--seed")
         ],
     )
@@ -155,7 +153,8 @@ class TestReport:
 
     @pytest.mark.parametrize(
         ("command", "flag"),
-        [pytest.param(["check", "kappa"], f, id=f"check-{f}") for f in ("--json", "--checks")]
+        [pytest.param(["report"], "--planes", id="report---planes")]
+        + [pytest.param(["check", "kappa"], f, id=f"check-{f}") for f in ("--json", "--checks", "--planes")]
         + [pytest.param(["classify"], f, id=f"classify-{f}") for f in ("--json", "--checks", "--tol-scale", "--planes")],
     )
     def test_flag_the_command_does_not_read_exits_2(self, command, flag, tmp_path, capsys):
@@ -304,7 +303,7 @@ class TestIdentityRegistry:
 
         def shared(specs, config, order):
             for spec in specs:
-                key = (spec.name, config.points, config.seed, config.planes, order)
+                key = (spec.name, config.points, config.seed, order)
                 if key not in analyses:
                     analyses[key] = list(build([spec], config, order))
                 yield from analyses[key]
@@ -327,7 +326,7 @@ class TestIdentityRegistry:
             pytest.param("bianchi_bach", "second_order_report", ["check", "kappa"], id="check-kappa-second-order"),
             pytest.param("riemann", "hermitian_first_order", ["check", "kappa"], id="check-kappa-first-order"),
             pytest.param("gray", "prop1_check", ["classify", "--order", "4"], id="classify-prop1"),
-            pytest.param("gray", "totally_real_curvature", ["classify"], id="classify-lagrangian-planes"),
+            pytest.param("gray", "_lagrangian_planes", ["classify"], id="classify-lagrangian-planes"),
             pytest.param("decomp", "star_ricci", ["classify"], id="classify-star-ricci"),
             pytest.param("algebra", "u2_blocks", ["classify"], id="classify-u2-blocks"),
             pytest.param("algebra", "join_operator", ["classify"], id="classify-reconstruction"),
@@ -402,12 +401,12 @@ class TestIdentityRegistry:
             run_report(RunConfig(chart=chart, points=2, order=4))
         assert calls == {"flat": 94, "product-surfaces": 94, "fubini-study": 94, "complex-hyperbolic": 94, "kodaira-thurston": 82}
 
-    def test_the_planes_and_second_order_jets_are_formed_once_per_curvature_slice(self, monkeypatch):
+    def test_the_second_order_jets_are_formed_once_per_curvature_slice(self, monkeypatch):
         # their temporaries grow with the points formed at once
-        stages = ("gray.gray_report", "gray._plane_curvatures", "bianchi_bach.second_order_report", "bianchi_bach.cotton_york")
+        stages = ("gray.gray_report", "bianchi_bach.second_order_report", "bianchi_bach.cotton_york")
         calls = _count_calls(monkeypatch, stages)
         run_report(RunConfig(chart="fubini-study", points=2 * riemann.CURVATURE_SLICE + 1, order=4))
-        assert calls == {"gray.gray_report": 1, "gray._plane_curvatures": 3, "bianchi_bach.second_order_report": 1, "bianchi_bach.cotton_york": 3}
+        assert calls == {"gray.gray_report": 1, "bianchi_bach.second_order_report": 1, "bianchi_bach.cotton_york": 3}
 
     def test_no_row_warns_or_raises_where_it_does_not_apply(self, capsys):
         # on every catalog chart some hypothesis fails, and prop2i's Kahler
@@ -729,22 +728,10 @@ class TestOutOfMemory:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: --points 32 needs more memory than is available\n")
 
-    def test_a_plane_sample_too_large_to_allocate(self, monkeypatch, capsys):
-        # the plane sample is sized by --planes, so the message names it beside --points
-        def no_memory(n_planes, seed):
-            raise MemoryError(f"Unable to allocate {64 * n_planes} bytes for {n_planes} planes at seed {seed}")
-
-        monkeypatch.setattr(cli.gray, "_lagrangian_planes", no_memory)
-        code = run_main(["report", "--chart", "flat", "--points", "1", "--planes", "999999999999"])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        expected = "error: --points 1 --planes 999999999999 needs more memory than is available: Unable to allocate 63999999999936 bytes for 999999999999 planes at seed 42\n"
-        assert err == expected
-
 
 class TestUnshapeableCount:
-    """A --points or --planes numpy cannot shape exits 2 naming the flag,
-    before anything is sampled or allocated."""
+    """A --points numpy cannot shape exits 2 naming the flag, before anything
+    is sampled or allocated."""
 
     @pytest.mark.parametrize("count", [10**20, 2**62])
     @pytest.mark.parametrize(
@@ -753,7 +740,6 @@ class TestUnshapeableCount:
             (["report", "--chart", "flat", "--points"], "--points"),
             (["check", "kappa", "--points"], "--points"),
             (["classify", "--points"], "--points"),
-            (["report", "--chart", "flat", "--points", "1", "--planes"], "--planes"),
         ],
     )
     def test_is_refused(self, argv, flag, count, monkeypatch, capsys):
@@ -761,7 +747,6 @@ class TestUnshapeableCount:
             raise AssertionError("sampled before the count was checked")
 
         monkeypatch.setattr(charts.ChartSpec, "sample_points", sampled)
-        monkeypatch.setattr(cli.gray, "_lagrangian_planes", sampled)
         code = run_main([*argv, str(count)])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
@@ -779,8 +764,62 @@ def _kappa_nan_at_the_second_point(monkeypatch) -> None:
     monkeypatch.setattr(cli, "REPORTED", tuple(i for i in patched if i.report))
 
 
+def _weitzenboeck_field_nan_at_the_second_point(monkeypatch) -> None:
+    """Make the random-field Weitzenboeck residual NaN at the second point of each batch."""
+    second_order_report = cli.bianchi_bach.second_order_report
+
+    def planted(*args, **kwargs):
+        sor = second_order_report(*args, **kwargs)
+        sor.residuals["weitzenboeck random"][1] = math.nan
+        return sor
+
+    monkeypatch.setattr(cli.bianchi_bach, "second_order_report", planted)
+
+
 class TestNonFiniteResidual:
     """A NaN residual ranks worst: `>` and max() would pass over it."""
+
+    def test_weitzenboeck_keeps_a_nan_of_the_random_field(self, monkeypatch):
+        _weitzenboeck_field_nan_at_the_second_point(monkeypatch)
+        doc, code = run_report(RunConfig(chart="flat", points=2, checks=("weitzenboeck",)))
+        worst = doc["aggregate"]["identities"]["weitzenboeck"]
+        assert code == 1
+        assert math.isnan(worst["residual"]) and worst["point_index"] == 1 and worst["pass"] is False
+
+    def test_a_chart_whose_random_field_overflows_fails_weitzenboeck(self, tmp_path, capsys):
+        # at coordinates near 1e308 the seeded polynomial 2-form overflows, and its residual is NaN
+        doc = charts.chart_to_dict(charts.catalog_chart("flat")) | {"domain": [[0.0, 1e308]] * 4}
+        path = tmp_path / "huge-flat.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = run_main(["report", "--chart", str(path), "--points", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(r"^  weitzenboeck +worst nan +\(tol 1\.0e-06\)  FAIL$", out, re.M)
+        assert out.endswith("overall: FAIL\n")
+
+    @pytest.mark.parametrize(
+        ("g2", "triple", "expected"),
+        [
+            (math.nan, 1.0, math.nan),
+            (1.0, math.nan, math.nan),
+            (math.nan, 0.0, math.nan),
+            (0.0, math.nan, math.nan),
+            (1.0, 2.0, 0.0),
+            (0.0, 2.0, 2.0),
+            (2.0, 0.0, 2.0),
+            (1e-12, 1e-11, 1e-11),
+        ],
+    )
+    def test_lemma5_fails_on_a_nan_on_either_side(self, g2, triple, expected, monkeypatch):
+        monkeypatch.setattr(cli.gray, "lemma5_triple", lambda dr: np.array([triple]))
+        [residual] = cli._lemma5(SimpleNamespace(ladder=SimpleNamespace(g2=[g2]), dr=None))
+        assert residual == expected or (math.isnan(residual) and math.isnan(expected))
+
+    @pytest.mark.parametrize(("low", "high"), [(math.nan, 0.5), (-0.5, math.nan)])
+    def test_mu_formula_gap_keeps_a_nan_extreme(self, low, high):
+        [gap] = cli._mu_formula_gap(SimpleNamespace(mu_formula=[0.0], mu_min=[low], mu_max=[high]))
+        assert math.isnan(gap)
 
     def test_check_reports_it_worst_and_fails(self, monkeypatch, capsys):
         _kappa_nan_at_the_second_point(monkeypatch)

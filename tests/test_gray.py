@@ -157,15 +157,30 @@ class TestTotallyRealCurvature:
         for rows in analyses.values():
             for pa in rows:
                 for seed in (42, 7, 2024):
-                    planes = gray.totally_real_curvature(pa.batch.cd, pa.batch.dr, n_planes=64, seed=seed)
-                    mus = _per_plane_mus(at(pa, "cd").R_frame, 64, seed)
-                    assert planes["mu_min"] == [float(mus.min())]
-                    assert planes["mu_max"] == [float(mus.max())]
+                    gr = gray.gray_report(pa.batch.cd, pa.batch.dr, seed=seed)
+                    mus = _per_plane_mus(at(pa, "cd").R_frame, seed)
+                    assert gr.mu_min == [float(mus.min())]
+                    assert gr.mu_max == [float(mus.max())]
 
-    def test_plane_count_validation(self, analyses):
-        pa = analyses["flat"][0]
-        with pytest.raises(ValueError):
-            gray.totally_real_curvature(pa.batch.cd, pa.batch.dr, n_planes=4, seed=42)
+    @pytest.mark.parametrize("layout", ["C", "F", "permuted"])
+    def test_the_batch_einsum_gives_the_per_plane_bits_in_any_memory_order(self, layout, monkeypatch):
+        # gray_report's one einsum over the batch against the per-plane einsum
+        # on each point, as bytes, whatever the memory order of R; a planted
+        # inf and NaN stay in their own points
+        r = sandbox.random_batch(5, 3)
+        r[1, 0, 1, 0, 1] = np.inf
+        r[3, 2, 0, 3, 1] = np.nan
+        perm = (0, 3, 1, 4, 2)
+        r = {"C": r, "F": np.asfortranarray(r), "permuted": np.ascontiguousarray(r.transpose(perm)).transpose(np.argsort(perm))}[layout]
+        expected = np.stack([_per_plane_mus(r[p], 42) for p in range(len(r))])
+        einsum, made = np.einsum, []
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: made.append(einsum(*args, **kwargs)) or made[-1])
+        cd = SimpleNamespace(R_frame=r, s_value=np.zeros(len(r)))
+        dr = SimpleNamespace(kappa=np.zeros(len(r)), wplus=np.zeros((len(r), 3, 3)))
+        gray.gray_report(cd, dr, seed=42)
+        [mus] = made
+        assert mus.tobytes() == expected.tobytes()
+        assert np.isnan(mus[3]).all() and np.isfinite(mus[[0, 2, 4]]).all()
 
     def test_sandbox_lemma6_equivalence(self):
         # constancy <=> (Ric J-invariant, W3+ = 0, W- = 0); exercise both
@@ -188,11 +203,11 @@ def _jinv_ric0():
     return np.diag([0.5, 0.5, -0.5, -0.5])
 
 
-def _per_plane_mus(r, n_planes, seed):
+def _per_plane_mus(r, seed):
     """Sectional curvatures of the Lagrangian planes as drawn one plane at a time."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A]))
-    mus = np.empty(n_planes)
-    for k in range(n_planes):
+    mus = np.empty(gray.PLANES)
+    for k in range(gray.PLANES):
         x = rng.standard_normal(4)
         x = x / np.linalg.norm(x)
         jx = J_FRAME @ x

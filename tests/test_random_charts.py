@@ -44,7 +44,7 @@ def test_unconditional_identities_on_random_hermitian_charts():
     for seed in (3, 17):
         spec = conformal_chart(seed)
         for p in spec.sample_points(2, seed):
-            pa = point_analysis(spec, p, order=4, planes=16, seed=1)
+            pa = point_analysis(spec, p, order=4, seed=1)
             saw_nonzero_lee_form |= at(pa, "hfo").theta_norm > 1e-3
             [rows] = cli._identity_rows(pa.batch, 1.0)
             for row in rows:
