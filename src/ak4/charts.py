@@ -16,14 +16,15 @@ and every gauge-dependent quantity downstream is documented as such.
 `structure_at` runs this structure stage once per batch of sample points (a
 command's points, up to `cli.BATCH_POINTS` at a time) and returns one
 `StructureBatch`: the entry expressions of all the charts are evaluated by
-one `exprs.eval_jet` call per jet order, each chart on its own points with
-its kept `exprs.Program`, into one value table that returns each chart's
-entries as one coefficient array with a row per point (a constant entry
-too), from which g and J are cut without a per-entry copy; the rest runs
-on a leading point axis across charts. The adapted frame and the invariant
-checks read only values, so they run on order-0 truncations; mu, phi and
-J phi are built as jets for the whole batch on their first read. Each
-point's jets are the bits a batch of that point alone would give.
+one `exprs.eval_jet` call at the batch's order, each chart on its own
+points with its kept `exprs.Program`, into one value table that returns
+each chart's entries as one coefficient array with a row per point (a
+constant entry too), from which g and J (truncated to J_SIDE_ORDER) are cut
+without a per-entry copy; the rest runs on a leading point axis across
+charts. The adapted frame and the invariant checks read only values, so
+they run on order-0 truncations; mu, phi and J phi are built as jets for
+the whole batch on their first read. Each point's jets are the bits a
+batch of that point alone would give.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class ChartSpec:
     tags: tuple[str, ...] = ()
     g: dict[tuple[int, int], Expr] = field(repr=False, default=None)
     J: tuple[tuple[Expr, ...], ...] = field(repr=False, default=None)
-    _programs: dict[str, exprs.Program] = field(repr=False, compare=False, init=False, default_factory=dict)
     #: The domain box as read-only (lo, hi) arrays of the 4 coordinates, built once.
     bounds: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False, init=False)
 
@@ -81,16 +81,12 @@ class ChartSpec:
             side.flags.writeable = False
         object.__setattr__(self, "bounds", bounds)
 
-    def program(self, entries: str) -> exprs.Program:
-        """The evaluation program of the g entries ("g", upper triangle in
-        row-major order), of the J entries ("J", row-major) or of both in
-        that order ("gJ"), compiled on its first use and kept on the chart."""
-        prog = self._programs.get(entries)
-        if prog is None:
-            roots = [self.g[ij] for ij in _UPPER] if "g" in entries else []
-            roots += [e for row in self.J for e in row] if "J" in entries else []
-            prog = self._programs[entries] = exprs.Program(roots)
-        return prog
+    @functools.cached_property
+    def program(self) -> exprs.Program:
+        """The evaluation program of the chart's entries: the g entries (upper
+        triangle in row-major order), then the J entries (row-major),
+        compiled on its first use and kept on the chart."""
+        return exprs.Program([self.g[ij] for ij in _UPPER] + [e for row in self.J for e in row])
 
     def sample_points(self, n: int, seed: int) -> np.ndarray:
         """n deterministic uniform samples from the domain box."""
@@ -126,7 +122,10 @@ def chart_from_dict(data: dict, name_hint: str = "<chart>") -> ChartSpec:
     )
     if not number_pairs or len(domain) != 4:
         raise ChartError(f"{name_hint}: domain must be a list of 4 [low, high] number pairs")
-    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    try:
+        domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    except OverflowError as exc:  # an int past the float range
+        raise ChartError(f"{name_hint}: domain bound out of float range: {exc}") from exc
     for i, (lo, hi) in enumerate(domain):
         if not lo < hi:
             raise ChartError(f"{name_hint}: degenerate domain interval for coordinate {i + 1}")
@@ -194,7 +193,7 @@ def load_chart(path) -> ChartSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ChartError(f"cannot read chart file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ChartError(f"chart file {path} is not valid JSON: {exc}") from exc
     return chart_from_dict(data, name_hint=str(path))
 
@@ -451,21 +450,22 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
 
     `batches` is a sequence of (spec, points) pairs with points of shape
     (N, 4). The entry expressions of every chart are evaluated together, by
-    one `exprs.eval_jet` call per jet order on the charts' programs (see
+    one `exprs.eval_jet` call at `order` on the charts' programs (see
     `ChartSpec.program`): subexpressions shared between a chart's entries,
-    such as a common denominator, are evaluated once. Each call returns one
+    such as a common denominator, are evaluated once. The call returns one
     (N, entries, ncoef) array per chart; stacked on the point axis, g is
     gathered from its upper-triangle columns through `_SYMMETRIC` and J is
-    a view of its columns. Everything after that runs once on the points of
-    all charts together, along a leading point axis: g^-1 and Omega as
-    jets, then the adapted frame and the invariant checks on values, from
-    the order-0 truncations of g and J (the checks read mu, phi and J phi
-    only through their values). The frame's Gram-Schmidt candidates go
-    through one pass (`_adapted_frame`), and the self-duality checks star
-    Omega, phi and J phi by one Hodge star, stacked on the point axis (3P
-    rows, each contracted as alone). mu, phi and J phi are built as jets on
-    their first read (see StructureBatch). Each point holds, bit for bit,
-    what a batch of that point alone gives.
+    a view of its columns truncated to min(order, J_SIDE_ORDER): the bits
+    of J evaluated at that order (see `jets`). Everything after that runs
+    once on the points of all charts together, along a leading point axis:
+    g^-1 and Omega as jets, then the adapted frame and the invariant checks
+    on values, from the order-0 truncations of g and J (the checks read mu,
+    phi and J phi only through their values). The frame's Gram-Schmidt
+    candidates go through one pass (`_adapted_frame`), and the self-duality
+    checks star Omega, phi and J phi by one Hodge star, stacked on the
+    point axis (3P rows, each contracted as alone). mu, phi and J phi are
+    built as jets on their first read (see StructureBatch). Each point
+    holds, bit for bit, what a batch of that point alone gives.
 
     Raises ChartError if a point lies outside its chart's domain box, and for
     the first bad point of the batch DomainError naming a non-finite g or J
@@ -485,17 +485,10 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     if not n_points:
         return None
 
-    j_order = min(order, J_SIDE_ORDER)
-    specs, arrays = [spec for spec, _ in batches], [pts for _, pts in batches]
     with np.errstate(all="ignore"):  # _check_finite reports an overflow by entry
-        if j_order == order:
-            gj = _stacked(exprs.eval_jet([spec.program("gJ") for spec in specs], arrays, order))
-            upper, jc = gj[:, : len(_UPPER)], gj[:, len(_UPPER) :]
-        else:
-            upper = _stacked(exprs.eval_jet([spec.program("g") for spec in specs], arrays, order))
-            jc = _stacked(exprs.eval_jet([spec.program("J") for spec in specs], arrays, j_order))
-    g = Jet._of(order, upper[:, _SYMMETRIC].reshape(n_points, 4, 4, -1))
-    J = Jet._of(j_order, jc.reshape(n_points, 4, 4, -1))
+        gj = np.concatenate(exprs.eval_jet([spec.program for spec, _ in batches], [pts for _, pts in batches], order))
+    g = Jet._of(order, gj[:, _SYMMETRIC].reshape(n_points, 4, 4, -1))
+    J = Jet._of(order, gj[:, len(_UPPER) :].reshape(n_points, 4, 4, -1)).truncate(min(order, J_SIDE_ORDER))
     _check_finite(g, "g_{}{}")
     _check_finite(J, "J^{}_{}")
 
@@ -503,9 +496,10 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs = np.zeros((n_points, len(INVARIANTS), 4, 4))
     g0, j0 = g.value, J.value
     min_eig = np.linalg.eigvalsh(g0).min(axis=1)
-    residuals[:, 0] = np.maximum(0.0, -min_eig)
+    # 0.0 - x, unlike -x, turns a zero eigenvalue of either sign into +0.0
+    residuals[:, 0] = np.maximum(0.0, 0.0 - min_eig)
     if (min_eig <= 0.0).any():
-        raise StructureError(INVARIANTS[0], -float(min_eig[np.argmax(min_eig <= 0.0)]))
+        raise StructureError(INVARIANTS[0], float(residuals[np.argmax(min_eig <= 0.0), 0]))
     diffs[:, 1] = j0 @ j0 + np.eye(4)
     diffs[:, 2] = j0.transpose(0, 2, 1) @ g0 @ j0 - g0
     _check(diffs, residuals, 1, 3)
@@ -543,11 +537,6 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
     _check(diffs, residuals, 7, 11)
     return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
-
-
-def _stacked(entries: list[np.ndarray]) -> np.ndarray:
-    """The entry coefficients of every chart of a batch on one point axis."""
-    return entries[0] if len(entries) == 1 else np.concatenate(entries)
 
 
 def _coframe(frame_vectors: Jet, g: Jet) -> Jet:

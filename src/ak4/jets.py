@@ -85,13 +85,15 @@ The degree-k coefficients of any result depend only on the degree <= k
 coefficients of its inputs (Griewank & Walther, Evaluating Derivatives, 2nd
 ed., ch. 13), so a jet can be truncated before it is used, or built at a
 lower order, without changing what its readers see. Callers build each jet
-only to the order its readers differentiate: `charts.structure_at` keeps J
-and the jets built from it at order 2 and the inverse metric one order
-below g, and builds the adapted frame and its checks from order-0
-truncations; the Weyl tensor takes g at the curvature's order, and
+only to the order its readers differentiate: `charts.structure_at` truncates
+J to order 2 and builds the jets made from it at that order, keeps the
+inverse metric one order below g, and builds the adapted frame and its
+checks from order-0 truncations; the Weyl tensor takes g at the curvature's order, and
 value-only readers truncate their inputs to order 0. A jet truncated too far cannot give
 a silently wrong answer: `partial` and `partials` raise JetOrderError when
-its order runs out.
+its order runs out. The law holds under overflow too: `_compose` adds its
+k-th term fk_k (a - a0)^k only from degree k up, so an infinite fk_k never
+meets the exact zeros below degree k (inf * 0 is NaN).
 
 Elementwise products are bit-identical under truncation. A contraction sums
 the convolution pairs along an axis padded to the order's widest
@@ -603,12 +605,10 @@ def _compose(a: Jet, fk: np.ndarray) -> Jet:
     out[..., 0] = fk[..., 0]
     v = a.c.copy()
     v[..., 0] = 0.0
-    p = v
-    # the powers of v have no constant term, so the value stays exactly f(a0), an overflowed inf included
-    out[..., 1:] += fk[..., 1, None] * p[..., 1:]
-    for k in range(2, a.order + 1):
-        p = _mul_raw(p, v, a.order)
-        out[..., 1:] += fk[..., k, None] * p[..., 1:]
+    # v^k starts at degree k, and so does its term (see the module docstring): the value stays exactly f(a0)
+    for k in range(1, a.order + 1):
+        p = v if k == 1 else _mul_raw(p, v, a.order)
+        out[..., NCOEF[k - 1] :] += fk[..., k, None] * p[..., NCOEF[k - 1] :]
     return Jet._of(a.order, out)
 
 

@@ -50,16 +50,19 @@ def half_bad_chart() -> dict:
     return {"name": "half-bad", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-1.0, 1.0]] * 4, "g": g, "J": _standard_j()}
 
 
-def rotated_j_chart() -> charts.ChartSpec:
-    """The flat metric with the standard J rotated by x1 in the (x2, x3)
-    plane: J d1 = cos(x1) d2 + sin(x1) d3. The adapted frame takes e3 from
-    d3 (m = 2) at x1 = 0 and from d2 (m = 1) at x1 != 0."""
+def rotated_j_chart(angle: str = "x1", x1_range: tuple[float, float] = (-1.0, 1.0)) -> charts.ChartSpec:
+    """The flat metric with the standard J rotated by `angle` (x1 by
+    default) in the (x2, x3) plane: J d1 = cos(angle) d2 + sin(angle) d3, on
+    `x1_range` x [-1, 1]^3. For angle x1 the adapted frame takes e3 from d3
+    (m = 2) at x1 = 0 and from d2 (m = 1) at x1 != 0."""
+    c, s = f"cos({angle})", f"sin({angle})"
     j = {f"{i}_{k}": "0" for i in range(1, 5) for k in range(1, 5)}
-    j.update({"1_2": "-cos(x1)", "1_3": "-sin(x1)", "2_1": "cos(x1)", "2_4": "sin(x1)"})
-    j.update({"3_1": "sin(x1)", "3_4": "-cos(x1)", "4_2": "-sin(x1)", "4_3": "cos(x1)"})
+    j.update({"1_2": f"-{c}", "1_3": f"-{s}", "2_1": c, "2_4": s})
+    j.update({"3_1": s, "3_4": f"-{c}", "4_2": f"-{s}", "4_3": c})
     g = {key: "0" for key in ("12", "13", "14", "23", "24", "34")}
     g.update({"11": "1", "22": "1", "33": "1", "44": "1"})
-    data = {"name": "rotated-j", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-1.0, 1.0]] * 4, "g": g, "J": j}
+    domain = [list(x1_range)] + [[-1.0, 1.0]] * 3
+    data = {"name": "rotated-j", "coords": ["x1", "x2", "x3", "x4"], "domain": domain, "g": g, "J": j}
     return charts.chart_from_dict(data, name_hint="rotated-j")
 
 

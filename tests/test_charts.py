@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ak4 import charts, jets, tensorops
+from ak4 import charts, exprs, jets, tensorops
 from ak4.charts import FRAME_FORMS
 from ak4.errors import ChartError, ParseError, StructureError
 
@@ -129,6 +129,7 @@ class TestChartFiles:
             pytest.param("domain", lambda d: {**d, "domain": [[0, "a"]] + [[0, 1]] * 3}, id="domain-bound-not-number"),
             pytest.param("domain", lambda d: {**d, "domain": [[0]] + [[0, 1]] * 3}, id="domain-short-interval"),
             pytest.param("domain", lambda d: {**d, "domain": 5}, id="domain-not-list"),
+            pytest.param("domain bound out of float range", lambda d: {**d, "domain": [[0, 10**400]] + [[0, 1]] * 3}, id="domain-bound-overflows"),
             pytest.param("coordinate 1", lambda d: {**d, "domain": [[0, math.inf]] + [[0, 1]] * 3}, id="domain-bound-infinite"),
             pytest.param("coordinate 2", lambda d: {**d, "domain": [[0, 1], [-1e308, 1e308], [0, 1], [0, 1]]}, id="domain-width-overflows"),
             pytest.param("g", lambda d: {**d, "g": "11 12 13"}, id="g-not-object"),
@@ -151,11 +152,24 @@ class TestChartFiles:
         assert code == 2
         assert err.startswith("error:") and key in err
 
-    def test_not_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"{ not json", id="syntax"),
+            pytest.param(b"\xff\xfe", id="not-utf-8"),
+            pytest.param(b"[" * 100000, id="nested-too-deep"),
+            pytest.param(b'{"domain": [[0, ' + b"9" * 5000 + b"]]}", id="integer-past-the-digit-limit"),
+        ],
+    )
+    def test_not_json(self, content, tmp_path, capsys):
+        from ak4 import cli
+
         path = tmp_path / "broken.json"
-        path.write_text("{ not json")
+        path.write_bytes(content)
         with pytest.raises(ChartError, match="not valid JSON"):
             charts.load_chart(path)
+        assert cli.main(["report", "--chart", str(path), "--points", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ChartError, match="cannot read"):
@@ -195,6 +209,14 @@ class TestStructureValidation:
         spec = charts.chart_from_dict(data)
         with pytest.raises(StructureError, match=r"g\(J"):
             structure_batch(spec, (0, 0, 0, 0), order=2)
+
+    def test_a_singular_metric_reports_a_positive_zero_residual(self, catalog_specs):
+        data = charts.chart_to_dict(catalog_specs["flat"])
+        data["g"]["11"] = "x1^2"  # a zero eigenvalue at x1 = 0
+        spec = charts.chart_from_dict(data)
+        with pytest.raises(StructureError, match=r"'g positive definite' violated, residual 0\.000e\+00$") as excinfo:
+            structure_batch(spec, (0, 0, 0, 0), order=2)
+        assert math.copysign(1.0, excinfo.value.residual) == 1.0
 
     def test_point_outside_domain(self, catalog_specs):
         with pytest.raises(ChartError, match="outside domain"):
@@ -270,6 +292,26 @@ class TestStructureOrders:
                     assert np.array_equal(mine[..., :n1], full_c[..., :n1]), (spec.name, name)
                     scale = np.abs(full_c[..., :n]).max()
                     np.testing.assert_allclose(mine, full_c[..., :n], rtol=0, atol=1e-15 * scale)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_j_holds_the_bits_of_a_j_only_program_at_j_side_order(self, catalog_specs, order):
+        # structure_at evaluates g and J in one program at the command's order
+        # and truncates J; the last chart's sqrt series overflows at degree 4
+        tiny_angle = rotated_j_chart("sqrt(1e-90 + x1^2)", (-1e-50, 1e-50))
+        for spec in [*catalog_specs.values(), rotated_j_chart(), tiny_angle]:
+            pts = spec.sample_points(4, 13)
+            J = charts.structure_at([(spec, pts)], order).J
+            [alone] = exprs.eval_jet([exprs.Program([e for row in spec.J for e in row])], [pts], charts.J_SIDE_ORDER)
+            assert J.order == charts.J_SIDE_ORDER
+            assert J.c.tobytes() == alone.reshape(J.c.shape).tobytes(), spec.name
+
+    def test_a_j_whose_high_degree_coefficients_overflow_passes_at_order_4(self, tmp_path, capsys):
+        from ak4 import cli
+
+        path = tmp_path / "tiny-angle.json"
+        path.write_text(json.dumps(charts.chart_to_dict(rotated_j_chart("sqrt(1e-90 + x1^2)", (-1e-50, 1e-50)))))
+        assert cli.main(["report", "--chart", str(path), "--points", "2", "--order", "4"]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_field_orders(self, catalog_specs, order):

@@ -323,11 +323,11 @@ class TestBatchEvaluation:
 
     def test_a_program_of_constants_fills_every_row(self):
         flat, fubini = charts.catalog_chart("flat"), charts.catalog_chart("fubini-study")
-        program = flat.program("gJ")
+        program = flat.program
         assert not program.groups  # every entry of the flat chart is a constant
         counts = (3, 2)
         points = [spec.sample_points(n, 5) for spec, n in zip((flat, fubini), counts)]
-        constant, _ = eval_jet([program, fubini.program("gJ")], points, 2)
+        constant, _ = eval_jet([program, fubini.program], points, 2)
         assert constant.shape == (3, 26, jets.NCOEF[2])
         expected = program.constant_values(2)[[program.constants.index(k) for k in program.roots]]
         for c in constant:

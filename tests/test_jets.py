@@ -146,6 +146,21 @@ class TestOrderContract:
             lower = expr_jet(e, p, k - 1)
             assert np.array_equal(full.truncate(k - 1).c, lower.c)
 
+    @pytest.mark.parametrize(
+        ("function", "value"),
+        [(f, 0.3) for f in (jets.sqrt, jets.log, jets.exp, jets.sin, jets.cos, jets.sinh, jets.cosh, jets.atan)]
+        + [(jets.sqrt, 1e-100), (jets.log, 1e-100), (jets.exp, 710.0), (jets.sinh, 711.0), (jets.cosh, 711.0), (jets.atan, 1e200)],
+    )
+    def test_a_composition_truncates_to_the_lower_order_jet(self, function, value):
+        # at the extreme values the degree-4 series coefficient overflows
+        # (or is NaN, for atan), which must reach no lower degree
+        c = np.random.default_rng(7).uniform(-1.0, 1.0, jets.NCOEF[4])
+        c[0] = value
+        with np.errstate(all="ignore"):
+            full = function(Jet(4, c))
+            for k in range(4):
+                assert full.truncate(k).c.tobytes() == function(Jet(4, c).truncate(k)).c.tobytes(), k
+
     def test_partial_consumes_one_order(self):
         j = jet_of("x1^3", (2, 0, 0, 0))
         d = j.partial(0)

@@ -36,12 +36,12 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize(("argv", "batch_points", "orders"), [(["--order", "4"], 64, [2, 4]), (["--order", "2"], 64, [2]), (["--order", "4"], 8, [2, 2, 2, 4, 4, 4])])
+@pytest.mark.parametrize(("argv", "batch_points", "orders"), [(["--order", "4"], 64, [4]), (["--order", "2"], 64, [2]), (["--order", "4"], 8, [4, 4, 4])])
 def test_structure_stage_evaluates_through_the_traced_eval_jet(argv, batch_points, orders, monkeypatch, capsys):
     """The exprs.eval_jet layer measures the evaluation of the chart entries:
     run.py wraps the module attribute, so charts.structure_at must call it
-    through the module, once per jet order per batch (J and everything built
-    from it stop at order 2)."""
+    through the module, once per batch at the command's order (g and J in
+    one program; J is truncated to J_SIDE_ORDER afterwards)."""
     from ak4 import cli, exprs
 
     original, calls = exprs.eval_jet, []
