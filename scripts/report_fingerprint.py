@@ -27,6 +27,10 @@ Runs `ak4.cli.main` in-process over:
   pi and e in both spellings, and repeat subexpressions across entries;
 - the shape of the benchmark's `report-order4` workload: `report --json -`
   for every catalog chart at `--points 2 --order 4`;
+- an overflowing field: `report --points 2` on the `huge-flat` chart file
+  (written and labelled like `half-bad`), the flat chart on the box
+  [0, 1e308]^4, where the Weitzenboeck check's seeded 2-form overflows, so
+  that row fails with a NaN and nothing may reach stderr;
 
 and prints one `sha256  <case>` line per output. The digest covers the exit
 code, stdout and stderr; the `timing_s` line of a JSON report is removed
@@ -102,8 +106,11 @@ def every_function_chart() -> dict:
     return {"name": "every-function", "coords": ["x1", "x2", "x3", "x4"], "domain": [[-0.5, 0.5]] * 4, "g": g, "J": J}
 
 
+#: The flat chart on a box whose coordinates reach 1e308.
+HUGE_FLAT = charts.chart_to_dict(charts.catalog_chart("flat")) | {"name": "huge-flat", "domain": [[0.0, 1e308]] * 4}
+
 #: The chart files of the matrix, by name.
-CHART_FILES = {chart["name"]: chart for chart in (HALF_BAD, every_function_chart())}
+CHART_FILES = {chart["name"]: chart for chart in (HALF_BAD, every_function_chart(), HUGE_FLAT)}
 
 
 @functools.cache
@@ -154,6 +161,8 @@ def cases():
     for spec in charts.catalog():
         argv = ["report", "--chart", spec.name, "--points", "2", "--order", "4", "--json", "-"]
         yield " ".join(argv), argv
+    argv = ["report", "--points", "2"]
+    yield " ".join([*argv, "--chart", HUGE_FLAT["name"]]), [*argv, "--chart", chart_path(HUGE_FLAT["name"])]
 
 
 #: The jet fields of a `charts.StructureBatch`, in the order they are digested.

@@ -313,12 +313,13 @@ class Program:
     bottom-up by (op, args), so equal subtrees, within one root or across
     roots, are one node, and no expression node is ever hashed. A node that
     uses no coordinate is a constant: its coefficients at each order are
-    computed once, without a point axis, and kept. So a / c with c constant
-    is interned as a * r with r = ("recip",) of c, a constant: the same bits,
-    since a jet quotient is the product with the reciprocal, without taking
-    the reciprocal on every row. The other nodes are grouped by (height,
-    op), the height being 0 at a leaf and one more than the highest
-    argument, so the nodes of one group never depend on each other.
+    computed once, without a point axis, and kept. Every quotient a / b is
+    interned as a * r with r = ("recip",) of b: the same bits, since a jet
+    quotient is the product with the reciprocal, and quotients by one b
+    share r (for b constant, r is a constant, kept rather than taken on
+    every row). The other nodes are grouped by (height, op), the height
+    being 0 at a leaf and one more than the highest argument, so the nodes
+    of one group never depend on each other.
     """
 
     def __init__(self, roots):
@@ -337,7 +338,7 @@ class Program:
 
         def visit(node: Expr) -> int:
             op, kids = _op(node), tuple(map(visit, _children(node)))
-            if op == ("/",) and not pointed[kids[1]]:
+            if op == ("/",):
                 op, kids = ("*",), (kids[0], intern(("recip",), kids[1:]))
             return intern(op, kids)
 
@@ -432,8 +433,6 @@ def _apply(op: tuple, args: list[Jet], order: int) -> Jet:
         return args[0] - args[1]
     if kind == "*":
         return args[0] * args[1]
-    if kind == "/":
-        return args[0] / args[1]
     if kind == "recip":
         return jets.reciprocal(args[0])
     if kind == "^":

@@ -33,18 +33,19 @@ so `ak4 classify` never computes theta, a or b. These are nabla Omega and
 nabla^2 Omega, the traceless Ricci frame, the Nijenhuis tensor, theta, a
 and b (values, built from order-0 truncations), and the jets of the
 second-order report: Ric0, h, the Weyl tensor, its halves and their
-codifferentials. Those jets are formed on `CurvatureBatch.slices()`, views
-of CURVATURE_SLICE points of the batch, a slice at a time. `covd`, `neg_trace`
-and `divergence` take the point axis as `jets.contract` does; `covd` and
-`divergence` raise ValueError unless Gamma has shape (P, 4, 4, 4, ncoef) and
-the tensor the same point count, since a tensor without its point axis
-would otherwise pass for a batch of 4 points. The report
-rows that read 4x4 frame values, the Ricci identity (`ricci_identity_check`)
-and the nabla J identity (`FirstOrderBatch.identity_residual`), run on the
-point axis too, once per batch, each with the bits of a batch of one: where
-einsum reads a value that is a strided view of a batch jet, it reads a
-compact copy in the same axis order, the layout a stack of the points'
-views had, since einsum sums in an order that depends on strides.
+codifferentials, and the frame values of the three Bach routes. Those are
+formed on `CurvatureBatch.slices()`, views of CURVATURE_SLICE points of the
+batch, a slice at a time. `covd`, `neg_trace` and `divergence` take the
+point axis as `jets.contract` does; `covd` and `divergence` raise ValueError
+unless Gamma has shape (P, 4, 4, 4, ncoef) and the tensor the same point
+count, since a tensor without its point axis would otherwise pass for a
+batch of 4 points. The report rows that read 4x4 frame values, the Ricci
+identity (`ricci_identity_check`) and the nabla J identity
+(`FirstOrderBatch.identity_residual`), run on the point axis too, once per
+batch, each with the bits of a batch of one: where einsum reads a value that
+is a strided view of a batch jet, it reads a compact copy in the same axis
+order, the layout a stack of the points' views had, since einsum sums in an
+order that depends on strides.
 
 Since every kernel gives each point of a batch its bits alone, k
 independent jet computations of one shape run as one kernel call over k*P
@@ -55,15 +56,16 @@ back into its k blocks. `covd` stacks its slot-moved copies of t and
 `kn_jet`; the second Hodge star of W+ and W- is one star over both halves,
 each block taking its own sign; delta W, delta W+ and delta W- are one
 divergence of W, W+ and W- stacked, each the codifferential of its own
-tensor, never a difference; and a and b are one `nabla_omega_along` over
-phi and J phi. Each block is subtracted in the order the loop it replaced
-subtracted it.
+tensor, never a difference; the three Bach routes are one divergence of
+those three codifferentials stacked; and a and b are one
+`nabla_omega_along` over phi and J phi. Each block is subtracted in the
+order the loop it replaced subtracted it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,29 +135,24 @@ def neg_trace(g_inv: Jet, t: Jet) -> Jet:
     return -jets.contract(g_inv, t, (0, 1), (0, 1))
 
 
-def divergence(g_inv: Jet, gamma: Jet, terms: dict, t: Jet, slot: int = 0) -> Jet:
+def divergence(g_inv: Jet, gamma: Jet, t: Jet, slot: int = 0) -> Jet:
     """g^mi (nabla_m t)_{..i..} with i at `slot`, at every point.
 
     It is g^mi d_m t_{..i..} - v^p t_{..p..} - sum_{a != slot} K^ip_c t_{..i..p..}
     (p at slot a, c the free index there), with v^p = g^mi Gamma^p_mi and
-    K[i, p, c] = g^mi Gamma^p_mc at the result's order, so nabla t is never
-    formed. v and K are kept in `terms` by order and point count, so each is
-    contracted once per (g_inv, gamma), order and point count. The K terms
-    of the slots other than `slot` are one contraction over the copies of t
-    with (slot, a) moved first, stacked on the point axis; the other slots
-    keep their order.
+    K[i, p, c] = g^mi Gamma^p_mc contracted at the result's order, so nabla
+    t is never formed; K only when t has a slot other than `slot`. The K
+    terms of those slots are one contraction over the copies of t with
+    (slot, a) moved first, stacked on the point axis; the other slots keep
+    their order.
     """
     _check_batch(gamma, t)
     out = jets.contract(g_inv, jets.partials(t), (0, 1), (0, slot + 1))
-    low = t.truncate(out.order)
-    key = (out.order, len(low.c))
-    if key not in terms:
-        g_low, gamma_low = g_inv.truncate(out.order), gamma.truncate(out.order)
-        terms[key] = (jets.contract(g_low, gamma_low, (0, 1), (1, 2)), jets.contract(g_low, gamma_low, 0, 1))
-    trace, raised = terms[key]
-    out = out - jets.contract(trace, low, 0, slot)
+    low, g_low, gamma_low = (x.truncate(out.order) for x in (t, g_inv, gamma))
+    out = out - jets.contract(jets.contract(g_low, gamma_low, (0, 1), (1, 2)), low, 0, slot)
     others = [a for a in range(t.c.ndim - 2) if a != slot]
     if others:
+        raised = jets.contract(g_low, gamma_low, 0, 1)
         moved = jets.concat([jets.moveaxis(low, (slot, a), (0, 1)) for a in others])
         stacked = jets.contract(jets.concat([raised] * len(others)), moved, (0, 1), (0, 1))  # (c, other slots) per slot
         for a, term in zip(others, jets.split(stacked, len(others))):
@@ -189,8 +186,9 @@ class CurvatureBatch:
     `rows` are the points of `conn` the batch holds: all of them for the
     batch `curvature` returns, CURVATURE_SLICE of them for each of its
     `slices()`. The second-order report's jets, the traceless Ricci tensor, h,
-    the Weyl tensor, its halves and their codifferentials, are cached
-    properties, formed for the batch's points on the first read."""
+    the Weyl tensor, its halves and their codifferentials, and the frame
+    values of the Bach routes are cached properties, formed for the batch's
+    points on the first read."""
 
     conn: ConnectionBatch
     rows: slice
@@ -205,7 +203,6 @@ class CurvatureBatch:
     ric_frame: np.ndarray
     s_value: np.ndarray
     operator: np.ndarray  # 6x6 matrices on the (Omega, phi, Jphi, asd triple) basis
-    terms: dict = field(default_factory=dict, repr=False)  # `divergence`'s contractions by (order, points); the Bach routes' pass
 
     def slices(self) -> list[CurvatureBatch]:
         """The batch cut into batches of up to CURVATURE_SLICE consecutive
@@ -278,7 +275,7 @@ class CurvatureBatch:
         (delta W+ is never delta W - delta W-)."""
         stacked = jets.concat([self.weyl, self.weyl_plus, self.weyl_minus])
         g_inv, gamma = jets.concat([self.g_inv] * 3), jets.concat([self.gamma] * 3)
-        return jets.split(-divergence(g_inv, gamma, self.terms, stacked, 0), 3)
+        return jets.split(-divergence(g_inv, gamma, stacked, 0), 3)
 
     @property
     def delta_weyl(self) -> Jet:
@@ -291,6 +288,27 @@ class CurvatureBatch:
     @property
     def delta_weyl_minus(self) -> Jet:
         return self._delta_weyls[2]
+
+    @functools.cached_property
+    def bach_routes(self) -> np.ndarray:
+        """sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame
+        components, shape (3, P, 4, 4), for (w, dw) = (W, delta W), (W+,
+        delta W+) and (W-, delta W-): the direct Bach route and the two
+        Gauduchon routes, each from its own W and delta W, in one pass over
+        the three stacked on the point axis."""
+        w = jets.concat([self.weyl.truncate(0), self.weyl_plus.truncate(0), self.weyl_minus.truncate(0)])
+        g_inv, gamma, h_raised = (jets.concat([t] * 3) for t in (self.g_inv, self.gamma, self.h_raised))
+        term1 = divergence(g_inv, gamma, jets.concat(self._delta_weyls), 1).value  # (x, y)
+        # the W h term is read as a value only: it runs on order-0 truncations
+        term2 = jets.contract(w, h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
+        return self.frame_blocks(term1 + term2, 3)
+
+    def frame_blocks(self, values: np.ndarray, k: int) -> np.ndarray:
+        """The frame components of k blocks of tensor values stacked on the
+        point axis, each at the batch's points: one `tensorops.frame_components`
+        call, cut into a (k, P, ...) array."""
+        out = tensorops.frame_components(values, np.concatenate([self.frame] * k))
+        return out.reshape(k, -1, *out.shape[1:])
 
     @functools.cached_property
     def _mu(self) -> Jet:

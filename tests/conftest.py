@@ -203,7 +203,7 @@ def second_order_residuals(pa: PointAnalysis) -> dict[str, float | None]:
 
 def divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int = 0, k: int = 0) -> Jet:
     """`riemann.divergence` of t, a tensor of point k of `conn`, on a batch of that point alone."""
-    return riemann.divergence(conn.structure.g_inv[k : k + 1], conn.gamma[k : k + 1], {}, t[None], slot)[0]
+    return riemann.divergence(conn.structure.g_inv[k : k + 1], conn.gamma[k : k + 1], t[None], slot)[0]
 
 
 def identity(name: str) -> cli.Identity:

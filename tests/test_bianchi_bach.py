@@ -155,7 +155,7 @@ class TestBach:
 
 def per_route_bach(cd: riemann.CurvatureBatch, w: jets.Jet, dw: jets.Jet) -> np.ndarray:
     """One Bach route alone: sum_i [nabla_i (dw)(X, e_i, Y) + w(X, e_i, h(e_i), Y)] in frame components."""
-    term1 = riemann.divergence(cd.g_inv, cd.gamma, {}, dw, 1).value
+    term1 = riemann.divergence(cd.g_inv, cd.gamma, dw, 1).value
     term2 = jets.contract(w.truncate(0), cd.h_raised, (1, 2), (0, 1)).value
     return tensorops.frame_components(term1 + term2, cd.frame)
 

@@ -399,7 +399,16 @@ class TestIdentityRegistry:
         monkeypatch.setattr(jets, "contract", counted)
         for chart in CATALOG_NAMES:
             run_report(RunConfig(chart=chart, points=2, order=4))
-        assert calls == {"flat": 94, "product-surfaces": 94, "fubini-study": 94, "complex-hyperbolic": 94, "kodaira-thurston": 82}
+        assert calls == {"flat": 91, "product-surfaces": 91, "fubini-study": 91, "complex-hyperbolic": 91, "kodaira-thurston": 77}
+
+    def test_a_two_point_order_4_report_makes_one_divergence_per_pass(self, monkeypatch):
+        # delta W+-, the Bach routes, the Ricci-route Laplacian and one for the
+        # Weitzenboeck forms; kodaira-thurston skips the closed Bach forms
+        calls = _count_calls(monkeypatch, ("riemann.divergence",))
+        for chart, expected in (("fubini-study", 4), ("kodaira-thurston", 3)):
+            calls.clear()
+            run_report(RunConfig(chart=chart, points=2, order=4))
+            assert calls == {"riemann.divergence": expected}, chart
 
     def test_the_second_order_jets_are_formed_once_per_curvature_slice(self, monkeypatch):
         # their temporaries grow with the points formed at once
@@ -787,15 +796,17 @@ class TestNonFiniteResidual:
         assert math.isnan(worst["residual"]) and worst["point_index"] == 1 and worst["pass"] is False
 
     def test_a_chart_whose_random_field_overflows_fails_weitzenboeck(self, tmp_path, capsys):
-        # at coordinates near 1e308 the seeded polynomial 2-form overflows, and its residual is NaN
+        # at coordinates near 1e308 the seeded polynomial 2-form overflows, and
+        # its residual is NaN: the row fails, and nothing warns or raises
         doc = charts.chart_to_dict(charts.catalog_chart("flat")) | {"domain": [[0.0, 1e308]] * 4}
         path = tmp_path / "huge-flat.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(all="ignore"):
+        with np.errstate(all="raise"):
             code = run_main(["report", "--chart", str(path), "--points", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
         assert re.search(r"^  weitzenboeck +worst nan +\(tol 1\.0e-06\)  FAIL$", out, re.M)
+        assert re.findall(r"^  (\S+) .*  FAIL$", out, re.M) == ["weitzenboeck"]
         assert out.endswith("overall: FAIL\n")
 
     @pytest.mark.parametrize(

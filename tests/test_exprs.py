@@ -371,6 +371,21 @@ class TestProgramInterning:
         quotient = expr_jet(parse_expr("sin(x1) + x2^2"), points, order) / expr_jet(parse_expr("3 - pi*e"), points, order)
         assert np.array_equal(expr_jet(parse_expr("(sin(x1) + x2^2) / (3 - pi*e)"), points, order).c, quotient.c)
 
+    def test_every_catalog_quotient_is_a_product_with_a_shared_reciprocal(self):
+        # the ball charts divide several entries by one pointed denominator
+        ops = {spec.name: [op[0] for op in spec.program.ops] for spec in charts.catalog()}
+        assert all("/" not in names for names in ops.values())
+        assert ops["fubini-study"].count("recip") == ops["complex-hyperbolic"].count("recip") == 1
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_a_pointed_quotient_has_the_bits_of_the_product_with_the_reciprocal(self, order):
+        text = "(sin(x1) + x2^2) / (2 + x3*x4)"
+        program = Program([parse_expr(text)])
+        assert program.ops[-1] == ("*",) and ("/",) not in program.ops
+        points = np.random.default_rng(order).uniform(-1.0, 1.0, (5, 4))
+        a, b = (expr_jet(parse_expr(part), points, order) for part in ("sin(x1) + x2^2", "2 + x3*x4"))
+        assert expr_jet(parse_expr(text), points, order).c.tobytes() == (a * jets.reciprocal(b)).c.tobytes()
+
     @pytest.mark.parametrize("text", ["x1 / 0", "x1 / (1 - 1)", "x1 / (x2 - x2)"])
     def test_a_zero_denominator_raises_at_one_point_and_in_a_batch(self, text):
         for points in (np.zeros((1, 4)), np.ones((3, 4))):

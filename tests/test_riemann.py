@@ -239,7 +239,7 @@ class TestCovd:
         with pytest.raises(ValueError, match=r"\(1, 4, 4, 4, 35\).*\(2, 4, 4, 70\)"):
             riemann.covd(conn.gamma, structure.g[[0, 0]])
         with pytest.raises(ValueError, match=r"\(4, 4, 4, 35\).*\(4, 4, 70\)"):
-            riemann.divergence(structure.g_inv[0], conn.gamma[0], {}, structure.g[0])
+            riemann.divergence(structure.g_inv[0], conn.gamma[0], structure.g[0])
 
 
 #: The values of each batched stage's record that a test compares, by the
@@ -315,7 +315,7 @@ SECOND_ORDER_VALUES = {
     "sor": ("residuals", "bach_ak_skip_reason"),
 }
 #: Dataclass fields that hold an input of the stage, not a value it computed.
-INPUTS = {"structure", "conn", "cd", "rows", "terms"}
+INPUTS = {"structure", "conn", "cd", "rows"}
 #: The hypotheses of the registry rows, each a column over a batch.
 HYPOTHESES = (cli.almost_kahler, cli.j_invariant_ricci, cli.second_gray, cli.kahler_nullity, cli.lemma6_triple)
 

@@ -325,19 +325,26 @@ class TestStackedSlots:
         points, g_inv = len(conn.gamma.c), conn.structure.g_inv
         for order in (1, 2, 3):
             t = Jet(order, rng.standard_normal((points,) + (4,) * rank + (jets.NCOEF[order],)))
-            terms: dict = {}
             for slot in range(rank):
-                got, old = riemann.divergence(g_inv, conn.gamma, terms, t, slot), per_slot_divergence(g_inv, conn.gamma, t, slot)
+                got, old = riemann.divergence(g_inv, conn.gamma, t, slot), per_slot_divergence(g_inv, conn.gamma, t, slot)
                 assert (got.order, got.c.shape, got.c.tobytes()) == (old.order, old.c.shape, old.c.tobytes()), (order, slot)
 
-    def test_a_stacked_divergence_gives_each_block_its_own_bits(self, conn):
-        # three tensors stacked on the point axis, as the Weyl tensor and its halves are
+    @pytest.mark.parametrize(
+        ("rank", "order"),
+        [
+            pytest.param(4, 2, id="weyl-and-halves"),
+            pytest.param(3, 1, id="weitzenboeck-forms"),
+        ],
+    )
+    def test_a_stacked_divergence_gives_each_block_its_own_bits(self, rank, order, conn):
+        # three tensors stacked on the point axis, as the Weyl tensor and its
+        # halves are, or as the Weitzenboeck check's nabla phi and d phi are
         rng = np.random.default_rng(7)
         points, g_inv, gamma = len(conn.gamma.c), conn.structure.g_inv, conn.gamma
-        parts = [Jet(2, rng.standard_normal((points, 4, 4, 4, 4, jets.NCOEF[2]))) for _ in range(3)]
-        stacked = riemann.divergence(jets.concat([g_inv] * 3), jets.concat([gamma] * 3), {}, jets.concat(parts), 0)
+        parts = [Jet(order, rng.standard_normal((points,) + (4,) * rank + (jets.NCOEF[order],))) for _ in range(3)]
+        stacked = riemann.divergence(jets.concat([g_inv] * 3), jets.concat([gamma] * 3), jets.concat(parts), 0)
         for block, part in zip(jets.split(stacked, 3), parts):
-            assert block.c.tobytes() == riemann.divergence(g_inv, gamma, {}, part, 0).c.tobytes()
+            assert block.c.tobytes() == riemann.divergence(g_inv, gamma, part, 0).c.tobytes()
 
 
 class TestDivergence:
