@@ -5,8 +5,9 @@ Runs every `report` case of `scripts/report_fingerprint.py` as a JSON report
 own interpreter importing that tree's `src/`. It prints, for every identity
 row and every second-order residual, the largest |difference| over all cases
 and points, and lists every change of a pass mark, a verdict, a flag, the set
-of rows that apply, or an exit code. It exits 1 if there is any such change,
-and 0 otherwise:
+of rows that apply, a second-order value that is not a float (such as the
+`bach_ak_skipped` message), or an exit code. It exits 1 if there is any such
+change, and 0 otherwise:
 
     python3 scripts/residual_drift.py ../other-checkout
 """
@@ -117,6 +118,8 @@ def compare(argvs: list[list[str]], here: list[dict], other: list[dict]) -> tupl
             for key, value in sa.items():
                 if isinstance(value, float):
                     second[key] = max(second.get(key, 0.0), _delta(value, sb[key]))
+                elif value != sb[key]:
+                    flips.append(f"{where}: second-order {key} {sb[key]} -> {value}")
         agg_a, agg_b = a["doc"]["aggregate"], b["doc"]["aggregate"]
         for key in ("all_pass", "verdicts"):
             if agg_a[key] != agg_b[key]:
@@ -144,7 +147,7 @@ def main(argv: list[str]) -> int:
         width = max(map(len, table), default=0)
         for name, delta in sorted(table.items()):
             print(f"  {name:{width}s}  {delta:.3e}")
-    print(f"changes of pass mark, verdict, flag, applicability or exit code: {len(flips)}")
+    print(f"changes of pass mark, verdict, flag, applicability, second-order message or exit code: {len(flips)}")
     for line in flips:
         print(f"  {line}")
     return 1 if flips else 0

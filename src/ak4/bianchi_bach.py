@@ -22,11 +22,14 @@ Each function takes a `riemann.CurvatureBatch`, one of the curvature
 slices `second_order_report` runs on, and returns one value per point: a
 jet or an array with a leading point axis, or a list. Everything runs once
 on the slice's point axis, bit for bit what each point gives alone: the
-jets, the delta W+ split and the residual table. One einsum on 4x4 frame
-values stays a loop over the points: S in `bach_almost_kahler`. The
-pairing of delta W+ with Omega in `split_delta_wplus` is a signed gather
-over the slice (`algebra.form_pairing`), with the bits the per-point
-einsum gave.
+jets, the delta W+ split, S in `bach_almost_kahler` and the residual
+table. The pairing of delta W+ with Omega in `split_delta_wplus` is a
+signed gather over the slice (`algebra.form_pairing`), with the bits the
+per-point einsum gave.
+
+`second_order_report` hands out plain residual columns. Which points the
+closed Bach forms apply at is an input, one bool per point: the identity
+registry decides it from its hypotheses, so this module tests none.
 
 Computations of one shape run stacked on the point axis (`jets.concat`),
 k blocks of the slice's P points in one kernel call over k*P rows, each
@@ -42,27 +45,15 @@ W, delta W+, C+) in one call and of (ds, theta, a, b) in another.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, jets, riemann, tensorops
 from .charts import FRAME_FORMS, J_FRAME, J_SIDE_ORDER
-from .decomp import DecompBatch
 from .jets import Jet
 from .riemann import CurvatureBatch, FirstOrderBatch
 
 OMEGA_F, PHI_F, JPHI_F = FRAME_FORMS[0], FRAME_FORMS[1], FRAME_FORMS[2]
-
-
-@dataclass
-class SecondOrderReport:
-    """Third- and fourth-order curvature identities at each point of a batch:
-    one residual column per identity, None at the points where the closed
-    Bach forms' hypotheses fail (each with its reason)."""
-
-    bach_ak_skip_reason: list[str | None]
-    residuals: dict[str, list[float | None]]
 
 
 def cotton_york(cd: CurvatureBatch) -> Jet:
@@ -75,12 +66,10 @@ def cotton_york(cd: CurvatureBatch) -> Jet:
     return jets.moveaxis(dh, (0, 1, 2), (2, 1, 0)) - jets.moveaxis(dh, (0, 1, 2), (1, 2, 0))
 
 
-def delta_weyl(cd: CurvatureBatch, which: str = "full") -> Jet:
-    """Codifferential of the (projected) Weyl tensor at each point, slots (X; Y, Z).
-
-    The jets are cached on the batch, so the report and the Bach routes share them.
-    """
-    return getattr(cd, {"full": "delta_weyl", "plus": "delta_weyl_plus", "minus": "delta_weyl_minus"}[which])
+def delta_weyl(cd: CurvatureBatch) -> list[Jet]:
+    """[delta W, delta W+, delta W-] at each point, slots (X; Y, Z): the
+    slice's cached `delta_weyls`, which the Bach routes share."""
+    return cd.delta_weyls
 
 
 def _j_form(alpha: np.ndarray) -> np.ndarray:
@@ -160,7 +149,7 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
       1/2 nabla*nabla Ric0 + (lap s / 24) g + 1/6 nabla ds + (s/6) Ric0 - W(Ric0).
 
     Both equal the Bach tensor only where the structure is almost Kahler and
-    the Ricci tensor J-invariant; the caller checks that.
+    the Ricci tensor J-invariant; the caller decides where.
     """
     structure = cd.conn.structure
     if structure.order < 4:
@@ -180,10 +169,8 @@ def bach_almost_kahler(cd: CurvatureBatch) -> tuple[np.ndarray, np.ndarray]:
     d_rho0 = tensorops.frame_components(riemann.covd(gamma, rho0).value, frame)
     # a compact copy in the value's axis order, for frame_components' matmul
     d_omega = tensorops.frame_components(cd.conn.nabla_omega.value[cd.rows].copy(order="K"), frame)
-    # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in;
-    # einsum per point: S vanishes on every catalog point where the closed
-    # forms apply, so no output shows whether a batched einsum keeps its bits
-    s_tensor = np.stack([np.einsum("mnj,min->ij", x, y) for x, y in zip(d_rho0, d_omega)])
+    # endomorphism composition in an orthonormal frame: (phi o psi)_ij = phi_nj psi_in
+    s_tensor = np.einsum("pmnj,pmin->pij", d_rho0, d_omega)
 
     b_ak = -hess_inv / 3.0 + hess_anti / 6.0 - (lap_s / 12.0) * np.eye(4) - (s_val / 6.0) * ric0_f + s_tensor
 
@@ -281,38 +268,30 @@ def _random_2form_coefficients(seed: int) -> np.ndarray:
 # -- report assembly ------------------------------------------------------------
 
 
-def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, dr: DecompBatch, weitzenboeck_seed: int) -> SecondOrderReport:
-    """Compute every second-order quantity and the full residual table at each
-    point of a batch: each residual is one column, formed on the point axis
-    of each curvature slice (`CurvatureBatch.slices()`), whose second-order
-    jets are formed a slice at a time."""
+def second_order_report(cd: CurvatureBatch, hfo: FirstOrderBatch, closed: list[bool], weitzenboeck_seed: int) -> dict[str, list[float | None]]:
+    """Every second-order residual at each point of a batch, one column per
+    name, each formed on the point axis of each curvature slice
+    (`CurvatureBatch.slices()`), whose second-order jets are formed a slice
+    at a time. `closed` holds one bool per point, where the closed Bach
+    forms' hypotheses hold; their columns are None elsewhere."""
     if cd.conn.structure.order < 4:
         raise jets.JetOrderError("second-order report needs jet order 4")
-    # the hypotheses of the closed forms, as the registry's `almost_kahler` and
-    # `j_invariant_ricci` test them; the JSON report names the one that fails
-    skip_reasons = []
-    for ak, d_omega, j_inv, ric_anti in zip(hfo.is_almost_kahler.tolist(), hfo.d_omega_norm.tolist(), dr.is_j_invariant_ricci.tolist(), dr.ric_anti_norm.tolist()):
-        if not ak:
-            skip_reasons.append(f"not almost Kahler at this point: |dOmega| = {d_omega:.3e}")
-        elif not j_inv:
-            skip_reasons.append(f"Ricci tensor not J-invariant at this point: |Ric^anti| = {ric_anti:.3e}")
-        else:
-            skip_reasons.append(None)
-    residuals: dict[str, list] = {}
+    residuals: dict[str, list[float | None]] = {}
     for part in cd.slices():
-        for name, column in _slice_residuals(part, hfo, skip_reasons[part.rows], weitzenboeck_seed).items():
+        for name, column in _slice_residuals(part, hfo, closed[part.rows], weitzenboeck_seed).items():
             residuals.setdefault(name, []).extend(column)
-    return SecondOrderReport(skip_reasons, residuals)
+    return residuals
 
 
-def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: list[str | None], weitzenboeck_seed: int) -> dict[str, list]:
+def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, closed: list[bool], weitzenboeck_seed: int) -> dict[str, list]:
     """The residual columns of the points of one curvature slice; the closed
-    forms' columns hold None where their hypotheses fail."""
+    forms' columns hold None where `closed` is False."""
     rows = cd.rows
     c_jet = cotton_york(cd)
     # only the value of C+ is read: it is projected from order-0 truncations
     c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2))
-    rank3 = (c_jet.value, delta_weyl(cd, "full").value, delta_weyl(cd, "plus").value, c_plus.value)
+    dw, dwp, _ = delta_weyl(cd)
+    rank3 = (c_jet.value, dw.value, dwp.value, c_plus.value)
     c_f, dw_f, dwp_f, c_plus_f = cd.frame_blocks(np.concatenate(rank3), 4)
 
     # Lemma-type predictions for alpha and beta under J-invariant Ricci.
@@ -348,12 +327,11 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, skip_reasons: lis
     }
     # the closed forms run on the whole slice where any point satisfies their
     # hypotheses, and are reported at those points only
-    closed = {"bach direct vs almost-kahler form": [None] * len(skip_reasons), "bach direct vs ricci form": [None] * len(skip_reasons)}
-    if None in skip_reasons:
-        bach_ak, bach_ricci = bach_almost_kahler(cd)
-        for name, column in zip(closed, (_max_abs(bd - bach_ak), _max_abs(bd - bach_ricci))):
-            closed[name] = [value if reason is None else None for value, reason in zip(column, skip_reasons)]
-    return columns | closed
+    forms = {"bach direct vs almost-kahler form": [None] * len(closed), "bach direct vs ricci form": [None] * len(closed)}
+    if any(closed):
+        for name, form in zip(forms, bach_almost_kahler(cd)):
+            forms[name] = [value if holds else None for value, holds in zip(_max_abs(bd - form), closed)]
+    return columns | forms
 
 
 def _max_abs(x: np.ndarray) -> list[float]:

@@ -77,7 +77,8 @@ class AnalysisBatch:
     overhead per call, which a batch pays once. Each stage takes the records
     of the stages before it and returns one record whose fields keep the
     point axis; the registry rows read the batch as columns, one value per
-    point (`Identity`).
+    point (`Identity`). The second-order report (`sor`) is a dict of such
+    columns, whose closed Bach forms apply where `CLOSED_BACH` holds.
     """
 
     structure: charts.StructureBatch
@@ -108,10 +109,11 @@ class AnalysisBatch:
         return gray.gray_report(self.cd, self.dr, seed=self.seed)
 
     @functools.cached_property
-    def sor(self) -> bianchi_bach.SecondOrderReport | None:
+    def sor(self) -> dict[str, list[float | None]] | None:
         if self.structure.order < 4:
             return None
-        return bianchi_bach.second_order_report(self.cd, self.hfo, self.dr, weitzenboeck_seed=self.seed)
+        closed = [all(holds) for holds in zip(*(predicate(self) for predicate in CLOSED_BACH))]
+        return bianchi_bach.second_order_report(self.cd, self.hfo, closed, weitzenboeck_seed=self.seed)
 
     @property
     def skipped(self) -> tuple[str, ...]:
@@ -204,6 +206,12 @@ def j_invariant_ricci(batch: AnalysisBatch) -> list[bool]:
     return batch.dr.is_j_invariant_ricci.tolist()
 
 
+#: The hypotheses of the closed almost Kahler Bach forms: the rows
+#: `bach-ak-form` and `bach-ricci-form`, and the points the second-order
+#: report forms them at.
+CLOSED_BACH = (almost_kahler, j_invariant_ricci)
+
+
 def second_gray(batch: AnalysisBatch) -> list[bool]:
     """The second Gray condition holds, at the verdict ladder's bound."""
     return [g2 < gray.DEFAULT_VERDICT_TOL for g2 in batch.ladder.g2]
@@ -267,7 +275,7 @@ def _each(stage: str, name: str):
 def _second_order(key: str):
     """A residual column of the second-order report; None where a point has
     none (the closed Bach forms where their hypotheses fail)."""
-    return lambda batch: batch.sor.residuals[key]
+    return lambda batch: batch.sor[key]
 
 
 def _s_star(batch: AnalysisBatch) -> list[float]:
@@ -291,7 +299,7 @@ def _gamma0_antisymmetry(batch: AnalysisBatch) -> list[float]:
 
 def _weitzenboeck(batch: AnalysisBatch) -> list[float]:
     """The worse of the two test fields: Omega and a seeded polynomial 2-form."""
-    return [max(omega, field, key=_rank) for omega, field in zip(batch.sor.residuals["weitzenboeck omega"], batch.sor.residuals["weitzenboeck random"])]
+    return [max(omega, field, key=_rank) for omega, field in zip(batch.sor["weitzenboeck omega"], batch.sor["weitzenboeck random"])]
 
 
 def _mu_formula_gap(gr: gray.GrayReport) -> list[float]:
@@ -329,7 +337,7 @@ IDENTITIES = (
         TOL_FOURTH_ORDER,
         4,
         _second_order("bach direct vs almost-kahler form"),
-        (almost_kahler, j_invariant_ricci),
+        CLOSED_BACH,
         group="bach-3way",
     ),
     Identity(
@@ -337,7 +345,7 @@ IDENTITIES = (
         TOL_FOURTH_ORDER,
         4,
         _second_order("bach direct vs ricci form"),
-        (almost_kahler, j_invariant_ricci),
+        CLOSED_BACH,
         group="bach-3way",
     ),
     Identity("lemma5", TOL_FIRST_ORDER, 2, _lemma5, report=False),
@@ -410,9 +418,12 @@ def _point_document(pa: PointAnalysis, rows: list[dict]) -> dict:
         "skipped": list(batch.skipped),
     }
     if sor is not None:
-        doc["second_order"] = {name: column[k] for name, column in sor.residuals.items() if column[k] is not None}
-        if sor.bach_ak_skip_reason[k]:
-            doc["second_order"]["bach_ak_skipped"] = sor.bach_ak_skip_reason[k]
+        doc["second_order"] = {name: column[k] for name, column in sor.items() if column[k] is not None}
+        # where the closed Bach forms do not apply: the first hypothesis that fails, with the value it bounds
+        if not almost_kahler(batch)[k]:
+            doc["second_order"]["bach_ak_skipped"] = f"not almost Kahler at this point: |dOmega| = {batch.hfo.d_omega_norm[k]:.3e}"
+        elif not j_invariant_ricci(batch)[k]:
+            doc["second_order"]["bach_ak_skipped"] = f"Ricci tensor not J-invariant at this point: |Ric^anti| = {dr.ric_anti_norm[k]:.3e}"
     return doc
 
 

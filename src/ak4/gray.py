@@ -84,10 +84,10 @@ def star_scalar_jet(cd: CurvatureBatch) -> Jet:
 
     First order is all `prop1_check` differentiates, so every input enters
     truncated to it."""
-    structure, rows = cd.conn.structure, cd.rows
-    ginv = structure.g_inv[rows].truncate(1)
-    r_omega = tensorops.form_inner(cd.R.truncate(1), structure.omega[rows].truncate(1), ginv, (2, 3))
-    ric_star = -jets.contract(structure.J[rows].truncate(1), r_omega, 0, 0)  # -J^k_i (R Omega)_kj
+    structure = cd.conn.structure
+    ginv = structure.g_inv.truncate(1)
+    r_omega = tensorops.form_inner(cd.R.truncate(1), structure.omega.truncate(1), ginv, (2, 3))
+    ric_star = -jets.contract(structure.J.truncate(1), r_omega, 0, 0)  # -J^k_i (R Omega)_kj
     return jets.contract(ginv, ric_star, (0, 1), (0, 1))
 
 

@@ -185,10 +185,11 @@ class CurvatureBatch:
 
     `rows` are the points of `conn` the batch holds: all of them for the
     batch `curvature` returns, CURVATURE_SLICE of them for each of its
-    `slices()`. The second-order report's jets, the traceless Ricci tensor, h,
-    the Weyl tensor, its halves and their codifferentials, and the frame
-    values of the Bach routes are cached properties, formed for the batch's
-    points on the first read."""
+    `slices()`; only the code that runs on slices (`bianchi_bach`) reads it.
+    The second-order report's jets, the traceless Ricci tensor, h, the Weyl
+    tensor, its halves and their codifferentials (`delta_weyls`), and the
+    frame values of the Bach routes are cached properties, formed for the
+    batch's points on the first read."""
 
     conn: ConnectionBatch
     rows: slice
@@ -269,25 +270,13 @@ class CurvatureBatch:
         return self._weyl_halves[1]
 
     @functools.cached_property
-    def _delta_weyls(self) -> list[Jet]:
-        """The codifferentials of W, W+ and W-, slots (X; Y, Z): one divergence
-        of the three stacked, so each is the codifferential of its own tensor
-        (delta W+ is never delta W - delta W-)."""
+    def delta_weyls(self) -> list[Jet]:
+        """The codifferentials [delta W, delta W+, delta W-], slots (X; Y, Z):
+        one divergence of the three stacked, so each is the codifferential of
+        its own tensor (delta W+ is never delta W - delta W-)."""
         stacked = jets.concat([self.weyl, self.weyl_plus, self.weyl_minus])
         g_inv, gamma = jets.concat([self.g_inv] * 3), jets.concat([self.gamma] * 3)
         return jets.split(-divergence(g_inv, gamma, stacked, 0), 3)
-
-    @property
-    def delta_weyl(self) -> Jet:
-        return self._delta_weyls[0]
-
-    @property
-    def delta_weyl_plus(self) -> Jet:
-        return self._delta_weyls[1]
-
-    @property
-    def delta_weyl_minus(self) -> Jet:
-        return self._delta_weyls[2]
 
     @functools.cached_property
     def bach_routes(self) -> np.ndarray:
@@ -298,7 +287,7 @@ class CurvatureBatch:
         the three stacked on the point axis."""
         w = jets.concat([self.weyl.truncate(0), self.weyl_plus.truncate(0), self.weyl_minus.truncate(0)])
         g_inv, gamma, h_raised = (jets.concat([t] * 3) for t in (self.g_inv, self.gamma, self.h_raised))
-        term1 = divergence(g_inv, gamma, jets.concat(self._delta_weyls), 1).value  # (x, y)
+        term1 = divergence(g_inv, gamma, jets.concat(self.delta_weyls), 1).value  # (x, y)
         # the W h term is read as a value only: it runs on order-0 truncations
         term2 = jets.contract(w, h_raised, (1, 2), (0, 1)).value  # W_xaby h^ab -> (x, y)
         return self.frame_blocks(term1 + term2, 3)
@@ -483,9 +472,9 @@ def ricci_identity_check(cd: CurvatureBatch) -> list[float]:
     (nabla^2_{X,Y} - nabla^2_{Y,X})(Omega)(Z, T) = -R_{X,Y,JZ,T} - R_{X,Y,Z,JT}.
     """
     # compact copies in the values' axis order, for einsum (see `_nabla_j_identity_residual`)
-    dd = cd.conn.nabla2_omega.value[cd.rows].copy(order="K")  # (m, n, i, j)
+    dd = cd.conn.nabla2_omega.value.copy(order="K")  # (m, n, i, j)
     lhs = dd - np.moveaxis(dd, 1, 2)
     rv = cd.R.value.copy(order="K")
-    jv = cd.conn.structure.J.value[cd.rows].copy(order="K")
+    jv = cd.conn.structure.J.value.copy(order="K")
     rhs = -np.einsum("pmnkj,pki->pmnij", rv, jv) - np.einsum("pmnik,pkj->pmnij", rv, jv)
     return _frame_max(lhs - rhs, cd.frame).tolist()

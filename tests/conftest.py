@@ -191,14 +191,14 @@ class Entries:
 
 def at(pa: PointAnalysis, stage: str) -> Entries:
     """The entries of the analysis batch's record of `stage` ("structure",
-    "conn", "cd", "hfo", "dr", "ladder", "gr" or "sor") at the point of `pa`."""
+    "conn", "cd", "hfo", "dr", "ladder" or "gr") at the point of `pa`."""
     return Entries(getattr(pa.batch, stage), pa.index)
 
 
 def second_order_residuals(pa: PointAnalysis) -> dict[str, float | None]:
     """The second-order residuals at the point of `pa`, by name; None for a
     closed Bach form whose hypotheses fail there."""
-    return {name: column[pa.index] for name, column in pa.batch.sor.residuals.items()}
+    return {name: column[pa.index] for name, column in pa.batch.sor.items()}
 
 
 def divergence(conn: riemann.ConnectionBatch, t: Jet, slot: int = 0, k: int = 0) -> Jet:

@@ -10,7 +10,7 @@ from ak4.cli import PointAnalysis
 from ak4.errors import JetOrderError
 from ak4.exprs import parse_expr
 
-from conftest import EINSTEIN_NAMES, at, divergence, expr_jet, point_analysis, product_surfaces, second_order_residuals, sphere_factor, structure_batch
+from conftest import EINSTEIN_NAMES, at, divergence, expr_jet, identity, point_analysis, product_surfaces, second_order_residuals, sphere_factor, structure_batch
 
 
 def _cotton_frame(pa: PointAnalysis) -> np.ndarray:
@@ -45,9 +45,9 @@ class TestCottonYork:
 
     def test_delta_weyl_memoized_from_each_weyl_piece(self, analyses):
         cd = analyses["kodaira-thurston"][0].batch.cd
-        for which, w in (("full", cd.weyl), ("plus", cd.weyl_plus), ("minus", cd.weyl_minus)):
-            dw = bianchi_bach.delta_weyl(cd, which)
-            assert dw is bianchi_bach.delta_weyl(cd, which)
+        dws = bianchi_bach.delta_weyl(cd)
+        assert dws is bianchi_bach.delta_weyl(cd) is cd.delta_weyls
+        for dw, w in zip(dws, (cd.weyl, cd.weyl_plus, cd.weyl_minus), strict=True):
             assert np.array_equal(dw[0].c, (-divergence(cd.conn, w[0], 0)).c)
 
 
@@ -130,7 +130,7 @@ class TestBach:
 
     def test_almost_kahler_form_on_product_surfaces(self, analyses):
         for pa in analyses["product-surfaces"]:
-            assert at(pa, "sor").bach_ak_skip_reason is None
+            assert "bach_ak_skipped" not in cli._point_document(pa, [])["second_order"]
             assert second_order_residuals(pa)["bach direct vs almost-kahler form"] < 1e-6
             assert second_order_residuals(pa)["bach direct vs ricci form"] < 1e-6
             assert np.abs(bianchi_bach.bach_direct(pa.batch.cd)[pa.index]).max() > 1e-3  # genuinely non-Bach-flat
@@ -140,6 +140,36 @@ class TestBach:
             assert second_order_residuals(pa)["bach direct vs almost-kahler form"] is None
             second_order = cli._point_document(pa, [])["second_order"]
             assert second_order["bach_ak_skipped"] == f"Ricci tensor not J-invariant at this point: |Ric^anti| = {at(pa, 'dr').ric_anti_norm:.3e}"
+
+    def test_almost_kahler_form_skipped_where_not_almost_kahler(self, ricci_anti_analysis):
+        # Hermitian, not almost Kahler: the message names |dOmega|, the first hypothesis that fails
+        second_order = cli._point_document(ricci_anti_analysis, [])["second_order"]
+        d_omega = at(ricci_anti_analysis, "hfo").d_omega_norm
+        assert d_omega > 1e-3
+        assert second_order["bach_ak_skipped"] == f"not almost Kahler at this point: |dOmega| = {d_omega:.3e}"
+
+    def test_closed_form_columns_follow_the_registry_row(self, catalog_specs):
+        # fubini-study points, where the closed forms apply, in one batch with kodaira-thurston points
+        batches = [(catalog_specs[name], catalog_specs[name].sample_points(2, 31)) for name in ("fubini-study", "kodaira-thurston")]
+        batch = cli.point_analyses(charts.structure_at(batches, 4))[0].batch
+        applies = identity("bach-ak-form").applies(batch)
+        assert type(batch.sor) is dict and applies == [True, True, False, False]
+        for name in ("bach direct vs almost-kahler form", "bach direct vs ricci form"):
+            assert [value is not None for value in batch.sor[name]] == applies
+
+    def test_almost_kahler_form_gives_each_point_its_bits_alone(self, catalog_specs):
+        # kodaira-thurston: S = sum_i (nabla_i rho0) o (nabla_i Omega) is not 0
+        spec = catalog_specs["kodaira-thurston"]
+        points = spec.sample_points(5, 29)
+        cd = riemann.curvature(riemann.connection(charts.structure_at([(spec, points)], 4)))
+        rho0 = jets.contract(cd.conn.structure.J.truncate(1), cd.ric0.truncate(1), 0, 0)
+        d_rho0 = tensorops.frame_components(riemann.covd(cd.gamma, rho0).value, cd.frame)
+        d_omega = tensorops.frame_components(cd.conn.nabla_omega.value, cd.frame)
+        assert np.abs(np.einsum("pmnj,pmin->pij", d_rho0, d_omega)).max(axis=(1, 2)).min() > 1e-3
+        together = bianchi_bach.bach_almost_kahler(cd)
+        for k, p in enumerate(points):
+            alone = bianchi_bach.bach_almost_kahler(riemann.curvature(riemann.connection(charts.structure_at([(spec, p[None])], 4))))
+            assert [b[k].tobytes() for b in together] == [b[0].tobytes() for b in alone]
 
     def test_constant_scalar_j_invariant_reduction(self):
         # Kahler, constant s, non-Einstein: every derivative term in the
@@ -170,8 +200,9 @@ class TestStackedRoutes:
         return riemann.curvature(riemann.connection(charts.structure_at(batches, 4)))
 
     def test_each_bach_route_matches_the_route_alone(self, cd):
-        direct = per_route_bach(cd, cd.weyl, cd.delta_weyl)
-        plus, minus = (2.0 * per_route_bach(cd, w, dw) for w, dw in ((cd.weyl_plus, cd.delta_weyl_plus), (cd.weyl_minus, cd.delta_weyl_minus)))
+        dw, dwp, dwm = cd.delta_weyls
+        direct = per_route_bach(cd, cd.weyl, dw)
+        plus, minus = (2.0 * per_route_bach(cd, w, d) for w, d in ((cd.weyl_plus, dwp), (cd.weyl_minus, dwm)))
         assert bianchi_bach.bach_direct(cd).tobytes() == direct.tobytes()
         assert [b.tobytes() for b in bianchi_bach.bach_gauduchon(cd)] == [plus.tobytes(), minus.tobytes()]
 

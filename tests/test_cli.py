@@ -779,7 +779,7 @@ def _weitzenboeck_field_nan_at_the_second_point(monkeypatch) -> None:
 
     def planted(*args, **kwargs):
         sor = second_order_report(*args, **kwargs)
-        sor.residuals["weitzenboeck random"][1] = math.nan
+        sor["weitzenboeck random"][1] = math.nan
         return sor
 
     monkeypatch.setattr(cli.bianchi_bach, "second_order_report", planted)

@@ -45,3 +45,12 @@ def test_a_moved_residual_is_measured_and_a_flip_is_listed():
     assert flips[0].endswith("exit code 0 -> 1")
     assert flips[1].endswith(f"point 0: verdict {verdict} -> KAHLER")
     assert flips[2].endswith("point 1: structure-invariants pass True -> False")
+
+
+def test_a_changed_second_order_message_is_a_flip():
+    here, other = _result(), _result()
+    message = other["doc"]["points"][0]["second_order"]["bach_ak_skipped"]
+    here["doc"]["points"][0]["second_order"]["bach_ak_skipped"] = "rewritten"
+    _, second, flips = residual_drift.compare([ARGV], [here], [other])
+    assert "bach_ak_skipped" not in second
+    assert flips == [f"{' '.join(ARGV)}, point 0: second-order bach_ak_skipped {message} -> rewritten"]

@@ -307,13 +307,10 @@ STAGE_VALUES = {
     "ladder": ("g1", "g2", "g3", "verdict", "flags"),
     "gr": ("mu_formula", "mu_min", "mu_max", "wplus_eigenvalues"),
 }
-#: The values an order-4 analysis adds: the codifferentials of the Weyl
-#: tensors, read off the curvature slice that holds the point, as the
-#: second-order report reads them, and the second-order report.
-SECOND_ORDER_VALUES = {
-    "cd": ("delta_weyl", "delta_weyl_plus", "delta_weyl_minus"),
-    "sor": ("residuals", "bach_ak_skip_reason"),
-}
+#: The codifferentials an order-4 analysis adds, in the order of
+#: `CurvatureBatch.delta_weyls`, read off the curvature slice that holds the
+#: point, as the second-order report reads them.
+DELTA_WEYLS = ("delta W", "delta W+", "delta W-")
 #: Dataclass fields that hold an input of the stage, not a value it computed.
 INPUTS = {"structure", "conn", "cd", "rows"}
 #: The hypotheses of the registry rows, each a column over a batch.
@@ -346,8 +343,8 @@ def _stage_values(pa: cli.PointAnalysis) -> dict[tuple[str, str], object]:
     values = {(stage, name): _entry(getattr(batch, stage), name, k) for stage, names in STAGE_VALUES.items() for name in names}
     if batch.structure.order == 4:
         part = batch.cd.slices()[k // riemann.CURVATURE_SLICE]
-        values.update({("cd", name): _entry(part, name, k - part.rows.start) for name in SECOND_ORDER_VALUES["cd"]})
-        values.update({("sor", name): _entry(batch.sor, name, k) for name in SECOND_ORDER_VALUES["sor"]})
+        values.update({("cd", name): dw[k - part.rows.start] for name, dw in zip(DELTA_WEYLS, part.delta_weyls, strict=True)})
+        values.update({("sor", name): column[k] for name, column in batch.sor.items()})
     for hypothesis in HYPOTHESES:
         values["hypothesis", hypothesis.__name__] = hypothesis(batch)[k]
     values["hypothesis", "lemma5 triple"] = float(gray.lemma5_triple(batch.dr)[k])
@@ -397,8 +394,8 @@ class TestPipelineBatch:
     def test_a_batch_where_the_closed_bach_forms_apply_at_some_points(self, catalog_specs, n):
         # fubini-study and kodaira-thurston points in one batch, as `check --chart all` batches them
         batches = [(catalog_specs[name], catalog_specs[name].sample_points(n, 31)) for name in ("fubini-study", "kodaira-thurston")]
-        reasons = cli.point_analyses(charts.structure_at(batches, 4))[0].batch.sor.bach_ak_skip_reason
-        assert reasons[:n] == [None] * n and None not in reasons[n:]
+        column = cli.point_analyses(charts.structure_at(batches, 4))[0].batch.sor["bach direct vs almost-kahler form"]
+        assert None not in column[:n] and column[n:] == [None] * n
         _assert_batches_match(batches, 4)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
@@ -451,7 +448,9 @@ class TestPipelineBatch:
         try:
             batch = cli.point_analyses(charts.structure_at([(spec, spec.sample_points(2, 5))], 4))[0].batch
             assert cli._identity_rows(batch, 1.0)
-            stages = ("structure", "conn", "cd", "hfo", "dr", "ladder", "gr", "sor")
+            # the second-order report is a dict of columns of floats and None, which refer to nothing
+            assert all(type(column) is list and all(v is None or type(v) is float for v in column) for column in batch.sor.values())
+            stages = ("structure", "conn", "cd", "hfo", "dr", "ladder", "gr")
             refs = [weakref.ref(batch)] + [weakref.ref(getattr(batch, stage)) for stage in stages]
             del batch
             assert [ref() for ref in refs] == [None] * len(refs)
