@@ -4,7 +4,8 @@ Runs every `report` case of `scripts/report_fingerprint.py` as a JSON report
 (`--json -` is added where the case prints text) in both trees, each in its
 own interpreter importing that tree's `src/`. It prints, for every identity
 row and every second-order residual, the largest |difference| over all cases
-and points, and lists every change of a pass mark, a verdict, a flag, the set
+and points with the case and point index where it is largest (when it is
+not zero), and lists every change of a pass mark, a verdict, a flag, the set
 of rows that apply, a second-order value that is not a float (such as the
 `bach_ak_skipped` message), or an exit code. It exits 1 if there is any such
 change, and 0 otherwise:
@@ -32,17 +33,20 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def report_cases() -> list[list[str]]:
-    """The fingerprint matrix's report cases, each writing JSON to stdout."""
+def report_cases() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the fingerprint matrix's report cases, each writing
+    JSON to stdout. The label is the fingerprint's, which names a chart file
+    by its chart name rather than its temporary path."""
     sys.path.insert(0, str(HERE))
     from report_fingerprint import cases
 
-    out: list[list[str]] = []
-    for _, argv in cases():
+    out: list[tuple[str, list[str]]] = []
+    for label, argv in cases():
         if argv[0] == "report":
-            argv = argv if "--json" in argv else [*argv, "--json", "-"]
-            if argv not in out:
-                out.append(argv)
+            if "--json" not in argv:
+                label, argv = f"{label} --json -", [*argv, "--json", "-"]
+            if argv not in [seen for _, seen in out]:
+                out.append((label, argv))
     return out
 
 
@@ -84,13 +88,20 @@ def _delta(a: float, b: float) -> float:
     return math.inf if math.isnan(d) else d
 
 
-def compare(argvs: list[list[str]], here: list[dict], other: list[dict]) -> tuple[dict[str, float], dict[str, float], list[str]]:
-    """(max |delta| per identity, max |delta| per second-order residual, flips)."""
-    rows: dict[str, float] = {}
-    second: dict[str, float] = {}
+def _widen(table: dict[str, tuple[float, str | None]], name: str, delta: float, where: str) -> None:
+    """Keep in table[name] the largest |delta| seen and where it was seen (None while it is 0)."""
+    if name not in table or delta > table[name][0]:
+        table[name] = (delta, where if delta else None)
+
+
+def compare(labels: list[str], here: list[dict], other: list[dict]) -> tuple[dict, dict, list[str]]:
+    """(max |delta| per identity, max |delta| per second-order residual, flips)
+    over the cases named by `labels`; each max is a pair (|delta|,
+    "<label>, point <i>" where it is largest, or None when it is 0)."""
+    rows: dict[str, tuple[float, str | None]] = {}
+    second: dict[str, tuple[float, str | None]] = {}
     flips: list[str] = []
-    for argv, a, b in zip(argvs, here, other, strict=True):
-        label = " ".join(argv)
+    for label, a, b in zip(labels, here, other, strict=True):
         if a["exit"] != b["exit"]:
             flips.append(f"{label}: exit code {b['exit']} -> {a['exit']}")
         if a["doc"] is None or b["doc"] is None:
@@ -108,7 +119,7 @@ def compare(argvs: list[list[str]], here: list[dict], other: list[dict]) -> tupl
                 flips.append(f"{where}: applicable rows {names_b} -> {names_a}")
                 continue
             for ra, rb in zip(pa["identities"], pb["identities"]):
-                rows[ra["name"]] = max(rows.get(ra["name"], 0.0), _delta(ra["residual"], rb["residual"]))
+                _widen(rows, ra["name"], _delta(ra["residual"], rb["residual"]), where)
                 if ra["pass"] != rb["pass"]:
                     flips.append(f"{where}: {ra['name']} pass {rb['pass']} -> {ra['pass']}")
             sa, sb = pa.get("second_order", {}), pb.get("second_order", {})
@@ -117,7 +128,7 @@ def compare(argvs: list[list[str]], here: list[dict], other: list[dict]) -> tupl
                 continue
             for key, value in sa.items():
                 if isinstance(value, float):
-                    second[key] = max(second.get(key, 0.0), _delta(value, sb[key]))
+                    _widen(second, key, _delta(value, sb[key]), where)
                 elif value != sb[key]:
                     flips.append(f"{where}: second-order {key} {sb[key]} -> {value}")
         agg_a, agg_b = a["doc"]["aggregate"], b["doc"]["aggregate"]
@@ -138,15 +149,15 @@ def main(argv: list[str]) -> int:
         print("usage: residual_drift.py <other-checkout>  (a tree with src/ak4)", file=sys.stderr)
         return 2
     other_tree = Path(argv[0]).resolve()
-    argvs = report_cases()
-    here, other = run_tree(ROOT, argvs), run_tree(other_tree, argvs)
-    rows, second, flips = compare(argvs, here, other)
+    labels, argvs = zip(*report_cases())
+    here, other = run_tree(ROOT, list(argvs)), run_tree(other_tree, list(argvs))
+    rows, second, flips = compare(list(labels), here, other)
     print(f"residual drift of {ROOT} against {other_tree}: {len(argvs)} report cases")
     for title, table in (("identity rows", rows), ("second-order residuals", second)):
         print(f"{title} (max |delta| over cases and points):")
         width = max(map(len, table), default=0)
-        for name, delta in sorted(table.items()):
-            print(f"  {name:{width}s}  {delta:.3e}")
+        for name, (delta, where) in sorted(table.items()):
+            print(f"  {name:{width}s}  {delta:.3e}" + (f"  at {where}" if where else ""))
     print(f"changes of pass mark, verdict, flag, applicability, second-order message or exit code: {len(flips)}")
     for line in flips:
         print(f"  {line}")

@@ -288,8 +288,9 @@ def _slice_residuals(cd: CurvatureBatch, hfo: FirstOrderBatch, closed: list[bool
     forms' columns hold None where `closed` is False."""
     rows = cd.rows
     c_jet = cotton_york(cd)
-    # only the value of C+ is read: it is projected from order-0 truncations
-    c_plus = tensorops.dual_projection(c_jet.truncate(0), cd.g_inv.truncate(0), cd._mu.truncate(0), +1.0, (1, 2))
+    # only the value of C+ is read: it is projected at order 0
+    c0 = c_jet.truncate(0)
+    c_plus = 0.5 * (c0 + jets.contract(c0, cd.star, (1, 2), (2, 3)))
     dw, dwp, _ = delta_weyl(cd)
     rank3 = (c_jet.value, dw.value, dwp.value, c_plus.value)
     c_f, dw_f, dwp_f, c_plus_f = cd.frame_blocks(np.concatenate(rank3), 4)

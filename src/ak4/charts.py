@@ -462,8 +462,8 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     on values, from the order-0 truncations of g and J (the checks read mu,
     phi and J phi only through their values). The frame's Gram-Schmidt
     candidates go through one pass (`_adapted_frame`), and the self-duality
-    checks star Omega, phi and J phi by one Hodge star, stacked on the
-    point axis (3P rows, each contracted as alone). mu, phi and J phi are
+    checks contract the star operator (`tensorops.star_operator`) once with
+    Omega, phi and J phi stacked on a tensor axis. mu, phi and J phi are
     built as jets on their first read (see StructureBatch). Each point
     holds, bit for bit, what a batch of that point alone gives.
 
@@ -527,14 +527,15 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
     rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
     diffs[:, 7] = rebuilt.value - omega.value
-    # Self-duality of the positive basis under the declared orientation: one
-    # star of Omega, phi and J phi stacked on the point axis (3P rows)
+    # Self-duality of the positive basis under the declared orientation: the
+    # star operator contracted once with Omega, phi and J phi stacked on a
+    # tensor axis, (P, 3, 4, 4)
     phi0 = _phi(coframe)
     jphi0 = _jphi(j_low, phi0)
-    forms = Jet._of(0, np.concatenate([omega.c[..., :1], phi0.c, jphi0.c]))
-    at = np.tile(np.arange(n_points), 3)
-    starred = tensorops.hodge_star_2form(forms, g_inv.truncate(0)[at], tensorops.volume_form(g_low, orientation)[at])
-    diffs[:, 8:11] = (starred.value - forms.value).reshape(3, n_points, 4, 4).swapaxes(0, 1)
+    forms = Jet._of(0, np.stack([omega.c[..., :1], phi0.c, jphi0.c], axis=1))
+    star = tensorops.star_operator(tensorops.volume_form(g_low, orientation), g_inv.truncate(0))
+    starred = jets.contract(star, forms, (2, 3), (1, 2))
+    diffs[:, 8:11] = jets.moveaxis(starred, 2, 0).value - forms.value
     _check(diffs, residuals, 7, 11)
     return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
 

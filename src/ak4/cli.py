@@ -606,6 +606,10 @@ def cmd_check(config: RunConfig, name: str) -> int:
             print(f"  {known}")
         return 2
     if name in SANDBOX_CHECKS:
+        # each draws max(8 N, 256) tensors of 256 float64 as one array
+        most = np.iinfo(np.intp).max // (8 * 256 * 8)
+        if config.points > most:
+            raise AK4Error(f"--points must be <= {most} for a sandbox check, the most numpy can shape, got {config.points}")
         tol = SANDBOX_TOL * config.tol_scale
         rows = SANDBOX_CHECKS[name](max(config.points * 8, 256), config.seed)
     else:

@@ -53,8 +53,9 @@ rows: `jets.concat` stacks the k pieces on the point axis, with their
 operands repeated k times beside them, and `jets.split` cuts the result
 back into its k blocks. `covd` stacks its slot-moved copies of t and
 `divergence` its slots other than `slot`; kn(g, g) and kn(Ric0, g) are one
-`kn_jet`; the second Hodge star of W+ and W- is one star over both halves,
-each block taking its own sign; delta W, delta W+ and delta W- are one
+`kn_jet`; the Hodge star is one rank-4 tensor per slice
+(`CurvatureBatch.star`), whose contraction with the second pairs of both
+first projections of W is one call; delta W, delta W+ and delta W- are one
 divergence of W, W+ and W- stacked, each the codifferential of its own
 tensor, never a difference; the three Bach routes are one divergence of
 those three codifferentials stacked; and a and b are one
@@ -186,10 +187,11 @@ class CurvatureBatch:
     `rows` are the points of `conn` the batch holds: all of them for the
     batch `curvature` returns, CURVATURE_SLICE of them for each of its
     `slices()`; only the code that runs on slices (`bianchi_bach`) reads it.
-    The second-order report's jets, the traceless Ricci tensor, h, the Weyl
-    tensor, its halves and their codifferentials (`delta_weyls`), and the
-    frame values of the Bach routes are cached properties, formed for the
-    batch's points on the first read."""
+    The second-order report's jets, the traceless Ricci tensor, h, the Hodge
+    star operator (`star`, at R's order), the Weyl tensor, its halves and
+    their codifferentials (`delta_weyls`), and the frame values of the Bach
+    routes are cached properties, formed for the batch's points on the
+    first read."""
 
     conn: ConnectionBatch
     rows: slice
@@ -248,18 +250,21 @@ class CurvatureBatch:
         return self.R - scalar_part - ric0_part
 
     @functools.cached_property
+    def star(self) -> Jet:
+        """The Hodge star on 2-forms (`tensorops.star_operator`) at g^-1's
+        order, R's, from the batch's view of the structure batch's mu."""
+        return tensorops.star_operator(self.conn.structure.mu[self.rows], self.g_inv)
+
+    @functools.cached_property
     def _weyl_halves(self) -> list[Jet]:
-        """W+ and W-, each W projected on both pairs with its sign. The first
-        pair's Hodge star is W's, shared; the second pair's is one star over
-        both first projections stacked, and each block takes its own sign."""
-        signs = (1.0, -1.0)
-        star = tensorops.hodge_star_2form(self.weyl, self.g_inv, self._mu)
-        firsts = [tensorops.dual_projection(self.weyl, self.g_inv, self._mu, sign, (0, 1), star) for sign in signs]
-        # the second pair first, as `dual_projection` moves it, for the star
-        pairs = jets.concat([jets.moveaxis(first, (2, 3), (0, 1)) for first in firsts])
-        mu = self._mu.truncate(pairs.order)  # the star reads no more of mu, so no more is copied
-        stars = jets.split(tensorops.hodge_star_2form(pairs, jets.concat([self.g_inv] * 2), jets.concat([mu, mu])), 2)
-        return [tensorops.dual_projection(f, self.g_inv, self._mu, sign, (2, 3), s) for f, sign, s in zip(firsts, signs, stars)]
+        """W+ and W-, each W projected on both pairs with its sign: F+- =
+        (1/2)(W +- *W) on the first pair, then W+- = (1/2)(F+- +- F+- *) on
+        the second, one contraction over both F+- stacked."""
+        star_w = jets.contract(self.star, self.weyl, (2, 3), (0, 1))
+        f_plus, f_minus = 0.5 * (self.weyl + star_w), 0.5 * (self.weyl - star_w)
+        stars = jets.contract(jets.concat([f_plus, f_minus]), jets.concat([self.star] * 2), (2, 3), (2, 3))
+        star_plus, star_minus = jets.split(stars, 2)
+        return [0.5 * (f_plus + star_plus), 0.5 * (f_minus - star_minus)]
 
     @property
     def weyl_plus(self) -> Jet:
@@ -298,11 +303,6 @@ class CurvatureBatch:
         call, cut into a (k, P, ...) array."""
         out = tensorops.frame_components(values, np.concatenate([self.frame] * k))
         return out.reshape(k, -1, *out.shape[1:])
-
-    @functools.cached_property
-    def _mu(self) -> Jet:
-        """The volume forms of the batch's points: a view of the structure batch's mu."""
-        return self.conn.structure.mu[self.rows]
 
 
 def curvature(conn: ConnectionBatch) -> CurvatureBatch:

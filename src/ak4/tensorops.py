@@ -123,24 +123,10 @@ def ext_d_2form(phi: Jet) -> Jet:
     return t - jets.moveaxis(t, 1, 0) + jets.moveaxis(t, (0, 1, 2), (2, 0, 1))
 
 
-def hodge_star_2form(phi: Jet, ginv: Jet, mu: Jet) -> Jet:
-    """(*phi)_ij = (1/2) mu_ijkl phi^kl."""
-    return form_inner(mu, phi, ginv, (2, 3))
-
-
-def dual_projection(t: Jet, ginv: Jet, mu: Jet, sign: float, pair: tuple[int, int], star: Jet | None = None) -> Jet:
-    """Project an antisymmetric index pair onto its (anti-)self-dual part.
-
-    sign=+1.0 applies (1/2)(id + *) to the pair, sign=-1.0 the complement.
-    A caller that projects the same pair with both signs passes `star`, the
-    Hodge star of t on that pair with the pair's slots first, so it is formed once.
-    """
-    a, b = pair
-    tp = jets.moveaxis(jets.moveaxis(t, a, 0), b, 1)
-    if star is None:
-        star = hodge_star_2form(tp, ginv, mu)
-    out = 0.5 * (tp + float(sign) * star)
-    return jets.moveaxis(jets.moveaxis(out, 1, b), 0, a)
+def star_operator(mu: Jet, ginv: Jet) -> Jet:
+    """The Hodge star on 2-forms as a rank-4 tensor, star_ijkl = (1/2) mu_ij^kl,
+    so that (*t)_ij = sum_kl star_ijkl t_kl on any antisymmetric slot pair."""
+    return 0.5 * raise_pair(mu, ginv, 2, 3)
 
 
 def kn_jet(h: Jet, g: Jet) -> Jet:

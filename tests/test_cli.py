@@ -399,7 +399,7 @@ class TestIdentityRegistry:
         monkeypatch.setattr(jets, "contract", counted)
         for chart in CATALOG_NAMES:
             run_report(RunConfig(chart=chart, points=2, order=4))
-        assert calls == {"flat": 91, "product-surfaces": 91, "fubini-study": 91, "complex-hyperbolic": 91, "kodaira-thurston": 77}
+        assert calls == {"flat": 87, "product-surfaces": 87, "fubini-study": 87, "complex-hyperbolic": 87, "kodaira-thurston": 73}
 
     def test_a_two_point_order_4_report_makes_one_divergence_per_pass(self, monkeypatch):
         # delta W+-, the Bach routes, the Ricci-route Laplacian and one for the
@@ -749,6 +749,9 @@ class TestUnshapeableCount:
             (["report", "--chart", "flat", "--points"], "--points"),
             (["check", "kappa", "--points"], "--points"),
             (["classify", "--points"], "--points"),
+            (["check", "gray-chain", "--points"], "--points"),
+            (["check", "sandbox-lemma5", "--points"], "--points"),
+            (["check", "sandbox-roundtrip", "--points"], "--points"),
         ],
     )
     def test_is_refused(self, argv, flag, count, monkeypatch, capsys):
@@ -756,10 +759,31 @@ class TestUnshapeableCount:
             raise AssertionError("sampled before the count was checked")
 
         monkeypatch.setattr(charts.ChartSpec, "sample_points", sampled)
+        for generator in ("random_batch", "g1_batch", "g2_batch"):
+            monkeypatch.setattr(cli.sandbox, generator, sampled)
         code = run_main([*argv, str(count)])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be <= {cli.MAX_COUNT}, the most numpy can shape, got {count}\n"
+
+    @pytest.mark.parametrize("name", ["gray-chain", "sandbox-lemma5", "sandbox-roundtrip"])
+    def test_a_sandbox_check_is_refused_a_count_it_cannot_draw(self, name, monkeypatch, capsys):
+        # max(8 N, 256) tensors of 256 float64: numpy shapes at most intp max bytes
+        most = np.iinfo(np.intp).max // (8 * 256 * 8)
+
+        def drawn(*args):
+            raise MemoryError("drawn")
+
+        for generator in ("random_batch", "g1_batch", "g2_batch"):
+            monkeypatch.setattr(cli.sandbox, generator, drawn)
+        for count in (most + 1, 2**50, cli.MAX_COUNT):
+            code = run_main(["check", name, "--points", str(count)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert err == f"error: --points must be <= {most} for a sandbox check, the most numpy can shape, got {count}\n"
+        # the largest count that numpy can shape reaches the generators
+        assert run_main(["check", name, "--points", str(most)]) == 2
+        assert capsys.readouterr().err == f"error: --points {most} needs more memory than is available: drawn\n"
 
 
 def _kappa_nan_at_the_second_point(monkeypatch) -> None:

@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 import residual_drift  # noqa: E402
 
-ARGV = ["report", "--chart", "kodaira-thurston", "--points", "2", "--json", "-"]
+LABEL = "report --chart kodaira-thurston --points 2 --json -"
 
 
 def _result() -> dict:
@@ -25,22 +25,28 @@ def _result() -> dict:
 
 
 def test_identical_runs_have_no_drift():
-    rows, second, flips = residual_drift.compare([ARGV], [_result()], [_result()])
+    rows, second, flips = residual_drift.compare([LABEL], [_result()], [_result()])
     assert flips == []
-    assert rows and set(rows.values()) == {0.0}
-    assert second and set(second.values()) == {0.0}
+    assert rows and set(rows.values()) == {(0.0, None)}
+    assert second and set(second.values()) == {(0.0, None)}
 
 
 def test_a_moved_residual_is_measured_and_a_flip_is_listed():
     here, other = _result(), _result()
     here["doc"]["points"][0]["second_order"]["delta W = C"] += 1e-3
-    _, second, flips = residual_drift.compare([ARGV], [here], [other])
-    assert second["delta W = C"] == pytest.approx(1e-3) and flips == []
+    here["doc"]["points"][1]["second_order"]["delta W = C"] += 2e-3
+    here["doc"]["points"][1]["identities"][0]["residual"] += 1e-5
+    rows, second, flips = residual_drift.compare([LABEL], [here], [other])
+    assert flips == []
+    delta, where = second["delta W = C"]
+    assert delta == pytest.approx(2e-3) and where == f"{LABEL}, point 1"
+    assert rows["structure-invariants"][1] == f"{LABEL}, point 1"
+    assert rows["kappa"] == (0.0, None)
     verdict = here["doc"]["points"][0]["verdict"]
     here["doc"]["points"][0]["verdict"] = "KAHLER"
     here["doc"]["points"][1]["identities"][0]["pass"] = False
     here["exit"] = 1
-    _, _, flips = residual_drift.compare([ARGV], [here], [other])
+    _, _, flips = residual_drift.compare([LABEL], [here], [other])
     assert len(flips) == 3
     assert flips[0].endswith("exit code 0 -> 1")
     assert flips[1].endswith(f"point 0: verdict {verdict} -> KAHLER")
@@ -51,6 +57,15 @@ def test_a_changed_second_order_message_is_a_flip():
     here, other = _result(), _result()
     message = other["doc"]["points"][0]["second_order"]["bach_ak_skipped"]
     here["doc"]["points"][0]["second_order"]["bach_ak_skipped"] = "rewritten"
-    _, second, flips = residual_drift.compare([ARGV], [here], [other])
+    _, second, flips = residual_drift.compare([LABEL], [here], [other])
     assert "bach_ak_skipped" not in second
-    assert flips == [f"{' '.join(ARGV)}, point 0: second-order bach_ak_skipped {message} -> rewritten"]
+    assert flips == [f"{LABEL}, point 0: second-order bach_ak_skipped {message} -> rewritten"]
+
+
+def test_a_chart_file_case_is_labelled_by_its_chart_name():
+    cases = residual_drift.report_cases()
+    labels = [label for label, _ in cases]
+    assert len(set(labels)) == len(labels)
+    assert "report --order 4 --json - --chart every-function --points 4 --seed 5" in labels
+    assert "report --chart half-bad --points 6 --seed 3 --json -" in labels
+    assert not [label for label in labels if "ak4-fingerprint-" in label]  # the temporary folder

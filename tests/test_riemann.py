@@ -13,7 +13,7 @@ from ak4 import charts, cli, gray, jets, riemann
 from ak4.errors import JetOrderError
 from ak4.jets import Jet
 
-from conftest import KAHLER_NAMES, at, product_surfaces, rotated_j_chart, sphere_factor, structure_batch
+from conftest import KAHLER_NAMES, all_points, at, product_surfaces, rotated_j_chart, sphere_factor, structure_batch
 from oracles import fd_christoffel, fd_curvature, fd_nabla_omega
 
 
@@ -120,6 +120,65 @@ class TestCurvature:
     def test_insufficient_order(self, catalog_specs):
         with pytest.raises(JetOrderError):
             _curvature(catalog_specs["fubini-study"], (0, 0, 0, 0), order=1)
+
+
+EPS = np.finfo(float).eps
+
+
+def _star(star: Jet, t: Jet, pair: tuple[int, int]) -> Jet:
+    """The Hodge star applied to the slot pair `pair` of t, in place."""
+    a, b = pair
+    starred = jets.contract(star, t, (2, 3), pair)  # the starred pair first, the other slots after
+    return jets.moveaxis(starred, (0, 1), (a, b))
+
+
+class TestHodgeStar:
+    """The star operator of each curvature batch and the Weyl halves it
+    projects, as jets at every coefficient: |.| is the largest |coefficient|."""
+
+    def test_star_twice_is_the_identity_on_2_forms(self, analyses):
+        # each entry of a double contraction sums 16 products per contraction
+        # over up to 6 coefficient pairs, each of size up to |star|^2 |t|
+        rng = np.random.default_rng(36)
+        for name, pa in all_points(analyses):
+            star = pa.batch.cd.star
+            for _ in range(3):
+                t = Jet(star.order, rng.standard_normal((1, 4, 4, jets.NCOEF[star.order])))
+                t = t - jets.moveaxis(t, 0, 1)
+                twice = _star(star, _star(star, t, (0, 1)), (0, 1))
+                bound = 64 * EPS * max(1.0, np.abs(star.c).max()) ** 2 * np.abs(t.c).max()
+                assert np.abs((twice - t).c).max() <= bound, name
+
+    def test_the_frame_forms_are_self_dual_and_anti_self_dual(self, analyses):
+        # In the adapted coframe e^a, positive under the declared orientation,
+        # *(e^a^e^b +- e^c^e^d) = +-(e^a^e^b +- e^c^e^d) for (abcd) = (1234),
+        # (1342) and (1423): the anti-self-dual forms tell the star from the
+        # identity, which the other identities of this class cannot.
+        for name, pa in all_points(analyses):
+            cd = pa.batch.cd
+            e = cd.frame @ cd.g.value  # (e^a)_i = g_ij E_a^j
+            wedge = e[:, :, None, :, None] * e[:, None, :, None, :]
+            wedge = wedge - wedge.transpose(0, 1, 2, 4, 3)  # [:, a, b] = e^a ^ e^b
+            star = cd.star.value
+            for sign in (1.0, -1.0):
+                for a, b, c, d in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)):
+                    form = wedge[:, a, b] + sign * wedge[:, c, d]
+                    starred = np.einsum("pijkl,pkl->pij", star, form)
+                    bound = 64 * EPS * np.abs(star).max() * np.abs(form).max()
+                    assert np.abs(starred - sign * form).max() <= bound, (name, sign, a)
+
+    def test_the_weyl_halves_are_eigentensors_of_the_star_on_both_pairs(self, analyses):
+        for name, pa in all_points(analyses):
+            cd = pa.batch.cd
+            bound = 32 * EPS * np.abs(cd.weyl.c).max()  # 0 on the flat chart, where W is 0
+            for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
+                for pair in ((0, 1), (2, 3)):
+                    assert np.abs((_star(cd.star, half, pair) - sign * half).c).max() <= bound, (name, sign, pair)
+
+    def test_the_weyl_halves_add_up_to_the_weyl_tensor(self, analyses):
+        for name, pa in all_points(analyses):
+            cd = pa.batch.cd
+            assert np.abs((cd.weyl_plus + cd.weyl_minus - cd.weyl).c).max() <= 32 * EPS * np.abs(cd.weyl.c).max(), name
 
 
 class TestHermitianFirstOrder:
@@ -264,6 +323,7 @@ STAGE_VALUES = {
         "ric0",
         "h",
         "h_raised",
+        "star",
         "weyl",
         "weyl_plus",
         "weyl_minus",
@@ -418,8 +478,7 @@ class TestPipelineBatch:
                 whole, mine = getattr(cd, name), getattr(part, name)
                 whole, mine = (whole.c, mine.c) if isinstance(whole, Jet) else (whole, mine)
                 assert np.shares_memory(mine, whole) and np.array_equal(mine, whole[part.rows]), name
-            assert np.shares_memory(part._mu.c, structure.mu.c)
-            assert np.array_equal(part._mu.c, structure.mu.c[part.rows])
+            assert np.array_equal(part.star.c, cd.star.c[part.rows])
         small = riemann.curvature(riemann.connection(charts.structure_at(batches[:2], 4)))
         assert small.slices()[0] is small  # 8 points: the batch is its own slice
 

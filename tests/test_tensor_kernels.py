@@ -234,8 +234,9 @@ class TestJetKernels:
         for _, pa in all_points(analyses):
             structure, cd = pa.batch.structure, pa.batch.cd
             g_inv, mu, c = tensorops.matrix_inverse(structure.g), structure.mu, bianchi_bach.cotton_york(cd)
-            full = tensorops.dual_projection(c, g_inv, mu, 1.0, (1, 2))
-            low = tensorops.dual_projection(c.truncate(0), g_inv.truncate(0), mu.truncate(0), 1.0, (1, 2))
+            star = tensorops.star_operator(mu, g_inv)
+            full = 0.5 * (c + jets.contract(c, star, (1, 2), (2, 3)))
+            low = 0.5 * (c.truncate(0) + jets.contract(c.truncate(0), star.truncate(0), (1, 2), (2, 3)))
             assert np.array_equal(full.value, low.value)
             for phi in (structure.omega, bianchi_bach.random_polynomial_2form(structure.points, structure.order, 42)):
                 full = tensorops.form_inner(cd.weyl, phi, g_inv, (2, 3))
@@ -374,13 +375,6 @@ class TestDivergence:
         doc, code = cli.run_report(cli.RunConfig(chart=name, points=1))
         assert code == 0 and "bach direct vs plus" in doc["points"][0]["second_order"]
         assert ranks and max(ranks) == 3
-
-    def test_weyl_halves_from_the_shared_star_match_the_projection_bit_for_bit(self, analyses):
-        for _, pa in all_points(analyses):
-            sp, cd = pa.batch.structure, pa.batch.cd
-            for sign, half in ((1.0, cd.weyl_plus), (-1.0, cd.weyl_minus)):
-                first = tensorops.dual_projection(cd.weyl, sp.g_inv, sp.mu, sign, (0, 1))
-                assert np.array_equal(half.c, tensorops.dual_projection(first, sp.g_inv, sp.mu, sign, (2, 3)).c)
 
 
 # -- the einsums and dots that the frame-tensor gathers replaced ---------------
