@@ -1,14 +1,16 @@
-"""Compare the report residuals of this tree with those of another checkout.
+"""Compare the report and check residuals of this tree with those of another checkout.
 
 Runs every `report` case of `scripts/report_fingerprint.py` as a JSON report
-(`--json -` is added where the case prints text) in both trees, each in its
-own interpreter importing that tree's `src/`. It prints, for every identity
-row and every second-order residual, the largest |difference| over all cases
-and points with the case and point index where it is largest (when it is
-not zero), and lists every change of a pass mark, a verdict, a flag, the set
-of rows that apply, a second-order value that is not a float (such as the
-`bach_ak_skipped` message), or an exit code. It exits 1 if there is any such
-change, and 0 otherwise:
+(`--json -` is added where the case prints text), and every `check` case as
+it is, in both trees, each in its own interpreter importing that tree's
+`src/`. It prints, for every identity row and every second-order residual
+of the reports, and for every check name, the largest |difference| over all
+cases and points with the case and point (or check line) where it is
+largest (when it is not zero). It lists every change of a pass mark (a
+check line's `pass`, `FAIL` or `not applicable`), a verdict, a flag, the
+set of rows that apply, a second-order value that is not a float (such as
+the `bach_ak_skipped` message), a check line's chart or point, or an exit
+code. It exits 1 if there is any such change, and 0 otherwise:
 
     python3 scripts/residual_drift.py ../other-checkout
 """
@@ -25,6 +27,7 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -33,21 +36,36 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
-def report_cases() -> list[tuple[str, list[str]]]:
-    """(label, argv) of the fingerprint matrix's report cases, each writing
-    JSON to stdout. The label is the fingerprint's, which names a chart file
-    by its chart name rather than its temporary path."""
+#: A check line: the chart and point, then the residual and its mark, or
+#: `not applicable`.
+CHECK_LINE = re.compile(r"^  (?P<where>.*?)\s+(?:(?P<residual>\S+)  (?P<mark>pass|FAIL)|(?P<na>not applicable))$")
+
+
+def _fingerprint_cases(command: str) -> list[tuple[str, list[str]]]:
+    """(label, argv) of the fingerprint matrix's cases of one command. The
+    label is the fingerprint's, which names a chart file by its chart name
+    rather than its temporary path."""
     sys.path.insert(0, str(HERE))
     from report_fingerprint import cases
 
+    return [(label, argv) for label, argv in cases() if argv[0] == command]
+
+
+def report_cases() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the fingerprint matrix's report cases, each writing
+    JSON to stdout."""
     out: list[tuple[str, list[str]]] = []
-    for label, argv in cases():
-        if argv[0] == "report":
-            if "--json" not in argv:
-                label, argv = f"{label} --json -", [*argv, "--json", "-"]
-            if argv not in [seen for _, seen in out]:
-                out.append((label, argv))
+    for label, argv in _fingerprint_cases("report"):
+        if "--json" not in argv:
+            label, argv = f"{label} --json -", [*argv, "--json", "-"]
+        if argv not in [seen for _, seen in out]:
+            out.append((label, argv))
     return out
+
+
+def check_cases() -> list[tuple[str, list[str]]]:
+    """(label, argv) of the fingerprint matrix's check cases."""
+    return _fingerprint_cases("check")
 
 
 def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
@@ -63,7 +81,8 @@ def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
 
 
 def _run_here(tree: str) -> int:
-    """Child mode: run the cases read from stdin with `tree`'s ak4 and print the results."""
+    """Child mode: run the cases read from stdin with `tree`'s ak4 and print
+    the results; a case that prints no JSON document keeps its stdout."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from ak4 import cli
 
@@ -75,7 +94,7 @@ def _run_here(tree: str) -> int:
         doc = json.loads(out.getvalue()) if out.getvalue().startswith("{") else None
         if doc is not None:
             doc.pop("timing_s", None)
-        results.append({"exit": code, "doc": doc, "stderr": err.getvalue()})
+        results.append({"exit": code, "doc": doc, "stdout": None if doc else out.getvalue(), "stderr": err.getvalue()})
     print(json.dumps(results))
     return 0
 
@@ -142,6 +161,43 @@ def compare(labels: list[str], here: list[dict], other: list[dict]) -> tuple[dic
     return rows, second, flips
 
 
+def check_lines(stdout: str) -> list[tuple[str, float | None, str]]:
+    """(chart and point, residual or None, mark) of each line of a check's
+    output that reports a chart point."""
+    rows = []
+    for line in stdout.splitlines():
+        m = CHECK_LINE.match(line)
+        if m and m["na"]:
+            rows.append((m["where"], None, m["na"]))
+        elif m:
+            rows.append((m["where"], float(m["residual"]), m["mark"]))
+    return rows
+
+
+def compare_checks(cases: list[tuple[str, list[str]]], here: list[dict], other: list[dict]) -> tuple[dict, list[str]]:
+    """(max |delta| per check name, flips) over the (label, argv) check
+    cases; each max is a pair (|delta|, "<label>, line <i>" where it is
+    largest, or None when it is 0), i counting the case's chart-point lines."""
+    table: dict[str, tuple[float, str | None]] = {}
+    flips: list[str] = []
+    for (label, argv), a, b in zip(cases, here, other, strict=True):
+        if a["exit"] != b["exit"]:
+            flips.append(f"{label}: exit code {b['exit']} -> {a['exit']}")
+        if a["stderr"] != b["stderr"]:
+            flips.append(f"{label}: error message changed")
+        lines_a, lines_b = check_lines(a["stdout"]), check_lines(b["stdout"])
+        if len(lines_a) != len(lines_b):
+            flips.append(f"{label}: {len(lines_b)} -> {len(lines_a)} check lines")
+            continue
+        for i, ((where_a, res_a, mark_a), (where_b, res_b, mark_b)) in enumerate(zip(lines_a, lines_b)):
+            at = f"{label}, line {i}"
+            if (where_a, mark_a) != (where_b, mark_b):
+                flips.append(f"{at}: {where_b} {mark_b} -> {where_a} {mark_a}")
+            elif res_a is not None:
+                _widen(table, argv[1], _delta(res_a, res_b), at)
+    return table, flips
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--run":
         return _run_here(argv[1])
@@ -149,16 +205,21 @@ def main(argv: list[str]) -> int:
         print("usage: residual_drift.py <other-checkout>  (a tree with src/ak4)", file=sys.stderr)
         return 2
     other_tree = Path(argv[0]).resolve()
-    labels, argvs = zip(*report_cases())
+    reports, checks = report_cases(), check_cases()
+    labels, argvs = zip(*reports, *checks)
     here, other = run_tree(ROOT, list(argvs)), run_tree(other_tree, list(argvs))
-    rows, second, flips = compare(list(labels), here, other)
-    print(f"residual drift of {ROOT} against {other_tree}: {len(argvs)} report cases")
-    for title, table in (("identity rows", rows), ("second-order residuals", second)):
+    n = len(reports)
+    rows, second, flips = compare(list(labels[:n]), here[:n], other[:n])
+    check_table, check_flips = compare_checks(checks, here[n:], other[n:])
+    flips += check_flips
+    print(f"residual drift of {ROOT} against {other_tree}: {n} report cases, {len(checks)} check cases")
+    tables = (("identity rows", rows), ("second-order residuals", second), ("check lines", check_table))
+    for title, table in tables:
         print(f"{title} (max |delta| over cases and points):")
         width = max(map(len, table), default=0)
         for name, (delta, where) in sorted(table.items()):
             print(f"  {name:{width}s}  {delta:.3e}" + (f"  at {where}" if where else ""))
-    print(f"changes of pass mark, verdict, flag, applicability, second-order message or exit code: {len(flips)}")
+    print(f"changes of pass mark, verdict, flag, applicability, second-order message, check line or exit code: {len(flips)}")
     for line in flips:
         print(f"  {line}")
     return 1 if flips else 0

@@ -5,13 +5,16 @@ orthogonal almost complex structure J on a box in R^4. The fundamental
 2-form is always derived from (g, J) through Omega(X, Y) = g(JX, Y), never
 read from input, which removes one consistency failure mode.
 
-The adapted orthonormal coframe {e1, e2 = J e1, e3, e4 = J e3} is built
-deterministically by normalizing d/dx1, applying J, and Gram-Schmidt on the
-first coordinate vector independent of span{e1, e2}. Orientation is fixed
-by declaring the 4-form Omega ^ Omega positive, so Omega is always
-self-dual. The self-dual basis is completed by phi = e1^e3 - e2^e4 and
-J phi, where (J phi)(X, Y) = -phi(JX, Y); this phi gauge is a free choice
-and every gauge-dependent quantity downstream is documented as such.
+The adapted orthonormal frame {e1, e2 = J e1, e3, e4 = J e3} is built at
+each point, on values, deterministically by normalizing d/dx1, applying J,
+and Gram-Schmidt on the first coordinate vector independent of
+span{e1, e2}. Orientation is fixed by declaring the 4-form Omega ^ Omega
+positive, so Omega is always self-dual. At the point the self-dual basis
+is completed by phi = e1^e3 - e2^e4 and J phi, where
+(J phi)(X, Y) = -phi(JX, Y). As a jet, phi is any unit section of the
+J-anti-invariant 2-forms with that value: the gauge is a free choice (a
+rotation of phi by an angle t shifts the connection form xi by dt), and
+every gauge-dependent quantity downstream is documented as such.
 
 `structure_at` runs this structure stage once per batch of sample points (a
 command's points, up to `cli.BATCH_POINTS` at a time) and returns one
@@ -22,9 +25,9 @@ each chart's entries as one coefficient array with a row per point (a
 constant entry too), from which g and J (truncated to J_SIDE_ORDER) are cut
 without a per-entry copy; the rest runs on a leading point axis across
 charts. The adapted frame and the invariant checks read only values, so
-they run on order-0 truncations; mu, phi and J phi are built as jets for
-the whole batch on their first read. Each point's jets are the bits a
-batch of that point alone would give.
+they run on the values of g and J and on order-0 truncations; mu, phi and
+J phi are built as jets for the whole batch on their first read. Each
+point's jets are the bits a batch of that point alone would give.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .exprs import Expr, parse_expr
 from .jets import Jet
 
 STRUCTURE_TOL = 1e-9
-#: Jet order of J and of the jets built from it (Omega, mu, phi, J phi and
-#: the adapted frame they are built with). No identity differentiates these
-#: fields more than twice:
+#: Jet order of J and of the jets built from it (Omega, mu, phi and J phi).
+#: No identity differentiates these fields more than twice:
 #: nabla Omega feeds a and b, and the `nabla2-omega-shape` row takes d of a;
 #: the second covariant derivative of Omega enters the Ricci identity and the
 #: `nabla2-omega-shape` row; the Weitzenboeck check takes the Laplacian of
@@ -346,30 +348,30 @@ class StructureBatch:
     invariant_residuals holds one row per point, one column per INVARIANTS
     entry.
 
-    `structure_at` forms g, g_inv, J, omega, the frame and the invariant
-    residuals. mu, phi and jphi are cached properties, built for the whole
-    batch on their first read from g truncated to J's order, J and the
-    orientation (the sign of det frame that makes Omega self-dual), through
-    the adapted frame and coframe (`_adapted_frame`, `_coframe`) at J's
-    order. `structure_at` takes the frame, and the values of mu, phi and
-    jphi that the self-duality checks read, from the same calls on the
-    order-0 truncations of g and J. The order-0 phi and jphi stay as
-    `phi0` and `jphi0`: the first-order stage builds a and b, which are read
-    only as values, from them, so only the check that differentiates them
-    (`nabla2-omega-shape`) builds phi and jphi at J's order.
+    `structure_at` forms g, g_inv, J, omega, the frame, the invariant
+    residuals and the values phi0 = e1^e3 - e2^e4 and jphi0 of the
+    self-dual basis, which the self-duality checks read and from which the
+    first-order stage builds a and b (read only as values). mu, phi and
+    jphi are cached properties, built as jets for the whole batch on their
+    first read. mu is the volume form of g truncated to J's order under the
+    orientation (the sign of det frame that makes Omega self-dual). phi is
+    any unit section of the J-anti-invariant 2-forms with value phi0: the
+    gauge is free, and a rotation by an angle t only shifts the connection
+    form xi of the `nabla2-omega-shape` row, the one reader that
+    differentiates phi, by dt. It is the J-anti-invariant part
+    A(beta) = (beta - beta(J., J.))/2 of the constant 2-form beta = phi0,
+    scaled to |phi|^2 = 2 with g^-1 at J's order, so that no frame is built
+    as a jet.
 
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
-    reach a lower-degree output coefficient, so every jet equals the leading
-    coefficients of the same jet built at the requested order: J, omega and
-    mu bit for bit, phi and jphi bit for bit to first order, the most any
-    reader uses (their degree-2 coefficients can differ in the last bit from
-    an order-4 build, because BLAS sums the adapted frame's dot products
-    over a padded pair axis whose length depends on the order). The order-0
-    frame and values equal the values of the jets built at J's order bit for
-    bit, sign of zero included, on every chart the tests and fingerprints
-    cover. The order-0 values go through the order-0 paths of the jet
-    kernels (see `jets`), whose bits are those of the general paths. Each
-    point holds the bits of the same point in a one-point batch.
+    reach a lower-degree output coefficient, so J, omega and mu equal the
+    leading coefficients of the same jets built at the requested order bit
+    for bit. phi and jphi do to first order, the most any reader uses (their
+    degree-2 coefficients can differ in the last bit from an order-4 build,
+    because BLAS sums a contraction over a padded pair axis whose length
+    depends on the order). The values of phi and jphi are phi0 and jphi0 bit
+    for bit. Each point holds the bits of the same point in a one-point
+    batch.
     """
 
     points: list[tuple[float, float, float, float]]
@@ -391,17 +393,12 @@ class StructureBatch:
 
     @functools.cached_property
     def phi(self) -> Jet:
-        """phi = e1^e3 - e2^e4 in the adapted coframe."""
-        return _phi(self._coframe)
+        """The unit J-anti-invariant 2-form A(phi0) / |A(phi0)| * sqrt(2), whose value is phi0."""
+        return _anti_invariant_phi(self.phi0, self.J, tensorops.matrix_inverse(self.g.truncate(self.J.order)))
 
     @functools.cached_property
     def jphi(self) -> Jet:
         return _jphi(self.J, self.phi)
-
-    @functools.cached_property
-    def _coframe(self) -> Jet:
-        g = self.g.truncate(self.J.order)
-        return _coframe(_adapted_frame(g, self.J), g)
 
 
 #: The pointwise invariants `structure_at` checks, in the order it checks
@@ -458,14 +455,15 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     a view of its columns truncated to min(order, J_SIDE_ORDER): the bits
     of J evaluated at that order (see `jets`). Everything after that runs
     once on the points of all charts together, along a leading point axis:
-    g^-1 and Omega as jets, then the adapted frame and the invariant checks
-    on values, from the order-0 truncations of g and J (the checks read mu,
-    phi and J phi only through their values). The frame's Gram-Schmidt
-    candidates go through one pass (`_adapted_frame`), and the self-duality
-    checks contract the star operator (`tensorops.star_operator`) once with
-    Omega, phi and J phi stacked on a tensor axis. mu, phi and J phi are
-    built as jets on their first read (see StructureBatch). Each point
-    holds, bit for bit, what a batch of that point alone gives.
+    g^-1 and Omega as jets, then the adapted frame (`_adapted_frame`, a few
+    batched matmuls on the values of g and J), the coframe, phi0 and the
+    invariant checks on values. mu and J phi0 come from the order-0
+    truncations of g and J through `tensorops.volume_form` and `_jphi`, and
+    the self-duality checks contract the star operator
+    (`tensorops.star_operator`) once with Omega, phi0 and J phi0 stacked on
+    a tensor axis. mu, phi and J phi are built as jets on their first read
+    (see StructureBatch). Each point holds, bit for bit, what a batch of
+    that point alone gives.
 
     Raises ChartError if a point lies outside its chart's domain box, and for
     the first bad point of the batch DomainError naming a non-finite g or J
@@ -511,26 +509,23 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     diffs[:, 3] = omega.value + omega.value.transpose(0, 2, 1)
     _check(diffs, residuals, 3, 4)
 
-    # The frame and the remaining checks read only values, so they run on the
-    # order-0 truncations of g and J; the batch builds mu, phi and J phi the
-    # same way at j_order, on their first read.
-    g_low, j_low = g.truncate(0), J.truncate(0)
-    frame_vectors = _adapted_frame(g_low, j_low)
-    frame = frame_vectors.value
-    diffs[:, 4] = frame @ g0 @ frame.transpose(0, 2, 1) - np.eye(4)
+    frame = _adapted_frame(g0, j0)
+    coframe = frame @ g0  # (e^a)_i = g_ij E_a^j
+    diffs[:, 4] = coframe @ frame.transpose(0, 2, 1) - np.eye(4)
     diffs[:, 5, 0] = (j0 @ frame[:, 0, :, None])[..., 0] - frame[:, 1]
     diffs[:, 6, 0] = (j0 @ frame[:, 2, :, None])[..., 0] - frame[:, 3]
     _check(diffs, residuals, 4, 7)
 
     orientation = np.sign(np.linalg.det(frame))
-    coframe = _coframe(frame_vectors, g_low)
+    outer = coframe[:, :, None, :, None] * coframe[:, None, :, None, :]
+    wedge = outer - outer.transpose(0, 1, 2, 4, 3)  # [:, a, b] = e^a ^ e^b
     # Omega must coincide with e1^e2 + e3^e4 in the constructed coframe.
-    rebuilt = _coframe_wedge(coframe, 0, 1) + _coframe_wedge(coframe, 2, 3)
-    diffs[:, 7] = rebuilt.value - omega.value
+    diffs[:, 7] = wedge[:, 0, 1] + wedge[:, 2, 3] - omega.value
     # Self-duality of the positive basis under the declared orientation: the
     # star operator contracted once with Omega, phi and J phi stacked on a
     # tensor axis, (P, 3, 4, 4)
-    phi0 = _phi(coframe)
+    g_low, j_low = g.truncate(0), J.truncate(0)
+    phi0 = Jet._of(0, (wedge[:, 0, 2] - wedge[:, 1, 3])[..., None])
     jphi0 = _jphi(j_low, phi0)
     forms = Jet._of(0, np.stack([omega.c[..., :1], phi0.c, jphi0.c], axis=1))
     star = tensorops.star_operator(tensorops.volume_form(g_low, orientation), g_inv.truncate(0))
@@ -540,63 +535,48 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     return StructureBatch(points, order, g, g_inv, J, omega, frame, residuals, orientation, phi0, jphi0)
 
 
-def _coframe(frame_vectors: Jet, g: Jet) -> Jet:
-    """The adapted coframe, (e^a)_i = g_ij E_a^j."""
-    return jets.contract(frame_vectors, g, 1, 0)
-
-
-def _coframe_wedge(coframe: Jet, a: int, b: int) -> Jet:
-    return tensorops.wedge11(coframe[:, a], coframe[:, b])
-
-
-def _phi(coframe: Jet) -> Jet:
-    return _coframe_wedge(coframe, 0, 2) - _coframe_wedge(coframe, 1, 3)
-
-
 def _jphi(J: Jet, phi: Jet) -> Jet:
     """(J phi)_ij = -phi(J d_i, d_j)."""
     return -jets.contract(J, phi, 0, 0)
 
 
-def _adapted_frame(g: Jet, J: Jet) -> Jet:
-    """Deterministic adapted frames {e1, Je1, e3, Je3} as coordinate jets,
-    axis 0 the point axis.
+def _anti_invariant_phi(phi0: Jet, J: Jet, g_inv: Jet) -> Jet:
+    """The J-anti-invariant part A(beta) = (beta - beta(J., J.))/2 of the
+    constant 2-form beta = phi0, scaled to |phi|^2 = 2, as a jet at J's
+    order; g_inv is g^-1 at that order. Its value is phi0 itself, which
+    A(phi0) equals up to rounding, since phi0 is a unit anti-invariant form."""
+    beta = Jet.constant(phi0.value, J.order)
+    beta_jj = jets.contract(jets.contract(J, beta, 0, 0), J, 1, 0)  # J^k_i beta_kl J^l_j
+    a = 0.5 * (beta - beta_jj)
+    c = (a * jets.sqrt(2.0 / tensorops.form_inner(a, a, g_inv))[:, None, None]).c
+    c[..., 0] = phi0.value
+    return Jet._of(J.order, c)
 
-    e3 normalizes the first coordinate vector d_m, m = 1, 2, 3, left
-    independent of span{e1, e2} by Gram-Schmidt: one that keeps more than
-    1e-10 of its squared length g(d_m, d_m) outside the span, a bound that
-    holds at any scale of g. Each point takes its own m. The three
-    candidates of every point go through one Gram-Schmidt pass, stacked
-    m-major on the point axis (3P rows, each contracted as alone), and only
-    the row each point picks is normalized.
+
+def _adapted_frame(g: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Deterministic adapted frames {e1, Je1, e3, Je3} at each point of the
+    (P, 4, 4) values g and J: frame[p, a] holds the coordinate components of
+    e_a at point p.
+
+    e1 normalizes d_1. e3 normalizes the first coordinate vector d_m,
+    m = 2, 3, 4, left independent of span{e1, e2} by Gram-Schmidt: one that
+    keeps more than 1e-10 of its squared length g(d_m, d_m) outside the
+    span, a bound that holds at any scale of g. Each point takes its own m.
+    The three candidates of every point are the rows of one (P, 3, 4) array,
+    projected by batched matmuls.
     """
-    n = len(g.c)
-    e1 = _basis_vector_jet(0, g) / jets.sqrt(g[:, 0, 0])[:, None]
-    e2 = jets.contract(J, e1, 1, 0)
-    rows, m = np.arange(3 * n), np.repeat([1, 2, 3], n)
-    at = rows % n  # the point of each row
-    g3 = g[at]
-    cand = _basis_vector_jet(m, g3)
-    # g(d_m, .) is a row of g: contracting g with d_m gives it up to the
-    # sign of zero, which the contraction with e then drops
-    lowered = g3[rows, m]
-    for e in (e1[at], e2[at]):
-        coeff = jets.contract(lowered, e, 0, 0)
-        cand = cand - coeff[:, None] * e
-        lowered = jets.contract(g3, cand, 0, 0)
-    norm2 = jets.contract(lowered, cand, 0, 0)
-    served = (norm2.value > 1e-10 * g3.value[rows, m, m]).reshape(3, n)
-    if not served.any(axis=0).all():
+    n = len(g)
+    e1 = np.zeros((n, 4))
+    e1[:, 0] = 1.0 / np.sqrt(g[:, 0, 0])
+    e2 = (J @ e1[..., None])[..., 0]
+    cand = np.tile(np.eye(4)[1:], (n, 1, 1))
+    for e in (e1, e2):
+        cand = cand - (cand @ g @ e[..., None]) * e[:, None, :]
+    norm2 = ((cand @ g) * cand).sum(axis=2)
+    served = norm2 > 1e-10 * g[:, (1, 2, 3), (1, 2, 3)]
+    if not served.any(axis=1).all():
         raise StructureError("frame construction (no independent coordinate vector)", 0.0)
-    pick = served.argmax(axis=0) * n + np.arange(n)  # the first m that serves each point
-    e3 = cand[pick] / jets.sqrt(norm2[pick])[:, None]
-    e4 = jets.contract(J, e3, 1, 0)
-    return Jet._of(e1.order, np.stack([e1.c, e2.c, e3.c, e4.c], axis=1))
-
-
-def _basis_vector_jet(m, g: Jet) -> Jet:
-    """The coordinate vector d_m as a jet at each point of the 4x4 jet
-    matrices g (point axis first); m is one index, or one per point."""
-    c = np.zeros(g.c.shape[:-2] + (jets.NCOEF[g.order],))
-    c[np.arange(len(c)), m, 0] = 1.0
-    return Jet._of(g.order, c)
+    rows, pick = np.arange(n), served.argmax(axis=1)  # the first m that serves each point
+    e3 = cand[rows, pick] / np.sqrt(norm2[rows, pick])[:, None]
+    e4 = (J @ e3[..., None])[..., 0]
+    return np.stack([e1, e2, e3, e4], axis=1)

@@ -54,13 +54,13 @@ operands repeated k times beside them, and `jets.split` cuts the result
 back into its k blocks. `covd` stacks its slot-moved copies of t and
 `divergence` its slots other than `slot`; kn(g, g) and kn(Ric0, g) are one
 `kn_jet`; the Hodge star is one rank-4 tensor per slice
-(`CurvatureBatch.star`), whose contraction with the second pairs of both
-first projections of W is one call; delta W, delta W+ and delta W- are one
-divergence of W, W+ and W- stacked, each the codifferential of its own
-tensor, never a difference; the three Bach routes are one divergence of
-those three codifferentials stacked; and a and b are one
-`nabla_omega_along` over phi and J phi. Each block is subtracted in the
-order the loop it replaced subtracted it.
+(`CurvatureBatch.star`), whose one contraction with the first pair of W
+gives both Weyl halves W+- = (1/2)(W +- *W); delta W, delta W+ and
+delta W- are one divergence of W, W+ and W- stacked, each the
+codifferential of its own tensor, never a difference; the three Bach
+routes are one divergence of those three codifferentials stacked; and a
+and b are one `nabla_omega_along` over phi and J phi. Each block is
+subtracted in the order the loop it replaced subtracted it.
 """
 
 from __future__ import annotations
@@ -257,14 +257,12 @@ class CurvatureBatch:
 
     @functools.cached_property
     def _weyl_halves(self) -> list[Jet]:
-        """W+ and W-, each W projected on both pairs with its sign: F+- =
-        (1/2)(W +- *W) on the first pair, then W+- = (1/2)(F+- +- F+- *) on
-        the second, one contraction over both F+- stacked."""
+        """W+ and W-, each its own projection of W, W+- = (1/2)(W +- *W) on
+        the first pair: in dimension 4 the star commutes with a Weyl tensor
+        (Atiyah, Hitchin & Singer, 1978), so this projects the second pair
+        too, and W- is never W - W+."""
         star_w = jets.contract(self.star, self.weyl, (2, 3), (0, 1))
-        f_plus, f_minus = 0.5 * (self.weyl + star_w), 0.5 * (self.weyl - star_w)
-        stars = jets.contract(jets.concat([f_plus, f_minus]), jets.concat([self.star] * 2), (2, 3), (2, 3))
-        star_plus, star_minus = jets.split(stars, 2)
-        return [0.5 * (f_plus + star_plus), 0.5 * (f_minus - star_minus)]
+        return [0.5 * (self.weyl + star_w), 0.5 * (self.weyl - star_w)]
 
     @property
     def weyl_plus(self) -> Jet:

@@ -178,7 +178,7 @@ class TestChartFiles:
 
 def record_orders(monkeypatch) -> tuple[list[int], list[int]]:
     """The order of each `tensorops.determinant4` and each
-    `charts._adapted_frame` call, from here on."""
+    `charts._adapted_frame` call (0: it takes values), from here on."""
     dets, frames = [], []
     determinant4, adapted_frame = tensorops.determinant4, charts._adapted_frame
 
@@ -187,7 +187,7 @@ def record_orders(monkeypatch) -> tuple[list[int], list[int]]:
         return determinant4(g)
 
     def counted_frame(g, J):
-        frames.append(g.order)
+        frames.append(0)
         return adapted_frame(g, J)
 
     monkeypatch.setattr(tensorops, "determinant4", counted_det)
@@ -256,16 +256,20 @@ class TestStructureValidation:
             assert sp.invariant_residuals["Omega = e1^e2 + e3^e4"] < STRUCT_TOL
 
 
-def eager_j_side(g: jets.Jet, J: jets.Jet) -> tuple[jets.Jet, jets.Jet, jets.Jet, jets.Jet]:
+def eager_j_side(g: jets.Jet, J: jets.Jet) -> tuple[np.ndarray, jets.Jet, jets.Jet, jets.Jet]:
     """The adapted frame, mu, phi and J phi of the metrics g and structures J
-    (point axis first), built by the calls `structure_at` once made eagerly,
-    with mu oriented by the frame's determinant."""
-    frame_vectors = charts._adapted_frame(g, J)
-    mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame_vectors.value)))
-    coframe = jets.contract(frame_vectors, g, 1, 0)
-    phi = charts._coframe_wedge(coframe, 0, 2) - charts._coframe_wedge(coframe, 1, 3)
+    (point axis first), built eagerly by the calls `structure_at` and the
+    batch make: the frame from the values, mu oriented by the frame's
+    determinant, and phi the unit J-anti-invariant part of the constant
+    e1^e3 - e2^e4 of the frame's coframe."""
+    frame = charts._adapted_frame(g.value, J.value)
+    mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame)))
+    outer = (frame @ g.value)[:, :, None, :, None] * (frame @ g.value)[:, None, :, None, :]
+    wedge = outer - outer.transpose(0, 1, 2, 4, 3)  # [:, a, b] = e^a ^ e^b
+    phi0 = jets.Jet(0, (wedge[:, 0, 2] - wedge[:, 1, 3])[..., None])
+    phi = charts._anti_invariant_phi(phi0, J, tensorops.matrix_inverse(g))
     jphi = -jets.contract(J, phi, 0, 0)
-    return frame_vectors, mu, phi, jphi
+    return frame, mu, phi, jphi
 
 
 class TestStructureOrders:
@@ -283,8 +287,8 @@ class TestStructureOrders:
                 g = sp.g[None]
                 J = stack([stack([expr_jet(spec.J[i][j], sp.point, 4) for j in range(4)]) for i in range(4)])[None]
                 omega = jets.contract(J, g, 0, 0)
-                frame_vectors, mu, phi, jphi = eager_j_side(g, J)
-                assert np.array_equal(sp.frame, frame_vectors.value[0])
+                frame, mu, phi, jphi = eager_j_side(g, J)
+                assert np.array_equal(sp.frame, frame[0])
                 for name, full in (("J", J), ("omega", omega), ("mu", mu)):
                     assert np.array_equal(getattr(sp, name).c, full.c[0, ..., :n]), (spec.name, name)
                 for name, full in (("phi", phi), ("jphi", jphi)):
@@ -362,12 +366,60 @@ class TestDeferredJets:
         alone = [structure_point(spec, p, order) for spec, pts in batches for p in pts]
         for sps in [together] + [[sp] for sp in alone]:
             g = stack([sp.g.truncate(sp.J.order) for sp in sps])
-            frame_vectors, mu, phi, jphi = eager_j_side(g, stack([sp.J for sp in sps]))
+            frame, mu, phi, jphi = eager_j_side(g, stack([sp.J for sp in sps]))
             for k, sp in enumerate(sps):
-                assert sp.frame.tobytes() == frame_vectors.value[k].tobytes()
+                assert sp.frame.tobytes() == frame[k].tobytes()
                 for name, eager in (("mu", mu), ("phi", phi), ("jphi", jphi)):
                     jet = getattr(sp, name)
                     assert jet.order == eager.order and jet.c.tobytes() == eager.c[k].tobytes(), name
+
+
+EPS = np.finfo(float).eps
+
+
+class TestPhiSection:
+    """phi is the unit J-anti-invariant part of the constant 2-form phi0 = e1^e3 - e2^e4,
+    as a jet at J's order; |.| is the largest |coefficient|, and each bound is
+    64 eps times the sizes of the factors of one term."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_phi_is_a_unit_anti_invariant_self_dual_section_with_value_phi0(self, catalog_specs, order):
+        sb = charts.structure_at([(spec, spec.sample_points(3, 31)) for spec in catalog_specs.values()], order)
+        J, phi = sb.J, sb.phi
+        assert phi.order == J.order == min(order, charts.J_SIDE_ORDER)
+        assert phi.value.tobytes() == sb.phi0.value.tobytes()
+        g_inv = tensorops.matrix_inverse(sb.g.truncate(J.order))
+        star = tensorops.star_operator(sb.mu, g_inv)
+        # phi(J., J.) = -phi, *phi = phi and |phi|^2 = 2 in every coefficient
+        anti = jets.contract(jets.contract(J, phi, 0, 0), J, 1, 0) + phi
+        dual = jets.contract(star, phi, (2, 3), (0, 1)) - phi
+        norm = tensorops.form_inner(phi, phi, g_inv) - 2.0
+        for k, point in enumerate(sb.points):
+            size = np.abs(phi.c[k]).max()
+            j, gi, st = (max(1.0, np.abs(t.c[k]).max()) for t in (J, g_inv, star))
+            assert np.abs(anti.c[k]).max() <= 64 * EPS * j * j * size, point
+            assert np.abs(dual.c[k]).max() <= 64 * EPS * st * size, point
+            assert np.abs(norm.c[k]).max() <= 64 * EPS * (gi * size) ** 2, point
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_nabla2_omega_shape_holds_in_a_rotated_gauge(self, catalog_specs, order):
+        # phi' = cos t phi + sin t J phi is another unit section of the
+        # anti-invariant forms; the row rebuilds a and xi from it (xi shifts by dt)
+        from ak4 import cli, gray
+
+        pts = catalog_specs["kodaira-thurston"].sample_points(6, 19)
+        conn = cli.point_analyses(charts.structure_at([(catalog_specs["kodaira-thurston"], pts)], order))[0].batch.conn
+        sp = conn.structure
+        assert max(gray.nabla2_omega_shape_residual(conn)) <= 1e-12
+        x1, x3 = (jets.Jet.coordinate(i, pts, sp.J.order) for i in (0, 2))
+        t = 0.3 * x1 - 0.2 * (x3 * x3)
+        c, s = jets.cos(t)[:, None, None], jets.sin(t)[:, None, None]
+        phi, jphi = sp.phi, sp.jphi
+        sp.phi, sp.jphi = c * phi + s * jphi, c * jphi - s * phi
+        assert np.abs((sp.phi - phi).c).max() > 0.1
+        assert max(gray.nabla2_omega_shape_residual(conn)) <= 1e-12
+        sp.jphi = jphi  # phi' and J phi are no gauge: the row sees it
+        assert max(gray.nabla2_omega_shape_residual(conn)) > 1e-3
 
 
 class TestAdaptedFrame:

@@ -387,8 +387,9 @@ class TestIdentityRegistry:
     def test_a_two_point_order_4_report_makes_its_jet_contractions_in_stacked_passes(self, monkeypatch):
         # the second-order report runs its same-shape jet work on the point
         # axis (`jets.concat`); un-stacking a pass raises these counts, which
-        # were 139 and 124 with one contraction per piece and per slot
-        # (kodaira-thurston skips the closed Bach forms)
+        # were 139 and 124 with one contraction per piece and per slot, and
+        # 87 and 73 with the adapted frame built on jets and the Weyl halves
+        # projected on both pairs (kodaira-thurston skips the closed Bach forms)
         calls = Counter()
         contract = jets.contract
 
@@ -399,7 +400,7 @@ class TestIdentityRegistry:
         monkeypatch.setattr(jets, "contract", counted)
         for chart in CATALOG_NAMES:
             run_report(RunConfig(chart=chart, points=2, order=4))
-        assert calls == {"flat": 87, "product-surfaces": 87, "fubini-study": 87, "complex-hyperbolic": 87, "kodaira-thurston": 73}
+        assert calls == {"flat": 74, "product-surfaces": 74, "fubini-study": 74, "complex-hyperbolic": 74, "kodaira-thurston": 60}
 
     def test_a_two_point_order_4_report_makes_one_divergence_per_pass(self, monkeypatch):
         # delta W+-, the Bach routes, the Ricci-route Laplacian and one for the

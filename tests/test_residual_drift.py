@@ -1,4 +1,4 @@
-"""scripts/residual_drift.py: the comparison of two trees' report documents."""
+"""scripts/residual_drift.py: the comparison of two trees' report documents and check outputs."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ak4 import cli
+from conftest import CATALOG_NAMES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
@@ -69,3 +70,56 @@ def test_a_chart_file_case_is_labelled_by_its_chart_name():
     assert "report --order 4 --json - --chart every-function --points 4 --seed 5" in labels
     assert "report --chart half-bad --points 6 --seed 3 --json -" in labels
     assert not [label for label in labels if "ak4-fingerprint-" in label]  # the temporary folder
+
+
+CHECK_ARGV = ["check", "lemma1-alpha", "--chart", "all", "--points", "1", "--order", "2"]
+
+
+def _check_result(capsys) -> dict:
+    code = cli.main(CHECK_ARGV)
+    return {"exit": code, "doc": None, "stdout": capsys.readouterr().out, "stderr": ""}
+
+
+def test_check_lines_parse_the_residual_and_mark_of_every_chart_point(capsys):
+    result = _check_result(capsys)
+    lines = residual_drift.check_lines(result["stdout"])
+    assert [where.split()[0] for where, _, _ in lines] == list(CATALOG_NAMES)
+    assert [mark for _, _, mark in lines] == ["pass"] * 4 + ["not applicable"]
+    assert all(isinstance(res, float) for _, res, _ in lines[:4]) and lines[4][1] is None
+
+
+def test_identical_checks_have_no_drift(capsys):
+    cases = [(" ".join(CHECK_ARGV), CHECK_ARGV)]
+    table, flips = residual_drift.compare_checks(cases, [_check_result(capsys)], [_check_result(capsys)])
+    assert table == {"lemma1-alpha": (0.0, None)} and flips == []
+
+
+def test_a_moved_check_residual_is_measured_and_a_changed_mark_is_a_flip(capsys):
+    label = " ".join(CHECK_ARGV)
+    here, other = _check_result(capsys), _check_result(capsys)
+    lines = other["stdout"].splitlines()
+    fubini = next(i for i, line in enumerate(lines) if line.startswith("  fubini-study"))
+    residual = residual_drift.check_lines(other["stdout"])[2][1]
+    moved = lines[:fubini] + [lines[fubini].replace(f"{residual:.3e}", f"{residual + 1e-9:.3e}")] + lines[fubini + 1 :]
+    here["stdout"] = "\n".join(moved)
+    table, flips = residual_drift.compare_checks([(label, CHECK_ARGV)], [here], [other])
+    assert flips == []
+    delta, where = table["lemma1-alpha"]
+    assert delta == pytest.approx(1e-9, rel=1e-3) and where == f"{label}, line 2"
+    here["stdout"] = other["stdout"].replace("  pass", "  FAIL", 1).replace("not applicable", "1.000e+00  pass")
+    here["exit"] = 1
+    _, flips = residual_drift.compare_checks([(label, CHECK_ARGV)], [here], [other])
+    assert len(flips) == 3
+    assert flips[0] == f"{label}: exit code 0 -> 1"
+    assert flips[1].startswith(f"{label}, line 0: flat") and " pass -> flat " in flips[1] and flips[1].endswith(" FAIL")
+    assert flips[2].startswith(f"{label}, line 4: kodaira-thurston") and " not applicable -> kodaira-thurston " in flips[2]
+    assert flips[2].endswith(" pass")
+
+
+def test_the_check_cases_are_the_fingerprint_matrix_check_cases():
+    cases = residual_drift.check_cases()
+    labels = [label for label, _ in cases]
+    assert cases and all(argv[0] == "check" for _, argv in cases)
+    assert "check nabla2-omega-shape --chart all --points 3 --seed 5 --order 2" in labels
+    assert "check nabla2-omega-shape --chart all --points 3 --seed 5 --order 4" in labels
+    assert "check kappa --chart all --points 1" in labels
