@@ -69,7 +69,8 @@ def check_cases() -> list[tuple[str, list[str]]]:
 
 
 def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
-    """Exit code, JSON document (None unless it printed one) and stderr of each case in `tree`."""
+    """Exit code, JSON document (None unless it printed one), stdout (None
+    when it was a JSON document) and stderr of each case in `tree`."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run", str(tree)],
         input=json.dumps(argvs),
@@ -94,7 +95,7 @@ def _run_here(tree: str) -> int:
         doc = json.loads(out.getvalue()) if out.getvalue().startswith("{") else None
         if doc is not None:
             doc.pop("timing_s", None)
-        results.append({"exit": code, "doc": doc, "stdout": None if doc else out.getvalue(), "stderr": err.getvalue()})
+        results.append({"exit": code, "doc": doc, "stdout": out.getvalue() if doc is None else None, "stderr": err.getvalue()})
     print(json.dumps(results))
     return 0
 

@@ -366,12 +366,11 @@ class StructureBatch:
     Truncated Taylor arithmetic never lets a higher-degree input coefficient
     reach a lower-degree output coefficient, so J, omega and mu equal the
     leading coefficients of the same jets built at the requested order bit
-    for bit. phi and jphi do to first order, the most any reader uses (their
-    degree-2 coefficients can differ in the last bit from an order-4 build,
-    because BLAS sums a contraction over a padded pair axis whose length
-    depends on the order). The values of phi and jphi are phi0 and jphi0 bit
-    for bit. Each point holds the bits of the same point in a one-point
-    batch.
+    for bit. phi and jphi do to first order, the most any reader uses; in
+    degree 2 an order-4 build may round differently, because BLAS sums a
+    contraction over a padded pair axis whose length depends on the order.
+    The values of phi and jphi are phi0 and jphi0 bit for bit. Each point
+    holds the bits of the same point in a one-point batch.
     """
 
     points: list[tuple[float, float, float, float]]
@@ -524,11 +523,10 @@ def structure_at(batches: Iterable[tuple[ChartSpec, np.ndarray]], order: int = 4
     # Self-duality of the positive basis under the declared orientation: the
     # star operator contracted once with Omega, phi and J phi stacked on a
     # tensor axis, (P, 3, 4, 4)
-    g_low, j_low = g.truncate(0), J.truncate(0)
     phi0 = Jet._of(0, (wedge[:, 0, 2] - wedge[:, 1, 3])[..., None])
-    jphi0 = _jphi(j_low, phi0)
+    jphi0 = _jphi(J.truncate(0), phi0)
     forms = Jet._of(0, np.stack([omega.c[..., :1], phi0.c, jphi0.c], axis=1))
-    star = tensorops.star_operator(tensorops.volume_form(g_low, orientation), g_inv.truncate(0))
+    star = tensorops.star_operator(tensorops.volume_form(g.truncate(0), orientation), g_inv.truncate(0))
     starred = jets.contract(star, forms, (2, 3), (1, 2))
     diffs[:, 8:11] = jets.moveaxis(starred, 2, 0).value - forms.value
     _check(diffs, residuals, 7, 11)

@@ -68,7 +68,7 @@ bits of its general one, keeping its `DomainError` check: `_mul_raw` is
 `_contract` lays out the gathered ones, without the arena or the pair
 gather, so the matmul is the same BLAS call; `reciprocal` is `1.0 / b`, and
 `_compose` (sqrt, exp, log and the trigonometric functions) returns f(a0).
-The structure stage's adapted frame and checks and every value-only reader
+The structure stage's self-duality checks and every value-only reader
 run at order 0.
 
 A report point builds about a thousand jets, so their construction is kept
@@ -87,8 +87,8 @@ ed., ch. 13), so a jet can be truncated before it is used, or built at a
 lower order, without changing what its readers see. Callers build each jet
 only to the order its readers differentiate: `charts.structure_at` truncates
 J to order 2 and builds the jets made from it at that order, keeps the
-inverse metric one order below g, and builds the adapted frame and its
-checks from order-0 truncations; the Weyl tensor takes g at the curvature's order, and
+inverse metric one order below g, and runs its checks on order-0
+truncations; the Weyl tensor takes g at the curvature's order, and
 value-only readers truncate their inputs to order 0. A jet truncated too far cannot give
 a silently wrong answer: `partial` and `partials` raise JetOrderError when
 its order runs out. The law holds under overflow too: `_compose` adds its
@@ -98,9 +98,8 @@ meets the exact zeros below degree k (inf * 0 is NaN).
 Elementwise products are bit-identical under truncation. A contraction sums
 the convolution pairs along an axis padded to the order's widest
 coefficient, so a BLAS dot product over it may round differently at another
-order (seen in the degree-2 coefficients of the adapted frame). Each
-truncation named above is pinned bit for bit against the full-order result
-by the kernel tests.
+order. Each truncation named above is pinned bit for bit against the
+full-order result by the kernel tests.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from conftest import CATALOG_NAMES, at, expr_jet, points_of, product_surfaces, r
 from oracles import fd_d_omega
 
 STRUCT_TOL = 1e-9
+EPS = np.finfo(float).eps
 
 
 class TestCatalog:
@@ -264,7 +265,8 @@ def eager_j_side(g: jets.Jet, J: jets.Jet) -> tuple[np.ndarray, jets.Jet, jets.J
     e1^e3 - e2^e4 of the frame's coframe."""
     frame = charts._adapted_frame(g.value, J.value)
     mu = tensorops.volume_form(g, np.sign(np.linalg.det(frame)))
-    outer = (frame @ g.value)[:, :, None, :, None] * (frame @ g.value)[:, None, :, None, :]
+    coframe = frame @ g.value
+    outer = coframe[:, :, None, :, None] * coframe[:, None, :, None, :]
     wedge = outer - outer.transpose(0, 1, 2, 4, 3)  # [:, a, b] = e^a ^ e^b
     phi0 = jets.Jet(0, (wedge[:, 0, 2] - wedge[:, 1, 3])[..., None])
     phi = charts._anti_invariant_phi(phi0, J, tensorops.matrix_inverse(g))
@@ -276,9 +278,9 @@ class TestStructureOrders:
     def test_truncated_fields_equal_the_full_order_leading_coefficients(self, catalog_specs):
         # Rebuild the J-side fields at order 4 with the same calls structure_at
         # makes, on a one-point batch. Every coefficient is bit-identical
-        # except the degree-2 part of phi and J phi: the adapted frame's vector
-        # dot products sum a padded pair axis whose length depends on the
-        # order, and BLAS rounds that sum differently. Nothing reads phi or
+        # except, possibly, the degree-2 part of phi and J phi: their
+        # contractions sum a padded pair axis whose length depends on the
+        # order, and BLAS may round that sum differently. Nothing reads phi or
         # J phi beyond first order.
         n, n1 = jets.NCOEF[charts.J_SIDE_ORDER], jets.NCOEF[1]
         for spec in catalog_specs.values():
@@ -374,13 +376,10 @@ class TestDeferredJets:
                     assert jet.order == eager.order and jet.c.tobytes() == eager.c[k].tobytes(), name
 
 
-EPS = np.finfo(float).eps
-
-
 class TestPhiSection:
-    """phi is the unit J-anti-invariant part of the constant 2-form phi0 = e1^e3 - e2^e4,
-    as a jet at J's order; |.| is the largest |coefficient|, and each bound is
-    64 eps times the sizes of the factors of one term."""
+    """phi is the unit J-anti-invariant part of the constant 2-form
+    phi0 = e1^e3 - e2^e4, as a jet at J's order. Each bound is 64 eps times
+    the largest |coefficient| of the factors of one term."""
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_phi_is_a_unit_anti_invariant_self_dual_section_with_value_phi0(self, catalog_specs, order):
